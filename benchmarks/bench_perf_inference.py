@@ -144,7 +144,7 @@ def run_benchmark(quick: bool = False, output_path: Path = OUTPUT_PATH) -> Dict[
                 "compiled_records_per_second": batch_size / max(compiled_seconds, 1e-12),
                 "identical_scores": identical,
                 # numpy-vs-fused comparison (None when no kernel provider
-                # serves this metric/dtype — e.g. the numba-free CI legs).
+                # serves this metric/dtype — e.g. a host without a C compiler).
                 "fused_seconds": None,
                 "fused_records_per_second": None,
                 "fused_speedup_vs_numpy": None,
@@ -183,7 +183,7 @@ def run_benchmark(quick: bool = False, output_path: Path = OUTPUT_PATH) -> Dict[
         "seed": BENCH_SEED,
         "n_train": n_train,
         # Engine/provider/hardware context: throughput rows are read against
-        # what executed them (fused provider, numba version, CPU budget).
+        # what executed them (fused provider, CPU budget).
         "provenance": runtime_provenance(),
         "results": results,
     }
@@ -270,10 +270,9 @@ def test_perf_inference(benchmark, tmp_path):
 def test_perf_fused_engine(tmp_path):
     """Quick-mode gate for the fused descent kernel.
 
-    Runs on whatever kernel provider resolves on this machine (runtime-
-    compiled C where a compiler exists, else numba); skipped entirely when no
-    provider serves float64/euclidean — the numba-free CI legs prove the
-    numpy fallback instead.  Gates: exact leaf agreement, score drift within
+    Runs on the runtime-compiled C kernel; skipped entirely when it does not
+    build on this machine (no C compiler) — tier-1 proves the numpy
+    fallback instead.  Gates: exact leaf agreement, score drift within
     the documented tolerance, and >= 1.5x throughput over the numpy engine
     on the largest quick batch (the full-run artifact records >= 2x; the
     quick batch is dominated more by fixed per-call costs, so the pytest

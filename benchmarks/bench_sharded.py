@@ -139,7 +139,7 @@ def run_benchmark(
         measure(backend, n_shards, workers)
     # One fused row: the same serial shard layout with each shard's descent
     # running the fused kernel (skipped when no provider serves this
-    # metric/dtype — e.g. the numba-free CI legs).
+    # metric/dtype — e.g. a host without a C compiler).
     if kernels.fused_supported(metric=compiled.metric, dtype=compiled.dtype):
         measure("serial", 4, None, compute_engine="fused")
 

@@ -146,17 +146,14 @@ def runtime_provenance() -> Dict[str, object]:
     """Engine/provider/hardware context recorded by the perf benchmarks.
 
     Throughput numbers are meaningless without knowing what executed them:
-    the resolved compute engine, which fused-kernel provider (if any) backs
-    it, the numba version when that provider is numba, and the usable CPU
+    which fused-kernel provider (if any) is available, and the usable CPU
     count plus BLAS pinning they were measured under.
     """
     from repro.core import kernels
 
     return {
-        "engine_default": kernels.get_default_engine(),
         "fused_providers": list(kernels.available_fused_providers()),
         "fused_provider": kernels.fused_provider(),
-        "numba_version": kernels.numba_version(),
         "n_cpus": usable_cpus(),
         "blas_threads_env": blas_threads_env(),
     }

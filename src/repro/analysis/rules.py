@@ -413,53 +413,36 @@ class FrozenDataclassSetattr(Rule):
 class KernelProviderSeam(Rule):
     """Kernel providers are resolved only through ``repro.core.kernels``.
 
-    The fused providers (numba JIT, the C compile-and-ctypes path) are
-    optional accelerators behind one seam: ``kernels.resolve_engine`` /
-    ``kernels.fused_descent``.  Importing ``repro.core._numba_kernels`` or
-    ``numba`` anywhere else couples callers to a provider that may not exist
-    in the deployment and skips the probe/degrade policy.
+    The fused provider is a C library compiled on first use and loaded
+    through :mod:`ctypes`: an optional accelerator behind one seam,
+    ``kernels.resolve_engine`` / ``kernels.fused_descent``.  Importing
+    ``ctypes`` anywhere else loads native code around that seam, coupling
+    callers to a library that may not exist in the deployment and skipping
+    the probe/degrade policy.
     """
 
     code = "RPL006"
     name = "kernel-provider-seam"
 
-    _EXEMPT = ("core/kernels.py", "core/_numba_kernels.py")
-
     def applies_to(self, path: str) -> bool:
         rel = _repro_rel(path)
-        return rel is not None and rel not in self._EXEMPT
+        return rel is not None and rel != "core/kernels.py"
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if alias.name == "repro.core._numba_kernels" or root == "numba":
-                        yield self._finding(
-                            path,
-                            node,
-                            f"import {alias.name}: kernel providers are reached "
-                            "through the repro.core.kernels seam only",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module in ("repro.core._numba_kernels", "numba") or module.startswith(
-                    "numba."
-                ):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] == "ctypes":
                     yield self._finding(
                         path,
                         node,
-                        f"from {module} import ...: kernel providers are reached "
+                        f"import of {name}: native kernel libraries are loaded "
                         "through the repro.core.kernels seam only",
-                    )
-                elif module == "repro.core" and any(
-                    alias.name == "_numba_kernels" for alias in node.names
-                ):
-                    yield self._finding(
-                        path,
-                        node,
-                        "from repro.core import _numba_kernels: kernel providers "
-                        "are reached through the repro.core.kernels seam only",
                     )
 
 

@@ -49,8 +49,6 @@ from repro.core import kernels
 from repro.core.inspection import describe_tree
 from repro.core.serialization import (
     BINARY_FORMAT_VERSION,
-    _UNSET,
-    _legacy_serving_overrides,
     check_artifact_format,
     detector_binary_payload,
     detector_from_dict,
@@ -124,14 +122,6 @@ def load_bundle(
     *,
     config: Optional[ServingConfig] = None,
     overrides: Optional[Mapping[str, object]] = None,
-    dtype: object = _UNSET,
-    shards: object = _UNSET,
-    workers: object = _UNSET,
-    shard_backend: object = _UNSET,
-    remote_workers: object = _UNSET,
-    mmap: object = _UNSET,
-    verify: object = _UNSET,
-    engine: object = _UNSET,
 ):
     """Load a bundle written by :func:`save_bundle` (any supported version).
 
@@ -152,30 +142,10 @@ def load_bundle(
     Resolution is *strict* at load time — e.g. requesting the ``"fused"``
     engine on a host without a kernel provider fails here instead of at the
     first score.  Scores stay byte-identical to the unsharded float64 engine
-    for every sharding setup; ``dtype="float32"`` opts into the narrowed
-    serving mode (see :meth:`repro.core.CompiledGhsom.astype`).
-
-    The individual keyword arguments (``dtype``, ``shards``, ``workers``,
-    ``shard_backend``, ``remote_workers``, ``mmap``, ``verify``, ``engine``)
-    are deprecated shims over ``overrides=`` and emit a
-    :class:`DeprecationWarning`.
+    for every sharding setup (``overrides={"shards": K}``);
+    ``overrides={"dtype": "float32"}`` opts into the narrowed serving mode
+    (see :meth:`repro.core.CompiledGhsom.astype`).
     """
-    merged = dict(overrides or {})
-    merged.update(
-        _legacy_serving_overrides(
-            {
-                "dtype": dtype,
-                "shards": shards,
-                "workers": workers,
-                "backend": shard_backend,
-                "remote_workers": remote_workers,
-                "mmap": mmap,
-                "verify": verify,
-                "engine": engine,
-            },
-            "load_bundle()",
-        )
-    )
     path = Path(path)
     payload = json.loads(path.read_text())
     if payload.get("kind") != "repro_bundle":
@@ -188,7 +158,7 @@ def load_bundle(
     detector = detector_from_dict(
         payload["detector"],
         config=config,
-        overrides=merged or None,
+        overrides=overrides,
         sidecar_dir=path.parent,
     )
     return pipeline, detector

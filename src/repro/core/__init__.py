@@ -18,8 +18,6 @@ from repro.core.kernels import (
     FUSED_DISTANCE_RTOL,
     available_fused_providers,
     fused_supported,
-    get_default_engine,
-    set_default_engine,
     set_fused_provider,
 )
 from repro.core.inspection import (
@@ -68,8 +66,6 @@ __all__ = [
     "FUSED_DISTANCE_RTOL",
     "available_fused_providers",
     "fused_supported",
-    "get_default_engine",
-    "set_default_engine",
     "set_fused_provider",
     "component_plane",
     "describe_tree",

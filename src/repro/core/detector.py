@@ -26,14 +26,12 @@ Every detector in this library (the GHSOM detector here and the baselines in
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.compiled import CompiledGhsom
 from repro.core.config import GhsomConfig
 from repro.core.ghsom import Ghsom
@@ -44,6 +42,7 @@ from repro.utils.rng import RandomState
 from repro.utils.validation import check_array_2d, check_same_length
 
 if TYPE_CHECKING:  # import cycle: repro.serving imports repro.core at runtime
+    from repro.serving.backends import ShardBackend
     from repro.serving.config import ServingConfig, ServingPlan
 
 #: Sentinel for "the compiled snapshot does not change" in the atomic
@@ -332,11 +331,6 @@ class GhsomDetector(BaseAnomalyDetector):
         the detector serves (dtype, engine, sharding, artifact options) —
         the declarative equivalent of calling :meth:`configure` right after
         construction.
-    engine:
-        Legacy shorthand for ``serving=ServingConfig(engine=...)``: the
-        compute engine for the descent — ``"numpy"`` (byte-exact reference),
-        ``"fused"``, ``"auto"``, or ``None`` for the library default — see
-        :mod:`repro.core.kernels`.  Mutually exclusive with ``serving``.
     """
 
     name = "ghsom"
@@ -351,15 +345,9 @@ class GhsomDetector(BaseAnomalyDetector):
         calibrate_on_normal_only: bool = True,
         random_state: RandomState = None,
         serving: Optional["ServingConfig"] = None,
-        engine: Optional[str] = None,
     ) -> None:
         from repro.serving.config import ServingConfig
 
-        if serving is not None and engine is not None:
-            raise ConfigurationError(
-                "pass the engine inside the ServingConfig (serving=) "
-                "instead of combining it with the legacy engine= shorthand"
-            )
         self.config = config or GhsomConfig()
         self.threshold_strategy_name = threshold_strategy
         self.threshold_kwargs = dict(threshold_kwargs or {})
@@ -372,7 +360,7 @@ class GhsomDetector(BaseAnomalyDetector):
         #: hot path reads it per batch).
         self._engine: Optional[str] = None
         #: The declarative serving configuration; :meth:`configure` is the
-        #: single mutation path (the legacy setters are shims over it).
+        #: single mutation path.
         self._serving: "ServingConfig" = ServingConfig()
         self._plan: Optional["ServingPlan"] = None  # cached resolved plan
         self.labeler: Optional[UnitLabeler] = None
@@ -387,16 +375,16 @@ class GhsomDetector(BaseAnomalyDetector):
         #: serving dtype; ``None`` means "compile from the fitted tree".
         self._compiled: Optional[CompiledGhsom] = None
         self._tables: Optional[_LeafTables] = None
-        #: Sharded-serving configuration: ``(n_shards, backend, workers)`` when
-        #: :meth:`set_sharding` enabled it, ``None`` for the unsharded engine.
+        #: Sharded-serving configuration: ``(n_shards, backend)`` when the
+        #: serving config is sharded, ``None`` for the unsharded engine.
         #: The spec survives refits — the engine itself is rebuilt lazily
         #: against the new compiled snapshot on the next scoring call.
-        self._shard_spec: Optional[tuple] = None
+        self._shard_spec: Optional[Tuple[int, "ShardBackend"]] = None
         self._sharded = None  # the live ShardedGhsom engine, built lazily
         #: Subtree layout restored from a v2 artifact's shard manifest; lets
         #: the sharded engine skip re-deriving the plan from the arrays.
         self._shard_manifest: Optional[Dict[str, object]] = None
-        self._apply_serving(serving if serving is not None else ServingConfig(engine=engine))
+        self._apply_serving(serving if serving is not None else ServingConfig())
 
     # ------------------------------------------------------------------ #
     @property
@@ -459,11 +447,10 @@ class GhsomDetector(BaseAnomalyDetector):
         """Apply a full serving configuration atomically.
 
         The single mutation path for every serving knob — dtype, compute
-        engine, fused-provider override, sharding, artifact options.  The
-        combined state is validated and resolved *before* anything mutates,
-        so a rejected config leaves the detector exactly as it was, and the
-        result never depends on the order knobs were set in (the bug the
-        legacy per-knob setters had).  Resolution is strict on a fitted
+        engine, sharding, artifact options.  The combined state is validated
+        and resolved *before* anything mutates, so a rejected config leaves
+        the detector exactly as it was, and the result never depends on the
+        order knobs were set in.  Resolution is strict on a fitted
         detector: a ``"fused"`` engine request with no provider for the
         model's metric/dtype raises instead of silently serving slower.
         """
@@ -485,10 +472,11 @@ class GhsomDetector(BaseAnomalyDetector):
         """Validate/resolve ``config`` against the current state, then commit.
 
         ``backend`` carries an already-constructed :class:`ShardBackend`
-        instance from the legacy ``set_sharding`` shim (instances have no
-        declarative form); when ``None`` and the plan is sharded, the live
-        backend is reused if the sharding spec is unchanged, otherwise
-        :meth:`ServingPlan.build_backend` constructs a fresh one.
+        instance whose tuning has no declarative form (e.g. a
+        ``RemoteBackend`` with custom timeouts); when ``None`` and the plan
+        is sharded, the live backend is reused if the sharding spec is
+        unchanged, otherwise :meth:`ServingPlan.build_backend` constructs a
+        fresh one.
         """
         from repro.serving.config import ServingConfig
 
@@ -521,7 +509,7 @@ class GhsomDetector(BaseAnomalyDetector):
         if snapshot is not _UNCHANGED:
             self._compiled = snapshot
             self._tables = None
-        self._shard_spec = (int(plan.n_shards), backend, None) if plan.sharded else None
+        self._shard_spec = (int(plan.n_shards), backend) if plan.sharded else None
         return self
 
     def _snapshot_for_dtype(self, current: CompiledGhsom, requested: np.dtype):
@@ -538,28 +526,6 @@ class GhsomDetector(BaseAnomalyDetector):
             return None
         return current.astype(requested)
 
-    def set_serving_dtype(self, dtype) -> "GhsomDetector":
-        """Switch the serving path to ``dtype`` (e.g. ``"float32"``) in place.
-
-        .. deprecated:: use ``configure(serving_config.evolve(dtype=...))``
-           with a :class:`~repro.serving.config.ServingConfig` instead.
-
-        Float32 serving halves codebook memory traffic at the cost of
-        bit-exactness — see :meth:`CompiledGhsom.astype` for the tolerance
-        contract.  ``float64`` restores the default, bit-exact path (for a
-        detector whose only source is an already-narrowed snapshot, the tree
-        is rehydrated to recover full precision).
-        """
-        warnings.warn(
-            "GhsomDetector.set_serving_dtype() is deprecated; build a "
-            "repro.serving.ServingConfig (dtype=...) and pass it to "
-            "configure()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._require_fitted(self.is_fitted)
-        return self._apply_serving(self._serving.evolve(dtype=np.dtype(dtype).name))
-
     # ------------------------------------------------------------------ #
     # compute engine
     # ------------------------------------------------------------------ #
@@ -567,35 +533,6 @@ class GhsomDetector(BaseAnomalyDetector):
     def engine(self) -> Optional[str]:
         """The configured compute engine, or ``None`` for the library default."""
         return self._engine
-
-    def set_engine(self, engine: Optional[str]) -> "GhsomDetector":
-        """Choose the descent engine: ``"numpy"``, ``"fused"``, ``"auto"`` or ``None``.
-
-        .. deprecated:: use ``configure(serving_config.evolve(engine=...))``
-           with a :class:`~repro.serving.config.ServingConfig` instead.
-
-        ``"numpy"`` is the byte-exact reference (and the library default);
-        ``"fused"`` runs the single-pass distance+argmin kernel from
-        :mod:`repro.core.kernels` — same leaf assignments, distances within
-        the documented kernel tolerance; ``"auto"`` uses the fused kernel
-        when a provider is available and silently falls back otherwise;
-        ``None`` defers to :func:`repro.core.kernels.get_default_engine`.
-
-        Requesting ``"fused"`` on a fitted detector is *strict*: it raises
-        :class:`~repro.exceptions.ConfigurationError` immediately when no
-        kernel provider supports the model's metric/dtype, instead of
-        silently serving slower.  The choice applies to the unsharded and
-        sharded engines alike (a live sharded engine is rebuilt with the new
-        setting on the next scoring call).
-        """
-        warnings.warn(
-            "GhsomDetector.set_engine() is deprecated; build a "
-            "repro.serving.ServingConfig (engine=...) and pass it to "
-            "configure()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._apply_serving(self._serving.evolve(engine=engine))
 
     # ------------------------------------------------------------------ #
     # sharded serving
@@ -605,77 +542,8 @@ class GhsomDetector(BaseAnomalyDetector):
         """The active sharded-serving configuration, or ``None`` if unsharded."""
         if self._shard_spec is None:
             return None
-        n_shards, backend, _ = self._shard_spec
+        n_shards, backend = self._shard_spec
         return {"n_shards": n_shards, "backend": backend.name, "workers": backend.workers}
-
-    def set_sharding(
-        self,
-        n_shards: Optional[int],
-        *,
-        backend: object = "serial",
-        workers: Optional[int] = None,
-    ) -> "GhsomDetector":
-        """Serve ``detect`` through K root-subtree shards (``None``/0 disables).
-
-        .. deprecated:: use ``configure()`` with a
-           :class:`~repro.serving.config.ServingConfig` carrying a
-           :class:`~repro.serving.config.ShardingSpec` instead.
-
-        The compiled model is partitioned by root-level BMU into ``n_shards``
-        self-contained subtree shards executed on ``backend`` (``"serial"``,
-        ``"thread"``, ``"process"``, or a :class:`~repro.serving.ShardBackend`
-        instance); scores stay byte-identical to the unsharded float64 engine
-        — see :mod:`repro.serving`.  The configuration survives refits: the
-        engine is rebuilt against the new compiled snapshot on the next
-        scoring call, which is what keeps a sharded
-        :class:`~repro.streaming.OnlineDetector` sharded across drift-
-        triggered refits.
-        """
-        warnings.warn(
-            "GhsomDetector.set_sharding() is deprecated; build a "
-            "repro.serving.ServingConfig (sharding=ShardingSpec(...)) and "
-            "pass it to configure()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.serving.backends import make_backend
-        from repro.serving.config import ShardingSpec
-
-        if not n_shards:
-            return self._apply_serving(self._serving.evolve(sharding=ShardingSpec()))
-        if n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        # Resolve the backend eagerly so a bad name fails here, not mid-batch
-        # (and so an already-constructed instance keeps its identity).
-        resolved = make_backend(backend, workers)
-        spec = self._spec_of_backend(resolved, int(n_shards), workers)
-        return self._apply_serving(self._serving.evolve(sharding=spec), backend=resolved)
-
-    def _spec_of_backend(self, resolved, n_shards: int, workers: Optional[int]):
-        """Best-effort declarative mirror of a live backend instance.
-
-        Keeps :attr:`serving_config` honest on the legacy ``set_sharding``
-        path: named backends round-trip exactly; a custom
-        :class:`ShardBackend` subclass has no declarative name and is
-        recorded as a bare sharded spec.
-        """
-        from repro.serving.config import SHARD_BACKENDS, ShardingSpec
-
-        name = getattr(resolved, "name", None)
-        if name == "remote":
-            addresses = getattr(resolved, "addresses", ())
-            return ShardingSpec(
-                shards=n_shards,
-                remote_workers=",".join(f"{host}:{port}" for host, port in addresses),
-                provisioning=getattr(resolved, "_provisioning", "auto"),
-            )
-        if name in SHARD_BACKENDS:
-            return ShardingSpec(
-                shards=n_shards,
-                backend=name,
-                workers=None if name == "serial" else workers,
-            )
-        return ShardingSpec(shards=n_shards)
 
     def _close_sharded(self) -> None:
         if self._sharded is not None:
@@ -695,7 +563,7 @@ class GhsomDetector(BaseAnomalyDetector):
             from repro.serving.planner import plan_shards, subtrees_from_manifest
             from repro.serving.router import ShardedGhsom
 
-            n_shards, backend, _ = self._shard_spec
+            n_shards, backend = self._shard_spec
             plan = None
             manifest = self._shard_manifest
             if manifest is not None and int(manifest.get("n_leaves", -1)) == compiled.n_leaves:

@@ -8,8 +8,8 @@ memory traffic over temporaries, not arithmetic.
 
 The *fused* engine here performs the whole descent in one pass: per sample,
 distance accumulation and the running argmin stay in registers — no ``(n, u)``
-temporary, no second argmin pass, no per-level Python loop.  Two providers
-implement it behind one seam:
+temporary, no second argmin pass, no per-level Python loop.  One provider
+implements it:
 
 ``"cc"``
     A small C kernel compiled on first use with the system C compiler and
@@ -18,27 +18,23 @@ implement it behind one seam:
     vector width) so the hot loop is a register-tiled run of
     8-samples x lane-chunk fused multiply-adds with a vectorised running
     argmin.  Measured ~2-4x over the numpy engine single-core.
-``"numba"``
-    The same algorithm expressed as ``numba.njit`` loops (lazy-compiled,
-    ``prange`` over sample tiles).  Used when numba is importable and no C
-    toolchain is available; also directly selectable for testing.
 
-Both providers are *optional*: when neither a working C compiler nor numba is
-present, the ``"auto"`` engine silently resolves to ``"numpy"`` — no warnings,
-no hard dependency.  The numpy engine remains the library default because its
-output is byte-identical across hosts (golden artifacts, remote shard
-byte-identity); the fused engine is *documented-ulp* equivalent instead: leaf
-assignments match exactly on non-degenerate data, distances agree within
+The provider is *optional*: without a working C compiler (or with
+:data:`PROVIDER_ENV` / :func:`set_fused_provider` set to ``"none"``) the
+``"auto"`` engine silently resolves to ``"numpy"`` — no warnings, no hard
+dependency.  The numpy engine is the library default (:data:`DEFAULT_ENGINE`)
+because its output is byte-identical across hosts (golden artifacts, remote
+shard byte-identity); the fused engine is *documented-ulp* equivalent instead:
+leaf assignments match exactly on non-degenerate data, distances agree within
 :data:`FUSED_DISTANCE_RTOL` (scalar accumulation orders FLOPs differently from
 BLAS GEMM — the same contract as the float32 serving mode from PR 2).
 
-Engine names accepted everywhere (``assign_arrays(engine=...)``, the
-detector's :meth:`~repro.core.detector.GhsomDetector.set_engine`,
-``load_bundle(engine=...)``, ``repro-ids detect --engine``):
+Engine names accepted everywhere (``assign_arrays(engine=...)``,
+``ServingConfig(engine=...)``, ``repro-ids detect --engine``):
 
 * ``"numpy"`` — the vectorised reference path (default; byte-exact);
 * ``"fused"`` — require the fused kernel (raises if unavailable);
-* ``"auto"``  — fused when a provider supports the metric/dtype, else numpy.
+* ``"auto"``  — fused when the provider supports the metric/dtype, else numpy.
 """
 
 from __future__ import annotations
@@ -74,20 +70,18 @@ FUSED_DISTANCE_RTOL: Dict[str, float] = {"float64": 1e-9, "float32": 2e-4}
 FUSED_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
 _METRIC_IDS = {"sqeuclidean": 0, "euclidean": 1, "manhattan": 2, "chebyshev": 3}
 
-#: Environment variable forcing a provider ("cc", "numba", or "none").
+#: The engine used wherever none is requested (``engine=None``): the numpy
+#: engine, so golden artifacts and cross-host byte-identity hold without opt-in.
+DEFAULT_ENGINE = "numpy"
+
+#: Environment variable forcing the provider: ``"cc"`` or ``"none"`` (how
+#: tests simulate a host without a C compiler).
 PROVIDER_ENV = "REPRO_FUSED_PROVIDER"
 
-# Reentrant: the provider probe holds it while calling into the per-provider
-# loaders, which take it again.
-_lock = threading.RLock()
-#: Resolved provider: unset sentinel -> None/"cc"/"numba" once probed.
-_active_provider: Optional[str] = None
-_provider_probed = False
+_lock = threading.Lock()
 _forced_provider: Optional[str] = None
 #: Why a provider is unavailable, keyed by provider name (debugging aid).
 _provider_errors: Dict[str, str] = {}
-
-_default_engine = "numpy"
 
 
 # --------------------------------------------------------------------------- #
@@ -102,24 +96,6 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-def set_default_engine(engine: str) -> None:
-    """Set the library-wide default engine (``"numpy"`` unless changed).
-
-    The default applies wherever ``engine=None`` is passed (or nothing at
-    all): ``CompiledGhsom.assign_arrays``, detectors without an explicit
-    :meth:`~repro.core.detector.GhsomDetector.set_engine`, shard builds.
-    ``"numpy"`` is the shipped default so golden artifacts and cross-host
-    byte-identity guarantees hold without opt-in.
-    """
-    global _default_engine
-    _default_engine = check_engine(engine)
-
-
-def get_default_engine() -> str:
-    """The library-wide default engine name."""
-    return _default_engine
-
-
 def resolve_engine(
     engine: Optional[str],
     *,
@@ -129,16 +105,16 @@ def resolve_engine(
 ) -> str:
     """Resolve an engine request to the concrete engine to run: numpy or fused.
 
-    ``None`` means "use the library default".  ``"auto"`` picks the fused
-    kernel when a provider is available and supports ``metric``/``dtype``,
+    ``None`` means :data:`DEFAULT_ENGINE`.  ``"auto"`` picks the fused
+    kernel when the provider is available and supports ``metric``/``dtype``,
     silently falling back to numpy otherwise.  ``"fused"`` falls back the same
     way unless ``strict=True``, in which case an unavailable kernel raises
     :class:`~repro.exceptions.ConfigurationError` — configuration-time callers
-    (CLI flags, ``set_engine``) pass ``strict`` so a typo or a missing
-    toolchain fails fast instead of silently serving slower; the per-batch hot
-    path never raises.
+    (``ServingConfig.resolve`` on a fitted detector, CLI flags) pass
+    ``strict`` so a typo or a missing toolchain fails fast instead of
+    silently serving slower; the per-batch hot path never raises.
     """
-    requested = check_engine(engine) if engine is not None else _default_engine
+    requested = check_engine(engine) if engine is not None else DEFAULT_ENGINE
     if requested == "numpy":
         return "numpy"
     supported = fused_supported(metric, dtype)
@@ -148,7 +124,7 @@ def resolve_engine(
             f"fused kernel's support matrix ({FUSED_METRICS}, float64/float32)"
             if fused_provider() is not None
             else "no fused kernel provider is available "
-            "(install numba or a C toolchain); "
+            "(install a C toolchain); "
             + "; ".join(f"{k}: {v}" for k, v in sorted(_provider_errors.items()))
         )
         raise ConfigurationError(f"the fused engine is unavailable: {detail}")
@@ -173,51 +149,39 @@ def fused_supported(metric: str, dtype: npt.DTypeLike) -> bool:
 # --------------------------------------------------------------------------- #
 def available_fused_providers() -> Tuple[str, ...]:
     """Names of providers that actually work on this host (probing them)."""
-    return tuple(
-        name for name in ("cc", "numba") if _probe_provider(name) is not None
-    )
+    return ("cc",) if _cc_library() is not None else ()
 
 
 def fused_provider() -> Optional[str]:
     """The provider the fused engine will run on, or ``None`` if unavailable.
 
-    Preference order: the :data:`PROVIDER_ENV` environment variable or
-    :func:`set_fused_provider` override if given, else the compiled-C kernel
-    (measured fastest), else numba.  The probe runs once per process; a failed
-    probe records its reason in the provider diagnostics.
+    The :func:`set_fused_provider` override or the :data:`PROVIDER_ENV`
+    environment variable wins when set (``"none"`` disables the fused
+    engine); otherwise the compiled-C kernel serves when it builds.  The
+    probe runs once per process; a failed probe records its reason in the
+    provider diagnostics.
     """
-    global _active_provider, _provider_probed
     forced = _forced_provider or os.environ.get(PROVIDER_ENV) or None
-    if forced is not None:
-        if forced == "none":
-            return None
-        if forced not in ("cc", "numba"):
-            raise ConfigurationError(
-                f"unknown fused provider {forced!r}; expected 'cc', 'numba' or 'none'"
-            )
-        return forced if _probe_provider(forced) is not None else None
-    with _lock:
-        if not _provider_probed:
-            _active_provider = next(
-                (name for name in ("cc", "numba") if _probe_provider(name) is not None),
-                None,
-            )
-            _provider_probed = True
-        return _active_provider
+    if forced == "none":
+        return None
+    if forced not in (None, "cc"):
+        raise ConfigurationError(
+            f"unknown fused provider {forced!r}; expected 'cc' or 'none'"
+        )
+    return "cc" if _cc_library() is not None else None
 
 
 def set_fused_provider(name: Optional[str]) -> None:
-    """Force the fused provider: ``"cc"``, ``"numba"``, ``"none"``, or ``None``.
+    """Force the fused provider: ``"cc"``, ``"none"``, or ``None``.
 
     ``"none"`` disables the fused engine entirely (``"auto"`` then resolves to
     numpy — the degraded-environment behaviour, reachable without uninstalling
-    anything); ``None`` restores automatic selection.  Mainly for tests and
-    the CI legs that pin a provider.
+    anything); ``None`` restores automatic selection.  Mainly for tests.
     """
     global _forced_provider
-    if name not in (None, "cc", "numba", "none"):
+    if name not in (None, "cc", "none"):
         raise ConfigurationError(
-            f"unknown fused provider {name!r}; expected 'cc', 'numba', 'none' or None"
+            f"unknown fused provider {name!r}; expected 'cc', 'none' or None"
         )
     _forced_provider = name
 
@@ -225,14 +189,6 @@ def set_fused_provider(name: Optional[str]) -> None:
 def provider_diagnostics() -> Dict[str, str]:
     """Why each probed provider is unavailable (empty entries mean untried)."""
     return dict(_provider_errors)
-
-
-def _probe_provider(name: str) -> Optional[object]:
-    if name == "cc":
-        return _cc_library()
-    if name == "numba":
-        return _numba_kernels()
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -364,16 +320,10 @@ def fused_descent(
     leaf_index = np.empty(n, dtype=np.int64)
     distances = np.empty(n, dtype=matrix.dtype)
     metric_id = _METRIC_IDS[metric]
-    if provider == "cc":
-        _cc_descent(
-            plan, matrix, snorms, entries, codebook, node_offsets,
-            child_of_unit, leaf_of_unit, metric_id, leaf_index, distances,
-        )
-    else:
-        _numba_descent(
-            plan, matrix, snorms, entries, codebook, node_offsets,
-            child_of_unit, leaf_of_unit, metric_id, leaf_index, distances,
-        )
+    _cc_descent(
+        plan, matrix, snorms, entries, codebook, node_offsets,
+        child_of_unit, leaf_of_unit, metric_id, leaf_index, distances,
+    )
     return leaf_index.astype(np.intp, copy=False), distances
 
 
@@ -768,89 +718,12 @@ def _cc_descent(
     )
 
 
-# --------------------------------------------------------------------------- #
-# provider: numba
-# --------------------------------------------------------------------------- #
-_numba_cache: Optional[Any] = None
-_numba_tried = False
-
-
-def _numba_kernels() -> Optional[Any]:
-    """Import and JIT-wrap the numba kernels once; ``None`` when unavailable."""
-    global _numba_cache, _numba_tried
-    if _numba_tried:
-        return _numba_cache
-    with _lock:
-        if _numba_tried:
-            return _numba_cache
-        try:
-            from repro.core import _numba_kernels as module
-
-            _numba_cache = module.build_kernels()
-        except ImportError as exc:
-            _provider_errors["numba"] = f"numba not importable: {exc}"
-            _numba_cache = None
-        except Exception as exc:  # noqa: BLE001 - jit failures disable the provider
-            _provider_errors["numba"] = f"{type(exc).__name__}: {exc}"
-            _numba_cache = None
-        _numba_tried = True
-    return _numba_cache
-
-
-def _numba_descent(
-    plan: FusedPlan,
-    matrix: AnyArray,
-    snorms: AnyArray,
-    entries: AnyArray,
-    codebook: AnyArray,
-    node_offsets: AnyArray,
-    child_of_unit: AnyArray,
-    leaf_of_unit: AnyArray,
-    metric_id: int,
-    leaf_index: AnyArray,
-    distances: AnyArray,
-) -> None:
-    kernels = _numba_kernels()
-    kernels.descend(
-        matrix,
-        snorms,
-        entries,
-        plan.tcodebook,
-        plan.toffsets,
-        plan.tnorm_offsets,
-        plan.punits,
-        plan.tnorms,
-        codebook,
-        node_offsets,
-        child_of_unit,
-        leaf_of_unit,
-        np.int64(metric_id),
-        leaf_index,
-        distances,
-    )
-
-
-def numba_version() -> Optional[str]:
-    """The installed numba version, or ``None`` (benchmark metadata)."""
-    try:
-        import numba
-
-        return str(numba.__version__)
-    except ImportError:
-        return None
-
-
 def _reset_for_tests() -> None:
     """Forget probe results and plan caches (test isolation hook)."""
-    global _active_provider, _provider_probed, _cc_libs, _cc_tried
-    global _numba_cache, _numba_tried, _forced_provider
+    global _cc_libs, _cc_tried, _forced_provider
     with _lock:
-        _active_provider = None
-        _provider_probed = False
         _cc_libs = None
         _cc_tried = False
-        _numba_cache = None
-        _numba_tried = False
         _forced_provider = None
         _provider_errors.clear()
         _plan_cache.clear()

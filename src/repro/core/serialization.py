@@ -42,7 +42,6 @@ arrays.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union, cast
 
@@ -92,11 +91,6 @@ SIDECAR_SUFFIX = ".npz"
 #: Sidecar container formats the v3 reader understands.
 _SIDECAR_FORMATS = ("npz",)
 
-#: Sentinel distinguishing "legacy keyword not passed" from explicit values
-#: (including ``None``) on the deprecated loader signatures.
-_UNSET = object()
-
-
 def _as_int(value: object) -> int:
     """An artifact-payload value as an int (mirrors ``int()`` for JSON types)."""
     if isinstance(value, (bool, int, float, str, np.integer)):
@@ -121,31 +115,6 @@ def _as_mapping(value: object) -> Dict[str, object]:
 def _as_array(value: object, dtype: npt.DTypeLike) -> AnyArray:
     """An artifact-payload value as a numpy array of ``dtype``."""
     return np.asarray(cast("npt.ArrayLike", value), dtype=dtype)
-
-
-def _legacy_serving_overrides(kwargs: Dict[str, object], caller: str) -> Dict[str, object]:
-    """Fold explicitly-passed legacy serving kwargs into config overrides.
-
-    Emits a single :class:`DeprecationWarning` naming the
-    :class:`~repro.serving.config.ServingConfig` replacement when any legacy
-    keyword was given.  ``None`` values on keywords whose legacy default was
-    ``None`` ("no preference") count as unset, so migrated callers that
-    forward defaults verbatim neither warn nor override anything.
-    """
-    passed = {key: value for key, value in kwargs.items() if value is not _UNSET}
-    for key in ("engine", "shards", "workers", "backend", "remote_workers"):
-        if key in passed and passed[key] is None:
-            del passed[key]
-    if not passed:
-        return {}
-    warnings.warn(
-        f"the {sorted(passed)} keyword(s) of {caller} are deprecated; pass a "
-        "repro.serving.ServingConfig via config= (or flat field overrides "
-        "via overrides=) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return passed
 
 
 def _check_version(data: Dict[str, object]) -> int:
@@ -714,8 +683,8 @@ def _detector_payload(
                 arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
                 arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
             payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
-        # The partition-independent subtree layout: lets ``load_bundle`` /
-        # ``set_sharding`` slice worker shards straight from the stored
+        # The partition-independent subtree layout: lets a sharded serving
+        # config slice worker shards straight from the stored
         # arrays instead of re-deriving the plan (see repro.serving.planner).
         payload["shard_manifest"] = manifest_from_compiled(tables.compiled)
     return payload
@@ -767,10 +736,6 @@ def detector_from_dict(
     overrides: Optional[Mapping[str, object]] = None,
     sidecar_dir: Optional[PathLike] = None,
     arrays: Optional[Dict[str, AnyArray]] = None,
-    dtype: object = _UNSET,
-    mmap: object = _UNSET,
-    verify: object = _UNSET,
-    engine: object = _UNSET,
 ) -> GhsomDetector:
     """Rebuild a :class:`GhsomDetector` from a stored payload (any version).
 
@@ -788,31 +753,20 @@ def detector_from_dict(
     :class:`~repro.serving.config.ServingConfig` with the standard
     precedence (see :func:`repro.serving.config.effective_config`): a full
     ``config`` wins wholesale; otherwise flat ``overrides`` (dtype, engine,
-    provider, shards, workers, backend, remote_workers, provisioning, mmap,
-    verify) apply field-wise on top of the artifact-embedded config (v2+
+    shards, workers, backend, remote_workers, provisioning, mmap, verify)
+    apply field-wise on top of the artifact-embedded config (v2+
     payloads carry the config the detector was saved with; older artifacts
     fall back to the library default).  The resolved config also controls
     how the sidecar is opened.  Scores are bit-exact against the saved
     detector only at the default ``"float64"`` dtype.
-
-    The ``dtype`` / ``mmap`` / ``verify`` / ``engine`` keywords are the
-    deprecated pre-config spelling; they behave as the equivalent
-    ``overrides`` and emit a :class:`DeprecationWarning`.
     """
     if data.get("kind") != "ghsom_detector":
         raise SerializationError(
             f"payload is not a ghsom detector (kind={data.get('kind')!r})"
         )
-    merged = dict(overrides or {})
-    merged.update(
-        _legacy_serving_overrides(
-            {"dtype": dtype, "mmap": mmap, "verify": verify, "engine": engine},
-            "detector_from_dict()",
-        )
-    )
     serving = effective_config(
         config=config,
-        overrides=merged or None,
+        overrides=overrides,
         embedded=cast("Optional[Mapping[str, object]]", data.get("serving_config")),
     )
     version = _check_version(data)
@@ -836,7 +790,7 @@ def detector_from_dict(
     detector.threshold_ = threshold_from_dict(_as_mapping(data["threshold"]))
     manifest_payload = data.get("shard_manifest")
     if manifest_payload is not None:
-        # Kept verbatim: set_sharding() uses it to slice worker shards
+        # Kept verbatim: sharded serving uses it to slice worker shards
         # without re-deriving the subtree layout from the arrays.
         detector._shard_manifest = _as_mapping(manifest_payload)
     if version >= 2 and model_payload.get("compiled") is not None:
@@ -928,10 +882,6 @@ def load_detector(
     *,
     config: Optional[ServingConfig] = None,
     overrides: Optional[Mapping[str, object]] = None,
-    dtype: object = _UNSET,
-    mmap: object = _UNSET,
-    verify: object = _UNSET,
-    engine: object = _UNSET,
 ) -> GhsomDetector:
     """Load a detector previously written by :func:`save_detector` (any version).
 
@@ -940,22 +890,13 @@ def load_detector(
     precedence — ``config`` wholesale, else ``overrides`` field-wise on top
     of the artifact-embedded config — exactly as documented on
     :func:`detector_from_dict`; the resolved config also controls how a v3
-    sidecar is opened (``mmap`` / ``verify``).  The ``dtype`` / ``mmap`` /
-    ``verify`` / ``engine`` keywords are the deprecated pre-config spelling
-    (they behave as the equivalent ``overrides`` and warn once).
+    sidecar is opened (``mmap`` / ``verify``).
     """
     path = Path(path)
-    merged = dict(overrides or {})
-    merged.update(
-        _legacy_serving_overrides(
-            {"dtype": dtype, "mmap": mmap, "verify": verify, "engine": engine},
-            "load_detector()",
-        )
-    )
     return detector_from_dict(
         _read_json(path),
         config=config,
-        overrides=merged or None,
+        overrides=overrides,
         sidecar_dir=path.parent,
     )
 

@@ -1,21 +1,17 @@
 """The unified serving-configuration layer: ``ServingConfig`` → ``ServingPlan``.
 
-Six PRs of growth left the serving knobs scattered as loose keyword
-arguments threaded hand-over-hand through five layers — ``load_bundle(dtype=,
-shards=, workers=, shard_backend=, remote_workers=, mmap=, verify=,
-engine=)``, the detector's ``set_engine`` / ``set_sharding`` /
-``set_serving_dtype`` mutators, per-CLI-command flag duplication, and
-worker-side re-stamping of provisioned shards.  This module replaces that
-argument-plumbing convention with two first-class objects:
+Every serving knob lives in one object, :class:`ServingConfig`; the
+loaders (``config=`` / ``overrides=``), ``GhsomDetector.configure`` and the
+CLI flag block all go through it.  This module holds it and its companions:
 
 :class:`ServingConfig`
     A frozen, *declarative* description of how a model is served: dtype,
-    compute engine (plus fused-provider override), the sharding spec and the
-    artifact-loading options.  It validates strictly on construction,
-    round-trips through JSON (``to_dict`` / ``from_dict``, versioned), embeds
-    in v2/v3 model artifacts, and travels over the wire to remote shard
-    workers.  It never touches the environment: a config built on one host
-    means exactly the same thing on another.
+    compute engine, the sharding spec and the artifact-loading options.  It
+    validates strictly on construction, round-trips through JSON
+    (``to_dict`` / ``from_dict``, versioned), embeds in v2/v3 model
+    artifacts, and travels over the wire to remote shard workers.  It never
+    touches the environment: a config built on one host means exactly the
+    same thing on another.
 
 :class:`ServingPlan`
     The *resolved* form: :meth:`ServingConfig.resolve` performs every
@@ -64,17 +60,12 @@ CONFIG_VERSION = 1
 SERVING_DTYPES = ("float64", "float32")
 
 #: Shard-backend names a declarative config may carry (instances cannot be
-#: serialized; the legacy instance path lives on the detector shim only).
+#: serialized).
 SHARD_BACKENDS = ("serial", "thread", "process", "remote")
 
 #: Remote shard-provisioning policies (see
 #: :class:`~repro.serving.remote.RemoteBackend`).
 PROVISIONING_MODES = ("auto", "reference", "value")
-
-#: Fused-kernel provider overrides a config may request (``None`` = automatic
-#: selection; ``"none"`` disables the fused engine entirely).
-PROVIDERS = ("cc", "numba", "none")
-
 
 def usable_workers() -> int:
     """Worker count matching the usable cores (affinity-aware).
@@ -262,7 +253,6 @@ class ServingConfig:
 
     dtype: str = "float64"
     engine: Optional[str] = None
-    provider: Optional[str] = None
     sharding: ShardingSpec = field(default_factory=ShardingSpec)
     artifact: ArtifactOptions = field(default_factory=ArtifactOptions)
 
@@ -278,11 +268,6 @@ class ServingConfig:
         object.__setattr__(self, "dtype", canonical)
         if self.engine is not None:
             kernels.check_engine(self.engine)
-        if self.provider is not None and self.provider not in PROVIDERS:
-            raise ConfigurationError(
-                f"unknown fused provider {self.provider!r}; "
-                f"expected one of {PROVIDERS} or None"
-            )
         if not isinstance(self.sharding, ShardingSpec):
             raise ConfigurationError(
                 f"sharding must be a ShardingSpec, got {type(self.sharding).__name__}"
@@ -301,7 +286,6 @@ class ServingConfig:
             "config_version": CONFIG_VERSION,
             "dtype": self.dtype,
             "engine": self.engine,
-            "provider": self.provider,
             "sharding": {
                 "shards": self.sharding.shards,
                 "workers": self.sharding.workers,
@@ -317,7 +301,13 @@ class ServingConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ServingConfig":
-        """Rebuild a config from :meth:`to_dict` output (strictly validated)."""
+        """Rebuild a config from :meth:`to_dict` output (strictly validated).
+
+        Payloads written before the fused-provider pin was removed carry a
+        ``provider`` key: ``None`` and ``"cc"`` (the only provider) mean the
+        same as no pin, and ``"none"`` — which disabled the fused engine —
+        reads as the numpy engine.
+        """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"serving config payload must be a mapping, got {type(data).__name__}"
@@ -349,10 +339,18 @@ class ServingConfig:
             raise ConfigurationError(
                 f"serving config artifact options have unknown keys {unknown}"
             )
+        engine = _opt_str(data.get("engine"))
+        provider = data.get("provider")
+        if provider == "none":
+            engine = "numpy"
+        elif provider not in (None, "cc"):
+            raise ConfigurationError(
+                f"unknown fused provider {provider!r} in serving config payload; "
+                "expected 'cc', 'none' or null"
+            )
         return cls(
             dtype=str(data.get("dtype", "float64")),
-            engine=_opt_str(data.get("engine")),
-            provider=_opt_str(data.get("provider")),
+            engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
                 workers=_opt_int(sharding.get("workers")),
@@ -377,7 +375,7 @@ class ServingConfig:
         """Apply flat, CLI-style field overrides on top of this config.
 
         ``overrides`` maps flat knob names — ``dtype``, ``engine``,
-        ``provider``, ``shards``, ``workers``, ``backend``,
+        ``shards``, ``workers``, ``backend``,
         ``remote_workers``, ``provisioning``, ``mmap``, ``verify`` — to
         values; keys that are absent keep this config's value, which is what
         gives CLI flags field-wise precedence over an artifact-embedded
@@ -390,7 +388,6 @@ class ServingConfig:
             - {
                 "dtype",
                 "engine",
-                "provider",
                 "shards",
                 "workers",
                 "backend",
@@ -403,7 +400,7 @@ class ServingConfig:
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
         config = self
-        top = {key: overrides[key] for key in ("dtype", "engine", "provider") if key in overrides}
+        top = {key: overrides[key] for key in ("dtype", "engine") if key in overrides}
         if top:
             config = replace(config, **top)
         shard_keys = ("shards", "workers", "backend", "remote_workers", "provisioning")
@@ -441,46 +438,21 @@ class ServingConfig:
 
         All environment-dependent decisions happen here, under one policy:
 
-        * the engine request (``None`` → library default) is resolved to a
-          concrete ``"numpy"`` / ``"fused"`` via
+        * the engine request (``None`` → :data:`~repro.core.kernels.DEFAULT_ENGINE`)
+          is resolved to a concrete ``"numpy"`` / ``"fused"`` via
           :func:`repro.core.kernels.resolve_engine` — ``strict=True`` raises
           :class:`~repro.exceptions.ConfigurationError` when a ``"fused"``
           request has no provider for ``metric``/``dtype``; ``strict=False``
           degrades to numpy (the hot-path / worker-side policy);
-        * a requested fused ``provider`` is honoured by consulting the
-          provider registry (an unavailable strict request raises, a
-          degradable one resolves to numpy);
         * pooled-backend worker counts default to the usable cores
           (:func:`usable_workers`); the remote backend's worker count is its
           address list.
         """
-        requested = self.engine if self.engine is not None else kernels.get_default_engine()
-        provider: Optional[str] = None
-        if requested == "numpy":
-            resolved = "numpy"
-        elif self.provider == "none":
-            if requested == "fused" and strict:
-                raise ConfigurationError(
-                    "the fused engine is unavailable: this config disables "
-                    "every provider (provider='none')"
-                )
-            resolved = "numpy"
-        elif self.provider is not None:
-            available = self.provider in kernels.available_fused_providers()
-            supported = available and kernels.fused_supported(metric, self.dtype)
-            if requested == "fused" and strict and not supported:
-                raise ConfigurationError(
-                    f"the fused engine is unavailable with provider "
-                    f"{self.provider!r} for metric {metric!r} / dtype "
-                    f"{self.dtype!r}"
-                )
-            resolved = "fused" if supported else "numpy"
-            provider = self.provider if resolved == "fused" else None
-        else:
-            resolved = kernels.resolve_engine(
-                requested, metric=metric, dtype=self.dtype, strict=strict
-            )
-            provider = kernels.fused_provider() if resolved == "fused" else None
+        requested = self.engine if self.engine is not None else kernels.DEFAULT_ENGINE
+        resolved = kernels.resolve_engine(
+            requested, metric=metric, dtype=self.dtype, strict=strict
+        )
+        provider = kernels.fused_provider() if resolved == "fused" else None
         sharding = self.sharding
         backend: Optional[str] = None
         workers: Optional[int] = None
@@ -583,7 +555,7 @@ class ServingPlan:
         """Plan provenance plus host diagnostics (the ``inspect`` view)."""
         summary = self.to_dict()
         summary["usable_cores"] = usable_workers()
-        summary["default_engine"] = kernels.get_default_engine()
+        summary["default_engine"] = kernels.DEFAULT_ENGINE
         summary["fused_providers_available"] = list(kernels.available_fused_providers())
         return summary
 

@@ -488,8 +488,9 @@ class DetectionGateway:
         timeout_ms: Optional[float] = None
         budget = frame.get("timeout_ms")
         if budget is not None:
-            if not isinstance(budget, (int, float, np.integer, np.floating)) or bool(
-                budget < 0
+            # ``not >= 0`` also rejects NaN, which compares false both ways.
+            if not isinstance(budget, (int, float, np.integer, np.floating)) or not bool(
+                budget >= 0
             ):
                 raise ServingError(
                     f"timeout_ms must be a non-negative number, got {budget!r}"
@@ -549,7 +550,12 @@ class DetectionGateway:
         # Cast to the serving dtype at admission: batch concatenation is then
         # dtype-uniform and detect()'s own validation pass-through — exactly
         # the arrays a direct detect() call would descend with.
-        return np.ascontiguousarray(matrix, dtype=self._serving_dtype)
+        rows = np.ascontiguousarray(matrix, dtype=self._serving_dtype)
+        # Non-finite values (including ones the cast overflowed to inf) would
+        # make detect() reject the whole coalesced batch; reject this request.
+        if not np.isfinite(rows).all():
+            raise ServingError("detect rows must be finite (no NaN or inf values)")
+        return rows
 
     # ------------------------------------------------------------------ #
     # the micro-batcher

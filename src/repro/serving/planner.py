@@ -203,8 +203,8 @@ def manifest_from_compiled(compiled: CompiledGhsom) -> Dict[str, object]:
     """The JSON-compatible shard manifest of a compiled model.
 
     Stores the partition-independent subtree layout plus the root-layer
-    summary a router needs, so ``load_bundle(shards=K)`` can plan and slice
-    worker shards straight from the artifact payload.
+    summary a router needs, so ``load_bundle(overrides={"shards": K})`` can
+    plan and slice worker shards straight from the artifact payload.
     """
     subtrees = subtrees_from_compiled(compiled)
     return {

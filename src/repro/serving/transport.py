@@ -322,6 +322,11 @@ class WorkerConnection:
         except BaseException:
             self._sock.close()
             raise
+        # Error replies name the peer by the role its handshake advertised
+        # ("shard-worker" -> "shard worker", "gateway"); peers that predate
+        # role advertisement are plain "peer"s.
+        role = str(self.info.get("role") or "peer").replace("-", " ")
+        self._peer_label = f"{role} {self.address[0]}:{self.address[1]}"
         # Request/response frames block indefinitely at the socket level;
         # per-task deadlines are enforced by future.result(timeout) so one
         # slow worker cannot wedge the reader thread's unrelated responses.
@@ -408,8 +413,7 @@ class WorkerConnection:
                 else:
                     future.set_exception(
                         ServingError(
-                            f"shard worker {self.address[0]}:{self.address[1]} "
-                            f"refused a request: {frame.get('error')}"
+                            f"{self._peer_label} refused a request: {frame.get('error')}"
                         )
                     )
             except TransportError as exc:

@@ -1,6 +1,5 @@
-"""RPL006 bad: importing kernel providers around the kernels seam."""
+"""RPL006 bad: loading native code around the kernels seam."""
 
-import numba  # noqa: F401 - lint fixture snippet
-
-from repro.core import _numba_kernels  # noqa: F401 - lint fixture snippet
-from repro.core._numba_kernels import descent_kernel  # noqa: F401 - lint fixture snippet
+import ctypes  # noqa: F401 - lint fixture snippet
+import ctypes.util  # noqa: F401 - lint fixture snippet
+from ctypes import CDLL  # noqa: F401 - lint fixture snippet

@@ -161,7 +161,7 @@ class TestTrainDetectInspect:
         assert main(["train", *args, "--model", str(binary_path), "--format", "binary"]) == 0
         test = load_csv(data_dir / "test.csv")
         pipeline_j, detector_j = load_bundle(json_path)
-        pipeline_b, detector_b = load_bundle(binary_path, verify=True)
+        pipeline_b, detector_b = load_bundle(binary_path, overrides={"verify": True})
         result_j = detector_j.detect(pipeline_j.transform(test))
         result_b = detector_b.detect(pipeline_b.transform(test))
         np.testing.assert_array_equal(result_b.scores, result_j.scores)

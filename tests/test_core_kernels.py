@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.compiled import frontier_descent
 from repro.exceptions import ConfigurationError
+from repro.serving.config import ServingConfig
 
 #: Tree generation is cheap (no GHSOM fit), so the suite affords many more
 #: examples than the fit-based property tests.
@@ -227,10 +228,10 @@ class TestDetectorEngineEquivalence:
     def test_set_engine_round_trip(self, detector, test_matrix):
         reference = detector.detect(test_matrix)
         try:
-            detector.set_engine("fused")
+            detector.configure(ServingConfig(engine="fused"))
             fused = detector.detect(test_matrix)
         finally:
-            detector.set_engine(None)
+            detector.configure(ServingConfig())
         np.testing.assert_array_equal(fused.leaf_index, reference.leaf_index)
         np.testing.assert_array_equal(fused.predictions, reference.predictions)
         assert fused.categories == reference.categories
@@ -254,11 +255,10 @@ class TestEngineResolution:
     def test_engine_names_validated(self):
         with pytest.raises(ConfigurationError):
             kernels.check_engine("gpu")
-        with pytest.raises(ConfigurationError):
-            kernels.set_default_engine("fastest")
 
     def test_default_engine_is_numpy(self):
-        assert kernels.get_default_engine() == "numpy"
+        assert kernels.DEFAULT_ENGINE == "numpy"
+        assert kernels.resolve_engine(None, metric="euclidean", dtype=np.float64) == "numpy"
 
     def test_auto_degrades_to_numpy_without_provider_and_without_warnings(self):
         kernels.set_fused_provider("none")
@@ -306,7 +306,7 @@ class TestEngineResolution:
         from repro.core import GhsomDetector
 
         with pytest.raises(ConfigurationError):
-            GhsomDetector(fast_config, engine="warp")
+            GhsomDetector(fast_config, serving=ServingConfig(engine="warp"))
 
     def test_strict_set_engine_on_fitted_detector_without_provider(
         self, fast_config, train_matrix, train_categories
@@ -318,10 +318,10 @@ class TestEngineResolution:
         kernels.set_fused_provider("none")
         try:
             with pytest.raises(ConfigurationError):
-                detector.set_engine("fused")
+                detector.configure(ServingConfig(engine="fused"))
             # "auto" stays permissive: configuring it succeeds and serves.
-            detector.set_engine("auto")
+            detector.configure(ServingConfig(engine="auto"))
             detector.score_samples(train_matrix[:8])
         finally:
             kernels.set_fused_provider(None)
-            detector.set_engine(None)
+            detector.configure(ServingConfig())

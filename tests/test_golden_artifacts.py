@@ -95,9 +95,9 @@ def test_v3_golden_loads_through_every_path(batch):
     verified loads (all within this process)."""
     path = FIXTURE_DIR / "detector_v3.json"
     reference = load_detector(path).detect(batch).scores
-    for kwargs in ({"mmap": False}, {"verify": True}):
-        result = load_detector(path, **kwargs).detect(batch)
-        assert np.array_equal(result.scores, reference), kwargs
+    for overrides in ({"mmap": False}, {"verify": True}):
+        result = load_detector(path, overrides=overrides).detect(batch)
+        assert np.array_equal(result.scores, reference), overrides
 
 
 def test_fixture_inventory_complete():

@@ -40,6 +40,7 @@ from repro.core.serialization import (
     save_ghsom,
 )
 from repro.exceptions import SerializationError
+from repro.serving.config import ServingConfig, ShardingSpec
 from repro.serving.planner import plan_shards, subtrees_from_compiled
 from repro.serving.shards import build_shards
 from repro.utils.mmapio import write_npz_atomic
@@ -98,13 +99,13 @@ class TestRoundTripByteIdentical:
 
     def test_eager_load_matches_mmap_load(self, v3_artifact, test_matrix):
         mapped = load_detector(v3_artifact)
-        eager = load_detector(v3_artifact, mmap=False, verify=True)
+        eager = load_detector(v3_artifact, overrides={"mmap": False, "verify": True})
         assert np.array_equal(
             mapped.detect(test_matrix).scores, eager.detect(test_matrix).scores
         )
 
     def test_float32_opt_in(self, v3_artifact):
-        narrowed = load_detector(v3_artifact, dtype="float32")
+        narrowed = load_detector(v3_artifact, overrides={"dtype": "float32"})
         assert str(narrowed.serving_dtype) == "float32"
 
     def test_ghsom_binary_round_trip(self, detectors, test_matrix, tmp_path):
@@ -177,14 +178,18 @@ class TestMmapServing:
         self, detectors, v3_artifact, test_matrix, backend
     ):
         expected = detectors[("labelled", "per_unit")].detect(test_matrix)
-        loaded = load_detector(v3_artifact)
-        loaded.set_sharding(
-            3, backend=backend, workers=None if backend == "serial" else 2
+        loaded = load_detector(
+            v3_artifact,
+            config=ServingConfig(
+                sharding=ShardingSpec(
+                    shards=3, backend=backend, workers=None if backend == "serial" else 2
+                )
+            ),
         )
         try:
             observed = loaded.detect(test_matrix)
         finally:
-            loaded.set_sharding(None)
+            loaded.configure(ServingConfig())
         assert np.array_equal(observed.scores, expected.scores)
         assert list(observed.categories) == list(expected.categories)
 
@@ -264,7 +269,7 @@ class TestCorruptionAndMisuse:
         path = _corrupt_copy(v3_artifact, tmp_path, flip_padding_byte)
         assert load_detector(path).is_fitted  # slips past the cheap checks
         with pytest.raises(SerializationError, match="sha256 mismatch"):
-            load_detector(path, verify=True)
+            load_detector(path, overrides={"verify": True})
 
     def test_stripped_always_on_header_fields_refused(self, v3_artifact, tmp_path):
         """The byte-count / CRC checks never silently degrade to no check."""
@@ -332,7 +337,7 @@ class TestCorruptionAndMisuse:
         path = _corrupt_copy(v3_artifact, tmp_path, strip_hash)
         assert load_detector(path).is_fitted  # unverified loads still work
         with pytest.raises(SerializationError, match="records no sha256"):
-            load_detector(path, verify=True)
+            load_detector(path, overrides={"verify": True})
 
     def test_stale_mmap_reference_detected(self, v3_artifact, tmp_path):
         """A pickled shard whose artifact was replaced fails loudly."""
@@ -450,5 +455,5 @@ class TestAtomicSidecarWrites:
         # the JSON's integrity header always describes a sidecar that was
         # fully written first.
         assert json.loads(path.read_text()) == original
-        loaded = load_detector(path, verify=True)
+        loaded = load_detector(path, overrides={"verify": True})
         assert loaded.is_fitted

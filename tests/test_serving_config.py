@@ -36,7 +36,7 @@ class TestValidation:
         config = ServingConfig()
         assert config.dtype == "float64"
         assert config.engine is None
-        assert config.provider is None
+        assert not hasattr(config, "provider")
         assert not config.sharding.enabled
         assert config.artifact.mmap is True
         assert config.artifact.verify is False
@@ -56,8 +56,9 @@ class TestValidation:
             ServingConfig(engine="cuda")
 
     def test_unknown_provider_rejected(self):
+        payload = {**ServingConfig().to_dict(), "provider": "mkl"}
         with pytest.raises(ConfigurationError, match="unknown fused provider"):
-            ServingConfig(provider="mkl")
+            ServingConfig.from_dict(payload)
 
     def test_workers_without_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
@@ -133,7 +134,6 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
         ServingConfig,
         dtype=st.sampled_from(["float64", "float32"]),
         engine=st.sampled_from([None, "numpy", "fused", "auto"]),
-        provider=st.sampled_from([None, "cc", "numba", "none"]),
         sharding=st.one_of(local, pooled, remote),
         artifact=st.builds(ArtifactOptions, mmap=st.booleans(), verify=st.booleans()),
     )
@@ -153,6 +153,18 @@ class TestRoundTrip:
         import json
 
         assert ServingConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @pytest.mark.parametrize("provider", [None, "cc"])
+    def test_parent_format_provider_key_is_ignored(self, provider):
+        config = ServingConfig(dtype="float32", engine="auto")
+        assert "provider" not in config.to_dict()
+        payload = {**config.to_dict(), "provider": provider}
+        assert ServingConfig.from_dict(payload) == config
+
+    @pytest.mark.parametrize("engine", [None, "numpy", "fused", "auto"])
+    def test_parent_format_provider_none_reads_as_numpy(self, engine):
+        payload = {**ServingConfig(engine=engine).to_dict(), "provider": "none"}
+        assert ServingConfig.from_dict(payload) == ServingConfig(engine="numpy")
 
     def test_wrong_version_rejected(self):
         payload = ServingConfig().to_dict()
@@ -242,6 +254,16 @@ class TestEffectiveConfig:
 # --------------------------------------------------------------------------- #
 # resolution into a plan
 # --------------------------------------------------------------------------- #
+@pytest.fixture
+def no_fused_provider():
+    """Simulate a host without a C compiler for the duration of one test."""
+    from repro.core import kernels
+
+    kernels.set_fused_provider("none")
+    yield
+    kernels.set_fused_provider(None)
+
+
 class TestResolve:
     def test_numpy_resolves_to_numpy(self):
         plan = ServingConfig(engine="numpy").resolve()
@@ -254,18 +276,19 @@ class TestResolve:
         from repro.core import kernels
 
         plan = ServingConfig().resolve()
-        assert plan.engine_requested == kernels.get_default_engine()
+        assert plan.engine_requested == kernels.DEFAULT_ENGINE
 
-    def test_provider_none_disables_fused(self):
-        plan = ServingConfig(engine="auto", provider="none").resolve()
+    def test_provider_none_disables_fused(self, no_fused_provider):
+        plan = ServingConfig(engine="auto").resolve()
         assert plan.engine == "numpy"
+        assert plan.provider is None
 
-    def test_strict_fused_with_provider_none_raises(self):
+    def test_strict_fused_with_provider_none_raises(self, no_fused_provider):
         with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
-            ServingConfig(engine="fused", provider="none").resolve(strict=True)
+            ServingConfig(engine="fused").resolve(strict=True)
 
-    def test_degrade_policy_never_raises(self):
-        plan = ServingConfig(engine="fused", provider="none").resolve(strict=False)
+    def test_degrade_policy_never_raises(self, no_fused_provider):
+        plan = ServingConfig(engine="fused").resolve(strict=False)
         assert plan.engine == "numpy"
 
     def test_auto_degrades_even_under_strict(self):

@@ -2,12 +2,11 @@
 
 What these tests pin down, layer by layer:
 
-* the detector's single mutation path (``configure``) is atomic and the
-  legacy setters are order-independent shims over it;
-* every legacy serving keyword and setter emits one DeprecationWarning that
-  names ServingConfig, with behaviour unchanged;
+* the detector's single mutation path (``configure``) is atomic, and
+  configuring the knobs one at a time gives the same result in any order;
 * a configured detector's ServingConfig is embedded in v2/v3 artifacts and
-  survives save → load → refit with byte-identical scores;
+  survives save → load → refit with byte-identical scores; payloads written
+  while the config still carried a fused-provider pin keep loading;
 * ``DetectionResult.stats`` carries per-stage timings plus the resolved
   plan's provenance;
 * a config built from CLI flags, embedded in a v3 bundle and served through
@@ -18,7 +17,7 @@ What these tests pin down, layer by layer:
 from __future__ import annotations
 
 import itertools
-import warnings
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from repro.cli import (
     serving_config_from_args,
     serving_overrides_from_args,
 )
-from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.core.serialization import load_detector, save_detector
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
@@ -110,7 +109,8 @@ class TestConfigure:
         assert detector.serving_config.engine == "numpy"
 
     def test_constructor_rejects_config_plus_legacy_engine(self):
-        with pytest.raises(ConfigurationError, match="legacy engine= shorthand"):
+        # The engine= shorthand is gone: the engine lives in the config only.
+        with pytest.raises(TypeError, match="engine"):
             GhsomDetector(
                 GhsomConfig(random_state=0),
                 engine="numpy",
@@ -120,9 +120,12 @@ class TestConfigure:
     def test_configure_is_atomic_on_failure(self, json_bundle, workload):
         detector = _fresh_detector(json_bundle)
         before = detector.serving_config
-        bad = ServingConfig(engine="fused", provider="none")  # never resolvable
-        with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
-            detector.configure(bad)
+        kernels.set_fused_provider("none")  # a host without a C compiler
+        try:
+            with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
+                detector.configure(ServingConfig(engine="fused"))
+        finally:
+            kernels.set_fused_provider(None)
         # Nothing was committed: same config, and the detector still scores.
         assert detector.serving_config == before
         assert detector.resolved_plan().engine == "numpy"
@@ -148,24 +151,22 @@ class TestConfigure:
 
 
 # --------------------------------------------------------------------------- #
-# satellite 1: order-independent legacy setters
+# order independence: one knob per configure() call, in every order
 # --------------------------------------------------------------------------- #
 class TestOrderIndependence:
     def test_every_setter_ordering_yields_the_same_config_and_scores(
         self, json_bundle, workload
     ):
-        setters = {
-            "engine": lambda d: d.set_engine("numpy"),
-            "dtype": lambda d: d.set_serving_dtype("float32"),
-            "sharding": lambda d: d.set_sharding(2, backend="serial"),
+        knobs = {
+            "engine": {"engine": "numpy"},
+            "dtype": {"dtype": "float32"},
+            "sharding": {"sharding": ShardingSpec(shards=2, backend="serial")},
         }
         configs, scores = [], []
-        for ordering in itertools.permutations(setters):
+        for ordering in itertools.permutations(knobs):
             detector = _fresh_detector(json_bundle)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                for name in ordering:
-                    setters[name](detector)
+            for name in ordering:
+                detector.configure(detector.serving_config.evolve(**knobs[name]))
             configs.append(detector.serving_config)
             scores.append(np.asarray(detector.detect(workload["X_test"]).scores))
             detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
@@ -178,62 +179,6 @@ class TestOrderIndependence:
         assert configs[0] == expected
         for other in scores[1:]:
             np.testing.assert_array_equal(other, scores[0])
-
-
-# --------------------------------------------------------------------------- #
-# satellite 2: deprecation shims (warning text + unchanged behaviour)
-# --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_set_engine_warns_and_behaves(self, json_bundle):
-        detector = _fresh_detector(json_bundle)
-        with pytest.warns(DeprecationWarning, match=r"ServingConfig \(engine="):
-            detector.set_engine("numpy")
-        assert detector.serving_config.engine == "numpy"
-
-    def test_set_serving_dtype_warns_and_behaves(self, json_bundle):
-        detector = _fresh_detector(json_bundle)
-        with pytest.warns(DeprecationWarning, match=r"ServingConfig \(dtype="):
-            detector.set_serving_dtype("float32")
-        assert detector.serving_config.dtype == "float32"
-        assert detector.serving_dtype == np.dtype("float32")
-
-    def test_set_sharding_warns_and_behaves(self, json_bundle):
-        detector = _fresh_detector(json_bundle)
-        with pytest.warns(DeprecationWarning, match=r"ServingConfig \(sharding="):
-            detector.set_sharding(2, backend="serial")
-        assert detector.serving_config.sharding == ShardingSpec(
-            shards=2, backend="serial"
-        )
-        with pytest.warns(DeprecationWarning):
-            detector.set_sharding(None)
-        assert not detector.serving_config.sharding.enabled
-
-    def test_load_bundle_legacy_kwargs_warn_once_and_behave(
-        self, json_bundle, workload, baseline_scores
-    ):
-        with pytest.warns(DeprecationWarning, match="ServingConfig") as record:
-            _, legacy = load_bundle(json_bundle, dtype="float32")
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-        _, modern = load_bundle(json_bundle, overrides={"dtype": "float32"})
-        assert legacy.serving_config == modern.serving_config
-        np.testing.assert_array_equal(
-            np.asarray(legacy.detect(workload["X_test"]).scores),
-            np.asarray(modern.detect(workload["X_test"]).scores),
-        )
-
-    def test_load_detector_legacy_kwargs_warn(self, fitted, tmp_path):
-        path = tmp_path / "detector.json"
-        save_detector(fitted, path)
-        with pytest.warns(DeprecationWarning, match="load_detector"):
-            detector = load_detector(path, dtype="float32")
-        assert detector.serving_config.dtype == "float32"
-
-    def test_forwarded_none_defaults_do_not_warn(self, json_bundle):
-        # None for the optional legacy kwargs means "unset", not an override:
-        # wrappers forwarding their own defaults must stay warning-free.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            load_bundle(json_bundle, shards=None, workers=None, engine=None)
 
 
 # --------------------------------------------------------------------------- #
@@ -265,6 +210,38 @@ class TestArtifactEmbeddedConfig:
             )
         finally:
             loaded.configure(ServingConfig())
+
+    @pytest.mark.parametrize(
+        ("provider", "engine"), [(None, None), ("cc", None), ("none", "numpy")]
+    )
+    def test_parent_format_config_loads_and_scores_identically(
+        self, fitted, workload, baseline_scores, tmp_path, provider, engine
+    ):
+        # The serving_config a detector artifact carried while the config
+        # still had a fused-provider pin (config_version 1, "provider" key).
+        path = tmp_path / "detector.json"
+        save_detector(fitted, path)
+        payload = json.loads(path.read_text())
+        payload["serving_config"] = {
+            "config_version": 1,
+            "dtype": "float64",
+            "engine": None,
+            "provider": provider,
+            "sharding": {
+                "shards": None,
+                "workers": None,
+                "backend": None,
+                "remote_workers": None,
+                "provisioning": "auto",
+            },
+            "artifact": {"mmap": True, "verify": False},
+        }
+        path.write_text(json.dumps(payload))
+        loaded = load_detector(path)
+        assert loaded.serving_config == ServingConfig(engine=engine)
+        np.testing.assert_array_equal(
+            np.asarray(loaded.detect(workload["X_test"]).scores), baseline_scores
+        )
 
     def test_cli_overrides_beat_the_embedded_config(
         self, workload, json_bundle, tmp_path

@@ -200,7 +200,11 @@ class TestWireProtocol:
     def test_unknown_op_gets_error_reply_not_dead_stream(self, fitted):
         with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
             with WorkerConnection(gateway.address) as connection:
-                with pytest.raises(ServingError, match="unknown operation"):
+                # The error names the peer by its advertised role.
+                with pytest.raises(
+                    ServingError,
+                    match=r"^gateway [\d.]+:\d+ refused a request: .*unknown operation",
+                ):
                     connection.call("run", timeout=10)
                 # The stream survives the bad op: the next request works.
                 assert connection.call("ping", timeout=10) == "pong"
@@ -346,6 +350,35 @@ class TestFaultPaths:
             with WorkerConnection(gateway.address) as connection:
                 with pytest.raises(ServingError, match="timeout_ms"):
                     connection.call("detect", rows=X[:1], timeout_ms=-5, timeout=10)
+                with pytest.raises(ServingError, match="timeout_ms"):
+                    connection.call(
+                        "detect", rows=X[:1], timeout_ms=float("nan"), timeout=10
+                    )
+                assert gateway.stats["requests"] == 0  # neither was admitted
+
+    def test_non_finite_rows_fail_only_their_own_request(self, fitted, workload):
+        """A NaN row is rejected at admission, not by the coalesced detect().
+
+        Both requests land in one tick; were the NaN rows admitted, the
+        batch's detect() would raise and fail the clean request too.
+        """
+        X = workload["X_test"]
+        poisoned = X[3:5].copy()
+        poisoned[1, 0] = np.nan
+        with DetectionGateway(fitted, tick_ms=50.0).start() as gateway:
+            with GatewayClient(gateway.address) as client:
+                client.ping()  # connection fully established before timing starts
+                clean = client.submit(X[:3])
+                bad = client.submit(poisoned)
+                infinite = client.submit(np.full((1, X.shape[1]), np.inf))
+                with pytest.raises(ServingError, match="finite"):
+                    bad.result(timeout=30)
+                with pytest.raises(ServingError, match="finite"):
+                    infinite.result(timeout=30)
+                result = clean.result(timeout=30)
+        _assert_result_identical(result, fitted.detect(X[:3]), 0, 3)
+        assert result.batch_rows == 3  # the rejected rows never joined the batch
+        assert gateway.stats["request_errors"] == 2  # the two rejections only
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from repro.serving import (
     RemoteBackend,
     ShardWorkerServer,
     ShardedGhsom,
+    ShardingSpec,
     TransportError,
     WorkerConnection,
     make_backend,
@@ -86,11 +87,11 @@ def binary_bundle(workload, fitted, tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference(binary_bundle, workload):
     """Serial-backend detection result: the byte-identity gold standard."""
-    _, detector = load_bundle(binary_bundle, shards=4, shard_backend="serial")
+    _, detector = load_bundle(binary_bundle, overrides={"shards": 4, "backend": "serial"})
     try:
         return detector.detect(workload["X_test"])
     finally:
-        detector.set_sharding(None)
+        _unshard(detector)
 
 
 def _assert_identical(result, reference):
@@ -101,13 +102,32 @@ def _assert_identical(result, reference):
     assert list(result.categories) == list(reference.categories)
 
 
+def _shard_remote(detector, backend, n_shards=4):
+    """Shard ``detector`` over a live :class:`RemoteBackend` instance.
+
+    The instance (custom timeouts, fake workers) has no declarative form, so
+    it goes through the detector's private ``_apply_serving`` seam alongside
+    the config that describes it.
+    """
+    spec = ShardingSpec(
+        shards=n_shards,
+        remote_workers=",".join(f"{host}:{port}" for host, port in backend.addresses),
+        provisioning=backend._provisioning,
+    )
+    detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
+
+
+def _unshard(detector):
+    detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+
+
 def _detect_remote(binary_bundle, workload, backend, n_shards=4):
     _, detector = load_bundle(binary_bundle)
-    detector.set_sharding(n_shards, backend=backend)
+    _shard_remote(detector, backend, n_shards)
     try:
         return detector.detect(workload["X_test"])
     finally:
-        detector.set_sharding(None)
+        _unshard(detector)
 
 
 # --------------------------------------------------------------------------- #
@@ -129,11 +149,13 @@ class TestRemoteEquivalence:
             remote = _detect_remote(
                 binary_bundle, workload, RemoteBackend([worker.address])
             )
-        _, detector = load_bundle(binary_bundle, shards=4, shard_backend="process", workers=2)
+        _, detector = load_bundle(
+            binary_bundle, overrides={"shards": 4, "backend": "process", "workers": 2}
+        )
         try:
             local = detector.detect(workload["X_test"])
         finally:
-            detector.set_sharding(None)
+            _unshard(detector)
         _assert_identical(remote, local)
 
     def test_by_value_worker_without_model(self, binary_bundle, workload, reference):
@@ -162,7 +184,7 @@ class TestRemoteEquivalence:
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             backend = RemoteBackend([worker.address])
             _, detector = load_bundle(binary_bundle)
-            detector.set_sharding(2, backend=backend)
+            _shard_remote(detector, backend, 2)
             first = detector.detect(workload["X_test"])
             provisions = (
                 backend.stats["provision_reference"] + backend.stats["provision_value"]
@@ -170,12 +192,12 @@ class TestRemoteEquivalence:
             assert provisions == 1
             # A resharded detector rebuilds its shard tuple; the worker must
             # be provisioned again (stale arrays would be silently wrong).
-            detector.set_sharding(3, backend=backend)
+            _shard_remote(detector, backend, 3)
             second = detector.detect(workload["X_test"])
             assert (
                 backend.stats["provision_reference"] + backend.stats["provision_value"]
             ) == provisions + 1
-            detector.set_sharding(None)
+            _unshard(detector)
         _assert_identical(first, reference)
         _assert_identical(second, reference)
 
@@ -233,12 +255,12 @@ class TestFailover:
         worker = ShardWorkerServer(model_path=binary_bundle).start()
         backend = RemoteBackend([worker.address], reconnect_backoff=0.0)
         _, detector = load_bundle(binary_bundle)
-        detector.set_sharding(4, backend=backend)
+        _shard_remote(detector, backend, 4)
         first = detector.detect(workload["X_test"])
         worker.shutdown()
         second = detector.detect(workload["X_test"])  # connection now dead
         third = detector.detect(workload["X_test"])  # connect refused
-        detector.set_sharding(None)
+        _unshard(detector)
         assert backend.stats["failover_tasks"] > 0
         _assert_identical(first, reference)
         _assert_identical(second, reference)
@@ -260,7 +282,7 @@ class TestFailover:
         host, port = worker.address
         backend = RemoteBackend([worker.address], reconnect_backoff=0.0)
         _, detector = load_bundle(binary_bundle)
-        detector.set_sharding(4, backend=backend)
+        _shard_remote(detector, backend, 4)
         detector.detect(workload["X_test"])
         worker.shutdown()
         detector.detect(workload["X_test"])  # all failover
@@ -272,7 +294,7 @@ class TestFailover:
             assert backend.stats["connects"] == 2
             _assert_identical(result, reference)
         finally:
-            detector.set_sharding(None)
+            _unshard(detector)
             restarted.shutdown()
 
 
@@ -478,11 +500,11 @@ class TestByReferenceSafety:
         with ShardWorkerServer().start() as worker:  # no artifact on the worker
             backend = RemoteBackend([worker.address], provisioning="reference")
             _, detector = load_bundle(binary_bundle)
-            detector.set_sharding(4, backend=backend)
+            _shard_remote(detector, backend, 4)
             with pytest.raises(ServingError, match="without a binary model artifact"):
                 detector.detect(workload["X_test"])
             assert backend.stats["failover_tasks"] == 0
-            detector.set_sharding(None)
+            _unshard(detector)
 
     def test_replaced_artifact_disables_by_reference(
         self, binary_bundle, workload, fitted, reference, tmp_path
@@ -522,11 +544,11 @@ class TestByReferenceSafety:
         n_subtrees = len(subtrees_from_compiled(fitted.model.compile()))
         with ShardWorkerServer(model_path=bundle).start() as worker:
             backend = RemoteBackend([worker.address])
-            detector.set_sharding(n_subtrees, backend=backend)
+            _shard_remote(detector, backend, n_subtrees)
             try:
                 result = detector.detect(workload["X_test"])
             finally:
-                detector.set_sharding(None)
+                _unshard(detector)
             assert backend.stats["provision_reference"] == 0
             assert backend.stats["provision_value"] == 1
             assert backend.stats["failover_tasks"] == 0
@@ -560,7 +582,10 @@ class TestByReferenceSafety:
     def test_worker_without_model_refuses_reference(self, binary_bundle):
         with ShardWorkerServer().start() as worker:
             connection = WorkerConnection(worker.address)
-            with pytest.raises(ServingError, match="without a binary model artifact"):
+            with pytest.raises(
+                ServingError,
+                match=r"^shard worker [\d.]+:\d+ refused a request: .*without a binary model",
+            ):
                 connection.call(
                     "provision",
                     timeout=10.0,
@@ -601,16 +626,18 @@ class TestConstruction:
 
     def test_load_bundle_remote_validation(self, binary_bundle):
         with pytest.raises(ConfigurationError, match="remote"):
-            load_bundle(binary_bundle, shards=2, shard_backend="remote")
+            load_bundle(binary_bundle, overrides={"shards": 2, "backend": "remote"})
         with pytest.raises(ConfigurationError, match="conflicts"):
             load_bundle(
                 binary_bundle,
-                shards=2,
-                shard_backend="thread",
-                remote_workers="127.0.0.1:7001",
+                overrides={
+                    "shards": 2,
+                    "backend": "thread",
+                    "remote_workers": "127.0.0.1:7001",
+                },
             )
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
-            load_bundle(binary_bundle, remote_workers="127.0.0.1:7001")
+            load_bundle(binary_bundle, overrides={"remote_workers": "127.0.0.1:7001"})
 
 
 class TestCli:

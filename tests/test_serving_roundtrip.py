@@ -141,7 +141,7 @@ class TestV2ServesWithoutTree:
     def test_float32_opt_in_close_but_not_exact(self, detectors, test_matrix):
         detector = detectors[("oneclass", "per_unit")]
         payload = _json_round_trip(detector_to_dict(detector))
-        narrowed = detector_from_dict(payload, dtype="float32")
+        narrowed = detector_from_dict(payload, overrides={"dtype": "float32"})
         assert str(narrowed.serving_dtype) == "float32"
         expected = detector.score_samples(test_matrix)
         observed = narrowed.score_samples(test_matrix)

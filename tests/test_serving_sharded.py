@@ -26,6 +26,7 @@ from repro.serving import (
     ProcessPoolBackend,
     SerialBackend,
     ShardedGhsom,
+    ShardingSpec,
     ThreadPoolBackend,
     build_shards,
     make_backend,
@@ -43,6 +44,14 @@ FIT_SETTINGS = {
 }
 
 METRICS = ("euclidean", "manhattan", "chebyshev")
+
+
+def _shard(detector, n_shards=None, backend="serial", workers=None):
+    """Serve ``detector`` through ``n_shards`` root-subtree shards (``None``: unsharded)."""
+    spec = ShardingSpec()
+    if n_shards:
+        spec = ShardingSpec(shards=n_shards, backend=backend, workers=workers)
+    return detector.configure(detector.serving_config.evolve(sharding=spec))
 
 
 def _make_dataset(seed: int, n_clusters: int, n_features: int, n_samples: int) -> np.ndarray:
@@ -182,7 +191,7 @@ class TestManifest:
         assert subtrees_from_manifest(manifest) == subtrees_from_compiled(
             labelled_detector.model.compile()
         )
-        # ...and the loaded detector keeps it for set_sharding().
+        # ...and the loaded detector keeps it for sharded serving.
         loaded = detector_from_dict(payload)
         assert loaded._shard_manifest == manifest
 
@@ -268,39 +277,39 @@ class TestShardedEquivalence:
         reference = labelled_detector.detect(X)
         try:
             for n_shards in (1, 3):
-                labelled_detector.set_sharding(n_shards)
+                _shard(labelled_detector, n_shards)
                 result = labelled_detector.detect(X)
                 np.testing.assert_array_equal(result.scores, reference.scores)
                 np.testing.assert_array_equal(result.predictions, reference.predictions)
                 np.testing.assert_array_equal(result.leaf_index, reference.leaf_index)
                 assert result.categories == reference.categories
         finally:
-            labelled_detector.set_sharding(None)
+            _shard(labelled_detector)
 
     def test_one_class_detector_byte_identical(self, workload, detector_config):
         detector = GhsomDetector(detector_config, random_state=0).fit(workload["X_train"])
         X = workload["X_test"]
         reference = detector.detect(X)
-        detector.set_sharding(4, backend="thread", workers=2)
+        _shard(detector, 4, backend="thread", workers=2)
         result = detector.detect(X)
         np.testing.assert_array_equal(result.scores, reference.scores)
         assert result.categories == reference.categories
-        detector.set_sharding(None)
+        _shard(detector)
 
     def test_float32_sharded_matches_float32_unsharded(self, labelled_detector, workload):
         X = workload["X_test"]
         payload = detector_to_dict(labelled_detector)
-        narrowed = detector_from_dict(payload, dtype="float32")
+        narrowed = detector_from_dict(payload, overrides={"dtype": "float32"})
         reference = narrowed.detect(X)
-        narrowed.set_sharding(3)
+        _shard(narrowed, 3)
         result = narrowed.detect(X)
         np.testing.assert_array_equal(result.scores, reference.scores)
         np.testing.assert_array_equal(result.leaf_index, reference.leaf_index)
-        narrowed.set_sharding(None)
+        _shard(narrowed)
 
     def test_sharding_survives_refit(self, workload, detector_config):
         detector = GhsomDetector(detector_config, random_state=0).fit(workload["X_train"])
-        detector.set_sharding(3)
+        _shard(detector, 3)
         X = workload["X_test"]
         _ = detector.detect(X)
         detector.fit(workload["X_train"][:400])
@@ -310,9 +319,9 @@ class TestShardedEquivalence:
 
     def test_set_sharding_validation(self, labelled_detector):
         with pytest.raises(ConfigurationError):
-            labelled_detector.set_sharding(-1)
+            _shard(labelled_detector, -1)
         with pytest.raises(ConfigurationError):
-            labelled_detector.set_sharding(2, backend="quantum")
+            _shard(labelled_detector, 2, backend="quantum")
         assert labelled_detector.sharding is None  # failed calls leave it unsharded
 
     def test_make_backend_rejects_bad_worker_overrides(self):
@@ -414,7 +423,7 @@ class TestShardedBundle:
         path = tmp_path / "bundle.json"
         save_bundle(pipeline, labelled_detector, path)
         _, plain = load_bundle(path)
-        _, sharded = load_bundle(path, shards=3, workers=2, shard_backend="thread")
+        _, sharded = load_bundle(path, overrides={"shards": 3, "workers": 2, "backend": "thread"})
         assert sharded.sharding == {"n_shards": 3, "backend": "thread", "workers": 2}
         X = workload["X_test"]
         reference = plain.detect(X)
@@ -423,7 +432,7 @@ class TestShardedBundle:
         assert result.categories == reference.categories
         # The manifest — not a tree rebuild — provided the shard layout.
         assert not sharded.tree_is_materialized
-        sharded.set_sharding(None)
+        _shard(sharded)
 
     def test_workers_without_shards_is_rejected(self, tmp_path, labelled_detector):
         from repro.exceptions import ReproError
@@ -435,9 +444,9 @@ class TestShardedBundle:
         # workers / shard_backend only make sense with shards=K: reject the
         # call instead of silently serving unsharded.
         with pytest.raises(ReproError):
-            load_bundle(path, workers=4)
+            load_bundle(path, overrides={"workers": 4})
         with pytest.raises(ReproError):
-            load_bundle(path, shard_backend="process")
+            load_bundle(path, overrides={"backend": "process"})
 
 
 # --------------------------------------------------------------------------- #
@@ -476,11 +485,11 @@ class TestShardedProperty:
         n_subtrees = len(subtrees_from_compiled(detector.model.compile()))
         try:
             for n_shards in {1, 2, max(1, n_subtrees)}:
-                detector.set_sharding(n_shards)
+                _shard(detector, n_shards)
                 result = detector.detect(queries)
                 np.testing.assert_array_equal(result.scores, reference.scores)
                 np.testing.assert_array_equal(result.predictions, reference.predictions)
                 np.testing.assert_array_equal(result.leaf_index, reference.leaf_index)
                 assert result.categories == reference.categories
         finally:
-            detector.set_sharding(None)
+            _shard(detector)
