@@ -10,6 +10,7 @@ events in the stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -77,6 +78,10 @@ class ConnectionEvent:
     label: str = "normal"
 
     def __post_init__(self) -> None:
+        for name in ("timestamp", "duration", "src_bytes", "dst_bytes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value}")
         if self.timestamp < 0 or self.duration < 0:
             raise SimulationError(
                 f"timestamps and durations must be non-negative, got "

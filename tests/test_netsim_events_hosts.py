@@ -73,6 +73,16 @@ class TestConnectionEvent:
         with pytest.raises(SimulationError):
             make_event(src_bytes=-5)
 
+    @pytest.mark.parametrize("field", ["timestamp", "duration", "src_bytes", "dst_bytes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        """NaN slips past ``< 0`` checks; a NaN timestamp would sort arbitrarily."""
+        with pytest.raises(SimulationError, match=field):
+            make_event(**{field: value})
+
+    def test_large_integer_byte_counts_accepted(self):
+        assert make_event(src_bytes=10**400).src_bytes == 10**400
+
 
 class TestNetworkModel:
     def test_host_counts(self):
