@@ -13,9 +13,16 @@ from __future__ import annotations
 import abc
 from typing import Iterable, Union
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError
-from repro.streaming.window import SlidingWindow
+from repro.streaming.window import SlidingWindow, scalar_batch
+
+#: Values per block of windows tested at once in ``MeanShiftDetector``: the
+#: row-wise ``std`` temporary stays at ~1 MiB however long the batch is.
+_BLOCK_VALUES = 1 << 17
 
 
 class DriftDetector(abc.ABC):
@@ -32,11 +39,11 @@ class DriftDetector(abc.ABC):
         calling :meth:`update` once per value (the detectors are inherently
         sequential), and the batch keeps being consumed after the first alarm
         so the internal state matches the one-by-one path exactly.  Accepts
-        any iterable of scalars, including lazy generators.
+        any iterable of scalars, including lazy generators, or a 1-D array.
         """
         fired = False
-        for value in values:
-            fired = self.update(float(value)) or fired
+        for value in scalar_batch(values, type(self).__name__).tolist():
+            fired = self.update(value) or fired
         return fired
 
     @abc.abstractmethod
@@ -82,15 +89,27 @@ class PageHinkleyDetector(DriftDetector):
         self._minimum = 0.0
 
     def update(self, value: float) -> bool:
-        value = float(value)
-        self._count += 1
-        # Running mean of the stream so far.
-        self._mean += (value - self._mean) / self._count
-        self._cumulative += value - self._mean - self.delta
-        self._minimum = min(self._minimum, self._cumulative)
-        if self._count < self.min_observations:
-            return False
-        return (self._cumulative - self._minimum) > self.threshold
+        return self.update_many((value,))
+
+    def update_many(self, values: Union[Iterable[float], AnyArray]) -> bool:
+        # The recurrence runs over local variables and is written back once,
+        # so a batch costs no method call per value.
+        count, mean = self._count, self._mean
+        cumulative, minimum = self._cumulative, self._minimum
+        delta, threshold = self.delta, self.threshold
+        min_observations = self.min_observations
+        fired = False
+        for value in scalar_batch(values, "PageHinkleyDetector").tolist():
+            count += 1
+            # Running mean of the stream so far.
+            mean += (value - mean) / count
+            cumulative += value - mean - delta
+            minimum = min(minimum, cumulative)
+            if count >= min_observations and (cumulative - minimum) > threshold:
+                fired = True
+        self._count, self._mean = count, mean
+        self._cumulative, self._minimum = cumulative, minimum
+        return fired
 
 
 class MeanShiftDetector(DriftDetector):
@@ -100,6 +119,17 @@ class MeanShiftDetector(DriftDetector):
     ``sensitivity`` reference standard deviations.  Simpler and easier to
     reason about than Page–Hinkley; used as the default in the pipeline
     because its false-alarm behaviour is easy to control.
+
+    With ``R = reference_size`` and ``W = recent_size``, the state is the
+    last ``R + W`` values seen since :meth:`reset`.  After value number
+    ``c >= R + W`` the reference window is ``v[c-R-W : c-W]``, the recent
+    window is ``v[c-W : c]``, and the test runs once per value.  Before that
+    the first ``R`` values fill the reference and the next ones the recent
+    window, with no test.  :meth:`update_many` therefore runs the test for a
+    whole batch as row-wise means and standard deviations over a sliding
+    window view of ``history + batch``; each row reduces the same contiguous
+    run of values as a one-value-at-a-time test would, so every ``gap`` and
+    ``std`` is bit-identical to it.
     """
 
     def __init__(
@@ -113,27 +143,58 @@ class MeanShiftDetector(DriftDetector):
             raise ConfigurationError("window sizes must be at least 2")
         if sensitivity <= 0:
             raise ConfigurationError(f"sensitivity must be positive, got {sensitivity}")
-        self.reference = SlidingWindow(reference_size)
-        self.recent = SlidingWindow(recent_size)
+        self.reference_size = int(reference_size)
+        self.recent_size = int(recent_size)
         self.sensitivity = float(sensitivity)
+        self.reset()
+
+    @property
+    def reference(self) -> SlidingWindow:
+        """Snapshot of the reference window (up to the ``R`` values before ``recent``)."""
+        window = SlidingWindow(self.reference_size)
+        window.extend(self._history[: self.reference_size])
+        return window
+
+    @property
+    def recent(self) -> SlidingWindow:
+        """Snapshot of the recent window (the values after the reference)."""
+        window = SlidingWindow(self.recent_size)
+        window.extend(self._history[self.reference_size :])
+        return window
 
     def reset(self) -> None:
-        self.reference.clear()
-        self.recent.clear()
+        self._history: AnyArray = np.empty(0)
 
     def update(self, value: float) -> bool:
-        value = float(value)
-        # The reference window fills first; afterwards new values go to the
-        # recent window and graduate into the reference as they age out.
-        if not self.reference.is_full:
-            self.reference.append(value)
+        return self.update_many((value,))
+
+    def update_many(self, values: Union[Iterable[float], AnyArray]) -> bool:
+        """Feed a batch; ``True`` when the test fired at any of its values."""
+        batch = scalar_batch(values, "MeanShiftDetector")
+        span = self.reference_size + self.recent_size
+        # Windows ending in the first span-1 batch values reach back into the
+        # stored history; every later window lies inside the batch, so the
+        # batch itself is viewed without a copy.
+        head = np.concatenate((self._history, batch[: span - 1]))
+        fired = self._shifted(head, after=self._history.size) or self._shifted(
+            batch, after=span - 1
+        )
+        self._history = (batch if batch.size >= span else head)[-span:].copy()
+        return fired
+
+    def _shifted(self, stream: AnyArray, *, after: int) -> bool:
+        """Whether the test fires for any window of ``stream`` ending past ``after`` values."""
+        span = self.reference_size + self.recent_size
+        first = max(after - span + 1, 0)
+        if stream.size - first < span:
             return False
-        if self.recent.is_full:
-            oldest = self.recent.values()[0]
-            self.reference.append(float(oldest))
-        self.recent.append(value)
-        if not self.recent.is_full:
-            return False
-        reference_std = max(self.reference.std(), 1e-9)
-        gap = self.recent.mean() - self.reference.mean()
-        return gap > self.sensitivity * reference_std
+        windows = sliding_window_view(stream[first:], span)
+        rows = max(1, _BLOCK_VALUES // span)
+        for start in range(0, windows.shape[0], rows):
+            block = windows[start : start + rows]
+            reference = block[:, : self.reference_size]
+            gap = block[:, self.reference_size :].mean(axis=1) - reference.mean(axis=1)
+            threshold = self.sensitivity * np.maximum(reference.std(axis=1), 1e-9)
+            if np.any(gap > threshold):
+                return True
+        return False

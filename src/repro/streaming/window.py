@@ -11,6 +11,25 @@ from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError
 
 
+def scalar_batch(values: Union[Iterable[float], AnyArray], owner: str) -> AnyArray:
+    """``values`` as a 1-D float64 array, in order.
+
+    Lazy iterables (generators) are consumed without materialising an
+    intermediate list; a float64 vector comes back without a copy.  An array
+    of any other rank raises :class:`ConfigurationError` naming ``owner``: a
+    0-D scalar or a matrix (even an ``(n, 1)`` column) is a caller mistake
+    that iterating or ``ravel()`` would hide.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ConfigurationError(
+                f"{owner} takes a 1-D batch of scalars; got an array of shape "
+                f"{values.shape}"
+            )
+        return values.astype(float, copy=False)
+    return np.fromiter((float(value) for value in values), dtype=float)
+
+
 class SlidingWindow:
     """A fixed-capacity window of recent values with cheap summary statistics.
 
@@ -43,20 +62,10 @@ class SlidingWindow:
         it fills), but the conversion and eviction happen in bulk instead of
         one Python call per value.
         """
-        if isinstance(values, np.ndarray):
-            if values.ndim != 1:
-                # A matrix here almost certainly means the caller wanted the
-                # row buffer (SlidingMatrixWindow); flattening silently would
-                # pour n*d feature values into the scalar statistics.
-                raise ConfigurationError(
-                    f"SlidingWindow stores scalars; got an array of shape "
-                    f"{values.shape} (use SlidingMatrixWindow for row batches)"
-                )
-            array = values.astype(float)
-        else:
-            # Lazy iterables (generators) are part of the contract; fromiter
-            # consumes them without materialising an intermediate list.
-            array = np.fromiter((float(value) for value in values), dtype=float)
+        # A matrix here almost certainly means the caller wanted the row
+        # buffer (SlidingMatrixWindow); flattening silently would pour n*d
+        # feature values into the scalar statistics.
+        array = scalar_batch(values, "SlidingWindow (use SlidingMatrixWindow for rows)")
         if array.size > self.capacity:
             # Only the trailing `capacity` values can survive anyway.
             array = array[-self.capacity :]
@@ -204,23 +213,27 @@ class EwmaEstimator:
 
     def update(self, value: float) -> float:
         """Fold one observation into the average and return the new mean."""
-        value = float(value)
-        if self._mean is None:
-            mean = value
-            self._variance = 0.0
-        else:
-            delta = value - self._mean
-            mean = self._mean + self.alpha * delta
-            self._variance = (1.0 - self.alpha) * (
-                self._variance + self.alpha * delta * delta
-            )
-        self._mean = mean
-        self.n_updates += 1
-        return mean
+        return self.update_many((value,))
 
     def update_many(self, values: Union[Iterable[float], AnyArray]) -> float:
-        """Fold several observations and return the final mean."""
-        result = self.mean
-        for value in values:
-            result = self.update(float(value))
-        return result
+        """Fold several observations in order and return the final mean.
+
+        The recurrence runs over local variables and is written back once,
+        so a batch costs no method call per value.
+        """
+        batch = scalar_batch(values, "EwmaEstimator").tolist()
+        alpha = self.alpha
+        decay = 1.0 - alpha
+        mean = self._mean
+        variance = self._variance
+        for value in batch:
+            if mean is None:
+                mean = value  # the variance is still the 0.0 set in __init__
+            else:
+                delta = value - mean
+                mean = mean + alpha * delta
+                variance = decay * (variance + alpha * delta * delta)
+        self._mean = mean
+        self._variance = variance
+        self.n_updates += len(batch)
+        return self.mean
