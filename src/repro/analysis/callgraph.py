@@ -463,7 +463,7 @@ class Project:
         """``{"coroutine"|"thread"|"executor": {qualname: witness chain}}``.
 
         A witness chain is the display-name path from the seed to the
-        function (``("DetectionGateway._handle_client", "_admit")`` …); it
+        function (``("DetectionGateway._detect", "_admit")`` …); it
         goes straight into finding messages so a reader can follow *why*
         the analyzer believes the function runs in that context.
         """

@@ -453,8 +453,9 @@ class ServingExceptionWrap(Rule):
     :class:`ReproError` subclasses (``ServingError``/``TransportError``)
     naming the backend, shard and batch.  An ``except Exception`` that
     neither re-raises nor mentions an error-surface class swallows pool and
-    transport internals.  Reply-path handlers on the worker (failures become
-    error frames the coordinator re-raises) carry inline suppressions.
+    transport internals.  Reply paths (the server core's, where failures
+    become error frames the client re-raises, and the gateway's batch path)
+    carry inline suppressions.
     """
 
     code = "RPL007"
@@ -505,9 +506,7 @@ class PoolConfinement(Rule):
     ``backends.make_backend`` and ``ServingPlan.build_backend`` own pool
     construction: sizing (``usable_workers``), fork-context selection, the
     close/rebuild-on-broken policy and the strict/degrade fallbacks.  A pool
-    spun up elsewhere escapes all of that.  The worker server's
-    per-connection task pool is the documented exception and carries an
-    inline suppression.
+    spun up elsewhere escapes all of that.
     """
 
     code = "RPL008"

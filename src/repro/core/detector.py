@@ -354,11 +354,6 @@ class GhsomDetector(BaseAnomalyDetector):
         self.labeling_strategy = labeling_strategy
         self.calibrate_on_normal_only = calibrate_on_normal_only
         self.random_state = random_state
-        #: Compute-engine choice for every descent this detector runs;
-        #: ``None`` defers to the library default.  Mirrors
-        #: ``self._serving.engine`` (kept as a plain attribute because the
-        #: hot path reads it per batch).
-        self._engine: Optional[str] = None
         #: The declarative serving configuration; :meth:`configure` is the
         #: single mutation path.
         self._serving: "ServingConfig" = ServingConfig()
@@ -505,7 +500,6 @@ class GhsomDetector(BaseAnomalyDetector):
         self._close_sharded()
         self._serving = config
         self._plan = plan
-        self._engine = config.engine
         if snapshot is not _UNCHANGED:
             self._compiled = snapshot
             self._tables = None
@@ -532,7 +526,7 @@ class GhsomDetector(BaseAnomalyDetector):
     @property
     def engine(self) -> Optional[str]:
         """The configured compute engine, or ``None`` for the library default."""
-        return self._engine
+        return self._serving.engine
 
     # ------------------------------------------------------------------ #
     # sharded serving
@@ -581,7 +575,7 @@ class GhsomDetector(BaseAnomalyDetector):
                 labels=tables.labels,
                 is_attack=tables.is_attack,
                 purity=tables.purity,
-                engine=self._engine,
+                engine=self._serving.engine,
             )
         return self._sharded
 
@@ -681,7 +675,7 @@ class GhsomDetector(BaseAnomalyDetector):
         # the sharded engine carries it in its shard fields (set at build).
         serving = self._serving_engine()
         if isinstance(serving, CompiledGhsom):
-            leaf_index, distances = serving.assign_arrays(X, engine=self._engine)
+            leaf_index, distances = serving.assign_arrays(X, engine=self._serving.engine)
         else:
             leaf_index, distances = serving.assign_arrays(X)
         ratios = distances / tables.thresholds[leaf_index]

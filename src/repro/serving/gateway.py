@@ -52,26 +52,17 @@ socket carries any number of in-flight requests (the benchmark drives 512).
 from __future__ import annotations
 
 import asyncio
-import os
-import socket
-import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError, ServingError
-from repro.serving.transport import (
-    PROTOCOL_VERSION,
-    TransportError,
-    WorkerConnection,
-    parse_address,
-    read_frame_async,
-    write_frame_async,
-)
+from repro.serving.server import DEFERRED, Connection, FramedServer, ping
+from repro.serving.transport import WorkerConnection, parse_address
 
 if TYPE_CHECKING:  # import cycle: repro.core.detector lazily imports serving
     from repro.core.detector import DetectionResult, GhsomDetector
@@ -134,22 +125,13 @@ class GatewayResult:
 
 
 # --------------------------------------------------------------------------- #
-# server internals
+# server
 # --------------------------------------------------------------------------- #
-@dataclass(eq=False)  # identity semantics: connections live in a set
-class _ClientConnection:
-    """Per-connection write state: one asyncio writer, serialised replies."""
-
-    writer: asyncio.StreamWriter
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    closed: bool = False
-
-
 @dataclass
 class _PendingRequest:
     """One admitted ``detect`` request waiting for (or riding) a micro-batch."""
 
-    connection: _ClientConnection
+    connection: Connection
     request_id: object
     rows: AnyArray
     n_rows: int
@@ -159,7 +141,7 @@ class _PendingRequest:
     timeout_ms: Optional[float]
 
 
-class DetectionGateway:
+class DetectionGateway(FramedServer):
     """Asyncio TCP server that micro-batches ``detect`` requests.
 
     Parameters
@@ -186,8 +168,10 @@ class DetectionGateway:
     drain_timeout_s:
         Upper bound :meth:`shutdown` waits for admitted work to finish.
 
-    ``start()`` serves on a background thread (tests, benchmarks);
-    ``serve_forever()`` blocks (the CLI).  Both end via :meth:`shutdown`.
+    The lifecycle (``start()`` on a background thread, ``serve_forever()``
+    on the calling one, :meth:`shutdown`), the handshake and the frame loop
+    are the :class:`~repro.serving.server.FramedServer` core's; the gateway
+    is its ``ping``/``detect`` ops table plus the micro-batcher.
     """
 
     def __init__(
@@ -217,51 +201,38 @@ class DetectionGateway:
         self._tick_s = float(tick_ms) / 1e3
         self._max_batch_rows = int(max_batch_rows)
         self._max_pending_rows = int(max_pending_rows)
-        self._drain_timeout_s = float(drain_timeout_s)
         # Resolve the serving plan once, now: a misconfigured model must
         # fail at startup, not at the first client request.
         self._plan_info: Dict[str, object] = dict(detector.resolved_plan().describe())
         compiled = detector._compiled_model()
         self._n_features = int(compiled.n_features)
         self._serving_dtype = np.dtype(compiled.dtype)
-        self._listener = socket.create_server((host, int(port)), reuse_port=False)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        #: Observability counters (written only from the event-loop thread).
-        self.stats: Dict[str, int] = {
-            "requests": 0,
-            "rows": 0,
-            "batches": 0,
-            "batched_rows": 0,
-            "largest_batch_rows": 0,
-            "rejected_backpressure": 0,
-            "expired_deadlines": 0,
-            "request_errors": 0,
-        }
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._draining = False
-        self._closed = False
+        super().__init__(
+            host,
+            port,
+            role="gateway",
+            info=self.gateway_info,
+            ops={"ping": ping, "detect": self._detect},
+            drain_timeout_s=drain_timeout_s,
+        )
+        self.stats.update(
+            requests=0,
+            rows=0,
+            batches=0,
+            batched_rows=0,
+            largest_batch_rows=0,
+            rejected_backpressure=0,
+            expired_deadlines=0,
+        )
         self._pending_rows = 0
         self._carry: Optional[_PendingRequest] = None
-        self._connections: Set[_ClientConnection] = set()
         # Created inside the event loop (asyncio primitives bind to it).
         self._queue: "asyncio.Queue[Optional[_PendingRequest]]" = asyncio.Queue()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
-        self._stopped: Optional[asyncio.Event] = None
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
     def gateway_info(self) -> Dict[str, object]:
-        """The info dict advertised to clients during the handshake."""
+        """The gateway's part of the handshake info (model shape and knobs)."""
         return {
-            "pid": os.getpid(),
-            "protocol": PROTOCOL_VERSION,
-            "role": "gateway",
-            "ops": ("ping", "detect"),
             "n_features": self._n_features,
             "dtype": str(self._serving_dtype),
             "tick_ms": self._tick_s * 1e3,
@@ -270,90 +241,11 @@ class DetectionGateway:
             "plan": dict(self._plan_info),
         }
 
-    def serve_forever(self) -> None:
-        """Run the gateway on the calling thread until interrupted."""
-        self._run_loop()
-
-    def start(self) -> "DetectionGateway":
-        """Serve on a daemon thread (in-process gateways for tests/benchmarks)."""
-        self._thread = threading.Thread(
-            target=self._run_loop,
-            name=f"repro-gateway-{self.address[1]}",
-            daemon=True,
-        )
-        self._thread.start()
-        self._started.wait(timeout=30.0)
-        if self._startup_error is not None:
-            raise ServingError(f"gateway failed to start: {self._startup_error}")
-        return self
-
-    def shutdown(self) -> None:
-        """Graceful drain from any thread: finish admitted work, then stop."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
-            self._close_listener()
-            return
-        try:
-            asyncio.run_coroutine_threadsafe(self._shutdown_async(), loop).result(
-                timeout=self._drain_timeout_s + 30.0
-            )
-        except (TransportError, ServingError, RuntimeError, TimeoutError):
-            pass  # the loop stopped while (or before) the drain ran
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-
-    def __enter__(self) -> "DetectionGateway":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    def _close_listener(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------ #
-    # event loop plumbing
-    # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        main_task = loop.create_task(self._main())
-        try:
-            loop.run_until_complete(main_task)
-        except KeyboardInterrupt:
-            # CLI path: drain in the same loop, then let _main finish.
-            loop.run_until_complete(self._shutdown_async())
-            loop.run_until_complete(main_task)
-        except BaseException as exc:
-            self._startup_error = exc
-            raise
-        finally:
-            self._started.set()
-            self._closed = True
-            loop.close()
-
-    async def _main(self) -> None:
+    async def _startup(self) -> None:
         self._queue = asyncio.Queue()
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, sock=self._listener
-        )
         self._batcher = asyncio.create_task(self._batch_loop())
-        self._started.set()
-        await self._stopped.wait()
 
-    async def _shutdown_async(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()  # stop accepting; live connections stay up
+    async def _drain(self) -> None:
         # Admitted work drains: new detect ops are rejected from here on,
         # everything already in the queue still gets its real result.
         deadline = time.monotonic() + self._drain_timeout_s
@@ -365,117 +257,16 @@ class DetectionGateway:
                 await asyncio.wait_for(self._batcher, timeout=self._drain_timeout_s)
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 self._batcher.cancel()
-        for connection in list(self._connections):
-            connection.closed = True
-            connection.writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
-        if self._stopped is not None:
-            self._stopped.set()
 
-    # ------------------------------------------------------------------ #
-    # connection handling
-    # ------------------------------------------------------------------ #
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _ClientConnection(writer=writer)
-        self._connections.add(connection)
-        try:
-            raw = writer.get_extra_info("socket")
-            if raw is not None:
-                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if not await self._handshake(reader, writer):
-                return
-            while True:
-                try:
-                    frame = await read_frame_async(reader)
-                except TransportError:
-                    return  # client went away (or sent garbage)
-                if not isinstance(frame, dict) or "id" not in frame or "op" not in frame:
-                    return
-                request_id = frame["id"]
-                try:
-                    operation = frame["op"]
-                    if operation == "ping":
-                        await self._reply(connection, request_id, {"ok": True, "result": "pong"})
-                        continue
-                    if operation == "detect":
-                        self._admit(connection, request_id, frame)
-                        continue
-                    raise ServingError(f"unknown operation {operation!r}")
-                # repro-lint: disable=RPL007 -- gateway admission path: the
-                # failure is shipped back as an error reply frame (the
-                # "explicit rejection, never a silent drop" contract);
-                # raising would kill the whole connection instead.
-                except Exception as exc:
-                    self.stats["request_errors"] += 1
-                    await self._reply(
-                        connection,
-                        request_id,
-                        {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-                    )
-        except TransportError:
-            pass  # handshake reply pipe broke
-        finally:
-            connection.closed = True
-            self._connections.discard(connection)
-            writer.close()
-
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Async server side of the transport handshake (same frames/texts)."""
-        try:
-            hello = await read_frame_async(reader)
-        except TransportError:
-            return False  # garbage or a port-scanner; nothing to answer
-        if not isinstance(hello, dict) or hello.get("kind") != "hello":
-            await self._best_effort_write(writer, {"kind": "reject", "error": "expected a hello frame"})
-            return False
-        if hello.get("protocol") != PROTOCOL_VERSION:
-            await self._best_effort_write(
-                writer,
-                {
-                    "kind": "reject",
-                    "error": (
-                        f"protocol mismatch: gateway speaks {PROTOCOL_VERSION}, "
-                        f"client sent {hello.get('protocol')!r}; upgrade the "
-                        "older side"
-                    ),
-                },
-            )
-            return False
-        await write_frame_async(
-            writer,
-            {"kind": "hello", "protocol": PROTOCOL_VERSION, "worker": self.gateway_info()},
-        )
-        return True
-
-    @staticmethod
-    async def _best_effort_write(writer: asyncio.StreamWriter, payload: object) -> None:
-        try:
-            await write_frame_async(writer, payload)
-        except TransportError:
-            pass
-
-    async def _reply(
-        self, connection: _ClientConnection, request_id: object, payload: Dict[str, object]
-    ) -> None:
-        """Send one response frame; a vanished client is not an error."""
-        if connection.closed:
-            return
-        try:
-            async with connection.lock:
-                await write_frame_async(connection.writer, {"id": request_id, **payload})
-        except TransportError:
-            connection.closed = True  # client disconnected mid-flight
+    async def _detect(self, connection: Connection, frame: Dict[str, object]) -> object:
+        self._admit(connection, frame["id"], frame)
+        return DEFERRED  # the batcher answers
 
     # ------------------------------------------------------------------ #
     # admission
     # ------------------------------------------------------------------ #
     def _admit(
-        self, connection: _ClientConnection, request_id: object, frame: Dict[str, object]
+        self, connection: Connection, request_id: object, frame: Dict[str, object]
     ) -> None:
         """Validate and enqueue one ``detect`` request (or raise the rejection)."""
         if self._draining:
@@ -626,8 +417,7 @@ class DetectionGateway:
             if item.deadline is not None and now > item.deadline:
                 self.stats["expired_deadlines"] += 1
                 self._pending_rows -= item.n_rows
-                await self._reply(
-                    item.connection,
+                await item.connection.reply(
                     item.request_id,
                     {
                         "ok": False,
@@ -660,8 +450,8 @@ class DetectionGateway:
             for item in live:
                 self._pending_rows -= item.n_rows
                 self.stats["request_errors"] += 1
-                await self._reply(
-                    item.connection, item.request_id, {"ok": False, "error": message}
+                await item.connection.reply(
+                    item.request_id, {"ok": False, "error": message}
                 )
             return
         batch_rows = int(matrix.shape[0])
@@ -686,8 +476,8 @@ class DetectionGateway:
             }
             offset = stop
             self._pending_rows -= item.n_rows
-            await self._reply(
-                item.connection, item.request_id, {"ok": True, "result": payload}
+            await item.connection.reply(
+                item.request_id, {"ok": True, "result": payload}
             )
 
 
@@ -714,16 +504,9 @@ class GatewayClient:
             str(address[0]),
             int(address[1]),
         )
-        self._connection = WorkerConnection(resolved, connect_timeout=connect_timeout)
-        role = self._connection.info.get("role")
-        if role != "gateway":
-            self._connection.close()
-            raise ServingError(
-                f"the peer at {resolved[0]}:{resolved[1]} advertises role "
-                f"{role!r}, not 'gateway'; point GatewayClient at a "
-                "`repro-ids serve` process (shard workers speak a different "
-                "request vocabulary)"
-            )
+        self._connection = WorkerConnection(
+            resolved, connect_timeout=connect_timeout, role="gateway"
+        )
         self.address = resolved
 
     # ------------------------------------------------------------------ #

@@ -7,11 +7,15 @@ the system's horizontal-scaling substrate.  It has two halves:
   that dispatches the router's shard tasks to worker processes on other
   hosts over TCP (see :mod:`repro.serving.transport` for the framed
   protocol).  One persistent, multiplexed connection per worker; tasks for
-  different shards are pipelined concurrently.
+  different shards are pipelined concurrently.  A peer whose handshake
+  advertises another role (a detection gateway) is never provisioned: it
+  is skipped like an unreachable address.
 * :class:`ShardWorkerServer` — the worker side, started via ``repro-ids
-  shard-worker --listen HOST:PORT [--model bundle.json]``.  Each coordinator
-  connection is provisioned with a shard set once, then streams ``run``
-  requests against it.
+  shard-worker --listen HOST:PORT [--model bundle.json]``: the
+  :class:`~repro.serving.server.FramedServer` asyncio core with a
+  ``ping``/``provision``/``run`` ops table.  Each coordinator connection is
+  provisioned with a shard set once, then streams ``run`` requests against
+  it.
 
 **Provisioning** has two paths.  *By reference*: when the coordinator's
 shards are views into a v3 binary artifact's memory-mapped sidecar and the
@@ -43,15 +47,13 @@ trust — the process-pool trust model stretched across a private network.
 
 from __future__ import annotations
 
-import os
-import socket
-import threading
+import asyncio
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Sequence, Set, Tuple, Union, cast
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -61,28 +63,24 @@ from repro.serving.backends import (
     ShardBackend,
     ShardResult,
     ShardTask,
-    _default_workers,
     make_backend,
     same_shard_objects,
 )
 from repro.serving.config import ServingConfig
+from repro.serving.server import DEFERRED, Connection, FramedServer, ping
 from repro.serving.shards import SubtreeShard
 from repro.serving.transport import (
-    PROTOCOL_VERSION,
     SidecarRef,
     TransportError,
     WorkerConnection,
     parse_address,
-    recv_frame,
-    send_frame,
-    server_handshake,
 )
 from repro.utils.mmapio import MmapRef, fingerprints_match, sidecar_fingerprint
 
 
 def _frame_int(value: object) -> int:
-    """A wire-frame field as an int (malformed frames become error replies)."""
-    if isinstance(value, (bool, int, float, str, np.integer)):
+    """A wire-frame integer field; a float, a string or a bool is refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ServingError(
         f"expected an integer frame field, got {type(value).__name__}"
@@ -437,11 +435,13 @@ class RemoteBackend(ShardBackend):
                     continue  # recently failed; don't re-dial every batch
                 try:
                     connection = WorkerConnection(
-                        address, connect_timeout=self._connect_timeout
+                        address,
+                        connect_timeout=self._connect_timeout,
+                        role="shard-worker",
                     )
                 except TransportError:
                     self._retry_at[address] = time.monotonic() + self._reconnect_backoff
-                    continue  # unreachable right now; retried after backoff
+                    continue  # unreachable or not a shard worker; retried after backoff
                 self._retry_at.pop(address, None)
                 self._connections[address] = connection
                 self.stats["connects"] += 1
@@ -543,20 +543,43 @@ class RemoteBackend(ShardBackend):
 # --------------------------------------------------------------------------- #
 # worker side: the TCP shard server
 # --------------------------------------------------------------------------- #
-class ShardWorkerServer:
+@dataclass(frozen=True)
+class _Provisioned:
+    """One connection's provisioned shard set and the epoch it serves."""
+
+    shards: Tuple[SubtreeShard, ...]
+    epoch: int
+
+
+def _run_shard(shards: Tuple[SubtreeShard, ...], frame: Dict[str, object]) -> object:
+    """One ``run`` request's descent (runs in the executor)."""
+    index = _frame_int(frame["shard"])
+    if not 0 <= index < len(shards):
+        raise ServingError(
+            f"shard index {index} out of range (provisioned {len(shards)} shards)"
+        )
+    return shards[index].assign_entries(
+        np.asarray(frame["matrix"]), np.asarray(frame["entries"])
+    )
+
+
+class ShardWorkerServer(FramedServer):
     """A shard worker: accepts coordinator connections and runs their tasks.
 
-    Each connection is handled on its own thread with its *own* provisioned
-    shard set (two coordinators never share or race state).  When
-    constructed with ``model_path`` (a bundle or detector artifact JSON),
-    the worker resolves the v3 sidecar next to it, validates the local file
-    against the artifact's integrity header, and advertises the sidecar
-    fingerprint during the handshake — enabling by-reference provisioning.
+    Each connection carries its *own* provisioned shard set (two
+    coordinators never share or race state).  When constructed with
+    ``model_path`` (a bundle or detector artifact JSON), the worker resolves
+    the v3 sidecar next to it, validates the local file against the
+    artifact's integrity header, and advertises the sidecar fingerprint
+    during the handshake — enabling by-reference provisioning.
 
-    Pipelined ``run`` requests on one connection execute on a small
-    per-connection thread pool (``task_threads``, the GIL-releasing BLAS
-    descent overlaps), replying as they finish — the multiplexed client
-    matches responses by id, so ordering is free to differ.
+    The worker is the :class:`~repro.serving.server.FramedServer` core with
+    a ``ping``/``provision``/``run`` ops table.  ``provision`` completes
+    before the connection's next frame is read, so the epoch protocol stays
+    in order.  Each ``run`` descends in the loop's default executor against
+    the shard set its request arrived under, and is answered when it
+    finishes: pipelined tasks overlap (the BLAS descent releases the GIL),
+    and the multiplexed client matches responses by id.
 
     ``port=0`` binds an ephemeral port; read the actual one from
     ``address``.  ``start()`` serves on a background thread (tests);
@@ -569,12 +592,8 @@ class ShardWorkerServer:
         port: int = 0,
         *,
         model_path: Optional[Union[str, Path]] = None,
-        task_threads: Optional[int] = None,
         engine: Optional[str] = None,
     ) -> None:
-        if task_threads is None:
-            task_threads = min(8, _default_workers())
-        self._task_threads = max(1, int(task_threads))
         if engine is not None:
             from repro.core import kernels
 
@@ -609,16 +628,18 @@ class ShardWorkerServer:
                         "copy is stale or corrupt — re-sync both files"
                     )
                 self.sidecar_path = sidecar_path
-        self._listener = socket.create_server((host, int(port)), reuse_port=False)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._lock = threading.Lock()
-        self._clients: Set[socket.socket] = set()
-        self._closed = False
-        self._serving_thread: Optional[threading.Thread] = None
+        super().__init__(
+            host,
+            port,
+            role="shard-worker",
+            info=self.worker_info,
+            ops={"ping": ping, "provision": self._provision, "run": self._run},
+            peer="coordinator",
+        )
 
     # ------------------------------------------------------------------ #
     def worker_info(self) -> Dict[str, object]:
-        """The info dict advertised to coordinators during the handshake."""
+        """The worker's part of the handshake info (model and sidecar)."""
         sidecar: Optional[Dict[str, object]] = None
         if self.sidecar_path is not None:
             try:
@@ -628,174 +649,46 @@ class ShardWorkerServer:
                 # must keep serving by value, not brick on every handshake.
                 sidecar = None
         return {
-            "pid": os.getpid(),
-            "protocol": PROTOCOL_VERSION,
-            # Role-scoped vocabulary advertisement (see the transport module
-            # docstring): lets clients distinguish a shard worker from a
-            # detection gateway before sending the first request.
-            "role": "shard-worker",
-            "ops": ("ping", "provision", "run"),
             "model": None if self.model_path is None else str(self.model_path),
             "sidecar": sidecar,
         }
 
-    def serve_forever(self) -> None:
-        """Accept coordinator connections until :meth:`shutdown`."""
-        while True:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by shutdown()
-            with self._lock:
-                if self._closed:
-                    client.close()
-                    return
-                self._clients.add(client)
-            # Daemon handler threads exit with their connection (shutdown
-            # closes the sockets); nothing to track or join.
-            threading.Thread(target=self._handle, args=(client,), daemon=True).start()
-
-    def start(self) -> "ShardWorkerServer":
-        """Serve on a daemon thread (in-process workers for tests/benchmarks)."""
-        self._serving_thread = threading.Thread(
-            target=self.serve_forever,
-            name=f"repro-shard-worker-{self.address[1]}",
-            daemon=True,
-        )
-        self._serving_thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        """Stop accepting and disconnect every coordinator."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            clients = list(self._clients)
-            self._clients.clear()
-        try:
-            # close() alone does not wake a thread blocked in accept() on
-            # Linux; shutdown() does, so serve_forever exits promptly.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        for client in clients:
-            try:
-                client.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            client.close()
-        if self._serving_thread is not None:
-            self._serving_thread.join(timeout=5.0)
-
-    def __enter__(self) -> "ShardWorkerServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
     # ------------------------------------------------------------------ #
-    def _handle(self, client: socket.socket) -> None:
-        """Serve one coordinator connection until it closes.
-
-        ``provision``/``ping`` are handled inline (a coordinator awaits the
-        provision ack before dispatching tasks, so in-order handling keeps
-        the epoch protocol trivially correct); ``run`` requests are executed
-        on the connection's thread pool so pipelined shard tasks overlap,
-        each reply sent under a lock as its task finishes.
-        """
-        send_lock = threading.Lock()
-
-        def reply(request_id: object, payload: Dict[str, object]) -> None:
-            try:
-                with send_lock:
-                    send_frame(client, {"id": request_id, **payload})
-            except TransportError:
-                pass  # coordinator went away; nothing left to say
-
-        def execute(
-            run_shards: Tuple[SubtreeShard, ...], frame: Dict[str, object]
-        ) -> None:
-            try:
-                index = _frame_int(frame["shard"])
-                if not 0 <= index < len(run_shards):
-                    raise ServingError(
-                        f"shard index {index} out of range "
-                        f"(provisioned {len(run_shards)} shards)"
-                    )
-                result = run_shards[index].assign_entries(
-                    np.asarray(frame["matrix"]), np.asarray(frame["entries"])
-                )
-            # repro-lint: disable=RPL007 -- worker reply path: the failure is
-            # shipped back as an error frame and the coordinator re-raises it
-            # as TransportError/ServingError; raising here would kill the
-            # connection's task thread instead.
-            except Exception as exc:
-                reply(frame["id"], {"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-                return
-            reply(frame["id"], {"ok": True, "result": result})
-
-        # repro-lint: disable=RPL008 -- per-connection task pool of the worker
-        # server, not a scoring backend: sized by the worker's --task-threads,
-        # shut down with the connection in the finally below.
-        pool = ThreadPoolExecutor(
-            max_workers=self._task_threads, thread_name_prefix="repro-worker-task"
+    async def _provision(self, connection: Connection, frame: Dict[str, object]) -> object:
+        # Awaited inside the read loop: the next frame is read only after
+        # the new shard set is in place.  CRC checks and mmaps block, so
+        # they run in the executor.
+        provisioned, plan = await asyncio.get_running_loop().run_in_executor(
+            None, self._provisioned, frame
         )
-        try:
-            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if not server_handshake(client, self.worker_info()):
-                return
-            shards: Tuple[SubtreeShard, ...] = ()
-            epoch: Optional[int] = None
-            while True:
-                try:
-                    frame = recv_frame(client)
-                except TransportError:
-                    return  # coordinator went away (or sent garbage)
-                if not isinstance(frame, dict) or "id" not in frame or "op" not in frame:
-                    return
-                request_id = frame["id"]
-                try:
-                    operation = frame["op"]
-                    if operation == "ping":
-                        result: object = "pong"
-                    elif operation == "provision":
-                        shards = self._provisioned_shards(frame)
-                        epoch = _frame_int(frame["epoch"])
-                        result = {
-                            "n_shards": len(shards),
-                            "epoch": epoch,
-                            "plan": self._resolved_plan(frame, shards),
-                        }
-                    elif operation == "run":
-                        if epoch is None or _frame_int(frame["epoch"]) != epoch:
-                            raise ServingError(
-                                "connection is not provisioned for epoch "
-                                f"{frame.get('epoch')!r} (worker holds "
-                                f"{epoch!r}); provision before running tasks"
-                            )
-                        # Capture the current shard tuple: a later provision
-                        # on this connection must not swap arrays under an
-                        # in-flight task.
-                        pool.submit(execute, shards, frame)
-                        continue
-                    else:
-                        raise ServingError(f"unknown operation {operation!r}")
-                # repro-lint: disable=RPL007 -- every failure becomes an error
-                # reply frame; the coordinator re-raises it inside its own
-                # ServingError surface.
-                except Exception as exc:
-                    reply(request_id, {"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-                    continue
-                reply(request_id, {"ok": True, "result": result})
-        except TransportError:
-            pass  # handshake reply pipe broke
-        finally:
-            with self._lock:
-                self._clients.discard(client)
-            client.close()
-            pool.shutdown(wait=True)
+        connection.state = provisioned
+        return {"n_shards": len(provisioned.shards), "epoch": provisioned.epoch, "plan": plan}
+
+    async def _run(self, connection: Connection, frame: Dict[str, object]) -> object:
+        state = connection.state
+        if not isinstance(state, _Provisioned) or _frame_int(frame["epoch"]) != state.epoch:
+            held = state.epoch if isinstance(state, _Provisioned) else None
+            raise ServingError(
+                "connection is not provisioned for epoch "
+                f"{frame.get('epoch')!r} (worker holds {held!r}); provision "
+                "before running tasks"
+            )
+        # The task keeps the shard set of its request: a later provision on
+        # this connection must not swap arrays under it.
+        self._answer_later(
+            connection,
+            frame["id"],
+            asyncio.get_running_loop().run_in_executor(None, _run_shard, state.shards, frame),
+        )
+        return DEFERRED
+
+    def _provisioned(
+        self, frame: Dict[str, object]
+    ) -> Tuple[_Provisioned, Optional[Dict[str, object]]]:
+        """Map one provision request's shards and resolve its plan."""
+        shards = self._provisioned_shards(frame)
+        provisioned = _Provisioned(shards=shards, epoch=_frame_int(frame["epoch"]))
+        return provisioned, self._resolved_plan(frame, shards)
 
     def _provisioned_shards(self, frame: Dict[str, object]) -> Tuple[SubtreeShard, ...]:
         mode = frame.get("mode")

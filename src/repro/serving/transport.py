@@ -23,13 +23,16 @@ is a compatible change — an unknown op gets an error reply, never a broken
 stream — so :data:`PROTOCOL_VERSION` stays put; servers instead advertise
 ``role`` and ``ops`` keys in the handshake's worker-info dict, which is how
 a client verifies the peer speaks the vocabulary it needs before the first
-request (see :class:`repro.serving.gateway.GatewayClient`).
+request (``WorkerConnection(address, role=...)``).
 
-:class:`WorkerConnection` is the client side of that contract: one
-persistent socket per worker, a send lock, and a background reader thread
-that matches response frames to pending :class:`~concurrent.futures.Future`
-objects — the "small socket multiplexer" the remote backend pipelines its
-shard tasks through.
+This module holds the frames (a blocking socket form and an asyncio form)
+and the client side.  The server side of every role, handshake included,
+is one asyncio core: :class:`repro.serving.server.FramedServer`.
+:class:`WorkerConnection` is the client: one persistent socket per peer, a
+send lock, and a background reader thread that matches response frames to
+pending :class:`~concurrent.futures.Future` objects — the "small socket
+multiplexer" the remote backend pipelines its shard tasks through and the
+gateway client sends its requests over.
 
 Payloads are pickled (protocol 5: zero-copy numpy buffers), which means the
 transport must only ever connect trusted peers — the same trust model as
@@ -149,18 +152,6 @@ def _decode_body(body: bytes) -> object:
         raise TransportError(f"could not decode frame payload: {exc}") from exc
 
 
-def encode_frame(payload: object) -> bytes:
-    """One complete wire frame (prefix + pickled body) as bytes.
-
-    The buffer-building form of :func:`send_frame`, for transports that
-    append to an output buffer instead of owning a socket — the asyncio
-    gateway writes these through ``StreamWriter.write``, whose synchronous
-    buffer append means two coroutines can never interleave partial frames.
-    """
-    body = _encode_body(payload)
-    return _PREFIX.pack(FRAME_MAGIC, len(body)) + body
-
-
 def send_frame(sock: socket.socket, payload: object) -> None:
     """Pickle ``payload`` and send it as one length-prefixed frame."""
     body = _encode_body(payload)
@@ -207,8 +198,8 @@ async def read_frame_async(reader: asyncio.StreamReader) -> object:
 
     A peer that closes cleanly *between* frames surfaces as a
     :class:`TransportError` too ("0 of 8 bytes received"), matching the
-    synchronous reader's contract: server loops treat any transport failure
-    as the end of the connection.
+    synchronous reader's contract: the server core treats any transport
+    failure as the end of the connection.
     """
     prefix = await _read_exact_async(reader, _PREFIX.size)
     length = _frame_length(prefix)
@@ -217,9 +208,14 @@ async def read_frame_async(reader: asyncio.StreamReader) -> object:
 
 
 async def write_frame_async(writer: asyncio.StreamWriter, payload: object) -> None:
-    """Asyncio twin of :func:`send_frame`, with flow control via ``drain``."""
+    """Asyncio twin of :func:`send_frame`, with flow control via ``drain``.
+
+    The whole frame goes into the writer's buffer in one synchronous
+    ``write``, so two coroutines can never interleave partial frames.
+    """
+    body = _encode_body(payload)
     try:
-        writer.write(encode_frame(payload))
+        writer.write(_PREFIX.pack(FRAME_MAGIC, len(body)) + body)
         await writer.drain()
     except OSError as exc:
         raise TransportError(f"could not send frame: {exc}") from exc
@@ -247,59 +243,23 @@ def client_handshake(sock: socket.socket, *, protocol: int = PROTOCOL_VERSION) -
     return dict(worker) if isinstance(worker, dict) else {}
 
 
-def server_handshake(sock: socket.socket, worker_info: Dict[str, object]) -> bool:
-    """Run the server side of the handshake.
-
-    Returns ``True`` when the client may proceed; on a malformed hello or a
-    protocol mismatch a ``reject`` frame is sent (best effort) and ``False``
-    returned — the caller closes the connection.
-    """
-    try:
-        hello = recv_frame(sock)
-    except TransportError:
-        return False  # garbage or a port-scanner; nothing to answer
-    if not isinstance(hello, dict) or hello.get("kind") != "hello":
-        _best_effort_send(sock, {"kind": "reject", "error": "expected a hello frame"})
-        return False
-    if hello.get("protocol") != PROTOCOL_VERSION:
-        _best_effort_send(
-            sock,
-            {
-                "kind": "reject",
-                "error": (
-                    f"protocol mismatch: worker speaks {PROTOCOL_VERSION}, "
-                    f"coordinator sent {hello.get('protocol')!r}; upgrade the "
-                    "older side"
-                ),
-            },
-        )
-        return False
-    # repro-lint: disable=RPL004 -- server handshake reply: the connection is
-    # still exclusive to this thread (no task pool has seen it yet).
-    send_frame(sock, {"kind": "hello", "protocol": PROTOCOL_VERSION, "worker": worker_info})
-    return True
-
-
-def _best_effort_send(sock: socket.socket, payload: object) -> None:
-    try:
-        # repro-lint: disable=RPL004 -- only called from the single-threaded
-        # handshake path to reject a client before the connection is shared.
-        send_frame(sock, payload)
-    except TransportError:
-        pass
-
-
 # --------------------------------------------------------------------------- #
 # multiplexed client connection
 # --------------------------------------------------------------------------- #
 class WorkerConnection:
-    """One persistent, multiplexed connection to a shard worker.
+    """One persistent, multiplexed connection to a shard worker or a gateway.
 
     ``submit`` sends a request frame and returns a future; any number may be
-    in flight at once (the worker answers in its own order, responses are
+    in flight at once (the peer answers in its own order, responses are
     matched back by id).  The first stream error fails every pending future
     and marks the connection dead — the remote backend then fails the
     affected tasks over to its local fallback.
+
+    ``role`` names the peer the caller needs (``"shard-worker"``,
+    ``"gateway"``).  A peer that advertises another role is refused with a
+    :class:`TransportError` before any request is sent, the error an
+    unreachable address raises.  A peer that advertises no role predates
+    role advertisement and is accepted.
     """
 
     def __init__(
@@ -308,6 +268,7 @@ class WorkerConnection:
         *,
         connect_timeout: float = 10.0,
         protocol: int = PROTOCOL_VERSION,
+        role: Optional[str] = None,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         try:
@@ -319,6 +280,13 @@ class WorkerConnection:
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.info = client_handshake(self._sock, protocol=protocol)
+            advertised = self.info.get("role")
+            if role is not None and advertised is not None and advertised != role:
+                raise TransportError(
+                    f"the peer at {self.address[0]}:{self.address[1]} advertises "
+                    f"role {advertised!r}, not {role!r}: it serves the ops "
+                    f"{self.info.get('ops')!r}, a different request vocabulary"
+                )
         except BaseException:
             self._sock.close()
             raise

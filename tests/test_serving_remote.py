@@ -24,7 +24,9 @@ from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError, ServingError
 from repro.serving import (
+    DetectionGateway,
     RemoteBackend,
+    SerialBackend,
     ShardWorkerServer,
     ShardedGhsom,
     ShardingSpec,
@@ -34,9 +36,11 @@ from repro.serving import (
     parse_address,
     subtrees_from_compiled,
 )
+from repro.serving.remote import _value_wire
 from repro.serving.transport import (
     FRAME_MAGIC,
     PROTOCOL_VERSION,
+    client_handshake,
     recv_frame,
     send_frame,
 )
@@ -277,6 +281,26 @@ class TestFailover:
         assert backend.stats["failover_tasks"] > 0
         _assert_identical(result, reference)
 
+    def test_gateway_peer_is_never_provisioned(
+        self, binary_bundle, workload, fitted, reference
+    ):
+        """A gateway address is skipped like an unreachable one.
+
+        Its handshake advertises role "gateway", so the backend sends no
+        provision frame (the gateway would answer "unknown operation") and
+        serves every task locally, byte-identically.
+        """
+        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+            backend = RemoteBackend([gateway.address], connect_timeout=2.0)
+            result = _detect_remote(binary_bundle, workload, backend)
+            assert backend.stats["provision_value"] == 0
+            assert backend.stats["provision_reference"] == 0
+            assert backend.stats["connects"] == 0
+            assert backend.stats["remote_tasks"] == 0
+            assert backend.stats["failover_tasks"] > 0
+            assert gateway.stats["request_errors"] == 0
+        _assert_identical(result, reference)
+
     def test_restarted_worker_rejoins(self, binary_bundle, workload, reference):
         worker = ShardWorkerServer(model_path=binary_bundle).start()
         host, port = worker.address
@@ -377,6 +401,55 @@ class TestProtocol:
         assert not connection.is_alive
         connection.close()
         listener.close()
+
+    def test_integer_fields_are_not_coerced(self, fitted, workload):
+        """``shard``/``epoch`` must be ints: 1.9, "0" and True are refused.
+
+        Each bad field gets an error reply and the connection keeps serving;
+        the same task with proper ints runs.
+        """
+
+        class Recording(SerialBackend):
+            def run(self, shards, tasks):
+                self.seen = (tuple(shards), list(tasks))
+                return super().run(shards, tasks)
+
+        recorder = Recording()
+        engine = ShardedGhsom.from_compiled(fitted.model.compile(), 2, backend=recorder)
+        engine.assign_arrays(workload["X_test"][:50])
+        shards, tasks = recorder.seen
+        index, matrix, entries = tasks[-1]
+        with ShardWorkerServer().start() as worker:
+            with socket.create_connection(worker.address, timeout=10) as sock:
+                client_handshake(sock)
+
+                def call(request_id, op, **params):
+                    send_frame(sock, {"id": request_id, "op": op, **params})
+                    reply = recv_frame(sock)
+                    assert reply["id"] == request_id
+                    return reply
+
+                provision = dict(mode="value", sidecar=None, shards=_value_wire(shards))
+                reply = call(1, "provision", epoch=True, **provision)
+                assert not reply["ok"] and "got bool" in reply["error"]
+                assert call(2, "provision", epoch=0, **provision)["ok"]
+                task = dict(matrix=matrix, entries=entries)
+                bad = [
+                    (dict(epoch=0, shard=index + 0.9), "got float"),
+                    (dict(epoch="0", shard=index), "got str"),
+                    (dict(epoch=True, shard=index), "got bool"),
+                    (dict(epoch=0, shard=True), "got bool"),
+                ]
+                for request_id, (fields, error) in enumerate(bad, start=3):
+                    reply = call(request_id, "run", **fields, **task)
+                    assert not reply["ok"] and error in reply["error"], reply
+                    assert call(100 + request_id, "ping")["result"] == "pong"
+                reply = call(9, "run", epoch=np.int64(0), shard=int(index), **task)
+                assert reply["ok"]
+                leaf, distances = reply["result"]
+                expected_leaf, expected_distances = shards[index].assign_entries(matrix, entries)
+                np.testing.assert_array_equal(leaf, expected_leaf)
+                assert distances.tobytes() == expected_distances.tobytes()
 
     def test_fingerprint_pins_member_layout(self, binary_bundle):
         """Same content CRCs at different offsets must not match: the wire
