@@ -9,11 +9,8 @@ describe what is specific to their experiment.
 from __future__ import annotations
 
 import os
-import time
 
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.baselines import KMeansDetector, KnnDetector, PcaSubspaceDetector, SomDetector
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
@@ -109,26 +106,13 @@ def make_oneclass_workload(
 
 #: Env vars every mainstream BLAS reads for its pool size.  Parallel-speedup
 #: claims are only meaningful against a single-threaded baseline, so CI pins
-#: all three to 1 for gate runs; benchmarks record them for provenance.
+#: all three to 1; benchmarks record them for provenance.
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def blas_threads_env() -> Dict[str, Optional[str]]:
     """Snapshot of the BLAS thread-pool env vars, for benchmark payloads."""
     return {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
-
-
-def pinned_blas_env(threads: int = 1, base: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """A subprocess environment with every BLAS pool pinned to ``threads``.
-
-    Use when spawning benchmark worker processes: the pinning must be in the
-    environment *before* the child imports numpy — BLAS pools size themselves
-    at library load, so setting these in an already-running child is too late.
-    """
-    env = dict(os.environ if base is None else base)
-    for name in BLAS_THREAD_ENV:
-        env[name] = str(int(threads))
-    return env
 
 
 def usable_cpus() -> int:
@@ -158,16 +142,3 @@ def runtime_provenance() -> Dict[str, object]:
         "blas_threads_env": blas_threads_env(),
     }
 
-
-def time_best(function, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one call of ``function``.
-
-    Best-of (not mean-of) so transient load spikes on shared machines do not
-    inflate the measurement; shared by every timing benchmark.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best

@@ -494,8 +494,6 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
     )
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
     finally:
         server.shutdown()
     return 0

@@ -1,9 +1,10 @@
 """Compiled flat-array inference for fitted GHSOM trees.
 
-A fitted :class:`~repro.core.ghsom.Ghsom` is a tree of SOM layers; the
-recursive descent in :meth:`Ghsom.assign` is correct but pays a per-sample
-Python tax (one ``LeafAssignment`` dataclass per record, per-object attribute
-reads in every consumer).  For batch scoring — the hot path of the anomaly
+A fitted :class:`~repro.core.ghsom.Ghsom` is a tree of SOM layers; a
+recursive descent over it (the pre-compilation path, kept as the test oracle
+in ``tests/legacy_descent.py``) is correct but pays a per-sample Python tax
+(one ``LeafAssignment`` dataclass per record, per-object attribute reads in
+every consumer).  For batch scoring — the hot path of the anomaly
 detector — that tax dominates the actual distance arithmetic.
 
 :class:`CompiledGhsom` flattens the hierarchy once, at compile time, into a
@@ -242,14 +243,15 @@ class CompiledGhsom:
 
         ``float64`` (the default everywhere) is bit-exact against the legacy
         recursive path.  ``float32`` halves codebook memory traffic for large
-        trees at the cost of exactness: the expanded ``|x-w|^2`` form loses
-        low-order bits to cancellation in single precision, so scores drift
-        with a relative error on the order of ``1e-4`` (the test gate allows
-        up to ``1e-3``); a sample near-equidistant between two units can
-        additionally flip to the other leaf, taking that leaf's threshold and
-        label with it — observed on well under 1% of records on the synthetic
-        KDD workload.  ``benchmarks/bench_serving.py`` records both effects
-        per run.
+        trees at the cost of exactness: the BMU search's expanded ``|x-w|^2``
+        form loses low-order bits to cancellation in single precision, so a
+        sample near-equidistant between two units can flip to the other leaf,
+        taking that leaf's threshold and label with it — observed on well
+        under 1% of records on the synthetic KDD workload.  The landing
+        distance is taken from the direct difference, so a sample that keeps
+        its leaf sees a relative score drift on the order of ``1e-5`` (the
+        test gate allows up to ``1e-3``), however close it sits to its unit.
+        ``tests/test_serving_roundtrip.py`` gates both effects.
         Distances are still returned as ``float64`` arrays so downstream
         threshold arithmetic is unchanged.
 
@@ -353,6 +355,37 @@ class CompiledGhsom:
         return self.assign_arrays(data)[1]
 
 
+def landing_distances(
+    samples: AnyArray,
+    block: AnyArray,
+    units: AnyArray,
+    d2: AnyArray,
+    landed: AnyArray,
+    metric: str,
+) -> AnyArray:
+    """Quantization distance of each ``landed`` sample to its unit.
+
+    ``block`` is one node's codebook, ``units`` the samples' best-matching
+    rows of it and ``d2`` their clamped expanded squared distances to every
+    row; ``landed`` masks the samples that stop on this node.  Non-Euclidean
+    metrics are evaluated exactly against the whole node.  Below float64 the
+    expanded form cancels catastrophically for a sample close to its unit,
+    so the squared distance comes from the direct difference instead;
+    float64 keeps the expanded form, which the byte-identity contract pins.
+    """
+    best: AnyArray
+    if metric not in ("euclidean", "sqeuclidean"):
+        best = get_metric(metric)(samples[landed], block).min(axis=1)
+    elif block.dtype == np.float64:
+        best = d2[landed].min(axis=1)
+    else:
+        diff = samples[landed] - block[units[landed]]
+        best = np.einsum("ij,ij->i", diff, diff)
+    if metric == "euclidean":
+        best = np.sqrt(best)
+    return best
+
+
 def frontier_descent(
     matrix: AnyArray,
     entry_nodes: AnyArray,
@@ -382,9 +415,6 @@ def frontier_descent(
     n = matrix.shape[0]
     leaf_index = np.full(n, -1, dtype=np.intp)
     distances = np.zeros(n, dtype=codebook.dtype)
-    # exact_metric is None when the squared-Euclidean BMU matrix already
-    # yields the quantization distance (possibly after a square root).
-    exact_metric = None if metric in ("euclidean", "sqeuclidean") else get_metric(metric)
     # |x|^2 per sample, computed once and reused at every level (the
     # legacy path recomputes it per node; row-wise sums are bitwise
     # identical either way).
@@ -431,13 +461,7 @@ def frontier_descent(
             if at_leaf.any():
                 leaf_rows = rows[at_leaf]
                 leaf_index[leaf_rows] = leaf_of_unit[global_units[at_leaf]]
-                if exact_metric is None:
-                    best = d2[at_leaf].min(axis=1)
-                    if metric == "euclidean":
-                        best = np.sqrt(best)
-                    distances[leaf_rows] = best
-                else:
-                    distances[leaf_rows] = exact_metric(sub[at_leaf], block).min(axis=1)
+                distances[leaf_rows] = landing_distances(sub, block, units, d2, at_leaf, metric)
             descending = ~at_leaf
             if descending.any():
                 next_rows.append(rows[descending])

@@ -29,7 +29,7 @@ from repro.core.compiled import CompiledGhsom, compile_ghsom
 from repro.core.config import GhsomConfig
 from repro.core.growing_som import GrowingSom
 from repro.core.quantization import dataset_quantization_error
-from repro.exceptions import DataValidationError, NotFittedError
+from repro.exceptions import NotFittedError
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
 from repro.utils.validation import check_array_2d
 
@@ -239,53 +239,6 @@ class Ghsom:
             )
             for row, distance in zip(leaf_index, distances, strict=True)
         ]
-
-    def assign_legacy(self, data) -> List[LeafAssignment]:
-        """Reference recursive descent (kept for equivalence tests and benchmarks).
-
-        Materialises one :class:`LeafAssignment` per sample while walking the
-        tree node by node — the pre-compilation implementation of
-        :meth:`assign`, preserved verbatim so the compiled engine can be
-        checked against it bit for bit.
-        """
-        self._check_fitted()
-        matrix = check_array_2d(data, "data")
-        if matrix.shape[1] != self.n_features:
-            raise DataValidationError(
-                f"data has {matrix.shape[1]} features, the model expects {self.n_features}"
-            )
-        results: List[Optional[LeafAssignment]] = [None] * matrix.shape[0]
-        self._assign_batch(self.root, matrix, np.arange(matrix.shape[0]), results)
-        return [assignment for assignment in results if assignment is not None]
-
-    def _assign_batch(
-        self,
-        node: GhsomNode,
-        matrix: np.ndarray,
-        indices: np.ndarray,
-        results: List[Optional[LeafAssignment]],
-    ) -> None:
-        if indices.size == 0:
-            return
-        subset = matrix[indices]
-        units = node.layer.transform(subset)
-        distances = node.layer.quantization_distances(subset)
-        for unit in np.unique(units):
-            unit = int(unit)
-            mask = units == unit
-            selected = indices[mask]
-            child = node.children.get(unit)
-            if child is not None:
-                self._assign_batch(child, matrix, selected, results)
-            else:
-                for position, sample_index in enumerate(selected):
-                    sample_distance = float(distances[mask][position])
-                    results[sample_index] = LeafAssignment(
-                        node_id=node.node_id,
-                        unit=unit,
-                        depth=node.depth,
-                        distance=sample_distance,
-                    )
 
     def transform(self, data) -> np.ndarray:
         """Distance of each sample to its leaf BMU (the raw anomaly score)."""

@@ -489,6 +489,26 @@ static @CTYPE@ exact_metric_@SUFFIX@(
     return best;
 }
 
+/* reported distance at the landing unit gu; below double precision the
+   expanded |x|^2 - 2 x.w + |w|^2 cancels for a sample close to its unit, so
+   the squared distance is taken from the direct difference instead */
+static @CTYPE@ landing_@SUFFIX@(
+    const @CTYPE@ *restrict xi, const @CTYPE@ *restrict codebook, int64_t d,
+    int64_t gu, int64_t ustart, int64_t ustop, int64_t metric_id, @CTYPE@ best)
+{
+    if (metric_id > 1)
+        return exact_metric_@SUFFIX@(xi, codebook, d, ustart, ustop, metric_id);
+    if (@DIRECT@) {
+        const @CTYPE@ *w = codebook + gu * d;
+        best = 0;
+        for (int64_t j = 0; j < d; ++j) {
+            const @CTYPE@ t = xi[j] - w[j];
+            best += t * t;
+        }
+    }
+    return metric_id == 1 ? @SQRT@(best) : best;
+}
+
 void fused_descent_@SUFFIX@(
     const @CTYPE@ *restrict x, int64_t n, int64_t d,
     const @CTYPE@ *restrict tcodebook,
@@ -548,11 +568,8 @@ void fused_descent_@SUFFIX@(
                         pending[out] = row; pnode[out] = child; ++out;
                     } else {
                         leaf_index[row] = leaf_of_unit[gu];
-                        if (metric_id <= 1)
-                            distances[row] = metric_id == 1 ? @SQRT@(best[s]) : best[s];
-                        else
-                            distances[row] = exact_metric_@SUFFIX@(
-                                x + row * d, codebook, d, ustart, ustop, metric_id);
+                        distances[row] = landing_@SUFFIX@(
+                            x + row * d, codebook, d, gu, ustart, ustop, metric_id, best[s]);
                     }
                 }
             }
@@ -568,11 +585,8 @@ void fused_descent_@SUFFIX@(
                     pending[out] = row; pnode[out] = child; ++out;
                 } else {
                     leaf_index[row] = leaf_of_unit[gu];
-                    if (metric_id <= 1)
-                        distances[row] = metric_id == 1 ? @SQRT@(best) : best;
-                    else
-                        distances[row] = exact_metric_@SUFFIX@(
-                            x + row * d, codebook, d, ustart, ustop, metric_id);
+                    distances[row] = landing_@SUFFIX@(
+                        x + row * d, codebook, d, gu, ustart, ustop, metric_id, best);
                 }
             }
             run_start = run_stop;
@@ -586,9 +600,9 @@ void fused_descent_@SUFFIX@(
 
 _DTYPE_RENDER = {
     "f64": {"@CTYPE@": "double", "@ITYPE@": "int64_t", "@LANES@": "8",
-            "@SUFFIX@": "f64", "@SQRT@": "sqrt", "@FABS@": "fabs"},
+            "@SUFFIX@": "f64", "@SQRT@": "sqrt", "@FABS@": "fabs", "@DIRECT@": "0"},
     "f32": {"@CTYPE@": "float", "@ITYPE@": "int32_t", "@LANES@": "16",
-            "@SUFFIX@": "f32", "@SQRT@": "sqrtf", "@FABS@": "fabsf"},
+            "@SUFFIX@": "f32", "@SQRT@": "sqrtf", "@FABS@": "fabsf", "@DIRECT@": "1"},
 }
 
 

@@ -27,8 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro._typing import AnyArray
-from repro.core.compiled import CompiledGhsom
-from repro.core.distances import get_metric
+from repro.core.compiled import CompiledGhsom, landing_distances
 from repro.exceptions import DataValidationError
 from repro.serving.backends import ShardBackend, make_backend
 from repro.serving.planner import ShardPlan, plan_shards
@@ -178,16 +177,9 @@ class ShardedGhsom:
         if at_leaf.any():
             leaf_rows = np.flatnonzero(at_leaf)
             leaf_index[leaf_rows] = self._root_leaf_row[units[at_leaf]]
-            if self.metric in ("euclidean", "sqeuclidean"):
-                best = d2[at_leaf].min(axis=1)
-                if self.metric == "euclidean":
-                    best = np.sqrt(best)
-                distances[leaf_rows] = best
-            else:
-                exact_metric = get_metric(self.metric)
-                distances[leaf_rows] = exact_metric(
-                    matrix[at_leaf], self._root_codebook
-                ).min(axis=1)
+            distances[leaf_rows] = landing_distances(
+                matrix, self._root_codebook, units, d2, at_leaf, self.metric
+            )
         # --- dispatch: one task per shard with routed samples ------------- #
         sample_shard = self._shard_of_unit[units]
         tasks: List[Tuple[int, AnyArray, AnyArray]] = []

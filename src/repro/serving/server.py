@@ -8,8 +8,8 @@ vocabularies.  :class:`FramedServer` owns what they share:
   is known before serving starts (``port=0`` binds an ephemeral port);
 * the lifecycle: :meth:`~FramedServer.start` serves on a background thread
   (tests, benchmarks), :meth:`~FramedServer.serve_forever` on the calling
-  thread (the CLI), and :meth:`~FramedServer.shutdown` or the context
-  manager stops either;
+  thread (the CLI, where SIGTERM drains like Ctrl-C), and
+  :meth:`~FramedServer.shutdown` or the context manager stops either;
 * the handshake, which advertises the server's ``role`` and the ``ops`` of
   its table next to the role's own info;
 * the frame loop: ``{"id", "op"}`` validation, dispatch through the ops
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -152,8 +153,19 @@ class FramedServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` or Ctrl-C."""
-        self._run_loop()
+        """Serve on the calling thread until :meth:`shutdown`, Ctrl-C or SIGTERM.
+
+        On the main thread SIGTERM, which process managers send, raises
+        ``KeyboardInterrupt`` while this runs, so it drains like Ctrl-C.
+        """
+        if threading.current_thread() is not threading.main_thread():
+            self._run_loop()
+            return
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            self._run_loop()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def start(self: _Server) -> _Server:
         """Serve on a daemon thread; returns once the server accepts."""

@@ -12,6 +12,8 @@ from repro.core.labeling import UNLABELED
 from repro.core.serialization import detector_from_dict, detector_to_dict
 from repro.exceptions import DataValidationError, NotFittedError
 
+from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
+
 
 @pytest.fixture(scope="module")
 def fitted_model(blob_data):
@@ -117,7 +119,7 @@ class TestAssignEquivalence:
     def test_assign_arrays_matches_legacy(self, fitted_model, query_data):
         compiled = fitted_model.compile()
         leaf_index, distances = compiled.assign_arrays(query_data)
-        legacy = fitted_model.assign_legacy(query_data)
+        legacy = assign_legacy(fitted_model, query_data)
         assert len(legacy) == leaf_index.shape[0] == query_data.shape[0]
         assert [compiled.leaf_keys[row] for row in leaf_index] == [
             assignment.leaf_key for assignment in legacy
@@ -128,11 +130,11 @@ class TestAssignEquivalence:
 
     def test_assign_builds_identical_dataclasses(self, fitted_model, query_data):
         fast = fitted_model.assign(query_data)
-        legacy = fitted_model.assign_legacy(query_data)
+        legacy = assign_legacy(fitted_model, query_data)
         assert fast == legacy
 
     def test_transform_and_leaf_keys_fast_paths(self, fitted_model, query_data):
-        legacy = fitted_model.assign_legacy(query_data)
+        legacy = assign_legacy(fitted_model, query_data)
         np.testing.assert_array_equal(
             fitted_model.transform(query_data),
             np.array([assignment.distance for assignment in legacy]),
@@ -157,40 +159,6 @@ class TestAssignEquivalence:
         )
 
 
-def _legacy_score_samples(detector: GhsomDetector, X: np.ndarray) -> np.ndarray:
-    """The pre-compilation scoring path, re-implemented as the test oracle."""
-    assignments = detector.model.assign_legacy(X)
-    distances = [assignment.distance for assignment in assignments]
-    leaf_keys = [assignment.leaf_key for assignment in assignments]
-    ratios = detector.threshold_.normalize(distances, leaf_keys)
-    if detector.labeler is None:
-        return np.asarray(ratios, dtype=float)
-    scores = np.asarray(ratios, dtype=float).copy()
-    for index, key in enumerate(leaf_keys):
-        info = detector.labeler.info_of(key)
-        if info.label not in ("normal", UNLABELED):
-            scores[index] = 1.0 + info.purity + 0.01 * min(ratios[index], 10.0)
-    return scores
-
-
-def _legacy_predict_category(detector: GhsomDetector, X: np.ndarray) -> list:
-    """The pre-compilation per-sample category loop, as the test oracle."""
-    assignments = detector.model.assign_legacy(X)
-    leaf_keys = [assignment.leaf_key for assignment in assignments]
-    distances = [assignment.distance for assignment in assignments]
-    ratios = detector.threshold_.normalize(distances, leaf_keys)
-    categories = []
-    for key, ratio in zip(leaf_keys, ratios, strict=True):
-        label = detector.labeler.label_of(key)
-        if label == UNLABELED:
-            categories.append("unknown" if ratio > 1.0 else "normal")
-        elif label == "normal" and ratio > 1.0:
-            categories.append("unknown")
-        else:
-            categories.append(label)
-    return categories
-
-
 class TestDetectorEquivalence:
     @pytest.fixture(scope="class")
     def labeled_detector(self, fast_config, train_matrix, train_categories):
@@ -203,24 +171,24 @@ class TestDetectorEquivalence:
     def test_labeled_scores_identical(self, labeled_detector, test_matrix):
         np.testing.assert_array_equal(
             labeled_detector.score_samples(test_matrix),
-            _legacy_score_samples(labeled_detector, test_matrix),
+            legacy_score_samples(labeled_detector, test_matrix),
         )
 
     def test_unlabeled_scores_identical(self, unlabeled_detector, test_matrix):
         np.testing.assert_array_equal(
             unlabeled_detector.score_samples(test_matrix),
-            _legacy_score_samples(unlabeled_detector, test_matrix),
+            legacy_score_samples(unlabeled_detector, test_matrix),
         )
 
     def test_predictions_identical(self, labeled_detector, test_matrix):
         np.testing.assert_array_equal(
             labeled_detector.predict(test_matrix),
-            (_legacy_score_samples(labeled_detector, test_matrix) > 1.0).astype(int),
+            (legacy_score_samples(labeled_detector, test_matrix) > 1.0).astype(int),
         )
 
     def test_categories_identical(self, labeled_detector, test_matrix):
         fast = labeled_detector.predict_category(test_matrix)
-        assert fast == _legacy_predict_category(labeled_detector, test_matrix)
+        assert fast == legacy_predict_category(labeled_detector, test_matrix)
         assert all(isinstance(category, str) for category in fast)
 
     def test_global_threshold_strategy_identical(self, fast_config, train_matrix, test_matrix):
@@ -228,7 +196,7 @@ class TestDetectorEquivalence:
             fast_config, threshold_strategy="global", random_state=0
         ).fit(train_matrix)
         np.testing.assert_array_equal(
-            detector.score_samples(test_matrix), _legacy_score_samples(detector, test_matrix)
+            detector.score_samples(test_matrix), legacy_score_samples(detector, test_matrix)
         )
 
     def test_serialization_round_trip_scores_identical(self, labeled_detector, test_matrix):

@@ -192,6 +192,33 @@ class TestFusedEquivalence:
             rtol = kernels.FUSED_DISTANCE_RTOL[dtype]
             np.testing.assert_allclose(fused_dist, ref_dist, rtol=rtol, atol=0.0)
 
+    def test_float32_landing_distance_close_to_the_unit(self):
+        # Samples a hair from their unit: the expanded |x|^2 - 2 x.w + |w|^2
+        # cancels in float32, so both engines must report the direct distance.
+        rng = np.random.default_rng(3)
+        codebook = np.ascontiguousarray(rng.uniform(0.0, 1.0, size=(6, 40)), dtype=np.float32)
+        owner = TreeOwner(
+            codebook=codebook,
+            node_offsets=np.array([0, 6], dtype=np.intp),
+            child_of_unit=np.full(6, -1, dtype=np.intp),
+            leaf_of_unit=np.arange(6, dtype=np.intp),
+            unit_norms=np.einsum("ij,ij->i", codebook, codebook),
+        )
+        near = codebook[rng.integers(0, 6, size=32)] + rng.normal(0.0, 1e-3, size=(32, 40))
+        matrix = np.ascontiguousarray(near, dtype=np.float32)
+        for metric in ("euclidean", "sqeuclidean"):
+            (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
+                owner, matrix, np.zeros(32, dtype=np.intp), metric
+            )
+            np.testing.assert_array_equal(fused_leaf, ref_leaf)
+            diff = matrix.astype(np.float64) - codebook.astype(np.float64)[ref_leaf]
+            exact = np.einsum("ij,ij->i", diff, diff)
+            if metric == "euclidean":
+                exact = np.sqrt(exact)
+            rtol = kernels.FUSED_DISTANCE_RTOL["float32"]
+            np.testing.assert_allclose(ref_dist, exact, rtol=rtol, atol=0.0)
+            np.testing.assert_allclose(fused_dist, exact, rtol=rtol, atol=0.0)
+
     def test_plan_is_cached_per_owner(self):
         rng = np.random.default_rng(11)
         owner = random_tree(rng, 6, "float64")

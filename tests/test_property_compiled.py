@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
-from repro.core.labeling import UNLABELED
+
+from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
 
 # Fitting a GHSOM per example is expensive: few examples, generous deadline.
 FIT_SETTINGS = {
@@ -66,7 +67,7 @@ class TestCompiledModelEquivalence:
         queries = np.concatenate(
             [dataset[:40], dataset[:20] + rng.normal(0.0, 0.8, (20, dataset.shape[1]))]
         )
-        legacy = model.assign_legacy(queries)
+        legacy = assign_legacy(model, queries)
         compiled = model.compile()
         leaf_index, distances = model.assign_arrays(queries)
 
@@ -84,38 +85,6 @@ class TestCompiledModelEquivalence:
 
 
 class TestCompiledDetectorEquivalence:
-    @staticmethod
-    def _legacy_scores(detector, X):
-        assignments = detector.model.assign_legacy(X)
-        distances = [assignment.distance for assignment in assignments]
-        leaf_keys = [assignment.leaf_key for assignment in assignments]
-        ratios = detector.threshold_.normalize(distances, leaf_keys)
-        if detector.labeler is None:
-            return np.asarray(ratios, dtype=float)
-        scores = np.asarray(ratios, dtype=float).copy()
-        for index, key in enumerate(leaf_keys):
-            info = detector.labeler.info_of(key)
-            if info.label not in ("normal", UNLABELED):
-                scores[index] = 1.0 + info.purity + 0.01 * min(ratios[index], 10.0)
-        return scores
-
-    @staticmethod
-    def _legacy_categories(detector, X):
-        assignments = detector.model.assign_legacy(X)
-        leaf_keys = [assignment.leaf_key for assignment in assignments]
-        distances = [assignment.distance for assignment in assignments]
-        ratios = detector.threshold_.normalize(distances, leaf_keys)
-        categories = []
-        for key, ratio in zip(leaf_keys, ratios, strict=True):
-            label = detector.labeler.label_of(key)
-            if label == UNLABELED:
-                categories.append("unknown" if ratio > 1.0 else "normal")
-            elif label == "normal" and ratio > 1.0:
-                categories.append("unknown")
-            else:
-                categories.append(label)
-        return categories
-
     @given(data=st.data())
     @settings(**FIT_SETTINGS)
     def test_scores_predictions_categories_identical(self, data):
@@ -141,12 +110,12 @@ class TestCompiledDetectorEquivalence:
             [dataset[:30], dataset[:15] + rng.normal(0.0, 1.0, (15, n_features))]
         )
 
-        expected_scores = self._legacy_scores(detector, queries)
+        expected_scores = legacy_score_samples(detector, queries)
         np.testing.assert_array_equal(detector.score_samples(queries), expected_scores)
         np.testing.assert_array_equal(
             detector.predict(queries), (expected_scores > 1.0).astype(int)
         )
         if labeled:
-            assert detector.predict_category(queries) == self._legacy_categories(
+            assert detector.predict_category(queries) == legacy_predict_category(
                 detector, queries
             )

@@ -85,6 +85,11 @@ class TestRoundTripByteIdentical:
         assert np.array_equal(
             loaded.score_samples(test_matrix), detector.score_samples(test_matrix)
         )
+        if version == 2:
+            # The compiled artifact must not cost much more than the tree format.
+            v1_path = tmp_path / "detector_v1.json"
+            write_json_atomic(detector_to_dict(detector, version=1), v1_path)
+            assert path.stat().st_size < 1.25 * v1_path.stat().st_size
 
     def test_random_state_restored(self, detectors):
         detector = detectors[("labelled", "per_unit")]
@@ -143,14 +148,17 @@ class TestV2ServesWithoutTree:
         payload = _json_round_trip(detector_to_dict(detector))
         narrowed = detector_from_dict(payload, overrides={"dtype": "float32"})
         assert str(narrowed.serving_dtype) == "float32"
-        expected = detector.score_samples(test_matrix)
-        observed = narrowed.score_samples(test_matrix)
-        same_leaf = np.array_equal(
-            narrowed.detect(test_matrix).leaf_index, detector.detect(test_matrix).leaf_index
+        expected = detector.detect(test_matrix)
+        observed = narrowed.detect(test_matrix)
+        # A record near-equidistant between two units may flip leaf under
+        # float32 (and take that leaf's threshold); the rest only round.
+        same_leaf = observed.leaf_index == expected.leaf_index
+        assert np.mean(same_leaf) > 0.99
+        assert np.mean(observed.predictions == expected.predictions) > 0.99
+        relative = np.abs(observed.scores - expected.scores) / np.maximum(
+            np.abs(expected.scores), 1e-12
         )
-        tolerance = np.abs(observed - expected) / np.maximum(np.abs(expected), 1e-12)
-        if same_leaf:
-            assert tolerance.max() < 1e-3
+        assert relative[same_leaf].max() < 1e-3
 
 
 class TestDetectAgreesWithSeparateCalls:
