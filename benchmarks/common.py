@@ -121,9 +121,9 @@ def usable_cpus() -> int:
     Affinity-aware (matches the shard backends' default worker pools), so
     recorded throughput is attributed to the cores the run could really use.
     """
-    from repro.serving.backends import _default_workers
+    from repro.serving.config import usable_workers
 
-    return _default_workers()
+    return usable_workers()
 
 
 def runtime_provenance() -> Dict[str, object]:

@@ -26,9 +26,9 @@ writing Python:
     --remote-workers HOST:PORT,...`` at them.
 ``repro-ids serve``
     Run the async detection gateway: load one model bundle, listen for
-    concurrent ``detect`` requests over the framed transport, and coalesce
-    requests arriving within a few-ms tick into single batched detection
-    calls (see :class:`repro.serving.gateway.DetectionGateway`).
+    concurrent ``detect`` requests over the framed transport, and serve
+    the requests that queue up while one detection call runs as the next
+    single batched call (see :class:`repro.serving.gateway.DetectionGateway`).
 
 Run ``repro-ids <command> --help`` for the options of each command.
 """
@@ -518,7 +518,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         detector,
         host,
         port,
-        tick_ms=args.tick_ms,
         max_batch_rows=args.max_batch_rows,
         max_pending_rows=args.max_pending_rows,
     )
@@ -528,8 +527,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"detection gateway listening on {gateway.address[0]}:{gateway.address[1]} "
-        f"(pid {os.getpid()}, tick {args.tick_ms} ms, "
-        f"max batch {args.max_batch_rows} rows, {plan_text})",
+        f"(pid {os.getpid()}, max batch {args.max_batch_rows} rows, {plan_text})",
         flush=True,
     )
     try:
@@ -767,18 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="address to listen on (PORT 0 binds an ephemeral port, printed at startup)",
     )
     serve.add_argument("--model", required=True, help="model bundle to serve")
-    serve.add_argument(
-        "--tick-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help=(
-            "micro-batching window: requests arriving within this many "
-            "milliseconds of the first one coalesce into a single detect "
-            "call (0 disables the wait; larger ticks trade per-request "
-            "latency for throughput)"
-        ),
-    )
     serve.add_argument(
         "--max-batch-rows",
         type=int,

@@ -26,10 +26,11 @@ into a serving subsystem:
   failover) and :class:`ShardWorkerServer` (the ``repro-ids shard-worker``
   process);
 * :mod:`repro.serving.gateway` — the async front door:
-  :class:`DetectionGateway` (an asyncio TCP server that coalesces concurrent
-  ``detect`` requests arriving within a few-ms tick into single
-  :meth:`~repro.core.detector.GhsomDetector.detect` calls — the
-  ``repro-ids serve`` process) and :class:`GatewayClient` (a multiplexed
+  :class:`DetectionGateway` (an asyncio TCP server that serves concurrent
+  ``detect`` requests as single
+  :meth:`~repro.core.detector.GhsomDetector.detect` calls, each batch being
+  whatever queued while the previous one ran — the ``repro-ids serve``
+  process) and :class:`GatewayClient` (a multiplexed
   client whose answers are byte-identical to calling ``detect`` directly);
 * :mod:`repro.serving.config` — the unified serving-configuration layer:
   :class:`ServingConfig` (one frozen, versioned, JSON-round-trippable

@@ -23,7 +23,6 @@ is reconfigured).
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -32,7 +31,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -46,23 +44,13 @@ import numpy as np
 
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError, ReproError, ServingError
+from repro.serving.config import ServingConfig, usable_workers
 from repro.serving.shards import SubtreeShard
-
-if TYPE_CHECKING:  # circular at runtime: config builds backends via make_backend
-    from repro.serving.config import ServingConfig
 
 #: One shard task: (shard index, routed sub-batch, local entry nodes).
 ShardTask = Tuple[int, AnyArray, AnyArray]
 #: One shard result: (local leaf rows, distances in the serving dtype).
 ShardResult = Tuple[AnyArray, AnyArray]
-
-
-def _default_workers() -> int:
-    """Worker count matching the usable cores (affinity-aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # platforms without sched_getaffinity
-        return max(1, os.cpu_count() or 1)
 
 
 def same_shard_objects(
@@ -128,7 +116,7 @@ class _PooledBackend(ShardBackend):
     def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._workers = int(workers) if workers is not None else _default_workers()
+        self._workers = int(workers) if workers is not None else usable_workers()
         self._pool: Optional[Executor] = None
 
     @property

@@ -5,10 +5,13 @@ deployment sees millions of concurrent *single-record* requests — the shape
 the compiled engine is worst at (per-call overhead dominates a one-row
 descent).  :class:`DetectionGateway` closes that gap: an asyncio TCP server
 speaking the existing framed transport (:mod:`repro.serving.transport`)
-that coalesces every ``detect`` request arriving within one configurable
-few-millisecond **tick** (bounded by a **max-batch-rows** cap) into ONE
-:meth:`~repro.core.detector.GhsomDetector.detect` call, then demultiplexes
-the per-request slices back to their connections.
+that serves queued ``detect`` requests as ONE
+:meth:`~repro.core.detector.GhsomDetector.detect` call, then
+demultiplexes the per-request slices back to their connections.  The
+batcher is **self-clocking**: an idle gateway serves a request at once,
+and the requests that arrive while one ``detect`` runs form the next batch
+(bounded by a **max-batch-rows** cap).  Batch size follows the load; there
+is no timer to tune.
 
 The numerical contract is precise: the gateway adds **zero numerical
 error**.  Every reply is exactly ``detect()`` on the served batch, sliced
@@ -53,9 +56,10 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -154,11 +158,6 @@ class DetectionGateway(FramedServer):
         Listen address; ``port=0`` binds an ephemeral port — read the real
         one from :attr:`address` (available immediately, the listening
         socket is created in the constructor).
-    tick_ms:
-        Coalescing window: after the first request of a batch arrives, the
-        gateway keeps admitting concurrent requests into the same
-        ``detect`` call for this many milliseconds (or until the row cap).
-        ``0`` disables the wait — each batch is whatever is already queued.
     max_batch_rows:
         Row cap per ``detect`` call; also the largest row-block one request
         may carry.
@@ -180,13 +179,10 @@ class DetectionGateway(FramedServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        tick_ms: float = 2.0,
         max_batch_rows: int = 4096,
         max_pending_rows: int = 32768,
         drain_timeout_s: float = 10.0,
     ) -> None:
-        if tick_ms < 0:
-            raise ConfigurationError(f"tick_ms must be >= 0, got {tick_ms}")
         if max_batch_rows < 1:
             raise ConfigurationError(f"max_batch_rows must be >= 1, got {max_batch_rows}")
         if max_pending_rows < max_batch_rows:
@@ -198,7 +194,6 @@ class DetectionGateway(FramedServer):
         if not detector.is_fitted:
             raise ServingError("the gateway needs a fitted detector")
         self._detector = detector
-        self._tick_s = float(tick_ms) / 1e3
         self._max_batch_rows = int(max_batch_rows)
         self._max_pending_rows = int(max_pending_rows)
         # Resolve the serving plan once, now: a misconfigured model must
@@ -225,9 +220,10 @@ class DetectionGateway(FramedServer):
             expired_deadlines=0,
         )
         self._pending_rows = 0
-        self._carry: Optional[_PendingRequest] = None
-        # Created inside the event loop (asyncio primitives bind to it).
-        self._queue: "asyncio.Queue[Optional[_PendingRequest]]" = asyncio.Queue()
+        self._queue: Deque[_PendingRequest] = deque()
+        #: Set on admission and at drain; the idle batcher waits on it.
+        self._wake = asyncio.Event()
+        self._closing = False
         self._batcher: Optional["asyncio.Task[None]"] = None
 
     def gateway_info(self) -> Dict[str, object]:
@@ -235,14 +231,12 @@ class DetectionGateway(FramedServer):
         return {
             "n_features": self._n_features,
             "dtype": str(self._serving_dtype),
-            "tick_ms": self._tick_s * 1e3,
             "max_batch_rows": self._max_batch_rows,
             "max_pending_rows": self._max_pending_rows,
             "plan": dict(self._plan_info),
         }
 
     async def _startup(self) -> None:
-        self._queue = asyncio.Queue()
         self._batcher = asyncio.create_task(self._batch_loop())
 
     async def _drain(self) -> None:
@@ -251,7 +245,8 @@ class DetectionGateway(FramedServer):
         deadline = time.monotonic() + self._drain_timeout_s
         while self._pending_rows > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
-        await self._queue.put(None)  # wake + stop the batch loop
+        self._closing = True  # the batcher stops once the queue is empty
+        self._wake.set()
         if self._batcher is not None:
             try:
                 await asyncio.wait_for(self._batcher, timeout=self._drain_timeout_s)
@@ -280,8 +275,10 @@ class DetectionGateway(FramedServer):
         budget = frame.get("timeout_ms")
         if budget is not None:
             # ``not >= 0`` also rejects NaN, which compares false both ways.
-            if not isinstance(budget, (int, float, np.integer, np.floating)) or not bool(
-                budget >= 0
+            if (
+                isinstance(budget, bool)
+                or not isinstance(budget, (int, float, np.integer, np.floating))
+                or not bool(budget >= 0)
             ):
                 raise ServingError(
                     f"timeout_ms must be a non-negative number, got {budget!r}"
@@ -298,7 +295,7 @@ class DetectionGateway(FramedServer):
         self._pending_rows += n_rows
         self.stats["requests"] += 1
         self.stats["rows"] += n_rows
-        self._queue.put_nowait(
+        self._queue.append(
             _PendingRequest(
                 connection=connection,
                 request_id=request_id,
@@ -308,6 +305,7 @@ class DetectionGateway(FramedServer):
                 timeout_ms=timeout_ms,
             )
         )
+        self._wake.set()
 
     def _coerce_rows(self, payload: object) -> AnyArray:
         """Per-request row validation — a bad request must not poison a batch."""
@@ -352,62 +350,28 @@ class DetectionGateway(FramedServer):
     # the micro-batcher
     # ------------------------------------------------------------------ #
     async def _batch_loop(self) -> None:
-        """Coalesce queued requests into single ``detect`` calls, forever.
+        """Serve the queue as single ``detect`` calls until drain empties it.
 
-        While one batch computes in the executor, the event loop keeps
-        reading sockets and admitting the next batch — under load the batch
-        size adapts to however much arrives per descent.
+        Self-clocking: an idle batcher serves a request at once.  While one
+        batch computes in the executor, the event loop keeps admitting
+        requests, and the next batch is everything queued by then, up to
+        ``max_batch_rows`` — under load the batch size adapts to however
+        much arrives per descent.
         """
-        loop = asyncio.get_running_loop()
+        queue = self._queue
         while True:
-            first = self._carry
-            self._carry = None
-            if first is None:
-                item = await self._queue.get()
-                if item is None:
-                    return  # drain sentinel: queue is empty, stop
-                first = item
-            batch = [first]
-            total_rows = first.n_rows
-            stop = False
-            if self._tick_s > 0.0:
-                tick_deadline = loop.time() + self._tick_s
-                while total_rows < self._max_batch_rows:
-                    remaining = tick_deadline - loop.time()
-                    if remaining <= 0.0:
-                        break
-                    try:
-                        extra = await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
-                    if extra is None:
-                        stop = True
-                        break
-                    if total_rows + extra.n_rows > self._max_batch_rows:
-                        self._carry = extra  # opens the next batch instead
-                        break
-                    batch.append(extra)
-                    total_rows += extra.n_rows
-            else:
-                while total_rows < self._max_batch_rows:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if extra is None:
-                        stop = True
-                        break
-                    if total_rows + extra.n_rows > self._max_batch_rows:
-                        self._carry = extra
-                        break
-                    batch.append(extra)
-                    total_rows += extra.n_rows
+            if not queue:
+                if self._closing:
+                    return
+                self._wake.clear()
+                await self._wake.wait()
+                continue
+            batch = [queue.popleft()]
+            total_rows = batch[0].n_rows
+            while queue and total_rows + queue[0].n_rows <= self._max_batch_rows:
+                total_rows += queue[0].n_rows
+                batch.append(queue.popleft())
             await self._execute(batch)
-            if stop:
-                if self._carry is not None:
-                    carry, self._carry = self._carry, None
-                    await self._execute([carry])
-                return
 
     async def _execute(self, batch: Sequence[_PendingRequest]) -> None:
         """Run one coalesced ``detect`` call and demultiplex the replies."""

@@ -75,8 +75,9 @@ def fitted(workload):
 class _SlowDetector:
     """Transparent detector wrapper whose ``detect`` sleeps first.
 
-    Used to hold a batch in flight deterministically so backpressure and
-    drain paths can be driven without racing the (fast) real engine.
+    Used to hold a batch in flight deterministically so coalescing,
+    backpressure and drain paths can be driven without racing the (fast)
+    real engine.
     """
 
     def __init__(self, inner, delay_s: float):
@@ -91,6 +92,21 @@ class _SlowDetector:
         self.n_detect_calls += 1
         time.sleep(self._delay_s)
         return self._inner.detect(X)
+
+
+def _hold_executor(client, slow, rows, timeout_s=10.0):
+    """Start a batch of ``rows`` and return once its slow ``detect`` runs.
+
+    Requests submitted before it finishes queue behind it, so the batcher
+    serves them together as the next batch.
+    """
+    calls = slow.n_detect_calls
+    held = client.submit(rows)
+    deadline = time.monotonic() + timeout_s
+    while slow.n_detect_calls == calls:
+        assert time.monotonic() < deadline, "the gateway never called detect"
+        time.sleep(0.001)
+    return held
 
 
 def _assert_result_identical(result, reference, lo, hi):
@@ -108,7 +124,7 @@ def _assert_result_identical(result, reference, lo, hi):
 class TestByteIdentity:
     def test_solo_requests_bit_identical_to_direct_detect(self, fitted, workload):
         X = workload["X_test"]
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 for lo, hi in [(0, 1), (10, 11), (20, 52), (100, 228)]:
                     reference = fitted.detect(X[lo:hi])
@@ -118,7 +134,7 @@ class TestByteIdentity:
     def test_single_record_1d_request(self, fitted, workload):
         X = workload["X_test"]
         reference = fitted.detect(X[3:4])
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 result = client.detect(X[3], timeout=30)  # 1-D record
         assert len(result) == 1
@@ -127,15 +143,17 @@ class TestByteIdentity:
     def test_coalesced_batch_bit_identical_to_concat_detect(self, fitted, workload):
         """Requests coalesced into one batch == detect() on the concat rows.
 
-        A single connection preserves admission order, so with a generous
-        tick the N submissions form one batch whose matrix is exactly the
-        concatenation in submission order.
+        A single connection preserves admission order, so the N submissions
+        queued behind a running batch form the next batch, whose matrix is
+        exactly the concatenation in submission order.
         """
         X = workload["X_test"]
         n_requests = 12
-        with DetectionGateway(fitted, tick_ms=250.0).start() as gateway:
+        slow = _SlowDetector(fitted, delay_s=0.3)
+        with DetectionGateway(slow).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 client.ping()  # connection fully established before timing starts
+                _hold_executor(client, slow, X[100:101])
                 futures = [
                     client.submit(X[i : i + 2]) for i in range(0, 2 * n_requests, 2)
                 ]
@@ -154,9 +172,11 @@ class TestByteIdentity:
         X = workload["X_test"]
         sizes = [1, 2, 3, 5, 8, 13, 1, 4]
         offsets = np.cumsum([0] + sizes)
-        with DetectionGateway(fitted, tick_ms=5.0).start() as gateway:
+        slow = _SlowDetector(fitted, delay_s=0.2)
+        with DetectionGateway(slow).start() as gateway:
             clients = [GatewayClient(gateway.address) for _ in range(2)]
             try:
+                _hold_executor(clients[0], slow, X[100:101])
                 futures = [
                     clients[i % 2].submit(X[offsets[i] : offsets[i] + size])
                     for i, size in enumerate(sizes)
@@ -180,7 +200,7 @@ class TestByteIdentity:
 class TestWireProtocol:
     def test_ids_round_trip_verbatim(self, fitted, workload):
         X = workload["X_test"]
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             sock = socket.create_connection(gateway.address, timeout=10)
             try:
                 info = client_handshake(sock)
@@ -198,7 +218,7 @@ class TestWireProtocol:
                 sock.close()
 
     def test_unknown_op_gets_error_reply_not_dead_stream(self, fitted):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             with WorkerConnection(gateway.address) as connection:
                 # The error names the peer by its advertised role.
                 with pytest.raises(
@@ -210,7 +230,7 @@ class TestWireProtocol:
                 assert connection.call("ping", timeout=10) == "pong"
 
     def test_protocol_mismatch_rejected(self, fitted):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             sock = socket.create_connection(gateway.address, timeout=10)
             try:
                 with pytest.raises(TransportError, match="protocol mismatch"):
@@ -224,7 +244,7 @@ class TestWireProtocol:
                 GatewayClient(worker.address)
 
     def test_client_rejects_address_strings_too(self, fitted):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             host, port = gateway.address
             with GatewayClient(f"{host}:{port}") as client:
                 assert client.ping()
@@ -242,7 +262,7 @@ class TestFaultPaths:
     ):
         X = workload["X_test"]
         slow = _SlowDetector(fitted, delay_s=0.3)
-        with DetectionGateway(slow, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(slow).start() as gateway:
             doomed = GatewayClient(gateway.address)
             doomed.submit(X[:4])  # will be in flight when the socket dies
             time.sleep(0.05)  # let the request reach the batcher
@@ -256,7 +276,7 @@ class TestFaultPaths:
 
     def test_oversized_frame_closes_connection_only(self, fitted, workload):
         X = workload["X_test"]
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             sock = socket.create_connection(gateway.address, timeout=10)
             try:
                 client_handshake(sock)
@@ -271,7 +291,7 @@ class TestFaultPaths:
                 assert len(client.detect(X[:2], timeout=30)) == 2
 
     def test_bad_magic_closes_connection_only(self, fitted):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             sock = socket.create_connection(gateway.address, timeout=10)
             try:
                 client_handshake(sock)
@@ -285,7 +305,7 @@ class TestFaultPaths:
     def test_malformed_rows_get_error_replies(self, fitted, workload):
         X = workload["X_test"]
         n_features = X.shape[1]
-        with DetectionGateway(fitted, tick_ms=0.0, max_batch_rows=64).start() as gateway:
+        with DetectionGateway(fitted, max_batch_rows=64).start() as gateway:
             with WorkerConnection(gateway.address) as connection:
                 with pytest.raises(ServingError, match="numpy array"):
                     connection.call("detect", rows=[1.0, 2.0], timeout=10)
@@ -313,11 +333,12 @@ class TestFaultPaths:
 
     def test_deadline_expiry_is_an_explicit_error(self, fitted, workload):
         X = workload["X_test"]
-        # A long tick so the zero-budget request is still queued when the
-        # batcher gets to it.
-        with DetectionGateway(fitted, tick_ms=150.0).start() as gateway:
+        # The filler holds the executor, so the zero-budget request is still
+        # queued when the batcher gets to it.
+        slow = _SlowDetector(fitted, delay_s=0.15)
+        with DetectionGateway(slow).start() as gateway:
             with GatewayClient(gateway.address) as client:
-                filler = client.submit(X[:1])  # opens the tick window
+                filler = _hold_executor(client, slow, X[:1])
                 doomed = client.submit(X[1:2], timeout_ms=0.0)
                 with pytest.raises(ServingError, match="deadline expired"):
                     doomed.result(timeout=30)
@@ -328,7 +349,7 @@ class TestFaultPaths:
         X = workload["X_test"]
         slow = _SlowDetector(fitted, delay_s=0.5)
         with DetectionGateway(
-            slow, tick_ms=0.0, max_batch_rows=2, max_pending_rows=4
+            slow, max_batch_rows=2, max_pending_rows=4
         ).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 first = client.submit(X[:1])
@@ -346,7 +367,7 @@ class TestFaultPaths:
 
     def test_timeout_ms_validation(self, fitted, workload):
         X = workload["X_test"]
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             with WorkerConnection(gateway.address) as connection:
                 with pytest.raises(ServingError, match="timeout_ms"):
                     connection.call("detect", rows=X[:1], timeout_ms=-5, timeout=10)
@@ -354,20 +375,25 @@ class TestFaultPaths:
                     connection.call(
                         "detect", rows=X[:1], timeout_ms=float("nan"), timeout=10
                     )
-                assert gateway.stats["requests"] == 0  # neither was admitted
+                with pytest.raises(ServingError, match="timeout_ms"):
+                    connection.call("detect", rows=X[:1], timeout_ms=True, timeout=10)
+                assert gateway.stats["requests"] == 0  # none was admitted
 
     def test_non_finite_rows_fail_only_their_own_request(self, fitted, workload):
         """A NaN row is rejected at admission, not by the coalesced detect().
 
-        Both requests land in one tick; were the NaN rows admitted, the
-        batch's detect() would raise and fail the clean request too.
+        The requests queue behind a running batch, so they would be served
+        together; were the NaN rows admitted, the batch's detect() would
+        raise and fail the clean request too.
         """
         X = workload["X_test"]
         poisoned = X[3:5].copy()
         poisoned[1, 0] = np.nan
-        with DetectionGateway(fitted, tick_ms=50.0).start() as gateway:
+        slow = _SlowDetector(fitted, delay_s=0.1)
+        with DetectionGateway(slow).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 client.ping()  # connection fully established before timing starts
+                _hold_executor(client, slow, X[100:101])
                 clean = client.submit(X[:3])
                 bad = client.submit(poisoned)
                 infinite = client.submit(np.full((1, X.shape[1]), np.inf))
@@ -388,7 +414,7 @@ class TestDrain:
     def test_drain_answers_every_admitted_request(self, fitted, workload):
         X = workload["X_test"]
         slow = _SlowDetector(fitted, delay_s=0.2)
-        gateway = DetectionGateway(slow, tick_ms=0.0, max_batch_rows=2).start()
+        gateway = DetectionGateway(slow, max_batch_rows=2).start()
         client = GatewayClient(gateway.address)
         try:
             futures = [client.submit(X[i : i + 1]) for i in range(6)]
@@ -403,12 +429,12 @@ class TestDrain:
             GatewayClient(gateway.address, connect_timeout=2.0)
 
     def test_shutdown_is_idempotent_and_reentrant(self, fitted):
-        gateway = DetectionGateway(fitted, tick_ms=0.0).start()
+        gateway = DetectionGateway(fitted).start()
         gateway.shutdown()
         gateway.shutdown()  # second call is a no-op, not an error
 
     def test_context_manager_shuts_down(self, fitted):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             address = gateway.address
         with pytest.raises((TransportError, OSError)):
             socket.create_connection(address, timeout=2.0).close()
@@ -419,8 +445,6 @@ class TestDrain:
 # --------------------------------------------------------------------------- #
 class TestConstruction:
     def test_invalid_knobs_rejected(self, fitted):
-        with pytest.raises(ConfigurationError, match="tick_ms"):
-            DetectionGateway(fitted, tick_ms=-1.0)
         with pytest.raises(ConfigurationError, match="max_batch_rows"):
             DetectionGateway(fitted, max_batch_rows=0)
         with pytest.raises(ConfigurationError, match="max_pending_rows"):
@@ -431,7 +455,7 @@ class TestConstruction:
             DetectionGateway(GhsomDetector(GhsomConfig()))
 
     def test_handshake_advertises_plan_and_model_shape(self, fitted, workload):
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             with GatewayClient(gateway.address) as client:
                 info = client.info
         assert info["n_features"] == workload["X_test"].shape[1]

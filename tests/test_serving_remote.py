@@ -290,7 +290,7 @@ class TestFailover:
         provision frame (the gateway would answer "unknown operation") and
         serves every task locally, byte-identically.
         """
-        with DetectionGateway(fitted, tick_ms=0.0).start() as gateway:
+        with DetectionGateway(fitted).start() as gateway:
             backend = RemoteBackend([gateway.address], connect_timeout=2.0)
             result = _detect_remote(binary_bundle, workload, backend)
             assert backend.stats["provision_value"] == 0
@@ -387,10 +387,11 @@ class TestProtocol:
 
         def serve():
             client, _ = listener.accept()
-            recv_frame(client)  # hello
-            send_frame(client, {"kind": "hello", "protocol": PROTOCOL_VERSION, "worker": {}})
-            recv_frame(client)  # the request
-            send_frame(client, {"id": None, "ok": True, "result": "?"})
+            with client:
+                recv_frame(client)  # hello
+                send_frame(client, {"kind": "hello", "protocol": PROTOCOL_VERSION, "worker": {}})
+                recv_frame(client)  # the request
+                send_frame(client, {"id": None, "ok": True, "result": "?"})
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -400,6 +401,7 @@ class TestProtocol:
             future.result(timeout=10.0)
         assert not connection.is_alive
         connection.close()
+        thread.join(timeout=10.0)
         listener.close()
 
     def test_integer_fields_are_not_coerced(self, fitted, workload):

@@ -56,7 +56,7 @@ def fitted():
 @pytest.fixture(params=sorted(ROLES))
 def server(request, fitted):
     if request.param == "gateway":
-        instance = DetectionGateway(fitted, tick_ms=0.0)
+        instance = DetectionGateway(fitted)
     else:
         instance = ShardWorkerServer()
     with instance.start() as running:

@@ -1,9 +1,10 @@
 """In-run speed ratios: each fast path against its baseline, in one process.
 
 Every test times both sides on the same fitted model and the same rows, best
-of a few repetitions each, and asserts the ratio.  A ratio taken in one run
-cancels the machine's absolute speed, so the bounds hold on a laptop and a
-shared CI runner alike.  BLAS pools are pinned to one thread in CI, so the
+of a few repetitions each (the median of many calls for one-record round
+trips), and asserts the ratio.  A ratio taken in one run cancels the
+machine's absolute speed, so the bounds hold on a laptop and a shared CI
+runner alike.  BLAS pools are pinned to one thread in CI, so the
 pooled-backend ratio compares against a single-threaded baseline.
 
 Correctness of each path (bit-identity, exact leaves, tree-free loads) is
@@ -40,7 +41,7 @@ from repro.serving import (
     ShardWorkerServer,
     subtrees_from_compiled,
 )
-from repro.serving.backends import _default_workers
+from repro.serving.config import usable_workers
 
 from legacy_descent import legacy_score_samples
 
@@ -156,7 +157,7 @@ def test_serial_sharding_overhead_is_bounded(workload):
 
 
 def test_pooled_backend_speeds_up_on_four_cores(workload):
-    n_cpus = _default_workers()
+    n_cpus = usable_workers()
     if n_cpus < 4:
         pytest.skip(f"parallel speedup needs >= 4 usable CPUs, this host has {n_cpus}")
     compiled = workload["detector"].model.compile()
@@ -223,7 +224,7 @@ def test_gateway_micro_batching_beats_sequential(workload):
     requests_per_level = {1: 50, 64: 768, 512: 1536}
     best_rate = dict.fromkeys(requests_per_level, 0.0)
     batch_rows_at_64 = 0.0
-    gateway = DetectionGateway(workload["detector"], tick_ms=2.0, max_batch_rows=4096)
+    gateway = DetectionGateway(workload["detector"], max_batch_rows=4096)
     with gateway.start():
         with GatewayClient(gateway.address) as client:
             client.ping()
@@ -238,3 +239,28 @@ def test_gateway_micro_batching_beats_sequential(workload):
     assert best_rate[512] > best_rate[1], best_rate
     # Real coalescing, not scheduling luck, carried the throughput.
     assert batch_rows_at_64 > 1.0, batch_rows_at_64
+
+
+def _median_seconds(function: Callable[..., object], *args: object, n_calls: int = 200) -> float:
+    """Median wall-clock seconds of ``n_calls`` sequential calls."""
+    times = np.empty(n_calls)
+    for index in range(n_calls):
+        started = time.perf_counter()
+        function(*args)
+        times[index] = time.perf_counter() - started
+    return float(np.median(times))
+
+
+def test_idle_gateway_adds_little_to_one_record_latency(workload):
+    # An idle gateway serves a request at once: one record's round trip
+    # costs about a ping plus the detect itself, with no wait for company.
+    detector = workload["detector"]
+    row = workload["X"][:1]
+    with DetectionGateway(detector).start() as gateway:
+        with GatewayClient(gateway.address) as client:
+            client.ping()
+            client.detect(row, timeout=60)
+            ping = _median_seconds(client.ping)
+            served = _median_seconds(client.detect, row)
+    direct = _median_seconds(detector.detect, row)
+    assert served < 5.0 * (ping + direct), (served, ping, direct)
