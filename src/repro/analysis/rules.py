@@ -503,10 +503,11 @@ class ServingExceptionWrap(Rule):
 class PoolConfinement(Rule):
     """Worker pools are created only by the backend seam.
 
-    ``backends.make_backend`` and ``ServingPlan.build_backend`` own pool
-    construction: sizing (``usable_workers``), fork-context selection, the
-    close/rebuild-on-broken policy and the strict/degrade fallbacks.  A pool
-    spun up elsewhere escapes all of that.
+    ``ServingPlan.build_backend`` maps a backend name to a live backend, and
+    the backends in ``serving/backends.py`` own the pools they run on:
+    sizing (``usable_workers``), the close/rebuild-on-broken policy and the
+    ``ServingError`` wrapping of worker failures.  A pool spun up elsewhere
+    (a process pool included) escapes all of that.
     """
 
     code = "RPL008"
@@ -532,8 +533,8 @@ class PoolConfinement(Rule):
                 yield self._finding(
                     path,
                     node,
-                    f"{name}() outside backends.make_backend()/"
-                    "ServingPlan.build_backend() escapes pool sizing and "
+                    f"{name}() outside serving/backends.py (built through "
+                    "ServingPlan.build_backend()) escapes pool sizing and "
                     "lifecycle policy",
                 )
 

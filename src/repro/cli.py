@@ -65,7 +65,7 @@ from repro.eval.metrics import binary_metrics, per_category_detection_rates
 from repro.eval.reporting import save_markdown_report, save_results_json
 from repro.eval.tables import format_table
 from repro.exceptions import ReproError
-from repro.serving.config import ServingConfig, ShardingSpec
+from repro.serving.config import SHARD_BACKENDS, ServingConfig, ShardingSpec
 
 #: Bundle v2 embeds the compiled flat arrays + per-leaf tables (detector
 #: format v2), so ``detect`` serves without rebuilding the Python tree;
@@ -229,7 +229,7 @@ def add_serving_args(
         )
         group.add_argument(
             "--shard-backend",
-            choices=("serial", "thread", "process", "remote"),
+            choices=SHARD_BACKENDS,
             default=None,
             help="how sharded sub-batches execute (default: thread; requires --shards)",
         )

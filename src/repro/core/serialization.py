@@ -83,7 +83,8 @@ SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
 #: Versions the JSON-dict writers (:func:`ghsom_to_dict`,
 #: :func:`detector_to_dict`) can produce; v3 splits its arrays into a binary
 #: sidecar and is written through :func:`save_ghsom` / :func:`save_detector`.
-JSON_WRITER_VERSIONS = (1, 2)
+#: v1 is read but no longer written (its golden fixture pins the reader).
+JSON_WRITER_VERSIONS = (2,)
 
 #: File suffix of the binary array sidecar written next to a v3 JSON file.
 SIDECAR_SUFFIX = ".npz"
@@ -119,9 +120,14 @@ def _as_array(value: object, dtype: npt.DTypeLike) -> AnyArray:
 
 def _check_version(data: Dict[str, object]) -> int:
     version = data.get("format_version")
-    if version not in SUPPORTED_FORMAT_VERSIONS:
+    # ``True == 1`` and ``1.0 == 1``: only a real int names a format.
+    if (
+        not isinstance(version, int)
+        or isinstance(version, bool)
+        or version not in SUPPORTED_FORMAT_VERSIONS
+    ):
         raise SerializationError(f"unsupported format version {version!r}")
-    return _as_int(version)
+    return version
 
 
 def _check_writer_version(version: int) -> int:
@@ -442,8 +448,11 @@ def open_sidecar(
 # --------------------------------------------------------------------------- #
 # GHSOM model
 # --------------------------------------------------------------------------- #
-def _node_to_dict(node: GhsomNode, *, include_codebook: bool = True) -> Dict[str, object]:
-    payload: Dict[str, object] = {
+def _node_to_dict(node: GhsomNode) -> Dict[str, object]:
+    # Codebooks are stored exactly once, in the compiled stacked array; tree
+    # nodes reference their slice of it by node id (only v1 payloads, which
+    # are read but no longer written, carry them inline).
+    return {
         "node_id": node.node_id,
         "depth": node.depth,
         "parent_unit": node.parent_unit,
@@ -453,16 +462,9 @@ def _node_to_dict(node: GhsomNode, *, include_codebook: bool = True) -> Dict[str
         "unit_qe": np.asarray(node.unit_qe, dtype=float).tolist(),
         "unit_count": np.asarray(node.unit_count, dtype=int).tolist(),
         "children": {
-            str(unit): _node_to_dict(child, include_codebook=include_codebook)
-            for unit, child in node.children.items()
+            str(unit): _node_to_dict(child) for unit, child in node.children.items()
         },
     }
-    if include_codebook:
-        # v1 payloads carry each layer's codebook inline; v2/v3 payloads
-        # store every codebook exactly once, in the compiled stacked array,
-        # and the tree nodes reference their slice of it by node id.
-        payload["codebook"] = node.layer.codebook.tolist()
-    return payload
 
 
 def _node_from_dict(
@@ -527,13 +529,13 @@ def _ghsom_payload(
         "config": model.config.to_dict(),
         "qe0": model.qe0,
         "n_features": model.n_features,
-        # v2/v3 store every codebook once, in the compiled stacked array; the
+        # Every codebook is stored once, in the compiled stacked array; the
         # tree payload keeps only structure + per-unit statistics.
-        "root": _node_to_dict(model.root, include_codebook=version < 2),
+        "root": _node_to_dict(model.root),
     }
     if version == 2:
         payload["compiled"] = compiled_to_dict(model.compile())
-    elif version >= 3:
+    else:
         if arrays is None:
             raise SerializationError("binary payloads need a sidecar arrays mapping")
         meta, compiled_arrays = compiled_to_arrays(model.compile())
@@ -545,11 +547,9 @@ def _ghsom_payload(
 def ghsom_to_dict(model: Ghsom, *, version: int = FORMAT_VERSION) -> Dict[str, object]:
     """Serialise a fitted :class:`Ghsom` to a JSON-compatible dict.
 
-    ``version=1`` writes the legacy tree-only payload (used by the round-trip
-    regression tests and the serving benchmark to exercise the v1 reader);
-    the default v2 payload additionally embeds the compiled flat arrays.
-    The binary v3 format cannot be expressed as a single dict — use
-    :func:`save_ghsom` with ``format="binary"``.
+    The v2 payload embeds the compiled flat arrays next to the tree
+    structure.  The binary v3 format cannot be expressed as a single dict —
+    use :func:`save_ghsom` with ``format="binary"``.
     """
     _check_writer_version(version)
     return _ghsom_payload(model, version, None)
@@ -650,43 +650,42 @@ def _detector_payload(
         "labeling_strategy": detector.labeling_strategy,
         "calibrate_on_normal_only": detector.calibrate_on_normal_only,
     }
-    if version >= 2:
-        # The detector's serving configuration travels inside the artifact,
-        # so loading hydrates a fully-configured detector (dtype, engine,
-        # sharding, artifact options) unless the caller overrides it — see
-        # repro.serving.config.effective_config for the precedence rule.
-        payload["serving_config"] = detector.serving_config.to_dict()
-        # Generators are process-local state; only reproducible seeds persist.
-        random_state = detector.random_state
-        payload["random_state"] = (
-            int(random_state) if isinstance(random_state, (int, np.integer)) else None
-        )
-        tables = detector._leaf_tables()
-        if version == 2:
-            payload["leaf_tables"] = {
-                "thresholds": np.asarray(tables.thresholds, dtype=float).tolist(),
-                "labels": None if tables.labels is None else [str(v) for v in tables.labels],
-                "is_attack": None if tables.is_attack is None else tables.is_attack.astype(bool).tolist(),
-                "purity": None if tables.purity is None else tables.purity.tolist(),
-            }
-        else:
-            # v3: the numeric tables ride in the sidecar; labels travel as a
-            # fixed-width unicode array (npz stores those without pickle).
-            if arrays is None:
-                raise SerializationError("binary payloads need a sidecar arrays mapping")
-            arrays[_SIDECAR_LEAF_THRESHOLDS] = np.asarray(tables.thresholds, dtype=float)
-            labelled = tables.labels is not None
-            if labelled:
-                arrays[_SIDECAR_LEAF_LABELS] = np.asarray(
-                    [str(v) for v in tables.labels]
-                )
-                arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
-                arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
-            payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
-        # The partition-independent subtree layout: lets a sharded serving
-        # config slice worker shards straight from the stored
-        # arrays instead of re-deriving the plan (see repro.serving.planner).
-        payload["shard_manifest"] = manifest_from_compiled(tables.compiled)
+    # The detector's serving configuration travels inside the artifact,
+    # so loading hydrates a fully-configured detector (dtype, engine,
+    # sharding, artifact options) unless the caller overrides it — see
+    # repro.serving.config.effective_config for the precedence rule.
+    payload["serving_config"] = detector.serving_config.to_dict()
+    # Generators are process-local state; only reproducible seeds persist.
+    random_state = detector.random_state
+    payload["random_state"] = (
+        int(random_state) if isinstance(random_state, (int, np.integer)) else None
+    )
+    tables = detector._leaf_tables()
+    if version == 2:
+        payload["leaf_tables"] = {
+            "thresholds": np.asarray(tables.thresholds, dtype=float).tolist(),
+            "labels": None if tables.labels is None else [str(v) for v in tables.labels],
+            "is_attack": None if tables.is_attack is None else tables.is_attack.astype(bool).tolist(),
+            "purity": None if tables.purity is None else tables.purity.tolist(),
+        }
+    else:
+        # v3: the numeric tables ride in the sidecar; labels travel as a
+        # fixed-width unicode array (npz stores those without pickle).
+        if arrays is None:
+            raise SerializationError("binary payloads need a sidecar arrays mapping")
+        arrays[_SIDECAR_LEAF_THRESHOLDS] = np.asarray(tables.thresholds, dtype=float)
+        labelled = tables.labels is not None
+        if labelled:
+            arrays[_SIDECAR_LEAF_LABELS] = np.asarray(
+                [str(v) for v in tables.labels]
+            )
+            arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
+            arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
+        payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
+    # The partition-independent subtree layout: lets a sharded serving
+    # config slice worker shards straight from the stored
+    # arrays instead of re-deriving the plan (see repro.serving.planner).
+    payload["shard_manifest"] = manifest_from_compiled(tables.compiled)
     return payload
 
 
@@ -695,12 +694,10 @@ def detector_to_dict(
 ) -> Dict[str, object]:
     """Serialise a fitted :class:`GhsomDetector` (model, labels, thresholds).
 
-    The default v2 payload embeds the compiled arrays plus the per-leaf
-    scoring tables so :func:`detector_from_dict` can return a scoring-ready
-    detector without touching the tree; ``version=1`` writes the legacy
-    payload for compatibility testing.  The binary v3 format cannot be
-    expressed as a single dict — use :func:`save_detector` with
-    ``format="binary"``.
+    The v2 payload embeds the compiled arrays plus the per-leaf scoring
+    tables so :func:`detector_from_dict` can return a scoring-ready detector
+    without touching the tree.  The binary v3 format cannot be expressed as
+    a single dict — use :func:`save_detector` with ``format="binary"``.
     """
     _check_writer_version(version)
     return _detector_payload(detector, version, None)

@@ -35,7 +35,7 @@ class SerializationError(ReproError):
 class ServingError(ReproError):
     """Raised when a serving backend cannot execute its shard tasks.
 
-    Wraps worker-side failures (a crashed process-pool worker, a dead remote
+    Wraps worker-side failures (a shard raising on a pool thread, a dead remote
     host, a refused provisioning request) with the backend name and the task
     that failed, so operators see an actionable message instead of a raw
     executor traceback.

@@ -13,9 +13,8 @@ into a serving subsystem:
   bundle of arrays (codebook slice, local topology, leaf-table segment,
   per-leaf scoring tables, global-leaf-row remap) that can score its
   sub-batches without the rest of the tree;
-* :mod:`repro.serving.backends` — pluggable shard executors: serial, thread
-  pool (BLAS releases the GIL) and process pool (fork-shared read-only
-  arrays);
+* :mod:`repro.serving.backends` — the local shard executors: serial and
+  thread pool (BLAS releases the GIL during the descent's GEMMs);
 * :mod:`repro.serving.router` — :class:`ShardedGhsom`, which runs the root
   distance + argmin once, dispatches each sub-batch to its shard, and merges
   results back into input order;
@@ -37,7 +36,9 @@ into a serving subsystem:
   description of dtype / engine / sharding / artifact options, embedded in
   v2+ artifacts and shipped to remote workers),
   :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
-  environment-dependent resolution under one strict/degrade policy) and
+  environment-dependent resolution under one strict/degrade policy;
+  :meth:`ServingPlan.build_backend` is the only constructor of a live
+  backend from a backend name) and
   :class:`ServingStats` (per-batch stage timings on
   ``DetectionResult.stats``).
 
@@ -48,13 +49,7 @@ exactly, and shards descend via the same
 (see ``tests/test_serving_sharded.py`` for the property tests enforcing it).
 """
 
-from repro.serving.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardBackend,
-    ThreadPoolBackend,
-    make_backend,
-)
+from repro.serving.backends import SerialBackend, ShardBackend, ThreadPoolBackend
 from repro.serving.config import (
     CONFIG_VERSION,
     ArtifactOptions,
@@ -96,7 +91,6 @@ __all__ = [
     "ShardBackend",
     "SerialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "RemoteBackend",
     "ShardWorkerServer",
     "DetectionGateway",
@@ -106,7 +100,6 @@ __all__ = [
     "TransportError",
     "PROTOCOL_VERSION",
     "parse_address",
-    "make_backend",
     "RootSubtree",
     "ShardPlan",
     "plan_shards",

@@ -61,7 +61,7 @@ SERVING_DTYPES = ("float64", "float32")
 
 #: Shard-backend names a declarative config may carry (instances cannot be
 #: serialized).
-SHARD_BACKENDS = ("serial", "thread", "process", "remote")
+SHARD_BACKENDS = ("serial", "thread", "remote")
 
 #: Remote shard-provisioning policies (see
 #: :class:`~repro.serving.remote.RemoteBackend`).
@@ -94,15 +94,18 @@ def _parse_remote_workers(spec: str) -> Tuple[str, ...]:
 
 
 def _opt_int(value: object) -> Optional[int]:
-    """``None`` passes through; everything else must be integer-coercible.
+    """``None`` passes through; otherwise an integer or a whole-number float.
 
     The strict-typed bridge from JSON payloads / CLI override mappings
     (``object`` values) to the typed dataclass fields; range validation stays
-    in the dataclass ``__post_init__``.
+    in the dataclass ``__post_init__``.  A bool or a fractional float is
+    refused rather than truncated.
     """
     if value is None:
         return None
-    if isinstance(value, (bool, int, float, str, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigurationError(f"expected an integer, got {value!r}")
 
@@ -135,10 +138,10 @@ class ShardingSpec:
     shards:
         Number of root-subtree shards, or ``None`` for the unsharded engine.
     workers:
-        Worker count for the pooled backends (``None`` = usable cores,
+        Worker count for the thread backend (``None`` = usable cores,
         resolved by :meth:`ServingConfig.resolve`).
     backend:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"remote"``; ``None``
+        ``"serial"``, ``"thread"`` or ``"remote"``; ``None``
         resolves to the serving default (``"thread"``).
     remote_workers:
         ``"HOST:PORT[,HOST:PORT...]"`` shard-worker addresses, required by
@@ -236,8 +239,12 @@ class ArtifactOptions:
     verify: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mmap", bool(self.mmap))
-        object.__setattr__(self, "verify", bool(self.verify))
+        # Payload flags must be real bools: ``bool("false")`` is True.
+        for name in ("mmap", "verify"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigurationError(f"artifact option {name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
 
 
 @dataclass(frozen=True)
@@ -306,7 +313,9 @@ class ServingConfig:
         Payloads written before the fused-provider pin was removed carry a
         ``provider`` key: ``None`` and ``"cc"`` (the only provider) mean the
         same as no pin, and ``"none"`` — which disabled the fused engine —
-        reads as the numpy engine.
+        reads as the numpy engine.  Payloads written before the process-pool
+        backend was removed may name ``"backend": "process"``: it reads as
+        the thread backend with the same ``workers``.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -348,19 +357,22 @@ class ServingConfig:
                 f"unknown fused provider {provider!r} in serving config payload; "
                 "expected 'cc', 'none' or null"
             )
+        backend = _opt_str(sharding.get("backend"))
+        if backend == "process":
+            backend = "thread"
         return cls(
             dtype=str(data.get("dtype", "float64")),
             engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
                 workers=_opt_int(sharding.get("workers")),
-                backend=_opt_str(sharding.get("backend")),
+                backend=backend,
                 remote_workers=_opt_str(sharding.get("remote_workers")),
                 provisioning=str(sharding.get("provisioning", "auto")),
             ),
             artifact=ArtifactOptions(
-                mmap=bool(artifact.get("mmap", True)),
-                verify=bool(artifact.get("verify", False)),
+                mmap=artifact.get("mmap", True),  # type: ignore[arg-type]
+                verify=artifact.get("verify", False),  # type: ignore[arg-type]
             ),
         )
 
@@ -419,8 +431,8 @@ class ServingConfig:
             config = replace(
                 config,
                 artifact=ArtifactOptions(
-                    mmap=bool(overrides.get("mmap", config.artifact.mmap)),
-                    verify=bool(overrides.get("verify", config.artifact.verify)),
+                    mmap=overrides.get("mmap", config.artifact.mmap),  # type: ignore[arg-type]
+                    verify=overrides.get("verify", config.artifact.verify),  # type: ignore[arg-type]
                 ),
             )
         return config
@@ -546,10 +558,11 @@ class ServingPlan:
             return RemoteBackend(
                 list(self.remote_workers), provisioning=self.provisioning
             )
-        from repro.serving.backends import make_backend
+        from repro.serving.backends import SerialBackend, ThreadPoolBackend
 
-        workers = None if self.backend == "serial" else self.workers
-        return make_backend(self.backend, workers)
+        if self.backend == "serial":
+            return SerialBackend()
+        return ThreadPoolBackend(self.workers)
 
     def describe(self) -> Dict[str, object]:
         """Plan provenance plus host diagnostics (the ``inspect`` view)."""

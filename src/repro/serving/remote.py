@@ -29,9 +29,9 @@ in-memory models or workers without the artifact, shard arrays are
 streamed in full.
 
 **Failover**: a dead, refusing or timed-out worker never surfaces as a
-partial result.  Its tasks are re-run on a local fallback backend (serial
-by default), so ``detect`` always returns the complete, byte-identical
-answer — remote workers only ever make it faster, never wrong.  Results
+partial result.  Its tasks are re-run on a local serial backend, so
+``detect`` always returns the complete, byte-identical answer — remote
+workers only ever make it faster, never wrong.  Results
 are byte-identical to the serial backend by construction: workers run the
 same :func:`~repro.core.compiled.frontier_descent` loop on the same row
 groupings over the same array bytes.  That construction assumes a
@@ -42,7 +42,7 @@ pinned builds everywhere (the loopback CI gate runs coordinator and
 workers on one stack, which is the supported configuration).
 
 The transport pickles frames, so point the backend only at workers you
-trust — the process-pool trust model stretched across a private network.
+trust, on a private network.
 """
 
 from __future__ import annotations
@@ -53,19 +53,13 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError, SerializationError, ServingError
-from repro.serving.backends import (
-    ShardBackend,
-    ShardResult,
-    ShardTask,
-    make_backend,
-    same_shard_objects,
-)
+from repro.serving.backends import SerialBackend, ShardBackend, ShardResult, ShardTask
 from repro.serving.config import ServingConfig
 from repro.serving.server import DEFERRED, Connection, FramedServer, ping
 from repro.serving.shards import SubtreeShard
@@ -76,6 +70,24 @@ from repro.serving.transport import (
     parse_address,
 )
 from repro.utils.mmapio import MmapRef, fingerprints_match, sidecar_fingerprint
+
+
+def same_shard_objects(
+    previous: Optional[Tuple[SubtreeShard, ...]], current: Tuple[SubtreeShard, ...]
+) -> bool:
+    """Whether two shard tuples hold the *same objects* in the same order.
+
+    The staleness rule of worker provisioning: element-wise identity.
+    Rebuilt-but-equal shards are different arrays and mean stale worker
+    state (an ``==`` check would stop refreshing the day ``SubtreeShard``
+    grew an ``__eq__``), while a fresh list/tuple of the same shard objects
+    is *not* stale and must not re-provision a warm fleet.
+    """
+    return (
+        previous is not None
+        and len(previous) == len(current)
+        and all(a is b for a, b in zip(previous, current, strict=True))
+    )
 
 
 def _frame_int(value: object) -> int:
@@ -232,8 +244,8 @@ class RemoteBackend(ShardBackend):
     backends.  Tasks are spread round-robin over the live workers and
     pipelined concurrently on each persistent connection; any task a worker
     cannot finish — connection refused, death mid-batch, a provisioning
-    refusal, a timeout — fails over to ``fallback`` (a local backend, serial
-    by default), so the merged result is always complete and byte-identical.
+    refusal, a timeout — fails over to a local :class:`SerialBackend`, so
+    the merged result is always complete and byte-identical.
 
     ``provisioning`` selects how workers receive the shard set: ``"auto"``
     (by reference when the shards map a v3 sidecar and the worker advertises
@@ -252,7 +264,6 @@ class RemoteBackend(ShardBackend):
         self,
         addresses: Union[str, Sequence[Union[str, Tuple[str, int]]]],
         *,
-        fallback: Union[str, ShardBackend] = "serial",
         provisioning: str = "auto",
         connect_timeout: float = 10.0,
         task_timeout: float = 120.0,
@@ -275,7 +286,7 @@ class RemoteBackend(ShardBackend):
                 "expected auto, reference or value"
             )
         self._addresses = parsed
-        self._fallback = make_backend(fallback)
+        self._fallback = SerialBackend()
         self._provisioning = provisioning
         self._connect_timeout = float(connect_timeout)
         self._task_timeout = float(task_timeout)
@@ -285,8 +296,7 @@ class RemoteBackend(ShardBackend):
         #: (a dead host must not add a connect timeout to every batch).
         self._retry_at: Dict[Tuple[str, int], float] = {}
         #: The shard tuple the current epoch was provisioned for, compared
-        #: element-wise by identity (same contract as the process pool's
-        #: staleness check — see ``same_shard_objects``).
+        #: element-wise by identity (see ``same_shard_objects``).
         self._epoch_shards: Optional[Tuple[SubtreeShard, ...]] = None
         self._epoch = -1
         self._wire_reference: Optional[Tuple[str, Dict[str, object], List[Dict[str, object]]]] = None
@@ -309,11 +319,6 @@ class RemoteBackend(ShardBackend):
         }
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_spec(cls, spec: str, **kwargs: Any) -> "RemoteBackend":
-        """Build a backend from a ``HOST:PORT[,HOST:PORT...]`` spec string."""
-        return cls(spec, **kwargs)
-
     @property
     def workers(self) -> int:
         return len(self._addresses)
@@ -343,7 +348,6 @@ class RemoteBackend(ShardBackend):
         self._epoch_shards = None
         self._wire_reference = None
         self._wire_value = None
-        self._fallback.close()
 
     # ------------------------------------------------------------------ #
     def run(

@@ -22,14 +22,14 @@ engine for every shard count and backend.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro._typing import AnyArray
 from repro.core.compiled import CompiledGhsom, landing_distances
 from repro.exceptions import DataValidationError
-from repro.serving.backends import ShardBackend, make_backend
+from repro.serving.backends import SerialBackend, ShardBackend
 from repro.serving.planner import ShardPlan, plan_shards
 from repro.serving.shards import SubtreeShard, build_shards
 from repro.utils.validation import check_array_2d
@@ -84,8 +84,7 @@ class ShardedGhsom:
         compiled: CompiledGhsom,
         n_shards: int,
         *,
-        backend: Union[str, ShardBackend] = "serial",
-        workers: Optional[int] = None,
+        backend: Optional[ShardBackend] = None,
         plan: Optional[ShardPlan] = None,
         thresholds: Optional[AnyArray] = None,
         labels: Optional[AnyArray] = None,
@@ -95,6 +94,9 @@ class ShardedGhsom:
     ) -> "ShardedGhsom":
         """Plan, slice and wire a sharded engine for ``compiled``.
 
+        ``backend`` executes the shard tasks (a fresh :class:`SerialBackend`
+        when omitted; build a configured one with
+        :meth:`~repro.serving.config.ServingPlan.build_backend`).
         ``plan`` may be supplied when the subtree layout came from an
         artifact's shard manifest; the per-leaf scoring tables, when given,
         are segmented into the shards so each one is fully self-contained.
@@ -118,7 +120,7 @@ class ShardedGhsom:
             source=compiled,
             plan=plan,
             shards=shards,
-            backend=make_backend(backend, workers),
+            backend=backend if backend is not None else SerialBackend(),
         )
 
     # ------------------------------------------------------------------ #

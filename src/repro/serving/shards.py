@@ -4,9 +4,8 @@ A :class:`SubtreeShard` carries everything one worker needs to finish the
 descent of the samples routed to it: its own codebook slice, local topology
 arrays, its segment of the leaf table with per-leaf scoring tables, and the
 ``leaf_global_row`` remap that makes merged results indistinguishable from
-the unsharded engine's.  Shards are plain dataclasses of ndarrays, so they
-pickle cleanly into process-pool workers and share read-only pages across
-forked ones.
+the unsharded engine's.  Shards are plain dataclasses of ndarrays, so the
+remote backend can ship their field states to shard workers.
 
 Scoring inside a shard runs the exact
 :func:`~repro.core.compiled.frontier_descent` loop of the unsharded engine —
@@ -19,8 +18,9 @@ keeps codebook/norm *views* into the single file mapping instead of copying
 its slice, so a K-shard load maps the artifact once.  Shards also pickle
 memmap-backed arrays **by reference** (``__getstate__`` swaps them for
 ``(path, dtype, shape, offset)`` descriptors; ``__setstate__`` re-opens the
-mapping) — process-pool workers on spawn platforms re-open the sidecar
-instead of receiving a serialized copy of the codebook.
+mapping) — the remote backend's by-reference provisioning sends those
+descriptors, so a worker holding the artifact maps its own copy of the
+sidecar instead of receiving the codebook bytes.
 """
 
 from __future__ import annotations

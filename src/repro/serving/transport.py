@@ -35,8 +35,7 @@ multiplexer" the remote backend pipelines its shard tasks through and the
 gateway client sends its requests over.
 
 Payloads are pickled (protocol 5: zero-copy numpy buffers), which means the
-transport must only ever connect trusted peers — the same trust model as
-the process-pool backend, stretched across hosts.  Run workers on a private
+transport must only ever connect trusted peers.  Run workers on a private
 cluster network, never on an internet-facing port.
 """
 

@@ -22,8 +22,8 @@ Memory-mapped arrays additionally pickle *by reference*
 (:func:`array_to_portable` / :func:`array_from_portable`): instead of
 materialising the bytes into the pickle stream, the portable form records
 ``(path, dtype, shape, file offset)`` and the receiving process re-opens the
-mapping — this is how process-pool shard workers share a v3 codebook without
-ever copying it.
+mapping — this is what lets remote shard workers map a v3 codebook by
+reference instead of receiving a copy of it.
 """
 
 from __future__ import annotations

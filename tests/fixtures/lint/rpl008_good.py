@@ -1,10 +1,11 @@
-"""RPL008 good: pooling goes through make_backend (sizing + lifecycle policy)."""
+"""RPL008 good: pooling goes through ServingPlan.build_backend (sizing + lifecycle policy)."""
 
-from repro.serving.backends import make_backend
+from repro.serving import ServingConfig, ShardingSpec
 
 
 def run_all(shards, tasks):
-    backend = make_backend("thread", workers=4)
+    config = ServingConfig(sharding=ShardingSpec(shards=4, backend="thread", workers=4))
+    backend = config.resolve().build_backend()
     try:
         return backend.run(shards, tasks)
     finally:

@@ -55,6 +55,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_removed_process_shard_backend_exits_2(self, capsys):
+        argv = ["detect", "--model", "m", "--input", "i", "--shards", "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--shard-backend", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
 
 class TestGenerateAndSimulate:
     def test_generate_writes_loadable_csv(self, tmp_path, capsys):

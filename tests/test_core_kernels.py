@@ -268,7 +268,7 @@ class TestDetectorEngineEquivalence:
 
         compiled = detector._compiled_model()
         reference = compiled.assign_arrays(test_matrix)
-        engine = ShardedGhsom.from_compiled(compiled, 2, backend="serial", engine="fused")
+        engine = ShardedGhsom.from_compiled(compiled, 2, engine="fused")
         try:
             leaf, dist = engine.assign_arrays(test_matrix)
         finally:

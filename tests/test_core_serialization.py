@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from repro.core.serialization import (
     save_ghsom,
 )
 from repro.exceptions import SerializationError
+
+#: The committed v1 golden artifact: the v1 reader's only input.
+GOLDEN_V1 = Path(__file__).resolve().parent / "fixtures" / "artifacts" / "detector_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,20 @@ class TestDetectorSerialization:
         np.testing.assert_array_equal(
             loaded.predict(test_matrix[:30]), fitted_detector.predict(test_matrix[:30])
         )
+
+    @pytest.mark.parametrize("marker", [True, 1.0, "1"])
+    def test_non_int_format_version_rejected(self, marker):
+        payload = json.loads(GOLDEN_V1.read_text())
+        assert detector_from_dict(payload).is_fitted  # the real marker loads
+        payload["format_version"] = marker
+        with pytest.raises(SerializationError, match="unsupported format version"):
+            detector_from_dict(payload)
+
+    def test_v1_is_read_but_not_written(self, fitted_detector):
+        with pytest.raises(SerializationError, match="cannot write format version 1"):
+            detector_to_dict(fitted_detector, version=1)
+        with pytest.raises(SerializationError, match="cannot write format version 1"):
+            ghsom_to_dict(fitted_detector.model, version=1)
 
     def test_wrong_kind_rejected(self, fitted_detector):
         payload = detector_to_dict(fitted_detector)

@@ -173,7 +173,7 @@ class TestMmapServing:
         leaf_index, _ = loaded.model.assign_arrays(test_matrix)
         assert np.array_equal(leaf_index, detector.detect(test_matrix).leaf_index)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("backend", ("serial", "thread"))
     def test_sharded_load_paths_byte_identical(
         self, detectors, v3_artifact, test_matrix, backend
     ):

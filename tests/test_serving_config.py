@@ -74,7 +74,7 @@ class TestValidation:
 
     def test_remote_workers_with_local_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="remote_workers conflicts"):
-            ShardingSpec(shards=2, backend="process", remote_workers="h:1")
+            ShardingSpec(shards=2, backend="thread", remote_workers="h:1")
 
     def test_remote_backend_without_addresses_rejected(self):
         with pytest.raises(ConfigurationError, match="needs worker addresses"):
@@ -120,7 +120,7 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
         ShardingSpec,
         shards=st.integers(min_value=1, max_value=64),
         workers=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
-        backend=st.sampled_from(["serial", "thread", "process"]),
+        backend=st.sampled_from(["serial", "thread"]),
     )
     remote = st.builds(
         ShardingSpec,
@@ -165,6 +165,49 @@ class TestRoundTrip:
     def test_parent_format_provider_none_reads_as_numpy(self, engine):
         payload = {**ServingConfig(engine=engine).to_dict(), "provider": "none"}
         assert ServingConfig.from_dict(payload) == ServingConfig(engine="numpy")
+
+    def test_parent_format_process_backend_reads_as_thread(self):
+        config = ServingConfig(sharding=ShardingSpec(shards=3, backend="thread", workers=2))
+        payload = config.to_dict()
+        payload["sharding"]["backend"] = "process"
+        assert ServingConfig.from_dict(payload) == config
+        with pytest.raises(ConfigurationError, match="unknown shard backend"):
+            ShardingSpec(shards=3, backend="process")
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("sharding", {"shards": 2.7}),
+            ("sharding", {"shards": True}),
+            ("sharding", {"shards": "2"}),
+            ("sharding", {"shards": 2, "workers": True}),
+            ("sharding", {"shards": 2, "workers": 1.5}),
+            ("artifact", {"mmap": "false"}),
+            ("artifact", {"verify": "no"}),
+            ("artifact", {"mmap": 0}),
+        ],
+        ids=[
+            "shards-fraction",
+            "shards-bool",
+            "shards-str",
+            "workers-bool",
+            "workers-fraction",
+            "mmap-str",
+            "verify-str",
+            "mmap-int",
+        ],
+    )
+    def test_mistyped_payload_values_rejected(self, section, values):
+        payload = ServingConfig().to_dict()
+        payload[section] = {**payload[section], **values}
+        with pytest.raises(ConfigurationError, match="expected an integer|must be a bool"):
+            ServingConfig.from_dict(payload)
+
+    def test_whole_number_float_counts_are_accepted(self):
+        payload = ServingConfig().to_dict()
+        payload["sharding"] = {**payload["sharding"], "shards": 3.0, "workers": 2.0}
+        config = ServingConfig.from_dict(payload)
+        assert (config.sharding.shards, config.sharding.workers) == (3, 2)
 
     def test_wrong_version_rejected(self):
         payload = ServingConfig().to_dict()

@@ -30,10 +30,12 @@ from repro.serving import (
     ShardWorkerServer,
     ShardedGhsom,
     ShardingSpec,
+    ServingConfig,
     TransportError,
     WorkerConnection,
-    make_backend,
+    build_shards,
     parse_address,
+    plan_shards,
     subtrees_from_compiled,
 )
 from repro.serving.remote import _value_wire
@@ -148,13 +150,13 @@ class TestRemoteEquivalence:
             assert backend.stats["connects"] == 2
         _assert_identical(result, reference)
 
-    def test_remote_matches_process_backend(self, binary_bundle, workload):
+    def test_remote_matches_thread_backend(self, binary_bundle, workload):
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             remote = _detect_remote(
                 binary_bundle, workload, RemoteBackend([worker.address])
             )
         _, detector = load_bundle(
-            binary_bundle, overrides={"shards": 4, "backend": "process", "workers": 2}
+            binary_bundle, overrides={"shards": 4, "backend": "thread", "workers": 2}
         )
         try:
             local = detector.detect(workload["X_test"])
@@ -204,6 +206,44 @@ class TestRemoteEquivalence:
             _unshard(detector)
         _assert_identical(first, reference)
         _assert_identical(second, reference)
+
+    def test_reprovisions_on_rebuilt_equal_shards(self, fitted, workload):
+        """Staleness is element-wise identity, never equality.
+
+        Rebuilt-but-equal shards are new arrays: the worker must be
+        provisioned again (it must never start treating equal content as
+        fresh, e.g. if ``SubtreeShard`` grew an ``__eq__``).  The same shard
+        objects in a fresh list are not stale: re-provisioning a warm worker
+        per batch would be a silent slowdown.
+        """
+        compiled = fitted.model.compile()
+        plan = plan_shards(compiled, 2)
+        shards_a = build_shards(compiled, plan)
+        shards_b = build_shards(compiled, plan)  # equal content, new objects
+        X = np.ascontiguousarray(workload["X_test"][:50])
+        entries = np.zeros(X.shape[0], dtype=np.intp)
+        tasks = [(0, X, entries)]
+        expected = shards_a[0].assign_entries(X, entries)
+        with ShardWorkerServer().start() as worker:
+            backend = RemoteBackend([worker.address])
+            try:
+
+                def provisions():
+                    return backend.stats["provision_value"] + backend.stats["provision_reference"]
+
+                for shards, count in (
+                    (shards_a, 1),
+                    (shards_b, 2),  # rebuilt-but-equal: re-provisioned
+                    (shards_b, 2),  # the same tuple again
+                    (list(shards_b), 2),  # the same objects in a fresh list
+                ):
+                    ((leaf, distances),) = backend.run(shards, tasks)
+                    assert provisions() == count
+                    np.testing.assert_array_equal(leaf, expected[0])
+                    np.testing.assert_array_equal(distances, expected[1])
+                assert backend.stats["failover_tasks"] == 0
+            finally:
+                backend.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -676,20 +716,14 @@ class TestByReferenceSafety:
 # construction & CLI wiring
 # --------------------------------------------------------------------------- #
 class TestConstruction:
-    def test_make_backend_remote_spec(self):
-        backend = make_backend("remote:10.0.0.1:7001,10.0.0.2:7002")
+    def test_plan_builds_remote_backend_from_addresses(self):
+        spec = ShardingSpec(shards=2, remote_workers="10.0.0.1:7001,10.0.0.2:7002")
+        backend = ServingConfig(sharding=spec).resolve().build_backend()
+        assert isinstance(backend, RemoteBackend)
         assert backend.name == "remote"
         assert backend.workers == 2
         assert backend.addresses == (("10.0.0.1", 7001), ("10.0.0.2", 7002))
         backend.close()
-
-    def test_make_backend_remote_needs_addresses(self):
-        with pytest.raises(ConfigurationError, match="worker addresses"):
-            make_backend("remote")
-
-    def test_make_backend_remote_rejects_workers(self):
-        with pytest.raises(ConfigurationError, match="address list"):
-            make_backend("remote:127.0.0.1:7001", workers=4)
 
     def test_remote_backend_needs_an_address(self):
         with pytest.raises(ConfigurationError, match="at least one"):

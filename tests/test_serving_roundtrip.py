@@ -4,8 +4,9 @@ The contract this file pins down:
 
 * **save → load → score is byte-identical** to the in-memory detector for
   every combination of {one-class, labelled} × {per_unit, global} threshold
-  strategy, for both the legacy v1 artifact format and the compiled v2
-  format (``np.array_equal``, not allclose);
+  strategy, for both the legacy v1 artifact layout (read only: built from
+  the v2 payload) and the compiled v2 format (``np.array_equal``, not
+  allclose);
 * a **v2 load is scoring-ready without the tree**: no ``GhsomNode`` objects
   exist after load + score, and the tree hydrates lazily only when
   ``detector.model`` is touched;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,9 @@ from repro.exceptions import SerializationError
 MODES = ("labelled", "oneclass")
 STRATEGIES = ("per_unit", "global")
 VERSIONS = (1, 2)
+
+#: The committed golden artifacts (see ``tests/test_golden_artifacts.py``).
+GOLDEN_DIR = Path(__file__).resolve().parent / "fixtures" / "artifacts"
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +66,43 @@ def _json_round_trip(payload):
     return json.loads(json.dumps(payload))
 
 
+def _payload(detector, version):
+    """``detector``'s payload in format ``version``.
+
+    The writers only produce v2.  A v1 payload is the v2 one in the layout
+    the retired v1 writer used: each tree node carries its codebook slice
+    inline, with no compiled arrays, serving tables or serving config.
+    """
+    payload = detector_to_dict(detector)
+    if version == 2:
+        return payload
+    model = payload["model"]
+    compiled = model.pop("compiled")
+    offsets = compiled["node_offsets"]
+    codebooks = {
+        node_id: compiled["codebook"][offsets[i] : offsets[i + 1]]
+        for i, node_id in enumerate(compiled["node_ids"])
+    }
+
+    def inline(node):
+        node["codebook"] = codebooks[node["node_id"]]
+        for child in node["children"].values():
+            inline(child)
+
+    inline(model["root"])
+    for key in ("serving_config", "random_state", "leaf_tables", "shard_manifest"):
+        del payload[key]
+    payload["format_version"] = model["format_version"] = 1
+    return payload
+
+
 class TestRoundTripByteIdentical:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("version", VERSIONS)
     def test_scores_byte_identical(self, detectors, test_matrix, mode, strategy, version):
         detector = detectors[(mode, strategy)]
-        payload = _json_round_trip(detector_to_dict(detector, version=version))
+        payload = _json_round_trip(_payload(detector, version))
         loaded = detector_from_dict(payload)
         expected = detector.detect(test_matrix)
         observed = loaded.detect(test_matrix)
@@ -80,16 +115,20 @@ class TestRoundTripByteIdentical:
     def test_file_round_trip_byte_identical(self, detectors, test_matrix, tmp_path, version):
         detector = detectors[("labelled", "per_unit")]
         path = tmp_path / f"detector_v{version}.json"
-        write_json_atomic(detector_to_dict(detector, version=version), path)
+        write_json_atomic(_payload(detector, version), path)
         loaded = load_detector(path)
         assert np.array_equal(
             loaded.score_samples(test_matrix), detector.score_samples(test_matrix)
         )
         if version == 2:
-            # The compiled artifact must not cost much more than the tree format.
-            v1_path = tmp_path / "detector_v1.json"
-            write_json_atomic(detector_to_dict(detector, version=1), v1_path)
-            assert path.stat().st_size < 1.25 * v1_path.stat().st_size
+            # The compiled artifact must not cost much more than the tree
+            # format: rewrite the golden detector, compare with its v1 file.
+            golden = tmp_path / "golden_v2.json"
+            write_json_atomic(
+                detector_to_dict(load_detector(GOLDEN_DIR / "detector_v2.json")), golden
+            )
+            v1_size = (GOLDEN_DIR / "detector_v1.json").stat().st_size
+            assert golden.stat().st_size < 1.25 * v1_size
 
     def test_random_state_restored(self, detectors):
         detector = detectors[("labelled", "per_unit")]
@@ -136,11 +175,8 @@ class TestV2ServesWithoutTree:
         expected = detector.detect(test_matrix)
         assert np.array_equal(leaf_index, expected.leaf_index)
 
-    def test_v1_payload_still_builds_tree_eagerly(self, detectors):
-        detector = detectors[("oneclass", "global")]
-        loaded = detector_from_dict(
-            _json_round_trip(detector_to_dict(detector, version=1))
-        )
+    def test_v1_payload_still_builds_tree_eagerly(self):
+        loaded = load_detector(GOLDEN_DIR / "detector_v1.json")
         assert loaded.tree_is_materialized
 
     def test_float32_opt_in_close_but_not_exact(self, detectors, test_matrix):

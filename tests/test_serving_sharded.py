@@ -10,6 +10,7 @@ approximation.
 from __future__ import annotations
 
 import json
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -23,13 +24,10 @@ from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.serving import (
-    ProcessPoolBackend,
-    SerialBackend,
     ShardedGhsom,
     ShardingSpec,
     ThreadPoolBackend,
     build_shards,
-    make_backend,
     manifest_from_compiled,
     plan_shards,
     subtrees_from_compiled,
@@ -254,23 +252,13 @@ class TestShardedEquivalence:
         n_subtrees = len(subtrees_from_compiled(compiled))
         for n_shards in {1, 2, max(1, n_subtrees)}:
             engine = ShardedGhsom.from_compiled(
-                compiled, n_shards, backend=backend, workers=2 if backend != "serial" else None
+                compiled, n_shards, backend=ThreadPoolBackend(2) if backend == "thread" else None
             )
             leaf, dist = engine.assign_arrays(X)
             np.testing.assert_array_equal(leaf, reference[0])
             np.testing.assert_array_equal(dist, reference[1])
             assert dist.dtype == np.float64
             engine.close()
-
-    def test_process_backend_equivalence(self, compiled, workload):
-        X = workload["X_test"][:200]
-        reference = compiled.assign_arrays(X)
-        with ProcessPoolBackend(workers=2) as backend:
-            engine = ShardedGhsom.from_compiled(compiled, 2, backend=backend)
-            for _ in range(2):  # second call reuses the worker pool
-                leaf, dist = engine.assign_arrays(X)
-                np.testing.assert_array_equal(leaf, reference[0])
-                np.testing.assert_array_equal(dist, reference[1])
 
     def test_detector_detect_byte_identical(self, labelled_detector, workload):
         X = workload["X_test"]
@@ -324,15 +312,12 @@ class TestShardedEquivalence:
             _shard(labelled_detector, 2, backend="quantum")
         assert labelled_detector.sharding is None  # failed calls leave it unsharded
 
-    def test_make_backend_rejects_bad_worker_overrides(self):
+    def test_thread_backend_rejects_bad_worker_counts(self):
         with pytest.raises(ConfigurationError):
-            make_backend("serial", workers=4)
+            ThreadPoolBackend(workers=0)
         with pytest.raises(ConfigurationError):
-            make_backend(SerialBackend(), workers=2)
-        with pytest.raises(ConfigurationError):
-            make_backend("thread", workers=0)
-        backend = make_backend("thread", workers=3)
-        assert isinstance(backend, ThreadPoolBackend) and backend.workers == 3
+            ShardingSpec(shards=2, backend="thread", workers=0)
+        assert ThreadPoolBackend(workers=3).workers == 3
 
 
 class _ExplodingShard:
@@ -342,78 +327,49 @@ class _ExplodingShard:
         raise RuntimeError("worker exploded")
 
 
-class _ExitingShard:
-    """Kills the hosting process outright (simulates a worker crash)."""
+class _BrokenPool:
+    """An executor that is already broken when asked to run a task."""
 
-    def assign_entries(self, matrix, entries):  # pragma: no cover - child only
-        import os
+    def submit(self, *args, **kwargs):
+        raise BrokenExecutor("pool died")
 
-        os._exit(1)
+    def shutdown(self, wait=True):
+        pass
 
 
 class TestBackendFailureSurface:
-    def test_process_pool_refreshes_on_rebuilt_equal_shards(self, compiled, workload):
-        """A rebuilt-but-equal shard tuple must still replace worker state.
-
-        The staleness check is identity-based; it must never silently start
-        treating equal-content tuples as fresh (e.g. if SubtreeShard ever
-        grew an ``__eq__``), because the workers would keep serving the old
-        arrays.
-        """
-        plan = plan_shards(compiled, 2)
-        shards_a = build_shards(compiled, plan)
-        shards_b = build_shards(compiled, plan)  # equal content, new objects
-        X = workload["X_test"][:50]
-        with ProcessPoolBackend(workers=1) as backend:
-            tasks = [(0, X, np.zeros(X.shape[0], dtype=np.intp))]
-            backend.run(shards_a, tasks)
-            first_pool = backend._pool
-            assert backend._pool_shards is tuple(shards_a)
-            backend.run(shards_b, tasks)
-            assert backend._pool is not first_pool
-            assert backend._pool_shards is tuple(shards_b)
-            # Same tuple again: the pool must be reused, not rebuilt.
-            second_pool = backend._pool
-            backend.run(shards_b, tasks)
-            assert backend._pool is second_pool
-            # A fresh sequence of the same shard objects is not stale either
-            # — torching a warm pool per batch would be a silent slowdown.
-            backend.run(list(shards_b), tasks)
-            assert backend._pool is second_pool
-
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["thread"])
     def test_worker_failure_wrapped_in_serving_error(self, backend_name, workload):
         from repro.exceptions import ServingError
 
         X = np.ascontiguousarray(workload["X_test"][:7])
-        backend = make_backend(backend_name, workers=1)
-        tasks = [(0, X, np.zeros(X.shape[0], dtype=np.intp))]
-        try:
-            with pytest.raises(ServingError) as excinfo:
-                backend.run((_ExplodingShard(),), tasks)
-        finally:
-            backend.close()
-        message = str(excinfo.value)
-        assert backend_name in message  # names the backend
-        assert "shard 0" in message  # names the shard
-        assert "7 records" in message  # names the task size
-        assert "RuntimeError" in message  # keeps the cause visible
+        task = (0, X, np.zeros(X.shape[0], dtype=np.intp))
+        for n_tasks in (1, 2):  # the inline path, then the pool
+            with ThreadPoolBackend(workers=1) as backend:
+                with pytest.raises(ServingError) as excinfo:
+                    backend.run((_ExplodingShard(),), [task] * n_tasks)
+            message = str(excinfo.value)
+            assert backend_name in message  # names the backend
+            assert "shard 0" in message  # names the shard
+            assert "7 records" in message  # names the task size
+            assert "RuntimeError" in message  # keeps the cause visible
 
-    def test_broken_process_pool_wrapped_and_pool_rebuilt(self, compiled, workload):
-        """A worker dying mid-task surfaces as ServingError, not BrokenProcessPool."""
+    def test_broken_thread_pool_wrapped_and_pool_rebuilt(self, compiled, workload):
+        """A broken executor surfaces as ServingError and is rebuilt on reuse."""
         from repro.exceptions import ServingError
 
         X = np.ascontiguousarray(workload["X_test"][:5])
-        tasks = [(0, X, np.zeros(X.shape[0], dtype=np.intp))]
-        with ProcessPoolBackend(workers=1) as backend:
-            with pytest.raises(ServingError, match="process shard backend failed"):
-                backend.run((_ExitingShard(),), tasks)
-            # The broken pool was closed; the backend recovers on reuse.
-            shards = build_shards(compiled, plan_shards(compiled, 1))
+        tasks = [(0, X, np.zeros(X.shape[0], dtype=np.intp))] * 2
+        shards = build_shards(compiled, plan_shards(compiled, 1))
+        with ThreadPoolBackend(workers=2) as backend:
+            backend._pool = _BrokenPool()
+            with pytest.raises(ServingError, match="thread shard backend failed"):
+                backend.run(shards, tasks)
+            assert backend._pool is None  # the broken pool was closed
             reference = shards[0].assign_entries(X, np.zeros(X.shape[0], dtype=np.intp))
-            (result,) = backend.run(shards, tasks)
-            np.testing.assert_array_equal(result[0], reference[0])
-            np.testing.assert_array_equal(result[1], reference[1])
+            for result in backend.run(shards, tasks):
+                np.testing.assert_array_equal(result[0], reference[0])
+                np.testing.assert_array_equal(result[1], reference[1])
 
 
 class TestShardedBundle:
@@ -434,6 +390,27 @@ class TestShardedBundle:
         assert not sharded.tree_is_materialized
         _shard(sharded)
 
+    def test_parent_payload_with_process_backend_serves_on_threads(
+        self, labelled_detector, workload
+    ):
+        payload = detector_to_dict(labelled_detector)
+        payload["serving_config"]["sharding"] = {
+            "shards": 3,
+            "workers": 2,
+            "backend": "process",
+            "remote_workers": None,
+            "provisioning": "auto",
+        }
+        loaded = detector_from_dict(json.loads(json.dumps(payload)))
+        assert loaded.sharding == {"n_shards": 3, "backend": "thread", "workers": 2}
+        X = workload["X_test"]
+        reference = labelled_detector.detect(X)
+        result = loaded.detect(X)
+        np.testing.assert_array_equal(result.scores, reference.scores)
+        np.testing.assert_array_equal(result.leaf_index, reference.leaf_index)
+        assert result.categories == reference.categories
+        _shard(loaded)
+
     def test_workers_without_shards_is_rejected(self, tmp_path, labelled_detector):
         from repro.exceptions import ReproError
 
@@ -446,7 +423,7 @@ class TestShardedBundle:
         with pytest.raises(ReproError):
             load_bundle(path, overrides={"workers": 4})
         with pytest.raises(ReproError):
-            load_bundle(path, overrides={"backend": "process"})
+            load_bundle(path, overrides={"backend": "thread"})
 
 
 # --------------------------------------------------------------------------- #

@@ -39,6 +39,7 @@ from repro.serving import (
     RemoteBackend,
     ShardedGhsom,
     ShardWorkerServer,
+    ThreadPoolBackend,
     subtrees_from_compiled,
 )
 from repro.serving.config import usable_workers
@@ -147,7 +148,7 @@ def test_serial_sharding_overhead_is_bounded(workload):
     compiled = workload["detector"].model.compile()
     X = workload["X"]
     unsharded = best_of(compiled.assign_arrays, X)
-    engine = ShardedGhsom.from_compiled(compiled, 4, backend="serial")
+    engine = ShardedGhsom.from_compiled(compiled, 4)
     try:
         engine.assign_arrays(X)
         sharded = best_of(engine.assign_arrays, X)
@@ -163,7 +164,7 @@ def test_pooled_backend_speeds_up_on_four_cores(workload):
     compiled = workload["detector"].model.compile()
     # A 10k-row batch, so per-shard GEMMs dominate the dispatch cost.
     X = workload["pipeline"].transform(workload["generator"].generate(10000))
-    engine = ShardedGhsom.from_compiled(compiled, 4, backend="thread", workers=4)
+    engine = ShardedGhsom.from_compiled(compiled, 4, backend=ThreadPoolBackend(4))
     try:
         engine.assign_arrays(X)  # starts the pool
         # One retry absorbs a transiently loaded runner; a real scaling
