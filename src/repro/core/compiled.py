@@ -360,26 +360,34 @@ def landing_distances(
     block: AnyArray,
     units: AnyArray,
     d2: AnyArray,
-    landed: AnyArray,
+    landed: Optional[AnyArray],
     metric: str,
 ) -> AnyArray:
     """Quantization distance of each ``landed`` sample to its unit.
 
     ``block`` is one node's codebook, ``units`` the samples' best-matching
     rows of it and ``d2`` their clamped expanded squared distances to every
-    row; ``landed`` masks the samples that stop on this node.  Non-Euclidean
-    metrics are evaluated exactly against the whole node.  Below float64 the
-    expanded form cancels catastrophically for a sample close to its unit,
-    so the squared distance comes from the direct difference instead;
-    float64 keeps the expanded form, which the byte-identity contract pins.
+    row; ``landed`` masks the samples that stop on this node (``None`` when
+    all of them do).  Non-Euclidean metrics are evaluated exactly against the
+    whole node.  In float64 the expanded form at the argmin is the row
+    minimum, which the byte-identity contract pins.  Below float64 it cancels
+    catastrophically for a sample close to its unit, so the squared distance
+    comes from the direct difference instead.
     """
+    # `hit` selects the landed samples, `at` their rows of `d2`: a whole-node
+    # landing selects with a view, not a gather.
+    hit: Any
+    if landed is None:
+        hit, at = slice(None), np.arange(units.size)
+    else:
+        hit = at = np.flatnonzero(landed)
     best: AnyArray
     if metric not in ("euclidean", "sqeuclidean"):
-        best = get_metric(metric)(samples[landed], block).min(axis=1)
+        best = get_metric(metric)(samples[hit], block).min(axis=1)
     elif block.dtype == np.float64:
-        best = d2[landed].min(axis=1)
+        best = d2[at, units[hit]]
     else:
-        diff = samples[landed] - block[units[landed]]
+        diff = samples[hit] - block[units[hit]]
         best = np.einsum("ij,ij->i", diff, diff)
     if metric == "euclidean":
         best = np.sqrt(best)
@@ -412,6 +420,15 @@ def frontier_descent(
     Returns ``(leaf_index, distances)`` with ``distances`` still in the
     codebook dtype (callers widen to float64 at their boundary).
     """
+    # A v3 artifact serves from np.memmap arrays, whose every slice and
+    # gather runs Python-level __getitem__/__array_finalize__.  Plain ndarray
+    # views of the same buffers skip that; the snapshot keeps the memmaps,
+    # which by-reference shard provisioning pickles.
+    codebook = codebook.view(np.ndarray)
+    child_of_unit = child_of_unit.view(np.ndarray)
+    leaf_of_unit = leaf_of_unit.view(np.ndarray)
+    unit_norms = unit_norms.view(np.ndarray)
+    offsets: List[int] = node_offsets.tolist()
     n = matrix.shape[0]
     leaf_index = np.full(n, -1, dtype=np.intp)
     distances = np.zeros(n, dtype=codebook.dtype)
@@ -441,8 +458,8 @@ def frontier_descent(
         for run_begin, run_end in zip(run_starts.tolist(), run_stops.tolist(), strict=True):
             node = int(sorted_nodes[run_begin])
             rows = sorted_rows[run_begin:run_end]
-            start = int(node_offsets[node])
-            stop = int(node_offsets[node + 1])
+            start = offsets[node]
+            stop = offsets[node + 1]
             block = codebook[start:stop]
             whole_batch = rows.size == n
             sub = matrix if whole_batch else matrix[rows]
@@ -454,18 +471,23 @@ def frontier_descent(
             d2 += (sample_norms if whole_batch else sample_norms[rows])[:, None]
             d2 += unit_norms[start:stop][None, :]
             np.maximum(d2, 0.0, out=d2)
-            units = np.argmin(d2, axis=1)
+            units = d2.argmin(axis=1)
             global_units = start + units
             children = child_of_unit[global_units]
             at_leaf = children < 0
-            if at_leaf.any():
+            n_landed = np.count_nonzero(at_leaf)
+            if n_landed == rows.size:
+                # Every row stops here: no mask gathers, nothing descends.
+                leaf_index[rows] = leaf_of_unit[global_units]
+                distances[rows] = landing_distances(sub, block, units, d2, None, metric)
+                continue
+            if n_landed:
                 leaf_rows = rows[at_leaf]
                 leaf_index[leaf_rows] = leaf_of_unit[global_units[at_leaf]]
                 distances[leaf_rows] = landing_distances(sub, block, units, d2, at_leaf, metric)
             descending = ~at_leaf
-            if descending.any():
-                next_rows.append(rows[descending])
-                next_nodes.append(children[descending])
+            next_rows.append(rows[descending])
+            next_nodes.append(children[descending])
         if next_rows:
             pending = np.concatenate(next_rows)
             pending_node = np.concatenate(next_nodes).astype(np.intp, copy=False)

@@ -26,7 +26,12 @@ def check_array_2d(
     allow_nan: bool = False,
     dtype: Optional[npt.DTypeLike] = None,
 ) -> AnyArray:
-    """Validate ``data`` as a 2-D float array and return a contiguous copy.
+    """Validate ``data`` as a 2-D float array and return it C-contiguous.
+
+    A C-contiguous 2-D array already in the target dtype is returned as is
+    (the caller's own object, not a copy); anything else is converted into a
+    new array.  The serving hot path relies on that pass-through for its
+    single cast, so callers must not write to the result in place.
 
     Parameters
     ----------

@@ -5,16 +5,22 @@ a fitted GHSOM's compiled engine must reproduce the legacy recursive descent
 *exactly* — same leaf keys, same distances (``np.array_equal``, not allclose),
 and at the detector level the same scores, predictions and categories.  This
 is the acceptance property of the compiled inference engine: it is a pure
-representation change, not an approximation.
+representation change, not an approximation.  The detector-level property
+also scores through a v3 artifact, served from memory-mapped arrays, so the
+descent's node paths run on ``np.memmap`` inputs as well as in-RAM arrays.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core.serialization import load_detector, save_detector
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
 
@@ -25,7 +31,7 @@ FIT_SETTINGS = {
     "suppress_health_check": [HealthCheck.too_slow, HealthCheck.data_too_large],
 }
 
-METRICS = ("euclidean", "manhattan", "chebyshev")
+METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
 
 
 def _make_dataset(seed: int, n_clusters: int, n_features: int, n_samples: int) -> np.ndarray:
@@ -115,7 +121,30 @@ class TestCompiledDetectorEquivalence:
         np.testing.assert_array_equal(
             detector.predict(queries), (expected_scores > 1.0).astype(int)
         )
+        expected_categories = legacy_predict_category(detector, queries) if labeled else None
         if labeled:
-            assert detector.predict_category(queries) == legacy_predict_category(
-                detector, queries
-            )
+            assert detector.predict_category(queries) == expected_categories
+
+        with tempfile.TemporaryDirectory() as workdir:
+            path = Path(workdir) / "detector.json"
+            save_detector(detector, path, format="binary")
+            served = load_detector(path)
+            assert isinstance(served._compiled_model().codebook, np.memmap)
+            result = served.detect(queries)
+            assert np.array_equal(result.scores, expected_scores)
+            if labeled:
+                assert result.categories == expected_categories
+            # A one-row batch lands or descends whole at every node it visits.
+            for row in queries[::9]:
+                expected_row = legacy_score_samples(detector, row[None])
+                assert np.array_equal(detector.score_samples(row[None]), expected_row)
+                assert np.array_equal(served.detect(row[None]).scores, expected_row)
+            # float32 serving is not bit-exact against the oracle, but it is
+            # the same arithmetic whether the arrays are mapped or in RAM.
+            mapped = load_detector(path, overrides={"dtype": "float32"}).detect(queries)
+            in_ram = load_detector(
+                path, overrides={"dtype": "float32", "mmap": False}
+            ).detect(queries)
+        assert mapped.scores.tobytes() == in_ram.scores.tobytes()
+        assert np.array_equal(mapped.leaf_index, in_ram.leaf_index)
+        assert mapped.categories == in_ram.categories

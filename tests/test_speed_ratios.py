@@ -2,7 +2,8 @@
 
 Every test times both sides on the same fitted model and the same rows, best
 of a few repetitions each (the median of many calls for one-record round
-trips), and asserts the ratio.  A ratio taken in one run cancels the
+trips, and of alternating calls for the memmap-against-in-RAM descent), and
+asserts the ratio.  A ratio taken in one run cancels the
 machine's absolute speed, so the bounds hold on a laptop and a shared CI
 runner alike.  BLAS pools are pinned to one thread in CI, so the
 pooled-backend ratio compares against a single-threaded baseline.
@@ -129,6 +130,30 @@ def test_v3_cold_load_to_first_score_beats_v2(workload, tmp_path):
     v2_seconds = best_of(_load_and_score, v2, first)
     v3_seconds = best_of(_load_and_score, v3, first)
     assert v2_seconds / v3_seconds > 1.2, (v2_seconds, v3_seconds)
+
+
+def test_memmap_served_descent_keeps_up_with_in_ram(workload, tmp_path):
+    # A v3 artifact serves from np.memmap arrays; the descent views them as
+    # plain ndarrays, so both loads run the same operations.
+    path = tmp_path / "detector_v3.json"
+    save_detector(workload["detector"], path, format="binary")
+    mapped = load_detector(path)._compiled_model()
+    in_ram = load_detector(path, overrides={"mmap": False})._compiled_model()
+    assert isinstance(mapped.codebook, np.memmap)
+    assert not isinstance(in_ram.codebook, np.memmap)
+    batch = workload["X"][:500]
+    mapped.assign_arrays(batch)
+    in_ram.assign_arrays(batch)
+    # A ~1 ms call against a bound 10 % from parity: alternate the sides call
+    # by call and compare medians, so a slow stretch of the host hits both.
+    times = np.empty((25, 2))
+    for row in times:
+        for side, compiled in enumerate((mapped, in_ram)):
+            started = time.perf_counter()
+            compiled.assign_arrays(batch)
+            row[side] = time.perf_counter() - started
+    mapped_seconds, in_ram_seconds = np.median(times, axis=0)
+    assert mapped_seconds / in_ram_seconds <= 1.1, (mapped_seconds, in_ram_seconds)
 
 
 def _three_calls(detector, batch):

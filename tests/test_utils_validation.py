@@ -53,6 +53,20 @@ class TestCheckArray2d:
         result = check_array_2d(original)
         assert result.flags["C_CONTIGUOUS"]
 
+    def test_conforming_array_passes_through_uncopied(self):
+        original = np.ones((3, 3))
+        assert check_array_2d(original) is original
+        single = np.ones((3, 3), dtype=np.float32)
+        assert check_array_2d(single, dtype=np.float32) is single
+
+    def test_fortran_or_other_dtype_input_is_copied(self):
+        fortran = np.asfortranarray(np.ones((3, 3)))
+        result = check_array_2d(fortran)
+        assert result is not fortran and not np.shares_memory(result, fortran)
+        assert result.flags["C_CONTIGUOUS"]
+        single = np.ones((3, 3), dtype=np.float32)
+        assert not np.shares_memory(check_array_2d(single), single)
+
 
 class TestCheckPositive:
     def test_positive_value_passes(self):
