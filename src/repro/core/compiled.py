@@ -360,34 +360,27 @@ def landing_distances(
     block: AnyArray,
     units: AnyArray,
     d2: AnyArray,
-    landed: Optional[AnyArray],
+    landed: AnyArray,
     metric: str,
 ) -> AnyArray:
     """Quantization distance of each ``landed`` sample to its unit.
 
     ``block`` is one node's codebook, ``units`` the samples' best-matching
     rows of it and ``d2`` their clamped expanded squared distances to every
-    row; ``landed`` masks the samples that stop on this node (``None`` when
-    all of them do).  Non-Euclidean metrics are evaluated exactly against the
-    whole node.  In float64 the expanded form at the argmin is the row
-    minimum, which the byte-identity contract pins.  Below float64 it cancels
-    catastrophically for a sample close to its unit, so the squared distance
-    comes from the direct difference instead.
+    row; ``landed`` masks the samples that stop on this node.  Non-Euclidean
+    metrics are evaluated exactly against the whole node.  In float64 the
+    expanded form at the argmin is the row minimum, which the byte-identity
+    contract pins.  Below float64 it cancels catastrophically for a sample
+    close to its unit, so the squared distance comes from the direct
+    difference instead.
     """
-    # `hit` selects the landed samples, `at` their rows of `d2`: a whole-node
-    # landing selects with a view, not a gather.
-    hit: Any
-    if landed is None:
-        hit, at = slice(None), np.arange(units.size)
-    else:
-        hit = at = np.flatnonzero(landed)
     best: AnyArray
     if metric not in ("euclidean", "sqeuclidean"):
-        best = get_metric(metric)(samples[hit], block).min(axis=1)
+        best = get_metric(metric)(samples[landed], block).min(axis=1)
     elif block.dtype == np.float64:
-        best = d2[at, units[hit]]
+        best = d2[landed, units[landed]]
     else:
-        diff = samples[hit] - block[units[hit]]
+        diff = samples[landed] - block[units[landed]]
         best = np.einsum("ij,ij->i", diff, diff)
     if metric == "euclidean":
         best = np.sqrt(best)
@@ -475,19 +468,14 @@ def frontier_descent(
             global_units = start + units
             children = child_of_unit[global_units]
             at_leaf = children < 0
-            n_landed = np.count_nonzero(at_leaf)
-            if n_landed == rows.size:
-                # Every row stops here: no mask gathers, nothing descends.
-                leaf_index[rows] = leaf_of_unit[global_units]
-                distances[rows] = landing_distances(sub, block, units, d2, None, metric)
-                continue
-            if n_landed:
+            if at_leaf.any():
                 leaf_rows = rows[at_leaf]
                 leaf_index[leaf_rows] = leaf_of_unit[global_units[at_leaf]]
                 distances[leaf_rows] = landing_distances(sub, block, units, d2, at_leaf, metric)
             descending = ~at_leaf
-            next_rows.append(rows[descending])
-            next_nodes.append(children[descending])
+            if descending.any():
+                next_rows.append(rows[descending])
+                next_nodes.append(children[descending])
         if next_rows:
             pending = np.concatenate(next_rows)
             pending_node = np.concatenate(next_nodes).astype(np.intp, copy=False)

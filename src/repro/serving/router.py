@@ -60,12 +60,11 @@ class ShardedGhsom:
         self.n_features = source.n_features
         n_root_units = int(source.node_offsets[1])
         #: Root-layer slices (views into the source arrays: the root block is
-        #: the one piece every worker topology shares).  Plain ndarray views,
-        #: so routing does not pay np.memmap's Python-level slicing per call.
-        self._root_codebook = source.codebook.view(np.ndarray)[:n_root_units]
-        self._root_unit_norms = source.unit_norms.view(np.ndarray)[:n_root_units]
-        self._root_child = source.child_of_unit.view(np.ndarray)[:n_root_units]
-        self._root_leaf_row = source.leaf_of_unit.view(np.ndarray)[:n_root_units]
+        #: the one piece every worker topology shares).
+        self._root_codebook = source.codebook[:n_root_units]
+        self._root_unit_norms = source.unit_norms[:n_root_units]
+        self._root_child = source.child_of_unit[:n_root_units]
+        self._root_leaf_row = source.leaf_of_unit[:n_root_units]
         #: Root unit -> owning shard (-1 for leaf root units) and the local
         #: entry node of its subtree inside that shard.
         self._shard_of_unit = np.full(n_root_units, -1, dtype=np.intp)
@@ -175,7 +174,7 @@ class ShardedGhsom:
         d2 += sample_norms[:, None]
         d2 += self._root_unit_norms[None, :]
         np.maximum(d2, 0.0, out=d2)
-        units = d2.argmin(axis=1)
+        units = np.argmin(d2, axis=1)
         at_leaf = self._root_child[units] < 0
         if at_leaf.any():
             leaf_rows = np.flatnonzero(at_leaf)

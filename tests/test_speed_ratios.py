@@ -146,14 +146,20 @@ def test_memmap_served_descent_keeps_up_with_in_ram(workload, tmp_path):
     in_ram.assign_arrays(batch)
     # A ~1 ms call against a bound 10 % from parity: alternate the sides call
     # by call and compare medians, so a slow stretch of the host hits both.
-    times = np.empty((25, 2))
-    for row in times:
-        for side, compiled in enumerate((mapped, in_ram)):
-            started = time.perf_counter()
-            compiled.assign_arrays(batch)
-            row[side] = time.perf_counter() - started
-    mapped_seconds, in_ram_seconds = np.median(times, axis=0)
-    assert mapped_seconds / in_ram_seconds <= 1.1, (mapped_seconds, in_ram_seconds)
+    # A regression slows every measurement; one retry absorbs a noisy one.
+    ratios = []
+    for _ in range(2):
+        times = np.empty((100, 2))
+        for row in times:
+            for side, compiled in enumerate((mapped, in_ram)):
+                started = time.perf_counter()
+                compiled.assign_arrays(batch)
+                row[side] = time.perf_counter() - started
+        mapped_seconds, in_ram_seconds = np.median(times, axis=0)
+        ratios.append(mapped_seconds / in_ram_seconds)
+        if ratios[-1] <= 1.1:
+            break
+    assert ratios[-1] <= 1.1, ratios
 
 
 def _three_calls(detector, batch):
@@ -280,13 +286,20 @@ def _median_seconds(function: Callable[..., object], *args: object, n_calls: int
 def test_idle_gateway_adds_little_to_one_record_latency(workload):
     # An idle gateway serves a request at once: one record's round trip
     # costs about a ping plus the detect itself, with no wait for company.
+    # A wait in the gateway slows every measurement; one retry absorbs a slow
+    # stretch of a shared host.
     detector = workload["detector"]
     row = workload["X"][:1]
+    attempts = []
     with DetectionGateway(detector).start() as gateway:
         with GatewayClient(gateway.address) as client:
             client.ping()
             client.detect(row, timeout=60)
-            ping = _median_seconds(client.ping)
-            served = _median_seconds(client.detect, row)
-    direct = _median_seconds(detector.detect, row)
-    assert served < 5.0 * (ping + direct), (served, ping, direct)
+            for _ in range(2):
+                ping = _median_seconds(client.ping)
+                served = _median_seconds(client.detect, row)
+                direct = _median_seconds(detector.detect, row)
+                attempts.append((served, ping, direct))
+                if served < 5.0 * (ping + direct):
+                    break
+    assert served < 5.0 * (ping + direct), attempts
