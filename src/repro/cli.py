@@ -465,7 +465,7 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
     if args.model is not None:
         model_path = Path(args.model)
         # Fail fast on a broken or missing artifact; optionally prove the
-        # shard manifest plans cleanly at the requested K (and touch the
+        # compiled arrays plan cleanly into K shards (and touch the
         # sidecar so first-provision page faults land on a warm cache).
         pipeline, detector = load_bundle(
             model_path,

@@ -54,6 +54,10 @@ _UNCHANGED = object()
 #: 1.0 sits *at* the calibrated threshold and does **not** alarm.
 ALARM_THRESHOLD = 1.0
 
+#: Category of each alarm decision (0/1) for models without class labels;
+#: an object array, so indexing it and ``tolist()`` yield Python ``str``.
+_DECISION_CATEGORIES = np.array(["normal", "anomaly"], dtype=object)
+
 
 def alarm_decisions(scores, threshold: float = ALARM_THRESHOLD) -> np.ndarray:
     """Binary alarm decisions from threshold-normalised scores.
@@ -287,7 +291,7 @@ class BaseAnomalyDetector(abc.ABC):
         if overridden and not unlabeled:
             categories = self.predict_category(X)
         else:
-            categories = ["anomaly" if flag else "normal" for flag in predictions]
+            categories = _DECISION_CATEGORIES[predictions].tolist()
         return DetectionResult(scores=scores, predictions=predictions, categories=categories)
 
     def _require_fitted(self, condition: bool) -> None:
@@ -376,9 +380,6 @@ class GhsomDetector(BaseAnomalyDetector):
         #: against the new compiled snapshot on the next scoring call.
         self._shard_spec: Optional[Tuple[int, "ShardBackend"]] = None
         self._sharded = None  # the live ShardedGhsom engine, built lazily
-        #: Subtree layout restored from a v2 artifact's shard manifest; lets
-        #: the sharded engine skip re-deriving the plan from the arrays.
-        self._shard_manifest: Optional[Dict[str, object]] = None
         self._apply_serving(serving if serving is not None else ServingConfig())
 
     # ------------------------------------------------------------------ #
@@ -554,23 +555,15 @@ class GhsomDetector(BaseAnomalyDetector):
         if self._shard_spec is None:
             return compiled
         if self._sharded is None or self._sharded.source is not compiled:
-            from repro.serving.planner import plan_shards, subtrees_from_manifest
             from repro.serving.router import ShardedGhsom
 
             n_shards, backend = self._shard_spec
-            plan = None
-            manifest = self._shard_manifest
-            if manifest is not None and int(manifest.get("n_leaves", -1)) == compiled.n_leaves:
-                plan = plan_shards(
-                    compiled, n_shards, subtrees=subtrees_from_manifest(manifest)
-                )
             tables = self._leaf_tables()
             self._close_sharded()
             self._sharded = ShardedGhsom.from_compiled(
                 compiled,
                 n_shards,
                 backend=backend,
-                plan=plan,
                 thresholds=tables.thresholds,
                 labels=tables.labels,
                 is_attack=tables.is_attack,
@@ -590,7 +583,6 @@ class GhsomDetector(BaseAnomalyDetector):
         self._tables = None
         self._compiled = None
         self._close_sharded()  # the spec survives; the engine rebuilds lazily
-        self._shard_manifest = None  # layout of the previous tree, now stale
         self.model = Ghsom(self.config, random_state=self.random_state)
         self.model.fit(matrix)
         compiled = self.model.compile()
@@ -719,7 +711,7 @@ class GhsomDetector(BaseAnomalyDetector):
             )
         predictions = alarm_decisions(scores)
         if tables.labels is None:
-            categories = ["anomaly" if flag else "normal" for flag in predictions]
+            categories = _DECISION_CATEGORIES[predictions].tolist()
         else:
             # Fancy indexing allocates a fresh array, safe for in-place masking
             # once all label masks are computed up front.

@@ -16,10 +16,10 @@ no pickle code-execution concerns).  Three artifact format versions exist:
   detector rebuilds it lazily only if a consumer actually asks for
   ``detector.model`` (structure inspection, refit workflows).
 * **v3** (binary, opt-in via ``format="binary"``) — the JSON document keeps
-  all metadata (config, thresholds strategy state, tree structure, shard
-  manifest) plus an **integrity header**, while every compiled array and
-  per-leaf scoring table moves to an ``.npz`` sidecar written atomically
-  next to the JSON.  Loading memory-maps the sidecar
+  all metadata (config, thresholds strategy state, tree structure) plus an
+  **integrity header**, while every compiled array and per-leaf scoring
+  table moves to an ``.npz`` sidecar written atomically next to the JSON.
+  Loading memory-maps the sidecar
   (:func:`repro.utils.mmapio.mmap_npz`), so cold start is O(metadata): the
   codebook pages fault in on first score instead of being parsed out of
   JSON.  Scores are byte-identical to v2 float64 across every load path.
@@ -58,7 +58,6 @@ from repro.core.labeling import UnitLabeler
 from repro.core.thresholds import threshold_from_dict
 from repro.exceptions import SerializationError
 from repro.serving.config import ServingConfig, effective_config
-from repro.serving.planner import manifest_from_compiled
 from repro.utils.mmapio import (
     atomic_write,
     load_npz,
@@ -682,10 +681,6 @@ def _detector_payload(
             arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
             arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
         payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
-    # The partition-independent subtree layout: lets a sharded serving
-    # config slice worker shards straight from the stored
-    # arrays instead of re-deriving the plan (see repro.serving.planner).
-    payload["shard_manifest"] = manifest_from_compiled(tables.compiled)
     return payload
 
 
@@ -785,11 +780,8 @@ def detector_from_dict(
     labeler_payload: Optional[Dict[str, object]] = data.get("labeler")  # type: ignore[assignment]
     detector.labeler = UnitLabeler.from_dict(labeler_payload) if labeler_payload else None
     detector.threshold_ = threshold_from_dict(_as_mapping(data["threshold"]))
-    manifest_payload = data.get("shard_manifest")
-    if manifest_payload is not None:
-        # Kept verbatim: sharded serving uses it to slice worker shards
-        # without re-deriving the subtree layout from the arrays.
-        detector._shard_manifest = _as_mapping(manifest_payload)
+    # Older artifacts also carry a "shard_manifest" key.  It is ignored: the
+    # shard layout is always derived from the compiled arrays.
     if version >= 2 and model_payload.get("compiled") is not None:
         # Keep the exact float64 snapshot for lazy tree hydration even when
         # serving narrowed; when dtype is float64, astype returns it as-is.

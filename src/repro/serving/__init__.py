@@ -6,13 +6,12 @@ so the subtrees are independent **shards**.  This package turns that property
 into a serving subsystem:
 
 * :mod:`repro.serving.planner` — discovers the root subtrees of a
-  :class:`~repro.core.compiled.CompiledGhsom` (each one a contiguous slice of
-  the flat arrays) and balances them across ``K`` shards; the subtree layout
-  is also what the v2 artifact stores as its *shard manifest*;
-* :mod:`repro.serving.shards` — materialises each shard as a self-contained
-  bundle of arrays (codebook slice, local topology, leaf-table segment,
-  per-leaf scoring tables, global-leaf-row remap) that can score its
-  sub-batches without the rest of the tree;
+  :class:`~repro.core.compiled.CompiledGhsom` (adjacent contiguous slices of
+  the flat arrays) and cuts them into ``K`` contiguous, balanced shards;
+* :mod:`repro.serving.shards` — materialises each shard as one slice of
+  every array (codebook, local topology, leaf-table segment, per-leaf
+  scoring tables, global-leaf-row remap) that can score its sub-batches
+  without the rest of the tree;
 * :mod:`repro.serving.backends` — the local shard executors: serial and
   thread pool (BLAS releases the GIL during the descent's GEMMs);
 * :mod:`repro.serving.router` — :class:`ShardedGhsom`, which runs the root
@@ -64,10 +63,8 @@ from repro.serving.gateway import DetectionGateway, GatewayClient, GatewayResult
 from repro.serving.planner import (
     RootSubtree,
     ShardPlan,
-    manifest_from_compiled,
     plan_shards,
     subtrees_from_compiled,
-    subtrees_from_manifest,
 )
 from repro.serving.remote import RemoteBackend, ShardWorkerServer
 from repro.serving.router import ShardedGhsom
@@ -104,8 +101,6 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "subtrees_from_compiled",
-    "subtrees_from_manifest",
-    "manifest_from_compiled",
     "SubtreeShard",
     "build_shards",
     "ShardedGhsom",

@@ -1,32 +1,31 @@
-"""Shard planning: root-subtree discovery, balancing, and the shard manifest.
+"""Shard planning: root-subtree discovery and contiguous balancing.
 
 The compiled flat arrays (:class:`~repro.core.compiled.CompiledGhsom`) store
 nodes in pre-order, so every subtree hanging off an internal root unit is a
 *contiguous* run of node indices — and therefore a contiguous slice of the
 stacked codebook, of the per-unit topology arrays, and of the leaf table.
-:func:`subtrees_from_compiled` recovers those runs; :func:`plan_shards`
-groups them into ``K`` balanced shards (longest-processing-time-first over
-unit counts, the cost proxy for the per-level distance matmuls).
+Those runs also sit next to each other: sorted by entry node, the root
+subtrees tile every non-root node, unit and leaf row.
+:func:`subtrees_from_compiled` recovers them; :func:`plan_shards` cuts the
+sequence into ``K`` contiguous shards that minimise the largest shard's unit
+count (the cost proxy for the per-level distance matmuls), so each shard is
+again one slice of every array.
 
-The subtree layout is partition-independent, which makes it the natural
-**shard manifest** for the v2 model artifact: a worker holding the manifest
-and the raw compiled-array payload can slice out exactly its shard without
-ever materialising the full tree.  :func:`manifest_from_compiled` /
-:func:`subtrees_from_manifest` are the two directions of that contract.
+The layout is always derived from the compiled arrays themselves: there is
+no stored copy that could disagree with them.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.compiled import CompiledGhsom
-from repro.exceptions import ConfigurationError, SerializationError
-
-#: Version marker of the manifest payload embedded in v2 artifacts.
-MANIFEST_VERSION = 1
+from repro.exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -74,164 +73,118 @@ class RootSubtree:
 def subtrees_from_compiled(compiled: CompiledGhsom) -> Tuple[RootSubtree, ...]:
     """Discover the root subtrees of a compiled model from its flat arrays.
 
-    Returns one :class:`RootSubtree` per *internal* root unit, in root-unit
-    order.  Root units that are leaves have no subtree — the router resolves
-    them during the root step itself.  A depth-1 tree yields an empty tuple.
+    Returns one :class:`RootSubtree` per *internal* root unit, in entry-node
+    order.  Pre-order puts each root subtree right after the previous one,
+    so a subtree ends where the next one's entry node begins (the last one
+    at ``n_nodes``).  Root units that are leaves have no subtree — the
+    router resolves them during the root step itself.  A depth-1 tree
+    yields an empty tuple.
     """
     offsets = compiled.node_offsets
-    n_nodes = compiled.n_nodes
-    # Pre-order subtree extents: a node's subtree is [i, subtree_stop[i]).
-    # Children always carry larger indices than their parent, so a reverse
-    # sweep sees every child's extent before the parent needs it.
-    subtree_stop = np.arange(1, n_nodes + 1, dtype=np.intp)
-    for node in range(n_nodes - 1, -1, -1):
-        children = compiled.child_of_unit[int(offsets[node]) : int(offsets[node + 1])]
-        for child in children[children >= 0]:
-            subtree_stop[node] = max(subtree_stop[node], subtree_stop[child])
-    n_root_units = int(offsets[1])
-    leaf_node = compiled.leaf_node
-    subtrees: List[RootSubtree] = []
-    for unit in range(n_root_units):
-        entry = int(compiled.child_of_unit[unit])
-        if entry < 0:
-            continue
-        stop = int(subtree_stop[entry])
-        subtrees.append(
-            RootSubtree(
-                root_unit=unit,
-                entry_node=entry,
-                node_stop=stop,
-                unit_start=int(offsets[entry]),
-                unit_stop=int(offsets[stop]),
-                # Leaf rows are assigned in node order, so a contiguous node
-                # range owns a contiguous leaf-table segment.
-                leaf_start=int(np.searchsorted(leaf_node, entry, side="left")),
-                leaf_stop=int(np.searchsorted(leaf_node, stop, side="left")),
-            )
+    root_children = np.asarray(compiled.child_of_unit[: int(offsets[1])])
+    root_units = np.flatnonzero(root_children >= 0)
+    root_units = root_units[np.argsort(root_children[root_units])]
+    node_bounds = np.append(root_children[root_units], compiled.n_nodes)
+    unit_bounds = np.asarray(offsets)[node_bounds]
+    # Leaf rows are assigned in node order, so a contiguous node range owns
+    # a contiguous leaf-table segment.
+    leaf_bounds = np.searchsorted(compiled.leaf_node, node_bounds, side="left")
+    return tuple(
+        RootSubtree(
+            root_unit=int(unit),
+            entry_node=int(node_bounds[i]),
+            node_stop=int(node_bounds[i + 1]),
+            unit_start=int(unit_bounds[i]),
+            unit_stop=int(unit_bounds[i + 1]),
+            leaf_start=int(leaf_bounds[i]),
+            leaf_stop=int(leaf_bounds[i + 1]),
         )
-    return tuple(subtrees)
+        for i, unit in enumerate(root_units)
+    )
 
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """A balanced assignment of root subtrees to shards.
+    """A contiguous partition of the root subtrees into shards.
 
-    ``assignment[i]`` is the shard id of ``subtrees[i]``; ``n_shards`` is the
-    *effective* shard count (never more than the number of subtrees, so every
-    shard has work).
+    Shard ``s`` owns ``subtrees[bounds[s]:bounds[s + 1]]``; ``n_shards`` is
+    the *effective* shard count (never more than the number of subtrees, so
+    every shard has work).
     """
 
-    n_shards: int
     subtrees: Tuple[RootSubtree, ...]
-    assignment: Tuple[int, ...]
+    bounds: Tuple[int, ...]
 
-    def members_of(self, shard_id: int) -> Tuple[RootSubtree, ...]:
-        """The subtrees assigned to one shard, in discovery order."""
-        return tuple(
-            subtree
-            for subtree, shard in zip(self.subtrees, self.assignment, strict=True)
-            if shard == shard_id
-        )
+    @property
+    def n_shards(self) -> int:
+        return len(self.bounds) - 1
 
     def describe(self) -> Dict[str, object]:
         """Balance summary (used by the benchmark harness and docs)."""
-        unit_loads = [0] * self.n_shards
-        leaf_loads = [0] * self.n_shards
-        for subtree, shard in zip(self.subtrees, self.assignment, strict=True):
-            unit_loads[shard] += subtree.n_units
-            leaf_loads[shard] += subtree.n_leaves
+        unit_loads: List[int] = []
+        leaf_loads: List[int] = []
+        for start, stop in zip(self.bounds, self.bounds[1:]):
+            first, last = self.subtrees[start], self.subtrees[stop - 1]
+            unit_loads.append(last.unit_stop - first.unit_start)
+            leaf_loads.append(last.leaf_stop - first.leaf_start)
         return {
             "n_shards": self.n_shards,
             "n_subtrees": len(self.subtrees),
             "units_per_shard": unit_loads,
             "leaves_per_shard": leaf_loads,
-            "unit_balance": (
-                min(unit_loads) / max(unit_loads) if self.n_shards and max(unit_loads) else 1.0
-            ),
+            "unit_balance": min(unit_loads) / max(unit_loads) if unit_loads else 1.0,
         }
 
 
-def plan_shards(
-    source: CompiledGhsom,
-    n_shards: int,
-    *,
-    subtrees: Optional[Sequence[RootSubtree]] = None,
-) -> ShardPlan:
-    """Partition a compiled model's root subtrees into ``n_shards`` shards.
+def partition_bounds(unit_counts: Sequence[int], n_shards: int) -> Tuple[int, ...]:
+    """Cut ``unit_counts`` into contiguous runs minimising the largest sum.
 
-    ``source`` is a :class:`CompiledGhsom` (``subtrees`` may be passed
-    explicitly when they were already recovered, e.g. from an artifact's
-    shard manifest).  Balancing is greedy longest-processing-time-first on
-    unit counts: subtrees are assigned, largest first, to the currently
-    lightest shard.  The effective shard count is clamped to the number of
-    subtrees; asking for more shards than subtrees is not an error.
+    Returns ``min(n_shards, len(unit_counts)) + 1`` ascending bounds starting
+    at 0 and ending at ``len(unit_counts)``; every run is non-empty.  The
+    optimal capacity is a binary search over the greedy shard count, each
+    greedy run one ``bisect`` over the prefix sums.
     """
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    layout = tuple(subtrees) if subtrees is not None else subtrees_from_compiled(source)
-    effective = min(int(n_shards), len(layout)) if layout else 0
-    assignment = [0] * len(layout)
-    if effective:
-        loads = [0] * effective
-        order = sorted(
-            range(len(layout)), key=lambda i: layout[i].n_units, reverse=True
-        )
-        for index in order:
-            shard = min(range(effective), key=loads.__getitem__)
-            assignment[index] = shard
-            loads[shard] += layout[index].n_units
-    return ShardPlan(
-        n_shards=effective, subtrees=layout, assignment=tuple(assignment)
-    )
+    n = len(unit_counts)
+    if n == 0:
+        return (0,)
+    k = min(int(n_shards), n)
+    prefix = [0, *accumulate(unit_counts)]
+
+    def run_stop(start: int, capacity: int) -> int:
+        return bisect.bisect_right(prefix, prefix[start] + capacity) - 1
+
+    def shards_needed(capacity: int) -> int:
+        count = start = 0
+        while start < n:
+            start = run_stop(start, capacity)
+            count += 1
+        return count
+
+    low, high = max(unit_counts), prefix[-1]
+    while low < high:
+        middle = (low + high) // 2
+        if shards_needed(middle) <= k:
+            high = middle
+        else:
+            low = middle + 1
+    bounds = [0]
+    for shard in range(k - 1):
+        # Fill greedily, but leave one subtree for each shard still to come.
+        bounds.append(min(run_stop(bounds[-1], low), n - (k - 1 - shard)))
+    bounds.append(n)
+    return tuple(bounds)
 
 
-# --------------------------------------------------------------------------- #
-# manifest (stored inside v2 artifacts)
-# --------------------------------------------------------------------------- #
-_MANIFEST_FIELDS = (
-    "root_unit",
-    "entry_node",
-    "node_stop",
-    "unit_start",
-    "unit_stop",
-    "leaf_start",
-    "leaf_stop",
-)
+def plan_shards(source: CompiledGhsom, n_shards: int) -> ShardPlan:
+    """Partition a compiled model's root subtrees into ``n_shards`` shards.
 
-
-def manifest_from_compiled(compiled: CompiledGhsom) -> Dict[str, object]:
-    """The JSON-compatible shard manifest of a compiled model.
-
-    Stores the partition-independent subtree layout plus the root-layer
-    summary a router needs, so ``load_bundle(overrides={"shards": K})`` can
-    plan and slice worker shards straight from the artifact payload.
+    Each shard is a contiguous run of subtrees in entry-node order, chosen
+    to minimise the largest shard's unit count.  The effective shard count
+    is clamped to the number of subtrees; asking for more shards than
+    subtrees is not an error.
     """
-    subtrees = subtrees_from_compiled(compiled)
-    return {
-        "version": MANIFEST_VERSION,
-        "n_root_units": int(compiled.node_offsets[1]),
-        "n_leaves": compiled.n_leaves,
-        "n_units": compiled.n_units,
-        "root_subtrees": [
-            {field: getattr(subtree, field) for field in _MANIFEST_FIELDS}
-            for subtree in subtrees
-        ],
-    }
-
-
-def subtrees_from_manifest(manifest: Dict[str, object]) -> Tuple[RootSubtree, ...]:
-    """Rebuild the subtree layout from a stored shard manifest."""
-    version = manifest.get("version")
-    if version != MANIFEST_VERSION:
-        raise SerializationError(f"unsupported shard manifest version {version!r}")
-    entries = manifest.get("root_subtrees")
-    if not isinstance(entries, list):
-        raise SerializationError("shard manifest is missing its root_subtrees list")
-    subtrees: List[RootSubtree] = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise SerializationError(f"malformed shard manifest entry: {entry!r}")
-        subtrees.append(
-            RootSubtree(**{field: int(entry[field]) for field in _MANIFEST_FIELDS})
-        )
-    return tuple(subtrees)
+    subtrees = subtrees_from_compiled(source)
+    bounds = partition_bounds([subtree.n_units for subtree in subtrees], n_shards)
+    return ShardPlan(subtrees=subtrees, bounds=bounds)

@@ -1,7 +1,7 @@
 """Distributed shard serving: the remote backend and the shard worker.
 
-This module turns the shard manifest from a single-host optimisation into
-the system's horizontal-scaling substrate.  It has two halves:
+This module turns root-subtree sharding from a single-host optimisation
+into the system's horizontal-scaling substrate.  It has two halves:
 
 * :class:`RemoteBackend` — a :class:`~repro.serving.backends.ShardBackend`
   that dispatches the router's shard tasks to worker processes on other

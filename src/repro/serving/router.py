@@ -9,7 +9,8 @@ global leaf rows and float64 — but executes the descent in three steps:
    (same expanded ``|x-w|^2`` arithmetic on the same contiguous root block).
    Samples whose best root unit is a leaf are finished right here;
 2. **dispatch** — group the remaining rows by the shard that owns their root
-   unit and execute each sub-batch on the configured backend;
+   unit (each shard a contiguous run of root subtrees) and execute each
+   sub-batch on the configured backend;
 3. **merge** — scatter shard results back into input order, remapping local
    leaf rows through each shard's ``leaf_global_row``.
 
@@ -85,7 +86,6 @@ class ShardedGhsom:
         n_shards: int,
         *,
         backend: Optional[ShardBackend] = None,
-        plan: Optional[ShardPlan] = None,
         thresholds: Optional[AnyArray] = None,
         labels: Optional[AnyArray] = None,
         is_attack: Optional[AnyArray] = None,
@@ -96,17 +96,16 @@ class ShardedGhsom:
 
         ``backend`` executes the shard tasks (a fresh :class:`SerialBackend`
         when omitted; build a configured one with
-        :meth:`~repro.serving.config.ServingPlan.build_backend`).
-        ``plan`` may be supplied when the subtree layout came from an
-        artifact's shard manifest; the per-leaf scoring tables, when given,
-        are segmented into the shards so each one is fully self-contained.
+        :meth:`~repro.serving.config.ServingPlan.build_backend`).  The
+        subtree layout is always derived from ``compiled`` itself; the
+        per-leaf scoring tables, when given, are segmented into the shards
+        so each one is fully self-contained.
         ``engine`` is stamped onto every shard and governs each shard-side
         descent (the root routing step always runs the numpy arithmetic —
         it is what keeps routing byte-identical to the unsharded engine's
         first frontier iteration).
         """
-        if plan is None:
-            plan = plan_shards(compiled, n_shards)
+        plan = plan_shards(compiled, n_shards)
         shards = build_shards(
             compiled,
             plan,

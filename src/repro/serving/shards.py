@@ -12,11 +12,12 @@ Scoring inside a shard runs the exact
 same arithmetic, same per-node row grouping — which is what keeps the merged
 output byte-identical.
 
-When the source model was loaded from a v3 binary artifact, shard slicing
-preserves the memory mapping: a shard whose subtrees form one contiguous run
-keeps codebook/norm *views* into the single file mapping instead of copying
-its slice, so a K-shard load maps the artifact once.  Shards also pickle
-memmap-backed arrays **by reference** (``__getstate__`` swaps them for
+Each shard is one contiguous run of root subtrees (see
+:mod:`repro.serving.planner`), so building it takes one slice of every
+compiled array.  When the source model was loaded from a v3 binary artifact,
+the codebook and unit-norm slices stay *views* into the single file mapping,
+so a K-shard load maps the artifact once.  Shards also pickle memmap-backed
+arrays **by reference** (``__getstate__`` swaps them for
 ``(path, dtype, shape, offset)`` descriptors; ``__setstate__`` re-opens the
 mapping) — the remote backend's by-reference provisioning sends those
 descriptors, so a worker holding the artifact maps its own copy of the
@@ -39,7 +40,7 @@ from repro.utils.mmapio import array_from_portable, array_to_portable
 
 @dataclass(frozen=True, eq=False)
 class SubtreeShard:
-    """One shard: a group of root subtrees flattened into local arrays.
+    """One shard: a run of adjacent root subtrees with shard-local indices.
 
     Node, unit and leaf indices inside the shard are *local* (0-based over
     the shard's own arrays); ``leaf_global_row`` maps local leaf rows back to
@@ -153,81 +154,46 @@ def build_shard(
 ) -> SubtreeShard:
     """Materialise one shard by slicing the compiled arrays.
 
-    Every subtree is a contiguous run of nodes / units / leaf rows, so the
-    shard's arrays are concatenations of slices with the node, unit and leaf
-    indices remapped to the shard-local space.  The optional scoring tables
-    are global ``(L,)`` arrays; the shard keeps only its own segments.
+    ``members`` is a non-empty run of adjacent subtrees (entry-node order),
+    so the shard is one contiguous run of nodes / units / leaf rows.  The
+    codebook, unit norms and scoring-table segments are views of the source
+    arrays; the topology arrays shift to shard-local indices by subtracting
+    the run's first node, unit and leaf row.  The optional scoring tables are
+    global ``(L,)`` arrays.
     """
-    node_ranges = [(subtree.entry_node, subtree.node_stop) for subtree in members]
-    local_nodes = np.concatenate(
-        [np.arange(start, stop, dtype=np.intp) for start, stop in node_ranges]
-    ) if members else np.empty(0, dtype=np.intp)
-    node_map = np.full(compiled.n_nodes, -1, dtype=np.intp)
-    node_map[local_nodes] = np.arange(local_nodes.size, dtype=np.intp)
+    first, last = members[0], members[-1]
+    node_start, unit_start, leaf_start = first.entry_node, first.unit_start, first.leaf_start
+    units = slice(unit_start, last.unit_stop)
+    leaves = slice(leaf_start, last.leaf_stop)
+    child_global = np.asarray(compiled.child_of_unit[units])
+    leaf_global = np.asarray(compiled.leaf_of_unit[units])
 
-    offsets = compiled.node_offsets
-    unit_counts = offsets[local_nodes + 1] - offsets[local_nodes] if members else np.empty(0, dtype=np.intp)
-    node_offsets = np.zeros(local_nodes.size + 1, dtype=np.intp)
-    np.cumsum(unit_counts, out=node_offsets[1:])
+    def segment(table: Optional[AnyArray]) -> Optional[AnyArray]:
+        return None if table is None else table[leaves]
 
-    def gather_units(source: AnyArray) -> AnyArray:
-        if not members:
-            return np.empty((0,) + source.shape[1:], dtype=source.dtype)
-        if len(members) == 1:
-            # One contiguous run: keep the slice as a *view*.  For a
-            # memmap-backed source this is what lets a K-shard load share the
-            # single file mapping instead of copying K codebook slices.
-            subtree = members[0]
-            return source[subtree.unit_start : subtree.unit_stop]
-        return np.concatenate(
-            [source[subtree.unit_start : subtree.unit_stop] for subtree in members]
-        )
-
-    # Codebook slices stay row-contiguous, so per-node GEMM inputs are the
-    # same contiguous blocks the unsharded engine feeds BLAS.  The
-    # contiguity check (rather than an unconditional ascontiguousarray, whose
-    # subok=False would downcast) keeps single-run slices of a memory-mapped
-    # codebook as np.memmap views — shards of a v3 artifact then share the
-    # one file mapping and pickle by reference.
-    codebook = gather_units(compiled.codebook)
-    if not codebook.flags["C_CONTIGUOUS"]:
-        codebook = np.ascontiguousarray(codebook)
-    unit_norms = gather_units(compiled.unit_norms)
-    child_global = gather_units(compiled.child_of_unit)
-    child_of_unit = np.where(child_global >= 0, node_map[child_global], -1)
-
-    leaf_ranges = [(subtree.leaf_start, subtree.leaf_stop) for subtree in members]
-    leaf_global_row = np.concatenate(
-        [np.arange(start, stop, dtype=np.intp) for start, stop in leaf_ranges]
-    ) if members else np.empty(0, dtype=np.intp)
-    leaf_map = np.full(compiled.n_leaves, -1, dtype=np.intp)
-    leaf_map[leaf_global_row] = np.arange(leaf_global_row.size, dtype=np.intp)
-    leaf_global = gather_units(compiled.leaf_of_unit)
-    leaf_of_unit = np.where(leaf_global >= 0, leaf_map[leaf_global], -1)
-
-    def gather_leaves(table: Optional[AnyArray]) -> Optional[AnyArray]:
-        if table is None:
-            return None
-        return np.asarray(table)[leaf_global_row]
-
+    # Views, not copies: a v3 artifact's memory-mapped codebook slices stay
+    # np.memmap, so every shard shares the one file mapping and pickles by
+    # reference.
     return SubtreeShard(
         shard_id=int(shard_id),
         metric=compiled.metric,
         n_features=compiled.n_features,
         root_units=np.array([subtree.root_unit for subtree in members], dtype=np.intp),
-        entry_local_node=node_map[
-            np.array([subtree.entry_node for subtree in members], dtype=np.intp)
-        ] if members else np.empty(0, dtype=np.intp),
-        node_offsets=node_offsets,
-        codebook=codebook,
-        child_of_unit=child_of_unit,
-        leaf_of_unit=leaf_of_unit,
-        unit_norms=unit_norms,
-        leaf_global_row=leaf_global_row,
-        thresholds=gather_leaves(thresholds),
-        labels=gather_leaves(labels),
-        is_attack=gather_leaves(is_attack),
-        purity=gather_leaves(purity),
+        entry_local_node=np.array(
+            [subtree.entry_node - node_start for subtree in members], dtype=np.intp
+        ),
+        node_offsets=np.asarray(
+            compiled.node_offsets[node_start : last.node_stop + 1], dtype=np.intp
+        ) - unit_start,
+        codebook=compiled.codebook[units],
+        child_of_unit=np.where(child_global >= 0, child_global - node_start, -1),
+        leaf_of_unit=np.where(leaf_global >= 0, leaf_global - leaf_start, -1),
+        unit_norms=compiled.unit_norms[units],
+        leaf_global_row=np.arange(leaf_start, last.leaf_stop, dtype=np.intp),
+        thresholds=segment(thresholds),
+        labels=segment(labels),
+        is_attack=segment(is_attack),
+        purity=segment(purity),
         engine=None if engine is None else str(engine),
     )
 
@@ -247,12 +213,12 @@ def build_shards(
         build_shard(
             compiled,
             shard_id,
-            plan.members_of(shard_id),
+            plan.subtrees[start:stop],
             thresholds=thresholds,
             labels=labels,
             is_attack=is_attack,
             purity=purity,
             engine=engine,
         )
-        for shard_id in range(plan.n_shards)
+        for shard_id, (start, stop) in enumerate(zip(plan.bounds, plan.bounds[1:]))
     )

@@ -145,10 +145,18 @@ class TestOneClassDetection:
 
     def test_predict_category_without_labels(self, oneclass_detector, oneclass_generator):
         detector, pipeline = oneclass_detector
-        categories = detector.predict_category(
-            pipeline.transform(oneclass_generator.generate_normal(50))
-        )
-        assert set(categories).issubset({"normal", "anomaly"})
+        X = np.vstack([
+            pipeline.transform(oneclass_generator.generate_normal(50)),
+            pipeline.transform(oneclass_generator.generate_class("smurf", 50)),
+        ])
+        categories = detector.predict_category(X)
+        assert set(categories) == {"normal", "anomaly"}
+        # A list of Python str, one per decision, from detect() too.
+        assert type(categories) is list
+        assert all(type(category) is str for category in categories)
+        assert categories == [
+            "anomaly" if flag else "normal" for flag in detector.detect(X).predictions
+        ]
 
 
 class TestThresholdStrategies:

@@ -5,13 +5,13 @@ What this file pins down:
 * **save → load → score is byte-identical** to the in-memory detector for
   the v3 binary format, through the memory-mapped *and* the eager load
   path, for {one-class, labelled} × {per_unit, global}, and through every
-  sharded backend (serial / thread / process);
+  sharded backend (serial / thread);
 * a **v3 load is O(metadata)**: the compiled arrays come back as read-only
   views into one shared file mapping, no ``GhsomNode`` objects exist after
   load + score, and the tree still hydrates lazily on ``detector.model``;
 * shards sliced from a memory-mapped model keep **views into the mapping**
-  (single-subtree shards) and **pickle by reference** — a few hundred bytes
-  instead of the codebook;
+  (every shard, at any shard count) and **pickle by reference** — a few
+  hundred bytes instead of the codebook;
 * every documented **corruption / misuse path raises SerializationError**
   with an actionable message: missing sidecar, truncated sidecar, hash
   mismatch, unsupported versions, bare-dict loads that cannot resolve a
@@ -193,18 +193,19 @@ class TestMmapServing:
         assert np.array_equal(observed.scores, expected.scores)
         assert list(observed.categories) == list(expected.categories)
 
-    def test_single_subtree_shards_are_views_and_pickle_by_reference(
-        self, v3_artifact
-    ):
+    def test_shards_are_memmap_views_and_pickle_by_reference(self, v3_artifact):
         compiled = load_detector(v3_artifact)._compiled
-        n_subtrees = len(subtrees_from_compiled(compiled))
-        if n_subtrees < 2:
+        if len(subtrees_from_compiled(compiled)) < 2:
             pytest.skip("model grew a single root subtree")
-        # One shard per subtree: every shard is one contiguous run.
-        shards = build_shards(compiled, plan_shards(compiled, n_subtrees))
+        # Every shard is one contiguous run of subtrees, so at K=2 every
+        # shard is a view into the mapping, even one holding several subtrees.
+        shards = build_shards(compiled, plan_shards(compiled, 2))
+        assert len(shards) == 2
         for shard in shards:
-            assert isinstance(shard.codebook, np.memmap)
-            assert shard.codebook.base is not None  # a view, not a copy
+            for name in ("codebook", "unit_norms"):
+                array = getattr(shard, name)
+                assert isinstance(array, np.memmap), name
+                assert np.shares_memory(array, getattr(compiled, name))  # a view
             payload = pickle.dumps(shard)
             # By reference: orders of magnitude below the codebook bytes.
             assert len(payload) < max(2048, shard.codebook.nbytes // 4)
@@ -343,12 +344,9 @@ class TestCorruptionAndMisuse:
         """A pickled shard whose artifact was replaced fails loudly."""
         json_path = _corrupt_copy(v3_artifact, tmp_path, lambda js, sc: None)
         compiled = load_detector(json_path)._compiled
-        n_subtrees = len(subtrees_from_compiled(compiled))
-        shards = build_shards(compiled, plan_shards(compiled, max(n_subtrees, 1)))
-        mapped = [s for s in shards if isinstance(s.codebook, np.memmap)]
-        if not mapped:
-            pytest.skip("no single-subtree shard to take a reference from")
-        payload = pickle.dumps(mapped[0])
+        (shard,) = build_shards(compiled, plan_shards(compiled, 1))
+        assert isinstance(shard.codebook, np.memmap)
+        payload = pickle.dumps(shard)
         sidecar = tmp_path / "detector.npz"
         sidecar.write_bytes(sidecar.read_bytes() + b"\x00" * 16)  # "new artifact"
         with pytest.raises(SerializationError, match="changed on disk"):

@@ -172,15 +172,22 @@ class TestRemoteEquivalence:
             assert backend.stats["provision_reference"] == 0
         _assert_identical(result, reference)
 
-    def test_by_reference_provisioning_used(self, binary_bundle, workload, fitted, reference):
-        # K >= the subtree count keeps every shard a single contiguous run,
-        # i.e. a view into the mmapped sidecar — the by-reference case.
+    @pytest.mark.parametrize("n_shards", ["two", "all"])
+    def test_by_reference_provisioning_used(
+        self, binary_bundle, workload, fitted, reference, n_shards
+    ):
+        # Every shard is one contiguous run of subtrees, i.e. a view into the
+        # mmapped sidecar — the by-reference case — whether it holds several
+        # subtrees (K=2) or one (K = the subtree count).
         n_subtrees = len(subtrees_from_compiled(fitted.model.compile()))
-        assert n_subtrees >= 2, "model too small for this test"
+        assert n_subtrees > 2, "model too small for this test"
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             backend = RemoteBackend([worker.address])
             result = _detect_remote(
-                binary_bundle, workload, backend, n_shards=n_subtrees
+                binary_bundle,
+                workload,
+                backend,
+                n_shards=2 if n_shards == "two" else n_subtrees,
             )
             assert backend.stats["provision_reference"] == 1
             assert backend.stats["provision_value"] == 0

@@ -90,7 +90,7 @@ def _payload(detector, version):
             inline(child)
 
     inline(model["root"])
-    for key in ("serving_config", "random_state", "leaf_tables", "shard_manifest"):
+    for key in ("serving_config", "random_state", "leaf_tables"):
         del payload[key]
     payload["format_version"] = model["format_version"] = 1
     return payload

@@ -9,8 +9,11 @@ approximation.
 
 from __future__ import annotations
 
+import itertools
 import json
+import shutil
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,20 +22,26 @@ from hypothesis import strategies as st
 
 from repro.cli import load_bundle, save_bundle
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
-from repro.core.serialization import detector_from_dict, detector_to_dict
+from repro.core.serialization import (
+    detector_from_dict,
+    detector_to_dict,
+    load_detector,
+    save_detector,
+)
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
-from repro.exceptions import ConfigurationError, SerializationError
+from repro.exceptions import ConfigurationError
 from repro.serving import (
     ShardedGhsom,
     ShardingSpec,
     ThreadPoolBackend,
     build_shards,
-    manifest_from_compiled,
     plan_shards,
     subtrees_from_compiled,
-    subtrees_from_manifest,
 )
+from repro.serving.planner import partition_bounds
+
+FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "artifacts"
 
 # Fitting a GHSOM per example is expensive: few examples, generous deadline.
 FIT_SETTINGS = {
@@ -71,6 +80,50 @@ def _random_config(data) -> GhsomConfig:
         training=SomTrainingConfig(epochs=2, metric=data.draw(st.sampled_from(METRICS))),
         random_state=data.draw(st.integers(0, 2**16)),
     )
+
+
+def _assert_subtrees_tile(compiled, subtrees):
+    """Subtrees in entry-node order tile every non-root node, unit and leaf row."""
+    n_root_units = int(compiled.node_offsets[1])
+    root_leaves = int(np.sum(compiled.leaf_of_unit[:n_root_units] >= 0))
+    node_bounds = [1] + [s.node_stop for s in subtrees]
+    unit_bounds = [n_root_units] + [s.unit_stop for s in subtrees]
+    leaf_bounds = [root_leaves] + [s.leaf_stop for s in subtrees]
+    assert [s.entry_node for s in subtrees] == node_bounds[:-1]
+    assert [s.unit_start for s in subtrees] == unit_bounds[:-1]
+    assert [s.leaf_start for s in subtrees] == leaf_bounds[:-1]
+    assert (node_bounds[-1], unit_bounds[-1], leaf_bounds[-1]) == (
+        compiled.n_nodes,
+        compiled.n_units,
+        compiled.n_leaves,
+    )
+    for subtree in subtrees:
+        assert compiled.child_of_unit[subtree.root_unit] == subtree.entry_node
+        # A subtree's leaf segment really belongs to its node range.
+        owned = compiled.leaf_node[subtree.leaf_start : subtree.leaf_stop]
+        assert np.all((owned >= subtree.entry_node) & (owned < subtree.node_stop))
+
+
+def _assert_same_detection(result, reference):
+    assert np.array_equal(result.scores, reference.scores)
+    assert np.array_equal(result.predictions, reference.predictions)
+    assert np.array_equal(result.leaf_index, reference.leaf_index)
+    assert np.array_equal(
+        np.asarray(result.categories, dtype=object),
+        np.asarray(reference.categories, dtype=object),
+    )
+
+
+def _copy_golden(tmp_path, name, edit):
+    """Copy a committed golden artifact (and its sidecar) with an edited JSON."""
+    payload = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    edit(payload)
+    sidecar = FIXTURE_DIR / f"{name}.npz"
+    if sidecar.exists():
+        shutil.copy(sidecar, tmp_path / sidecar.name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +173,8 @@ class TestPlanner:
         n_root_units = int(compiled.node_offsets[1])
         # Every internal root unit owns exactly one subtree.
         internal = [u for u in range(n_root_units) if compiled.child_of_unit[u] >= 0]
-        assert [s.root_unit for s in subtrees] == internal
+        assert sorted(s.root_unit for s in subtrees) == internal
+        _assert_subtrees_tile(compiled, subtrees)
         # Subtree node/unit/leaf ranges are disjoint and cover every non-root
         # node, every non-root unit and every non-root-level leaf.
         nodes = sorted(
@@ -132,28 +186,52 @@ class TestPlanner:
         leaves = sorted(l for s in subtrees for l in range(s.leaf_start, s.leaf_stop))
         root_leaves = int(np.sum(compiled.leaf_of_unit[:n_root_units] >= 0))
         assert len(leaves) == compiled.n_leaves - root_leaves
-        # A subtree's leaf segment really belongs to its node range.
-        for subtree in subtrees:
-            owned = compiled.leaf_node[subtree.leaf_start : subtree.leaf_stop]
-            assert np.all((owned >= subtree.entry_node) & (owned < subtree.node_stop))
 
     def test_plan_balances_and_clamps(self, compiled):
         subtrees = subtrees_from_compiled(compiled)
         plan = plan_shards(compiled, 2)
         assert plan.n_shards == min(2, len(subtrees))
-        # Every subtree lands on exactly one shard.
-        assert sorted(
-            s.root_unit for shard in range(plan.n_shards) for s in plan.members_of(shard)
-        ) == sorted(s.root_unit for s in subtrees)
+        # The shards are contiguous runs covering every subtree once.
+        assert plan.subtrees == subtrees
+        assert plan.bounds[0] == 0 and plan.bounds[-1] == len(subtrees)
         # Asking for more shards than subtrees clamps instead of erroring.
         oversized = plan_shards(compiled, len(subtrees) + 10)
         assert oversized.n_shards == len(subtrees)
-        # Every effective shard has at least one subtree (LPT never leaves
-        # a shard empty when shards <= subtrees).
-        for shard in range(oversized.n_shards):
-            assert oversized.members_of(shard)
+        # Every effective shard has at least one subtree: the partition
+        # leaves a subtree for each shard still to come.
+        assert all(
+            start < stop for start, stop in zip(oversized.bounds, oversized.bounds[1:])
+        )
         with pytest.raises(ConfigurationError):
             plan_shards(compiled, 0)
+
+    @given(
+        unit_counts=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        n_shards=st.integers(1, 10),
+    )
+    def test_partition_is_the_optimal_contiguous_split(self, unit_counts, n_shards):
+        bounds = partition_bounds(unit_counts, n_shards)
+        n = len(unit_counts)
+        k = min(n_shards, n)
+        # K above the subtree count clamps; every shard is non-empty.
+        assert len(bounds) == k + 1
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(start < stop for start, stop in zip(bounds, bounds[1:]))
+        largest = max(
+            sum(unit_counts[start:stop]) for start, stop in zip(bounds, bounds[1:])
+        )
+        # Brute force: the best largest shard over every split into k runs.
+        best = min(
+            max(sum(unit_counts[start:stop]) for start, stop in zip(cut, cut[1:]))
+            for inner in itertools.combinations(range(1, n), k - 1)
+            for cut in [(0, *inner, n)]
+        )
+        assert largest == best
+
+    @pytest.mark.parametrize("n_shards", [0, -3])
+    def test_partition_rejects_fewer_than_one_shard(self, n_shards):
+        with pytest.raises(ConfigurationError):
+            partition_bounds([3, 1, 2], n_shards)
 
     def test_depth_one_tree_has_no_subtrees(self):
         data = np.random.default_rng(0).normal(0.0, 1.0, (300, 4))
@@ -171,27 +249,71 @@ class TestPlanner:
         np.testing.assert_array_equal(dist, reference[1])
 
 
-class TestManifest:
-    def test_round_trips_through_json(self, compiled):
-        manifest = manifest_from_compiled(compiled)
-        restored = subtrees_from_manifest(json.loads(json.dumps(manifest)))
-        assert restored == subtrees_from_compiled(compiled)
+class TestLayoutFromArrays:
+    """The shard layout always comes from the compiled arrays."""
 
-    def test_rejects_unknown_version(self, compiled):
-        manifest = manifest_from_compiled(compiled)
-        manifest["version"] = 99
-        with pytest.raises(SerializationError):
-            subtrees_from_manifest(manifest)
+    def test_fresh_artifacts_carry_no_manifest(self, labelled_detector, tmp_path):
+        assert "shard_manifest" not in detector_to_dict(labelled_detector)
+        path = tmp_path / "detector.json"
+        save_detector(labelled_detector, path, format="binary")
+        assert "shard_manifest" not in json.loads(path.read_text())
 
-    def test_detector_artifact_carries_manifest(self, labelled_detector):
-        payload = detector_to_dict(labelled_detector)
-        manifest = payload["shard_manifest"]
-        assert subtrees_from_manifest(manifest) == subtrees_from_compiled(
-            labelled_detector.model.compile()
+    @pytest.mark.parametrize(
+        "garble",
+        ["swap_root_units", "shift_node_stop", "drop_entry"],
+    )
+    def test_tampered_manifest_is_ignored(self, tmp_path, garble):
+        def edit(payload):
+            entries = payload["shard_manifest"]["root_subtrees"]
+            assert len(entries) >= 2
+            if garble == "swap_root_units":
+                entries[0]["root_unit"], entries[-1]["root_unit"] = (
+                    entries[-1]["root_unit"],
+                    entries[0]["root_unit"],
+                )
+            elif garble == "shift_node_stop":
+                entries[0]["node_stop"] += 1
+                entries[0]["unit_stop"] += 1
+            else:
+                del entries[0]
+
+        path = _copy_golden(tmp_path, "detector_v3", edit)
+        batch = np.load(FIXTURE_DIR / "batch.npy")
+        reference = load_detector(path).detect(batch)
+        for n_shards in (1, 2):
+            sharded = load_detector(path, overrides={"shards": n_shards})
+            try:
+                _assert_same_detection(sharded.detect(batch), reference)
+            finally:
+                _shard(sharded)
+
+    def test_children_out_of_order_still_tile(self, tmp_path):
+        """A v1 tree whose root children are stored in descending unit order."""
+
+        def reverse_root_children(payload):
+            root = payload["model"]["root"]
+            root["children"] = dict(reversed(list(root["children"].items())))
+
+        path = _copy_golden(tmp_path, "detector_v1", reverse_root_children)
+        detector = load_detector(path)
+        compiled = detector._compiled_model()
+        subtrees = subtrees_from_compiled(compiled)
+        assert len(subtrees) >= 3
+        # Entry-node order is descending root-unit order here.
+        assert [s.root_unit for s in subtrees] == sorted(
+            (s.root_unit for s in subtrees), reverse=True
         )
-        # ...and the loaded detector keeps it for sharded serving.
-        loaded = detector_from_dict(payload)
-        assert loaded._shard_manifest == manifest
+        _assert_subtrees_tile(compiled, subtrees)
+        batch = np.load(FIXTURE_DIR / "batch.npy")
+        reference = detector.detect(batch)
+        try:
+            for n_shards in (2, 3):
+                _shard(detector, n_shards)
+                result = detector.detect(batch)
+                assert result.scores.tobytes() == reference.scores.tobytes()
+                _assert_same_detection(result, reference)
+        finally:
+            _shard(detector)
 
 
 # --------------------------------------------------------------------------- #
@@ -212,14 +334,15 @@ class TestShardSelfContainment:
         seen_leaves = []
         for shard in shards:
             assert shard.codebook.shape == (shard.n_units, compiled.n_features)
+            members = plan.subtrees[
+                plan.bounds[shard.shard_id] : plan.bounds[shard.shard_id + 1]
+            ]
             np.testing.assert_array_equal(
-                shard.codebook, compiled.codebook[
-                    np.concatenate([
-                        np.arange(s.unit_start, s.unit_stop)
-                        for s in plan.members_of(shard.shard_id)
-                    ])
-                ],
+                shard.codebook,
+                compiled.codebook[members[0].unit_start : members[-1].unit_stop],
             )
+            # One slice of the source arrays: the codebook is a view.
+            assert np.shares_memory(shard.codebook, compiled.codebook)
             # Local child/leaf indices stay inside the shard.
             assert shard.child_of_unit.max(initial=-1) < shard.n_nodes
             assert shard.leaf_of_unit.max(initial=-1) < shard.n_leaves
@@ -386,7 +509,7 @@ class TestShardedBundle:
         result = sharded.detect(X)
         np.testing.assert_array_equal(result.scores, reference.scores)
         assert result.categories == reference.categories
-        # The manifest — not a tree rebuild — provided the shard layout.
+        # The compiled arrays — not a tree rebuild — provided the shard layout.
         assert not sharded.tree_is_materialized
         _shard(sharded)
 
