@@ -118,7 +118,7 @@ def blas_threads_env() -> Dict[str, Optional[str]]:
 def usable_cpus() -> int:
     """CPU count the scheduler will actually give this process.
 
-    Affinity-aware (matches the shard backends' default worker pools), so
+    Affinity-aware (the same count ``repro-ids inspect`` reports), so
     recorded throughput is attributed to the cores the run could really use.
     """
     from repro.serving.config import usable_workers

@@ -13,7 +13,8 @@ intrusion / traffic-anomaly detection system:
 * :mod:`repro.baselines` -- flat SOM, k-means, PCA-subspace and k-NN baseline
   detectors;
 * :mod:`repro.serving` -- sharded serving on the compiled flat arrays
-  (root-subtree shards, batch router, serial/thread/process backends);
+  (root-subtree shards, batch router, serial and remote backends, the
+  detection gateway);
 * :mod:`repro.streaming` -- online detection with adaptive thresholds and
   drift handling;
 * :mod:`repro.eval` -- metrics, the experiment runner and parameter sweeps

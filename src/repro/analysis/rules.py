@@ -45,7 +45,14 @@ _INDEX_DTYPES = frozenset(
 
 #: Function names that form the descent/scoring hot path for RPL003.
 _HOT_FUNCTIONS = frozenset(
-    {"assign_arrays", "assign_entries", "frontier_descent", "descend", "decision_scores"}
+    {
+        "assign_arrays",
+        "assign_validated",
+        "assign_entries",
+        "frontier_descent",
+        "descend",
+        "decision_scores",
+    }
 )
 
 
@@ -212,7 +219,8 @@ class HotPathDtypeConversion(Rule):
 
     The convert-once contract: input matrices are cast exactly once, at the
     ``check_array_2d(dtype=...)`` ingest boundary; after that the hot path
-    (``assign_arrays`` / ``assign_entries`` / ``frontier_descent``) must
+    (``assign_arrays`` / ``assign_validated`` / ``assign_entries`` /
+    ``frontier_descent``) must
     operate on the arrays as-is, because an ``astype``/``asarray(dtype=...)``
     there silently copies the whole batch every call.  Index/mask dtype
     conversions (``intp``/``int64``/…) are bookkeeping and stay legal; the
@@ -501,24 +509,23 @@ class ServingExceptionWrap(Rule):
 
 
 class PoolConfinement(Rule):
-    """Worker pools are created only by the backend seam.
+    """No thread or process pool is constructed anywhere in ``src/repro``.
 
-    ``ServingPlan.build_backend`` maps a backend name to a live backend, and
-    the backends in ``serving/backends.py`` own the pools they run on:
-    sizing (``usable_workers``), the close/rebuild-on-broken policy and the
-    ``ServingError`` wrapping of worker failures.  A pool spun up elsewhere
-    (a process pool included) escapes all of that.
+    Local shards run serially and remote shards run on shard workers, so the
+    package owns no pool: blocking work that has to leave a coroutine goes
+    to the event loop's default executor (``loop.run_in_executor(None,
+    ...)``).  A pool built here would need its own sizing, shutdown,
+    broken-pool handling and ``ServingError`` wrapping of worker failures,
+    none of which the package has.
     """
 
     code = "RPL008"
     name = "pool-confinement"
 
-    _EXEMPT = ("serving/backends.py", "serving/config.py")
     _POOLS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "ThreadPool"})
 
     def applies_to(self, path: str) -> bool:
-        rel = _repro_rel(path)
-        return rel is not None and rel not in self._EXEMPT
+        return _repro_rel(path) is not None
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -533,9 +540,9 @@ class PoolConfinement(Rule):
                 yield self._finding(
                     path,
                     node,
-                    f"{name}() outside serving/backends.py (built through "
-                    "ServingPlan.build_backend()) escapes pool sizing and "
-                    "lifecycle policy",
+                    f"{name}() in src/repro: the package constructs no "
+                    "thread or process pool; hand blocking work to the event "
+                    "loop's default executor (run_in_executor(None, ...))",
                 )
 
 

@@ -22,7 +22,7 @@ writing Python:
     Print the topology and layer tree of a saved model bundle.
 ``repro-ids shard-worker``
     Serve shard tasks over TCP for distributed detection: start one worker
-    per host, then point ``repro-ids detect --shard-backend remote
+    per host, then point ``repro-ids detect --shards K
     --remote-workers HOST:PORT,...`` at them.
 ``repro-ids serve``
     Run the async detection gateway: load one model bundle, listen for
@@ -65,7 +65,7 @@ from repro.eval.metrics import binary_metrics, per_category_detection_rates
 from repro.eval.reporting import save_markdown_report, save_results_json
 from repro.eval.tables import format_table
 from repro.exceptions import ReproError
-from repro.serving.config import SHARD_BACKENDS, ServingConfig, ShardingSpec
+from repro.serving.config import ServingConfig, ShardingSpec
 
 #: Bundle v2 embeds the compiled flat arrays + per-leaf tables (detector
 #: format v2), so ``detect`` serves without rebuilding the Python tree;
@@ -219,28 +219,20 @@ def add_serving_args(
             type=int,
             default=None,
             metavar="K",
-            help="serve through K root-subtree shards (scores stay byte-identical)",
-        )
-        group.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker count for the shard backend (default: usable CPU cores)",
-        )
-        group.add_argument(
-            "--shard-backend",
-            choices=SHARD_BACKENDS,
-            default=None,
-            help="how sharded sub-batches execute (default: thread; requires --shards)",
+            help=(
+                "serve through K root-subtree shards, run serially in this "
+                "process unless --remote-workers is given (scores stay "
+                "byte-identical)"
+            ),
         )
         group.add_argument(
             "--remote-workers",
             metavar="HOST:PORT[,HOST:PORT...]",
             default=None,
             help=(
-                "shard-worker addresses for --shard-backend remote (one "
-                "repro-ids shard-worker per address; unreachable workers fail "
-                "over to local serial execution)"
+                "run the shards on these shard workers (one repro-ids "
+                "shard-worker per address; requires --shards; unreachable "
+                "workers fail over to local serial execution)"
             ),
         )
         group.add_argument(
@@ -274,10 +266,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
         overrides["verify"] = True
     if getattr(args, "shards", None) is not None:
         overrides["shards"] = args.shards
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "shard_backend", None) is not None:
-        overrides["backend"] = args.shard_backend
     if getattr(args, "remote_workers", None) is not None:
         overrides["remote_workers"] = args.remote_workers
     if getattr(args, "provisioning", None) is not None:
@@ -382,13 +370,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     X = pipeline.transform(dataset)
     sharding = detector.sharding
     if sharding is not None:
+        workers = (
+            f" ({sharding['workers']} workers)" if sharding["backend"] == "remote" else ""
+        )
         print(
             f"sharded serving: {sharding['n_shards']} shards on the "
-            f"{sharding['backend']} backend ({sharding['workers']} workers)"
+            f"{sharding['backend']} backend{workers}"
         )
     # One pass: scores, decisions and categories all come from a single
     # tree descent instead of one per method call.  Sharded serving is
-    # disabled again afterwards so pooled workers never linger into
+    # disabled again afterwards so remote connections never linger into
     # interpreter shutdown.
     try:
         result = detector.detect(X)
@@ -619,8 +610,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         shard_layout = f"{plan['n_shards']} shards / {plan['backend']} backend"
         if plan["remote_workers"]:
             shard_layout += f" ({','.join(plan['remote_workers'])})"
-        elif plan["workers"]:
-            shard_layout += f" ({plan['workers']} workers)"
     rows = [
         ["dtype", plan["dtype"]],
         ["engine", f"{plan['engine']} (requested {plan['engine_requested']})"],

@@ -314,10 +314,19 @@ class CompiledGhsom:
         """
         # Validation casts straight to the serving dtype: one conversion pass
         # total (float32 serving used to pay a float64 conversion here and a
-        # float32 one right after).  Already-conforming arrays pass through
-        # untouched, so callers that pre-validate at their boundary (the
-        # detector, the streaming wrapper) pay no copy at all.
+        # float32 one right after).
         matrix = check_array_2d(data, "data", dtype=self.codebook.dtype)
+        return self.assign_validated(matrix, engine=engine)
+
+    def assign_validated(
+        self, matrix: AnyArray, *, engine: Optional[str] = None
+    ) -> Tuple[AnyArray, AnyArray]:
+        """:meth:`assign_arrays` on a matrix ``check_array_2d`` already returned.
+
+        ``matrix`` must come from ``check_array_2d(..., dtype=self.dtype)``:
+        a caller that validates at its own boundary (``GhsomDetector.detect``)
+        scans each batch for non-finite values once, not twice.
+        """
         if matrix.shape[1] != self.n_features:
             raise DataValidationError(
                 f"data has {matrix.shape[1]} features, the model expects {self.n_features}"

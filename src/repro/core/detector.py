@@ -490,8 +490,8 @@ class GhsomDetector(BaseAnomalyDetector):
                 snapshot = self._snapshot_for_dtype(current, np.dtype(config.dtype))
         if backend is None and plan.sharded:
             if config.sharding == self._serving.sharding and self._shard_spec is not None:
-                # Unchanged sharding intent keeps the live backend (its pools
-                # and remote connections); only the spec changing rebuilds it.
+                # Unchanged sharding intent keeps the live backend (a remote
+                # backend's connections); only the spec changing rebuilds it.
                 backend = self._shard_spec[1]
             else:
                 backend = plan.build_backend()
@@ -651,14 +651,23 @@ class GhsomDetector(BaseAnomalyDetector):
         self._tables = build_leaf_tables(compiled, self.threshold_, self.labeler)
         return self._tables
 
-    def _score_arrays(self, X):
-        """Shared vectorized front half of every scoring method.
+    def _ingest(self, X):
+        """``X`` validated once and cast to the serving dtype.
 
-        Returns ``(tables, leaf_index, ratios)`` where ``ratios`` are the
-        threshold-normalised distances.  This is the *single*
-        ``assign_arrays`` pass everything in :meth:`detect` derives from.
+        The engines take the result through ``assign_validated``, so each
+        scoring call scans its batch for non-finite values exactly once.
         """
         self._require_fitted(self.is_fitted)
+        return check_array_2d(X, "data", dtype=self._compiled_model().dtype)
+
+    def _score_arrays(self, matrix):
+        """Shared vectorized front half of every scoring method.
+
+        ``matrix`` comes from :meth:`_ingest`.  Returns ``(tables,
+        leaf_index, ratios)`` where ``ratios`` are the threshold-normalised
+        distances.  This is the *single* descent everything in :meth:`detect`
+        derives from.
+        """
         tables = self._leaf_tables()
         # The sharded engine (when configured) returns global leaf rows and
         # distances byte-identical to the compiled engine, so everything
@@ -667,16 +676,18 @@ class GhsomDetector(BaseAnomalyDetector):
         # the sharded engine carries it in its shard fields (set at build).
         serving = self._serving_engine()
         if isinstance(serving, CompiledGhsom):
-            leaf_index, distances = serving.assign_arrays(X, engine=self._serving.engine)
+            leaf_index, distances = serving.assign_validated(
+                matrix, engine=self._serving.engine
+            )
         else:
-            leaf_index, distances = serving.assign_arrays(X)
+            leaf_index, distances = serving.assign_validated(matrix)
         ratios = distances / tables.thresholds[leaf_index]
         return tables, leaf_index, ratios
 
     def detect(self, X) -> DetectionResult:
         """Scores, decisions, categories and leaf rows from **one** descent.
 
-        A single :meth:`CompiledGhsom.assign_arrays` pass feeds every output:
+        One validation and a single descent feed every output:
         the serving path (CLI ``detect``, :class:`OnlineDetector`, the
         evaluation harness) costs one tree descent per batch instead of the
         three that separate ``predict`` / ``score_samples`` /
@@ -692,12 +703,11 @@ class GhsomDetector(BaseAnomalyDetector):
         from repro.serving.config import ServingStats
 
         t_start = perf_counter()
-        self._require_fitted(self.is_fitted)
-        # One cast to the serving dtype at the boundary; the engines' own
-        # validation then passes the converted matrix through untouched, so
-        # this stays a single-descent, single-cast path (and the timing below
-        # cleanly separates ingest from the descent).
-        matrix = check_array_2d(X, "data", dtype=self._compiled_model().dtype)
+        # One validation and one cast to the serving dtype at the boundary;
+        # the engines take the matrix as is, so this stays a single-descent,
+        # single-scan path (and the timing below cleanly separates ingest
+        # from the descent).
+        matrix = self._ingest(X)
         ingest_s = perf_counter() - t_start
         t_score = perf_counter()
         tables, leaf_index, ratios = self._score_arrays(matrix)
@@ -762,7 +772,7 @@ class GhsomDetector(BaseAnomalyDetector):
         :func:`combine_label_and_distance_scores`).  In both modes
         ``score > 1.0`` is exactly the alarm condition used by :meth:`predict`.
         """
-        tables, leaf_index, ratios = self._score_arrays(X)
+        tables, leaf_index, ratios = self._score_arrays(self._ingest(X))
         if tables.is_attack is None:
             return ratios
         return _fold_attack_labels(

@@ -12,8 +12,8 @@ into a serving subsystem:
   every array (codebook, local topology, leaf-table segment, per-leaf
   scoring tables, global-leaf-row remap) that can score its sub-batches
   without the rest of the tree;
-* :mod:`repro.serving.backends` — the local shard executors: serial and
-  thread pool (BLAS releases the GIL during the descent's GEMMs);
+* :mod:`repro.serving.backends` — the shard-executor seam and the serial
+  backend, which runs the shards in the calling thread;
 * :mod:`repro.serving.router` — :class:`ShardedGhsom`, which runs the root
   distance + argmin once, dispatches each sub-batch to its shard, and merges
   results back into input order;
@@ -37,7 +37,7 @@ into a serving subsystem:
   :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
   environment-dependent resolution under one strict/degrade policy;
   :meth:`ServingPlan.build_backend` is the only constructor of a live
-  backend from a backend name) and
+  backend from a resolved plan) and
   :class:`ServingStats` (per-batch stage timings on
   ``DetectionResult.stats``).
 
@@ -48,7 +48,7 @@ exactly, and shards descend via the same
 (see ``tests/test_serving_sharded.py`` for the property tests enforcing it).
 """
 
-from repro.serving.backends import SerialBackend, ShardBackend, ThreadPoolBackend
+from repro.serving.backends import SerialBackend, ShardBackend
 from repro.serving.config import (
     CONFIG_VERSION,
     ArtifactOptions,
@@ -87,7 +87,6 @@ __all__ = [
     "CONFIG_VERSION",
     "ShardBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "RemoteBackend",
     "ShardWorkerServer",
     "DetectionGateway",

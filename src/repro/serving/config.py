@@ -16,7 +16,7 @@ CLI flag block all go through it.  This module holds it and its companions:
 :class:`ServingPlan`
     The *resolved* form: :meth:`ServingConfig.resolve` performs every
     environment-dependent decision — fused-kernel provider availability,
-    usable core counts, remote address parsing — in one place, under one
+    remote address parsing — in one place, under one
     strict/degrade policy (``strict=True`` raises on an unprovidable
     ``"fused"`` request; ``strict=False`` degrades to the numpy engine, the
     per-batch hot-path behaviour).  The plan is still a frozen value object;
@@ -59,9 +59,9 @@ CONFIG_VERSION = 1
 #: :meth:`~repro.core.compiled.CompiledGhsom.astype`.
 SERVING_DTYPES = ("float64", "float32")
 
-#: Shard-backend names a declarative config may carry (instances cannot be
-#: serialized).
-SHARD_BACKENDS = ("serial", "thread", "remote")
+#: Shard-backend names payloads written before the local pools were removed
+#: may carry.  Every local name now reads as serial sharding.
+_LEGACY_LOCAL_BACKENDS = ("serial", "thread", "process")
 
 #: Remote shard-provisioning policies (see
 #: :class:`~repro.serving.remote.RemoteBackend`).
@@ -70,8 +70,8 @@ PROVISIONING_MODES = ("auto", "reference", "value")
 def usable_workers() -> int:
     """Worker count matching the usable cores (affinity-aware).
 
-    The single owner of the "how parallel is this host" question for the
-    whole serving stack — pooled backends and plan resolution both call it.
+    The single owner of the "how parallel is this host" question: the
+    ``inspect`` view and the benchmark provenance both report it.
     """
     try:
         return max(1, len(os.sched_getaffinity(0)))
@@ -115,6 +115,35 @@ def _opt_str(value: object) -> Optional[str]:
     return None if value is None else str(value)
 
 
+def _check_legacy_backend(sharding: Mapping[str, object]) -> None:
+    """Refuse the ``backend``/``workers`` values older readers refused.
+
+    Payloads written before the pool backends were removed name a backend
+    and may carry a worker count.  A local name reads as serial sharding,
+    ``"remote"`` says what the addresses already say, and the worker count is
+    ignored.  What the old validation rejected is still rejected, so a
+    corrupt payload does not start to load.
+    """
+    backend = _opt_str(sharding.get("backend"))
+    workers = _opt_int(sharding.get("workers"))
+    if backend is None and workers is None:
+        return
+    remote = sharding.get("remote_workers") is not None
+    if not sharding.get("shards"):
+        problem = "workers/backend only apply to sharded serving"
+    elif backend not in (None, "remote", *_LEGACY_LOCAL_BACKENDS):
+        problem = f"unknown shard backend {backend!r}"
+    elif backend == "remote" and not remote:
+        problem = "the remote shard backend needs worker addresses"
+    elif backend in _LEGACY_LOCAL_BACKENDS and remote:
+        problem = f"remote_workers conflicts with backend {backend!r}"
+    elif workers is not None and remote:
+        problem = "the remote backend's worker count is its address list"
+    else:
+        return
+    raise ConfigurationError(f"serving config sharding spec: {problem}")
+
+
 def _sub_mapping(data: Mapping[str, object], key: str) -> Dict[str, object]:
     """A payload sub-section as a dict (absent/None becomes empty)."""
     raw = data.get(key) or {}
@@ -133,19 +162,16 @@ def _sub_mapping(data: Mapping[str, object], key: str) -> Dict[str, object]:
 class ShardingSpec:
     """Declarative sharded-serving spec (``shards=None`` means unsharded).
 
+    The addresses choose the backend: shards run on the remote shard workers
+    when ``remote_workers`` is set, and serially in this process otherwise.
+
     Attributes
     ----------
     shards:
         Number of root-subtree shards, or ``None`` for the unsharded engine.
-    workers:
-        Worker count for the thread backend (``None`` = usable cores,
-        resolved by :meth:`ServingConfig.resolve`).
-    backend:
-        ``"serial"``, ``"thread"`` or ``"remote"``; ``None``
-        resolves to the serving default (``"thread"``).
     remote_workers:
-        ``"HOST:PORT[,HOST:PORT...]"`` shard-worker addresses, required by
-        (and only valid with) the remote backend.
+        ``"HOST:PORT[,HOST:PORT...]"`` shard-worker addresses, one
+        ``repro-ids shard-worker`` per address.
     provisioning:
         How remote workers receive the shard set: ``"auto"`` (by reference
         when the sidecar fingerprints match, by value otherwise),
@@ -153,8 +179,6 @@ class ShardingSpec:
     """
 
     shards: Optional[int] = None
-    workers: Optional[int] = None
-    backend: Optional[str] = None
     remote_workers: Optional[str] = None
     provisioning: str = "auto"
 
@@ -165,43 +189,11 @@ class ShardingSpec:
                 raise ConfigurationError(
                     f"n_shards must be >= 1, got {self.shards}"
                 )
-        if not self.shards and (
-            self.workers is not None
-            or self.backend is not None
-            or self.remote_workers is not None
-        ):
-            raise ConfigurationError(
-                "workers/shard_backend/remote_workers only apply to sharded "
-                "serving; pass shards=K (CLI: --shards) to enable it"
-            )
-        if self.workers is not None:
-            object.__setattr__(self, "workers", int(self.workers))
-            if self.workers < 1:
-                raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.backend is not None and self.backend not in SHARD_BACKENDS:
-            raise ConfigurationError(
-                f"unknown shard backend {self.backend!r}; available: {list(SHARD_BACKENDS)}"
-            )
-        if self.remote_workers is not None and self.backend not in (None, "remote"):
-            raise ConfigurationError(
-                f"remote_workers conflicts with shard_backend={self.backend!r}; "
-                "remote worker addresses imply --shard-backend remote"
-            )
-        if self.backend == "remote" and self.remote_workers is None:
-            raise ConfigurationError(
-                "the remote shard backend needs worker addresses; pass "
-                "remote_workers='HOST:PORT[,HOST:PORT...]' (CLI: "
-                "--remote-workers) with one repro-ids shard-worker per address"
-            )
         if self.remote_workers is not None:
-            if self.backend is None:
-                # Addresses imply the remote backend; normalise so equal
-                # intents compare (and serialize) equal.
-                object.__setattr__(self, "backend", "remote")
-            if self.workers is not None:
+            if not self.shards:
                 raise ConfigurationError(
-                    "the remote backend's worker count is its address list; "
-                    "drop workers= and list one HOST:PORT per worker"
+                    "remote worker addresses only apply to sharded serving; "
+                    "pass shards=K (CLI: --shards) to enable it"
                 )
             addresses = _parse_remote_workers(self.remote_workers)
             if not addresses:
@@ -214,11 +206,10 @@ class ShardingSpec:
                 f"unknown provisioning mode {self.provisioning!r}; "
                 f"expected one of {PROVISIONING_MODES}"
             )
-        if self.provisioning != "auto" and self.backend != "remote":
+        if self.provisioning != "auto" and self.remote_workers is None:
             raise ConfigurationError(
                 "provisioning only applies to the remote shard backend; "
-                f"got provisioning={self.provisioning!r} with "
-                f"backend={self.backend!r}"
+                f"got provisioning={self.provisioning!r} without remote_workers"
             )
 
     @property
@@ -295,8 +286,6 @@ class ServingConfig:
             "engine": self.engine,
             "sharding": {
                 "shards": self.sharding.shards,
-                "workers": self.sharding.workers,
-                "backend": self.sharding.backend,
                 "remote_workers": self.sharding.remote_workers,
                 "provisioning": self.sharding.provisioning,
             },
@@ -313,9 +302,9 @@ class ServingConfig:
         Payloads written before the fused-provider pin was removed carry a
         ``provider`` key: ``None`` and ``"cc"`` (the only provider) mean the
         same as no pin, and ``"none"`` — which disabled the fused engine —
-        reads as the numpy engine.  Payloads written before the process-pool
-        backend was removed may name ``"backend": "process"``: it reads as
-        the thread backend with the same ``workers``.
+        reads as the numpy engine.  Payloads written before the pool
+        backends were removed may carry ``backend`` and ``workers``: see
+        :func:`_check_legacy_backend`.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -357,16 +346,12 @@ class ServingConfig:
                 f"unknown fused provider {provider!r} in serving config payload; "
                 "expected 'cc', 'none' or null"
             )
-        backend = _opt_str(sharding.get("backend"))
-        if backend == "process":
-            backend = "thread"
+        _check_legacy_backend(sharding)
         return cls(
             dtype=str(data.get("dtype", "float64")),
             engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
-                workers=_opt_int(sharding.get("workers")),
-                backend=backend,
                 remote_workers=_opt_str(sharding.get("remote_workers")),
                 provisioning=str(sharding.get("provisioning", "auto")),
             ),
@@ -387,22 +372,27 @@ class ServingConfig:
         """Apply flat, CLI-style field overrides on top of this config.
 
         ``overrides`` maps flat knob names — ``dtype``, ``engine``,
-        ``shards``, ``workers``, ``backend``,
-        ``remote_workers``, ``provisioning``, ``mmap``, ``verify`` — to
+        ``shards``, ``remote_workers``, ``provisioning``, ``mmap``,
+        ``verify`` — to
         values; keys that are absent keep this config's value, which is what
         gives CLI flags field-wise precedence over an artifact-embedded
         config.  Overriding any sharding field replaces the *whole* sharding
         spec (a ``--shards 4`` override must not inherit a stale remote
         address list from the artifact).
         """
+        removed = sorted(set(overrides) & {"workers", "backend"})
+        if removed:
+            raise ConfigurationError(
+                f"serving config override {removed[0]!r} was removed: local "
+                "shards run serially, and remote_workers alone selects the "
+                "remote backend"
+            )
         unknown = sorted(
             set(overrides)
             - {
                 "dtype",
                 "engine",
                 "shards",
-                "workers",
-                "backend",
                 "remote_workers",
                 "provisioning",
                 "mmap",
@@ -415,14 +405,12 @@ class ServingConfig:
         top = {key: overrides[key] for key in ("dtype", "engine") if key in overrides}
         if top:
             config = replace(config, **top)
-        shard_keys = ("shards", "workers", "backend", "remote_workers", "provisioning")
+        shard_keys = ("shards", "remote_workers", "provisioning")
         if any(key in overrides for key in shard_keys):
             config = replace(
                 config,
                 sharding=ShardingSpec(
                     shards=_opt_int(overrides.get("shards")),
-                    workers=_opt_int(overrides.get("workers")),
-                    backend=_opt_str(overrides.get("backend")),
                     remote_workers=_opt_str(overrides.get("remote_workers")),
                     provisioning=str(overrides.get("provisioning", "auto")),
                 ),
@@ -456,9 +444,9 @@ class ServingConfig:
           :class:`~repro.exceptions.ConfigurationError` when a ``"fused"``
           request has no provider for ``metric``/``dtype``; ``strict=False``
           degrades to numpy (the hot-path / worker-side policy);
-        * pooled-backend worker counts default to the usable cores
-          (:func:`usable_workers`); the remote backend's worker count is its
-          address list.
+        * a sharded plan runs on the ``"remote"`` backend when the spec
+          lists worker addresses (one worker per address) and on the
+          ``"serial"`` backend (one worker) otherwise.
         """
         requested = self.engine if self.engine is not None else kernels.DEFAULT_ENGINE
         resolved = kernels.resolve_engine(
@@ -469,15 +457,11 @@ class ServingConfig:
         backend: Optional[str] = None
         workers: Optional[int] = None
         remote_workers: Tuple[str, ...] = ()
-        if sharding.enabled:
-            backend = sharding.backend or "thread"
-            if backend == "remote":
-                remote_workers = _parse_remote_workers(sharding.remote_workers or "")
-                workers = len(remote_workers)
-            elif backend == "serial":
-                workers = 1
-            else:
-                workers = sharding.workers if sharding.workers is not None else usable_workers()
+        if sharding.remote_workers is not None:
+            remote_workers = _parse_remote_workers(sharding.remote_workers)
+            backend, workers = "remote", len(remote_workers)
+        elif sharding.enabled:
+            backend, workers = "serial", 1
         return ServingPlan(
             config=self,
             dtype=self.dtype,
@@ -547,8 +531,8 @@ class ServingPlan:
         The single place a declarative plan becomes a running executor:
         ``load_bundle``, ``GhsomDetector.configure`` and the CLI all come
         through here, so backend-construction policy (remote provisioning
-        mode, worker counts) cannot drift between layers.  Returns ``None``
-        for an unsharded plan.
+        mode) cannot drift between layers.  Returns ``None`` for an
+        unsharded plan.
         """
         if not self.sharded:
             return None
@@ -558,11 +542,9 @@ class ServingPlan:
             return RemoteBackend(
                 list(self.remote_workers), provisioning=self.provisioning
             )
-        from repro.serving.backends import SerialBackend, ThreadPoolBackend
+        from repro.serving.backends import SerialBackend
 
-        if self.backend == "serial":
-            return SerialBackend()
-        return ThreadPoolBackend(self.workers)
+        return SerialBackend()
 
     def describe(self) -> Dict[str, object]:
         """Plan provenance plus host diagnostics (the ``inspect`` view)."""

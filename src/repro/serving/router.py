@@ -145,7 +145,7 @@ class ShardedGhsom:
         return summary
 
     def close(self) -> None:
-        """Release the backend's pooled resources."""
+        """Release the backend's resources (a remote backend's connections)."""
         self.backend.close()
 
     # ------------------------------------------------------------------ #
@@ -155,9 +155,17 @@ class ShardedGhsom:
         See the module docstring for the route / dispatch / merge structure.
         """
         # One conversion straight to the serving dtype: check_array_2d hands
-        # back a contiguous array in the target dtype, so already-converted
-        # input (e.g. from GhsomDetector.detect) passes through untouched.
-        matrix = check_array_2d(data, "data", dtype=self._root_codebook.dtype)
+        # back a contiguous array in the target dtype.
+        return self.assign_validated(
+            check_array_2d(data, "data", dtype=self._root_codebook.dtype)
+        )
+
+    def assign_validated(self, matrix: AnyArray) -> Tuple[AnyArray, AnyArray]:
+        """:meth:`assign_arrays` on a matrix ``check_array_2d`` already returned.
+
+        ``matrix`` must be C-contiguous in the serving dtype, as
+        ``GhsomDetector.detect`` hands it over after validating the batch.
+        """
         if matrix.shape[1] != self.n_features:
             raise DataValidationError(
                 f"data has {matrix.shape[1]} features, the model expects {self.n_features}"
@@ -210,7 +218,7 @@ class ShardedGhsom:
             merge_s = perf_counter() - t_merge
         self.last_timings = {"route_s": route_s, "descend_s": descend_s, "merge_s": merge_s}
         # repro-lint: disable=RPL003 -- same result-widening contract as
-        # CompiledGhsom.assign_arrays; a no-op for the float64 engine.
+        # CompiledGhsom.assign_validated; a no-op for the float64 engine.
         return leaf_index, distances.astype(np.float64, copy=False)
 
     def transform(self, data: object) -> AnyArray:

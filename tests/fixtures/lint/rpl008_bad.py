@@ -1,4 +1,4 @@
-"""RPL008 bad: an ad-hoc pool outside the backend seam."""
+"""RPL008 bad: a pool constructed inside the package."""
 
 from concurrent.futures import ThreadPoolExecutor
 

@@ -1,12 +1,15 @@
-"""RPL008 good: pooling goes through ServingPlan.build_backend (sizing + lifecycle policy)."""
+"""RPL008 good: blocking work goes to the event loop's default executor."""
+
+import asyncio
 
 from repro.serving import ServingConfig, ShardingSpec
 
 
-def run_all(shards, tasks):
-    config = ServingConfig(sharding=ShardingSpec(shards=4, backend="thread", workers=4))
-    backend = config.resolve().build_backend()
+async def run_all(shards, tasks):
+    backend = ServingConfig(sharding=ShardingSpec(shards=4)).resolve().build_backend()
     try:
-        return backend.run(shards, tasks)
+        return await asyncio.get_running_loop().run_in_executor(
+            None, backend.run, shards, tasks
+        )
     finally:
         backend.close()

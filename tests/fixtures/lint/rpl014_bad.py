@@ -1,16 +1,15 @@
 """RPL014 bad: an executor callable reaches back into asyncio state."""
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 
 class Bridge:
-    def __init__(self):
+    def __init__(self, loop):
         self._done = asyncio.Event()
-        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._loop = loop
 
     def kick(self):
-        self._pool.submit(self._work)
+        self._loop.run_in_executor(None, self._work)
 
     def _work(self):
         self._done.set()

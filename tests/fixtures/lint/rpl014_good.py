@@ -1,17 +1,15 @@
 """RPL014 good: executor callables hand results back thread-safely."""
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 
 class Bridge:
     def __init__(self, loop):
         self._done = asyncio.Event()
         self._loop = loop
-        self._pool = ThreadPoolExecutor(max_workers=1)
 
     def kick(self):
-        self._pool.submit(self._work)
+        self._loop.run_in_executor(None, self._work)
 
     def _work(self):
         self._loop.call_soon_threadsafe(self._done.set)

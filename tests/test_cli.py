@@ -56,11 +56,20 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_removed_process_shard_backend_exits_2(self, capsys):
+        # The process backend went first; --shard-backend and --workers
+        # followed with the thread backend.
         argv = ["detect", "--model", "m", "--input", "i", "--shards", "2"]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--shard-backend", "process"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        for removed in (
+            ["--shard-backend", "process"],
+            ["--shard-backend", "thread"],
+            ["--shard-backend", "serial"],
+            ["--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, *removed])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(removed)}" in err
 
 
 class TestGenerateAndSimulate:
@@ -261,14 +270,15 @@ class TestTrainDetectInspect:
         """The serving path must descend the tree once per invocation, not thrice."""
         from repro.core.compiled import CompiledGhsom
 
+        # Every descent, validated by the caller or not, enters here.
         calls = []
-        original = CompiledGhsom.assign_arrays
+        original = CompiledGhsom.assign_validated
 
-        def counting(self, data, **kwargs):
-            calls.append(len(np.asarray(data)))
-            return original(self, data, **kwargs)
+        def counting(self, matrix, **kwargs):
+            calls.append(len(matrix))
+            return original(self, matrix, **kwargs)
 
-        monkeypatch.setattr(CompiledGhsom, "assign_arrays", counting)
+        monkeypatch.setattr(CompiledGhsom, "assign_validated", counting)
         assert main(
             ["detect", "--model", str(trained_model_path), "--input", str(data_dir / "test.csv")]
         ) == 0

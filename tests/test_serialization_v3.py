@@ -173,24 +173,46 @@ class TestMmapServing:
         leaf_index, _ = loaded.model.assign_arrays(test_matrix)
         assert np.array_equal(leaf_index, detector.detect(test_matrix).leaf_index)
 
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    @pytest.mark.parametrize("backend", ("serial",))
     def test_sharded_load_paths_byte_identical(
         self, detectors, v3_artifact, test_matrix, backend
     ):
         expected = detectors[("labelled", "per_unit")].detect(test_matrix)
         loaded = load_detector(
-            v3_artifact,
-            config=ServingConfig(
-                sharding=ShardingSpec(
-                    shards=3, backend=backend, workers=None if backend == "serial" else 2
-                )
-            ),
+            v3_artifact, config=ServingConfig(sharding=ShardingSpec(shards=3))
         )
         try:
+            assert loaded.sharding["backend"] == backend
             observed = loaded.detect(test_matrix)
         finally:
             loaded.configure(ServingConfig())
         assert np.array_equal(observed.scores, expected.scores)
+        assert list(observed.categories) == list(expected.categories)
+
+    def test_embedded_thread_backend_config_serves_serially(
+        self, detectors, v3_artifact, test_matrix, tmp_path
+    ):
+        """An artifact whose config names the removed thread backend still loads."""
+
+        def embed_thread_config(json_path, sidecar):
+            payload = json.loads(json_path.read_text())
+            payload["serving_config"]["sharding"] = {
+                "shards": 3,
+                "backend": "thread",
+                "workers": 2,
+            }
+            json_path.write_text(json.dumps(payload))
+
+        path = _corrupt_copy(v3_artifact, tmp_path, embed_thread_config)
+        loaded = load_detector(path)
+        try:
+            assert loaded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
+            observed = loaded.detect(test_matrix)
+        finally:
+            loaded.configure(ServingConfig())
+        expected = detectors[("labelled", "per_unit")].detect(test_matrix)
+        assert np.array_equal(observed.scores, expected.scores)
+        assert np.array_equal(observed.leaf_index, expected.leaf_index)
         assert list(observed.categories) == list(expected.categories)
 
     def test_shards_are_memmap_views_and_pickle_by_reference(self, v3_artifact):

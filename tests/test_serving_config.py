@@ -9,6 +9,9 @@ ServingPlan under both the strict and the degrade policy.
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,7 @@ from repro.serving import (
     effective_config,
     usable_workers,
 )
-from repro.serving.backends import SerialBackend, ThreadPoolBackend
+from repro.serving.backends import SerialBackend
 from repro.serving.config import CONFIG_VERSION
 from repro.serving.remote import RemoteBackend
 
@@ -62,31 +65,44 @@ class TestValidation:
 
     def test_workers_without_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
-            ShardingSpec(workers=4)
+            ServingConfig.from_dict(_parent_payload(shards=None, workers=4))
 
     def test_backend_without_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
-            ShardingSpec(backend="thread")
+            ServingConfig.from_dict(_parent_payload(shards=None, backend="thread"))
+
+    def test_remote_workers_without_shards_rejected(self):
+        with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
+            ShardingSpec(remote_workers="h:1")
+
+    def test_spec_has_no_backend_or_worker_fields(self):
+        assert [f.name for f in fields(ShardingSpec)] == [
+            "shards",
+            "remote_workers",
+            "provisioning",
+        ]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="n_shards must be >= 1"):
             ShardingSpec(shards=0)
 
     def test_remote_workers_with_local_backend_rejected(self):
+        payload = _parent_payload(backend="thread", remote_workers="h:1")
         with pytest.raises(ConfigurationError, match="remote_workers conflicts"):
-            ShardingSpec(shards=2, backend="thread", remote_workers="h:1")
+            ServingConfig.from_dict(payload)
 
     def test_remote_backend_without_addresses_rejected(self):
         with pytest.raises(ConfigurationError, match="needs worker addresses"):
-            ShardingSpec(shards=2, backend="remote")
+            ServingConfig.from_dict(_parent_payload(backend="remote"))
 
     def test_remote_workers_with_worker_count_rejected(self):
+        payload = _parent_payload(remote_workers="h:1", workers=3)
         with pytest.raises(ConfigurationError, match="address list"):
-            ShardingSpec(shards=2, remote_workers="h:1", workers=3)
+            ServingConfig.from_dict(payload)
 
     def test_remote_workers_imply_remote_backend(self):
         spec = ShardingSpec(shards=2, remote_workers="localhost:9001")
-        assert spec.backend == "remote"
+        assert ServingConfig(sharding=spec).resolve().backend == "remote"
 
     def test_remote_workers_are_canonicalised(self):
         spec = ShardingSpec(shards=2, remote_workers=" a:1 , b:2 ,")
@@ -94,7 +110,7 @@ class TestValidation:
 
     def test_provisioning_without_remote_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="provisioning only applies"):
-            ShardingSpec(shards=2, backend="thread", provisioning="value")
+            ShardingSpec(shards=2, provisioning="value")
 
     def test_sharding_must_be_a_spec(self):
         with pytest.raises(ConfigurationError, match="must be a ShardingSpec"):
@@ -108,19 +124,29 @@ class TestValidation:
 # --------------------------------------------------------------------------- #
 # JSON round trip
 # --------------------------------------------------------------------------- #
+def _parent_payload(shards=3, **sharding) -> dict:
+    """A serving-config payload as a writer with ``backend``/``workers`` wrote it."""
+    return {
+        "config_version": 1,
+        "dtype": "float64",
+        "engine": None,
+        "sharding": {
+            "shards": shards,
+            "workers": None,
+            "backend": None,
+            "remote_workers": None,
+            "provisioning": "auto",
+            **sharding,
+        },
+        "artifact": {"mmap": True, "verify": False},
+    }
+
+
 def _configs() -> st.SearchStrategy[ServingConfig]:
     """Any constructible ServingConfig (validation-consistent by design)."""
     local = st.builds(
         ShardingSpec,
         shards=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
-        workers=st.none(),
-        backend=st.none(),
-    )
-    pooled = st.builds(
-        ShardingSpec,
-        shards=st.integers(min_value=1, max_value=64),
-        workers=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
-        backend=st.sampled_from(["serial", "thread"]),
     )
     remote = st.builds(
         ShardingSpec,
@@ -134,7 +160,7 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
         ServingConfig,
         dtype=st.sampled_from(["float64", "float32"]),
         engine=st.sampled_from([None, "numpy", "fused", "auto"]),
-        sharding=st.one_of(local, pooled, remote),
+        sharding=st.one_of(local, remote),
         artifact=st.builds(ArtifactOptions, mmap=st.booleans(), verify=st.booleans()),
     )
 
@@ -150,8 +176,6 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(config=_configs())
     def test_payload_is_json_compatible(self, config):
-        import json
-
         assert ServingConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     @pytest.mark.parametrize("provider", [None, "cc"])
@@ -166,13 +190,30 @@ class TestRoundTrip:
         payload = {**ServingConfig(engine=engine).to_dict(), "provider": "none"}
         assert ServingConfig.from_dict(payload) == ServingConfig(engine="numpy")
 
-    def test_parent_format_process_backend_reads_as_thread(self):
-        config = ServingConfig(sharding=ShardingSpec(shards=3, backend="thread", workers=2))
-        payload = config.to_dict()
-        payload["sharding"]["backend"] = "process"
-        assert ServingConfig.from_dict(payload) == config
+    def test_payload_carries_no_backend_or_workers(self):
+        payload = ServingConfig(sharding=ShardingSpec(shards=3)).to_dict()
+        assert set(payload["sharding"]) == {"shards", "remote_workers", "provisioning"}
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_parent_format_local_backend_reads_as_serial(self, backend, workers):
+        payload = _parent_payload(backend=backend, workers=workers)
+        config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
+        assert config == ServingConfig(sharding=ShardingSpec(shards=3))
+        plan = config.resolve()
+        assert (plan.n_shards, plan.backend, plan.workers) == (3, "serial", 1)
+
+    def test_parent_format_remote_backend_reads_as_remote(self):
+        payload = _parent_payload(backend="remote", remote_workers="a:1,b:2")
+        config = ServingConfig.from_dict(payload)
+        assert config.sharding == ShardingSpec(shards=3, remote_workers="a:1,b:2")
+        plan = config.resolve()
+        assert (plan.n_shards, plan.backend, plan.workers) == (3, "remote", 2)
+
+    @pytest.mark.parametrize("backend", ["quantum", "Thread", ""])
+    def test_parent_format_unknown_backend_rejected(self, backend):
         with pytest.raises(ConfigurationError, match="unknown shard backend"):
-            ShardingSpec(shards=3, backend="process")
+            ServingConfig.from_dict(_parent_payload(backend=backend))
 
     @pytest.mark.parametrize(
         "section, values",
@@ -207,7 +248,7 @@ class TestRoundTrip:
         payload = ServingConfig().to_dict()
         payload["sharding"] = {**payload["sharding"], "shards": 3.0, "workers": 2.0}
         config = ServingConfig.from_dict(payload)
-        assert (config.sharding.shards, config.sharding.workers) == (3, 2)
+        assert config.sharding == ShardingSpec(shards=3)
 
     def test_wrong_version_rejected(self):
         payload = ServingConfig().to_dict()
@@ -267,7 +308,15 @@ class TestOverrides:
 
     def test_override_validation_matches_construction(self):
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
-            ServingConfig().with_overrides({"workers": 4})
+            ServingConfig().with_overrides({"remote_workers": "h:1"})
+
+    @pytest.mark.parametrize(
+        "overrides", [{"workers": 2}, {"backend": "thread"}, {"shards": 2, "workers": 2}]
+    )
+    def test_removed_knob_overrides_rejected(self, overrides):
+        knob = "workers" if "workers" in overrides else "backend"
+        with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
+            ServingConfig().with_overrides(overrides)
 
 
 class TestEffectiveConfig:
@@ -346,27 +395,12 @@ class TestResolve:
         assert plan.workers is None
         assert plan.build_backend() is None
 
-    def test_sharded_backend_defaults_to_thread(self):
-        plan = ServingConfig(sharding=ShardingSpec(shards=3)).resolve()
-        assert plan.backend == "thread"
-        assert plan.workers == usable_workers()
-
     def test_serial_backend_pins_one_worker(self):
-        plan = ServingConfig(
-            sharding=ShardingSpec(shards=3, backend="serial")
-        ).resolve()
+        plan = ServingConfig(sharding=ShardingSpec(shards=3)).resolve()
+        assert plan.backend == "serial"
         assert plan.workers == 1
         backend = plan.build_backend()
         assert isinstance(backend, SerialBackend)
-
-    def test_explicit_worker_count_survives(self):
-        plan = ServingConfig(
-            sharding=ShardingSpec(shards=3, backend="thread", workers=2)
-        ).resolve()
-        assert plan.workers == 2
-        backend = plan.build_backend()
-        assert isinstance(backend, ThreadPoolBackend)
-        assert backend.workers == 2
 
     def test_remote_worker_count_is_the_address_list(self):
         plan = ServingConfig(
@@ -383,8 +417,6 @@ class TestResolve:
         assert backend._provisioning == "value"
 
     def test_plan_to_dict_is_json_compatible(self):
-        import json
-
         plan = ServingConfig(sharding=ShardingSpec(shards=2)).resolve()
         payload = json.loads(json.dumps(plan.to_dict()))
         assert payload["n_shards"] == 2

@@ -141,7 +141,7 @@ class TestConfigure:
     ):
         detector = _fresh_detector(json_bundle)
         detector.configure(
-            ServingConfig(sharding=ShardingSpec(shards=3, backend="serial"))
+            ServingConfig(sharding=ShardingSpec(shards=3))
         )
         try:
             scores = np.asarray(detector.detect(workload["X_test"]).scores)
@@ -160,7 +160,7 @@ class TestOrderIndependence:
         knobs = {
             "engine": {"engine": "numpy"},
             "dtype": {"dtype": "float32"},
-            "sharding": {"sharding": ShardingSpec(shards=2, backend="serial")},
+            "sharding": {"sharding": ShardingSpec(shards=2)},
         }
         configs, scores = [], []
         for ordering in itertools.permutations(knobs):
@@ -174,7 +174,7 @@ class TestOrderIndependence:
         expected = ServingConfig(
             dtype="float32",
             engine="numpy",
-            sharding=ShardingSpec(shards=2, backend="serial"),
+            sharding=ShardingSpec(shards=2),
         )
         assert configs[0] == expected
         for other in scores[1:]:
@@ -192,7 +192,7 @@ class TestArtifactEmbeddedConfig:
         configured = ServingConfig(
             dtype="float32",
             engine="numpy",
-            sharding=ShardingSpec(shards=3, backend="serial"),
+            sharding=ShardingSpec(shards=3),
         )
         detector = _fresh_detector(json_bundle)
         detector.configure(configured)
@@ -256,7 +256,7 @@ class TestArtifactEmbeddedConfig:
 
     def test_config_survives_a_refit(self, json_bundle, workload):
         configured = ServingConfig(
-            dtype="float32", sharding=ShardingSpec(shards=2, backend="serial")
+            dtype="float32", sharding=ShardingSpec(shards=2)
         )
         detector = _fresh_detector(json_bundle)
         detector.configure(configured)
@@ -303,7 +303,7 @@ class TestDetectionStats:
         assert stats.plan == fitted.resolved_plan().to_dict()
 
     def test_sharded_stats_carry_plan_provenance(self, json_bundle, workload):
-        _, detector = load_bundle(json_bundle, overrides={"shards": 2, "backend": "serial"})
+        _, detector = load_bundle(json_bundle, overrides={"shards": 2})
         try:
             stats = detector.detect(workload["X_test"]).stats
         finally:
@@ -311,6 +311,46 @@ class TestDetectionStats:
         assert stats.sharded is True
         assert stats.plan["n_shards"] == 2
         assert stats.plan["backend"] == "serial"
+
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_detect_validates_each_batch_once(
+        self, json_bundle, workload, monkeypatch, n_shards
+    ):
+        import time
+
+        import repro.core.compiled
+        import repro.core.detector
+        import repro.serving.router
+        from repro.exceptions import DataValidationError
+        from repro.utils.validation import check_array_2d
+
+        _, detector = load_bundle(
+            json_bundle, overrides={"shards": n_shards} if n_shards else None
+        )
+        X = workload["X_test"]
+        detector.detect(X)  # builds the sharded engine outside the count
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1] if len(args) > 1 else kwargs.get("name"))
+            time.sleep(0.02)  # must show up in ingest_s
+            return check_array_2d(*args, **kwargs)
+
+        for module in (repro.core.detector, repro.core.compiled, repro.serving.router):
+            monkeypatch.setattr(module, "check_array_2d", counting)
+        try:
+            stats = detector.detect(X).stats
+            assert len(calls) == 1, calls
+            assert stats.ingest_s >= 0.02
+            # Callers of the engines' public entry point are still validated.
+            bad = X[:3].copy()
+            bad[0, 0] = np.nan
+            engine = detector._serving_engine()
+            with pytest.raises(DataValidationError, match="NaN or infinite"):
+                engine.assign_arrays(bad)
+            assert len(calls) == 2
+        finally:
+            detector.configure(ServingConfig())
 
 
 # --------------------------------------------------------------------------- #
@@ -339,7 +379,6 @@ class TestCliHelpers:
                 "--no-mmap",
                 "--verify",
                 "--shards", "4",
-                "--shard-backend", "remote",
                 "--remote-workers", "a:1,b:2",
                 "--provisioning", "value",
             ]

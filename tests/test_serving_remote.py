@@ -93,7 +93,7 @@ def binary_bundle(workload, fitted, tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference(binary_bundle, workload):
     """Serial-backend detection result: the byte-identity gold standard."""
-    _, detector = load_bundle(binary_bundle, overrides={"shards": 4, "backend": "serial"})
+    _, detector = load_bundle(binary_bundle, overrides={"shards": 4})
     try:
         return detector.detect(workload["X_test"])
     finally:
@@ -150,14 +150,13 @@ class TestRemoteEquivalence:
             assert backend.stats["connects"] == 2
         _assert_identical(result, reference)
 
-    def test_remote_matches_thread_backend(self, binary_bundle, workload):
+    def test_remote_matches_serial_backend(self, binary_bundle, workload):
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             remote = _detect_remote(
                 binary_bundle, workload, RemoteBackend([worker.address])
             )
-        _, detector = load_bundle(
-            binary_bundle, overrides={"shards": 4, "backend": "thread", "workers": 2}
-        )
+        _, detector = load_bundle(binary_bundle, overrides={"shards": 4})
+        assert detector.sharding["backend"] == "serial"
         try:
             local = detector.detect(workload["X_test"])
         finally:
@@ -741,17 +740,10 @@ class TestConstruction:
             RemoteBackend([("127.0.0.1", 7001)], provisioning="street-magic")
 
     def test_load_bundle_remote_validation(self, binary_bundle):
-        with pytest.raises(ConfigurationError, match="remote"):
+        with pytest.raises(ConfigurationError, match="at least one worker address"):
+            load_bundle(binary_bundle, overrides={"shards": 2, "remote_workers": ","})
+        with pytest.raises(ConfigurationError, match="'backend' was removed"):
             load_bundle(binary_bundle, overrides={"shards": 2, "backend": "remote"})
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            load_bundle(
-                binary_bundle,
-                overrides={
-                    "shards": 2,
-                    "backend": "thread",
-                    "remote_workers": "127.0.0.1:7001",
-                },
-            )
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
             load_bundle(binary_bundle, overrides={"remote_workers": "127.0.0.1:7001"})
 
@@ -775,8 +767,6 @@ class TestCli:
                     str(input_csv),
                     "--shards",
                     "4",
-                    "--shard-backend",
-                    "remote",
                     "--remote-workers",
                     f"{worker.address[0]}:{worker.address[1]}",
                 ]
@@ -801,10 +791,10 @@ class TestCli:
                 str(tmp_path / "missing.csv"),
                 "--shards",
                 "2",
-                "--shard-backend",
-                "remote",
+                "--remote-workers",
+                ",",
             ]
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "remote" in captured.err
+        assert "needs at least one worker address" in captured.err

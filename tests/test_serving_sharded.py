@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import shutil
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.exceptions import ConfigurationError
 from repro.serving import (
     ShardedGhsom,
     ShardingSpec,
-    ThreadPoolBackend,
     build_shards,
     plan_shards,
     subtrees_from_compiled,
@@ -53,11 +51,11 @@ FIT_SETTINGS = {
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 
-def _shard(detector, n_shards=None, backend="serial", workers=None):
+def _shard(detector, n_shards=None, provisioning="auto"):
     """Serve ``detector`` through ``n_shards`` root-subtree shards (``None``: unsharded)."""
     spec = ShardingSpec()
     if n_shards:
-        spec = ShardingSpec(shards=n_shards, backend=backend, workers=workers)
+        spec = ShardingSpec(shards=n_shards, provisioning=provisioning)
     return detector.configure(detector.serving_config.evolve(sharding=spec))
 
 
@@ -368,15 +366,14 @@ class TestShardSelfContainment:
 # router + backends: byte-identity
 # --------------------------------------------------------------------------- #
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_engine_equivalence_across_shard_counts(self, compiled, workload, backend):
         X = workload["X_test"]
         reference = compiled.assign_arrays(X)
         n_subtrees = len(subtrees_from_compiled(compiled))
         for n_shards in {1, 2, max(1, n_subtrees)}:
-            engine = ShardedGhsom.from_compiled(
-                compiled, n_shards, backend=ThreadPoolBackend(2) if backend == "thread" else None
-            )
+            engine = ShardedGhsom.from_compiled(compiled, n_shards)
+            assert engine.backend.name == backend
             leaf, dist = engine.assign_arrays(X)
             np.testing.assert_array_equal(leaf, reference[0])
             np.testing.assert_array_equal(dist, reference[1])
@@ -401,7 +398,7 @@ class TestShardedEquivalence:
         detector = GhsomDetector(detector_config, random_state=0).fit(workload["X_train"])
         X = workload["X_test"]
         reference = detector.detect(X)
-        _shard(detector, 4, backend="thread", workers=2)
+        _shard(detector, 4)
         result = detector.detect(X)
         np.testing.assert_array_equal(result.scores, reference.scores)
         assert result.categories == reference.categories
@@ -432,67 +429,8 @@ class TestShardedEquivalence:
         with pytest.raises(ConfigurationError):
             _shard(labelled_detector, -1)
         with pytest.raises(ConfigurationError):
-            _shard(labelled_detector, 2, backend="quantum")
+            _shard(labelled_detector, 2, provisioning="quantum")
         assert labelled_detector.sharding is None  # failed calls leave it unsharded
-
-    def test_thread_backend_rejects_bad_worker_counts(self):
-        with pytest.raises(ConfigurationError):
-            ThreadPoolBackend(workers=0)
-        with pytest.raises(ConfigurationError):
-            ShardingSpec(shards=2, backend="thread", workers=0)
-        assert ThreadPoolBackend(workers=3).workers == 3
-
-
-class _ExplodingShard:
-    """Stands in for a shard whose worker-side execution fails."""
-
-    def assign_entries(self, matrix, entries):
-        raise RuntimeError("worker exploded")
-
-
-class _BrokenPool:
-    """An executor that is already broken when asked to run a task."""
-
-    def submit(self, *args, **kwargs):
-        raise BrokenExecutor("pool died")
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class TestBackendFailureSurface:
-    @pytest.mark.parametrize("backend_name", ["thread"])
-    def test_worker_failure_wrapped_in_serving_error(self, backend_name, workload):
-        from repro.exceptions import ServingError
-
-        X = np.ascontiguousarray(workload["X_test"][:7])
-        task = (0, X, np.zeros(X.shape[0], dtype=np.intp))
-        for n_tasks in (1, 2):  # the inline path, then the pool
-            with ThreadPoolBackend(workers=1) as backend:
-                with pytest.raises(ServingError) as excinfo:
-                    backend.run((_ExplodingShard(),), [task] * n_tasks)
-            message = str(excinfo.value)
-            assert backend_name in message  # names the backend
-            assert "shard 0" in message  # names the shard
-            assert "7 records" in message  # names the task size
-            assert "RuntimeError" in message  # keeps the cause visible
-
-    def test_broken_thread_pool_wrapped_and_pool_rebuilt(self, compiled, workload):
-        """A broken executor surfaces as ServingError and is rebuilt on reuse."""
-        from repro.exceptions import ServingError
-
-        X = np.ascontiguousarray(workload["X_test"][:5])
-        tasks = [(0, X, np.zeros(X.shape[0], dtype=np.intp))] * 2
-        shards = build_shards(compiled, plan_shards(compiled, 1))
-        with ThreadPoolBackend(workers=2) as backend:
-            backend._pool = _BrokenPool()
-            with pytest.raises(ServingError, match="thread shard backend failed"):
-                backend.run(shards, tasks)
-            assert backend._pool is None  # the broken pool was closed
-            reference = shards[0].assign_entries(X, np.zeros(X.shape[0], dtype=np.intp))
-            for result in backend.run(shards, tasks):
-                np.testing.assert_array_equal(result[0], reference[0])
-                np.testing.assert_array_equal(result[1], reference[1])
 
 
 class TestShardedBundle:
@@ -502,8 +440,8 @@ class TestShardedBundle:
         path = tmp_path / "bundle.json"
         save_bundle(pipeline, labelled_detector, path)
         _, plain = load_bundle(path)
-        _, sharded = load_bundle(path, overrides={"shards": 3, "workers": 2, "backend": "thread"})
-        assert sharded.sharding == {"n_shards": 3, "backend": "thread", "workers": 2}
+        _, sharded = load_bundle(path, overrides={"shards": 3})
+        assert sharded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
         X = workload["X_test"]
         reference = plain.detect(X)
         result = sharded.detect(X)
@@ -513,19 +451,20 @@ class TestShardedBundle:
         assert not sharded.tree_is_materialized
         _shard(sharded)
 
-    def test_parent_payload_with_process_backend_serves_on_threads(
-        self, labelled_detector, workload
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_parent_payload_with_pool_backend_serves_serially(
+        self, labelled_detector, workload, backend
     ):
         payload = detector_to_dict(labelled_detector)
         payload["serving_config"]["sharding"] = {
             "shards": 3,
             "workers": 2,
-            "backend": "process",
+            "backend": backend,
             "remote_workers": None,
             "provisioning": "auto",
         }
         loaded = detector_from_dict(json.loads(json.dumps(payload)))
-        assert loaded.sharding == {"n_shards": 3, "backend": "thread", "workers": 2}
+        assert loaded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
         X = workload["X_test"]
         reference = labelled_detector.detect(X)
         result = loaded.detect(X)
@@ -541,11 +480,11 @@ class TestShardedBundle:
         pipeline.fit_transform(KddSyntheticGenerator(random_state=23).generate(200))
         path = tmp_path / "bundle.json"
         save_bundle(pipeline, labelled_detector, path)
-        # workers / shard_backend only make sense with shards=K: reject the
-        # call instead of silently serving unsharded.
-        with pytest.raises(ReproError):
+        # The workers / backend knobs are gone: naming one is an error, not a
+        # silently ignored flag.
+        with pytest.raises(ReproError, match="'workers' was removed"):
             load_bundle(path, overrides={"workers": 4})
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="'backend' was removed"):
             load_bundle(path, overrides={"backend": "thread"})
 
 
