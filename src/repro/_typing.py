@@ -2,9 +2,9 @@
 
 ``mypy --strict`` (see ``mypy.ini``) forbids bare generics, so ``np.ndarray``
 annotations need explicit parameters.  The serving stack intentionally types
-arrays loosely — dtypes are a *runtime* contract (float32/float64 chosen per
-:class:`~repro.serving.config.ServingConfig`), so pinning them in the type
-system would either lie or force casts at every call site.
+arrays loosely — dtypes are a *runtime* contract (float64 samples and
+codebooks, integer topology and leaf tables, memory-mapped or not), so
+pinning them in the type system would force casts at every call site.
 """
 
 from __future__ import annotations

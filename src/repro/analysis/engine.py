@@ -18,8 +18,8 @@ Suppression syntax
 A violation is silenced by a ``# repro-lint: disable=RPLxxx`` comment either
 on the flagged line itself or on a comment-only line directly above it::
 
-    # repro-lint: disable=RPL003 -- documented float64 result contract
-    return distances.astype(np.float64, copy=False)
+    # repro-lint: disable=RPL004 -- handshake runs before any reader thread
+    send_frame(sock, hello)
 
 Several codes may be listed, comma separated.  Suppressions are expected to
 carry an inline justification after the code list; the linter does not parse

@@ -217,14 +217,13 @@ class PickleTrustBoundary(Rule):
 class HotPathDtypeConversion(Rule):
     """No float dtype conversions inside the descent/scoring hot path.
 
-    The convert-once contract: input matrices are cast exactly once, at the
-    ``check_array_2d(dtype=...)`` ingest boundary; after that the hot path
+    The convert-once contract: input matrices are converted exactly once, at
+    the ``check_array_2d`` ingest boundary; after that the hot path
     (``assign_arrays`` / ``assign_validated`` / ``assign_entries`` /
-    ``frontier_descent``) must
-    operate on the arrays as-is, because an ``astype``/``asarray(dtype=...)``
-    there silently copies the whole batch every call.  Index/mask dtype
-    conversions (``intp``/``int64``/…) are bookkeeping and stay legal; the
-    documented result-widening sites carry inline suppressions.
+    ``frontier_descent``) must operate on the arrays as-is, because an
+    ``astype``/``asarray(dtype=...)`` there silently copies the whole batch
+    every call.  Index/mask dtype conversions (``intp``/``int64``/…) are
+    bookkeeping and stay legal.
     """
 
     code = "RPL003"

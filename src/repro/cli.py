@@ -129,7 +129,7 @@ def load_bundle(
     bundle memory-maps the ``.npz`` sidecar next to the JSON file.
 
     How the loaded detector serves is one declarative object — a
-    :class:`repro.serving.ServingConfig` covering dtype, compute engine,
+    :class:`repro.serving.ServingConfig` covering the compute engine,
     sharding and artifact options.  Precedence follows
     :func:`repro.serving.config.effective_config`: pass ``config=`` (a full
     config, wins wholesale), or ``overrides=`` (flat field overrides — the
@@ -141,10 +141,8 @@ def load_bundle(
 
     Resolution is *strict* at load time — e.g. requesting the ``"fused"``
     engine on a host without a kernel provider fails here instead of at the
-    first score.  Scores stay byte-identical to the unsharded float64 engine
-    for every sharding setup (``overrides={"shards": K}``);
-    ``overrides={"dtype": "float32"}`` opts into the narrowed serving mode
-    (see :meth:`repro.core.CompiledGhsom.astype`).
+    first score.  Scores stay byte-identical to the unsharded engine for
+    every sharding setup (``overrides={"shards": K}``).
     """
     path = Path(path)
     payload = json.loads(path.read_text())
@@ -170,7 +168,6 @@ def load_bundle(
 def add_serving_args(
     parser: argparse.ArgumentParser,
     *,
-    dtype: bool = True,
     artifact: bool = True,
     sharding: bool = True,
     engine_help: Optional[str] = None,
@@ -184,12 +181,6 @@ def add_serving_args(
     :func:`serving_overrides_from_args`.
     """
     group = parser.add_argument_group("serving options")
-    if dtype:
-        group.add_argument(
-            "--float32",
-            action="store_true",
-            help="serve in float32 (faster on large models; scores drift ~1e-4 relative)",
-        )
     group.add_argument(
         "--engine",
         choices=("numpy", "fused", "auto"),
@@ -256,8 +247,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
     :func:`repro.serving.config.effective_config`).
     """
     overrides: Dict[str, object] = {}
-    if getattr(args, "float32", False):
-        overrides["dtype"] = "float32"
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
     if getattr(args, "no_mmap", False):
@@ -391,7 +380,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     stats = result.stats
     if stats is not None:
         print(
-            f"serving: engine={stats.engine} dtype={stats.dtype} "
+            f"serving: engine={stats.engine} "
             f"ingest {stats.ingest_s * 1e3:.1f} ms, route {stats.route_s * 1e3:.1f} ms, "
             f"descend {stats.descend_s * 1e3:.1f} ms, merge {stats.merge_s * 1e3:.1f} ms "
             f"(total {stats.total_s * 1e3:.1f} ms)"
@@ -513,7 +502,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_pending_rows=args.max_pending_rows,
     )
     plan = detector.resolved_plan()
-    plan_text = f"dtype={plan.dtype} engine={plan.engine}" + (
+    plan_text = f"engine={plan.engine}" + (
         f" shards={plan.n_shards} backend={plan.backend}" if plan.sharded else ""
     )
     print(
@@ -611,7 +600,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if plan["remote_workers"]:
             shard_layout += f" ({','.join(plan['remote_workers'])})"
     rows = [
-        ["dtype", plan["dtype"]],
         ["engine", f"{plan['engine']} (requested {plan['engine_requested']})"],
         ["provider", plan["provider"] or "-"],
         ["sharding", shard_layout],
@@ -731,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_serving_args(
         shard_worker,
-        dtype=False,
         artifact=False,
         sharding=False,
         engine_help=(

@@ -233,51 +233,6 @@ class CompiledGhsom:
         """
         return np.array([getter(key) for key in self.leaf_keys], dtype=dtype)
 
-    @property
-    def dtype(self) -> "np.dtype[Any]":
-        """Arithmetic dtype of the serving codebook (``float64`` unless cast)."""
-        return self.codebook.dtype
-
-    def astype(self, dtype: npt.DTypeLike) -> "CompiledGhsom":
-        """A snapshot with the codebook cast to ``dtype`` (opt-in float32 serving).
-
-        ``float64`` (the default everywhere) is bit-exact against the legacy
-        recursive path.  ``float32`` halves codebook memory traffic for large
-        trees at the cost of exactness: the BMU search's expanded ``|x-w|^2``
-        form loses low-order bits to cancellation in single precision, so a
-        sample near-equidistant between two units can flip to the other leaf,
-        taking that leaf's threshold and label with it — observed on well
-        under 1% of records on the synthetic KDD workload.  The landing
-        distance is taken from the direct difference, so a sample that keeps
-        its leaf sees a relative score drift on the order of ``1e-5`` (the
-        test gate allows up to ``1e-3``), however close it sits to its unit.
-        ``tests/test_serving_roundtrip.py`` gates both effects.
-        Distances are still returned as ``float64`` arrays so downstream
-        threshold arithmetic is unchanged.
-
-        Returns ``self`` when the codebook already has the requested dtype.
-        """
-        requested = np.dtype(dtype)
-        if requested == self.codebook.dtype:
-            return self
-        codebook = np.ascontiguousarray(self.codebook, dtype=requested)
-        return CompiledGhsom(
-            n_features=self.n_features,
-            metric=self.metric,
-            node_ids=self.node_ids,
-            node_depths=self.node_depths,
-            node_offsets=self.node_offsets,
-            codebook=codebook,
-            child_of_unit=self.child_of_unit,
-            leaf_of_unit=self.leaf_of_unit,
-            leaf_node=self.leaf_node,
-            leaf_unit=self.leaf_unit,
-            leaf_depth=self.leaf_depth,
-            leaf_keys=self.leaf_keys,
-            unit_norms=np.einsum("ij,ij->i", codebook, codebook),
-            _leaf_index_of=self._leaf_index_of,
-        )
-
     def describe(self) -> Dict[str, object]:
         """Structural summary (used by the benchmark harness and docs)."""
         return {
@@ -287,7 +242,6 @@ class CompiledGhsom:
             "max_depth": self.max_depth,
             "n_features": self.n_features,
             "metric": self.metric,
-            "dtype": str(self.dtype),
         }
 
     # ------------------------------------------------------------------ #
@@ -312,28 +266,22 @@ class CompiledGhsom:
             the configured metric — both identical to what the legacy
             recursive descent produces, with no per-sample Python objects.
         """
-        # Validation casts straight to the serving dtype: one conversion pass
-        # total (float32 serving used to pay a float64 conversion here and a
-        # float32 one right after).
-        matrix = check_array_2d(data, "data", dtype=self.codebook.dtype)
-        return self.assign_validated(matrix, engine=engine)
+        return self.assign_validated(check_array_2d(data, "data"), engine=engine)
 
     def assign_validated(
         self, matrix: AnyArray, *, engine: Optional[str] = None
     ) -> Tuple[AnyArray, AnyArray]:
         """:meth:`assign_arrays` on a matrix ``check_array_2d`` already returned.
 
-        ``matrix`` must come from ``check_array_2d(..., dtype=self.dtype)``:
-        a caller that validates at its own boundary (``GhsomDetector.detect``)
-        scans each batch for non-finite values once, not twice.
+        ``matrix`` must come from ``check_array_2d``: a caller that validates
+        at its own boundary (``GhsomDetector.detect``) scans each batch for
+        non-finite values once, not twice.
         """
         if matrix.shape[1] != self.n_features:
             raise DataValidationError(
                 f"data has {matrix.shape[1]} features, the model expects {self.n_features}"
             )
-        resolved = kernels.resolve_engine(
-            engine, metric=self.metric, dtype=self.codebook.dtype
-        )
+        resolved = kernels.resolve_engine(engine, metric=self.metric)
         if resolved == "fused":
             leaf_index, distances = kernels.fused_descent(
                 self,
@@ -353,11 +301,7 @@ class CompiledGhsom:
                 unit_norms=self.unit_norms,
                 metric=self.metric,
             )
-        # Distances surface as float64 regardless of serving dtype so the
-        # threshold arithmetic downstream never changes representation.
-        # repro-lint: disable=RPL003 -- documented result-widening contract;
-        # copy=False makes it a no-op on the float64 engine.
-        return leaf_index, distances.astype(np.float64, copy=False)
+        return leaf_index, distances
 
     def transform(self, data: object) -> AnyArray:
         """Quantization distance per sample (the raw anomaly score)."""
@@ -377,20 +321,15 @@ def landing_distances(
     ``block`` is one node's codebook, ``units`` the samples' best-matching
     rows of it and ``d2`` their clamped expanded squared distances to every
     row; ``landed`` masks the samples that stop on this node.  Non-Euclidean
-    metrics are evaluated exactly against the whole node.  In float64 the
-    expanded form at the argmin is the row minimum, which the byte-identity
-    contract pins.  Below float64 it cancels catastrophically for a sample
-    close to its unit, so the squared distance comes from the direct
-    difference instead.
+    metrics are evaluated exactly against the whole node.  Euclidean ones
+    read the expanded form at the argmin, the row minimum, which the
+    byte-identity contract pins.
     """
     best: AnyArray
-    if metric not in ("euclidean", "sqeuclidean"):
-        best = get_metric(metric)(samples[landed], block).min(axis=1)
-    elif block.dtype == np.float64:
+    if metric in ("euclidean", "sqeuclidean"):
         best = d2[landed, units[landed]]
     else:
-        diff = samples[landed] - block[units[landed]]
-        best = np.einsum("ij,ij->i", diff, diff)
+        best = get_metric(metric)(samples[landed], block).min(axis=1)
     if metric == "euclidean":
         best = np.sqrt(best)
     return best
@@ -417,10 +356,9 @@ def frontier_descent(
     construction: both run the exact same IEEE operations on the exact same
     row groupings.
 
-    ``matrix`` must already be validated and cast to ``codebook.dtype``;
+    ``matrix`` must already be validated (``check_array_2d``);
     ``entry_nodes`` holds the node index each sample starts its descent on.
-    Returns ``(leaf_index, distances)`` with ``distances`` still in the
-    codebook dtype (callers widen to float64 at their boundary).
+    Returns ``(leaf_index, distances)``.
     """
     # A v3 artifact serves from np.memmap arrays, whose every slice and
     # gather runs Python-level __getitem__/__array_finalize__.  Plain ndarray
@@ -433,7 +371,7 @@ def frontier_descent(
     offsets: List[int] = node_offsets.tolist()
     n = matrix.shape[0]
     leaf_index = np.full(n, -1, dtype=np.intp)
-    distances = np.zeros(n, dtype=codebook.dtype)
+    distances = np.zeros(n)
     # |x|^2 per sample, computed once and reused at every level (the
     # legacy path recomputes it per node; row-wise sums are bitwise
     # identical either way).

@@ -45,11 +45,6 @@ if TYPE_CHECKING:  # import cycle: repro.serving imports repro.core at runtime
     from repro.serving.backends import ShardBackend
     from repro.serving.config import ServingConfig, ServingPlan
 
-#: Sentinel for "the compiled snapshot does not change" in the atomic
-#: configure path (``None`` there means "recompile from the tree").
-_UNCHANGED = object()
-
-
 #: Nominal alarm threshold on the normalised score scale: a score of exactly
 #: 1.0 sits *at* the calibrated threshold and does **not** alarm.
 ALARM_THRESHOLD = 1.0
@@ -332,7 +327,7 @@ class GhsomDetector(BaseAnomalyDetector):
         Seed overriding ``config.random_state``.
     serving:
         A full :class:`~repro.serving.config.ServingConfig` describing how
-        the detector serves (dtype, engine, sharding, artifact options) —
+        the detector serves (engine, sharding, artifact options) —
         the declarative equivalent of calling :meth:`configure` right after
         construction.
     """
@@ -370,8 +365,8 @@ class GhsomDetector(BaseAnomalyDetector):
         #: rebuild here; it runs only if ``model`` is actually accessed.
         self._model_loader: Optional[Callable[[], Ghsom]] = None
         #: Compiled snapshot serving in place of ``model.compile()`` — set when
-        #: the detector was hydrated from flat arrays or switched to a non-default
-        #: serving dtype; ``None`` means "compile from the fitted tree".
+        #: the detector was hydrated from flat arrays; ``None`` means "compile
+        #: from the fitted tree".
         self._compiled: Optional[CompiledGhsom] = None
         self._tables: Optional[_LeafTables] = None
         #: Sharded-serving configuration: ``(n_shards, backend)`` when the
@@ -425,12 +420,6 @@ class GhsomDetector(BaseAnomalyDetector):
         """Whether the detector was trained with class labels."""
         return self.labeler is not None
 
-    @property
-    def serving_dtype(self) -> np.dtype:
-        """Arithmetic dtype of the serving path (``float64`` unless opted out)."""
-        self._require_fitted(self.is_fitted)
-        return self._compiled_model().dtype
-
     # ------------------------------------------------------------------ #
     # serving configuration (the single mutation path)
     # ------------------------------------------------------------------ #
@@ -442,13 +431,13 @@ class GhsomDetector(BaseAnomalyDetector):
     def configure(self, config: "ServingConfig") -> "GhsomDetector":
         """Apply a full serving configuration atomically.
 
-        The single mutation path for every serving knob — dtype, compute
-        engine, sharding, artifact options.  The combined state is validated
+        The single mutation path for every serving knob — compute engine,
+        sharding, artifact options.  The combined state is validated
         and resolved *before* anything mutates, so a rejected config leaves
         the detector exactly as it was, and the result never depends on the
         order knobs were set in.  Resolution is strict on a fitted
         detector: a ``"fused"`` engine request with no provider for the
-        model's metric/dtype raises instead of silently serving slower.
+        model's metric raises instead of silently serving slower.
         """
         return self._apply_serving(config)
 
@@ -483,11 +472,6 @@ class GhsomDetector(BaseAnomalyDetector):
         fitted = self.is_fitted
         metric = self._compiled_model().metric if fitted else "euclidean"
         plan = config.resolve(metric=metric, strict=fitted)
-        snapshot: object = _UNCHANGED
-        if fitted:
-            current = self._compiled_model()
-            if np.dtype(config.dtype) != current.dtype:
-                snapshot = self._snapshot_for_dtype(current, np.dtype(config.dtype))
         if backend is None and plan.sharded:
             if config.sharding == self._serving.sharding and self._shard_spec is not None:
                 # Unchanged sharding intent keeps the live backend (a remote
@@ -501,25 +485,8 @@ class GhsomDetector(BaseAnomalyDetector):
         self._close_sharded()
         self._serving = config
         self._plan = plan
-        if snapshot is not _UNCHANGED:
-            self._compiled = snapshot
-            self._tables = None
         self._shard_spec = (int(plan.n_shards), backend) if plan.sharded else None
         return self
-
-    def _snapshot_for_dtype(self, current: CompiledGhsom, requested: np.dtype):
-        """The compiled snapshot serving ``requested``, or ``None`` to recompile.
-
-        Narrowing always casts from the current snapshot (from the exact
-        float64 source this keeps the documented tolerance); upcasting to
-        float64 recompiles from the tree when one is available, because a
-        narrowed codebook cannot recover the lost bits.
-        """
-        if current.dtype == np.dtype("float64"):
-            return current.astype(requested)
-        if requested == np.dtype("float64") and self.model is not None:
-            return None
-        return current.astype(requested)
 
     # ------------------------------------------------------------------ #
     # compute engine
@@ -549,7 +516,7 @@ class GhsomDetector(BaseAnomalyDetector):
         """The engine ``_score_arrays`` descends with: sharded or compiled.
 
         The sharded engine is rebuilt whenever the compiled snapshot it was
-        sliced from is replaced (refit, dtype switch, artifact reload).
+        sliced from is replaced (refit, artifact reload).
         """
         compiled = self._compiled_model()
         if self._shard_spec is None:
@@ -606,23 +573,18 @@ class GhsomDetector(BaseAnomalyDetector):
             [key for key, keep in zip(leaf_keys, calibration_mask, strict=True) if keep],
         )
         self.threshold_ = strategy
-        # Re-apply the serving config to the fresh model: the compiled
-        # snapshot was reset above, so a non-default serving dtype (e.g.
-        # float32 across an OnlineDetector drift-triggered refit) must be
-        # re-narrowed from it.  The cached plan is host-side only, but the
-        # model's metric feeds resolution — recompute lazily.
+        # The cached plan is host-side only, but the model's metric feeds
+        # resolution — recompute lazily.
         self._plan = None
-        if np.dtype(self._serving.dtype) != np.dtype("float64"):
-            self._compiled = compiled.astype(self._serving.dtype)
         return self
 
     # ------------------------------------------------------------------ #
     def _compiled_model(self) -> CompiledGhsom:
         """The compiled snapshot the serving path runs on.
 
-        A detector hydrated from a v2 artifact (or switched to a non-default
-        serving dtype) serves from its stored arrays; a tree-backed detector
-        compiles its fitted tree (cached per fit by ``Ghsom.compile``).
+        A detector hydrated from a v2 artifact serves from its stored arrays;
+        a tree-backed detector compiles its fitted tree (cached per fit by
+        ``Ghsom.compile``).
         """
         if self._compiled is not None:
             return self._compiled
@@ -652,13 +614,13 @@ class GhsomDetector(BaseAnomalyDetector):
         return self._tables
 
     def _ingest(self, X):
-        """``X`` validated once and cast to the serving dtype.
+        """``X`` validated once, as a C-contiguous float64 matrix.
 
         The engines take the result through ``assign_validated``, so each
         scoring call scans its batch for non-finite values exactly once.
         """
         self._require_fitted(self.is_fitted)
-        return check_array_2d(X, "data", dtype=self._compiled_model().dtype)
+        return check_array_2d(X, "data")
 
     def _score_arrays(self, matrix):
         """Shared vectorized front half of every scoring method.
@@ -703,10 +665,10 @@ class GhsomDetector(BaseAnomalyDetector):
         from repro.serving.config import ServingStats
 
         t_start = perf_counter()
-        # One validation and one cast to the serving dtype at the boundary;
-        # the engines take the matrix as is, so this stays a single-descent,
-        # single-scan path (and the timing below cleanly separates ingest
-        # from the descent).
+        # One validation and one conversion at the boundary; the engines
+        # take the matrix as is, so this stays a single-descent, single-scan
+        # path (and the timing below cleanly separates ingest from the
+        # descent).
         matrix = self._ingest(X)
         ingest_s = perf_counter() - t_start
         t_score = perf_counter()
@@ -745,7 +707,6 @@ class GhsomDetector(BaseAnomalyDetector):
         plan = self.resolved_plan()
         stats = ServingStats(
             n_records=int(matrix.shape[0]),
-            dtype=str(matrix.dtype),
             engine=plan.engine,
             sharded=self._shard_spec is not None,
             ingest_s=ingest_s,

@@ -27,14 +27,14 @@ because its output is byte-identical across hosts (golden artifacts, remote
 shard byte-identity); the fused engine is *documented-ulp* equivalent instead:
 leaf assignments match exactly on non-degenerate data, distances agree within
 :data:`FUSED_DISTANCE_RTOL` (scalar accumulation orders FLOPs differently from
-BLAS GEMM — the same contract as the float32 serving mode from PR 2).
+BLAS GEMM).  Both engines compute in float64, the one serving precision.
 
 Engine names accepted everywhere (``assign_arrays(engine=...)``,
 ``ServingConfig(engine=...)``, ``repro-ids detect --engine``):
 
 * ``"numpy"`` — the vectorised reference path (default; byte-exact);
 * ``"fused"`` — require the fused kernel (raises if unavailable);
-* ``"auto"``  — fused when the provider supports the metric/dtype, else numpy.
+* ``"auto"``  — fused when the provider supports the metric, else numpy.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
-import numpy.typing as npt
 
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError
@@ -57,12 +56,12 @@ from repro.exceptions import ConfigurationError
 #: Engine names accepted by every ``engine=`` parameter in the library.
 ENGINES = ("numpy", "fused", "auto")
 
-#: Relative distance tolerance of the fused engine against the numpy engine,
-#: per serving dtype.  Measured drift is ~1e-13 (float64) / ~1e-5 (float32);
-#: the documented gates leave headroom for other BLAS builds.  Leaf
-#: assignments are required to match exactly (ties broken identically: both
-#: engines pick the lowest unit index among minimal distances).
-FUSED_DISTANCE_RTOL: Dict[str, float] = {"float64": 1e-9, "float32": 2e-4}
+#: Relative distance tolerance of the fused engine against the numpy engine.
+#: Measured drift is ~1e-13; the documented gates leave headroom for other
+#: BLAS builds.  Leaf assignments are required to match exactly (ties broken
+#: identically: both engines pick the lowest unit index among minimal
+#: distances).
+FUSED_DISTANCE_RTOL = 1e-9
 
 #: Metrics the fused kernels implement.  BMU search is always squared
 #: Euclidean (matching the tree's training rule); Manhattan / Chebyshev only
@@ -100,13 +99,12 @@ def resolve_engine(
     engine: Optional[str],
     *,
     metric: str,
-    dtype: npt.DTypeLike,
     strict: bool = False,
 ) -> str:
     """Resolve an engine request to the concrete engine to run: numpy or fused.
 
     ``None`` means :data:`DEFAULT_ENGINE`.  ``"auto"`` picks the fused
-    kernel when the provider is available and supports ``metric``/``dtype``,
+    kernel when the provider is available and supports ``metric``,
     silently falling back to numpy otherwise.  ``"fused"`` falls back the same
     way unless ``strict=True``, in which case an unavailable kernel raises
     :class:`~repro.exceptions.ConfigurationError` — configuration-time callers
@@ -117,11 +115,11 @@ def resolve_engine(
     requested = check_engine(engine) if engine is not None else DEFAULT_ENGINE
     if requested == "numpy":
         return "numpy"
-    supported = fused_supported(metric, dtype)
+    supported = fused_supported(metric)
     if requested == "fused" and strict and not supported:
         detail = (
-            f"metric {metric!r} / dtype {np.dtype(dtype).name!r} is outside the "
-            f"fused kernel's support matrix ({FUSED_METRICS}, float64/float32)"
+            f"metric {metric!r} is outside the fused kernel's support matrix "
+            f"{FUSED_METRICS}"
             if fused_provider() is not None
             else "no fused kernel provider is available "
             "(install a C toolchain); "
@@ -131,11 +129,9 @@ def resolve_engine(
     return "fused" if supported else "numpy"
 
 
-def fused_supported(metric: str, dtype: npt.DTypeLike) -> bool:
-    """Whether the fused kernel can serve this metric/dtype combination."""
+def fused_supported(metric: str) -> bool:
+    """Whether the fused kernel can serve this metric."""
     if metric not in FUSED_METRICS:
-        return False
-    if np.dtype(dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
         return False
     # The kernels exchange indices as int64; every 64-bit platform this
     # library targets has np.intp == int64.
@@ -202,12 +198,11 @@ class FusedPlan:
     ``(d, padded_units)`` with the unit axis padded to the SIMD lane count and
     flattened; ``tnorms`` carries ``|w|^2`` in the same lane layout with the
     padding set to a huge value so padded lanes never win the argmin.
-    Built once per compiled model (or shard) per serving dtype and cached on
-    the owning object by weak reference — repacking touches every codebook
-    page once, the per-batch hot path never copies it again.
+    Built once per compiled model (or shard) and cached on the owning object
+    by weak reference — repacking touches every codebook page once, the
+    per-batch hot path never copies it again.
     """
 
-    lanes: int
     tcodebook: AnyArray  # flat, lane-transposed per-node blocks
     toffsets: AnyArray  # (n_nodes,) start of each node's block in tcodebook
     tnorm_offsets: AnyArray  # (n_nodes,) start of each node's lane-norm run
@@ -217,11 +212,9 @@ class FusedPlan:
 
 _plan_cache: "weakref.WeakKeyDictionary[Any, FusedPlan]" = weakref.WeakKeyDictionary()
 
-
-def _lanes_for(dtype: "np.dtype[Any]") -> int:
-    # One 512-bit vector of the serving dtype; narrower ISAs simply split the
-    # lane group across two or four hardware vectors.
-    return 8 if dtype == np.dtype(np.float64) else 16
+#: Units per lane chunk: one 512-bit vector of doubles.  Narrower ISAs simply
+#: split the lane group across two or four hardware vectors.
+_LANES = 8
 
 
 def fused_plan(owner: Any) -> FusedPlan:
@@ -240,37 +233,33 @@ def fused_plan(owner: Any) -> FusedPlan:
         return plan
     codebook = np.asarray(owner.codebook)
     node_offsets = np.asarray(owner.node_offsets, dtype=np.int64)
-    unit_norms = np.asarray(owner.unit_norms, dtype=codebook.dtype)
-    dtype = codebook.dtype
-    lanes = _lanes_for(dtype)
-    huge = dtype.type(1e300 if dtype == np.dtype(np.float64) else 1e30)
+    unit_norms = np.asarray(owner.unit_norms)
     n_nodes = node_offsets.shape[0] - 1
     d = codebook.shape[1] if codebook.ndim == 2 else 0
     counts = node_offsets[1:] - node_offsets[:-1]
-    punits = ((counts + lanes - 1) // lanes) * lanes
+    punits = ((counts + _LANES - 1) // _LANES) * _LANES
     tnorm_offsets = np.zeros(n_nodes, dtype=np.int64)
     np.cumsum(punits[:-1], out=tnorm_offsets[1:])
     toffsets = tnorm_offsets * d
     total = int(punits.sum())
-    tcodebook = np.zeros(total * d, dtype=dtype)
-    tnorms = np.full(total, huge, dtype=dtype)
+    tcodebook = np.zeros(total * d)
+    tnorms = np.full(total, 1e300)
     for node in range(n_nodes):
         start, stop = int(node_offsets[node]), int(node_offsets[node + 1])
         cnt = stop - start
         pu = int(punits[node])
-        # Chunk-major lane layout: (pu // lanes, d, lanes) — each lane chunk
+        # Chunk-major lane layout: (pu // _LANES, d, _LANES) — each lane chunk
         # stores its d feature rows contiguously with units in the lanes, so
         # the kernel streams one chunk linearly per dot-product pass.
-        padded = np.zeros((pu, d), dtype=dtype)
+        padded = np.zeros((pu, d))
         padded[:cnt] = codebook[start:stop]
         block = tcodebook[int(toffsets[node]) : int(toffsets[node]) + d * pu]
-        block.reshape(pu // lanes, d, lanes)[:] = (
-            padded.reshape(pu // lanes, lanes, d).transpose(0, 2, 1)
+        block.reshape(pu // _LANES, d, _LANES)[:] = (
+            padded.reshape(pu // _LANES, _LANES, d).transpose(0, 2, 1)
         )
         norm_start = int(tnorm_offsets[node])
         tnorms[norm_start : norm_start + cnt] = unit_norms[start:stop]
     plan = FusedPlan(
-        lanes=lanes,
         tcodebook=tcodebook,
         toffsets=toffsets,
         tnorm_offsets=tnorm_offsets,
@@ -294,19 +283,24 @@ def fused_descent(
     *,
     metric: str,
 ) -> Tuple[AnyArray, AnyArray]:
-    """Run the fused kernel over ``matrix`` (already validated and cast).
+    """Run the fused kernel over ``matrix`` (already validated, float64).
 
     Drop-in for :func:`repro.core.compiled.frontier_descent` output-wise:
-    returns ``(leaf_index, distances)`` with distances in the serving dtype.
-    ``owner`` supplies the flat arrays (and caches the kernel plan); callers
-    are expected to have resolved the engine first — passing an unsupported
-    metric/dtype here raises.
+    returns ``(leaf_index, distances)``.  ``owner`` supplies the flat arrays
+    (and caches the kernel plan); callers are expected to have resolved the
+    engine first — passing an unsupported metric here raises.
     """
     provider = fused_provider()
-    if provider is None or not fused_supported(metric, matrix.dtype):
+    if (
+        provider is None
+        or not fused_supported(metric)
+        or matrix.dtype != np.float64
+        or not matrix.flags["C_CONTIGUOUS"]
+    ):
         raise ConfigurationError(
             f"fused kernel unavailable for metric={metric!r} "
-            f"dtype={matrix.dtype} (provider={provider})"
+            f"dtype={matrix.dtype} (provider={provider}); it takes a "
+            "C-contiguous float64 matrix"
         )
     plan = fused_plan(owner)
     n, d = matrix.shape
@@ -318,7 +312,7 @@ def fused_descent(
     # |x|^2 per sample: the same row-wise einsum the numpy engine runs.
     snorms = np.einsum("ij,ij->i", matrix, matrix)
     leaf_index = np.empty(n, dtype=np.int64)
-    distances = np.empty(n, dtype=matrix.dtype)
+    distances = np.empty(n)
     metric_id = _METRIC_IDS[metric]
     _cc_descent(
         plan, matrix, snorms, entries, codebook, node_offsets,
@@ -330,26 +324,22 @@ def fused_descent(
 # --------------------------------------------------------------------------- #
 # provider: compiled C via the system toolchain + ctypes
 # --------------------------------------------------------------------------- #
-#: Rendered separately for float64 (lanes=8) and float32 (lanes=16) by token
-#: substitution and compiled into one shared library per dtype.  The vector
-#: comparison result type matches the element width, so the index vector is
-#: int64x8 for doubles and int32x16 for floats (node-local unit indices fit
-#: int32 comfortably).  The driver is level-synchronous: pending samples are
-#: counting-sorted by node each level (stable, so rows stay ascending within
-#: a node), then each node's run is processed in 8-sample register tiles; the
-#: remainder path accumulates in the same per-lane order as the tile path, so
-#: results do not depend on how a batch splits into tiles.
-_C_TEMPLATE = r"""
+#: The compiled-C kernel.  The vector comparison result type matches the
+#: element width, so the index vector is int64x8 for the double lanes.  The
+#: driver is level-synchronous: pending samples are counting-sorted by node
+#: each level (stable, so rows stay ascending within a node), then each
+#: node's run is processed in 8-sample register tiles; the remainder path
+#: accumulates in the same per-lane order as the tile path, so results do not
+#: depend on how a batch splits into tiles.
+_C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 #include <string.h>
 
-/* Trained codebooks routinely carry components that are denormal in float32
-   (weights decay toward zero); every FMA touching one costs a microcode
-   assist, a measured ~4x slowdown on real models.  The kernel runs with
-   flush-to-zero + denormals-are-zero during the descent (restoring the
-   caller's MXCSR on exit): the induced drift is ~1e-38 relative, orders of
-   magnitude inside the documented fused-engine tolerance. */
+/* A denormal operand costs every FMA touching it a microcode assist.  The
+   kernel runs with flush-to-zero + denormals-are-zero during the descent
+   (restoring the caller's MXCSR on exit): the induced drift is far inside
+   the documented fused-engine tolerance. */
 #if defined(__SSE__) || defined(__x86_64__)
 static inline uint32_t csr_get(void) { return __builtin_ia32_stmxcsr(); }
 static inline void csr_set(uint32_t v) { __builtin_ia32_ldmxcsr(v); }
@@ -360,12 +350,12 @@ static inline void csr_set(uint32_t v) { (void)v; }
 #define CSR_FTZ_DAZ 0u
 #endif
 
-typedef @CTYPE@ vec __attribute__((vector_size(64), aligned(8)));
-typedef @ITYPE@ vidx __attribute__((vector_size(64), aligned(8)));
-#define LANES @LANES@
+typedef double vec __attribute__((vector_size(64), aligned(8)));
+typedef int64_t vidx __attribute__((vector_size(64), aligned(8)));
+#define LANES 8
 #define STILE 8
 
-static inline vec vload(const @CTYPE@ *p) {
+static inline vec vload(const double *p) {
     vec v; __builtin_memcpy(&v, p, sizeof v); return v;
 }
 
@@ -381,9 +371,9 @@ static inline void vargmin(
 /* horizontal: global first-minimum = lowest stored index among lanes at the
    global minimum (each lane's stored index is already that lane's first) */
 static inline void hargmin(
-    vec best, vidx besti, @CTYPE@ *out_best, int64_t *out_idx)
+    vec best, vidx besti, double *out_best, int64_t *out_idx)
 {
-    @CTYPE@ m = best[0];
+    double m = best[0];
     for (int u = 1; u < LANES; ++u) if (best[u] < m) m = best[u];
     int64_t bi = INT64_MAX;
     for (int u = 0; u < LANES; ++u)
@@ -399,11 +389,11 @@ static inline vidx lane_ramp(void) {
 }
 
 /* one 8-sample tile against one node's lane-transposed codebook */
-static void tile_node_@SUFFIX@(
-    const @CTYPE@ *restrict x, const int64_t *restrict rows, int64_t d,
-    const @CTYPE@ *restrict wt, const @CTYPE@ *restrict wn,
-    const @CTYPE@ *restrict snorms, int64_t pu,
-    @CTYPE@ *restrict best, int64_t *restrict bestu)
+static void tile_node(
+    const double *restrict x, const int64_t *restrict rows, int64_t d,
+    const double *restrict wt, const double *restrict wn,
+    const double *restrict snorms, int64_t pu,
+    double *restrict best, int64_t *restrict bestu)
 {
     vec bv[STILE];
     vidx iv[STILE];
@@ -413,12 +403,12 @@ static void tile_node_@SUFFIX@(
         iv[s] = zi;
     }
     const vidx ramp = lane_ramp();
-    const @CTYPE@ *x0 = x + rows[0] * d, *x1 = x + rows[1] * d;
-    const @CTYPE@ *x2 = x + rows[2] * d, *x3 = x + rows[3] * d;
-    const @CTYPE@ *x4 = x + rows[4] * d, *x5 = x + rows[5] * d;
-    const @CTYPE@ *x6 = x + rows[6] * d, *x7 = x + rows[7] * d;
+    const double *x0 = x + rows[0] * d, *x1 = x + rows[1] * d;
+    const double *x2 = x + rows[2] * d, *x3 = x + rows[3] * d;
+    const double *x4 = x + rows[4] * d, *x5 = x + rows[5] * d;
+    const double *x6 = x + rows[6] * d, *x7 = x + rows[7] * d;
     for (int64_t c = 0; c < pu; c += LANES) {
-        const @CTYPE@ *wc = wt + c * d;
+        const double *wc = wt + c * d;
         vec a0 = {0}, a1 = {0}, a2 = {0}, a3 = {0};
         vec a4 = {0}, a5 = {0}, a6 = {0}, a7 = {0};
         for (int64_t j = 0; j < d; ++j) {
@@ -429,9 +419,9 @@ static void tile_node_@SUFFIX@(
         vec accs[STILE] = {a0, a1, a2, a3, a4, a5, a6, a7};
         const vec wnv = vload(wn + c);
         const vec zero = {0};
-        const vidx idx = ramp + (@ITYPE@)c;
+        const vidx idx = ramp + (int64_t)c;
         for (int s = 0; s < STILE; ++s) {
-            vec d2 = accs[s] * (@CTYPE@)-2.0 + snorms[s] + wnv;
+            vec d2 = accs[s] * (double)-2.0 + snorms[s] + wnv;
             const vidx pos = d2 > zero;     /* clamp |x-w|^2 at 0, like numpy */
             d2 = (vec)((vidx)d2 & pos);
             vargmin(d2, idx, &bv[s], &iv[s]);
@@ -442,45 +432,45 @@ static void tile_node_@SUFFIX@(
 }
 
 /* one sample, same per-lane accumulation order as the tile path */
-static void one_node_@SUFFIX@(
-    const @CTYPE@ *restrict xi, int64_t d,
-    const @CTYPE@ *restrict wt, const @CTYPE@ *restrict wn,
-    @CTYPE@ snorm, int64_t pu,
-    @CTYPE@ *restrict best, int64_t *restrict bestu)
+static void one_node(
+    const double *restrict xi, int64_t d,
+    const double *restrict wt, const double *restrict wn,
+    double snorm, int64_t pu,
+    double *restrict best, int64_t *restrict bestu)
 {
     vec bv;
     vidx iv = {0};
     for (int u = 0; u < LANES; ++u) bv[u] = INFINITY;
     const vidx ramp = lane_ramp();
     for (int64_t c = 0; c < pu; c += LANES) {
-        const @CTYPE@ *wc = wt + c * d;
+        const double *wc = wt + c * d;
         vec acc = {0};
         for (int64_t j = 0; j < d; ++j)
             acc += xi[j] * vload(wc + j * LANES);
-        vec d2 = acc * (@CTYPE@)-2.0 + snorm + vload(wn + c);
+        vec d2 = acc * (double)-2.0 + snorm + vload(wn + c);
         const vec zero = {0};
         const vidx pos = d2 > zero;
         d2 = (vec)((vidx)d2 & pos);
-        vargmin(d2, ramp + (@ITYPE@)c, &bv, &iv);
+        vargmin(d2, ramp + (int64_t)c, &bv, &iv);
     }
     hargmin(bv, iv, best, bestu);
 }
 
 /* exact quantization distance at the landing node for non-Euclidean metrics
    (BMU search stays squared-Euclidean; only the reported distance changes) */
-static @CTYPE@ exact_metric_@SUFFIX@(
-    const @CTYPE@ *restrict xi, const @CTYPE@ *restrict codebook,
+static double exact_metric(
+    const double *restrict xi, const double *restrict codebook,
     int64_t d, int64_t start, int64_t stop, int64_t metric_id)
 {
-    @CTYPE@ best = INFINITY;
+    double best = INFINITY;
     for (int64_t u = start; u < stop; ++u) {
-        const @CTYPE@ *w = codebook + u * d;
-        @CTYPE@ acc = 0;
+        const double *w = codebook + u * d;
+        double acc = 0;
         if (metric_id == 2) {
-            for (int64_t j = 0; j < d; ++j) acc += @FABS@(xi[j] - w[j]);
+            for (int64_t j = 0; j < d; ++j) acc += fabs(xi[j] - w[j]);
         } else {
             for (int64_t j = 0; j < d; ++j) {
-                const @CTYPE@ a = @FABS@(xi[j] - w[j]);
+                const double a = fabs(xi[j] - w[j]);
                 if (a > acc) acc = a;
             }
         }
@@ -489,41 +479,33 @@ static @CTYPE@ exact_metric_@SUFFIX@(
     return best;
 }
 
-/* reported distance at the landing unit gu; below double precision the
-   expanded |x|^2 - 2 x.w + |w|^2 cancels for a sample close to its unit, so
-   the squared distance is taken from the direct difference instead */
-static @CTYPE@ landing_@SUFFIX@(
-    const @CTYPE@ *restrict xi, const @CTYPE@ *restrict codebook, int64_t d,
-    int64_t gu, int64_t ustart, int64_t ustop, int64_t metric_id, @CTYPE@ best)
+/* reported distance at the landing node: the expanded squared distance at
+   the argmin (its square root for Euclidean), or the exact non-Euclidean
+   distance */
+static double landing(
+    const double *restrict xi, const double *restrict codebook, int64_t d,
+    int64_t ustart, int64_t ustop, int64_t metric_id, double best)
 {
     if (metric_id > 1)
-        return exact_metric_@SUFFIX@(xi, codebook, d, ustart, ustop, metric_id);
-    if (@DIRECT@) {
-        const @CTYPE@ *w = codebook + gu * d;
-        best = 0;
-        for (int64_t j = 0; j < d; ++j) {
-            const @CTYPE@ t = xi[j] - w[j];
-            best += t * t;
-        }
-    }
-    return metric_id == 1 ? @SQRT@(best) : best;
+        return exact_metric(xi, codebook, d, ustart, ustop, metric_id);
+    return metric_id == 1 ? sqrt(best) : best;
 }
 
-void fused_descent_@SUFFIX@(
-    const @CTYPE@ *restrict x, int64_t n, int64_t d,
-    const @CTYPE@ *restrict tcodebook,
+void fused_descent(
+    const double *restrict x, int64_t n, int64_t d,
+    const double *restrict tcodebook,
     const int64_t *restrict toffsets,
     const int64_t *restrict tnorm_offsets,
     const int64_t *restrict punits,
-    const @CTYPE@ *restrict tnorms,
-    const @CTYPE@ *restrict codebook,
+    const double *restrict tnorms,
+    const double *restrict codebook,
     const int64_t *restrict node_offsets,
     const int64_t *restrict child_of_unit,
     const int64_t *restrict leaf_of_unit,
     const int64_t *restrict entry_nodes,
-    const @CTYPE@ *restrict snorms,
+    const double *restrict snorms,
     int64_t n_nodes, int64_t metric_id,
-    int64_t *restrict leaf_index, @CTYPE@ *restrict distances,
+    int64_t *restrict leaf_index, double *restrict distances,
     int64_t *restrict scratch /* 3*n + n_nodes + 1 */)
 {
     int64_t *pending = scratch;
@@ -548,18 +530,18 @@ void fused_descent_@SUFFIX@(
             const int64_t run_stop = counts[node];
             if (run_stop == run_start) continue;
             const int64_t pu = punits[node];
-            const @CTYPE@ *wt = tcodebook + toffsets[node];
-            const @CTYPE@ *wn = tnorms + tnorm_offsets[node];
+            const double *wt = tcodebook + toffsets[node];
+            const double *wn = tnorms + tnorm_offsets[node];
             const int64_t ustart = node_offsets[node];
             const int64_t ustop = node_offsets[node + 1];
             int64_t i = run_start;
             for (; i + STILE <= run_stop; i += STILE) {
                 const int64_t *rows = grouped + i;
-                @CTYPE@ best[STILE];
+                double best[STILE];
                 int64_t bestu[STILE];
-                @CTYPE@ sn[STILE];
+                double sn[STILE];
                 for (int s = 0; s < STILE; ++s) sn[s] = snorms[rows[s]];
-                tile_node_@SUFFIX@(x, rows, d, wt, wn, sn, pu, best, bestu);
+                tile_node(x, rows, d, wt, wn, sn, pu, best, bestu);
                 for (int s = 0; s < STILE; ++s) {
                     const int64_t gu = ustart + bestu[s];
                     const int64_t child = child_of_unit[gu];
@@ -568,16 +550,16 @@ void fused_descent_@SUFFIX@(
                         pending[out] = row; pnode[out] = child; ++out;
                     } else {
                         leaf_index[row] = leaf_of_unit[gu];
-                        distances[row] = landing_@SUFFIX@(
-                            x + row * d, codebook, d, gu, ustart, ustop, metric_id, best[s]);
+                        distances[row] = landing(
+                            x + row * d, codebook, d, ustart, ustop, metric_id, best[s]);
                     }
                 }
             }
             for (; i < run_stop; ++i) {
                 const int64_t row = grouped[i];
-                @CTYPE@ best;
+                double best;
                 int64_t bestu;
-                one_node_@SUFFIX@(
+                one_node(
                     x + row * d, d, wt, wn, snorms[row], pu, &best, &bestu);
                 const int64_t gu = ustart + bestu;
                 const int64_t child = child_of_unit[gu];
@@ -585,8 +567,8 @@ void fused_descent_@SUFFIX@(
                     pending[out] = row; pnode[out] = child; ++out;
                 } else {
                     leaf_index[row] = leaf_of_unit[gu];
-                    distances[row] = landing_@SUFFIX@(
-                        x + row * d, codebook, d, gu, ustart, ustop, metric_id, best);
+                    distances[row] = landing(
+                        x + row * d, codebook, d, ustart, ustop, metric_id, best);
                 }
             }
             run_start = run_stop;
@@ -598,36 +580,21 @@ void fused_descent_@SUFFIX@(
 """
 
 
-_DTYPE_RENDER = {
-    "f64": {"@CTYPE@": "double", "@ITYPE@": "int64_t", "@LANES@": "8",
-            "@SUFFIX@": "f64", "@SQRT@": "sqrt", "@FABS@": "fabs", "@DIRECT@": "0"},
-    "f32": {"@CTYPE@": "float", "@ITYPE@": "int32_t", "@LANES@": "16",
-            "@SUFFIX@": "f32", "@SQRT@": "sqrtf", "@FABS@": "fabsf", "@DIRECT@": "1"},
-}
-
-
-def _render_c_source(suffix: str) -> str:
-    source = _C_TEMPLATE
-    for token, value in _DTYPE_RENDER[suffix].items():
-        source = source.replace(token, value)
-    return source
-
-
-_cc_libs: Optional[Dict[str, ctypes.CDLL]] = None
+_cc_lib: Optional[ctypes.CDLL] = None
 _cc_tried = False
 
 
-def _cc_library() -> Optional[Dict[str, ctypes.CDLL]]:
-    """Compile (once per process) and load the C kernels; ``None`` on failure."""
-    global _cc_libs, _cc_tried
+def _cc_library() -> Optional[ctypes.CDLL]:
+    """Compile (once per process) and load the C kernel; ``None`` on failure."""
+    global _cc_lib, _cc_tried
     if _cc_tried:
-        return _cc_libs
+        return _cc_lib
     with _lock:
         if _cc_tried:
-            return _cc_libs
-        _cc_libs = _build_cc_libraries()
+            return _cc_lib
+        _cc_lib = _build_cc_library()
         _cc_tried = True
-    return _cc_libs
+    return _cc_lib
 
 
 def _compiler_candidates() -> Iterator[str]:
@@ -637,7 +604,7 @@ def _compiler_candidates() -> Iterator[str]:
     yield from ("cc", "gcc", "clang")
 
 
-def _build_cc_libraries() -> Optional[Dict[str, ctypes.CDLL]]:
+def _build_cc_library() -> Optional[ctypes.CDLL]:
     import shutil
 
     compiler = next(
@@ -648,36 +615,39 @@ def _build_cc_libraries() -> Optional[Dict[str, ctypes.CDLL]]:
         return None
     try:
         build_dir = tempfile.mkdtemp(prefix="repro-kernels-")
-        libs: Dict[str, ctypes.CDLL] = {}
-        for suffix in ("f64", "f32"):
-            src_path = os.path.join(build_dir, f"kernels_{suffix}.c")
-            lib_path = os.path.join(build_dir, f"kernels_{suffix}.so")
-            with open(src_path, "w") as stream:
-                stream.write(_render_c_source(suffix))
-            base = [
-                compiler, "-O3", "-shared", "-fPIC", src_path, "-o", lib_path, "-lm",
-            ]
-            # Prefer full-width native vectors; retry conservatively for
-            # toolchains that reject the tuning flags.
-            tuned = base[:1] + ["-march=native", "-mprefer-vector-width=512"] + base[1:]
-            for command in (tuned, base):
-                result = subprocess.run(
-                    command,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    timeout=180,
-                )
-                if result.returncode == 0:
-                    break
-            else:
-                _provider_errors["cc"] = (
-                    f"{compiler} failed: {result.stderr.decode(errors='replace')[:500]}"
-                )
-                return None
-            lib = ctypes.CDLL(lib_path)
-            getattr(lib, f"fused_descent_{suffix}").restype = None
-            libs[suffix] = lib
-        return libs
+        src_path = os.path.join(build_dir, "kernels.c")
+        lib_path = os.path.join(build_dir, "kernels.so")
+        with open(src_path, "w") as stream:
+            stream.write(_C_SOURCE)
+        base = [
+            compiler, "-O3", "-shared", "-fPIC", src_path, "-o", lib_path, "-lm",
+        ]
+        # Prefer full-width native vectors; retry conservatively for
+        # toolchains that reject the tuning flags.
+        tuned = base[:1] + ["-march=native", "-mprefer-vector-width=512"] + base[1:]
+        for command in (tuned, base):
+            result = subprocess.run(
+                command,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                timeout=180,
+            )
+            if result.returncode == 0:
+                break
+        else:
+            _provider_errors["cc"] = (
+                f"{compiler} failed: {result.stderr.decode(errors='replace')[:500]}"
+            )
+            return None
+        lib = ctypes.CDLL(lib_path)
+        fp = ctypes.POINTER(ctypes.c_double)
+        ip = ctypes.POINTER(ctypes.c_int64)
+        i64 = ctypes.c_int64
+        lib.fused_descent.argtypes = [
+            fp, i64, i64, fp, ip, ip, ip, fp, fp, ip, ip, ip, ip, fp, i64, i64, ip, fp, ip,
+        ]
+        lib.fused_descent.restype = None
+        return lib
     except Exception as exc:  # noqa: BLE001 - any failure just disables the provider
         _provider_errors["cc"] = f"{type(exc).__name__}: {exc}"
         return None
@@ -696,20 +666,15 @@ def _cc_descent(
     leaf_index: AnyArray,
     distances: AnyArray,
 ) -> None:
-    libs = _cc_library()
-    if libs is None:  # callers resolve the engine first; defensive belt
+    lib = _cc_library()
+    if lib is None:  # callers resolve the engine first; defensive belt
         raise ConfigurationError("the compiled-C fused kernel is unavailable")
     n, d = matrix.shape
     n_nodes = node_offsets.shape[0] - 1
     scratch = np.empty(3 * n + n_nodes + 1, dtype=np.int64)
-    if matrix.dtype == np.dtype(np.float64):
-        fn = libs["f64"].fused_descent_f64
-        fp = ctypes.POINTER(ctypes.c_double)
-    else:
-        fn = libs["f32"].fused_descent_f32
-        fp = ctypes.POINTER(ctypes.c_float)
+    fp = ctypes.POINTER(ctypes.c_double)
     ip = ctypes.POINTER(ctypes.c_int64)
-    fn(
+    lib.fused_descent(
         matrix.ctypes.data_as(fp),
         ctypes.c_int64(n),
         ctypes.c_int64(d),
@@ -734,9 +699,9 @@ def _cc_descent(
 
 def _reset_for_tests() -> None:
     """Forget probe results and plan caches (test isolation hook)."""
-    global _cc_libs, _cc_tried, _forced_provider
+    global _cc_lib, _cc_tried, _forced_provider
     with _lock:
-        _cc_libs = None
+        _cc_lib = None
         _cc_tried = False
         _forced_provider = None
         _provider_errors.clear()

@@ -92,17 +92,28 @@ SIDECAR_SUFFIX = ".npz"
 _SIDECAR_FORMATS = ("npz",)
 
 def _as_int(value: object) -> int:
-    """An artifact-payload value as an int (mirrors ``int()`` for JSON types)."""
-    if isinstance(value, (bool, int, float, str, np.integer)):
+    """An artifact-payload value as an int: an integer or a whole-number float.
+
+    A bool, a string or a fractional float is refused rather than coerced,
+    so a corrupt payload fails with a typed error instead of loading a
+    silently truncated model.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    raise SerializationError(f"expected an integer payload value, got {type(value).__name__}")
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise SerializationError(
+        f"expected an integer payload value, got {type(value).__name__} {value!r:.40}"
+    )
 
 
 def _as_float(value: object) -> float:
-    """An artifact-payload value as a float (mirrors ``float()`` for JSON types)."""
-    if isinstance(value, (bool, int, float, str, np.integer, np.floating)):
+    """An artifact-payload value as a float: any real number but a bool."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         return float(value)
-    raise SerializationError(f"expected a number payload value, got {type(value).__name__}")
+    raise SerializationError(
+        f"expected a number payload value, got {type(value).__name__} {value!r:.40}"
+    )
 
 
 def _as_mapping(value: object) -> Dict[str, object]:
@@ -181,25 +192,13 @@ _SIDECAR_LEAF_IS_ATTACK = "leaf_is_attack"
 _SIDECAR_LEAF_PURITY = "leaf_purity"
 
 
-def _refuse_narrowed(compiled: CompiledGhsom) -> None:
-    if compiled.dtype != np.dtype("float64"):
-        raise SerializationError(
-            "refusing to serialise a narrowed compiled model "
-            f"(dtype={compiled.dtype}); serialise the float64 snapshot and "
-            "opt into float32 at load time instead"
-        )
-
-
 def compiled_to_dict(compiled: CompiledGhsom) -> Dict[str, object]:
     """Serialise a :class:`CompiledGhsom` snapshot to a JSON-compatible dict.
 
     Only the defining arrays are stored; derived quantities (unit norms, the
     leaf-key index) are recomputed on load, and ``leaf_keys`` themselves are
-    reconstructed from ``node_ids`` + the leaf table.  The codebook is always
-    written from the float64 representation so artifacts stay bit-exact
-    regardless of any serving-dtype cast applied in memory.
+    reconstructed from ``node_ids`` + the leaf table.
     """
-    _refuse_narrowed(compiled)
     payload: Dict[str, object] = {
         "n_features": int(compiled.n_features),
         "metric": compiled.metric,
@@ -210,21 +209,15 @@ def compiled_to_dict(compiled: CompiledGhsom) -> Dict[str, object]:
     return payload
 
 
-def compiled_from_dict(data: Dict[str, object], *, dtype: str = "float64") -> CompiledGhsom:
-    """Rebuild a :class:`CompiledGhsom` from :func:`compiled_to_dict` output.
-
-    ``dtype`` selects the serving precision: the default ``"float64"``
-    reproduces the saved model bit-exactly; ``"float32"`` opts into the
-    narrowed serving mode (see :meth:`CompiledGhsom.astype`).
-    """
+def compiled_from_dict(data: Dict[str, object]) -> CompiledGhsom:
+    """Rebuild a :class:`CompiledGhsom` from :func:`compiled_to_dict` output."""
     field_arrays: Dict[str, Any] = {name: data[name] for name in _COMPILED_ARRAY_FIELDS}
-    compiled = CompiledGhsom.from_arrays(
+    return CompiledGhsom.from_arrays(
         n_features=_as_int(data["n_features"]),
         metric=str(data["metric"]),
         node_ids=cast("Sequence[str]", data["node_ids"]),
         **field_arrays,
     )
-    return compiled.astype(dtype)
 
 
 def compiled_to_arrays(
@@ -237,7 +230,6 @@ def compiled_to_arrays(
     derived ``unit_norms``, so loading never has to touch the codebook)
     goes into the arrays mapping under its attribute name.
     """
-    _refuse_narrowed(compiled)
     meta: Dict[str, object] = {
         "n_features": int(compiled.n_features),
         "metric": compiled.metric,
@@ -248,10 +240,7 @@ def compiled_to_arrays(
 
 
 def compiled_from_arrays(
-    meta: Dict[str, object],
-    arrays: Dict[str, AnyArray],
-    *,
-    dtype: str = "float64",
+    meta: Dict[str, object], arrays: Dict[str, AnyArray]
 ) -> CompiledGhsom:
     """Rebuild a compiled snapshot from v3 metadata + sidecar arrays.
 
@@ -266,14 +255,13 @@ def compiled_from_arrays(
             "is incomplete or does not belong to this artifact"
         )
     field_arrays: Dict[str, Any] = {name: arrays[name] for name in _COMPILED_ARRAY_FIELDS}
-    compiled = CompiledGhsom.from_arrays(
+    return CompiledGhsom.from_arrays(
         n_features=_as_int(meta["n_features"]),
         metric=str(meta["metric"]),
         node_ids=cast("Sequence[str]", meta["node_ids"]),
         unit_norms=arrays["unit_norms"],
         **field_arrays,
     )
-    return compiled.astype(dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -564,10 +552,10 @@ def ghsom_from_dict(
 
     v2 payloads hydrate the compiled inference engine directly from the
     embedded arrays; v3 payloads need their sidecar ``arrays`` (resolved by
-    :func:`load_ghsom`) for the same.  An already-hydrated float64
-    ``compiled`` snapshot may be passed in place of either (the detector
-    loader does this so its lazy tree hydration does not have to keep the
-    parsed payload arrays alive).
+    :func:`load_ghsom`) for the same.  An already-hydrated ``compiled``
+    snapshot may be passed in place of either (the detector loader does this
+    so its lazy tree hydration does not have to keep the parsed payload
+    arrays alive).
     """
     if data.get("kind") != "ghsom":
         raise SerializationError(f"payload is not a ghsom model (kind={data.get('kind')!r})")
@@ -586,11 +574,6 @@ def ghsom_from_dict(
         compiled = compiled_from_arrays(_as_mapping(data["compiled"]), arrays)
     if compiled is None and version == 2 and data.get("compiled") is not None:
         compiled = compiled_from_dict(_as_mapping(data["compiled"]))
-    if compiled is not None and compiled.dtype != np.dtype("float64"):
-        raise SerializationError(
-            "cannot rebuild a tree from a narrowed compiled snapshot "
-            f"(dtype={compiled.dtype}); pass the float64 snapshot"
-        )
     codebooks = _codebook_slices(compiled) if compiled is not None else None
     model.root = _node_from_dict(_as_mapping(data["root"]), config, model.n_features, codebooks)
     if compiled is not None:
@@ -650,8 +633,8 @@ def _detector_payload(
         "calibrate_on_normal_only": detector.calibrate_on_normal_only,
     }
     # The detector's serving configuration travels inside the artifact,
-    # so loading hydrates a fully-configured detector (dtype, engine,
-    # sharding, artifact options) unless the caller overrides it — see
+    # so loading hydrates a fully-configured detector (engine, sharding,
+    # artifact options) unless the caller overrides it — see
     # repro.serving.config.effective_config for the precedence rule.
     payload["serving_config"] = detector.serving_config.to_dict()
     # Generators are process-local state; only reproducible seeds persist.
@@ -744,13 +727,11 @@ def detector_from_dict(
     How the detector serves is governed by one
     :class:`~repro.serving.config.ServingConfig` with the standard
     precedence (see :func:`repro.serving.config.effective_config`): a full
-    ``config`` wins wholesale; otherwise flat ``overrides`` (dtype, engine,
-    shards, workers, backend, remote_workers, provisioning, mmap, verify)
-    apply field-wise on top of the artifact-embedded config (v2+
-    payloads carry the config the detector was saved with; older artifacts
-    fall back to the library default).  The resolved config also controls
-    how the sidecar is opened.  Scores are bit-exact against the saved
-    detector only at the default ``"float64"`` dtype.
+    ``config`` wins wholesale; otherwise flat ``overrides`` (engine,
+    shards, remote_workers, provisioning, mmap, verify) apply field-wise on
+    top of the artifact-embedded config (v2+ payloads carry the config the
+    detector was saved with; older artifacts fall back to the library
+    default).  The resolved config also controls how the sidecar is opened.
     """
     if data.get("kind") != "ghsom_detector":
         raise SerializationError(
@@ -783,23 +764,20 @@ def detector_from_dict(
     # Older artifacts also carry a "shard_manifest" key.  It is ignored: the
     # shard layout is always derived from the compiled arrays.
     if version >= 2 and model_payload.get("compiled") is not None:
-        # Keep the exact float64 snapshot for lazy tree hydration even when
-        # serving narrowed; when dtype is float64, astype returns it as-is.
         if version >= 3:
             assert arrays is not None  # opened above for every v3 payload
-            exact = compiled_from_arrays(_as_mapping(model_payload["compiled"]), arrays)
+            compiled = compiled_from_arrays(_as_mapping(model_payload["compiled"]), arrays)
         else:
-            exact = compiled_from_dict(_as_mapping(model_payload["compiled"]))
-        compiled = exact.astype(serving.dtype)
+            compiled = compiled_from_dict(_as_mapping(model_payload["compiled"]))
         detector._compiled = compiled
         # The loader closure carries only the tree-structure payload plus the
-        # in-memory float64 arrays — not the parsed JSON codebook lists (or
+        # in-memory compiled arrays — not the parsed JSON codebook lists (or
         # the open sidecar mapping), which would otherwise stay resident for
         # the detector's whole lifetime.
         tree_payload = {
             key: value for key, value in model_payload.items() if key != "compiled"
         }
-        detector._model_loader = lambda: ghsom_from_dict(tree_payload, compiled=exact)
+        detector._model_loader = lambda: ghsom_from_dict(tree_payload, compiled=compiled)
         # Normalise both storage layouts to one {thresholds, labels,
         # is_attack, purity} dict so table restoration itself has a single
         # code path regardless of where the arrays came from.
@@ -837,11 +815,9 @@ def detector_from_dict(
                 ),
             )
     else:
-        # v1: full tree rebuild; any non-default dtype is applied by the
-        # configure() call below (it narrows from the freshly compiled tree).
+        # v1: full tree rebuild.
         detector.model = ghsom_from_dict(model_payload)
-    # One atomic application of the effective config: dtype (already matching
-    # on the v2/v3 path above, so the snapshot is kept), engine (resolved
+    # One atomic application of the effective config: engine (resolved
     # strictly — an unprovidable "fused" request fails here rather than at
     # first score) and sharding (the backend is constructed eagerly).
     detector.configure(serving)

@@ -32,7 +32,7 @@ into a serving subsystem:
   client whose answers are byte-identical to calling ``detect`` directly);
 * :mod:`repro.serving.config` — the unified serving-configuration layer:
   :class:`ServingConfig` (one frozen, versioned, JSON-round-trippable
-  description of dtype / engine / sharding / artifact options, embedded in
+  description of engine / sharding / artifact options, embedded in
   v2+ artifacts and shipped to remote workers),
   :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
   environment-dependent resolution under one strict/degrade policy;
@@ -41,7 +41,7 @@ into a serving subsystem:
   :class:`ServingStats` (per-batch stage timings on
   ``DetectionResult.stats``).
 
-The merged output is **byte-identical** to the unsharded float64 engine: the
+The merged output is **byte-identical** to the unsharded engine: the
 router replicates the root step of :meth:`CompiledGhsom.assign_arrays`
 exactly, and shards descend via the same
 :func:`~repro.core.compiled.frontier_descent` loop the unsharded engine uses

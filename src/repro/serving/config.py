@@ -5,7 +5,7 @@ loaders (``config=`` / ``overrides=``), ``GhsomDetector.configure`` and the
 CLI flag block all go through it.  This module holds it and its companions:
 
 :class:`ServingConfig`
-    A frozen, *declarative* description of how a model is served: dtype,
+    A frozen, *declarative* description of how a model is served: the
     compute engine, the sharding spec and the artifact-loading options.  It
     validates strictly on construction, round-trips through JSON
     (``to_dict`` / ``from_dict``, versioned), embeds in v2/v3 model
@@ -54,14 +54,23 @@ if TYPE_CHECKING:  # runtime import stays lazy inside build_backend
 #: incompatible change; readers reject versions they do not understand).
 CONFIG_VERSION = 1
 
-#: Serving dtypes the config layer accepts.  ``float64`` is the bit-exact
-#: default; ``float32`` opts into the narrowed serving mode documented on
-#: :meth:`~repro.core.compiled.CompiledGhsom.astype`.
-SERVING_DTYPES = ("float64", "float32")
+#: ``dtype`` values payloads written before serving became float64-only may
+#: carry.  The stored arrays were float64 either way, so both read as float64.
+_LEGACY_DTYPES = ("float64", "float32")
 
 #: Shard-backend names payloads written before the local pools were removed
 #: may carry.  Every local name now reads as serial sharding.
 _LEGACY_LOCAL_BACKENDS = ("serial", "thread", "process")
+
+_SERIAL_OR_REMOTE = (
+    "local shards run serially, and remote_workers alone selects the remote backend"
+)
+#: Override keys of knobs that no longer exist, and why.
+_REMOVED_OVERRIDES = {
+    "workers": _SERIAL_OR_REMOTE,
+    "backend": _SERIAL_OR_REMOTE,
+    "dtype": "models always serve in float64",
+}
 
 #: Remote shard-provisioning policies (see
 #: :class:`~repro.serving.remote.RemoteBackend`).
@@ -113,6 +122,27 @@ def _opt_int(value: object) -> Optional[int]:
 def _opt_str(value: object) -> Optional[str]:
     """``None`` passes through; everything else is stringified."""
     return None if value is None else str(value)
+
+
+def _check_legacy_dtype(data: Mapping[str, object]) -> None:
+    """Refuse the ``dtype`` values older readers refused.
+
+    Payloads written while float32 serving existed carry a ``dtype`` key;
+    ``"float64"`` and ``"float32"`` (and their numpy aliases) read as the one
+    float64 serving precision, anything else is still rejected.
+    """
+    if "dtype" not in data:
+        return
+    value = str(data["dtype"])
+    try:
+        name = np.dtype(value).name
+    except TypeError as exc:
+        raise ConfigurationError(f"invalid serving dtype {value!r}: {exc}") from exc
+    if name not in _LEGACY_DTYPES:
+        raise ConfigurationError(
+            f"unsupported serving dtype {name!r}; models serve in float64 "
+            "(payloads naming float32 read as float64)"
+        )
 
 
 def _check_legacy_backend(sharding: Mapping[str, object]) -> None:
@@ -249,21 +279,11 @@ class ServingConfig:
     paths rely on.
     """
 
-    dtype: str = "float64"
     engine: Optional[str] = None
     sharding: ShardingSpec = field(default_factory=ShardingSpec)
     artifact: ArtifactOptions = field(default_factory=ArtifactOptions)
 
     def __post_init__(self) -> None:
-        try:
-            canonical = np.dtype(self.dtype).name
-        except TypeError as exc:
-            raise ConfigurationError(f"invalid serving dtype {self.dtype!r}: {exc}") from exc
-        if canonical not in SERVING_DTYPES:
-            raise ConfigurationError(
-                f"unsupported serving dtype {canonical!r}; expected one of {SERVING_DTYPES}"
-            )
-        object.__setattr__(self, "dtype", canonical)
         if self.engine is not None:
             kernels.check_engine(self.engine)
         if not isinstance(self.sharding, ShardingSpec):
@@ -282,7 +302,6 @@ class ServingConfig:
         """JSON-compatible payload; exact inverse of :meth:`from_dict`."""
         return {
             "config_version": CONFIG_VERSION,
-            "dtype": self.dtype,
             "engine": self.engine,
             "sharding": {
                 "shards": self.sharding.shards,
@@ -304,7 +323,8 @@ class ServingConfig:
         same as no pin, and ``"none"`` — which disabled the fused engine —
         reads as the numpy engine.  Payloads written before the pool
         backends were removed may carry ``backend`` and ``workers``: see
-        :func:`_check_legacy_backend`.
+        :func:`_check_legacy_backend`.  Payloads written while float32
+        serving existed carry ``dtype``: see :func:`_check_legacy_dtype`.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -346,9 +366,9 @@ class ServingConfig:
                 f"unknown fused provider {provider!r} in serving config payload; "
                 "expected 'cc', 'none' or null"
             )
+        _check_legacy_dtype(data)
         _check_legacy_backend(sharding)
         return cls(
-            dtype=str(data.get("dtype", "float64")),
             engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
@@ -371,26 +391,23 @@ class ServingConfig:
     def with_overrides(self, overrides: Mapping[str, object]) -> "ServingConfig":
         """Apply flat, CLI-style field overrides on top of this config.
 
-        ``overrides`` maps flat knob names — ``dtype``, ``engine``,
-        ``shards``, ``remote_workers``, ``provisioning``, ``mmap``,
-        ``verify`` — to
+        ``overrides`` maps flat knob names — ``engine``, ``shards``,
+        ``remote_workers``, ``provisioning``, ``mmap``, ``verify`` — to
         values; keys that are absent keep this config's value, which is what
         gives CLI flags field-wise precedence over an artifact-embedded
         config.  Overriding any sharding field replaces the *whole* sharding
         spec (a ``--shards 4`` override must not inherit a stale remote
         address list from the artifact).
         """
-        removed = sorted(set(overrides) & {"workers", "backend"})
+        removed = sorted(set(overrides) & set(_REMOVED_OVERRIDES))
         if removed:
             raise ConfigurationError(
-                f"serving config override {removed[0]!r} was removed: local "
-                "shards run serially, and remote_workers alone selects the "
-                "remote backend"
+                f"serving config override {removed[0]!r} was removed: "
+                + _REMOVED_OVERRIDES[removed[0]]
             )
         unknown = sorted(
             set(overrides)
             - {
-                "dtype",
                 "engine",
                 "shards",
                 "remote_workers",
@@ -402,9 +419,8 @@ class ServingConfig:
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
         config = self
-        top = {key: overrides[key] for key in ("dtype", "engine") if key in overrides}
-        if top:
-            config = replace(config, **top)
+        if "engine" in overrides:
+            config = replace(config, engine=_opt_str(overrides["engine"]))
         shard_keys = ("shards", "remote_workers", "provisioning")
         if any(key in overrides for key in shard_keys):
             config = replace(
@@ -442,16 +458,14 @@ class ServingConfig:
           is resolved to a concrete ``"numpy"`` / ``"fused"`` via
           :func:`repro.core.kernels.resolve_engine` — ``strict=True`` raises
           :class:`~repro.exceptions.ConfigurationError` when a ``"fused"``
-          request has no provider for ``metric``/``dtype``; ``strict=False``
+          request has no provider for ``metric``; ``strict=False``
           degrades to numpy (the hot-path / worker-side policy);
         * a sharded plan runs on the ``"remote"`` backend when the spec
           lists worker addresses (one worker per address) and on the
           ``"serial"`` backend (one worker) otherwise.
         """
         requested = self.engine if self.engine is not None else kernels.DEFAULT_ENGINE
-        resolved = kernels.resolve_engine(
-            requested, metric=metric, dtype=self.dtype, strict=strict
-        )
+        resolved = kernels.resolve_engine(requested, metric=metric, strict=strict)
         provider = kernels.fused_provider() if resolved == "fused" else None
         sharding = self.sharding
         backend: Optional[str] = None
@@ -464,7 +478,6 @@ class ServingConfig:
             backend, workers = "serial", 1
         return ServingPlan(
             config=self,
-            dtype=self.dtype,
             engine_requested=requested,
             engine=resolved,
             provider=provider,
@@ -492,7 +505,6 @@ class ServingPlan:
     """
 
     config: ServingConfig
-    dtype: str
     engine_requested: str
     engine: str
     provider: Optional[str]
@@ -511,7 +523,6 @@ class ServingPlan:
     def to_dict(self) -> Dict[str, object]:
         """Resolved-plan provenance (JSON-compatible; used by stats/inspect)."""
         return {
-            "dtype": self.dtype,
             "engine_requested": self.engine_requested,
             "engine": self.engine,
             "provider": self.provider,
@@ -594,8 +605,8 @@ def effective_config(
 class ServingStats:
     """Per-batch serving observability attached to ``DetectionResult.stats``.
 
-    Timings are wall-clock seconds per stage: ``ingest`` (validation plus
-    the single cast to the serving dtype), ``route`` (the sharded router's
+    Timings are wall-clock seconds per stage: ``ingest`` (validation and
+    the one conversion to a float64 matrix), ``route`` (the sharded router's
     root distance+argmin; zero on the unsharded engine, which fuses routing
     into the descent), ``descend`` (the tree descent itself) and ``merge``
     (score folding, label resolution and — when sharded — scattering shard
@@ -605,7 +616,6 @@ class ServingStats:
     """
 
     n_records: int
-    dtype: str
     engine: str
     sharded: bool
     ingest_s: float
@@ -618,7 +628,6 @@ class ServingStats:
     def to_dict(self) -> Dict[str, object]:
         return {
             "n_records": self.n_records,
-            "dtype": self.dtype,
             "engine": self.engine,
             "sharded": self.sharded,
             "ingest_s": self.ingest_s,

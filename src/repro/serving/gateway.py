@@ -199,9 +199,7 @@ class DetectionGateway(FramedServer):
         # Resolve the serving plan once, now: a misconfigured model must
         # fail at startup, not at the first client request.
         self._plan_info: Dict[str, object] = dict(detector.resolved_plan().describe())
-        compiled = detector._compiled_model()
-        self._n_features = int(compiled.n_features)
-        self._serving_dtype = np.dtype(compiled.dtype)
+        self._n_features = int(detector._compiled_model().n_features)
         super().__init__(
             host,
             port,
@@ -230,7 +228,6 @@ class DetectionGateway(FramedServer):
         """The gateway's part of the handshake info (model shape and knobs)."""
         return {
             "n_features": self._n_features,
-            "dtype": str(self._serving_dtype),
             "max_batch_rows": self._max_batch_rows,
             "max_pending_rows": self._max_pending_rows,
             "plan": dict(self._plan_info),
@@ -336,10 +333,10 @@ class DetectionGateway(FramedServer):
                 f"max-batch-rows cap of {self._max_batch_rows}; split the "
                 "request"
             )
-        # Cast to the serving dtype at admission: batch concatenation is then
+        # Convert to float64 at admission: batch concatenation is then
         # dtype-uniform and detect()'s own validation pass-through — exactly
         # the arrays a direct detect() call would descend with.
-        rows = np.ascontiguousarray(matrix, dtype=self._serving_dtype)
+        rows = np.ascontiguousarray(matrix, dtype=float)
         # Non-finite values (including ones the cast overflowed to inf) would
         # make detect() reject the whole coalesced batch; reject this request.
         if not np.isfinite(rows).all():

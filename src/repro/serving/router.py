@@ -23,7 +23,7 @@ engine for every shard count and backend.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -131,11 +131,6 @@ class ShardedGhsom:
     def n_leaves(self) -> int:
         return self.source.n_leaves
 
-    @property
-    def dtype(self) -> np.dtype[Any]:
-        """Serving dtype (that of the source snapshot)."""
-        return self.source.dtype
-
     def describe(self) -> Dict[str, object]:
         """Structural + balance summary (benchmark harness and docs)."""
         summary = dict(self.source.describe())
@@ -154,16 +149,12 @@ class ShardedGhsom:
 
         See the module docstring for the route / dispatch / merge structure.
         """
-        # One conversion straight to the serving dtype: check_array_2d hands
-        # back a contiguous array in the target dtype.
-        return self.assign_validated(
-            check_array_2d(data, "data", dtype=self._root_codebook.dtype)
-        )
+        return self.assign_validated(check_array_2d(data, "data"))
 
     def assign_validated(self, matrix: AnyArray) -> Tuple[AnyArray, AnyArray]:
         """:meth:`assign_arrays` on a matrix ``check_array_2d`` already returned.
 
-        ``matrix`` must be C-contiguous in the serving dtype, as
+        ``matrix`` must be a C-contiguous float64 array, as
         ``GhsomDetector.detect`` hands it over after validating the batch.
         """
         if matrix.shape[1] != self.n_features:
@@ -173,7 +164,7 @@ class ShardedGhsom:
         t_route = perf_counter()
         n = matrix.shape[0]
         leaf_index = np.full(n, -1, dtype=np.intp)
-        distances = np.zeros(n, dtype=self._root_codebook.dtype)
+        distances = np.zeros(n)
         # --- route: the unsharded engine's first frontier iteration ------- #
         sample_norms = np.einsum("ij,ij->i", matrix, matrix)
         d2 = matrix @ self._root_codebook.T
@@ -217,9 +208,7 @@ class ShardedGhsom:
                 distances[rows] = shard_distances
             merge_s = perf_counter() - t_merge
         self.last_timings = {"route_s": route_s, "descend_s": descend_s, "merge_s": merge_s}
-        # repro-lint: disable=RPL003 -- same result-widening contract as
-        # CompiledGhsom.assign_validated; a no-op for the float64 engine.
-        return leaf_index, distances.astype(np.float64, copy=False)
+        return leaf_index, distances
 
     def transform(self, data: object) -> AnyArray:
         """Quantization distance per sample (the raw anomaly score)."""

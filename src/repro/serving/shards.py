@@ -112,14 +112,11 @@ class SubtreeShard:
     ) -> Tuple[AnyArray, AnyArray]:
         """Descend the shard for a routed sub-batch.
 
-        ``matrix`` is the router-prepared sub-batch (already validated and
-        cast to the serving dtype); ``entry_nodes`` holds each row's local
-        entry node.  Returns local leaf rows plus distances in the serving
-        dtype — the router remaps and widens them.
+        ``matrix`` is the router-prepared sub-batch (already validated);
+        ``entry_nodes`` holds each row's local entry node.  Returns local leaf
+        rows plus distances — the router remaps them.
         """
-        resolved = kernels.resolve_engine(
-            self.engine, metric=self.metric, dtype=self.codebook.dtype
-        )
+        resolved = kernels.resolve_engine(self.engine, metric=self.metric)
         if resolved == "fused":
             # The shard itself is the kernel-plan cache key, so the lane
             # transposition of its codebook happens once per shard lifetime.

@@ -127,10 +127,10 @@ class OnlineDetector:
 
         ``None`` for detectors outside the config layer (baselines).  The
         config is carried by the detector itself, so it survives
-        drift-triggered refits unchanged: ``GhsomDetector.fit`` re-applies
-        the full serving setup — dtype snapshot, engine, sharding — to the
-        newly compiled model, and the next ``process`` batch serves with the
-        exact same plan as before the refit.
+        drift-triggered refits unchanged: ``GhsomDetector.fit`` keeps the
+        full serving setup — engine, sharding — for the newly compiled model,
+        and the next ``process`` batch serves with the exact same plan as
+        before the refit.
         """
         return cast(
             "Optional[ServingConfig]", getattr(self.detector, "serving_config", None)
@@ -159,25 +159,11 @@ class OnlineDetector:
             return self._warmup_step(matrix)
         return self._scoring_step(matrix)
 
-    def _serving_matrix(self, matrix: AnyArray) -> AnyArray:
-        """Cast the scoring copy to the wrapped detector's serving dtype once.
-
-        A float32-serving detector would otherwise pay a fresh
-        float64→float32 conversion inside *every* ``detect`` call; casting
-        here at the stream boundary makes the downstream validation a no-op
-        pass-through.  The float64 ``matrix`` itself is untouched — warm-up
-        and refit buffers keep full precision.
-        """
-        dtype = getattr(self.detector, "serving_dtype", None)
-        if dtype is None or np.dtype(dtype) == matrix.dtype:
-            return matrix
-        return np.ascontiguousarray(matrix, dtype=dtype)
-
     def _scoring_step(self, matrix: AnyArray) -> OnlineStepResult:
         """Score one batch with the fitted detector and run the adaptation loop."""
         # Single-pass serving: one detection pass yields scores *and* class
         # labels (for GhsomDetector that is one tree descent total).
-        detection = self.detector.detect(self._serving_matrix(matrix))
+        detection = self.detector.detect(matrix)
         scores = np.asarray(detection.scores, dtype=float)
         scale = self._effective_scale()
         # The shared decision rule: strictly above the (scaled) threshold
@@ -252,15 +238,8 @@ class OnlineDetector:
         return self.process(batch).predictions
 
     def score_samples(self, batch: object) -> AnyArray:
-        """Scores from the wrapped detector without updating any online state.
-
-        Routed through :meth:`_serving_matrix` exactly like :meth:`process`:
-        a float32-serving detector sees the batch cast once at the stream
-        boundary instead of paying a fresh float64→float32 conversion inside
-        the call, and both entry points hand the wrapped detector the same
-        dtype (so their scores cannot diverge).
-        """
+        """Scores from the wrapped detector without updating any online state."""
         if not self._is_warmed_up:
             raise NotFittedError("OnlineDetector is still warming up")
-        matrix = self._serving_matrix(check_array_2d(batch, "batch"))
+        matrix = check_array_2d(batch, "batch")
         return np.asarray(self.detector.score_samples(matrix), dtype=float)

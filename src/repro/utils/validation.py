@@ -8,10 +8,9 @@ the algorithm rather than on defensive programming.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Sized
+from typing import Sequence, Sized
 
 import numpy as np
-import numpy.typing as npt
 
 from repro._typing import AnyArray
 from repro.exceptions import DataValidationError
@@ -24,14 +23,13 @@ def check_array_2d(
     min_rows: int = 1,
     min_cols: int = 1,
     allow_nan: bool = False,
-    dtype: Optional[npt.DTypeLike] = None,
 ) -> AnyArray:
-    """Validate ``data`` as a 2-D float array and return it C-contiguous.
+    """Validate ``data`` as a 2-D float64 array and return it C-contiguous.
 
-    A C-contiguous 2-D array already in the target dtype is returned as is
-    (the caller's own object, not a copy); anything else is converted into a
-    new array.  The serving hot path relies on that pass-through for its
-    single cast, so callers must not write to the result in place.
+    A C-contiguous 2-D float64 array is returned as is (the caller's own
+    object, not a copy); anything else is converted into a new array.  The
+    serving hot path relies on that pass-through for its single conversion,
+    so callers must not write to the result in place.
 
     Parameters
     ----------
@@ -43,14 +41,9 @@ def check_array_2d(
         Minimum acceptable shape.
     allow_nan:
         When ``False`` (the default) NaN or infinite values raise an error.
-    dtype:
-        Target floating dtype (default float64).  Passing the serving dtype
-        here converts the input exactly once; hot paths can then hand the
-        result straight to BLAS / the fused kernel with no further
-        ``ascontiguousarray`` round-trips.
     """
     try:
-        array = np.asarray(data, dtype=float if dtype is None else dtype)
+        array = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{name} could not be converted to a float array: {exc}") from exc
     if array.ndim == 1:

@@ -71,6 +71,13 @@ class TestParser:
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {' '.join(removed)}" in err
 
+    def test_removed_float32_flag_exits_2(self, capsys):
+        # Serving is float64 only; the float32 opt-in flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--model", "m", "--input", "i", "--float32"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --float32" in capsys.readouterr().err
+
 
 class TestGenerateAndSimulate:
     def test_generate_writes_loadable_csv(self, tmp_path, capsys):
@@ -283,22 +290,6 @@ class TestTrainDetectInspect:
             ["detect", "--model", str(trained_model_path), "--input", str(data_dir / "test.csv")]
         ) == 0
         assert len(calls) == 1
-
-    def test_detect_float32_mode(self, trained_model_path, data_dir, tmp_path, capsys):
-        output = tmp_path / "alarms32.csv"
-        code = main(
-            [
-                "detect",
-                "--model", str(trained_model_path),
-                "--input", str(data_dir / "test.csv"),
-                "--float32",
-                "--output", str(output),
-            ]
-        )
-        assert code == 0
-        assert len(output.read_text().strip().splitlines()) == len(
-            load_csv(data_dir / "test.csv")
-        ) + 1
 
     def test_inspect_prints_topology(self, trained_model_path, capsys):
         assert main(["inspect", "--model", str(trained_model_path)]) == 0

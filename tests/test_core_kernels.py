@@ -1,10 +1,10 @@
 """Engine-equivalence tests for the fused descent kernel.
 
 The fused engine's contract (see :mod:`repro.core.kernels`): for every
-supported metric and dtype it lands every sample on the **exact same leaf**
-as the numpy frontier descent, with distances matching within the documented
+supported metric it lands every sample on the **exact same leaf** as the
+numpy frontier descent, with distances matching within the documented
 ``FUSED_DISTANCE_RTOL``.  The hypothesis suite below exercises that contract
-over randomly generated flat-array trees, metrics, dtypes and entry nodes —
+over randomly generated flat-array trees, metrics and entry nodes —
 the same surface the sharded engine drives via per-shard entry points.
 
 The provider tests prove the degradation story: ``"auto"`` silently resolves
@@ -35,9 +35,8 @@ TREE_SETTINGS = {
 }
 
 METRICS = sorted(kernels.FUSED_METRICS)
-DTYPES = ("float64", "float32")
 
-fused_missing = not kernels.fused_supported("euclidean", np.float64)
+fused_missing = not kernels.fused_supported("euclidean")
 needs_fused = pytest.mark.skipif(
     fused_missing, reason=f"no fused kernel provider: {kernels.provider_diagnostics()}"
 )
@@ -61,7 +60,6 @@ class TreeOwner:
 def random_tree(
     rng: np.random.Generator,
     n_features: int,
-    dtype: str,
     *,
     max_nodes: int = 14,
     max_units: int = 7,
@@ -97,9 +95,7 @@ def random_tree(
     leaf_of_unit = np.full(child_of_unit.shape, -1, dtype=np.intp)
     leaf_units = np.flatnonzero(child_of_unit < 0)
     leaf_of_unit[leaf_units] = np.arange(leaf_units.size, dtype=np.intp)
-    codebook = np.ascontiguousarray(
-        rng.normal(0.0, 1.0, size=(child_of_unit.size, n_features)), dtype=dtype
-    )
+    codebook = rng.normal(0.0, 1.0, size=(child_of_unit.size, n_features))
     unit_norms = np.einsum("ij,ij->i", codebook, codebook)
     return TreeOwner(codebook, node_offsets, child_of_unit, leaf_of_unit, unit_norms)
 
@@ -126,17 +122,14 @@ def descend_both(owner, matrix, entries, metric):
 class TestFusedEquivalence:
     @given(data=st.data())
     @settings(**TREE_SETTINGS)
-    def test_random_trees_metrics_dtypes_entries(self, data):
-        dtype = data.draw(st.sampled_from(DTYPES))
+    def test_random_trees_metrics_entries(self, data):
         metric = data.draw(st.sampled_from(METRICS))
         seed = data.draw(st.integers(0, 2**16))
         n_features = data.draw(st.integers(1, 24))
         n_samples = data.draw(st.integers(1, 48))
         rng = np.random.default_rng(seed)
-        owner = random_tree(rng, n_features, dtype)
-        matrix = np.ascontiguousarray(
-            rng.normal(0.0, 1.2, size=(n_samples, n_features)), dtype=dtype
-        )
+        owner = random_tree(rng, n_features)
+        matrix = rng.normal(0.0, 1.2, size=(n_samples, n_features))
         if data.draw(st.booleans()):
             entries = np.zeros(n_samples, dtype=np.intp)
         else:
@@ -147,82 +140,76 @@ class TestFusedEquivalence:
             owner, matrix, entries, metric
         )
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
-        rtol = kernels.FUSED_DISTANCE_RTOL[dtype]
-        np.testing.assert_allclose(fused_dist, ref_dist, rtol=rtol, atol=0.0)
-        assert fused_dist.dtype == ref_dist.dtype
+        np.testing.assert_allclose(
+            fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
+        )
+        assert fused_dist.dtype == ref_dist.dtype == np.float64
 
     def test_exact_ties_break_to_first_unit(self):
         # Duplicate weight rows force exact distance ties: the fused argmin
         # must pick the lowest unit index, like np.argmin.
-        for dtype in DTYPES:
-            codebook = np.tile(np.linspace(0.1, 0.9, 5, dtype=dtype), (9, 1))
-            owner = TreeOwner(
-                codebook=np.ascontiguousarray(codebook),
-                node_offsets=np.array([0, 9], dtype=np.intp),
-                child_of_unit=np.full(9, -1, dtype=np.intp),
-                leaf_of_unit=np.arange(9, dtype=np.intp),
-                unit_norms=np.einsum("ij,ij->i", codebook, codebook),
-            )
-            matrix = np.ascontiguousarray(
-                np.tile(np.linspace(0.2, 0.8, 5, dtype=dtype), (4, 1))
-            )
-            entries = np.zeros(4, dtype=np.intp)
-            (ref_leaf, _), (fused_leaf, _) = descend_both(
-                owner, matrix, entries, "euclidean"
-            )
-            np.testing.assert_array_equal(fused_leaf, ref_leaf)
-            assert set(np.asarray(fused_leaf).tolist()) == {0}
+        codebook = np.tile(np.linspace(0.1, 0.9, 5), (9, 1))
+        owner = TreeOwner(
+            codebook=codebook,
+            node_offsets=np.array([0, 9], dtype=np.intp),
+            child_of_unit=np.full(9, -1, dtype=np.intp),
+            leaf_of_unit=np.arange(9, dtype=np.intp),
+            unit_norms=np.einsum("ij,ij->i", codebook, codebook),
+        )
+        matrix = np.tile(np.linspace(0.2, 0.8, 5), (4, 1))
+        entries = np.zeros(4, dtype=np.intp)
+        (ref_leaf, _), (fused_leaf, _) = descend_both(owner, matrix, entries, "euclidean")
+        np.testing.assert_array_equal(fused_leaf, ref_leaf)
+        assert set(np.asarray(fused_leaf).tolist()) == {0}
 
     def test_single_sample_single_unit(self):
         rng = np.random.default_rng(5)
-        for dtype in DTYPES:
-            codebook = np.ascontiguousarray(rng.normal(size=(1, 3)), dtype=dtype)
-            owner = TreeOwner(
-                codebook=codebook,
-                node_offsets=np.array([0, 1], dtype=np.intp),
-                child_of_unit=np.array([-1], dtype=np.intp),
-                leaf_of_unit=np.array([0], dtype=np.intp),
-                unit_norms=np.einsum("ij,ij->i", codebook, codebook),
-            )
-            matrix = np.ascontiguousarray(rng.normal(size=(1, 3)), dtype=dtype)
-            (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
-                owner, matrix, np.zeros(1, dtype=np.intp), "sqeuclidean"
-            )
-            np.testing.assert_array_equal(fused_leaf, ref_leaf)
-            rtol = kernels.FUSED_DISTANCE_RTOL[dtype]
-            np.testing.assert_allclose(fused_dist, ref_dist, rtol=rtol, atol=0.0)
-
-    def test_float32_landing_distance_close_to_the_unit(self):
-        # Samples a hair from their unit: the expanded |x|^2 - 2 x.w + |w|^2
-        # cancels in float32, so both engines must report the direct distance.
-        rng = np.random.default_rng(3)
-        codebook = np.ascontiguousarray(rng.uniform(0.0, 1.0, size=(6, 40)), dtype=np.float32)
+        codebook = rng.normal(size=(1, 3))
         owner = TreeOwner(
             codebook=codebook,
-            node_offsets=np.array([0, 6], dtype=np.intp),
-            child_of_unit=np.full(6, -1, dtype=np.intp),
-            leaf_of_unit=np.arange(6, dtype=np.intp),
+            node_offsets=np.array([0, 1], dtype=np.intp),
+            child_of_unit=np.array([-1], dtype=np.intp),
+            leaf_of_unit=np.array([0], dtype=np.intp),
             unit_norms=np.einsum("ij,ij->i", codebook, codebook),
         )
-        near = codebook[rng.integers(0, 6, size=32)] + rng.normal(0.0, 1e-3, size=(32, 40))
-        matrix = np.ascontiguousarray(near, dtype=np.float32)
-        for metric in ("euclidean", "sqeuclidean"):
-            (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
-                owner, matrix, np.zeros(32, dtype=np.intp), metric
-            )
-            np.testing.assert_array_equal(fused_leaf, ref_leaf)
-            diff = matrix.astype(np.float64) - codebook.astype(np.float64)[ref_leaf]
-            exact = np.einsum("ij,ij->i", diff, diff)
-            if metric == "euclidean":
-                exact = np.sqrt(exact)
-            rtol = kernels.FUSED_DISTANCE_RTOL["float32"]
-            np.testing.assert_allclose(ref_dist, exact, rtol=rtol, atol=0.0)
-            np.testing.assert_allclose(fused_dist, exact, rtol=rtol, atol=0.0)
+        matrix = rng.normal(size=(1, 3))
+        (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
+            owner, matrix, np.zeros(1, dtype=np.intp), "sqeuclidean"
+        )
+        np.testing.assert_array_equal(fused_leaf, ref_leaf)
+        np.testing.assert_allclose(
+            fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
+        )
 
     def test_plan_is_cached_per_owner(self):
         rng = np.random.default_rng(11)
-        owner = random_tree(rng, 6, "float64")
+        owner = random_tree(rng, 6)
         assert kernels.fused_plan(owner) is kernels.fused_plan(owner)
+
+    def test_non_float64_matrix_is_refused(self):
+        # The kernel reads doubles; any other dtype is a typed error, never
+        # a reinterpretation of the buffer.
+        rng = np.random.default_rng(2)
+        owner = random_tree(rng, 4)
+        matrix = rng.normal(size=(3, 4)).astype(np.float32)
+        with pytest.raises(ConfigurationError, match="float32"):
+            kernels.fused_descent(owner, matrix, np.zeros(3, dtype=np.int64), metric="euclidean")
+
+    def test_provider_compiles_one_shared_object(self, monkeypatch):
+        commands = []
+        run = kernels.subprocess.run
+
+        def counting_run(command, **kwargs):
+            commands.append(command)
+            return run(command, **kwargs)
+
+        monkeypatch.setattr(kernels.subprocess, "run", counting_run)
+        kernels._reset_for_tests()
+        assert kernels.fused_provider() == "cc"
+        # A toolchain that rejects the tuning flags is retried on the same
+        # output, so every command builds the one kernel library.
+        outputs = {command[command.index("-o") + 1] for command in commands}
+        assert len(outputs) == 1
 
 
 @needs_fused
@@ -242,8 +229,9 @@ class TestDetectorEngineEquivalence:
         ref_leaf, ref_dist = compiled.assign_arrays(test_matrix, engine="numpy")
         fused_leaf, fused_dist = compiled.assign_arrays(test_matrix, engine="fused")
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
-        rtol = kernels.FUSED_DISTANCE_RTOL[str(compiled.dtype)]
-        np.testing.assert_allclose(fused_dist, ref_dist, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(
+            fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
+        )
 
     def test_default_engine_is_numpy_byte_identity(self, detector, test_matrix):
         compiled = detector._compiled_model()
@@ -274,8 +262,9 @@ class TestDetectorEngineEquivalence:
         finally:
             engine.close()
         np.testing.assert_array_equal(leaf, reference[0])
-        rtol = kernels.FUSED_DISTANCE_RTOL[str(compiled.dtype)]
-        np.testing.assert_allclose(dist, reference[1], rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(
+            dist, reference[1], rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
+        )
 
 
 class TestEngineResolution:
@@ -285,7 +274,7 @@ class TestEngineResolution:
 
     def test_default_engine_is_numpy(self):
         assert kernels.DEFAULT_ENGINE == "numpy"
-        assert kernels.resolve_engine(None, metric="euclidean", dtype=np.float64) == "numpy"
+        assert kernels.resolve_engine(None, metric="euclidean") == "numpy"
 
     def test_auto_degrades_to_numpy_without_provider_and_without_warnings(self):
         kernels.set_fused_provider("none")
@@ -293,9 +282,7 @@ class TestEngineResolution:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for _ in range(3):  # repeated resolution must stay silent too
-                    resolved = kernels.resolve_engine(
-                        "auto", metric="euclidean", dtype=np.float64
-                    )
+                    resolved = kernels.resolve_engine("auto", metric="euclidean")
                     assert resolved == "numpy"
         finally:
             kernels.set_fused_provider(None)
@@ -304,9 +291,7 @@ class TestEngineResolution:
         kernels.set_fused_provider("none")
         try:
             with pytest.raises(ConfigurationError):
-                kernels.resolve_engine(
-                    "fused", metric="euclidean", dtype=np.float64, strict=True
-                )
+                kernels.resolve_engine("fused", metric="euclidean", strict=True)
         finally:
             kernels.set_fused_provider(None)
 
@@ -315,19 +300,14 @@ class TestEngineResolution:
         # numpy instead of failing the batch.
         kernels.set_fused_provider("none")
         try:
-            resolved = kernels.resolve_engine(
-                "fused", metric="euclidean", dtype=np.float64
-            )
+            resolved = kernels.resolve_engine("fused", metric="euclidean")
             assert resolved == "numpy"
         finally:
             kernels.set_fused_provider(None)
 
     def test_unsupported_metric_resolves_numpy(self):
         # "auto" on a metric no kernel serves is a silent numpy descent.
-        assert (
-            kernels.resolve_engine("auto", metric="cosine", dtype=np.float64)
-            == "numpy"
-        )
+        assert kernels.resolve_engine("auto", metric="cosine") == "numpy"
 
     def test_detector_rejects_bad_engine_name(self, fast_config):
         from repro.core import GhsomDetector

@@ -24,6 +24,7 @@ from repro.exceptions import SerializationError
 
 #: The committed v1 golden artifact: the v1 reader's only input.
 GOLDEN_V1 = Path(__file__).resolve().parent / "fixtures" / "artifacts" / "detector_v1.json"
+GOLDEN_V2 = GOLDEN_V1.with_name("detector_v2.json")
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +144,26 @@ class TestDetectorSerialization:
         np.testing.assert_array_equal(
             rebuilt.predict(test_matrix[:30]), detector.predict(test_matrix[:30])
         )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("root", "depth", 1.5),
+            ("compiled", "n_features", True),
+            ("root", "rows", "x"),
+            ("model", "qe0", "abc"),
+        ],
+        ids=["depth-fraction", "n_features-bool", "rows-str", "qe0-str"],
+    )
+    def test_mistyped_payload_numbers_raise_serialization_error(
+        self, tmp_path, section, key, value
+    ):
+        # int()/float() would truncate 1.5, read True as 1 and raise a bare
+        # ValueError on strings; a corrupt artifact must fail typed instead.
+        payload = json.loads(GOLDEN_V2.read_text())
+        target = payload["model"] if section == "model" else payload["model"][section]
+        target[key] = value
+        path = tmp_path / "detector.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SerializationError, match="payload value"):
+            load_detector(path).model  # the tree hydrates lazily

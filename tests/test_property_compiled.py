@@ -139,12 +139,8 @@ class TestCompiledDetectorEquivalence:
                 expected_row = legacy_score_samples(detector, row[None])
                 assert np.array_equal(detector.score_samples(row[None]), expected_row)
                 assert np.array_equal(served.detect(row[None]).scores, expected_row)
-            # float32 serving is not bit-exact against the oracle, but it is
-            # the same arithmetic whether the arrays are mapped or in RAM.
-            mapped = load_detector(path, overrides={"dtype": "float32"}).detect(queries)
-            in_ram = load_detector(
-                path, overrides={"dtype": "float32", "mmap": False}
-            ).detect(queries)
-        assert mapped.scores.tobytes() == in_ram.scores.tobytes()
-        assert np.array_equal(mapped.leaf_index, in_ram.leaf_index)
-        assert mapped.categories == in_ram.categories
+            # The same arithmetic whether the arrays are mapped or in RAM.
+            in_ram = load_detector(path, overrides={"mmap": False}).detect(queries)
+        assert result.scores.tobytes() == in_ram.scores.tobytes()
+        assert np.array_equal(result.leaf_index, in_ram.leaf_index)
+        assert result.categories == in_ram.categories

@@ -39,7 +39,7 @@ from repro.core.serialization import (
     save_detector,
     save_ghsom,
 )
-from repro.exceptions import SerializationError
+from repro.exceptions import ConfigurationError, SerializationError
 from repro.serving.config import ServingConfig, ShardingSpec
 from repro.serving.planner import plan_shards, subtrees_from_compiled
 from repro.serving.shards import build_shards
@@ -103,10 +103,6 @@ class TestRoundTripByteIdentical:
         assert np.array_equal(
             mapped.detect(test_matrix).scores, eager.detect(test_matrix).scores
         )
-
-    def test_float32_opt_in(self, v3_artifact):
-        narrowed = load_detector(v3_artifact, overrides={"dtype": "float32"})
-        assert str(narrowed.serving_dtype) == "float32"
 
     def test_ghsom_binary_round_trip(self, detectors, test_matrix, tmp_path):
         model = detectors[("oneclass", "global")].model
@@ -214,6 +210,36 @@ class TestMmapServing:
         assert np.array_equal(observed.scores, expected.scores)
         assert np.array_equal(observed.leaf_index, expected.leaf_index)
         assert list(observed.categories) == list(expected.categories)
+
+    def test_embedded_float32_config_serves_float64(self, v3_artifact, test_matrix, tmp_path):
+        """An artifact whose config names the removed float32 mode still loads."""
+
+        def embed_dtype(json_path, sidecar):
+            payload = json.loads(json_path.read_text())
+            payload["serving_config"]["dtype"] = "float32"
+            json_path.write_text(json.dumps(payload))
+
+        observed = load_detector(_corrupt_copy(v3_artifact, tmp_path, embed_dtype))
+        assert "dtype" not in observed.serving_config.to_dict()
+        observed_result = observed.detect(test_matrix)
+        expected = load_detector(v3_artifact).detect(test_matrix)
+        assert np.array_equal(observed_result.scores, expected.scores)
+        assert np.array_equal(observed_result.leaf_index, expected.leaf_index)
+        assert list(observed_result.categories) == list(expected.categories)
+
+    def test_embedded_unsupported_dtype_still_rejected(self, v3_artifact, tmp_path):
+        def embed_dtype(json_path, sidecar):
+            payload = json.loads(json_path.read_text())
+            payload["serving_config"]["dtype"] = "float16"
+            json_path.write_text(json.dumps(payload))
+
+        path = _corrupt_copy(v3_artifact, tmp_path, embed_dtype)
+        with pytest.raises(ConfigurationError, match="unsupported serving dtype 'float16'"):
+            load_detector(path)
+
+    def test_dtype_override_rejected(self, v3_artifact):
+        with pytest.raises(ConfigurationError, match="override 'dtype' was removed"):
+            load_detector(v3_artifact, overrides={"dtype": "float64"})
 
     def test_shards_are_memmap_views_and_pickle_by_reference(self, v3_artifact):
         compiled = load_detector(v3_artifact)._compiled

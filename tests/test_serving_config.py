@@ -37,22 +37,30 @@ from repro.serving.remote import RemoteBackend
 class TestValidation:
     def test_default_config_is_unsharded_float64(self):
         config = ServingConfig()
-        assert config.dtype == "float64"
+        assert not hasattr(config, "dtype")
         assert config.engine is None
         assert not hasattr(config, "provider")
         assert not config.sharding.enabled
         assert config.artifact.mmap is True
         assert config.artifact.verify is False
 
-    def test_dtype_is_canonicalised(self):
-        assert ServingConfig(dtype="<f4").dtype == "float32"
-        assert ServingConfig(dtype="double").dtype == "float64"
+    def test_config_has_three_fields(self):
+        assert [f.name for f in fields(ServingConfig)] == ["engine", "sharding", "artifact"]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "<f4", "double"])
+    def test_parent_format_dtype_reads_as_float64(self, dtype):
+        # Payloads written while float32 serving existed name a dtype; the
+        # stored arrays were float64 either way.
+        payload = {**_parent_payload(shards=None), "dtype": dtype}
+        assert ServingConfig.from_dict(json.loads(json.dumps(payload))) == ServingConfig()
 
     def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ConfigurationError, match="unsupported serving dtype"):
-            ServingConfig(dtype="int32")
+        payload = _parent_payload(shards=None)
+        for dtype in ("int32", "float16"):
+            with pytest.raises(ConfigurationError, match="unsupported serving dtype"):
+                ServingConfig.from_dict({**payload, "dtype": dtype})
         with pytest.raises(ConfigurationError, match="invalid serving dtype"):
-            ServingConfig(dtype=object())
+            ServingConfig.from_dict({**payload, "dtype": "not-a-dtype"})
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -158,7 +166,6 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
     )
     return st.builds(
         ServingConfig,
-        dtype=st.sampled_from(["float64", "float32"]),
         engine=st.sampled_from([None, "numpy", "fused", "auto"]),
         sharding=st.one_of(local, remote),
         artifact=st.builds(ArtifactOptions, mmap=st.booleans(), verify=st.booleans()),
@@ -180,7 +187,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("provider", [None, "cc"])
     def test_parent_format_provider_key_is_ignored(self, provider):
-        config = ServingConfig(dtype="float32", engine="auto")
+        config = ServingConfig(engine="auto")
         assert "provider" not in config.to_dict()
         payload = {**config.to_dict(), "provider": provider}
         assert ServingConfig.from_dict(payload) == config
@@ -189,6 +196,9 @@ class TestRoundTrip:
     def test_parent_format_provider_none_reads_as_numpy(self, engine):
         payload = {**ServingConfig(engine=engine).to_dict(), "provider": "none"}
         assert ServingConfig.from_dict(payload) == ServingConfig(engine="numpy")
+
+    def test_payload_carries_no_dtype(self):
+        assert "dtype" not in ServingConfig().to_dict()
 
     def test_payload_carries_no_backend_or_workers(self):
         payload = ServingConfig(sharding=ShardingSpec(shards=3)).to_dict()
@@ -284,8 +294,7 @@ class TestRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestOverrides:
     def test_top_level_overrides(self):
-        config = ServingConfig().with_overrides({"dtype": "float32", "engine": "auto"})
-        assert config.dtype == "float32"
+        config = ServingConfig().with_overrides({"engine": "auto"})
         assert config.engine == "auto"
 
     def test_any_sharding_key_replaces_the_whole_spec(self):
@@ -311,10 +320,17 @@ class TestOverrides:
             ServingConfig().with_overrides({"remote_workers": "h:1"})
 
     @pytest.mark.parametrize(
-        "overrides", [{"workers": 2}, {"backend": "thread"}, {"shards": 2, "workers": 2}]
+        "overrides",
+        [
+            {"workers": 2},
+            {"backend": "thread"},
+            {"shards": 2, "workers": 2},
+            {"dtype": "float64"},
+            {"dtype": "float32", "engine": "auto"},
+        ],
     )
     def test_removed_knob_overrides_rejected(self, overrides):
-        knob = "workers" if "workers" in overrides else "backend"
+        knob = next(k for k in ("workers", "backend", "dtype") if k in overrides)
         with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
             ServingConfig().with_overrides(overrides)
 
@@ -324,23 +340,25 @@ class TestEffectiveConfig:
         assert effective_config() == ServingConfig()
 
     def test_full_config_wins_over_embedded(self):
-        embedded = ServingConfig(dtype="float32").to_dict()
+        embedded = ServingConfig(engine="auto").to_dict()
         config = ServingConfig(engine="numpy")
         assert effective_config(config=config, embedded=embedded) == config
 
     def test_config_plus_overrides_rejected(self):
         with pytest.raises(ConfigurationError, match="not both"):
-            effective_config(config=ServingConfig(), overrides={"dtype": "float32"})
+            effective_config(config=ServingConfig(), overrides={"engine": "auto"})
 
     def test_overrides_apply_on_top_of_embedded(self):
-        embedded = ServingConfig(dtype="float32", engine="numpy").to_dict()
-        result = effective_config(overrides={"dtype": "float64"}, embedded=embedded)
-        assert result.dtype == "float64"
-        assert result.engine == "numpy"  # untouched embedded field survives
+        embedded = ServingConfig(
+            engine="numpy", artifact=ArtifactOptions(mmap=False)
+        ).to_dict()
+        result = effective_config(overrides={"engine": "auto"}, embedded=embedded)
+        assert result.engine == "auto"
+        assert result.artifact.mmap is False  # untouched embedded field survives
 
     def test_non_config_rejected(self):
         with pytest.raises(ConfigurationError, match="must be a ServingConfig"):
-            effective_config(config={"dtype": "float64"})
+            effective_config(config={"engine": "numpy"})
 
 
 # --------------------------------------------------------------------------- #
@@ -421,6 +439,7 @@ class TestResolve:
         payload = json.loads(json.dumps(plan.to_dict()))
         assert payload["n_shards"] == 2
         assert payload["sharded"] is True
+        assert "dtype" not in payload
 
     def test_describe_adds_host_diagnostics(self):
         description = ServingConfig().resolve().describe()
@@ -448,7 +467,6 @@ class TestServingStats:
     def test_to_dict_round_trips_fields(self):
         stats = ServingStats(
             n_records=10,
-            dtype="float64",
             engine="numpy",
             sharded=False,
             ingest_s=0.001,
@@ -463,7 +481,6 @@ class TestServingStats:
         assert payload["plan"] == {"engine": "numpy"}
         assert set(payload) == {
             "n_records",
-            "dtype",
             "engine",
             "sharded",
             "ingest_s",

@@ -34,7 +34,13 @@ from repro.core.serialization import load_detector, save_detector
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError
-from repro.serving import ServingConfig, ServingStats, ShardWorkerServer, ShardingSpec
+from repro.serving import (
+    ArtifactOptions,
+    ServingConfig,
+    ServingStats,
+    ShardWorkerServer,
+    ShardingSpec,
+)
 from repro.streaming import OnlineDetector
 
 
@@ -134,7 +140,7 @@ class TestConfigure:
     def test_configure_rejects_non_config(self, json_bundle):
         detector = _fresh_detector(json_bundle)
         with pytest.raises(ConfigurationError):
-            detector.configure({"dtype": "float32"})
+            detector.configure({"engine": "numpy"})
 
     def test_sharded_configure_is_byte_identical(
         self, json_bundle, workload, baseline_scores
@@ -159,7 +165,7 @@ class TestOrderIndependence:
     ):
         knobs = {
             "engine": {"engine": "numpy"},
-            "dtype": {"dtype": "float32"},
+            "artifact": {"artifact": ArtifactOptions(verify=True)},
             "sharding": {"sharding": ShardingSpec(shards=2)},
         }
         configs, scores = [], []
@@ -172,9 +178,9 @@ class TestOrderIndependence:
             detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
         assert all(config == configs[0] for config in configs[1:])
         expected = ServingConfig(
-            dtype="float32",
             engine="numpy",
             sharding=ShardingSpec(shards=2),
+            artifact=ArtifactOptions(verify=True),
         )
         assert configs[0] == expected
         for other in scores[1:]:
@@ -190,7 +196,6 @@ class TestArtifactEmbeddedConfig:
         self, workload, json_bundle, tmp_path, format
     ):
         configured = ServingConfig(
-            dtype="float32",
             engine="numpy",
             sharding=ShardingSpec(shards=3),
         )
@@ -247,26 +252,26 @@ class TestArtifactEmbeddedConfig:
         self, workload, json_bundle, tmp_path
     ):
         detector = _fresh_detector(json_bundle)
-        detector.configure(ServingConfig(dtype="float32", engine="numpy"))
-        path = tmp_path / "f32.json"
+        detector.configure(ServingConfig(engine="numpy"))
+        path = tmp_path / "numpy.json"
         save_bundle(workload["pipeline"], detector, path)
-        _, loaded = load_bundle(path, overrides={"dtype": "float64"})
-        assert loaded.serving_config.dtype == "float64"
-        assert loaded.serving_config.engine == "numpy"  # untouched field survives
+        _, loaded = load_bundle(path, overrides={"shards": 2})
+        try:
+            assert loaded.serving_config.sharding == ShardingSpec(shards=2)
+            assert loaded.serving_config.engine == "numpy"  # untouched field survives
+        finally:
+            loaded.configure(ServingConfig())
 
     def test_config_survives_a_refit(self, json_bundle, workload):
-        configured = ServingConfig(
-            dtype="float32", sharding=ShardingSpec(shards=2)
-        )
+        configured = ServingConfig(engine="numpy", sharding=ShardingSpec(shards=2))
         detector = _fresh_detector(json_bundle)
         detector.configure(configured)
         try:
             detector.fit(workload["X_train"], workload["y_train"])
             assert detector.serving_config == configured
-            assert detector.serving_dtype == np.dtype("float32")
             result = detector.detect(workload["X_test"])
             assert result.stats.sharded is True
-            assert result.stats.dtype == "float32"
+            assert result.stats.engine == "numpy"
         finally:
             detector.configure(ServingConfig())
 
@@ -274,15 +279,14 @@ class TestArtifactEmbeddedConfig:
         self, json_bundle, workload
     ):
         detector = _fresh_detector(json_bundle)
-        detector.configure(ServingConfig(dtype="float32"))
+        detector.configure(ServingConfig(engine="numpy"))
         online = OnlineDetector(detector, warmup_size=10, buffer_size=200)
         assert online.serving_config is detector.serving_config
         online.process(workload["X_test"][:64])
         # A drift-triggered refit goes through detector.fit, which re-applies
         # the config; exercise that path directly.
         detector.fit(workload["X_train"])
-        assert online.serving_config.dtype == "float32"
-        assert detector.serving_dtype == np.dtype("float32")
+        assert online.serving_config == ServingConfig(engine="numpy")
 
 
 # --------------------------------------------------------------------------- #
@@ -294,7 +298,7 @@ class TestDetectionStats:
         stats = result.stats
         assert isinstance(stats, ServingStats)
         assert stats.n_records == workload["X_test"].shape[0]
-        assert stats.dtype == "float64"
+        assert "dtype" not in stats.to_dict()
         assert stats.engine in ("numpy", "fused")
         assert stats.sharded is False
         for value in (stats.ingest_s, stats.route_s, stats.descend_s, stats.merge_s):
@@ -359,9 +363,9 @@ class TestDetectionStats:
 class TestCliHelpers:
     def test_only_explicit_flags_become_overrides(self):
         args = build_parser().parse_args(
-            ["detect", "--model", "m", "--input", "i", "--float32", "--shards", "2"]
+            ["detect", "--model", "m", "--input", "i", "--engine", "auto", "--shards", "2"]
         )
-        assert serving_overrides_from_args(args) == {"dtype": "float32", "shards": 2}
+        assert serving_overrides_from_args(args) == {"engine": "auto", "shards": 2}
 
     def test_no_flags_mean_no_overrides(self):
         args = build_parser().parse_args(["detect", "--model", "m", "--input", "i"])
@@ -374,7 +378,6 @@ class TestCliHelpers:
                 "detect",
                 "--model", "m",
                 "--input", "i",
-                "--float32",
                 "--engine", "numpy",
                 "--no-mmap",
                 "--verify",
@@ -384,7 +387,6 @@ class TestCliHelpers:
             ]
         )
         config = serving_config_from_args(args)
-        assert config.dtype == "float32"
         assert config.engine == "numpy"
         assert config.artifact.mmap is False
         assert config.artifact.verify is True

@@ -179,23 +179,6 @@ class TestV2ServesWithoutTree:
         loaded = load_detector(GOLDEN_DIR / "detector_v1.json")
         assert loaded.tree_is_materialized
 
-    def test_float32_opt_in_close_but_not_exact(self, detectors, test_matrix):
-        detector = detectors[("oneclass", "per_unit")]
-        payload = _json_round_trip(detector_to_dict(detector))
-        narrowed = detector_from_dict(payload, overrides={"dtype": "float32"})
-        assert str(narrowed.serving_dtype) == "float32"
-        expected = detector.detect(test_matrix)
-        observed = narrowed.detect(test_matrix)
-        # A record near-equidistant between two units may flip leaf under
-        # float32 (and take that leaf's threshold); the rest only round.
-        same_leaf = observed.leaf_index == expected.leaf_index
-        assert np.mean(same_leaf) > 0.99
-        assert np.mean(observed.predictions == expected.predictions) > 0.99
-        relative = np.abs(observed.scores - expected.scores) / np.maximum(
-            np.abs(expected.scores), 1e-12
-        )
-        assert relative[same_leaf].max() < 1e-3
-
 
 class TestDetectAgreesWithSeparateCalls:
     @given(data=st.data())

@@ -404,17 +404,6 @@ class TestShardedEquivalence:
         assert result.categories == reference.categories
         _shard(detector)
 
-    def test_float32_sharded_matches_float32_unsharded(self, labelled_detector, workload):
-        X = workload["X_test"]
-        payload = detector_to_dict(labelled_detector)
-        narrowed = detector_from_dict(payload, overrides={"dtype": "float32"})
-        reference = narrowed.detect(X)
-        _shard(narrowed, 3)
-        result = narrowed.detect(X)
-        np.testing.assert_array_equal(result.scores, reference.scores)
-        np.testing.assert_array_equal(result.leaf_index, reference.leaf_index)
-        _shard(narrowed)
-
     def test_sharding_survives_refit(self, workload, detector_config):
         detector = GhsomDetector(detector_config, random_state=0).fit(workload["X_train"])
         _shard(detector, 3)

@@ -101,7 +101,7 @@ def test_compiled_beats_legacy_descent_on_every_batch(workload):
 
 
 def test_fused_engine_beats_numpy_on_the_largest_batch(workload):
-    if not kernels.fused_supported("euclidean", np.float64):
+    if not kernels.fused_supported("euclidean"):
         pytest.skip(f"no fused kernel provider available: {kernels.provider_diagnostics()}")
     detector = workload["detector"]
     batch = workload["X"][: max(BATCH_SIZES)]

