@@ -370,8 +370,7 @@ class FrozenDataclassSetattr(Rule):
     (hashable, safely shared across threads and pickled to workers).  The
     one sanctioned mutation window is ``__post_init__`` normalisation;
     anywhere else, ``object.__setattr__`` is a hole punched through
-    ``frozen=True``.  ``__setstate__`` rehydration carries an inline
-    suppression where it is legitimate.
+    ``frozen=True``.
     """
 
     code = "RPL005"

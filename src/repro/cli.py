@@ -226,16 +226,6 @@ def add_serving_args(
                 "workers fail over to local serial execution)"
             ),
         )
-        group.add_argument(
-            "--provisioning",
-            choices=("auto", "reference", "value"),
-            default=None,
-            help=(
-                "how remote workers receive the shard set: auto = by "
-                "reference when sidecar fingerprints match, else by value; "
-                "reference = strict; value = always stream the arrays"
-            ),
-        )
 
 
 def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
@@ -257,8 +247,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
         overrides["shards"] = args.shards
     if getattr(args, "remote_workers", None) is not None:
         overrides["remote_workers"] = args.remote_workers
-    if getattr(args, "provisioning", None) is not None:
-        overrides["provisioning"] = args.provisioning
     return overrides
 
 
@@ -449,7 +437,7 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
         # sidecar so first-provision page faults land on a warm cache).
         pipeline, detector = load_bundle(
             model_path,
-            overrides={"shards": args.shards, "backend": "serial"} if args.shards else None,
+            overrides={"shards": args.shards} if args.shards else None,
         )
         del pipeline, detector
         sidecar = sidecar_path_for(model_path)

@@ -363,7 +363,7 @@ def frontier_descent(
     # A v3 artifact serves from np.memmap arrays, whose every slice and
     # gather runs Python-level __getitem__/__array_finalize__.  Plain ndarray
     # views of the same buffers skip that; the snapshot keeps the memmaps,
-    # which by-reference shard provisioning pickles.
+    # whose file regions by-reference shard provisioning sends.
     codebook = codebook.view(np.ndarray)
     child_of_unit = child_of_unit.view(np.ndarray)
     leaf_of_unit = leaf_of_unit.view(np.ndarray)

@@ -116,6 +116,15 @@ def _as_float(value: object) -> float:
     )
 
 
+def _as_bool(value: object) -> bool:
+    """An artifact-payload flag: a real bool only (``bool("false")`` is True)."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise SerializationError(
+        f"expected a bool payload value, got {type(value).__name__} {value!r:.40}"
+    )
+
+
 def _as_mapping(value: object) -> Dict[str, object]:
     """An artifact-payload value as a fresh dict (mirrors ``dict()``)."""
     if isinstance(value, Mapping):
@@ -728,7 +737,7 @@ def detector_from_dict(
     :class:`~repro.serving.config.ServingConfig` with the standard
     precedence (see :func:`repro.serving.config.effective_config`): a full
     ``config`` wins wholesale; otherwise flat ``overrides`` (engine,
-    shards, remote_workers, provisioning, mmap, verify) apply field-wise on
+    shards, remote_workers, mmap, verify) apply field-wise on
     top of the artifact-embedded config (v2+ payloads carry the config the
     detector was saved with; older artifacts fall back to the library
     default).  The resolved config also controls how the sidecar is opened.
@@ -755,7 +764,7 @@ def detector_from_dict(
         threshold_strategy=str(data.get("threshold_strategy_name", "per_unit")),
         threshold_kwargs=_as_mapping(data.get("threshold_kwargs") or {}),
         labeling_strategy=str(data.get("labeling_strategy", "majority")),
-        calibrate_on_normal_only=bool(data.get("calibrate_on_normal_only", True)),
+        calibrate_on_normal_only=_as_bool(data.get("calibrate_on_normal_only", True)),
         random_state=None if random_state is None else _as_int(random_state),
     )
     labeler_payload: Optional[Dict[str, object]] = data.get("labeler")  # type: ignore[assignment]

@@ -193,6 +193,13 @@ class StandardScaler:
         return data * self._std + self._mean
 
 
+def _flag(value: object, name: str) -> bool:
+    """A stored pipeline flag: a real bool only (``bool("false")`` is True)."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ConfigurationError(f"pipeline flag {name} must be a bool, got {value!r}")
+
+
 @dataclass
 class _FittedColumns:
     """Bookkeeping for the columns produced by the pipeline."""
@@ -340,7 +347,7 @@ class PreprocessingPipeline:
         pipeline = cls(
             categorical_encoding=str(data["categorical_encoding"]),
             scaling=str(data["scaling"]),
-            log_transform=bool(data["log_transform"]),
+            log_transform=_flag(data["log_transform"], "log_transform"),
         )
         pipeline._fit_encoders_from_schema()
         columns = dict(data["columns"])
@@ -353,7 +360,7 @@ class PreprocessingPipeline:
         if scaler_payload is None:
             pipeline._scaler = None
         elif scaler_payload["kind"] == "minmax":
-            scaler = MinMaxScaler(clip=bool(scaler_payload["clip"]))
+            scaler = MinMaxScaler(clip=_flag(scaler_payload["clip"], "clip"))
             scaler._minimum = np.asarray(scaler_payload["minimum"], dtype=float)
             scaler._range = np.asarray(scaler_payload["range"], dtype=float)
             pipeline._scaler = scaler

@@ -20,8 +20,8 @@ into a serving subsystem:
 * :mod:`repro.serving.transport` / :mod:`repro.serving.remote` — the
   distributed tier: a framed TCP protocol with multiplexed per-worker
   connections, :class:`RemoteBackend` (ships shard tasks to workers on other
-  hosts, with by-reference or by-value shard provisioning and local
-  failover) and :class:`ShardWorkerServer` (the ``repro-ids shard-worker``
+  hosts, provisioning each worker by reference when it holds the same
+  sidecar and by value otherwise, with local failover) and :class:`ShardWorkerServer` (the ``repro-ids shard-worker``
   process);
 * :mod:`repro.serving.gateway` — the async front door:
   :class:`DetectionGateway` (an asyncio TCP server that serves concurrent

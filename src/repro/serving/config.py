@@ -70,11 +70,16 @@ _REMOVED_OVERRIDES = {
     "workers": _SERIAL_OR_REMOTE,
     "backend": _SERIAL_OR_REMOTE,
     "dtype": "models always serve in float64",
+    "provisioning": (
+        "remote workers get the shard set by reference when they hold the "
+        "same sidecar, by value otherwise"
+    ),
 }
 
-#: Remote shard-provisioning policies (see
-#: :class:`~repro.serving.remote.RemoteBackend`).
-PROVISIONING_MODES = ("auto", "reference", "value")
+#: ``provisioning`` values payloads written before remote provisioning had
+#: one policy may carry.  Each reads as that one policy.
+_LEGACY_PROVISIONING = ("auto", "reference", "value")
+
 
 def usable_workers() -> int:
     """Worker count matching the usable cores (affinity-aware).
@@ -174,6 +179,27 @@ def _check_legacy_backend(sharding: Mapping[str, object]) -> None:
     raise ConfigurationError(f"serving config sharding spec: {problem}")
 
 
+def _check_legacy_provisioning(sharding: Mapping[str, object]) -> None:
+    """Refuse the ``provisioning`` values older readers refused.
+
+    Payloads written while remote provisioning had modes carry a
+    ``provisioning`` key.  Every mode reads as the one policy (by reference
+    when the worker's sidecar matches, by value otherwise); an unknown mode,
+    or a mode other than ``"auto"`` without worker addresses, is still
+    rejected.
+    """
+    mode = str(sharding.get("provisioning", "auto"))
+    if mode not in _LEGACY_PROVISIONING:
+        raise ConfigurationError(
+            f"unknown provisioning mode {mode!r}; expected one of {_LEGACY_PROVISIONING}"
+        )
+    if mode != "auto" and sharding.get("remote_workers") is None:
+        raise ConfigurationError(
+            "provisioning only applies to the remote shard backend; "
+            f"got provisioning mode {mode!r} without remote_workers"
+        )
+
+
 def _sub_mapping(data: Mapping[str, object], key: str) -> Dict[str, object]:
     """A payload sub-section as a dict (absent/None becomes empty)."""
     raw = data.get(key) or {}
@@ -201,16 +227,13 @@ class ShardingSpec:
         Number of root-subtree shards, or ``None`` for the unsharded engine.
     remote_workers:
         ``"HOST:PORT[,HOST:PORT...]"`` shard-worker addresses, one
-        ``repro-ids shard-worker`` per address.
-    provisioning:
-        How remote workers receive the shard set: ``"auto"`` (by reference
-        when the sidecar fingerprints match, by value otherwise),
-        ``"reference"`` (strict) or ``"value"`` (always stream).
+        ``repro-ids shard-worker`` per address.  Each worker gets the shard
+        set by reference when it holds the coordinator's sidecar, by value
+        otherwise (see :class:`~repro.serving.remote.RemoteBackend`).
     """
 
     shards: Optional[int] = None
     remote_workers: Optional[str] = None
-    provisioning: str = "auto"
 
     def __post_init__(self) -> None:
         if self.shards is not None:
@@ -231,16 +254,6 @@ class ShardingSpec:
                     "the remote backend needs at least one worker address (HOST:PORT)"
                 )
             object.__setattr__(self, "remote_workers", ",".join(addresses))
-        if self.provisioning not in PROVISIONING_MODES:
-            raise ConfigurationError(
-                f"unknown provisioning mode {self.provisioning!r}; "
-                f"expected one of {PROVISIONING_MODES}"
-            )
-        if self.provisioning != "auto" and self.remote_workers is None:
-            raise ConfigurationError(
-                "provisioning only applies to the remote shard backend; "
-                f"got provisioning={self.provisioning!r} without remote_workers"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -306,7 +319,6 @@ class ServingConfig:
             "sharding": {
                 "shards": self.sharding.shards,
                 "remote_workers": self.sharding.remote_workers,
-                "provisioning": self.sharding.provisioning,
             },
             "artifact": {
                 "mmap": self.artifact.mmap,
@@ -325,6 +337,8 @@ class ServingConfig:
         backends were removed may carry ``backend`` and ``workers``: see
         :func:`_check_legacy_backend`.  Payloads written while float32
         serving existed carry ``dtype``: see :func:`_check_legacy_dtype`.
+        Payloads written while remote provisioning had modes carry
+        ``provisioning``: see :func:`_check_legacy_provisioning`.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -368,12 +382,12 @@ class ServingConfig:
             )
         _check_legacy_dtype(data)
         _check_legacy_backend(sharding)
+        _check_legacy_provisioning(sharding)
         return cls(
             engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
                 remote_workers=_opt_str(sharding.get("remote_workers")),
-                provisioning=str(sharding.get("provisioning", "auto")),
             ),
             artifact=ArtifactOptions(
                 mmap=artifact.get("mmap", True),  # type: ignore[arg-type]
@@ -392,7 +406,7 @@ class ServingConfig:
         """Apply flat, CLI-style field overrides on top of this config.
 
         ``overrides`` maps flat knob names — ``engine``, ``shards``,
-        ``remote_workers``, ``provisioning``, ``mmap``, ``verify`` — to
+        ``remote_workers``, ``mmap``, ``verify`` — to
         values; keys that are absent keep this config's value, which is what
         gives CLI flags field-wise precedence over an artifact-embedded
         config.  Overriding any sharding field replaces the *whole* sharding
@@ -406,29 +420,19 @@ class ServingConfig:
                 + _REMOVED_OVERRIDES[removed[0]]
             )
         unknown = sorted(
-            set(overrides)
-            - {
-                "engine",
-                "shards",
-                "remote_workers",
-                "provisioning",
-                "mmap",
-                "verify",
-            }
+            set(overrides) - {"engine", "shards", "remote_workers", "mmap", "verify"}
         )
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
         config = self
         if "engine" in overrides:
             config = replace(config, engine=_opt_str(overrides["engine"]))
-        shard_keys = ("shards", "remote_workers", "provisioning")
-        if any(key in overrides for key in shard_keys):
+        if "shards" in overrides or "remote_workers" in overrides:
             config = replace(
                 config,
                 sharding=ShardingSpec(
                     shards=_opt_int(overrides.get("shards")),
                     remote_workers=_opt_str(overrides.get("remote_workers")),
-                    provisioning=str(overrides.get("provisioning", "auto")),
                 ),
             )
         if "mmap" in overrides or "verify" in overrides:
@@ -485,7 +489,6 @@ class ServingConfig:
             backend=backend,
             workers=workers,
             remote_workers=remote_workers,
-            provisioning=sharding.provisioning,
             mmap=self.artifact.mmap,
             verify=self.artifact.verify,
         )
@@ -512,7 +515,6 @@ class ServingPlan:
     backend: Optional[str]
     workers: Optional[int]
     remote_workers: Tuple[str, ...]
-    provisioning: str
     mmap: bool
     verify: bool
 
@@ -531,7 +533,6 @@ class ServingPlan:
             "backend": self.backend,
             "workers": self.workers,
             "remote_workers": list(self.remote_workers),
-            "provisioning": self.provisioning,
             "mmap": self.mmap,
             "verify": self.verify,
         }
@@ -541,18 +542,15 @@ class ServingPlan:
 
         The single place a declarative plan becomes a running executor:
         ``load_bundle``, ``GhsomDetector.configure`` and the CLI all come
-        through here, so backend-construction policy (remote provisioning
-        mode) cannot drift between layers.  Returns ``None`` for an
-        unsharded plan.
+        through here, so backend-construction policy cannot drift between
+        layers.  Returns ``None`` for an unsharded plan.
         """
         if not self.sharded:
             return None
         if self.backend == "remote":
             from repro.serving.remote import RemoteBackend
 
-            return RemoteBackend(
-                list(self.remote_workers), provisioning=self.provisioning
-            )
+            return RemoteBackend(list(self.remote_workers))
         from repro.serving.backends import SerialBackend
 
         return SerialBackend()

@@ -17,16 +17,18 @@ into the system's horizontal-scaling substrate.  It has two halves:
   provisioned with a shard set once, then streams ``run`` requests against
   it.
 
-**Provisioning** has two paths.  *By reference*: when the coordinator's
-shards are views into a v3 binary artifact's memory-mapped sidecar and the
-worker holds its own copy of that artifact, the wire carries only
-``(dtype, shape, offset)`` descriptors plus the sidecar's fingerprint
-(size + per-member CRC-32s, the same integrity data the v3 JSON header
-records); the worker validates its local sidecar against the fingerprint
-and maps the same regions — refusing on any mismatch, because mapping
-different bytes would silently break byte-identity.  *By value*: for
-in-memory models or workers without the artifact, shard arrays are
-streamed in full.
+**Provisioning** follows one policy with two paths, chosen per worker.
+*By reference*: when the coordinator's shards are views into one v3 binary
+artifact's memory-mapped sidecar, the live bytes still match that file and
+the worker advertises a matching copy, the wire carries one
+:class:`~repro.serving.transport.SidecarRef` (dtype, shape, offset) per
+mapped array plus the sidecar's fingerprint (size + per-member CRC-32s and
+offsets); the worker validates its local sidecar against the fingerprint
+and maps the same regions through :func:`~repro.utils.mmapio.map_region` —
+refusing on any mismatch, because mapping different bytes would silently
+break byte-identity.  *By value*: otherwise (in-memory models, workers
+without the artifact or with a different one), shard arrays are streamed
+in full.
 
 **Failover**: a dead, refusing or timed-out worker never surfaces as a
 partial result.  Its tasks are re-run on a local serial backend, so
@@ -53,7 +55,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -69,7 +71,12 @@ from repro.serving.transport import (
     WorkerConnection,
     parse_address,
 )
-from repro.utils.mmapio import MmapRef, fingerprints_match, sidecar_fingerprint
+from repro.utils.mmapio import (
+    fingerprints_match,
+    map_region,
+    memmap_region,
+    sidecar_fingerprint,
+)
 
 
 def same_shard_objects(
@@ -102,23 +109,18 @@ def _frame_int(value: object) -> int:
 # --------------------------------------------------------------------------- #
 # shard wire forms
 # --------------------------------------------------------------------------- #
-def _shard_states(shards: Sequence[SubtreeShard]) -> List[Dict[str, object]]:
-    """Portable per-shard field states (memmap arrays as :class:`MmapRef`)."""
-    return [shard.__getstate__() for shard in shards]
-
-
 def _reference_wire(
     shards: Sequence[SubtreeShard],
-    states: Sequence[Dict[str, object]],
 ) -> Optional[Tuple[str, Dict[str, object], List[Dict[str, object]]]]:
     """The by-reference wire form, or ``None`` when shards aren't mappable.
 
     By-reference provisioning needs every memory-mapped shard array to live
     in one file (the artifact's sidecar) — then the wire carries
-    ``(sidecar path, fingerprint, states-with-SidecarRefs)`` and a worker
-    holding a byte-identical copy of the sidecar maps the same regions.
-    Returns ``None`` when no array is memmap-backed (in-memory model), the
-    refs span multiple files, or the file on disk no longer serves the
+    ``(sidecar path, fingerprint, states)``, where each mapped field of a
+    state is a :class:`SidecarRef` to its region and a worker holding a
+    byte-identical copy of the sidecar maps the same regions.  Returns
+    ``None`` when no array is memmap-backed (in-memory model), the regions
+    span multiple files, or the file on disk no longer serves the
     coordinator's live bytes (see below).
 
     The region descriptors promise workers "map these offsets and you hold
@@ -131,43 +133,38 @@ def _reference_wire(
     the shard regions per provisioning epoch; on any mismatch the caller
     falls back to by-value, which streams the true live bytes.
     """
-    paths = {
-        value.path
-        for state in states
-        for value in state.values()
-        if isinstance(value, MmapRef)
-    }
+    regions: List[Dict[str, Tuple[str, int]]] = []
+    for shard in shards:
+        mapped: Dict[str, Tuple[str, int]] = {}
+        for field_info in fields(SubtreeShard):
+            region = memmap_region(getattr(shard, field_info.name))
+            if region is not None:
+                mapped[field_info.name] = region
+        regions.append(mapped)
+    paths = {path for mapped in regions for path, _ in mapped.values()}
     if len(paths) != 1:
         return None
     path = next(iter(paths))
     try:
         with open(path, "rb") as stream:
-            for shard, state in zip(shards, states, strict=True):
-                for name, value in state.items():
-                    if not isinstance(value, MmapRef):
-                        continue
-                    live = np.ascontiguousarray(getattr(shard, name))
-                    if not _region_matches(stream, value.offset, live):
+            for shard, mapped in zip(shards, regions, strict=True):
+                for name, (_, offset) in mapped.items():
+                    if not _region_matches(stream, offset, getattr(shard, name)):
                         return None
     except OSError:
         return None
-    ref_states = [
-        {
-            name: (
-                SidecarRef(
-                    dtype=value.dtype,
-                    shape=value.shape,
-                    offset=value.offset,
-                    file_bytes=value.file_bytes,
-                )
-                if isinstance(value, MmapRef)
-                else value
+    fingerprint = sidecar_fingerprint(path)
+    states = _value_wire(shards)
+    for shard, state, mapped in zip(shards, states, regions, strict=True):
+        for name, (_, offset) in mapped.items():
+            array = getattr(shard, name)
+            state[name] = SidecarRef(
+                dtype=array.dtype.str,
+                shape=tuple(array.shape),
+                offset=offset,
+                file_bytes=cast(int, fingerprint["bytes"]),
             )
-            for name, value in state.items()
-        }
-        for state in states
-    ]
-    return path, sidecar_fingerprint(path), ref_states
+    return path, fingerprint, states
 
 
 def _region_matches(stream: IO[bytes], offset: int, live: AnyArray) -> bool:
@@ -212,7 +209,7 @@ def _shard_from_state(
     state: Dict[str, object], sidecar_path: Optional[Path]
 ) -> SubtreeShard:
     """Rebuild a shard from a provisioned wire state on the worker side."""
-    restored: Dict[str, object] = {}
+    restored: Dict[str, Any] = dict(state)
     for name, value in state.items():
         if isinstance(value, SidecarRef):
             if sidecar_path is None:
@@ -220,18 +217,14 @@ def _shard_from_state(
                     "by-reference shard state received but this worker has no "
                     "model artifact; restart it with --model"
                 )
-            value = MmapRef(
-                path=str(sidecar_path),
+            restored[name] = map_region(
+                sidecar_path,
                 dtype=value.dtype,
-                shape=tuple(value.shape),
-                offset=int(value.offset),
-                file_bytes=int(value.file_bytes),
-                file_id=None,  # the worker's copy is a different inode
-            ).restore()
-        restored[name] = value
-    shard = SubtreeShard.__new__(SubtreeShard)
-    shard.__setstate__(restored)
-    return shard
+                shape=value.shape,
+                offset=value.offset,
+                file_bytes=value.file_bytes,
+            )
+    return SubtreeShard(**restored)
 
 
 # --------------------------------------------------------------------------- #
@@ -247,10 +240,9 @@ class RemoteBackend(ShardBackend):
     refusal, a timeout — fails over to a local :class:`SerialBackend`, so
     the merged result is always complete and byte-identical.
 
-    ``provisioning`` selects how workers receive the shard set: ``"auto"``
-    (by reference when the shards map a v3 sidecar and the worker advertises
-    a matching copy, by value otherwise), ``"reference"`` (strict: error
-    rather than stream arrays), or ``"value"`` (always stream).
+    Each worker gets the shard set by reference when the shards map one v3
+    sidecar, the live bytes still match it and the worker advertises a
+    matching copy; otherwise by value.
 
     Dead workers are reconnected (and re-provisioned) on the next ``run``
     call, so a restarted worker rejoins the pool without coordinator
@@ -264,7 +256,6 @@ class RemoteBackend(ShardBackend):
         self,
         addresses: Union[str, Sequence[Union[str, Tuple[str, int]]]],
         *,
-        provisioning: str = "auto",
         connect_timeout: float = 10.0,
         task_timeout: float = 120.0,
         reconnect_backoff: float = 30.0,
@@ -280,14 +271,8 @@ class RemoteBackend(ShardBackend):
                 "the remote backend needs at least one worker address "
                 "(HOST:PORT)"
             )
-        if provisioning not in ("auto", "reference", "value"):
-            raise ConfigurationError(
-                f"unknown provisioning mode {provisioning!r}; "
-                "expected auto, reference or value"
-            )
         self._addresses = parsed
         self._fallback = SerialBackend()
-        self._provisioning = provisioning
         self._connect_timeout = float(connect_timeout)
         self._task_timeout = float(task_timeout)
         self._reconnect_backoff = float(reconnect_backoff)
@@ -411,23 +396,8 @@ class RemoteBackend(ShardBackend):
         if not same_shard_objects(self._epoch_shards, shards):
             self._epoch += 1
             self._epoch_shards = shards
-            # The reference wire costs a sequential sidecar read (live-bytes
-            # validation); don't pay it when it can never be used.
-            self._wire_reference = (
-                None
-                if self._provisioning == "value"
-                else _reference_wire(shards, _shard_states(shards))
-            )
+            self._wire_reference = _reference_wire(shards)
             self._wire_value = None  # materialised lazily (it copies arrays)
-        if self._provisioning == "reference" and self._wire_reference is None:
-            # Strict mode is a promise to never stream arrays — an
-            # unmappable shard set must surface, not degrade to local
-            # serving behind the operator's back.
-            raise ServingError(
-                "by-reference provisioning requires shards backed by a v3 "
-                "binary artifact's memory-mapped sidecar; load the model "
-                "from a --format binary artifact or use provisioning='value'"
-            )
         live: List[WorkerConnection] = []
         for address in self._addresses:
             connection = self._connections.get(address)
@@ -453,19 +423,8 @@ class RemoteBackend(ShardBackend):
                 try:
                     self._provision(connection, shards)
                     connection.provisioned_epoch = self._epoch
-                except (ServingError, FutureTimeoutError) as exc:
+                except (ServingError, FutureTimeoutError):
                     self._drop(connection)
-                    if (
-                        self._provisioning == "reference"
-                        and isinstance(exc, ServingError)
-                        and not isinstance(exc, TransportError)
-                    ):
-                        # Strict mode: a worker *refusing* the reference
-                        # (CRC mismatch, no artifact) is the answer the
-                        # operator asked for — never paper over it with
-                        # local serving.  A dead connection (TransportError)
-                        # still fails over like any other backend failure.
-                        raise
                     # A worker that accepts connections but cannot be
                     # provisioned (wedged process, stalling proxy) must not
                     # re-cost a full provision attempt on every batch.
@@ -478,21 +437,16 @@ class RemoteBackend(ShardBackend):
         self, connection: WorkerConnection, shards: Tuple[SubtreeShard, ...]
     ) -> None:
         """Ship the current shard set to one worker (reference or value)."""
-        use_reference = False
-        wire_reference = self._wire_reference
-        if self._provisioning in ("auto", "reference") and wire_reference is not None:
-            if self._provisioning == "reference":
-                use_reference = True  # strict: the worker's refusal surfaces
-            else:
-                advertised = connection.info.get("sidecar")
-                _, fingerprint, _ = wire_reference
-                use_reference = isinstance(advertised, dict) and fingerprints_match(
-                    fingerprint, advertised
-                )
         serving = (
             None if self._serving_config is None else self._serving_config.to_dict()
         )
-        if use_reference and wire_reference is not None:
+        wire_reference = self._wire_reference
+        advertised = connection.info.get("sidecar")
+        if (
+            wire_reference is not None
+            and isinstance(advertised, dict)
+            and fingerprints_match(wire_reference[1], advertised)
+        ):
             _, fingerprint, states = wire_reference
             try:
                 ack = connection.call(
@@ -508,10 +462,9 @@ class RemoteBackend(ShardBackend):
                 self._note_worker_plan(connection, ack)
                 return
             except ServingError:
-                if self._provisioning == "reference":
-                    raise  # strict mode: the refusal is the answer
                 # The worker's sidecar changed between handshake and
                 # provision; stream the arrays instead of giving it up.
+                pass
         if self._wire_value is None:
             self._wire_value = _value_wire(shards)
         ack = connection.call(

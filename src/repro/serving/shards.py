@@ -16,18 +16,16 @@ Each shard is one contiguous run of root subtrees (see
 :mod:`repro.serving.planner`), so building it takes one slice of every
 compiled array.  When the source model was loaded from a v3 binary artifact,
 the codebook and unit-norm slices stay *views* into the single file mapping,
-so a K-shard load maps the artifact once.  Shards also pickle memmap-backed
-arrays **by reference** (``__getstate__`` swaps them for
-``(path, dtype, shape, offset)`` descriptors; ``__setstate__`` re-opens the
-mapping) — the remote backend's by-reference provisioning sends those
-descriptors, so a worker holding the artifact maps its own copy of the
-sidecar instead of receiving the codebook bytes.
+so a K-shard load maps the artifact once.  The remote backend's
+by-reference provisioning sends those views as region descriptors, so a
+worker holding the artifact maps its own copy of the sidecar instead of
+receiving the codebook bytes, and rebuilds each shard from its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from repro._typing import AnyArray
 from repro.core import kernels
 from repro.core.compiled import CompiledGhsom, frontier_descent
 from repro.serving.planner import RootSubtree, ShardPlan
-from repro.utils.mmapio import array_from_portable, array_to_portable
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +68,7 @@ class SubtreeShard:
     is_attack: Optional[AnyArray] = None
     purity: Optional[AnyArray] = None
     #: Compute engine for this shard's descents (``None`` = library default).
-    #: Resolution is per call and *non-strict*: a shard pickled to a worker
+    #: Resolution is per call and *non-strict*: a shard provisioned to a worker
     #: without a fused-kernel provider silently degrades to the numpy engine
     #: rather than failing the batch (the remote byte-identity contract only
     #: holds under the numpy default anyway).
@@ -88,24 +85,6 @@ class SubtreeShard:
     @property
     def n_leaves(self) -> int:
         return int(self.leaf_global_row.shape[0])
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Memmap-backed arrays travel as (path, dtype, shape, offset)
-        # references — a worker re-opens the artifact mapping instead of
-        # receiving the codebook bytes through the pickle stream.
-        state: Dict[str, object] = {}
-        for field_info in fields(self):
-            value = getattr(self, field_info.name)
-            state[field_info.name] = (
-                array_to_portable(value) if isinstance(value, np.ndarray) else value
-            )
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for name, value in state.items():
-            # repro-lint: disable=RPL005 -- rehydrating the frozen dataclass
-            # from its portable pickle state; mirrors what __init__ would do.
-            object.__setattr__(self, name, array_from_portable(value))
 
     def assign_entries(
         self, matrix: AnyArray, entry_nodes: AnyArray
@@ -169,8 +148,8 @@ def build_shard(
         return None if table is None else table[leaves]
 
     # Views, not copies: a v3 artifact's memory-mapped codebook slices stay
-    # np.memmap, so every shard shares the one file mapping and pickles by
-    # reference.
+    # np.memmap, so every shard shares the one file mapping and can be
+    # provisioned by reference.
     return SubtreeShard(
         shard_id=int(shard_id),
         metric=compiled.metric,

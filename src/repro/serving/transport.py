@@ -76,12 +76,15 @@ class TransportError(ServingError):
 class SidecarRef:
     """A shard array that lives in the model artifact's ``.npz`` sidecar.
 
-    The by-reference provisioning form of a memory-mapped shard array:
-    instead of the bytes, the wire carries the dtype/shape/offset of the
-    region — the receiving worker re-opens *its own* copy of the sidecar
-    (CRC-validated against the coordinator's first) and maps the same
-    region.  ``file_bytes`` pins the sidecar size the reference was taken
-    against, so a stale worker-side file fails loudly.
+    The by-reference provisioning form of a memory-mapped shard array, and
+    the only region descriptor: instead of the bytes, the wire carries the
+    dtype/shape/offset of the region (found by
+    :func:`~repro.utils.mmapio.memmap_region`).  The receiving worker checks
+    *its own* copy of the sidecar against the coordinator's fingerprint,
+    then maps the same region with :func:`~repro.utils.mmapio.map_region`,
+    which refuses a non-numeric dtype, a negative shape or a region past the
+    end of the file.  ``file_bytes`` pins the sidecar size the reference was
+    taken against, so a stale worker-side file fails loudly.
     """
 
     dtype: str

@@ -18,26 +18,25 @@ module owns the three mechanics that make the sidecar useful:
   file mapping.  Cold load cost is therefore O(metadata); array pages fault
   in on first use.
 
-Memory-mapped arrays additionally pickle *by reference*
-(:func:`array_to_portable` / :func:`array_from_portable`): instead of
-materialising the bytes into the pickle stream, the portable form records
-``(path, dtype, shape, file offset)`` and the receiving process re-opens the
-mapping — this is what lets remote shard workers map a v3 codebook by
-reference instead of receiving a copy of it.
+:func:`memmap_region` finds the file region behind a memory-mapped array,
+and :func:`map_region` maps such a region again after checking its
+descriptor.  They are the two ends of by-reference shard provisioning: a
+remote shard worker maps the regions of its own copy of a v3 sidecar
+instead of receiving the array bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import mmap as _mmap
 import os
 import struct
 import tempfile
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Optional, Tuple, Union
+from typing import IO, Any, Callable, Dict, Optional, Tuple, TypeGuard, Union
 
 import numpy as np
 
@@ -404,59 +403,11 @@ def load_npz(path: PathLike) -> Dict[str, AnyArray]:
 
 
 # --------------------------------------------------------------------------- #
-# pickling memory-mapped arrays by reference
+# array regions: by-reference shard provisioning
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MmapRef:
-    """Portable reference to a contiguous region of a memory-mapped file.
-
-    The pickled form of a memmap-backed array: a few dozen bytes instead of
-    the array data.  ``restore`` re-opens the mapping read-only, so every
-    process holding the reference shares the same physical pages.  The file
-    must still exist *and still be the same file* at restore time: artifact
-    files are replaced atomically (never mutated in place), so a reference
-    stays valid exactly as long as its artifact version remains on disk —
-    and ``restore`` checks the recorded byte count so a reference into a
-    since-replaced artifact fails loudly instead of silently mapping the
-    new file's bytes.
-    """
-
-    path: str
-    dtype: str
-    shape: Tuple[int, ...]
-    offset: int
-    #: Size of the whole file when the reference was taken (identity check).
-    file_bytes: int
-    #: ``(st_ino, st_mtime_ns)`` at reference time: artifacts are replaced
-    #: atomically (new inode), so this catches even a same-size replacement.
-    file_id: Optional[Tuple[int, int]] = None
-
-    def restore(self) -> AnyArray:
-        try:
-            status = os.stat(self.path)
-            changed = status.st_size != self.file_bytes or (
-                self.file_id is not None
-                and (status.st_ino, status.st_mtime_ns) != tuple(self.file_id)
-            )
-            if changed:
-                raise SerializationError(
-                    f"memory-mapped artifact {self.path} changed on disk "
-                    "(size or file identity differs from when this reference "
-                    "was taken): the artifact was replaced; reload it instead "
-                    "of restoring stale references"
-                )
-            return np.memmap(
-                self.path,
-                dtype=np.dtype(self.dtype),
-                mode="r",
-                offset=self.offset,
-                shape=tuple(self.shape),
-            )
-        except (OSError, ValueError) as exc:
-            raise SerializationError(
-                f"could not re-open memory-mapped artifact region {self.path} "
-                f"(offset {self.offset}): {exc}"
-            ) from exc
+#: dtype kinds a region descriptor may map: bool, signed and unsigned
+#: integers, floats.  An object dtype would read raw file bytes as pointers.
+_MAPPABLE_KINDS = "biuf"
 
 
 def memmap_region(array: AnyArray) -> Optional[Tuple[str, int]]:
@@ -484,32 +435,54 @@ def memmap_region(array: AnyArray) -> Optional[Tuple[str, int]]:
     return str(array.filename), buffer_file_offset + (array_address - buffer_address)
 
 
-def array_to_portable(array: AnyArray) -> Union[AnyArray, MmapRef]:
-    """The picklable form of an array: an :class:`MmapRef` when possible.
+def map_region(
+    path: PathLike, *, dtype: object, shape: object, offset: object, file_bytes: object
+) -> AnyArray:
+    """Map one array region of a file read-only, after checking the descriptor.
 
-    Memmap-backed contiguous arrays travel as references (re-opened on the
-    other side); everything else is returned as a plain ndarray and pickles
-    with its data as usual.
+    The receiving end of :func:`memmap_region`: a shard worker maps the
+    regions a coordinator names in its own copy of the sidecar.  The
+    descriptor comes from a peer, so nothing is mapped unless the dtype is
+    numeric (kind ``b``, ``i``, ``u`` or ``f``), the shape is non-negative
+    integers, the offset is a non-negative integer and the region ends
+    inside the file.  The file must also still be ``file_bytes`` long:
+    artifacts are replaced atomically, never mutated in place, so another
+    size means the descriptor was taken against another file.  Every refusal
+    is a :class:`~repro.exceptions.SerializationError`.
     """
-    region = memmap_region(array)
-    if region is None:
-        # np.asarray would keep the memmap subclass; ascontiguousarray on a
-        # plain array is a no-op.
-        return array if type(array) is np.ndarray else np.asarray(array).view(np.ndarray)
-    path, offset = region
-    status = os.stat(path)
-    return MmapRef(
-        path=path,
-        dtype=array.dtype.str,
-        shape=tuple(array.shape),
-        offset=offset,
-        file_bytes=status.st_size,
-        file_id=(status.st_ino, status.st_mtime_ns),
-    )
+
+    def refused(problem: str) -> SerializationError:
+        return SerializationError(f"refusing to map a region of {path}: {problem}")
+
+    try:
+        array_dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+    except TypeError:
+        array_dtype = None
+    if array_dtype is None or array_dtype.kind not in _MAPPABLE_KINDS:
+        raise refused(f"dtype {dtype!r} is not a numeric array dtype")
+    if not isinstance(shape, tuple) or not all(map(_is_count, shape)):
+        raise refused(f"shape {shape!r} is not a tuple of non-negative integers")
+    if not _is_count(offset) or not _is_count(file_bytes):
+        raise refused(f"offset {offset!r} and file size {file_bytes!r} must be counts")
+    dims = tuple(int(n) for n in shape)
+    try:
+        size = os.stat(path).st_size
+        if size != file_bytes:
+            raise SerializationError(
+                f"memory-mapped artifact {path} changed on disk (size {size}, "
+                f"the region was taken against {file_bytes} bytes): the "
+                "artifact was replaced; reload it instead of mapping stale regions"
+            )
+        end = int(offset) + math.prod(dims) * array_dtype.itemsize
+        if end > size:
+            raise refused(f"the region ends at byte {end}, past the end of the file ({size})")
+        return np.memmap(path, dtype=array_dtype, mode="r", offset=int(offset), shape=dims)
+    except (OSError, ValueError) as exc:
+        raise SerializationError(
+            f"could not map artifact region {path} (offset {offset}): {exc}"
+        ) from exc
 
 
-def array_from_portable(value: object) -> object:
-    """Inverse of :func:`array_to_portable` (passes non-references through)."""
-    if isinstance(value, MmapRef):
-        return value.restore()
-    return value
+def _is_count(value: object) -> TypeGuard[int]:
+    """Whether ``value`` is a non-negative integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0

@@ -20,7 +20,8 @@ from repro.core.serialization import (
     save_detector,
     save_ghsom,
 )
-from repro.exceptions import SerializationError
+from repro.data.preprocess import PreprocessingPipeline
+from repro.exceptions import ConfigurationError, SerializationError
 
 #: The committed v1 golden artifact: the v1 reader's only input.
 GOLDEN_V1 = Path(__file__).resolve().parent / "fixtures" / "artifacts" / "detector_v1.json"
@@ -167,3 +168,22 @@ class TestDetectorSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(SerializationError, match="payload value"):
             load_detector(path).model  # the tree hydrates lazily
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+@pytest.mark.parametrize("flag", ["calibrate_on_normal_only", "log_transform", "clip"])
+def test_stored_flags_must_be_real_bools(small_dataset, flag, value):
+    # bool("false") is True: a stored flag that is not a real bool must be
+    # refused, not coerced into the opposite setting.
+    if flag == "calibrate_on_normal_only":
+        payload = json.loads(GOLDEN_V2.read_text())
+        assert detector_from_dict(payload).calibrate_on_normal_only is True
+        payload[flag] = value
+        with pytest.raises(SerializationError, match="expected a bool"):
+            detector_from_dict(payload)
+        return
+    payload = PreprocessingPipeline(scaling="minmax").fit(small_dataset).to_dict()
+    assert PreprocessingPipeline.from_dict(payload).to_dict() == payload
+    (payload if flag == "log_transform" else payload["scaler"])[flag] = value
+    with pytest.raises(ConfigurationError, match=f"pipeline flag {flag} must be a bool"):
+        PreprocessingPipeline.from_dict(payload)

@@ -10,8 +10,8 @@ What this file pins down:
   views into one shared file mapping, no ``GhsomNode`` objects exist after
   load + score, and the tree still hydrates lazily on ``detector.model``;
 * shards sliced from a memory-mapped model keep **views into the mapping**
-  (every shard, at any shard count) and **pickle by reference** — a few
-  hundred bytes instead of the codebook;
+  (every shard, at any shard count), and by-reference provisioning sends
+  them as **sidecar regions** that map back to the same bytes;
 * every documented **corruption / misuse path raises SerializationError**
   with an actionable message: missing sidecar, truncated sidecar, hash
   mismatch, unsupported versions, bare-dict loads that cannot resolve a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +41,13 @@ from repro.core.serialization import (
 )
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.serving.config import ServingConfig, ShardingSpec
-from repro.serving.planner import plan_shards, subtrees_from_compiled
+from repro.serving.planner import plan_shards
+from repro.serving.remote import _reference_wire
 from repro.serving.shards import build_shards
-from repro.utils.mmapio import write_npz_atomic
+from repro.serving.transport import SidecarRef
+from repro.utils.mmapio import map_region, write_npz_atomic
+
+GOLDEN_V3 = Path(__file__).resolve().parent / "fixtures" / "artifacts" / "detector_v3.json"
 
 MODES = ("labelled", "oneclass")
 STRATEGIES = ("per_unit", "global")
@@ -241,30 +245,41 @@ class TestMmapServing:
         with pytest.raises(ConfigurationError, match="override 'dtype' was removed"):
             load_detector(v3_artifact, overrides={"dtype": "float64"})
 
-    def test_shards_are_memmap_views_and_pickle_by_reference(self, v3_artifact):
-        compiled = load_detector(v3_artifact)._compiled
-        if len(subtrees_from_compiled(compiled)) < 2:
-            pytest.skip("model grew a single root subtree")
-        # Every shard is one contiguous run of subtrees, so at K=2 every
-        # shard is a view into the mapping, even one holding several subtrees.
+    def test_shards_are_memmap_views_and_travel_as_sidecar_regions(self):
+        """On the v3 golden at K=2, mapped shard arrays go on the wire as regions.
+
+        Every ``SidecarRef`` maps back, by its offset and shape, to exactly
+        the shard's live bytes; every other array travels as a plain array.
+        """
+        compiled = load_detector(GOLDEN_V3)._compiled
         shards = build_shards(compiled, plan_shards(compiled, 2))
         assert len(shards) == 2
-        for shard in shards:
-            for name in ("codebook", "unit_norms"):
-                array = getattr(shard, name)
-                assert isinstance(array, np.memmap), name
-                assert np.shares_memory(array, getattr(compiled, name))  # a view
-            payload = pickle.dumps(shard)
-            # By reference: orders of magnitude below the codebook bytes.
-            assert len(payload) < max(2048, shard.codebook.nbytes // 4)
-            restored = pickle.loads(payload)
-            assert isinstance(restored.codebook, np.memmap)
-            assert np.array_equal(
-                np.asarray(restored.codebook), np.asarray(shard.codebook)
-            )
-            assert np.array_equal(
-                np.asarray(restored.leaf_global_row), np.asarray(shard.leaf_global_row)
-            )
+        wire = _reference_wire(shards)
+        assert wire is not None
+        path, fingerprint, states = wire
+        assert Path(path) == GOLDEN_V3.with_suffix(".npz")
+        for shard, state in zip(shards, states, strict=True):
+            refs = {name for name, value in state.items() if isinstance(value, SidecarRef)}
+            assert refs == {"codebook", "unit_norms"}
+            for name in refs:
+                live = getattr(shard, name)
+                assert isinstance(live, np.memmap), name
+                assert np.shares_memory(live, getattr(compiled, name))  # a view
+                ref = state[name]
+                assert ref.shape == live.shape
+                assert ref.file_bytes == fingerprint["bytes"]
+                mapped = map_region(
+                    path,
+                    dtype=ref.dtype,
+                    shape=ref.shape,
+                    offset=ref.offset,
+                    file_bytes=ref.file_bytes,
+                )
+                assert mapped.tobytes() == np.asarray(live).tobytes()
+            for name, value in state.items():
+                if isinstance(value, np.ndarray):
+                    assert type(value) is np.ndarray, name
+                    assert np.array_equal(value, getattr(shard, name))
 
 
 class TestCorruptionAndMisuse:
@@ -388,17 +403,24 @@ class TestCorruptionAndMisuse:
         with pytest.raises(SerializationError, match="records no sha256"):
             load_detector(path, overrides={"verify": True})
 
-    def test_stale_mmap_reference_detected(self, v3_artifact, tmp_path):
-        """A pickled shard whose artifact was replaced fails loudly."""
+    def test_stale_sidecar_region_detected(self, v3_artifact, tmp_path):
+        """A region taken against a since-replaced sidecar fails loudly."""
         json_path = _corrupt_copy(v3_artifact, tmp_path, lambda js, sc: None)
         compiled = load_detector(json_path)._compiled
         (shard,) = build_shards(compiled, plan_shards(compiled, 1))
         assert isinstance(shard.codebook, np.memmap)
-        payload = pickle.dumps(shard)
+        path, _, (state,) = _reference_wire([shard])
+        ref = state["codebook"]
         sidecar = tmp_path / "detector.npz"
         sidecar.write_bytes(sidecar.read_bytes() + b"\x00" * 16)  # "new artifact"
         with pytest.raises(SerializationError, match="changed on disk"):
-            pickle.loads(payload)
+            map_region(
+                path,
+                dtype=ref.dtype,
+                shape=ref.shape,
+                offset=ref.offset,
+                file_bytes=ref.file_bytes,
+            )
 
     def test_bare_dict_load_needs_sidecar_dir(self, v3_artifact):
         payload = json.loads(v3_artifact.read_text())

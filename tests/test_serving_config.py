@@ -84,11 +84,7 @@ class TestValidation:
             ShardingSpec(remote_workers="h:1")
 
     def test_spec_has_no_backend_or_worker_fields(self):
-        assert [f.name for f in fields(ShardingSpec)] == [
-            "shards",
-            "remote_workers",
-            "provisioning",
-        ]
+        assert [f.name for f in fields(ShardingSpec)] == ["shards", "remote_workers"]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="n_shards must be >= 1"):
@@ -117,8 +113,25 @@ class TestValidation:
         assert spec.remote_workers == "a:1,b:2"
 
     def test_provisioning_without_remote_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="provisioning only applies"):
-            ShardingSpec(shards=2, provisioning="value")
+        for mode in ("reference", "value"):
+            with pytest.raises(ConfigurationError, match="provisioning only applies"):
+                ServingConfig.from_dict(_parent_payload(provisioning=mode))
+
+    @pytest.mark.parametrize("mode", ["quantum", "Auto", "", None])
+    def test_parent_format_unknown_provisioning_rejected(self, mode):
+        payload = _parent_payload(remote_workers="a:1", provisioning=mode)
+        with pytest.raises(ConfigurationError, match="unknown provisioning mode"):
+            ServingConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("mode", ["auto", "reference", "value"])
+    def test_parent_format_provisioning_reads_as_one_policy(self, mode):
+        payload = _parent_payload(remote_workers="a:1,b:2", provisioning=mode)
+        config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
+        assert config == ServingConfig(
+            sharding=ShardingSpec(shards=3, remote_workers="a:1,b:2")
+        )
+        assert "provisioning" not in config.to_dict()["sharding"]
+        assert "provisioning" not in config.resolve().to_dict()
 
     def test_sharding_must_be_a_spec(self):
         with pytest.raises(ConfigurationError, match="must be a ShardingSpec"):
@@ -162,7 +175,6 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
         remote_workers=st.lists(
             st.integers(min_value=1, max_value=65535), min_size=1, max_size=4
         ).map(lambda ports: ",".join(f"worker{i}:{p}" for i, p in enumerate(ports))),
-        provisioning=st.sampled_from(["auto", "reference", "value"]),
     )
     return st.builds(
         ServingConfig,
@@ -202,7 +214,7 @@ class TestRoundTrip:
 
     def test_payload_carries_no_backend_or_workers(self):
         payload = ServingConfig(sharding=ShardingSpec(shards=3)).to_dict()
-        assert set(payload["sharding"]) == {"shards", "remote_workers", "provisioning"}
+        assert set(payload["sharding"]) == {"shards", "remote_workers"}
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [None, 2])
@@ -327,10 +339,14 @@ class TestOverrides:
             {"shards": 2, "workers": 2},
             {"dtype": "float64"},
             {"dtype": "float32", "engine": "auto"},
+            {"provisioning": "auto"},
+            {"shards": 2, "remote_workers": "a:1", "provisioning": "value"},
         ],
     )
     def test_removed_knob_overrides_rejected(self, overrides):
-        knob = next(k for k in ("workers", "backend", "dtype") if k in overrides)
+        knob = next(
+            k for k in ("workers", "backend", "dtype", "provisioning") if k in overrides
+        )
         with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
             ServingConfig().with_overrides(overrides)
 
@@ -422,9 +438,7 @@ class TestResolve:
 
     def test_remote_worker_count_is_the_address_list(self):
         plan = ServingConfig(
-            sharding=ShardingSpec(
-                shards=4, remote_workers="a:1,b:2,c:3", provisioning="value"
-            )
+            sharding=ShardingSpec(shards=4, remote_workers="a:1,b:2,c:3")
         ).resolve()
         assert plan.backend == "remote"
         assert plan.workers == 3
@@ -432,7 +446,6 @@ class TestResolve:
         backend = plan.build_backend()
         assert isinstance(backend, RemoteBackend)
         assert backend.workers == 3
-        assert backend._provisioning == "value"
 
     def test_plan_to_dict_is_json_compatible(self):
         plan = ServingConfig(sharding=ShardingSpec(shards=2)).resolve()

@@ -383,16 +383,28 @@ class TestCliHelpers:
                 "--verify",
                 "--shards", "4",
                 "--remote-workers", "a:1,b:2",
-                "--provisioning", "value",
             ]
         )
         config = serving_config_from_args(args)
         assert config.engine == "numpy"
         assert config.artifact.mmap is False
         assert config.artifact.verify is True
-        assert config.sharding == ShardingSpec(
-            shards=4, remote_workers="a:1,b:2", provisioning="value"
-        )
+        assert config.sharding == ShardingSpec(shards=4, remote_workers="a:1,b:2")
+
+    def test_removed_provisioning_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [
+                    "detect",
+                    "--model", "m",
+                    "--input", "i",
+                    "--shards", "2",
+                    "--remote-workers", "a:1",
+                    "--provisioning", "value",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--provisioning" in capsys.readouterr().err
 
     def test_inspect_prints_the_resolved_plan(self, binary_bundle, capsys):
         from repro.cli import main
@@ -421,7 +433,6 @@ class TestCoordinatorWorkerPlanParity:
                     "--input", "i",
                     "--shards", "2",
                     "--remote-workers", address,
-                    "--provisioning", "value",
                 ]
             )
             config = serving_config_from_args(args)
@@ -438,6 +449,8 @@ class TestCoordinatorWorkerPlanParity:
                 scores = np.asarray(loaded.detect(workload["X_test"]).scores)
                 backend = loaded._shard_spec[1]
                 assert backend.stats["remote_tasks"] > 0
+                # The worker has no --model, so it gets the shards by value.
+                assert backend.stats["provision_value"] == 1
                 worker_plan = backend.worker_plans[address]
             finally:
                 loaded.configure(ServingConfig())
@@ -449,4 +462,3 @@ class TestCoordinatorWorkerPlanParity:
         assert worker_plan == coordinator_plan
         assert worker_plan["n_shards"] == 2
         assert worker_plan["backend"] == "remote"
-        assert worker_plan["provisioning"] == "value"

@@ -1,7 +1,7 @@
 """Tests for distributed shard serving (repro.serving.remote / .transport).
 
 The acceptance property mirrors the sharded engine's: routing shard tasks
-through remote TCP workers — any provisioning mode, any number of workers,
+through remote TCP workers — by reference or by value, any number of workers,
 workers dying mid-batch — must reproduce the serial backend *byte for
 byte*, because a worker that cannot deliver is failed over to local
 execution, never silently dropped.  The failure-mode tests pin the
@@ -11,6 +11,7 @@ refusals.
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 import threading
@@ -38,10 +39,11 @@ from repro.serving import (
     plan_shards,
     subtrees_from_compiled,
 )
-from repro.serving.remote import _value_wire
+from repro.serving.remote import _reference_wire, _value_wire
 from repro.serving.transport import (
     FRAME_MAGIC,
     PROTOCOL_VERSION,
+    SidecarRef,
     client_handshake,
     recv_frame,
     send_frame,
@@ -118,7 +120,6 @@ def _shard_remote(detector, backend, n_shards=4):
     spec = ShardingSpec(
         shards=n_shards,
         remote_workers=",".join(f"{host}:{port}" for host, port in backend.addresses),
-        provisioning=backend._provisioning,
     )
     detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
 
@@ -599,34 +600,6 @@ class TestByReferenceSafety:
             assert backend.stats["failover_tasks"] == 0
         _assert_identical(result, reference)
 
-    def test_strict_reference_mode_requires_mappable_shards(self, workload, fitted):
-        """provisioning='reference' with an in-memory model is a hard error.
-
-        The error must surface through the real ``run`` path — strict mode
-        promising "never stream arrays" and then silently serving everything
-        locally would be worse than no promise at all.
-        """
-        compiled = fitted.model.compile()  # in-memory arrays, nothing mmapped
-        with ShardWorkerServer().start() as worker:
-            backend = RemoteBackend([worker.address], provisioning="reference")
-            engine = ShardedGhsom.from_compiled(compiled, 2, backend=backend)
-            with pytest.raises(ServingError, match="by-reference provisioning requires"):
-                engine.assign_arrays(workload["X_test"][:20])
-            engine.close()
-
-    def test_strict_reference_refusal_raises_not_failover(
-        self, binary_bundle, workload
-    ):
-        """Strict mode: a worker refusing the reference surfaces to the caller."""
-        with ShardWorkerServer().start() as worker:  # no artifact on the worker
-            backend = RemoteBackend([worker.address], provisioning="reference")
-            _, detector = load_bundle(binary_bundle)
-            _shard_remote(detector, backend, 4)
-            with pytest.raises(ServingError, match="without a binary model artifact"):
-                detector.detect(workload["X_test"])
-            assert backend.stats["failover_tasks"] == 0
-            _unshard(detector)
-
     def test_replaced_artifact_disables_by_reference(
         self, binary_bundle, workload, fitted, reference, tmp_path
     ):
@@ -717,6 +690,87 @@ class TestByReferenceSafety:
                 )
             connection.close()
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("dtype", "|O"),
+            ("dtype", "<c16"),
+            ("dtype", "not-a-dtype"),
+            ("shape", (-1, 4)),
+            ("shape", (1 << 40,)),
+            ("offset", -8),
+        ],
+        ids=["object", "complex", "garbage", "negative-shape", "past-end", "negative-offset"],
+    )
+    def test_bad_region_descriptor_refused_and_connection_survives(
+        self, binary_bundle, field, bad
+    ):
+        """A hand-built provision frame naming a bad region gets an error reply.
+
+        An object dtype would read raw file bytes as pointers, a negative
+        shape must fail typed rather than as a bare OverflowError, and a
+        region past the end of the file must not be mapped.  The connection
+        keeps serving.
+        """
+        _, detector = load_bundle(binary_bundle)
+        compiled = detector._compiled
+        shards = build_shards(compiled, plan_shards(compiled, 2))
+        _, fingerprint, states = _reference_wire(shards)
+        ref = states[0]["codebook"]
+        assert isinstance(ref, SidecarRef)
+        states[0]["codebook"] = dataclasses.replace(ref, **{field: bad})
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            with WorkerConnection(worker.address) as connection:
+                with pytest.raises(ServingError, match="SerializationError: refusing to map"):
+                    connection.call(
+                        "provision",
+                        timeout=10.0,
+                        mode="reference",
+                        epoch=0,
+                        sidecar=fingerprint,
+                        shards=states,
+                    )
+                assert connection.call("ping", timeout=10.0) == "pong"
+
+
+# --------------------------------------------------------------------------- #
+# parent-format configs: every stored provisioning mode is the one policy
+# --------------------------------------------------------------------------- #
+class TestParentProvisioning:
+    @pytest.mark.parametrize("mode", ["auto", "reference", "value"])
+    def test_parent_payload_serves_remotely_byte_identical(
+        self, binary_bundle, workload, reference, tmp_path, mode
+    ):
+        import json
+        import shutil
+
+        from repro.core.serialization import sidecar_path_for
+
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            host, port = worker.address
+            bundle = tmp_path / binary_bundle.name
+            payload = json.loads(binary_bundle.read_text())
+            payload["detector"]["serving_config"]["sharding"] = {
+                "shards": 4,
+                "workers": None,
+                "backend": "remote",
+                "remote_workers": f"{host}:{port}",
+                "provisioning": mode,
+            }
+            bundle.write_text(json.dumps(payload))
+            shutil.copy(sidecar_path_for(binary_bundle), sidecar_path_for(bundle))
+            _, loaded = load_bundle(bundle)
+            try:
+                result = loaded.detect(workload["X_test"])
+                backend = loaded._shard_spec[1]
+                assert isinstance(backend, RemoteBackend)
+                assert backend.stats["provision_reference"] == 1
+                assert backend.stats["provision_value"] == 0
+                assert backend.stats["failover_tasks"] == 0
+            finally:
+                _unshard(loaded)
+        _assert_identical(result, reference)
+
 
 # --------------------------------------------------------------------------- #
 # construction & CLI wiring
@@ -734,10 +788,6 @@ class TestConstruction:
     def test_remote_backend_needs_an_address(self):
         with pytest.raises(ConfigurationError, match="at least one"):
             RemoteBackend([])
-
-    def test_remote_backend_rejects_bad_provisioning(self):
-        with pytest.raises(ConfigurationError, match="provisioning"):
-            RemoteBackend([("127.0.0.1", 7001)], provisioning="street-magic")
 
     def test_load_bundle_remote_validation(self, binary_bundle):
         with pytest.raises(ConfigurationError, match="at least one worker address"):
@@ -774,6 +824,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "remote backend" in captured.out
+
+    def test_shard_worker_shards_with_model_validates_and_listens(
+        self, binary_bundle, capsys, monkeypatch
+    ):
+        # --shards K loads the bundle sharded at K before listening; the
+        # listener itself is not needed here, so serving returns at once.
+        monkeypatch.setattr(ShardWorkerServer, "serve_forever", lambda self: None)
+        code = main(
+            [
+                "shard-worker",
+                "--listen", "127.0.0.1:0",
+                "--model", str(binary_bundle),
+                "--shards", "4",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "by-reference/by-value provisioning" in captured.out
 
     def test_shard_worker_shards_without_model_exits_2(self, capsys):
         code = main(["shard-worker", "--listen", "127.0.0.1:0", "--shards", "4"])

@@ -51,11 +51,9 @@ FIT_SETTINGS = {
 METRICS = ("euclidean", "manhattan", "chebyshev")
 
 
-def _shard(detector, n_shards=None, provisioning="auto"):
+def _shard(detector, n_shards=None):
     """Serve ``detector`` through ``n_shards`` root-subtree shards (``None``: unsharded)."""
-    spec = ShardingSpec()
-    if n_shards:
-        spec = ShardingSpec(shards=n_shards, provisioning=provisioning)
+    spec = ShardingSpec(shards=n_shards) if n_shards else ShardingSpec()
     return detector.configure(detector.serving_config.evolve(sharding=spec))
 
 
@@ -417,8 +415,12 @@ class TestShardedEquivalence:
     def test_set_sharding_validation(self, labelled_detector):
         with pytest.raises(ConfigurationError):
             _shard(labelled_detector, -1)
-        with pytest.raises(ConfigurationError):
-            _shard(labelled_detector, 2, provisioning="quantum")
+        with pytest.raises(ConfigurationError, match="'provisioning' was removed"):
+            labelled_detector.configure(
+                labelled_detector.serving_config.with_overrides(
+                    {"shards": 2, "provisioning": "quantum"}
+                )
+            )
         assert labelled_detector.sharding is None  # failed calls leave it unsharded
 
 

@@ -2,10 +2,10 @@
 
 Every test times both sides on the same fitted model and the same rows, best
 of a few repetitions each (the median of many calls for one-record round
-trips, and of alternating calls for the memmap-against-in-RAM descent), and
-asserts the ratio.  A ratio taken in one run cancels the
-machine's absolute speed, so the bounds hold on a laptop and a shared CI
-runner alike.  BLAS pools are pinned to one thread in CI, so both sides of
+trips, and of alternating calls for the memmap-against-in-RAM descent and
+the fused-against-numpy engine), and asserts the ratio.  A ratio taken in
+one run cancels the machine's absolute speed, so the bounds hold on a
+laptop and a shared CI runner alike.  BLAS pools are pinned to one thread in CI, so both sides of
 every ratio run single-threaded.
 
 Correctness of each path (bit-identity, exact leaves, tree-free loads) is
@@ -26,6 +26,7 @@ import pytest
 from repro.cli import load_bundle, save_bundle
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.core.serialization import (
+    detector_from_dict,
     detector_to_dict,
     load_detector,
     save_detector,
@@ -103,16 +104,27 @@ def test_compiled_beats_legacy_descent_on_every_batch(workload):
 def test_fused_engine_beats_numpy_on_the_largest_batch(workload):
     if not kernels.fused_supported("euclidean"):
         pytest.skip(f"no fused kernel provider available: {kernels.provider_diagnostics()}")
-    detector = workload["detector"]
+    numpy_detector = workload["detector"]
+    fused_detector = detector_from_dict(detector_to_dict(numpy_detector))
+    fused_detector.configure(fused_detector.serving_config.evolve(engine="fused"))
     batch = workload["X"][: max(BATCH_SIZES)]
-    numpy_seconds = best_of(detector.score_samples, batch)
-    detector.configure(detector.serving_config.evolve(engine="fused"))
-    try:
-        detector.score_samples(batch)  # loads the kernel, transposes the codebook
-        fused_seconds = best_of(detector.score_samples, batch)
-    finally:
-        detector.configure(detector.serving_config.evolve(engine=None))
-    assert numpy_seconds / fused_seconds >= 1.5, (numpy_seconds, fused_seconds)
+    fused_detector.score_samples(batch)  # loads the kernel, transposes the codebook
+    # Alternate the engines call by call and compare medians, so a slow
+    # stretch of the host hits both sides.  A regression slows every
+    # measurement; one retry absorbs a noisy one.
+    ratios = []
+    for _ in range(2):
+        times = np.empty((30, 2))
+        for row in times:
+            for side, detector in enumerate((numpy_detector, fused_detector)):
+                started = time.perf_counter()
+                detector.score_samples(batch)
+                row[side] = time.perf_counter() - started
+        numpy_seconds, fused_seconds = np.median(times, axis=0)
+        ratios.append(float(numpy_seconds / fused_seconds))
+        if ratios[-1] >= 1.5:
+            break
+    assert ratios[-1] >= 1.5, ratios
 
 
 def _load_and_score(path, rows):
