@@ -130,14 +130,16 @@ def runtime_provenance() -> Dict[str, object]:
     """Engine/provider/hardware context recorded by the perf benchmarks.
 
     Throughput numbers are meaningless without knowing what executed them:
-    which fused-kernel provider (if any) is available, and the usable CPU
-    count plus BLAS pinning they were measured under.
+    whether the fused kernel (the ``"cc"`` C build, its only provider) is
+    available, and the usable CPU count plus BLAS pinning they were
+    measured under.
     """
     from repro.core import kernels
 
+    fused = kernels.fused_available()
     return {
-        "fused_providers": list(kernels.available_fused_providers()),
-        "fused_provider": kernels.fused_provider(),
+        "fused_providers": ["cc"] if fused else [],
+        "fused_provider": "cc" if fused else None,
         "n_cpus": usable_cpus(),
         "blas_threads_env": blas_threads_env(),
     }

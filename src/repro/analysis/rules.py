@@ -417,9 +417,9 @@ class FrozenDataclassSetattr(Rule):
 
 
 class KernelProviderSeam(Rule):
-    """Kernel providers are resolved only through ``repro.core.kernels``.
+    """The fused kernel is reached only through ``repro.core.kernels``.
 
-    The fused provider is a C library compiled on first use and loaded
+    The fused kernel is a C library compiled on first use and loaded
     through :mod:`ctypes`: an optional accelerator behind one seam,
     ``kernels.resolve_engine`` / ``kernels.fused_descent``.  Importing
     ``ctypes`` anywhere else loads native code around that seam, coupling

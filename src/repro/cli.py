@@ -140,7 +140,7 @@ def load_bundle(
     was configured when saved.
 
     Resolution is *strict* at load time — e.g. requesting the ``"fused"``
-    engine on a host without a kernel provider fails here instead of at the
+    engine on a host without the fused kernel fails here instead of at the
     first score.  Scores stay byte-identical to the unsharded engine for
     every sharding setup (``overrides={"shards": K}``).
     """
@@ -165,18 +165,12 @@ def load_bundle(
 # --------------------------------------------------------------------------- #
 # shared serving flags
 # --------------------------------------------------------------------------- #
-def add_serving_args(
-    parser: argparse.ArgumentParser,
-    *,
-    artifact: bool = True,
-    sharding: bool = True,
-    engine_help: Optional[str] = None,
-) -> None:
+def add_serving_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared serving flags to one subcommand parser.
 
     One flag block for every command that loads a model (``detect``,
-    ``inspect``) or serves one (``shard-worker``), so the vocabulary cannot
-    drift between commands.  The flags map one-to-one onto
+    ``serve``, ``inspect``), so the vocabulary cannot drift between
+    commands.  The flags map one-to-one onto
     :class:`repro.serving.ServingConfig` fields via
     :func:`serving_overrides_from_args`.
     """
@@ -185,47 +179,44 @@ def add_serving_args(
         "--engine",
         choices=("numpy", "fused", "auto"),
         default=None,
-        help=engine_help
-        or (
+        help=(
             "descent compute engine: numpy = vectorised reference "
             "(byte-exact, default); fused = single-pass distance+argmin "
-            "kernel (fails if no provider is available); auto = fused when "
+            "kernel (fails if it did not build on this host); auto = fused when "
             "possible, numpy otherwise"
         ),
     )
-    if artifact:
-        group.add_argument(
-            "--no-mmap",
-            action="store_true",
-            help="read a binary (v3) artifact's sidecar eagerly instead of memory-mapping it",
-        )
-        group.add_argument(
-            "--verify",
-            action="store_true",
-            help="check a binary (v3) sidecar's SHA-256 against the integrity header at load",
-        )
-    if sharding:
-        group.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            metavar="K",
-            help=(
-                "serve through K root-subtree shards, run serially in this "
-                "process unless --remote-workers is given (scores stay "
-                "byte-identical)"
-            ),
-        )
-        group.add_argument(
-            "--remote-workers",
-            metavar="HOST:PORT[,HOST:PORT...]",
-            default=None,
-            help=(
-                "run the shards on these shard workers (one repro-ids "
-                "shard-worker per address; requires --shards; unreachable "
-                "workers fail over to local serial execution)"
-            ),
-        )
+    group.add_argument(
+        "--no-mmap",
+        action="store_true",
+        help="read a binary (v3) artifact's sidecar eagerly instead of memory-mapping it",
+    )
+    group.add_argument(
+        "--verify",
+        action="store_true",
+        help="check a binary (v3) sidecar's SHA-256 against the integrity header at load",
+    )
+    group.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="K",
+        help=(
+            "serve through K root-subtree shards, run serially in this "
+            "process unless --remote-workers is given (scores stay "
+            "byte-identical)"
+        ),
+    )
+    group.add_argument(
+        "--remote-workers",
+        metavar="HOST:PORT[,HOST:PORT...]",
+        default=None,
+        help=(
+            "run the shards on these shard workers (one repro-ids "
+            "shard-worker per address; requires --shards; unreachable "
+            "workers fail over to local serial execution)"
+        ),
+    )
 
 
 def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
@@ -237,15 +228,15 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
     :func:`repro.serving.config.effective_config`).
     """
     overrides: Dict[str, object] = {}
-    if getattr(args, "engine", None) is not None:
+    if args.engine is not None:
         overrides["engine"] = args.engine
-    if getattr(args, "no_mmap", False):
+    if args.no_mmap:
         overrides["mmap"] = False
-    if getattr(args, "verify", False):
+    if args.verify:
         overrides["verify"] = True
-    if getattr(args, "shards", None) is not None:
+    if args.shards is not None:
         overrides["shards"] = args.shards
-    if getattr(args, "remote_workers", None) is not None:
+    if args.remote_workers is not None:
         overrides["remote_workers"] = args.remote_workers
     return overrides
 
@@ -447,7 +438,7 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
             with sidecar.open("rb") as stream:
                 while stream.read(1 << 22):
                     pass
-    server = ShardWorkerServer(host, port, model_path=args.model, engine=args.engine)
+    server = ShardWorkerServer(host, port, model_path=args.model)
     mode = (
         "by-reference/by-value provisioning"
         if server.sidecar_path is not None
@@ -589,25 +580,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             shard_layout += f" ({','.join(plan['remote_workers'])})"
     rows = [
         ["engine", f"{plan['engine']} (requested {plan['engine_requested']})"],
-        ["provider", plan["provider"] or "-"],
         ["sharding", shard_layout],
         ["mmap / verify", f"{plan['mmap']} / {plan['verify']}"],
         ["usable cores", plan["usable_cores"]],
         ["default engine", plan["default_engine"]],
-        ["fused providers", ",".join(plan["fused_providers_available"]) or "-"],
+        ["fused kernel", kernels.fused_build_error() or "available"],
     ]
     print()
     print(format_table(rows, ["knob", "resolved"], title="Serving plan"))
-    diagnostics = kernels.provider_diagnostics()
-    if diagnostics:
-        print()
-        print(
-            format_table(
-                [[name, reason] for name, reason in sorted(diagnostics.items())],
-                ["provider", "unavailable because"],
-                title="Provider diagnostics",
-            )
-        )
     return 0
 
 
@@ -704,17 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="validate --model serves sharded at K and pre-read the sidecar (warm start)",
-    )
-    add_serving_args(
-        shard_worker,
-        artifact=False,
-        sharding=False,
-        engine_help=(
-            "worker-local descent-engine override applied to every "
-            "provisioned shard (wins over the engine in the coordinator's "
-            "shipped ServingConfig; resolution inside shards is non-strict, "
-            "so a host without a kernel provider degrades to numpy)"
-        ),
     )
     shard_worker.set_defaults(handler=cmd_shard_worker)
 

@@ -16,9 +16,8 @@ from repro.core.growing_som import GrowingSom, GrowthEvent
 from repro.core.kernels import (
     ENGINES,
     FUSED_DISTANCE_RTOL,
-    available_fused_providers,
+    fused_available,
     fused_supported,
-    set_fused_provider,
 )
 from repro.core.inspection import (
     component_plane,
@@ -64,9 +63,8 @@ __all__ = [
     "GrowthEvent",
     "ENGINES",
     "FUSED_DISTANCE_RTOL",
-    "available_fused_providers",
+    "fused_available",
     "fused_supported",
-    "set_fused_provider",
     "component_plane",
     "describe_tree",
     "hit_map",

@@ -335,6 +335,50 @@ def landing_distances(
     return best
 
 
+def descend_node(
+    sub: AnyArray,
+    sub_norms: AnyArray,
+    rows: Optional[AnyArray],
+    block: AnyArray,
+    block_norms: AnyArray,
+    block_children: AnyArray,
+    block_leaves: AnyArray,
+    metric: str,
+    leaf_index: AnyArray,
+    distances: AnyArray,
+) -> Tuple[AnyArray, AnyArray, AnyArray]:
+    """One node of the numpy descent: best-matching units, then landings.
+
+    ``sub`` holds the samples on the node and ``sub_norms`` their ``|x|^2``;
+    ``block``, ``block_norms``, ``block_children`` and ``block_leaves`` are
+    the node's slices of the codebook, unit norms, ``child_of_unit`` and
+    ``leaf_of_unit``.  Samples whose unit is a leaf land: their leaf-table
+    row and distance are written into ``leaf_index`` / ``distances`` at
+    ``rows`` (the samples' output rows; ``None`` when ``sub`` is the whole
+    output in order).  Returns ``(units, children, at_leaf)``.
+
+    :func:`frontier_descent` and the sharded router's root step both run
+    this, which is what keeps sharded scores byte-identical to the
+    unsharded engine's.
+    """
+    # In-place |x - w|^2 = -2 x.w + |x|^2 + |w|^2: the same IEEE
+    # operations as `squared_euclidean` (negation and scaling by 2
+    # are exact, a - b == (-b) + a), with no (n, u) temporaries.
+    d2 = sub @ block.T
+    d2 *= -2.0
+    d2 += sub_norms[:, None]
+    d2 += block_norms[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    units = d2.argmin(axis=1)
+    children = block_children[units]
+    at_leaf = children < 0
+    if at_leaf.any():
+        landed = np.flatnonzero(at_leaf) if rows is None else rows[at_leaf]
+        leaf_index[landed] = block_leaves[units[at_leaf]]
+        distances[landed] = landing_distances(sub, block, units, d2, at_leaf, metric)
+    return units, children, at_leaf
+
+
 def frontier_descent(
     matrix: AnyArray,
     entry_nodes: AnyArray,
@@ -400,25 +444,19 @@ def frontier_descent(
             rows = sorted_rows[run_begin:run_end]
             start = offsets[node]
             stop = offsets[node + 1]
-            block = codebook[start:stop]
             whole_batch = rows.size == n
-            sub = matrix if whole_batch else matrix[rows]
-            # In-place |x - w|^2 = -2 x.w + |x|^2 + |w|^2: the same IEEE
-            # operations as `squared_euclidean` (negation and scaling by 2
-            # are exact, a - b == (-b) + a), with no (n, u) temporaries.
-            d2 = sub @ block.T
-            d2 *= -2.0
-            d2 += (sample_norms if whole_batch else sample_norms[rows])[:, None]
-            d2 += unit_norms[start:stop][None, :]
-            np.maximum(d2, 0.0, out=d2)
-            units = d2.argmin(axis=1)
-            global_units = start + units
-            children = child_of_unit[global_units]
-            at_leaf = children < 0
-            if at_leaf.any():
-                leaf_rows = rows[at_leaf]
-                leaf_index[leaf_rows] = leaf_of_unit[global_units[at_leaf]]
-                distances[leaf_rows] = landing_distances(sub, block, units, d2, at_leaf, metric)
+            _, children, at_leaf = descend_node(
+                matrix if whole_batch else matrix[rows],
+                sample_norms if whole_batch else sample_norms[rows],
+                rows,
+                codebook[start:stop],
+                unit_norms[start:stop],
+                child_of_unit[start:stop],
+                leaf_of_unit[start:stop],
+                metric,
+                leaf_index,
+                distances,
+            )
             descending = ~at_leaf
             if descending.any():
                 next_rows.append(rows[descending])

@@ -289,6 +289,16 @@ class BaseAnomalyDetector(abc.ABC):
             categories = _DECISION_CATEGORIES[predictions].tolist()
         return DetectionResult(scores=scores, predictions=predictions, categories=categories)
 
+    def _detect_validated(self, matrix: np.ndarray, *, t_start: float) -> DetectionResult:
+        """:meth:`detect` on a matrix ``check_array_2d`` already returned.
+
+        For callers that validate at their own boundary (the streaming
+        detector), so a batch is scanned for non-finite values once;
+        ``t_start`` is when that validation began.  The default re-enters
+        :meth:`detect`.
+        """
+        return self.detect(matrix)
+
     def _require_fitted(self, condition: bool) -> None:
         if not condition:
             raise NotFittedError(f"{type(self).__name__} must be fitted before use")
@@ -436,7 +446,7 @@ class GhsomDetector(BaseAnomalyDetector):
         and resolved *before* anything mutates, so a rejected config leaves
         the detector exactly as it was, and the result never depends on the
         order knobs were set in.  Resolution is strict on a fitted
-        detector: a ``"fused"`` engine request with no provider for the
+        detector: a ``"fused"`` engine request with no kernel for the
         model's metric raises instead of silently serving slower.
         """
         return self._apply_serving(config)
@@ -479,8 +489,6 @@ class GhsomDetector(BaseAnomalyDetector):
                 backend = self._shard_spec[1]
             else:
                 backend = plan.build_backend()
-        if backend is not None:
-            backend.configure_serving(config)
         # ---- commit; nothing above mutated detector state ---- #
         self._close_sharded()
         self._serving = config
@@ -662,14 +670,18 @@ class GhsomDetector(BaseAnomalyDetector):
         :class:`~repro.serving.config.ServingPlan` provenance, so serving
         consumers get observability without instrumenting the layers.
         """
-        from repro.serving.config import ServingStats
-
         t_start = perf_counter()
         # One validation and one conversion at the boundary; the engines
         # take the matrix as is, so this stays a single-descent, single-scan
         # path (and the timing below cleanly separates ingest from the
         # descent).
-        matrix = self._ingest(X)
+        return self._detect_validated(self._ingest(X), t_start=t_start)
+
+    def _detect_validated(self, matrix: np.ndarray, *, t_start: float) -> DetectionResult:
+        """:meth:`detect` after ingest; ``t_start`` is when ingest began."""
+        from repro.serving.config import ServingStats
+
+        self._require_fitted(self.is_fitted)
         ingest_s = perf_counter() - t_start
         t_score = perf_counter()
         tables, leaf_index, ratios = self._score_arrays(matrix)

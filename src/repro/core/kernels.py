@@ -1,4 +1,4 @@
-"""Fused distance+argmin descent kernels and the compute-engine registry.
+"""Fused distance+argmin descent kernel and compute-engine resolution.
 
 The numpy engine in :func:`repro.core.compiled.frontier_descent` materialises a
 full ``(pending, units)`` squared-distance matrix per node per level (one BLAS
@@ -8,21 +8,18 @@ memory traffic over temporaries, not arithmetic.
 
 The *fused* engine here performs the whole descent in one pass: per sample,
 distance accumulation and the running argmin stay in registers — no ``(n, u)``
-temporary, no second argmin pass, no per-level Python loop.  One provider
-implements it:
+temporary, no second argmin pass, no per-level Python loop.  It is a small
+C kernel compiled on first use with the system C compiler and loaded through
+:mod:`ctypes`.  The codebook is repacked once per model into a
+lane-transposed layout (units across SIMD lanes, padded to the vector width)
+so the hot loop is a register-tiled run of 8-samples x lane-chunk fused
+multiply-adds with a vectorised running argmin.  Measured ~2-4x over the
+numpy engine single-core.
 
-``"cc"``
-    A small C kernel compiled on first use with the system C compiler and
-    loaded through :mod:`ctypes`.  The codebook is repacked once per model
-    into a lane-transposed layout (units across SIMD lanes, padded to the
-    vector width) so the hot loop is a register-tiled run of
-    8-samples x lane-chunk fused multiply-adds with a vectorised running
-    argmin.  Measured ~2-4x over the numpy engine single-core.
-
-The provider is *optional*: without a working C compiler (or with
-:data:`PROVIDER_ENV` / :func:`set_fused_provider` set to ``"none"``) the
-``"auto"`` engine silently resolves to ``"numpy"`` — no warnings, no hard
-dependency.  The numpy engine is the library default (:data:`DEFAULT_ENGINE`)
+The kernel is *optional*: when the C build fails (no compiler, a rejected
+flag) :func:`fused_available` is false, :func:`fused_build_error` says why,
+and the ``"auto"`` engine silently resolves to ``"numpy"`` — no warnings, no
+hard dependency.  The numpy engine is the library default (:data:`DEFAULT_ENGINE`)
 because its output is byte-identical across hosts (golden artifacts, remote
 shard byte-identity); the fused engine is *documented-ulp* equivalent instead:
 leaf assignments match exactly on non-degenerate data, distances agree within
@@ -34,7 +31,7 @@ Engine names accepted everywhere (``assign_arrays(engine=...)``,
 
 * ``"numpy"`` — the vectorised reference path (default; byte-exact);
 * ``"fused"`` — require the fused kernel (raises if unavailable);
-* ``"auto"``  — fused when the provider supports the metric, else numpy.
+* ``"auto"``  — fused when the kernel is available for the metric, else numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import tempfile
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -73,14 +70,7 @@ _METRIC_IDS = {"sqeuclidean": 0, "euclidean": 1, "manhattan": 2, "chebyshev": 3}
 #: engine, so golden artifacts and cross-host byte-identity hold without opt-in.
 DEFAULT_ENGINE = "numpy"
 
-#: Environment variable forcing the provider: ``"cc"`` or ``"none"`` (how
-#: tests simulate a host without a C compiler).
-PROVIDER_ENV = "REPRO_FUSED_PROVIDER"
-
 _lock = threading.Lock()
-_forced_provider: Optional[str] = None
-#: Why a provider is unavailable, keyed by provider name (debugging aid).
-_provider_errors: Dict[str, str] = {}
 
 
 # --------------------------------------------------------------------------- #
@@ -104,7 +94,7 @@ def resolve_engine(
     """Resolve an engine request to the concrete engine to run: numpy or fused.
 
     ``None`` means :data:`DEFAULT_ENGINE`.  ``"auto"`` picks the fused
-    kernel when the provider is available and supports ``metric``,
+    kernel when it is available and supports ``metric``,
     silently falling back to numpy otherwise.  ``"fused"`` falls back the same
     way unless ``strict=True``, in which case an unavailable kernel raises
     :class:`~repro.exceptions.ConfigurationError` — configuration-time callers
@@ -120,10 +110,9 @@ def resolve_engine(
         detail = (
             f"metric {metric!r} is outside the fused kernel's support matrix "
             f"{FUSED_METRICS}"
-            if fused_provider() is not None
-            else "no fused kernel provider is available "
-            "(install a C toolchain); "
-            + "; ".join(f"{k}: {v}" for k, v in sorted(_provider_errors.items()))
+            if fused_available()
+            else "the C kernel did not build (install a C toolchain): "
+            + fused_build_error()
         )
         raise ConfigurationError(f"the fused engine is unavailable: {detail}")
     return "fused" if supported else "numpy"
@@ -137,54 +126,20 @@ def fused_supported(metric: str) -> bool:
     # library targets has np.intp == int64.
     if np.dtype(np.intp).itemsize != 8:
         return False
-    return fused_provider() is not None
+    return fused_available()
 
 
-# --------------------------------------------------------------------------- #
-# provider registry
-# --------------------------------------------------------------------------- #
-def available_fused_providers() -> Tuple[str, ...]:
-    """Names of providers that actually work on this host (probing them)."""
-    return ("cc",) if _cc_library() is not None else ()
+def fused_available() -> bool:
+    """Whether the fused C kernel built and loaded on this host.
 
-
-def fused_provider() -> Optional[str]:
-    """The provider the fused engine will run on, or ``None`` if unavailable.
-
-    The :func:`set_fused_provider` override or the :data:`PROVIDER_ENV`
-    environment variable wins when set (``"none"`` disables the fused
-    engine); otherwise the compiled-C kernel serves when it builds.  The
-    probe runs once per process; a failed probe records its reason in the
-    provider diagnostics.
+    The build runs once per process, on the first call.
     """
-    forced = _forced_provider or os.environ.get(PROVIDER_ENV) or None
-    if forced == "none":
-        return None
-    if forced not in (None, "cc"):
-        raise ConfigurationError(
-            f"unknown fused provider {forced!r}; expected 'cc' or 'none'"
-        )
-    return "cc" if _cc_library() is not None else None
+    return _cc_library()[0] is not None
 
 
-def set_fused_provider(name: Optional[str]) -> None:
-    """Force the fused provider: ``"cc"``, ``"none"``, or ``None``.
-
-    ``"none"`` disables the fused engine entirely (``"auto"`` then resolves to
-    numpy — the degraded-environment behaviour, reachable without uninstalling
-    anything); ``None`` restores automatic selection.  Mainly for tests.
-    """
-    global _forced_provider
-    if name not in (None, "cc", "none"):
-        raise ConfigurationError(
-            f"unknown fused provider {name!r}; expected 'cc', 'none' or None"
-        )
-    _forced_provider = name
-
-
-def provider_diagnostics() -> Dict[str, str]:
-    """Why each probed provider is unavailable (empty entries mean untried)."""
-    return dict(_provider_errors)
+def fused_build_error() -> str:
+    """Why the fused C kernel is unavailable here (``""`` when it loaded)."""
+    return _cc_library()[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -290,17 +245,14 @@ def fused_descent(
     (and caches the kernel plan); callers are expected to have resolved the
     engine first — passing an unsupported metric here raises.
     """
-    provider = fused_provider()
     if (
-        provider is None
-        or not fused_supported(metric)
+        not fused_supported(metric)
         or matrix.dtype != np.float64
         or not matrix.flags["C_CONTIGUOUS"]
     ):
         raise ConfigurationError(
             f"fused kernel unavailable for metric={metric!r} "
-            f"dtype={matrix.dtype} (provider={provider}); it takes a "
-            "C-contiguous float64 matrix"
+            f"dtype={matrix.dtype}; it takes a C-contiguous float64 matrix"
         )
     plan = fused_plan(owner)
     n, d = matrix.shape
@@ -322,7 +274,7 @@ def fused_descent(
 
 
 # --------------------------------------------------------------------------- #
-# provider: compiled C via the system toolchain + ctypes
+# the kernel: compiled C via the system toolchain + ctypes
 # --------------------------------------------------------------------------- #
 #: The compiled-C kernel.  The vector comparison result type matches the
 #: element width, so the index vector is int64x8 for the double lanes.  The
@@ -580,21 +532,22 @@ void fused_descent(
 """
 
 
-_cc_lib: Optional[ctypes.CDLL] = None
-_cc_tried = False
+#: The build's outcome, once probed: the loaded library (or ``None``) and
+#: why the build failed (``""`` when it loaded).
+_cc_build: Optional[Tuple[Optional[ctypes.CDLL], str]] = None
 
 
-def _cc_library() -> Optional[ctypes.CDLL]:
-    """Compile (once per process) and load the C kernel; ``None`` on failure."""
-    global _cc_lib, _cc_tried
-    if _cc_tried:
-        return _cc_lib
-    with _lock:
-        if _cc_tried:
-            return _cc_lib
-        _cc_lib = _build_cc_library()
-        _cc_tried = True
-    return _cc_lib
+def _cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
+    """Compile (once per process) and load the C kernel.
+
+    Returns the library, or ``None`` with the reason the build failed.
+    """
+    global _cc_build
+    if _cc_build is None:
+        with _lock:
+            if _cc_build is None:
+                _cc_build = _build_cc_library()
+    return _cc_build
 
 
 def _compiler_candidates() -> Iterator[str]:
@@ -604,15 +557,14 @@ def _compiler_candidates() -> Iterator[str]:
     yield from ("cc", "gcc", "clang")
 
 
-def _build_cc_library() -> Optional[ctypes.CDLL]:
+def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
     import shutil
 
     compiler = next(
         (c for c in _compiler_candidates() if shutil.which(c)), None
     )
     if compiler is None:
-        _provider_errors["cc"] = "no C compiler on PATH (cc/gcc/clang)"
-        return None
+        return None, "no C compiler on PATH (cc/gcc/clang)"
     try:
         build_dir = tempfile.mkdtemp(prefix="repro-kernels-")
         src_path = os.path.join(build_dir, "kernels.c")
@@ -635,10 +587,9 @@ def _build_cc_library() -> Optional[ctypes.CDLL]:
             if result.returncode == 0:
                 break
         else:
-            _provider_errors["cc"] = (
+            return None, (
                 f"{compiler} failed: {result.stderr.decode(errors='replace')[:500]}"
             )
-            return None
         lib = ctypes.CDLL(lib_path)
         fp = ctypes.POINTER(ctypes.c_double)
         ip = ctypes.POINTER(ctypes.c_int64)
@@ -647,10 +598,9 @@ def _build_cc_library() -> Optional[ctypes.CDLL]:
             fp, i64, i64, fp, ip, ip, ip, fp, fp, ip, ip, ip, ip, fp, i64, i64, ip, fp, ip,
         ]
         lib.fused_descent.restype = None
-        return lib
-    except Exception as exc:  # noqa: BLE001 - any failure just disables the provider
-        _provider_errors["cc"] = f"{type(exc).__name__}: {exc}"
-        return None
+        return lib, ""
+    except Exception as exc:  # noqa: BLE001 - any failure just disables the kernel
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _cc_descent(
@@ -666,7 +616,7 @@ def _cc_descent(
     leaf_index: AnyArray,
     distances: AnyArray,
 ) -> None:
-    lib = _cc_library()
+    lib = _cc_library()[0]
     if lib is None:  # callers resolve the engine first; defensive belt
         raise ConfigurationError("the compiled-C fused kernel is unavailable")
     n, d = matrix.shape
@@ -699,10 +649,7 @@ def _cc_descent(
 
 def _reset_for_tests() -> None:
     """Forget probe results and plan caches (test isolation hook)."""
-    global _cc_lib, _cc_tried, _forced_provider
+    global _cc_build
     with _lock:
-        _cc_lib = None
-        _cc_tried = False
-        _forced_provider = None
-        _provider_errors.clear()
+        _cc_build = None
         _plan_cache.clear()

@@ -33,7 +33,7 @@ into a serving subsystem:
 * :mod:`repro.serving.config` — the unified serving-configuration layer:
   :class:`ServingConfig` (one frozen, versioned, JSON-round-trippable
   description of engine / sharding / artifact options, embedded in
-  v2+ artifacts and shipped to remote workers),
+  v2+ artifacts),
   :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
   environment-dependent resolution under one strict/degrade policy;
   :meth:`ServingPlan.build_backend` is the only constructor of a live

@@ -19,12 +19,11 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro._typing import AnyArray
-from repro.serving.config import ServingConfig
 from repro.serving.shards import SubtreeShard
 
 #: One shard task: (shard index, routed sub-batch, local entry nodes).
 ShardTask = Tuple[int, AnyArray, AnyArray]
-#: One shard result: (local leaf rows, distances in the serving dtype).
+#: One shard result: (local leaf rows, float64 distances).
 ShardResult = Tuple[AnyArray, AnyArray]
 
 
@@ -48,15 +47,6 @@ class ShardBackend:
 
     def close(self) -> None:
         """Release held resources (a no-op for the serial backend)."""
-
-    def configure_serving(self, config: "ServingConfig") -> None:
-        """Receive the :class:`~repro.serving.config.ServingConfig` in force.
-
-        Called by ``GhsomDetector.configure`` whenever this backend is (re)
-        attached.  Local backends execute whatever shards they are handed, so
-        the default is a no-op; the remote backend overrides this to ship the
-        config to its workers at provisioning time.
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(workers={self.workers})"

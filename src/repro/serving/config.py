@@ -8,14 +8,14 @@ CLI flag block all go through it.  This module holds it and its companions:
     A frozen, *declarative* description of how a model is served: the
     compute engine, the sharding spec and the artifact-loading options.  It
     validates strictly on construction, round-trips through JSON
-    (``to_dict`` / ``from_dict``, versioned), embeds in v2/v3 model
-    artifacts, and travels over the wire to remote shard workers.  It never
+    (``to_dict`` / ``from_dict``, versioned) and embeds in v2/v3 model
+    artifacts.  It never
     touches the environment: a config built on one host means exactly the
     same thing on another.
 
 :class:`ServingPlan`
     The *resolved* form: :meth:`ServingConfig.resolve` performs every
-    environment-dependent decision — fused-kernel provider availability,
+    environment-dependent decision — fused-kernel availability,
     remote address parsing — in one place, under one
     strict/degrade policy (``strict=True`` raises on an unprovidable
     ``"fused"`` request; ``strict=False`` degrades to the numpy engine, the
@@ -462,7 +462,7 @@ class ServingConfig:
           is resolved to a concrete ``"numpy"`` / ``"fused"`` via
           :func:`repro.core.kernels.resolve_engine` — ``strict=True`` raises
           :class:`~repro.exceptions.ConfigurationError` when a ``"fused"``
-          request has no provider for ``metric``; ``strict=False``
+          request has no kernel for ``metric``; ``strict=False``
           degrades to numpy (the hot-path / worker-side policy);
         * a sharded plan runs on the ``"remote"`` backend when the spec
           lists worker addresses (one worker per address) and on the
@@ -470,7 +470,6 @@ class ServingConfig:
         """
         requested = self.engine if self.engine is not None else kernels.DEFAULT_ENGINE
         resolved = kernels.resolve_engine(requested, metric=metric, strict=strict)
-        provider = kernels.fused_provider() if resolved == "fused" else None
         sharding = self.sharding
         backend: Optional[str] = None
         workers: Optional[int] = None
@@ -484,7 +483,6 @@ class ServingConfig:
             config=self,
             engine_requested=requested,
             engine=resolved,
-            provider=provider,
             n_shards=sharding.shards,
             backend=backend,
             workers=workers,
@@ -501,8 +499,8 @@ class ServingConfig:
 class ServingPlan:
     """A :class:`ServingConfig` resolved against one host.
 
-    Every field is concrete: the engine is ``"numpy"`` or ``"fused"`` (with
-    the provider it will run on), worker counts are integers, remote
+    Every field is concrete: the engine is ``"numpy"`` or ``"fused"``,
+    worker counts are integers, remote
     addresses are parsed.  The plan is still a passive value object —
     :meth:`build_backend` constructs the live executor.
     """
@@ -510,7 +508,6 @@ class ServingPlan:
     config: ServingConfig
     engine_requested: str
     engine: str
-    provider: Optional[str]
     n_shards: Optional[int]
     backend: Optional[str]
     workers: Optional[int]
@@ -527,7 +524,6 @@ class ServingPlan:
         return {
             "engine_requested": self.engine_requested,
             "engine": self.engine,
-            "provider": self.provider,
             "sharded": self.sharded,
             "n_shards": self.n_shards,
             "backend": self.backend,
@@ -560,7 +556,6 @@ class ServingPlan:
         summary = self.to_dict()
         summary["usable_cores"] = usable_workers()
         summary["default_engine"] = kernels.DEFAULT_ENGINE
-        summary["fused_providers_available"] = list(kernels.available_fused_providers())
         return summary
 
 

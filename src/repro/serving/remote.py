@@ -62,7 +62,6 @@ import numpy as np
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError, SerializationError, ServingError
 from repro.serving.backends import SerialBackend, ShardBackend, ShardResult, ShardTask
-from repro.serving.config import ServingConfig
 from repro.serving.server import DEFERRED, Connection, FramedServer, ping
 from repro.serving.shards import SubtreeShard
 from repro.serving.transport import (
@@ -286,15 +285,6 @@ class RemoteBackend(ShardBackend):
         self._epoch = -1
         self._wire_reference: Optional[Tuple[str, Dict[str, object], List[Dict[str, object]]]] = None
         self._wire_value: Optional[List[Dict[str, object]]] = None
-        #: The ServingConfig in force on the coordinator, shipped inside every
-        #: provision frame (set via :meth:`configure_serving`).
-        self._serving_config: Optional[ServingConfig] = None
-        #: Per-worker resolved plans from the most recent provisioning —
-        #: ``{"host:port": plan_dict}``, straight from each worker's provision
-        #: ack.  Lets operators (and the loopback CI gate) assert that every
-        #: worker resolved the shipped config to the same effective plan the
-        #: coordinator did.
-        self.worker_plans: Dict[str, Dict[str, object]] = {}
         self.stats: Dict[str, int] = {
             "remote_tasks": 0,
             "failover_tasks": 0,
@@ -311,20 +301,6 @@ class RemoteBackend(ShardBackend):
     @property
     def addresses(self) -> Tuple[Tuple[str, int], ...]:
         return self._addresses
-
-    def configure_serving(self, config: ServingConfig) -> None:
-        """Ship ``config`` to every worker at the next provisioning epoch.
-
-        Replaces the per-shard engine re-stamp of earlier versions: workers
-        receive the whole :class:`~repro.serving.config.ServingConfig`,
-        resolve it locally (honouring their own ``--engine`` override) and
-        report the resolved plan back in the provision ack
-        (:attr:`worker_plans`).  A changed config invalidates the current
-        epoch so the next ``run`` re-provisions with the new one.
-        """
-        if config != self._serving_config:
-            self._serving_config = config
-            self._epoch_shards = None
 
     def close(self) -> None:
         for connection in self._connections.values():
@@ -436,10 +412,11 @@ class RemoteBackend(ShardBackend):
     def _provision(
         self, connection: WorkerConnection, shards: Tuple[SubtreeShard, ...]
     ) -> None:
-        """Ship the current shard set to one worker (reference or value)."""
-        serving = (
-            None if self._serving_config is None else self._serving_config.to_dict()
-        )
+        """Ship the current shard set to one worker (reference or value).
+
+        The shard states carry the engine request; each worker resolves it
+        per call against its own host.
+        """
         wire_reference = self._wire_reference
         advertised = connection.info.get("sidecar")
         if (
@@ -449,17 +426,15 @@ class RemoteBackend(ShardBackend):
         ):
             _, fingerprint, states = wire_reference
             try:
-                ack = connection.call(
+                connection.call(
                     "provision",
                     timeout=self._task_timeout,
                     mode="reference",
                     epoch=self._epoch,
                     sidecar=fingerprint,
                     shards=states,
-                    serving=serving,
                 )
                 self.stats["provision_reference"] += 1
-                self._note_worker_plan(connection, ack)
                 return
             except ServingError:
                 # The worker's sidecar changed between handshake and
@@ -467,25 +442,15 @@ class RemoteBackend(ShardBackend):
                 pass
         if self._wire_value is None:
             self._wire_value = _value_wire(shards)
-        ack = connection.call(
+        connection.call(
             "provision",
             timeout=self._task_timeout,
             mode="value",
             epoch=self._epoch,
             sidecar=None,
             shards=self._wire_value,
-            serving=serving,
         )
         self.stats["provision_value"] += 1
-        self._note_worker_plan(connection, ack)
-
-    def _note_worker_plan(self, connection: WorkerConnection, ack: object) -> None:
-        """Record the resolved plan a worker reported in its provision ack."""
-        if isinstance(ack, dict):
-            plan = ack.get("plan")
-            if isinstance(plan, dict):
-                host, port = connection.address
-                self.worker_plans[f"{host}:{port}"] = plan
 
     def _drop(self, connection: WorkerConnection) -> None:
         connection.close()
@@ -549,19 +514,7 @@ class ShardWorkerServer(FramedServer):
         port: int = 0,
         *,
         model_path: Optional[Union[str, Path]] = None,
-        engine: Optional[str] = None,
     ) -> None:
-        if engine is not None:
-            from repro.core import kernels
-
-            kernels.check_engine(engine)
-        #: Worker-local engine override: when set, every provisioned shard is
-        #: re-stamped with this engine, letting an operator turn the fused
-        #: kernel on (or pin numpy) per worker host regardless of what the
-        #: coordinator's shards carry.  Resolution stays non-strict inside
-        #: the shard, so a host without a kernel provider degrades to numpy
-        #: instead of failing batches.
-        self.engine = engine
         self.model_path = Path(model_path) if model_path is not None else None
         self.sidecar_path: Optional[Path] = None
         if self.model_path is not None:
@@ -615,11 +568,11 @@ class ShardWorkerServer(FramedServer):
         # Awaited inside the read loop: the next frame is read only after
         # the new shard set is in place.  CRC checks and mmaps block, so
         # they run in the executor.
-        provisioned, plan = await asyncio.get_running_loop().run_in_executor(
+        provisioned = await asyncio.get_running_loop().run_in_executor(
             None, self._provisioned, frame
         )
         connection.state = provisioned
-        return {"n_shards": len(provisioned.shards), "epoch": provisioned.epoch, "plan": plan}
+        return {"n_shards": len(provisioned.shards), "epoch": provisioned.epoch}
 
     async def _run(self, connection: Connection, frame: Dict[str, object]) -> object:
         state = connection.state
@@ -639,15 +592,13 @@ class ShardWorkerServer(FramedServer):
         )
         return DEFERRED
 
-    def _provisioned(
-        self, frame: Dict[str, object]
-    ) -> Tuple[_Provisioned, Optional[Dict[str, object]]]:
-        """Map one provision request's shards and resolve its plan."""
-        shards = self._provisioned_shards(frame)
-        provisioned = _Provisioned(shards=shards, epoch=_frame_int(frame["epoch"]))
-        return provisioned, self._resolved_plan(frame, shards)
+    def _provisioned(self, frame: Dict[str, object]) -> _Provisioned:
+        """Map one provision request's shards.
 
-    def _provisioned_shards(self, frame: Dict[str, object]) -> Tuple[SubtreeShard, ...]:
+        Each shard runs with the engine its state carries.  A ``serving`` key
+        from a coordinator that still ships its config is ignored: the shard
+        states carry the same engine.
+        """
         mode = frame.get("mode")
         states = frame.get("shards")
         if mode not in ("reference", "value") or not isinstance(states, list):
@@ -675,50 +626,5 @@ class ShardWorkerServer(FramedServer):
                     "re-sync the model artifact to this host"
                 )
             sidecar_path = self.sidecar_path
-        engine = self._effective_engine(frame)
-        restored: List[SubtreeShard] = []
-        for state in states:
-            state = dict(state)
-            if engine is not None:
-                # Stamp the effective engine into the wire state before the
-                # shard object exists — each shard's per-call resolution then
-                # degrades gracefully on hosts without a kernel provider.
-                state["engine"] = engine
-            restored.append(_shard_from_state(state, sidecar_path))
-        return tuple(restored)
-
-    def _effective_engine(self, frame: Dict[str, object]) -> Optional[str]:
-        """The engine the provisioned shards should descend with.
-
-        The worker-local ``--engine`` override wins; otherwise the engine of
-        the coordinator's shipped :class:`ServingConfig` applies (``None``
-        leaves the wire states untouched — they already carry whatever the
-        coordinator stamped).
-        """
-        if self.engine is not None:
-            return self.engine
-        serving = frame.get("serving")
-        if isinstance(serving, dict):
-            engine = serving.get("engine")
-            return engine if isinstance(engine, str) else None
-        return None
-
-    def _resolved_plan(
-        self, frame: Dict[str, object], shards: Tuple[SubtreeShard, ...]
-    ) -> Optional[Dict[str, object]]:
-        """Resolve the shipped config on *this* host and return its plan dict.
-
-        ``None`` when the coordinator sent no config (older coordinators).
-        The worker-local engine override is folded in before resolution, and
-        resolution is non-strict: a worker without the requested fused
-        provider serves with numpy rather than refusing provisioning — the
-        divergence is visible in the reported plan instead of fatal.
-        """
-        serving = frame.get("serving")
-        if not isinstance(serving, dict):
-            return None
-        config = ServingConfig.from_dict(serving)
-        if self.engine is not None:
-            config = config.evolve(engine=self.engine)
-        metric = shards[0].metric if shards else "euclidean"
-        return config.resolve(metric=metric, strict=False).to_dict()
+        shards = tuple(_shard_from_state(state, sidecar_path) for state in states)
+        return _Provisioned(shards=shards, epoch=_frame_int(frame["epoch"]))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import AnyArray
-from repro.core.compiled import CompiledGhsom, landing_distances
+from repro.core.compiled import CompiledGhsom, descend_node
 from repro.exceptions import DataValidationError
 from repro.serving.backends import SerialBackend, ShardBackend
 from repro.serving.planner import ShardPlan, plan_shards
@@ -166,20 +166,18 @@ class ShardedGhsom:
         leaf_index = np.full(n, -1, dtype=np.intp)
         distances = np.zeros(n)
         # --- route: the unsharded engine's first frontier iteration ------- #
-        sample_norms = np.einsum("ij,ij->i", matrix, matrix)
-        d2 = matrix @ self._root_codebook.T
-        d2 *= -2.0
-        d2 += sample_norms[:, None]
-        d2 += self._root_unit_norms[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        units = np.argmin(d2, axis=1)
-        at_leaf = self._root_child[units] < 0
-        if at_leaf.any():
-            leaf_rows = np.flatnonzero(at_leaf)
-            leaf_index[leaf_rows] = self._root_leaf_row[units[at_leaf]]
-            distances[leaf_rows] = landing_distances(
-                matrix, self._root_codebook, units, d2, at_leaf, self.metric
-            )
+        units, _, _ = descend_node(
+            matrix,
+            np.einsum("ij,ij->i", matrix, matrix),
+            None,
+            self._root_codebook,
+            self._root_unit_norms,
+            self._root_child,
+            self._root_leaf_row,
+            self.metric,
+            leaf_index,
+            distances,
+        )
         # --- dispatch: one task per shard with routed samples ------------- #
         sample_shard = self._shard_of_unit[units]
         tasks: List[Tuple[int, AnyArray, AnyArray]] = []

@@ -67,11 +67,12 @@ class SubtreeShard:
     labels: Optional[AnyArray] = None
     is_attack: Optional[AnyArray] = None
     purity: Optional[AnyArray] = None
-    #: Compute engine for this shard's descents (``None`` = library default).
-    #: Resolution is per call and *non-strict*: a shard provisioned to a worker
-    #: without a fused-kernel provider silently degrades to the numpy engine
-    #: rather than failing the batch (the remote byte-identity contract only
-    #: holds under the numpy default anyway).
+    #: Compute engine for this shard's descents (``None`` = library default);
+    #: the only carrier of the engine request to remote workers.  Resolution
+    #: is per call and *non-strict*, on whichever host runs the shard: a
+    #: worker where the fused kernel did not build silently degrades to the
+    #: numpy engine rather than failing the batch (the remote byte-identity
+    #: contract only holds under the numpy default anyway).
     engine: Optional[str] = None
 
     @property

@@ -21,6 +21,7 @@ thresholding and through periodic retraining on recent traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, cast
 
 import numpy as np
@@ -153,17 +154,28 @@ class OnlineDetector:
     # ------------------------------------------------------------------ #
     def process(self, batch: object) -> OnlineStepResult:
         """Process one batch of streamed records and return decisions plus bookkeeping."""
+        t_start = perf_counter()
         matrix = check_array_2d(batch, "batch")
         self.n_processed += matrix.shape[0]
         if not self._is_warmed_up:
             return self._warmup_step(matrix)
-        return self._scoring_step(matrix)
+        return self._scoring_step(matrix, t_start)
 
-    def _scoring_step(self, matrix: AnyArray) -> OnlineStepResult:
-        """Score one batch with the fitted detector and run the adaptation loop."""
+    def _scoring_step(self, matrix: AnyArray, t_start: float) -> OnlineStepResult:
+        """Score one batch with the fitted detector and run the adaptation loop.
+
+        ``t_start`` is when validation of ``matrix`` began, so the
+        detector's ingest timing still covers the one scan.
+        """
         # Single-pass serving: one detection pass yields scores *and* class
-        # labels (for GhsomDetector that is one tree descent total).
-        detection = self.detector.detect(matrix)
+        # labels (for GhsomDetector that is one tree descent total).  The
+        # batch was validated in `process`, so a library detector skips its
+        # own scan; any other object, including a wrapper that forwards
+        # attributes to a detector, is called through its public `detect`.
+        if isinstance(self.detector, BaseAnomalyDetector):
+            detection = self.detector._detect_validated(matrix, t_start=t_start)
+        else:
+            detection = self.detector.detect(matrix)
         scores = np.asarray(detection.scores, dtype=float)
         scale = self._effective_scale()
         # The shared decision rule: strictly above the (scaled) threshold
@@ -211,7 +223,7 @@ class OnlineDetector:
             self.detector.fit(warmup_matrix)
             self._warmup = []
             self._is_warmed_up = True
-            result = self._scoring_step(matrix)
+            result = self._scoring_step(matrix, perf_counter())
             result.extra["warmup_completed"] = True
             return result
         # Still warming up: everything is reported as normal (no model yet).
@@ -238,8 +250,10 @@ class OnlineDetector:
         return self.process(batch).predictions
 
     def score_samples(self, batch: object) -> AnyArray:
-        """Scores from the wrapped detector without updating any online state."""
+        """Scores from the wrapped detector without updating any online state.
+
+        The detector validates the batch; nothing here changes state first.
+        """
         if not self._is_warmed_up:
             raise NotFittedError("OnlineDetector is still warming up")
-        matrix = check_array_2d(batch, "batch")
-        return np.asarray(self.detector.score_samples(matrix), dtype=float)
+        return np.asarray(self.detector.score_samples(batch), dtype=float)

@@ -104,3 +104,16 @@ def blob_data(rng) -> np.ndarray:
     )
     blobs = [center + rng.normal(0.0, 0.03, size=(80, 4)) for center in centers]
     return np.clip(np.concatenate(blobs, axis=0), 0.0, 1.0)
+
+
+#: The build failure a compiler-less host reports.
+NO_COMPILER = "no C compiler on PATH (cc/gcc/clang)"
+
+
+@pytest.fixture
+def compilerless_host(monkeypatch) -> str:
+    """Simulate a host where the fused C kernel did not build; yields the reason."""
+    from repro.core import kernels
+
+    monkeypatch.setattr(kernels, "_cc_library", lambda: (None, NO_COMPILER))
+    return NO_COMPILER

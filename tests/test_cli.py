@@ -78,6 +78,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --float32" in capsys.readouterr().err
 
+    def test_removed_shard_worker_engine_flag_exits_2(self, capsys):
+        # The coordinator's shard states carry the engine; a worker has no
+        # engine of its own.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["shard-worker", "--listen", "127.0.0.1:0", "--engine", "fused"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine fused" in capsys.readouterr().err
+
 
 class TestGenerateAndSimulate:
     def test_generate_writes_loadable_csv(self, tmp_path, capsys):

@@ -7,13 +7,15 @@ numpy frontier descent, with distances matching within the documented
 over randomly generated flat-array trees, metrics and entry nodes —
 the same surface the sharded engine drives via per-shard entry points.
 
-The provider tests prove the degradation story: ``"auto"`` silently resolves
-to numpy when no kernel provider exists (no warning spam on import-less
-hosts), while an explicit strict ``"fused"`` request fails fast.
+The resolution tests prove the degradation story: ``"auto"`` silently
+resolves to numpy when the C kernel did not build (no warning spam on
+compiler-less hosts), while an explicit strict ``"fused"`` request fails
+fast and names the build failure.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -38,7 +40,7 @@ METRICS = sorted(kernels.FUSED_METRICS)
 
 fused_missing = not kernels.fused_supported("euclidean")
 needs_fused = pytest.mark.skipif(
-    fused_missing, reason=f"no fused kernel provider: {kernels.provider_diagnostics()}"
+    fused_missing, reason=f"no fused kernel: {kernels.fused_build_error()}"
 )
 
 
@@ -195,7 +197,7 @@ class TestFusedEquivalence:
         with pytest.raises(ConfigurationError, match="float32"):
             kernels.fused_descent(owner, matrix, np.zeros(3, dtype=np.int64), metric="euclidean")
 
-    def test_provider_compiles_one_shared_object(self, monkeypatch):
+    def test_kernel_compiles_one_shared_object(self, monkeypatch):
         commands = []
         run = kernels.subprocess.run
 
@@ -205,7 +207,8 @@ class TestFusedEquivalence:
 
         monkeypatch.setattr(kernels.subprocess, "run", counting_run)
         kernels._reset_for_tests()
-        assert kernels.fused_provider() == "cc"
+        assert kernels.fused_available()
+        assert kernels.fused_build_error() == ""
         # A toolchain that rejects the tuning flags is retried on the same
         # output, so every command builds the one kernel library.
         outputs = {command[command.index("-o") + 1] for command in commands}
@@ -276,34 +279,25 @@ class TestEngineResolution:
         assert kernels.DEFAULT_ENGINE == "numpy"
         assert kernels.resolve_engine(None, metric="euclidean") == "numpy"
 
-    def test_auto_degrades_to_numpy_without_provider_and_without_warnings(self):
-        kernels.set_fused_provider("none")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for _ in range(3):  # repeated resolution must stay silent too
-                    resolved = kernels.resolve_engine("auto", metric="euclidean")
-                    assert resolved == "numpy"
-        finally:
-            kernels.set_fused_provider(None)
+    def test_auto_degrades_to_numpy_without_kernel_and_without_warnings(
+        self, compilerless_host
+    ):
+        assert not kernels.fused_available()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):  # repeated resolution must stay silent too
+                resolved = kernels.resolve_engine("auto", metric="euclidean")
+                assert resolved == "numpy"
 
-    def test_strict_fused_fails_fast_without_provider(self):
-        kernels.set_fused_provider("none")
-        try:
-            with pytest.raises(ConfigurationError):
-                kernels.resolve_engine("fused", metric="euclidean", strict=True)
-        finally:
-            kernels.set_fused_provider(None)
+    def test_strict_fused_fails_fast_without_kernel(self, compilerless_host):
+        # The error names why the C build failed.
+        with pytest.raises(ConfigurationError, match=re.escape(compilerless_host)):
+            kernels.resolve_engine("fused", metric="euclidean", strict=True)
 
-    def test_nonstrict_fused_degrades_in_shard_paths(self):
-        # Shards resolve non-strictly: a worker without a provider serves
+    def test_nonstrict_fused_degrades_in_shard_paths(self, compilerless_host):
+        # Shards resolve non-strictly: a worker without the kernel serves
         # numpy instead of failing the batch.
-        kernels.set_fused_provider("none")
-        try:
-            resolved = kernels.resolve_engine("fused", metric="euclidean")
-            assert resolved == "numpy"
-        finally:
-            kernels.set_fused_provider(None)
+        assert kernels.resolve_engine("fused", metric="euclidean") == "numpy"
 
     def test_unsupported_metric_resolves_numpy(self):
         # "auto" on a metric no kernel serves is a silent numpy descent.
@@ -315,20 +309,16 @@ class TestEngineResolution:
         with pytest.raises(ConfigurationError):
             GhsomDetector(fast_config, serving=ServingConfig(engine="warp"))
 
-    def test_strict_set_engine_on_fitted_detector_without_provider(
-        self, fast_config, train_matrix, train_categories
+    def test_strict_set_engine_on_fitted_detector_without_kernel(
+        self, fast_config, train_matrix, train_categories, compilerless_host
     ):
         from repro.core import GhsomDetector
 
         detector = GhsomDetector(fast_config, random_state=0)
         detector.fit(train_matrix, train_categories)
-        kernels.set_fused_provider("none")
-        try:
-            with pytest.raises(ConfigurationError):
-                detector.configure(ServingConfig(engine="fused"))
-            # "auto" stays permissive: configuring it succeeds and serves.
-            detector.configure(ServingConfig(engine="auto"))
-            detector.score_samples(train_matrix[:8])
-        finally:
-            kernels.set_fused_provider(None)
-            detector.configure(ServingConfig())
+        with pytest.raises(ConfigurationError):
+            detector.configure(ServingConfig(engine="fused"))
+        # "auto" stays permissive: configuring it succeeds and serves.
+        detector.configure(ServingConfig(engine="auto"))
+        assert detector.resolved_plan().engine == "numpy"
+        detector.score_samples(train_matrix[:8])

@@ -380,22 +380,11 @@ class TestEffectiveConfig:
 # --------------------------------------------------------------------------- #
 # resolution into a plan
 # --------------------------------------------------------------------------- #
-@pytest.fixture
-def no_fused_provider():
-    """Simulate a host without a C compiler for the duration of one test."""
-    from repro.core import kernels
-
-    kernels.set_fused_provider("none")
-    yield
-    kernels.set_fused_provider(None)
-
-
 class TestResolve:
     def test_numpy_resolves_to_numpy(self):
         plan = ServingConfig(engine="numpy").resolve()
         assert plan.engine == "numpy"
         assert plan.engine_requested == "numpy"
-        assert plan.provider is None
         assert not plan.sharded
 
     def test_default_engine_request_is_recorded(self):
@@ -404,16 +393,16 @@ class TestResolve:
         plan = ServingConfig().resolve()
         assert plan.engine_requested == kernels.DEFAULT_ENGINE
 
-    def test_provider_none_disables_fused(self, no_fused_provider):
+    def test_missing_kernel_disables_fused(self, compilerless_host):
         plan = ServingConfig(engine="auto").resolve()
         assert plan.engine == "numpy"
-        assert plan.provider is None
 
-    def test_strict_fused_with_provider_none_raises(self, no_fused_provider):
-        with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
+    def test_strict_fused_without_kernel_raises(self, compilerless_host):
+        with pytest.raises(ConfigurationError, match="fused engine is unavailable") as excinfo:
             ServingConfig(engine="fused").resolve(strict=True)
+        assert compilerless_host in str(excinfo.value)
 
-    def test_degrade_policy_never_raises(self, no_fused_provider):
+    def test_degrade_policy_never_raises(self, compilerless_host):
         plan = ServingConfig(engine="fused").resolve(strict=False)
         assert plan.engine == "numpy"
 
@@ -453,12 +442,12 @@ class TestResolve:
         assert payload["n_shards"] == 2
         assert payload["sharded"] is True
         assert "dtype" not in payload
+        assert "provider" not in payload
 
     def test_describe_adds_host_diagnostics(self):
         description = ServingConfig().resolve().describe()
         assert description["usable_cores"] == usable_workers()
         assert "default_engine" in description
-        assert "fused_providers_available" in description
 
     @settings(max_examples=100, deadline=None)
     @given(config=_configs())

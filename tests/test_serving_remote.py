@@ -39,7 +39,9 @@ from repro.serving import (
     plan_shards,
     subtrees_from_compiled,
 )
+from repro.serving import remote
 from repro.serving.remote import _reference_wire, _value_wire
+from repro.serving.shards import SubtreeShard
 from repro.serving.transport import (
     FRAME_MAGIC,
     PROTOCOL_VERSION,
@@ -251,6 +253,38 @@ class TestRemoteEquivalence:
                 assert backend.stats["failover_tasks"] == 0
             finally:
                 backend.close()
+
+    def test_engine_change_reprovisions_with_the_new_engine(
+        self, binary_bundle, workload, reference, monkeypatch
+    ):
+        """The shard states are the only carrier of the engine request."""
+        engines = []
+        restore = remote._shard_from_state
+
+        def recording(state, sidecar_path):
+            engines.append(state["engine"])
+            return restore(state, sidecar_path)
+
+        monkeypatch.setattr(remote, "_shard_from_state", recording)
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            _, detector = load_bundle(binary_bundle)
+            _shard_remote(detector, backend, 2)
+            try:
+                first = detector.detect(workload["X_test"])
+                epoch = backend._epoch
+                assert engines == [None, None]
+                detector.configure(detector.serving_config.evolve(engine="auto"))
+                assert detector._shard_spec[1] is backend  # same sharding, same backend
+                second = detector.detect(workload["X_test"])
+                assert backend._epoch == epoch + 1
+                assert backend.stats["provision_reference"] == 2
+                assert backend.stats["failover_tasks"] == 0
+                assert engines[2:] == ["auto", "auto"]
+            finally:
+                _unshard(detector)
+        _assert_identical(first, reference)
+        np.testing.assert_array_equal(second.leaf_index, reference.leaf_index)
 
 
 # --------------------------------------------------------------------------- #
@@ -731,6 +765,64 @@ class TestByReferenceSafety:
                         shards=states,
                     )
                 assert connection.call("ping", timeout=10.0) == "pong"
+
+
+# --------------------------------------------------------------------------- #
+# parent-format provision frames: the shipped config is ignored
+# --------------------------------------------------------------------------- #
+class TestParentProvisionFrame:
+    @pytest.mark.parametrize(
+        ("serving_engine", "state_engine"), [("fused", "numpy"), ("numpy", "fused")]
+    )
+    def test_serving_key_is_ignored_and_states_carry_the_engine(
+        self, fitted, workload, monkeypatch, serving_engine, state_engine
+    ):
+        """A coordinator that still ships its ServingConfig is served.
+
+        The worker accepts the extra ``serving`` key, its shards run with the
+        engine their states carry, and the connection keeps serving.
+        """
+
+        class Recording(SerialBackend):
+            def run(self, shards, tasks):
+                self.seen = (tuple(shards), list(tasks))
+                return super().run(shards, tasks)
+
+        recorder = Recording()
+        engine = ShardedGhsom.from_compiled(
+            fitted.model.compile(), 2, backend=recorder, engine=state_engine
+        )
+        engine.assign_arrays(workload["X_test"][:50])
+        shards, tasks = recorder.seen
+        index, matrix, entries = tasks[-1]
+        expected_leaf, expected_distances = shards[index].assign_entries(matrix, entries)
+        ran_with = []
+        assign_entries = SubtreeShard.assign_entries
+
+        def recording(shard, *args):
+            ran_with.append(shard.engine)
+            return assign_entries(shard, *args)
+
+        monkeypatch.setattr(SubtreeShard, "assign_entries", recording)
+        with ShardWorkerServer().start() as worker:
+            with WorkerConnection(worker.address) as connection:
+                ack = connection.call(
+                    "provision",
+                    timeout=10.0,
+                    mode="value",
+                    epoch=0,
+                    sidecar=None,
+                    shards=_value_wire(shards),
+                    serving=ServingConfig(engine=serving_engine).to_dict(),
+                )
+                assert ack == {"n_shards": len(shards), "epoch": 0}
+                leaf, distances = connection.call(
+                    "run", timeout=10.0, epoch=0, shard=index, matrix=matrix, entries=entries
+                )
+                assert connection.call("ping", timeout=10.0) == "pong"
+        assert ran_with == [state_engine]
+        np.testing.assert_array_equal(leaf, expected_leaf)
+        assert distances.tobytes() == expected_distances.tobytes()
 
 
 # --------------------------------------------------------------------------- #

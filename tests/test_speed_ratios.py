@@ -103,7 +103,7 @@ def test_compiled_beats_legacy_descent_on_every_batch(workload):
 
 def test_fused_engine_beats_numpy_on_the_largest_batch(workload):
     if not kernels.fused_supported("euclidean"):
-        pytest.skip(f"no fused kernel provider available: {kernels.provider_diagnostics()}")
+        pytest.skip(f"no fused kernel available: {kernels.fused_build_error()}")
     numpy_detector = workload["detector"]
     fused_detector = detector_from_dict(detector_to_dict(numpy_detector))
     fused_detector.configure(fused_detector.serving_config.evolve(engine="fused"))

@@ -324,6 +324,77 @@ class TestServingDtypeRouting:
         online.score_samples(X[:40])
         assert spy.seen_dtypes == [np.dtype("float64")]
 
+    def test_process_calls_a_forwarding_wrappers_detect(self, stream_setup):
+        """A wrapper that forwards every other attribute keeps its `detect`."""
+        detector, X, _ = stream_setup
+        spy = self._DtypeSpy(detector)
+        online = OnlineDetector(spy)
+        for start in (0, 40, 80):
+            online.process(X[start : start + 40])
+        assert spy.seen_dtypes == [np.dtype("float64")] * 3
+
+
+class TestValidatesOnce:
+    """Each streamed window is scanned for non-finite values exactly once."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        from repro.core import detector as detector_module
+        from repro.streaming import online_detector
+        from repro.utils.validation import check_array_2d
+
+        names = []
+
+        def counting(data, name="X", **kwargs):
+            names.append(name)
+            return check_array_2d(data, name, **kwargs)
+
+        monkeypatch.setattr(online_detector, "check_array_2d", counting)
+        monkeypatch.setattr(detector_module, "check_array_2d", counting)
+        return names
+
+    def test_process_validates_once(self, stream_setup, validations):
+        detector, X, _ = stream_setup
+        online = OnlineDetector(detector)
+        result = online.process(X[:500])
+        assert validations == ["batch"]
+        np.testing.assert_array_equal(result.scores, detector.detect(X[:500]).scores)
+
+    def test_score_samples_validates_once(self, stream_setup, validations):
+        detector, X, _ = stream_setup
+        online = OnlineDetector(detector)
+        scores = online.score_samples(X[:500])
+        assert len(validations) == 1
+        np.testing.assert_array_equal(scores, detector.score_samples(X[:500]))
+
+    def test_non_finite_batch_raises_before_any_state_changes(self, stream_setup):
+        from repro.exceptions import DataValidationError
+
+        detector, X, _ = stream_setup
+        online = OnlineDetector(detector)
+        online.process(X[:400])
+        before = (
+            online.n_processed,
+            online.score_ewma.n_updates,
+            online.score_ewma.mean,
+            online.drift_detector._history.tobytes(),
+            online._buffer.values().tobytes(),
+        )
+        bad = np.array(X[400:500])
+        bad[7, 3] = np.nan
+        with pytest.raises(DataValidationError, match="batch"):
+            online.process(bad)
+        with pytest.raises(DataValidationError):
+            online.score_samples(bad)
+        after = (
+            online.n_processed,
+            online.score_ewma.n_updates,
+            online.score_ewma.mean,
+            online.drift_detector._history.tobytes(),
+            online._buffer.values().tobytes(),
+        )
+        assert after == before
+
 
 class TestWeightedSummary:
     """summary() reports record-weighted aggregates beside the window means."""
