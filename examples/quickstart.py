@@ -62,25 +62,18 @@ def main() -> None:
         )
     )
 
-    # 5. Persistence: the whole detector (hierarchy, labels, thresholds) is one
-    # JSON file — or, with format="binary", a JSON + .npz pair whose arrays
-    # are memory-mapped on load for near-instant cold starts.
+    # 5. Persistence: the whole detector (hierarchy, labels, thresholds) is a
+    # JSON file plus an .npz array sidecar next to it, memory-mapped on load
+    # for near-instant cold starts.
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "ghsom_detector.json"
         save_detector(detector, path)
         reloaded = load_detector(path)
         assert (reloaded.predict(X_test) == alarms).all()
-        print(f"\nmodel saved to and reloaded from {path.name}: predictions identical")
-
-        binary_path = Path(directory) / "ghsom_detector_binary.json"
-        save_detector(detector, binary_path, format="binary")
-        mmap_loaded = load_detector(binary_path)
-        assert (mmap_loaded.predict(X_test) == alarms).all()
         print(
-            f"binary artifact ({binary_path.name} + "
-            f"{binary_path.stem}.npz) mmap-loaded: predictions identical"
+            f"\nmodel saved to {path.name} + {path.stem}.npz and reloaded "
+            "(memory-mapped): predictions identical"
         )
-
 
 if __name__ == "__main__":
     main()

@@ -10,8 +10,8 @@ writing Python:
     derived KDD-style records to a CSV file.
 ``repro-ids train``
     Train a GHSOM detector (supervised or one-class) on a CSV dataset and
-    save a single JSON bundle holding the preprocessing pipeline and the
-    fitted detector.
+    save a model bundle holding the preprocessing pipeline and the fitted
+    detector: a JSON document plus the ``.npz`` array sidecar next to it.
 ``repro-ids detect``
     Score a CSV dataset with a saved bundle; prints a summary and optionally
     writes per-record alarms.
@@ -36,7 +36,6 @@ Run ``repro-ids <command> --help`` for the options of each command.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -49,13 +48,11 @@ from repro.core import kernels
 from repro.core.inspection import describe_tree
 from repro.core.serialization import (
     BINARY_FORMAT_VERSION,
-    check_artifact_format,
+    _read_json,
+    _write_artifact_pair,
     detector_binary_payload,
     detector_from_dict,
-    detector_to_dict,
     sidecar_path_for,
-    write_binary_sidecar,
-    write_json_atomic,
 )
 from repro.data.loader import load_csv, save_csv
 from repro.data.preprocess import PreprocessingPipeline
@@ -67,12 +64,9 @@ from repro.eval.tables import format_table
 from repro.exceptions import ReproError
 from repro.serving.config import ServingConfig, ShardingSpec
 
-#: Bundle v2 embeds the compiled flat arrays + per-leaf tables (detector
-#: format v2), so ``detect`` serves without rebuilding the Python tree;
-#: bundle v3 (``--format binary``) moves the arrays into an ``.npz`` sidecar
-#: next to the JSON, memory-mapped at load.  v1/v2 bundles are still read.
-BUNDLE_FORMAT_VERSION = 2
-BUNDLE_BINARY_FORMAT_VERSION = BINARY_FORMAT_VERSION
+#: Bundles are written as v3 (``BINARY_FORMAT_VERSION``): the JSON document
+#: plus an ``.npz`` sidecar next to it, memory-mapped at load.  v1 and v2
+#: (single-JSON) bundles are still read.
 SUPPORTED_BUNDLE_VERSIONS = (1, 2, 3)
 
 
@@ -84,37 +78,27 @@ def save_bundle(
     detector: GhsomDetector,
     path: Path,
     *,
-    format: str = "json",
+    format: str = "binary",
 ) -> None:
     """Write the preprocessing pipeline and the fitted detector as one bundle.
 
-    ``format="json"`` (default) produces the single-document v2 bundle;
-    ``format="binary"`` produces the v3 pair — the JSON bundle (metadata,
-    pipeline, tree structure, integrity header) plus an ``.npz`` array
-    sidecar next to it that ``load_bundle`` memory-maps.  Every file is
-    written atomically (temp file + rename): a crash mid-save can never
-    leave a truncated, unloadable bundle behind.
+    The bundle is a v3 pair: the JSON document (metadata, pipeline, tree
+    structure, integrity header) plus an ``.npz`` array sidecar next to it
+    that ``load_bundle`` memory-maps.  ``format`` accepts only
+    ``"binary"``.  Every file is written atomically (temp file + rename),
+    sidecar first: a crash mid-save can never leave a truncated, unloadable
+    bundle behind.
     """
-    path = Path(path)
-    if check_artifact_format(format) == "binary":
-        detector_payload, arrays = detector_binary_payload(detector)
-        # The sidecar header lives on the *detector* payload (where the
-        # reader resolves it) and the sidecar shares the bundle's stem.
-        write_binary_sidecar(detector_payload, arrays, path)
-        payload = {
-            "kind": "repro_bundle",
-            "format_version": BUNDLE_BINARY_FORMAT_VERSION,
-            "pipeline": pipeline.to_dict(),
-            "detector": detector_payload,
-        }
-    else:
-        payload = {
-            "kind": "repro_bundle",
-            "format_version": BUNDLE_FORMAT_VERSION,
-            "pipeline": pipeline.to_dict(),
-            "detector": detector_to_dict(detector),
-        }
-    write_json_atomic(payload, path)
+    detector_payload, arrays = detector_binary_payload(detector)
+    payload = {
+        "kind": "repro_bundle",
+        "format_version": BINARY_FORMAT_VERSION,
+        "pipeline": pipeline.to_dict(),
+        "detector": detector_payload,
+    }
+    # The sidecar header lives on the *detector* payload (where the reader
+    # resolves it) and the sidecar shares the bundle's stem.
+    _write_artifact_pair(payload, arrays, path, header_owner=detector_payload, format=format)
 
 
 def load_bundle(
@@ -145,7 +129,7 @@ def load_bundle(
     every sharding setup (``overrides={"shards": K}``).
     """
     path = Path(path)
-    payload = json.loads(path.read_text())
+    payload = _read_json(path)
     if payload.get("kind") != "repro_bundle":
         raise ReproError(f"{path} is not a repro model bundle")
     if payload.get("format_version") not in SUPPORTED_BUNDLE_VERSIONS:
@@ -187,11 +171,6 @@ def add_serving_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     group.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="read a binary (v3) artifact's sidecar eagerly instead of memory-mapping it",
-    )
-    group.add_argument(
         "--verify",
         action="store_true",
         help="check a binary (v3) sidecar's SHA-256 against the integrity header at load",
@@ -230,8 +209,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
     overrides: Dict[str, object] = {}
     if args.engine is not None:
         overrides["engine"] = args.engine
-    if args.no_mmap:
-        overrides["mmap"] = False
     if args.verify:
         overrides["verify"] = True
     if args.shards is not None:
@@ -311,18 +288,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     labels = None if args.one_class else [str(category) for category in dataset.categories]
     detector.fit(X_train, labels)
     model_path = Path(args.model)
-    save_bundle(pipeline, detector, model_path, format=args.format)
+    save_bundle(pipeline, detector, model_path)
     topology = detector.topology_summary()
     print(f"trained GHSOM on {len(dataset)} records ({'one-class' if args.one_class else 'labelled'})")
     print(
         f"topology: {topology['n_maps']} maps, {topology['n_units']} units, depth {topology['depth']}"
     )
     print(f"model bundle written to {args.model}")
-    if args.format == "binary":
-        print(
-            f"binary array sidecar written to {sidecar_path_for(model_path)} "
-            "(keep it next to the bundle; detect/inspect mmap it on load)"
-        )
+    print(
+        f"binary array sidecar written to {sidecar_path_for(model_path)} "
+        "(keep it next to the bundle; detect/inspect mmap it on load)"
+    )
     return 0
 
 
@@ -581,7 +557,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     rows = [
         ["engine", f"{plan['engine']} (requested {plan['engine_requested']})"],
         ["sharding", shard_layout],
-        ["mmap / verify", f"{plan['mmap']} / {plan['verify']}"],
+        ["verify", plan["verify"]],
         ["usable cores", plan["usable_cores"]],
         ["default engine", plan["default_engine"]],
         ["fused kernel", kernels.fused_build_error() or "available"],
@@ -623,7 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = subparsers.add_parser("train", help="train a GHSOM detector and save a model bundle")
     train.add_argument("--train", required=True, help="training CSV")
-    train.add_argument("--model", required=True, help="output model bundle (JSON)")
+    train.add_argument(
+        "--model",
+        required=True,
+        help="output model bundle (JSON; its .npz array sidecar is written next to it)",
+    )
     train.add_argument("--one-class", action="store_true", help="ignore labels (novelty detection)")
     train.add_argument("--tau1", type=float, default=0.3)
     train.add_argument("--tau2", type=float, default=0.05)
@@ -633,16 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=5)
     train.add_argument(
         "--threshold-strategy", choices=("per_unit", "global"), default="per_unit"
-    )
-    train.add_argument(
-        "--format",
-        choices=("json", "binary"),
-        default="json",
-        help=(
-            "artifact format: json = single self-contained document; "
-            "binary = JSON metadata + .npz array sidecar, memory-mapped on "
-            "load for O(metadata) cold starts (detect/inspect auto-detect)"
-        ),
     )
     train.add_argument("--seed", type=int, default=0)
     train.set_defaults(handler=cmd_train)

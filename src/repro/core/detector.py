@@ -471,7 +471,9 @@ class GhsomDetector(BaseAnomalyDetector):
         ``RemoteBackend`` with custom timeouts); when ``None`` and the plan
         is sharded, the live backend is reused if the sharding spec is
         unchanged, otherwise :meth:`ServingPlan.build_backend` constructs a
-        fresh one.
+        fresh one.  A backend is closed only when it is replaced, so a kept
+        remote backend keeps its worker connections; an identical config
+        keeps the sharded engine too, and with it the workers' provisioning.
         """
         from repro.serving.config import ServingConfig
 
@@ -482,15 +484,21 @@ class GhsomDetector(BaseAnomalyDetector):
         fitted = self.is_fitted
         metric = self._compiled_model().metric if fitted else "euclidean"
         plan = config.resolve(metric=metric, strict=fitted)
+        live = self._shard_spec[1] if self._shard_spec is not None else None
         if backend is None and plan.sharded:
-            if config.sharding == self._serving.sharding and self._shard_spec is not None:
+            if config.sharding == self._serving.sharding and live is not None:
                 # Unchanged sharding intent keeps the live backend (a remote
                 # backend's connections); only the spec changing rebuilds it.
-                backend = self._shard_spec[1]
+                backend = live
             else:
                 backend = plan.build_backend()
         # ---- commit; nothing above mutated detector state ---- #
-        self._close_sharded()
+        if live is not None and live is not backend:
+            live.close()
+        if backend is not live or config != self._serving:
+            # The shards carry the engine; a new config or backend re-slices
+            # them lazily against the kept (or new) backend.
+            self._sharded = None
         self._serving = config
         self._plan = plan
         self._shard_spec = (int(plan.n_shards), backend) if plan.sharded else None
@@ -515,16 +523,12 @@ class GhsomDetector(BaseAnomalyDetector):
         n_shards, backend = self._shard_spec
         return {"n_shards": n_shards, "backend": backend.name, "workers": backend.workers}
 
-    def _close_sharded(self) -> None:
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
-
     def _serving_engine(self):
         """The engine ``_score_arrays`` descends with: sharded or compiled.
 
         The sharded engine is rebuilt whenever the compiled snapshot it was
-        sliced from is replaced (refit, artifact reload).
+        sliced from is replaced (refit, artifact reload), on the same live
+        backend.
         """
         compiled = self._compiled_model()
         if self._shard_spec is None:
@@ -534,7 +538,6 @@ class GhsomDetector(BaseAnomalyDetector):
 
             n_shards, backend = self._shard_spec
             tables = self._leaf_tables()
-            self._close_sharded()
             self._sharded = ShardedGhsom.from_compiled(
                 compiled,
                 n_shards,
@@ -557,7 +560,8 @@ class GhsomDetector(BaseAnomalyDetector):
             check_same_length(matrix, labels, "X", "y")
         self._tables = None
         self._compiled = None
-        self._close_sharded()  # the spec survives; the engine rebuilds lazily
+        # The spec and its live backend survive; the engine rebuilds lazily.
+        self._sharded = None
         self.model = Ghsom(self.config, random_state=self.random_state)
         self.model.fit(matrix)
         compiled = self.model.compile()

@@ -1,28 +1,28 @@
 """Saving and loading trained models.
 
 Model metadata is always serialised to a JSON document (human-inspectable,
-no pickle code-execution concerns).  Three artifact format versions exist:
+no pickle code-execution concerns).  Three artifact format versions exist;
+the writers produce only the newest, the readers accept all three:
 
 * **v1** — the original tree-shaped payload: the GHSOM is stored as a nested
   ``root`` node dict and loading rebuilds the full Python ``GhsomNode`` tree
   (and recompiles it before the first score).  Still read, never written.
-* **v2** (default) — additionally embeds the **compiled flat arrays**
-  (stacked codebook, topology arrays, leaf table — see
+* **v2** — additionally embeds the **compiled flat arrays** (stacked
+  codebook, topology arrays, leaf table — see
   :class:`~repro.core.compiled.CompiledGhsom`) and, for detectors, the
   per-leaf scoring tables (thresholds, labels, attack flags, purity) as JSON
-  lists.  Loading hydrates a scoring-ready detector straight from these
-  arrays: no ``GhsomNode`` objects are constructed and nothing is recompiled
-  before the first score.  The tree payload is still stored, and the loaded
-  detector rebuilds it lazily only if a consumer actually asks for
-  ``detector.model`` (structure inspection, refit workflows).
-* **v3** (binary, opt-in via ``format="binary"``) — the JSON document keeps
-  all metadata (config, thresholds strategy state, tree structure) plus an
-  **integrity header**, while every compiled array and per-leaf scoring
-  table moves to an ``.npz`` sidecar written atomically next to the JSON.
-  Loading memory-maps the sidecar
-  (:func:`repro.utils.mmapio.mmap_npz`), so cold start is O(metadata): the
-  codebook pages fault in on first score instead of being parsed out of
-  JSON.  Scores are byte-identical to v2 float64 across every load path.
+  lists in one document.  Loading hydrates a scoring-ready detector straight
+  from these arrays.  Still read, never written.
+* **v3** (the written format) — the JSON document keeps all metadata
+  (config, thresholds strategy state, tree structure) plus an **integrity
+  header**, while every compiled array and per-leaf scoring table moves to
+  an ``.npz`` sidecar written atomically next to the JSON.  Loading
+  memory-maps the sidecar (:func:`repro.utils.mmapio.mmap_npz`), so cold
+  start is O(metadata): the codebook pages fault in on first score instead
+  of being parsed out of JSON.  No ``GhsomNode`` objects are built and
+  nothing is recompiled before the first score; the tree payload is still
+  stored, and the loaded detector rebuilds it lazily only if a consumer
+  asks for ``detector.model`` (structure inspection, refit workflows).
   The JSON header records the sidecar's file name (resolved relative to the
   JSON file — the pair must be moved together), byte count and per-member
   CRC-32s (both always checked at load, catching truncation and stale
@@ -32,11 +32,11 @@ no pickle code-execution concerns).  Three artifact format versions exist:
 All artifact files — JSON and binary sidecars alike — are written atomically
 (same-directory temp file + fsync + ``os.replace``; see
 :func:`repro.utils.mmapio.atomic_write`), so a crash mid-write can never
-leave a truncated, unloadable file under the target name.  A v3 save writes
-the sidecar first and the JSON referencing it second: a crash between the
-two leaves the old JSON pointing at a replaced sidecar, which the size /
-checksum checks then report as a mismatch instead of serving silently wrong
-arrays.
+leave a truncated, unloadable file under the target name.  Every save goes
+through :func:`_write_artifact_pair`, which writes the sidecar first and the
+JSON referencing it second: a crash between the two leaves the old JSON
+pointing at a replaced sidecar, which the size / checksum checks then report
+as a mismatch instead of serving silently wrong arrays.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.exceptions import SerializationError
 from repro.serving.config import ServingConfig, effective_config
 from repro.utils.mmapio import (
     atomic_write,
-    load_npz,
     mmap_npz,
     npz_member_crcs,
     sha256_of_file,
@@ -69,21 +68,12 @@ from repro.utils.mmapio import (
 
 PathLike = Union[str, Path]
 
-#: Format marker written into every JSON-only artefact so loads can fail
-#: fast on incompatible files.
-FORMAT_VERSION = 2
-
-#: The binary (npz-sidecar) format written by ``format="binary"`` saves.
+#: The one format the writers produce: JSON metadata plus an npz sidecar.
 BINARY_FORMAT_VERSION = 3
 
-#: Format versions the readers accept (v1 artifacts remain loadable).
+#: Format versions the readers accept (v1 and v2 artifacts remain loadable;
+#: their golden fixtures pin the readers).
 SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
-
-#: Versions the JSON-dict writers (:func:`ghsom_to_dict`,
-#: :func:`detector_to_dict`) can produce; v3 splits its arrays into a binary
-#: sidecar and is written through :func:`save_ghsom` / :func:`save_detector`.
-#: v1 is read but no longer written (its golden fixture pins the reader).
-JSON_WRITER_VERSIONS = (2,)
 
 #: File suffix of the binary array sidecar written next to a v3 JSON file.
 SIDECAR_SUFFIX = ".npz"
@@ -149,30 +139,6 @@ def _check_version(data: Dict[str, object]) -> int:
     return version
 
 
-def _check_writer_version(version: int) -> int:
-    if version == BINARY_FORMAT_VERSION:
-        raise SerializationError(
-            "format v3 stores its arrays in a binary sidecar and cannot be "
-            "written as a single JSON dict; use save_ghsom/save_detector "
-            "with format='binary'"
-        )
-    if version not in JSON_WRITER_VERSIONS:
-        raise SerializationError(
-            f"cannot write format version {version!r}; the JSON-dict writers "
-            f"support versions {JSON_WRITER_VERSIONS} (v{BINARY_FORMAT_VERSION} "
-            "is written via save_ghsom/save_detector with format='binary')"
-        )
-    return int(version)
-
-
-def check_artifact_format(format: str) -> str:
-    if format not in ("json", "binary"):
-        raise SerializationError(
-            f"unknown artifact format {format!r}; choose 'json' or 'binary'"
-        )
-    return format
-
-
 # --------------------------------------------------------------------------- #
 # compiled flat arrays (formats v2 and v3)
 # --------------------------------------------------------------------------- #
@@ -201,25 +167,12 @@ _SIDECAR_LEAF_IS_ATTACK = "leaf_is_attack"
 _SIDECAR_LEAF_PURITY = "leaf_purity"
 
 
-def compiled_to_dict(compiled: CompiledGhsom) -> Dict[str, object]:
-    """Serialise a :class:`CompiledGhsom` snapshot to a JSON-compatible dict.
-
-    Only the defining arrays are stored; derived quantities (unit norms, the
-    leaf-key index) are recomputed on load, and ``leaf_keys`` themselves are
-    reconstructed from ``node_ids`` + the leaf table.
-    """
-    payload: Dict[str, object] = {
-        "n_features": int(compiled.n_features),
-        "metric": compiled.metric,
-        "node_ids": list(compiled.node_ids),
-    }
-    for name in _COMPILED_ARRAY_FIELDS:
-        payload[name] = getattr(compiled, name).tolist()
-    return payload
-
-
 def compiled_from_dict(data: Dict[str, object]) -> CompiledGhsom:
-    """Rebuild a :class:`CompiledGhsom` from :func:`compiled_to_dict` output."""
+    """Rebuild a :class:`CompiledGhsom` from a v2 payload's ``compiled`` section.
+
+    v2 stored only the defining arrays as JSON lists; derived quantities
+    (unit norms, the leaf-key index) are recomputed here.
+    """
     field_arrays: Dict[str, Any] = {name: data[name] for name in _COMPILED_ARRAY_FIELDS}
     return CompiledGhsom.from_arrays(
         n_features=_as_int(data["n_features"]),
@@ -234,10 +187,10 @@ def compiled_to_arrays(
 ) -> Tuple[Dict[str, object], Dict[str, AnyArray]]:
     """Split a compiled snapshot into JSON metadata + binary sidecar arrays.
 
-    The v3 counterpart of :func:`compiled_to_dict`: the returned metadata
-    dict carries only scalars and node ids; every array (including the
-    derived ``unit_norms``, so loading never has to touch the codebook)
-    goes into the arrays mapping under its attribute name.
+    The returned metadata dict carries only scalars and node ids; every
+    array (including the derived ``unit_norms``, so loading never has to
+    touch the codebook) goes into the arrays mapping under its attribute
+    name.
     """
     meta: Dict[str, object] = {
         "n_features": int(compiled.n_features),
@@ -286,19 +239,41 @@ def sidecar_path_for(json_path: PathLike) -> Path:
     return json_path.parent / (json_path.stem + SIDECAR_SUFFIX)
 
 
-def write_binary_sidecar(
-    payload: Dict[str, object], arrays: Dict[str, AnyArray], json_path: PathLike
-) -> Path:
-    """Write ``arrays`` as the ``.npz`` sidecar of the JSON file at ``json_path``.
+def _check_format(format: str) -> None:
+    """Refuse every ``format=`` but the one written format, ``"binary"``."""
+    if format == "json":
+        raise SerializationError(
+            "the single-JSON (v2) artifact writer was removed: artifacts are "
+            "always written as a JSON file plus an .npz sidecar (format v3); "
+            "drop format= or pass format='binary'"
+        )
+    if format != "binary":
+        raise SerializationError(
+            f"unknown artifact format {format!r}; the only format is 'binary'"
+        )
 
-    The sidecar lands atomically next to the JSON file (see
-    :func:`sidecar_path_for`) and its integrity header — relative file name,
-    byte count, SHA-256, per-member CRC-32s — is stamped into
-    ``payload["sidecar"]``.  Callers write the JSON *after* this returns so
-    the header always describes the bytes on disk.  Returns the sidecar
-    path.
+
+def _write_artifact_pair(
+    document: Dict[str, object],
+    arrays: Dict[str, AnyArray],
+    path: PathLike,
+    *,
+    header_owner: Optional[Dict[str, object]] = None,
+    format: str = "binary",
+) -> Path:
+    """Write ``arrays`` as the ``.npz`` sidecar of ``path``, then ``document`` at ``path``.
+
+    The single writer of every artifact (:func:`save_ghsom`,
+    :func:`save_detector` and the CLI bundle).  The sidecar lands atomically
+    next to the JSON file (see :func:`sidecar_path_for`) and its integrity
+    header — relative file name, byte count, SHA-256, per-member CRC-32s —
+    is stamped into ``header_owner["sidecar"]`` (``document`` itself unless
+    the reader resolves the header one level down, as in a bundle).  Only
+    then is the JSON written, so its header always describes bytes that
+    are already on disk.  Returns the sidecar path.
     """
-    json_path = Path(json_path)
+    _check_format(format)
+    json_path = Path(path)
     sidecar_path = sidecar_path_for(json_path)
     if sidecar_path == json_path:
         # A JSON path ending in .npz would collide with its own sidecar and
@@ -310,14 +285,30 @@ def write_binary_sidecar(
         )
     digest = write_npz_atomic(arrays, sidecar_path)
     member_crcs = cast(Dict[str, int], digest["crc32"])
-    payload["sidecar"] = {
+    (document if header_owner is None else header_owner)["sidecar"] = {
         "format": "npz",
         "path": sidecar_path.name,
         "bytes": _as_int(digest["bytes"]),
         "sha256": str(digest["sha256"]),
         "crc32": {name: int(value) for name, value in member_crcs.items()},
     }
+    write_json_atomic(document, json_path)
     return sidecar_path
+
+
+def _sidecar_name(header: Mapping[str, object]) -> str:
+    """The header's sidecar file name, refused unless it is a bare name.
+
+    A path with directory parts could point the reader anywhere on disk; the
+    sidecar always sits next to its JSON file.
+    """
+    name = str(header.get("path", ""))
+    if not name or Path(name).name != name:
+        raise SerializationError(
+            f"invalid sidecar path {name!r} in artifact header "
+            "(must be a bare file name next to the JSON file)"
+        )
+    return name
 
 
 def artifact_sidecar_header(json_path: PathLike) -> Optional[Tuple[Path, Dict[str, object]]]:
@@ -339,23 +330,16 @@ def artifact_sidecar_header(json_path: PathLike) -> Optional[Tuple[Path, Dict[st
             header = nested.get("sidecar")
     if not isinstance(header, dict):
         return None
-    name = str(header.get("path", ""))
-    if not name or Path(name).name != name:
-        raise SerializationError(
-            f"invalid sidecar path {name!r} in artifact header "
-            "(must be a bare file name next to the JSON file)"
-        )
-    return json_path.parent / name, dict(header)
+    return json_path.parent / _sidecar_name(header), dict(header)
 
 
 def open_sidecar(
     data: Dict[str, object],
     sidecar_dir: Optional[PathLike],
     *,
-    mmap: bool = True,
     verify: bool = False,
 ) -> Dict[str, AnyArray]:
-    """Resolve, check and open the binary sidecar of a v3 JSON payload.
+    """Resolve, check and memory-map the binary sidecar of a v3 JSON payload.
 
     ``sidecar_dir`` is the directory the JSON file was read from (the
     sidecar path in the header is a bare file name relative to it).  The
@@ -377,12 +361,7 @@ def open_sidecar(
             f"unsupported sidecar format {container!r}; "
             f"this reader understands {_SIDECAR_FORMATS}"
         )
-    name = str(header.get("path", ""))
-    if not name or Path(name).name != name:
-        raise SerializationError(
-            f"invalid sidecar path {name!r} in artifact header "
-            "(must be a bare file name next to the JSON file)"
-        )
+    name = _sidecar_name(header)
     if sidecar_dir is None:
         raise SerializationError(
             "this payload stores its arrays in a binary sidecar; load it "
@@ -438,7 +417,7 @@ def open_sidecar(
                 "(sha256 mismatch): the file is corrupt or does not belong "
                 "to this JSON artifact"
             )
-    return mmap_npz(path) if mmap else load_npz(path)
+    return mmap_npz(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -513,14 +492,14 @@ def _codebook_slices(compiled: CompiledGhsom) -> Dict[str, AnyArray]:
     }
 
 
-def _ghsom_payload(
-    model: Ghsom, version: int, arrays: Optional[Dict[str, AnyArray]]
-) -> Dict[str, object]:
-    """Shared GHSOM payload builder; ``arrays`` collects sidecar data (v3)."""
+def _ghsom_payload(model: Ghsom, arrays: Dict[str, AnyArray]) -> Dict[str, object]:
+    """The v3 GHSOM payload; its compiled arrays go into ``arrays`` (the sidecar)."""
     if not model.is_fitted:
         raise SerializationError("cannot serialise an unfitted Ghsom")
-    payload: Dict[str, object] = {
-        "format_version": version,
+    meta, compiled_arrays = compiled_to_arrays(model.compile())
+    arrays.update(compiled_arrays)
+    return {
+        "format_version": BINARY_FORMAT_VERSION,
         "kind": "ghsom",
         "config": model.config.to_dict(),
         "qe0": model.qe0,
@@ -528,27 +507,8 @@ def _ghsom_payload(
         # Every codebook is stored once, in the compiled stacked array; the
         # tree payload keeps only structure + per-unit statistics.
         "root": _node_to_dict(model.root),
+        "compiled": meta,
     }
-    if version == 2:
-        payload["compiled"] = compiled_to_dict(model.compile())
-    else:
-        if arrays is None:
-            raise SerializationError("binary payloads need a sidecar arrays mapping")
-        meta, compiled_arrays = compiled_to_arrays(model.compile())
-        payload["compiled"] = meta
-        arrays.update(compiled_arrays)
-    return payload
-
-
-def ghsom_to_dict(model: Ghsom, *, version: int = FORMAT_VERSION) -> Dict[str, object]:
-    """Serialise a fitted :class:`Ghsom` to a JSON-compatible dict.
-
-    The v2 payload embeds the compiled flat arrays next to the tree
-    structure.  The binary v3 format cannot be expressed as a single dict —
-    use :func:`save_ghsom` with ``format="binary"``.
-    """
-    _check_writer_version(version)
-    return _ghsom_payload(model, version, None)
 
 
 def ghsom_from_dict(
@@ -590,34 +550,28 @@ def ghsom_from_dict(
     return model
 
 
-def save_ghsom(model: Ghsom, path: PathLike, *, format: str = "json") -> None:
-    """Write a fitted GHSOM to ``path`` (atomically).
+def save_ghsom(model: Ghsom, path: PathLike, *, format: str = "binary") -> None:
+    """Write a fitted GHSOM to ``path`` (atomically) as a v3 artifact pair.
 
-    ``format="json"`` writes the default single-document v2 artifact;
-    ``format="binary"`` writes the v3 pair — metadata JSON at ``path`` plus
-    an ``.npz`` array sidecar next to it.
+    The metadata JSON lands at ``path`` and the ``.npz`` array sidecar next
+    to it.  ``format`` accepts only ``"binary"``, the one written format.
     """
-    if check_artifact_format(format) == "binary":
-        arrays: Dict[str, AnyArray] = {}
-        payload = _ghsom_payload(model, BINARY_FORMAT_VERSION, arrays)
-        write_binary_sidecar(payload, arrays, path)
-        write_json_atomic(payload, path)
-    else:
-        write_json_atomic(ghsom_to_dict(model), path)
+    arrays: Dict[str, AnyArray] = {}
+    payload = _ghsom_payload(model, arrays)
+    _write_artifact_pair(payload, arrays, path, format=format)
 
 
-def load_ghsom(path: PathLike, *, mmap: bool = True, verify: bool = False) -> Ghsom:
+def load_ghsom(path: PathLike, *, verify: bool = False) -> Ghsom:
     """Load a GHSOM previously written by :func:`save_ghsom` (any version).
 
-    The format is auto-detected from the JSON header.  For v3 artifacts
-    ``mmap=False`` opts out of memory-mapping (arrays are read eagerly) and
-    ``verify=True`` additionally checks the sidecar's SHA-256.
+    The format is auto-detected from the JSON header.  A v3 sidecar is
+    memory-mapped; ``verify=True`` additionally checks its SHA-256.
     """
     path = Path(path)
     data = _read_json(path)
     arrays: Optional[Dict[str, AnyArray]] = None
     if data.get("format_version") == BINARY_FORMAT_VERSION:
-        arrays = open_sidecar(data, path.parent, mmap=mmap, verify=verify)
+        arrays = open_sidecar(data, path.parent, verify=verify)
     return ghsom_from_dict(data, arrays=arrays)
 
 
@@ -625,15 +579,15 @@ def load_ghsom(path: PathLike, *, mmap: bool = True, verify: bool = False) -> Gh
 # GHSOM detector (model + labels + thresholds)
 # --------------------------------------------------------------------------- #
 def _detector_payload(
-    detector: GhsomDetector, version: int, arrays: Optional[Dict[str, AnyArray]]
+    detector: GhsomDetector, arrays: Dict[str, AnyArray]
 ) -> Dict[str, object]:
-    """Shared detector payload builder; ``arrays`` collects sidecar data (v3)."""
+    """The v3 detector payload; its arrays go into ``arrays`` (the sidecar)."""
     if not detector.is_fitted:
         raise SerializationError("cannot serialise an unfitted GhsomDetector")
     payload: Dict[str, object] = {
-        "format_version": version,
+        "format_version": BINARY_FORMAT_VERSION,
         "kind": "ghsom_detector",
-        "model": _ghsom_payload(detector.model, version, arrays),
+        "model": _ghsom_payload(detector.model, arrays),
         "labeler": detector.labeler.to_dict() if detector.labeler is not None else None,
         "threshold": detector.threshold_.to_dict(),
         "threshold_strategy_name": detector.threshold_strategy_name,
@@ -651,43 +605,17 @@ def _detector_payload(
     payload["random_state"] = (
         int(random_state) if isinstance(random_state, (int, np.integer)) else None
     )
+    # The numeric tables ride in the sidecar; labels travel as a fixed-width
+    # unicode array (npz stores those without pickle).
     tables = detector._leaf_tables()
-    if version == 2:
-        payload["leaf_tables"] = {
-            "thresholds": np.asarray(tables.thresholds, dtype=float).tolist(),
-            "labels": None if tables.labels is None else [str(v) for v in tables.labels],
-            "is_attack": None if tables.is_attack is None else tables.is_attack.astype(bool).tolist(),
-            "purity": None if tables.purity is None else tables.purity.tolist(),
-        }
-    else:
-        # v3: the numeric tables ride in the sidecar; labels travel as a
-        # fixed-width unicode array (npz stores those without pickle).
-        if arrays is None:
-            raise SerializationError("binary payloads need a sidecar arrays mapping")
-        arrays[_SIDECAR_LEAF_THRESHOLDS] = np.asarray(tables.thresholds, dtype=float)
-        labelled = tables.labels is not None
-        if labelled:
-            arrays[_SIDECAR_LEAF_LABELS] = np.asarray(
-                [str(v) for v in tables.labels]
-            )
-            arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
-            arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
-        payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
+    arrays[_SIDECAR_LEAF_THRESHOLDS] = np.asarray(tables.thresholds, dtype=float)
+    labelled = tables.labels is not None
+    if labelled:
+        arrays[_SIDECAR_LEAF_LABELS] = np.asarray([str(v) for v in tables.labels])
+        arrays[_SIDECAR_LEAF_IS_ATTACK] = tables.is_attack.astype(bool)
+        arrays[_SIDECAR_LEAF_PURITY] = np.asarray(tables.purity, dtype=float)
+    payload["leaf_tables"] = {"storage": "sidecar", "labelled": labelled}
     return payload
-
-
-def detector_to_dict(
-    detector: GhsomDetector, *, version: int = FORMAT_VERSION
-) -> Dict[str, object]:
-    """Serialise a fitted :class:`GhsomDetector` (model, labels, thresholds).
-
-    The v2 payload embeds the compiled arrays plus the per-leaf scoring
-    tables so :func:`detector_from_dict` can return a scoring-ready detector
-    without touching the tree.  The binary v3 format cannot be expressed as
-    a single dict — use :func:`save_detector` with ``format="binary"``.
-    """
-    _check_writer_version(version)
-    return _detector_payload(detector, version, None)
 
 
 def detector_binary_payload(
@@ -695,14 +623,15 @@ def detector_binary_payload(
 ) -> Tuple[Dict[str, object], Dict[str, AnyArray]]:
     """The v3 JSON payload + sidecar arrays of a fitted detector.
 
-    The payload carries no ``sidecar`` header yet — writers call
-    :func:`write_binary_sidecar` (which stamps it) before serialising the
-    JSON.  Exposed for composite artifacts such as the CLI bundle, which
-    nests the detector payload inside its own JSON document while sharing
-    one sidecar file.
+    The payload carries no ``sidecar`` header yet —
+    :func:`_write_artifact_pair` stamps it while writing.  An in-memory round
+    trip passes both halves straight back:
+    ``detector_from_dict(payload, arrays=arrays)``.  Also used by composite
+    artifacts such as the CLI bundle, which nests the detector payload
+    inside its own JSON document while sharing one sidecar file.
     """
     arrays: Dict[str, AnyArray] = {}
-    payload = _detector_payload(detector, BINARY_FORMAT_VERSION, arrays)
+    payload = _detector_payload(detector, arrays)
     return payload, arrays
 
 
@@ -737,10 +666,11 @@ def detector_from_dict(
     :class:`~repro.serving.config.ServingConfig` with the standard
     precedence (see :func:`repro.serving.config.effective_config`): a full
     ``config`` wins wholesale; otherwise flat ``overrides`` (engine,
-    shards, remote_workers, mmap, verify) apply field-wise on
+    shards, remote_workers, verify) apply field-wise on
     top of the artifact-embedded config (v2+ payloads carry the config the
     detector was saved with; older artifacts fall back to the library
-    default).  The resolved config also controls how the sidecar is opened.
+    default).  The resolved config also says whether the sidecar's SHA-256
+    is verified.
     """
     if data.get("kind") != "ghsom_detector":
         raise SerializationError(
@@ -753,9 +683,7 @@ def detector_from_dict(
     )
     version = _check_version(data)
     if version >= 3 and arrays is None:
-        arrays = open_sidecar(
-            data, sidecar_dir, mmap=serving.artifact.mmap, verify=serving.artifact.verify
-        )
+        arrays = open_sidecar(data, sidecar_dir, verify=serving.artifact.verify)
     model_payload = _as_mapping(data["model"])
     ghsom_config = GhsomConfig.from_dict(_as_mapping(model_payload["config"]))
     random_state = data.get("random_state")
@@ -834,21 +762,17 @@ def detector_from_dict(
 
 
 def save_detector(
-    detector: GhsomDetector, path: PathLike, *, format: str = "json"
+    detector: GhsomDetector, path: PathLike, *, format: str = "binary"
 ) -> None:
-    """Write a fitted detector to ``path`` (atomically).
+    """Write a fitted detector to ``path`` (atomically) as a v3 artifact pair.
 
-    ``format="json"`` writes the default single-document v2 artifact;
-    ``format="binary"`` writes the v3 pair — metadata JSON at ``path`` plus
-    an ``.npz`` array sidecar next to it (sidecar first, then the JSON whose
-    header records the sidecar's size and SHA-256).
+    The metadata JSON lands at ``path`` and the ``.npz`` array sidecar next
+    to it (sidecar first, then the JSON whose header records the sidecar's
+    size and checksums).  ``format`` accepts only ``"binary"``, the one
+    written format.
     """
-    if check_artifact_format(format) == "binary":
-        payload, arrays = detector_binary_payload(detector)
-        write_binary_sidecar(payload, arrays, path)
-        write_json_atomic(payload, path)
-    else:
-        write_json_atomic(detector_to_dict(detector), path)
+    payload, arrays = detector_binary_payload(detector)
+    _write_artifact_pair(payload, arrays, path, format=format)
 
 
 def load_detector(
@@ -863,8 +787,8 @@ def load_detector(
     by one :class:`~repro.serving.config.ServingConfig` with the standard
     precedence — ``config`` wholesale, else ``overrides`` field-wise on top
     of the artifact-embedded config — exactly as documented on
-    :func:`detector_from_dict`; the resolved config also controls how a v3
-    sidecar is opened (``mmap`` / ``verify``).
+    :func:`detector_from_dict`; the resolved config also says whether a v3
+    sidecar's SHA-256 is verified (``verify``).
     """
     path = Path(path)
     return detector_from_dict(
@@ -895,10 +819,16 @@ def write_json_atomic(payload: Dict[str, object], path: PathLike) -> None:
 
 
 def _read_json(path: PathLike) -> Dict[str, object]:
+    """The JSON object stored at ``path``; every failure is a SerializationError."""
     path = Path(path)
     if not path.exists():
         raise SerializationError(f"model file does not exist: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"could not parse model file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"model file {path} holds a JSON {type(data).__name__}, not an object"
+        )
+    return data

@@ -74,6 +74,7 @@ _REMOVED_OVERRIDES = {
         "remote workers get the shard set by reference when they hold the "
         "same sidecar, by value otherwise"
     ),
+    "mmap": "a v3 sidecar is always memory-mapped",
 }
 
 #: ``provisioning`` values payloads written before remote provisioning had
@@ -200,6 +201,18 @@ def _check_legacy_provisioning(sharding: Mapping[str, object]) -> None:
         )
 
 
+def _check_legacy_mmap(artifact: Mapping[str, object]) -> None:
+    """Refuse the ``mmap`` values older readers refused.
+
+    Payloads written while in-RAM sidecar loading existed carry an ``mmap``
+    flag.  Every sidecar is memory-mapped now, so the flag is ignored, but a
+    value that is not a real bool is still rejected.
+    """
+    value = artifact.get("mmap", True)
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"artifact option mmap must be a bool, got {value!r}")
+
+
 def _sub_mapping(data: Mapping[str, object], key: str) -> Dict[str, object]:
     """A payload sub-section as a dict (absent/None becomes empty)."""
     raw = data.get(key) or {}
@@ -264,21 +277,20 @@ class ShardingSpec:
 class ArtifactOptions:
     """How binary (v3) artifacts are opened at load time.
 
-    ``mmap=True`` memory-maps the ``.npz`` sidecar (O(metadata) cold start);
-    ``verify=True`` additionally checks the sidecar's SHA-256 against the
-    integrity header (reads the whole file).
+    The ``.npz`` sidecar is always memory-mapped (O(metadata) cold start);
+    ``verify=True`` additionally checks its SHA-256 against the integrity
+    header (reads the whole file).
     """
 
-    mmap: bool = True
     verify: bool = False
 
     def __post_init__(self) -> None:
         # Payload flags must be real bools: ``bool("false")`` is True.
-        for name in ("mmap", "verify"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ConfigurationError(f"artifact option {name} must be a bool, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+        if not isinstance(self.verify, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"artifact option verify must be a bool, got {self.verify!r}"
+            )
+        object.__setattr__(self, "verify", bool(self.verify))
 
 
 @dataclass(frozen=True)
@@ -320,10 +332,7 @@ class ServingConfig:
                 "shards": self.sharding.shards,
                 "remote_workers": self.sharding.remote_workers,
             },
-            "artifact": {
-                "mmap": self.artifact.mmap,
-                "verify": self.artifact.verify,
-            },
+            "artifact": {"verify": self.artifact.verify},
         }
 
     @classmethod
@@ -338,7 +347,9 @@ class ServingConfig:
         :func:`_check_legacy_backend`.  Payloads written while float32
         serving existed carry ``dtype``: see :func:`_check_legacy_dtype`.
         Payloads written while remote provisioning had modes carry
-        ``provisioning``: see :func:`_check_legacy_provisioning`.
+        ``provisioning``: see :func:`_check_legacy_provisioning`.  Payloads
+        written while in-RAM sidecar loading existed carry ``artifact.mmap``:
+        see :func:`_check_legacy_mmap`.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -383,6 +394,7 @@ class ServingConfig:
         _check_legacy_dtype(data)
         _check_legacy_backend(sharding)
         _check_legacy_provisioning(sharding)
+        _check_legacy_mmap(artifact)
         return cls(
             engine=engine,
             sharding=ShardingSpec(
@@ -390,7 +402,6 @@ class ServingConfig:
                 remote_workers=_opt_str(sharding.get("remote_workers")),
             ),
             artifact=ArtifactOptions(
-                mmap=artifact.get("mmap", True),  # type: ignore[arg-type]
                 verify=artifact.get("verify", False),  # type: ignore[arg-type]
             ),
         )
@@ -406,8 +417,7 @@ class ServingConfig:
         """Apply flat, CLI-style field overrides on top of this config.
 
         ``overrides`` maps flat knob names — ``engine``, ``shards``,
-        ``remote_workers``, ``mmap``, ``verify`` — to
-        values; keys that are absent keep this config's value, which is what
+        ``remote_workers``, ``verify`` — to values; keys that are absent keep this config's value, which is what
         gives CLI flags field-wise precedence over an artifact-embedded
         config.  Overriding any sharding field replaces the *whole* sharding
         spec (a ``--shards 4`` override must not inherit a stale remote
@@ -420,7 +430,7 @@ class ServingConfig:
                 + _REMOVED_OVERRIDES[removed[0]]
             )
         unknown = sorted(
-            set(overrides) - {"engine", "shards", "remote_workers", "mmap", "verify"}
+            set(overrides) - {"engine", "shards", "remote_workers", "verify"}
         )
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
@@ -435,13 +445,10 @@ class ServingConfig:
                     remote_workers=_opt_str(overrides.get("remote_workers")),
                 ),
             )
-        if "mmap" in overrides or "verify" in overrides:
+        if "verify" in overrides:
             config = replace(
                 config,
-                artifact=ArtifactOptions(
-                    mmap=overrides.get("mmap", config.artifact.mmap),  # type: ignore[arg-type]
-                    verify=overrides.get("verify", config.artifact.verify),  # type: ignore[arg-type]
-                ),
+                artifact=ArtifactOptions(verify=overrides["verify"]),  # type: ignore[arg-type]
             )
         return config
 
@@ -487,7 +494,6 @@ class ServingConfig:
             backend=backend,
             workers=workers,
             remote_workers=remote_workers,
-            mmap=self.artifact.mmap,
             verify=self.artifact.verify,
         )
 
@@ -512,7 +518,6 @@ class ServingPlan:
     backend: Optional[str]
     workers: Optional[int]
     remote_workers: Tuple[str, ...]
-    mmap: bool
     verify: bool
 
     @property
@@ -529,7 +534,6 @@ class ServingPlan:
             "backend": self.backend,
             "workers": self.workers,
             "remote_workers": list(self.remote_workers),
-            "mmap": self.mmap,
             "verify": self.verify,
         }
 

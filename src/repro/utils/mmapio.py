@@ -392,16 +392,6 @@ def _as_int(value: object) -> int:
     return int(value)
 
 
-def load_npz(path: PathLike) -> Dict[str, AnyArray]:
-    """Eagerly load every array of an ``.npz`` file into memory."""
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as payload:
-            return {name: payload[name] for name in payload.files}
-    except (zipfile.BadZipFile, ValueError, OSError) as exc:
-        raise SerializationError(f"could not read binary sidecar {path}: {exc}") from exc
-
-
 # --------------------------------------------------------------------------- #
 # array regions: by-reference shard provisioning
 # --------------------------------------------------------------------------- #

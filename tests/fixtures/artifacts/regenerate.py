@@ -9,9 +9,9 @@ stored values (with last-ulp slack for cross-machine BLAS variation) — so
 any change to the serialization layer that silently alters how *existing*
 artifacts deserialize (or score) fails loudly instead of drifting.
 
-The writers no longer produce v1, so this script leaves
-``detector_v1.json`` untouched: it is the committed input of the v1
-reader, written at the same seed by an earlier writer.
+The writers produce only v3, so this script leaves ``detector_v1.json``
+and ``detector_v2.json`` untouched: they are the committed inputs of the v1
+and v2 readers, written at the same seed by earlier writers.
 
 Run from the repository root only when the format genuinely changes::
 
@@ -24,17 +24,12 @@ diffable in review.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
-from repro.core.serialization import (
-    detector_to_dict,
-    save_detector,
-    write_json_atomic,
-)
+from repro.core.serialization import save_detector, write_json_atomic
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 
@@ -74,10 +69,7 @@ def main() -> None:
     result = detector.detect(batch)
 
     np.save(FIXTURE_DIR / "batch.npy", batch)
-    write_json_atomic(
-        detector_to_dict(detector, version=2), FIXTURE_DIR / "detector_v2.json"
-    )
-    save_detector(detector, FIXTURE_DIR / "detector_v3.json", format="binary")
+    save_detector(detector, FIXTURE_DIR / "detector_v3.json")
     expected = {
         "scores_hex": [float(score).hex() for score in result.scores],
         "predictions": [int(flag) for flag in result.predictions],

@@ -9,9 +9,13 @@ import pytest
 
 from repro.cli import build_parser, load_bundle, main, save_bundle
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core.serialization import write_json_atomic
 from repro.data.loader import load_csv, save_csv
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
+from repro.exceptions import SerializationError
+
+from legacy_artifacts import v1_payload, v2_payload
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,31 @@ class TestGenerateAndSimulate:
         assert "error" in capsys.readouterr().err
 
 
+class TestUnreadableBundles:
+    """A bundle that cannot be read is a one-line error and exit code 2."""
+
+    @pytest.fixture
+    def bad_bundles(self, trained_model_path, tmp_path):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(trained_model_path.read_text()[:200])
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        return {"truncated": truncated, "missing": tmp_path / "missing.json", "list": listed}
+
+    @pytest.mark.parametrize("kind", ["truncated", "missing", "list"])
+    @pytest.mark.parametrize("command", ["detect", "inspect"])
+    def test_unreadable_bundle_exits_2(self, bad_bundles, data_dir, capsys, command, kind):
+        argv = [command, "--model", str(bad_bundles[kind])]
+        if command == "detect":
+            argv += ["--input", str(data_dir / "test.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: ")
+        assert str(bad_bundles[kind]) in lines[0]
+
+
 class TestTrainDetectInspect:
     def test_bundle_round_trip(self, trained_model_path, data_dir):
         pipeline, detector = load_bundle(trained_model_path)
@@ -149,23 +178,65 @@ class TestTrainDetectInspect:
         detector.fit(X_train, [str(category) for category in train.categories])
         bundle_path = tmp_path / "bundle.json"
         save_bundle(pipeline, detector, bundle_path)
+        # The default save writes the v3 pair, and the load maps its sidecar.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "bundle.npz"]
+        assert json.loads(bundle_path.read_text())["format_version"] == 3
         reloaded_pipeline, reloaded_detector = load_bundle(bundle_path)
+        assert isinstance(reloaded_detector._compiled_model().codebook, np.memmap)
         np.testing.assert_allclose(
             reloaded_pipeline.transform(test), pipeline.transform(test)
         )
-        np.testing.assert_array_equal(
-            reloaded_detector.predict(reloaded_pipeline.transform(test)),
-            detector.predict(pipeline.transform(test)),
-        )
+        expected = detector.detect(pipeline.transform(test))
+        observed = reloaded_detector.detect(reloaded_pipeline.transform(test))
+        assert observed.scores.tobytes() == expected.scores.tobytes()
+        np.testing.assert_array_equal(observed.predictions, expected.predictions)
+        assert list(observed.categories) == list(expected.categories)
 
-    def test_train_binary_format_writes_pair_and_detects(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_bundle_scores_identical_to_v3_bundle(
+        self, trained_model_path, data_dir, tmp_path, version
+    ):
+        """v1 and v2 bundles are no longer written, but still load and detect."""
+        pipeline, detector = load_bundle(trained_model_path)
+        legacy_payload = v1_payload(detector) if version == 1 else v2_payload(detector)
+        legacy_path = tmp_path / f"model_v{version}.json"
+        write_json_atomic(
+            {
+                "kind": "repro_bundle",
+                "format_version": version,
+                "pipeline": pipeline.to_dict(),
+                "detector": legacy_payload,
+            },
+            legacy_path,
+        )
+        test = load_csv(data_dir / "test.csv")
+        legacy_pipeline, legacy_detector = load_bundle(legacy_path)
+        expected = detector.detect(pipeline.transform(test))
+        observed = legacy_detector.detect(legacy_pipeline.transform(test))
+        assert observed.scores.tobytes() == expected.scores.tobytes()
+        np.testing.assert_array_equal(observed.predictions, expected.predictions)
+        assert list(observed.categories) == list(expected.categories)
+
+        outputs = {}
+        for name, model in (("v3", trained_model_path), ("legacy", legacy_path)):
+            outputs[name] = tmp_path / f"alarms_{name}.csv"
+            argv = ["detect", "--model", str(model), "--input", str(data_dir / "test.csv")]
+            assert main([*argv, "--output", str(outputs[name])]) == 0
+        assert outputs["legacy"].read_bytes() == outputs["v3"].read_bytes()
+
+    def test_save_bundle_refuses_the_removed_json_format(self, trained_model_path, tmp_path):
+        pipeline, detector = load_bundle(trained_model_path)
+        with pytest.raises(SerializationError, match="writer was removed"):
+            save_bundle(pipeline, detector, tmp_path / "x.json", format="json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_writes_pair_and_detects(self, data_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code = main(
             [
                 "train",
                 "--train", str(data_dir / "train.csv"),
                 "--model", str(model_path),
-                "--format", "binary",
                 "--max-map-size", "49",
                 "--max-depth", "2",
                 "--epochs", "3",
@@ -180,24 +251,6 @@ class TestTrainDetectInspect:
         assert main(["detect", "--model", str(model_path), "--input", str(data_dir / "test.csv")]) == 0
         assert main(["inspect", "--model", str(model_path)]) == 0
 
-    def test_binary_bundle_scores_identical_to_json_bundle(self, data_dir, tmp_path):
-        args = [
-            "--train", str(data_dir / "train.csv"),
-            "--max-map-size", "49", "--max-depth", "2",
-            "--epochs", "3", "--min-expansion", "40",
-        ]
-        json_path = tmp_path / "json" / "model.json"
-        binary_path = tmp_path / "binary" / "model.json"
-        assert main(["train", *args, "--model", str(json_path)]) == 0
-        assert main(["train", *args, "--model", str(binary_path), "--format", "binary"]) == 0
-        test = load_csv(data_dir / "test.csv")
-        pipeline_j, detector_j = load_bundle(json_path)
-        pipeline_b, detector_b = load_bundle(binary_path, overrides={"verify": True})
-        result_j = detector_j.detect(pipeline_j.transform(test))
-        result_b = detector_b.detect(pipeline_b.transform(test))
-        np.testing.assert_array_equal(result_b.scores, result_j.scores)
-        assert list(result_b.categories) == list(result_j.categories)
-
     def test_detect_missing_sidecar_fails_cleanly(self, data_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(
@@ -205,7 +258,6 @@ class TestTrainDetectInspect:
                 "train",
                 "--train", str(data_dir / "train.csv"),
                 "--model", str(model_path),
-                "--format", "binary",
                 "--max-map-size", "49", "--max-depth", "2",
                 "--epochs", "3", "--min-expansion", "40",
             ]

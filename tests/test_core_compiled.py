@@ -9,7 +9,7 @@ from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
 from repro.core.compiled import compile_ghsom
 from repro.core.detector import combine_label_and_distance_scores
 from repro.core.labeling import UNLABELED
-from repro.core.serialization import detector_from_dict, detector_to_dict
+from repro.core.serialization import detector_binary_payload, detector_from_dict
 from repro.exceptions import DataValidationError, NotFittedError
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
@@ -200,7 +200,8 @@ class TestDetectorEquivalence:
         )
 
     def test_serialization_round_trip_scores_identical(self, labeled_detector, test_matrix):
-        restored = detector_from_dict(detector_to_dict(labeled_detector))
+        payload, arrays = detector_binary_payload(labeled_detector)
+        restored = detector_from_dict(payload, arrays=arrays)
         np.testing.assert_array_equal(
             restored.score_samples(test_matrix), labeled_detector.score_samples(test_matrix)
         )

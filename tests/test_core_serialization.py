@@ -11,10 +11,9 @@ import pytest
 from repro.core.detector import GhsomDetector
 from repro.core.ghsom import Ghsom
 from repro.core.serialization import (
+    detector_binary_payload,
     detector_from_dict,
-    detector_to_dict,
     ghsom_from_dict,
-    ghsom_to_dict,
     load_detector,
     load_ghsom,
     save_detector,
@@ -34,47 +33,54 @@ def fitted_model(fast_config, train_matrix):
 
 
 @pytest.fixture(scope="module")
+def saved_model(fitted_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ghsom") / "model.json"
+    save_ghsom(fitted_model, path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def fitted_detector(fast_config, train_matrix, train_categories):
     detector = GhsomDetector(fast_config, random_state=0)
     detector.fit(train_matrix, train_categories)
     return detector
 
 
-class TestGhsomSerialization:
-    def test_unfitted_model_rejected(self, fast_config):
-        with pytest.raises(SerializationError):
-            ghsom_to_dict(Ghsom(fast_config))
+def _round_trip(detector):
+    """``detector`` through its v3 payload and sidecar arrays, in memory."""
+    payload, arrays = detector_binary_payload(detector)
+    return detector_from_dict(payload, arrays=arrays)
 
-    def test_dict_round_trip_preserves_structure(self, fitted_model):
-        rebuilt = ghsom_from_dict(ghsom_to_dict(fitted_model))
+
+class TestGhsomSerialization:
+    def test_unfitted_model_rejected(self, fast_config, tmp_path):
+        with pytest.raises(SerializationError):
+            save_ghsom(Ghsom(fast_config), tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_round_trip_preserves_structure(self, fitted_model, saved_model):
+        rebuilt = load_ghsom(saved_model)
         assert rebuilt.topology_summary() == fitted_model.topology_summary()
 
-    def test_dict_round_trip_preserves_assignments(self, fitted_model, test_matrix):
-        rebuilt = ghsom_from_dict(ghsom_to_dict(fitted_model))
+    def test_file_round_trip_preserves_assignments(self, fitted_model, saved_model, test_matrix):
+        rebuilt = load_ghsom(saved_model)
         np.testing.assert_allclose(
             rebuilt.transform(test_matrix), fitted_model.transform(test_matrix)
         )
         assert rebuilt.leaf_keys(test_matrix[:50]) == fitted_model.leaf_keys(test_matrix[:50])
 
-    def test_payload_is_json_serialisable(self, fitted_model):
-        json.dumps(ghsom_to_dict(fitted_model))
+    def test_file_is_a_json_and_npz_pair(self, saved_model):
+        assert json.loads(saved_model.read_text())["format_version"] == 3
+        assert saved_model.with_suffix(".npz").exists()
 
-    def test_file_round_trip(self, fitted_model, tmp_path, test_matrix):
-        path = tmp_path / "model.json"
-        save_ghsom(fitted_model, path)
-        loaded = load_ghsom(path)
-        np.testing.assert_allclose(
-            loaded.transform(test_matrix[:20]), fitted_model.transform(test_matrix[:20])
-        )
-
-    def test_wrong_kind_rejected(self, fitted_model):
-        payload = ghsom_to_dict(fitted_model)
+    def test_wrong_kind_rejected(self, saved_model):
+        payload = json.loads(saved_model.read_text())
         payload["kind"] = "something_else"
         with pytest.raises(SerializationError):
             ghsom_from_dict(payload)
 
-    def test_wrong_version_rejected(self, fitted_model):
-        payload = ghsom_to_dict(fitted_model)
+    def test_wrong_version_rejected(self, saved_model):
+        payload = json.loads(saved_model.read_text())
         payload["format_version"] = 999
         with pytest.raises(SerializationError):
             ghsom_from_dict(payload)
@@ -89,14 +95,23 @@ class TestGhsomSerialization:
         with pytest.raises(SerializationError):
             load_ghsom(path)
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+    def test_non_object_top_level_raises(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(SerializationError, match="not an object"):
+            load_ghsom(path)
+        with pytest.raises(SerializationError, match="not an object"):
+            load_detector(path)
+
 
 class TestDetectorSerialization:
     def test_unfitted_detector_rejected(self, fast_config):
         with pytest.raises(SerializationError):
-            detector_to_dict(GhsomDetector(fast_config))
+            detector_binary_payload(GhsomDetector(fast_config))
 
     def test_dict_round_trip_preserves_predictions(self, fitted_detector, test_matrix):
-        rebuilt = detector_from_dict(detector_to_dict(fitted_detector))
+        rebuilt = _round_trip(fitted_detector)
         np.testing.assert_array_equal(
             rebuilt.predict(test_matrix), fitted_detector.predict(test_matrix)
         )
@@ -105,7 +120,7 @@ class TestDetectorSerialization:
         )
 
     def test_dict_round_trip_preserves_categories(self, fitted_detector, test_matrix):
-        rebuilt = detector_from_dict(detector_to_dict(fitted_detector))
+        rebuilt = _round_trip(fitted_detector)
         assert rebuilt.predict_category(test_matrix[:40]) == fitted_detector.predict_category(
             test_matrix[:40]
         )
@@ -126,21 +141,15 @@ class TestDetectorSerialization:
         with pytest.raises(SerializationError, match="unsupported format version"):
             detector_from_dict(payload)
 
-    def test_v1_is_read_but_not_written(self, fitted_detector):
-        with pytest.raises(SerializationError, match="cannot write format version 1"):
-            detector_to_dict(fitted_detector, version=1)
-        with pytest.raises(SerializationError, match="cannot write format version 1"):
-            ghsom_to_dict(fitted_detector.model, version=1)
-
     def test_wrong_kind_rejected(self, fitted_detector):
-        payload = detector_to_dict(fitted_detector)
+        payload, arrays = detector_binary_payload(fitted_detector)
         payload["kind"] = "pickle"
         with pytest.raises(SerializationError):
-            detector_from_dict(payload)
+            detector_from_dict(payload, arrays=arrays)
 
     def test_oneclass_detector_round_trip(self, fast_config, train_matrix, test_matrix):
         detector = GhsomDetector(fast_config, random_state=0).fit(train_matrix)
-        rebuilt = detector_from_dict(detector_to_dict(detector))
+        rebuilt = _round_trip(detector)
         assert rebuilt.labeler is None
         np.testing.assert_array_equal(
             rebuilt.predict(test_matrix[:30]), detector.predict(test_matrix[:30])

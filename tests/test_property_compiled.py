@@ -127,7 +127,7 @@ class TestCompiledDetectorEquivalence:
 
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "detector.json"
-            save_detector(detector, path, format="binary")
+            save_detector(detector, path)
             served = load_detector(path)
             assert isinstance(served._compiled_model().codebook, np.memmap)
             result = served.detect(queries)
@@ -140,7 +140,7 @@ class TestCompiledDetectorEquivalence:
                 assert np.array_equal(detector.score_samples(row[None]), expected_row)
                 assert np.array_equal(served.detect(row[None]).scores, expected_row)
             # The same arithmetic whether the arrays are mapped or in RAM.
-            in_ram = load_detector(path, overrides={"mmap": False}).detect(queries)
+            in_ram = detector.detect(queries)
         assert result.scores.tobytes() == in_ram.scores.tobytes()
         assert np.array_equal(result.leaf_index, in_ram.leaf_index)
         assert result.categories == in_ram.categories

@@ -3,9 +3,10 @@
 What this file pins down:
 
 * **save → load → score is byte-identical** to the in-memory detector for
-  the v3 binary format, through the memory-mapped *and* the eager load
-  path, for {one-class, labelled} × {per_unit, global}, and through every
-  sharded backend (serial / thread);
+  the v3 binary format — the one format the writers produce, always
+  memory-mapped at load — for {one-class, labelled} × {per_unit, global},
+  with and without SHA-256 verification, and through the sharded serial
+  backend;
 * a **v3 load is O(metadata)**: the compiled arrays come back as read-only
   views into one shared file mapping, no ``GhsomNode`` objects exist after
   load + score, and the tree still hydrates lazily on ``detector.model``;
@@ -15,7 +16,7 @@ What this file pins down:
 * every documented **corruption / misuse path raises SerializationError**
   with an actionable message: missing sidecar, truncated sidecar, hash
   mismatch, unsupported versions, bare-dict loads that cannot resolve a
-  sidecar, attempts to write v3 through the JSON-dict writers;
+  sidecar, requests for the removed single-JSON writer;
 * the sidecar write is **atomic** exactly like the JSON write: a failed
   replace leaves the previous pair intact and no temp files behind.
 """
@@ -32,8 +33,6 @@ import pytest
 from repro.core import GhsomDetector
 from repro.core.serialization import (
     detector_from_dict,
-    detector_to_dict,
-    ghsom_to_dict,
     load_detector,
     load_ghsom,
     save_detector,
@@ -72,7 +71,7 @@ def detectors(fast_config, train_matrix, train_categories):
 def v3_artifact(detectors, tmp_path_factory):
     """A labelled/per_unit detector saved in the binary format."""
     path = tmp_path_factory.mktemp("v3") / "detector.json"
-    save_detector(detectors[("labelled", "per_unit")], path, format="binary")
+    save_detector(detectors[("labelled", "per_unit")], path)
     return path
 
 
@@ -92,46 +91,60 @@ class TestRoundTripByteIdentical:
     def test_scores_byte_identical(self, detectors, test_matrix, tmp_path, mode, strategy):
         detector = detectors[(mode, strategy)]
         path = tmp_path / "detector.json"
-        save_detector(detector, path, format="binary")
+        save_detector(detector, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["detector.json", "detector.npz"]
         loaded = load_detector(path)
+        assert isinstance(loaded._compiled.codebook, np.memmap)
         expected = detector.detect(test_matrix)
         observed = loaded.detect(test_matrix)
-        assert np.array_equal(observed.scores, expected.scores)
+        assert observed.scores.tobytes() == expected.scores.tobytes()
         assert np.array_equal(observed.predictions, expected.predictions)
         assert np.array_equal(observed.leaf_index, expected.leaf_index)
         assert list(observed.categories) == list(expected.categories)
 
-    def test_eager_load_matches_mmap_load(self, v3_artifact, test_matrix):
+    def test_verified_load_matches_default_load(self, v3_artifact, test_matrix):
         mapped = load_detector(v3_artifact)
-        eager = load_detector(v3_artifact, overrides={"mmap": False, "verify": True})
+        verified = load_detector(v3_artifact, overrides={"verify": True})
+        assert isinstance(verified._compiled.codebook, np.memmap)
         assert np.array_equal(
-            mapped.detect(test_matrix).scores, eager.detect(test_matrix).scores
+            mapped.detect(test_matrix).scores, verified.detect(test_matrix).scores
         )
+
+    def test_explicit_binary_format_is_the_default(self, detectors, test_matrix, tmp_path):
+        detector = detectors[("oneclass", "per_unit")]
+        save_detector(detector, tmp_path / "default.json")
+        save_detector(detector, tmp_path / "binary.json", format="binary")
+        default = json.loads((tmp_path / "default.json").read_text())
+        binary = json.loads((tmp_path / "binary.json").read_text())
+        assert default["sidecar"].pop("path") == "default.npz"
+        assert binary["sidecar"].pop("path") == "binary.npz"
+        assert default == binary
+
 
     def test_ghsom_binary_round_trip(self, detectors, test_matrix, tmp_path):
         model = detectors[("oneclass", "global")].model
         path = tmp_path / "model.json"
-        save_ghsom(model, path, format="binary")
+        save_ghsom(model, path)
         loaded = load_ghsom(path)
+        assert isinstance(loaded.compile().codebook, np.memmap)
         assert np.array_equal(
             loaded.transform(test_matrix[:40]), model.transform(test_matrix[:40])
         )
         assert loaded.topology_summary() == model.topology_summary()
 
-    def test_unknown_format_rejected(self, detectors, tmp_path):
-        with pytest.raises(SerializationError, match="unknown artifact format"):
-            save_detector(
-                detectors[("labelled", "per_unit")], tmp_path / "x.json", format="pickle"
-            )
+    @pytest.mark.parametrize(
+        "format, message",
+        [("json", "single-JSON .* writer was removed"), ("pickle", "unknown artifact format")],
+    )
+    def test_other_formats_rejected(self, detectors, tmp_path, format, message):
+        with pytest.raises(SerializationError, match=message):
+            save_detector(detectors[("labelled", "per_unit")], tmp_path / "x.json", format=format)
+        assert list(tmp_path.iterdir()) == []
 
     def test_npz_suffixed_path_rejected(self, detectors, tmp_path):
         """A JSON path ending in .npz would collide with its own sidecar."""
         with pytest.raises(SerializationError, match="collides with its sidecar"):
-            save_detector(
-                detectors[("labelled", "per_unit")],
-                tmp_path / "model.npz",
-                format="binary",
-            )
+            save_detector(detectors[("labelled", "per_unit")], tmp_path / "model.npz")
         assert list(tmp_path.iterdir()) == []  # nothing half-written
 
 
@@ -241,9 +254,10 @@ class TestMmapServing:
         with pytest.raises(ConfigurationError, match="unsupported serving dtype 'float16'"):
             load_detector(path)
 
-    def test_dtype_override_rejected(self, v3_artifact):
-        with pytest.raises(ConfigurationError, match="override 'dtype' was removed"):
-            load_detector(v3_artifact, overrides={"dtype": "float64"})
+    @pytest.mark.parametrize("knob, value", [("dtype", "float64"), ("mmap", False)])
+    def test_removed_override_rejected(self, v3_artifact, knob, value):
+        with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
+            load_detector(v3_artifact, overrides={knob: value})
 
     def test_shards_are_memmap_views_and_travel_as_sidecar_regions(self):
         """On the v3 golden at K=2, mapped shard arrays go on the wire as regions.
@@ -429,9 +443,8 @@ class TestCorruptionAndMisuse:
 
     def test_sidecar_missing_required_array(self, v3_artifact, tmp_path):
         def drop_member(js, sc):
-            from repro.utils.mmapio import load_npz
-
-            arrays = load_npz(sc)
+            with np.load(sc, allow_pickle=False) as stored:
+                arrays = {name: stored[name] for name in stored.files}
             del arrays["codebook"]
             digest = write_npz_atomic(arrays, sc)
             payload = json.loads(js.read_text())
@@ -454,13 +467,6 @@ class TestCorruptionAndMisuse:
         with pytest.raises(SerializationError, match="npz|zip"):
             load_detector(path)
 
-    def test_json_writers_refuse_v3(self, detectors):
-        detector = detectors[("labelled", "per_unit")]
-        with pytest.raises(SerializationError, match="binary"):
-            detector_to_dict(detector, version=3)
-        with pytest.raises(SerializationError, match="binary"):
-            ghsom_to_dict(detector.model, version=3)
-
     def test_object_dtype_array_rejected(self, tmp_path):
         with pytest.raises(SerializationError, match="object dtype"):
             write_npz_atomic(
@@ -474,7 +480,7 @@ class TestAtomicSidecarWrites:
     ):
         detector = detectors[("labelled", "per_unit")]
         path = tmp_path / "detector.json"
-        save_detector(detector, path, format="binary")
+        save_detector(detector, path)
         before_json = path.read_bytes()
         before_sidecar = path.with_suffix(".npz").read_bytes()
 
@@ -483,7 +489,7 @@ class TestAtomicSidecarWrites:
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            save_detector(detector, path, format="binary")
+            save_detector(detector, path)
         monkeypatch.undo()
         # The crash hit the *sidecar* write first: both files of the pair
         # are untouched and no temp files linger.
@@ -497,7 +503,7 @@ class TestAtomicSidecarWrites:
     def test_fresh_pair_is_loadable_and_modes_preserved(self, detectors, tmp_path):
         detector = detectors[("oneclass", "per_unit")]
         path = tmp_path / "nested" / "detector.json"
-        save_detector(detector, path, format="binary")
+        save_detector(detector, path)
         assert load_detector(path).is_fitted
         assert (path.stat().st_mode & 0o777) == 0o644
         assert (path.with_suffix(".npz").stat().st_mode & 0o777) == 0o644
@@ -506,7 +512,7 @@ class TestAtomicSidecarWrites:
         """Crash between the two writes leaves a *detectably* stale pair."""
         detector = detectors[("labelled", "global")]
         path = tmp_path / "detector.json"
-        save_detector(detector, path, format="binary")
+        save_detector(detector, path)
         original = json.loads(path.read_text())
 
         import repro.core.serialization as serialization_module
@@ -516,7 +522,7 @@ class TestAtomicSidecarWrites:
 
         monkeypatch.setattr(serialization_module, "write_json_atomic", exploding_json)
         with pytest.raises(OSError):
-            save_detector(detector, path, format="binary")
+            save_detector(detector, path)
         monkeypatch.undo()
         # Old JSON + rewritten sidecar: identical content here (same
         # detector), so the pair still verifies; the point is the ordering —

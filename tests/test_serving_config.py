@@ -41,7 +41,7 @@ class TestValidation:
         assert config.engine is None
         assert not hasattr(config, "provider")
         assert not config.sharding.enabled
-        assert config.artifact.mmap is True
+        assert not hasattr(config.artifact, "mmap")  # sidecars are always mapped
         assert config.artifact.verify is False
 
     def test_config_has_three_fields(self):
@@ -139,7 +139,17 @@ class TestValidation:
 
     def test_artifact_must_be_options(self):
         with pytest.raises(ConfigurationError, match="must be ArtifactOptions"):
-            ServingConfig(artifact={"mmap": False})
+            ServingConfig(artifact={"verify": False})
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_parent_format_mmap_flag_is_ignored(self, mmap):
+        # Payloads written while in-RAM sidecar loading existed carry an
+        # mmap flag; every sidecar is mapped now, so it reads as nothing.
+        payload = {**_parent_payload(shards=None), "artifact": {"mmap": mmap, "verify": True}}
+        config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
+        assert config == ServingConfig(artifact=ArtifactOptions(verify=True))
+        assert config.to_dict()["artifact"] == {"verify": True}
+        assert "mmap" not in config.resolve().to_dict()
 
 
 # --------------------------------------------------------------------------- #
@@ -180,7 +190,7 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
         ServingConfig,
         engine=st.sampled_from([None, "numpy", "fused", "auto"]),
         sharding=st.one_of(local, remote),
-        artifact=st.builds(ArtifactOptions, mmap=st.booleans(), verify=st.booleans()),
+        artifact=st.builds(ArtifactOptions, verify=st.booleans()),
     )
 
 
@@ -317,11 +327,9 @@ class TestOverrides:
         # --shards 2 must not inherit the stale remote address list.
         assert overridden.sharding == ShardingSpec(shards=2)
 
-    def test_artifact_overrides_merge(self):
-        base = ServingConfig(artifact=ArtifactOptions(mmap=False, verify=True))
-        assert base.with_overrides({"verify": False}).artifact == ArtifactOptions(
-            mmap=False, verify=False
-        )
+    def test_artifact_override_keeps_other_fields(self):
+        base = ServingConfig(engine="numpy", artifact=ArtifactOptions(verify=True))
+        assert base.with_overrides({"verify": False}) == ServingConfig(engine="numpy")
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serving config overrides"):
@@ -341,11 +349,15 @@ class TestOverrides:
             {"dtype": "float32", "engine": "auto"},
             {"provisioning": "auto"},
             {"shards": 2, "remote_workers": "a:1", "provisioning": "value"},
+            {"mmap": False},
+            {"mmap": True, "verify": True},
         ],
     )
     def test_removed_knob_overrides_rejected(self, overrides):
         knob = next(
-            k for k in ("workers", "backend", "dtype", "provisioning") if k in overrides
+            k
+            for k in ("workers", "backend", "dtype", "provisioning", "mmap")
+            if k in overrides
         )
         with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
             ServingConfig().with_overrides(overrides)
@@ -366,11 +378,11 @@ class TestEffectiveConfig:
 
     def test_overrides_apply_on_top_of_embedded(self):
         embedded = ServingConfig(
-            engine="numpy", artifact=ArtifactOptions(mmap=False)
+            engine="numpy", artifact=ArtifactOptions(verify=True)
         ).to_dict()
         result = effective_config(overrides={"engine": "auto"}, embedded=embedded)
         assert result.engine == "auto"
-        assert result.artifact.mmap is False  # untouched embedded field survives
+        assert result.artifact.verify is True  # untouched embedded field survives
 
     def test_non_config_rejected(self):
         with pytest.raises(ConfigurationError, match="must be a ServingConfig"):

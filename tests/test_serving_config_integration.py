@@ -80,16 +80,9 @@ def fitted(workload):
 
 
 @pytest.fixture(scope="module")
-def json_bundle(workload, fitted, tmp_path_factory):
+def model_bundle(workload, fitted, tmp_path_factory):
     path = tmp_path_factory.mktemp("config_model") / "model.json"
     save_bundle(workload["pipeline"], fitted, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def binary_bundle(workload, fitted, tmp_path_factory):
-    path = tmp_path_factory.mktemp("config_model_bin") / "model.json"
-    save_bundle(workload["pipeline"], fitted, path, format="binary")
     return path
 
 
@@ -122,8 +115,8 @@ class TestConfigure:
                 serving=ServingConfig(engine="numpy"),
             )
 
-    def test_configure_is_atomic_on_failure(self, json_bundle, workload, compilerless_host):
-        detector = _fresh_detector(json_bundle)
+    def test_configure_is_atomic_on_failure(self, model_bundle, workload, compilerless_host):
+        detector = _fresh_detector(model_bundle)
         before = detector.serving_config
         with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
             detector.configure(ServingConfig(engine="fused"))
@@ -132,15 +125,15 @@ class TestConfigure:
         assert detector.resolved_plan().engine == "numpy"
         assert np.isfinite(detector.score_samples(workload["X_test"][:16])).all()
 
-    def test_configure_rejects_non_config(self, json_bundle):
-        detector = _fresh_detector(json_bundle)
+    def test_configure_rejects_non_config(self, model_bundle):
+        detector = _fresh_detector(model_bundle)
         with pytest.raises(ConfigurationError):
             detector.configure({"engine": "numpy"})
 
     def test_sharded_configure_is_byte_identical(
-        self, json_bundle, workload, baseline_scores
+        self, model_bundle, workload, baseline_scores
     ):
-        detector = _fresh_detector(json_bundle)
+        detector = _fresh_detector(model_bundle)
         detector.configure(
             ServingConfig(sharding=ShardingSpec(shards=3))
         )
@@ -156,7 +149,7 @@ class TestConfigure:
 # --------------------------------------------------------------------------- #
 class TestOrderIndependence:
     def test_every_setter_ordering_yields_the_same_config_and_scores(
-        self, json_bundle, workload
+        self, model_bundle, workload
     ):
         knobs = {
             "engine": {"engine": "numpy"},
@@ -165,7 +158,7 @@ class TestOrderIndependence:
         }
         configs, scores = [], []
         for ordering in itertools.permutations(knobs):
-            detector = _fresh_detector(json_bundle)
+            detector = _fresh_detector(model_bundle)
             for name in ordering:
                 detector.configure(detector.serving_config.evolve(**knobs[name]))
             configs.append(detector.serving_config)
@@ -186,19 +179,16 @@ class TestOrderIndependence:
 # satellite 3: the config travels inside artifacts and survives refits
 # --------------------------------------------------------------------------- #
 class TestArtifactEmbeddedConfig:
-    @pytest.mark.parametrize("format", ["json", "binary"])
-    def test_config_round_trips_through_a_bundle(
-        self, workload, json_bundle, tmp_path, format
-    ):
+    def test_config_round_trips_through_a_bundle(self, workload, model_bundle, tmp_path):
         configured = ServingConfig(
             engine="numpy",
             sharding=ShardingSpec(shards=3),
         )
-        detector = _fresh_detector(json_bundle)
+        detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         expected = np.asarray(detector.detect(workload["X_test"]).scores)
         path = tmp_path / "configured.json"
-        save_bundle(workload["pipeline"], detector, path, format=format)
+        save_bundle(workload["pipeline"], detector, path)
         detector.configure(ServingConfig())
         _, loaded = load_bundle(path)  # no arguments: the artifact speaks
         try:
@@ -244,9 +234,9 @@ class TestArtifactEmbeddedConfig:
         )
 
     def test_cli_overrides_beat_the_embedded_config(
-        self, workload, json_bundle, tmp_path
+        self, workload, model_bundle, tmp_path
     ):
-        detector = _fresh_detector(json_bundle)
+        detector = _fresh_detector(model_bundle)
         detector.configure(ServingConfig(engine="numpy"))
         path = tmp_path / "numpy.json"
         save_bundle(workload["pipeline"], detector, path)
@@ -257,9 +247,9 @@ class TestArtifactEmbeddedConfig:
         finally:
             loaded.configure(ServingConfig())
 
-    def test_config_survives_a_refit(self, json_bundle, workload):
+    def test_config_survives_a_refit(self, model_bundle, workload):
         configured = ServingConfig(engine="numpy", sharding=ShardingSpec(shards=2))
-        detector = _fresh_detector(json_bundle)
+        detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         try:
             detector.fit(workload["X_train"], workload["y_train"])
@@ -271,9 +261,9 @@ class TestArtifactEmbeddedConfig:
             detector.configure(ServingConfig())
 
     def test_online_detector_exposes_and_keeps_the_config(
-        self, json_bundle, workload
+        self, model_bundle, workload
     ):
-        detector = _fresh_detector(json_bundle)
+        detector = _fresh_detector(model_bundle)
         detector.configure(ServingConfig(engine="numpy"))
         online = OnlineDetector(detector, warmup_size=10, buffer_size=200)
         assert online.serving_config is detector.serving_config
@@ -301,8 +291,8 @@ class TestDetectionStats:
         assert stats.total_s > 0.0
         assert stats.plan == fitted.resolved_plan().to_dict()
 
-    def test_sharded_stats_carry_plan_provenance(self, json_bundle, workload):
-        _, detector = load_bundle(json_bundle, overrides={"shards": 2})
+    def test_sharded_stats_carry_plan_provenance(self, model_bundle, workload):
+        _, detector = load_bundle(model_bundle, overrides={"shards": 2})
         try:
             stats = detector.detect(workload["X_test"]).stats
         finally:
@@ -313,7 +303,7 @@ class TestDetectionStats:
 
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_detect_validates_each_batch_once(
-        self, json_bundle, workload, monkeypatch, n_shards
+        self, model_bundle, workload, monkeypatch, n_shards
     ):
         import time
 
@@ -324,7 +314,7 @@ class TestDetectionStats:
         from repro.utils.validation import check_array_2d
 
         _, detector = load_bundle(
-            json_bundle, overrides={"shards": n_shards} if n_shards else None
+            model_bundle, overrides={"shards": n_shards} if n_shards else None
         )
         X = workload["X_test"]
         detector.detect(X)  # builds the sharded engine outside the count
@@ -374,7 +364,6 @@ class TestCliHelpers:
                 "--model", "m",
                 "--input", "i",
                 "--engine", "numpy",
-                "--no-mmap",
                 "--verify",
                 "--shards", "4",
                 "--remote-workers", "a:1,b:2",
@@ -382,7 +371,6 @@ class TestCliHelpers:
         )
         config = serving_config_from_args(args)
         assert config.engine == "numpy"
-        assert config.artifact.mmap is False
         assert config.artifact.verify is True
         assert config.sharding == ShardingSpec(shards=4, remote_workers="a:1,b:2")
 
@@ -401,19 +389,37 @@ class TestCliHelpers:
         assert excinfo.value.code == 2
         assert "--provisioning" in capsys.readouterr().err
 
-    def test_inspect_prints_the_resolved_plan(self, binary_bundle, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["detect", "--model", "m", "--input", "i", "--no-mmap"], "--no-mmap"),
+            (["inspect", "--model", "m", "--no-mmap"], "--no-mmap"),
+            (["train", "--train", "t", "--model", "m", "--format", "binary"], "--format"),
+        ],
+        ids=["detect-no-mmap", "inspect-no-mmap", "train-format"],
+    )
+    def test_removed_artifact_flags_exit_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_inspect_prints_the_resolved_plan(self, model_bundle, capsys):
         from repro.cli import main
 
-        assert main(["inspect", "--model", str(binary_bundle)]) == 0
+        assert main(["inspect", "--model", str(model_bundle), "--verify"]) == 0
         output = capsys.readouterr().out
         assert "Serving plan" in output
         assert "engine" in output
         assert "usable cores" in output
+        rows = output.splitlines()
+        assert any(row.replace(" ", "") == "verify|yes" for row in rows), rows
+        assert "mmap" not in output  # the sidecar is always mapped
 
-    def test_inspect_names_the_kernel_build_failure(self, binary_bundle, capsys, compilerless_host):
+    def test_inspect_names_the_kernel_build_failure(self, model_bundle, capsys, compilerless_host):
         from repro.cli import main
 
-        assert main(["inspect", "--model", str(binary_bundle), "--engine", "auto"]) == 0
+        assert main(["inspect", "--model", str(model_bundle), "--engine", "auto"]) == 0
         output = capsys.readouterr().out
         assert "numpy (requested auto)" in output
         assert compilerless_host in output
@@ -424,7 +430,7 @@ class TestCliHelpers:
 # --------------------------------------------------------------------------- #
 class TestCliConfigServesRemotely:
     def test_cli_config_through_bundle_serves_remotely_byte_identical(
-        self, workload, json_bundle, tmp_path, baseline_scores
+        self, workload, model_bundle, tmp_path, baseline_scores
     ):
         with ShardWorkerServer("127.0.0.1", 0).start() as server:
             address = f"{server.address[0]}:{server.address[1]}"
@@ -439,10 +445,10 @@ class TestCliConfigServesRemotely:
                 ]
             )
             config = serving_config_from_args(args)
-            detector = _fresh_detector(json_bundle)
+            detector = _fresh_detector(model_bundle)
             detector.configure(config)
             path = tmp_path / "remote_configured.json"
-            save_bundle(workload["pipeline"], detector, path, format="binary")
+            save_bundle(workload["pipeline"], detector, path)
             detector.configure(ServingConfig())
             # Round trip: the bundle alone rehydrates the remote setup.
             _, loaded = load_bundle(path)

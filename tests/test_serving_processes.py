@@ -51,7 +51,7 @@ def bundle_and_rows(tmp_path_factory):
     )
     detector.fit(X_train, [str(category) for category in train.categories])
     path = tmp_path_factory.mktemp("processes") / "model.json"
-    save_bundle(pipeline, detector, path, format="binary")
+    save_bundle(pipeline, detector, path)
     return path, pipeline.transform(generator.generate(200))
 
 

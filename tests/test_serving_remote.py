@@ -90,7 +90,7 @@ def fitted(workload):
 @pytest.fixture(scope="module")
 def binary_bundle(workload, fitted, tmp_path_factory):
     path = tmp_path_factory.mktemp("remote_model") / "model.json"
-    save_bundle(workload["pipeline"], fitted, path, format="binary")
+    save_bundle(workload["pipeline"], fitted, path)
     return path
 
 
@@ -285,6 +285,87 @@ class TestRemoteEquivalence:
                 _unshard(detector)
         _assert_identical(first, reference)
         np.testing.assert_array_equal(second.leaf_index, reference.leaf_index)
+
+
+# --------------------------------------------------------------------------- #
+# the live backend survives reconfiguration and refits
+# --------------------------------------------------------------------------- #
+class TestBackendSurvivesReconfigure:
+    """A backend is closed only when it is replaced.
+
+    Each test shards over one loopback worker, scores once, changes the
+    detector, and scores again: the worker connection must carry on.
+    """
+
+    @staticmethod
+    def _counts(backend):
+        stats = backend.stats
+        return {
+            name: stats[name]
+            for name in ("connects", "provision_reference", "provision_value")
+        }
+
+    def test_identical_configure_is_a_no_op(self, binary_bundle, workload, reference):
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            _, detector = load_bundle(binary_bundle)
+            _shard_remote(detector, backend)
+            try:
+                detector.detect(workload["X_test"])
+                before, engine = self._counts(backend), detector._sharded
+                assert before == {"connects": 1, "provision_reference": 1, "provision_value": 0}
+                detector.configure(detector.serving_config)
+                assert detector._shard_spec[1] is backend
+                assert detector._sharded is engine
+                result = detector.detect(workload["X_test"])
+                assert self._counts(backend) == before
+                assert backend.stats["failover_tasks"] == 0
+            finally:
+                _unshard(detector)
+        _assert_identical(result, reference)
+
+    def test_engine_change_reprovisions_without_reconnecting(
+        self, binary_bundle, workload, reference
+    ):
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            _, detector = load_bundle(binary_bundle)
+            _shard_remote(detector, backend)
+            try:
+                detector.detect(workload["X_test"])
+                before = self._counts(backend)
+                detector.configure(detector.serving_config.evolve(engine="numpy"))
+                result = detector.detect(workload["X_test"])
+                after = self._counts(backend)
+                assert backend.stats["failover_tasks"] == 0
+            finally:
+                _unshard(detector)
+        assert after["connects"] == before["connects"] == 1
+        assert after["provision_reference"] == before["provision_reference"] + 1
+        assert after["provision_value"] == before["provision_value"] == 0
+        _assert_identical(result, reference)
+
+    def test_refit_keeps_the_connection(self, binary_bundle, workload):
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            _, detector = load_bundle(binary_bundle)
+            _shard_remote(detector, backend)
+            try:
+                detector.detect(workload["X_test"])
+                before = self._counts(backend)
+                detector.fit(workload["X_train"], workload["y_train"])
+                assert detector._shard_spec[1] is backend
+                result = detector.detect(workload["X_test"])
+                after = self._counts(backend)
+                assert backend.stats["failover_tasks"] == 0
+            finally:
+                _unshard(detector)
+            local = detector.detect(workload["X_test"])
+        assert after["connects"] == before["connects"] == 1
+        # The refit arrays live in RAM, not in the worker's sidecar.
+        assert after["provision_value"] == before["provision_value"] + 1
+        assert after["provision_reference"] == before["provision_reference"]
+        _assert_identical(result, local)
 
 
 # --------------------------------------------------------------------------- #
@@ -625,7 +706,7 @@ class TestByReferenceSafety:
         )
         other.fit(other_X, [str(c) for c in other_train.categories])
         other_bundle = tmp_path / "other.json"
-        save_bundle(other_pipeline, other, other_bundle, format="binary")
+        save_bundle(other_pipeline, other, other_bundle)
         with ShardWorkerServer(model_path=other_bundle).start() as worker:
             backend = RemoteBackend([worker.address])
             result = _detect_remote(binary_bundle, workload, backend)

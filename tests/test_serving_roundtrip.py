@@ -1,12 +1,13 @@
-"""Round-trip regression suite for the serving path (bundle v1/v2 + detect API).
+"""Round-trip regression suite for the serving path (v1/v2 readers + detect API).
 
 The contract this file pins down:
 
 * **save → load → score is byte-identical** to the in-memory detector for
   every combination of {one-class, labelled} × {per_unit, global} threshold
-  strategy, for both the legacy v1 artifact layout (read only: built from
-  the v2 payload) and the compiled v2 format (``np.array_equal``, not
-  allclose);
+  strategy, for both single-JSON layouts the readers still accept — the
+  legacy v1 tree layout and the compiled v2 format, neither written any more
+  (built by ``tests/legacy_artifacts.py``) — with ``np.array_equal``, not
+  allclose;
 * a **v2 load is scoring-ready without the tree**: no ``GhsomNode`` objects
   exist after load + score, and the tree hydrates lazily only when
   ``detector.model`` is touched;
@@ -30,13 +31,15 @@ from hypothesis import strategies as st
 
 from repro.core import GhsomDetector
 from repro.core.serialization import (
+    detector_binary_payload,
     detector_from_dict,
-    detector_to_dict,
     load_detector,
     save_detector,
     write_json_atomic,
 )
 from repro.exceptions import SerializationError
+
+from legacy_artifacts import v1_payload, v2_payload
 
 MODES = ("labelled", "oneclass")
 STRATEGIES = ("per_unit", "global")
@@ -67,33 +70,14 @@ def _json_round_trip(payload):
 
 
 def _payload(detector, version):
-    """``detector``'s payload in format ``version``.
+    """``detector``'s payload in the read-only single-JSON format ``version``."""
+    return v1_payload(detector) if version == 1 else v2_payload(detector)
 
-    The writers only produce v2.  A v1 payload is the v2 one in the layout
-    the retired v1 writer used: each tree node carries its codebook slice
-    inline, with no compiled arrays, serving tables or serving config.
-    """
-    payload = detector_to_dict(detector)
-    if version == 2:
-        return payload
-    model = payload["model"]
-    compiled = model.pop("compiled")
-    offsets = compiled["node_offsets"]
-    codebooks = {
-        node_id: compiled["codebook"][offsets[i] : offsets[i + 1]]
-        for i, node_id in enumerate(compiled["node_ids"])
-    }
 
-    def inline(node):
-        node["codebook"] = codebooks[node["node_id"]]
-        for child in node["children"].values():
-            inline(child)
-
-    inline(model["root"])
-    for key in ("serving_config", "random_state", "leaf_tables"):
-        del payload[key]
-    payload["format_version"] = model["format_version"] = 1
-    return payload
+def _round_trip(detector):
+    """``detector`` through its v3 payload and sidecar arrays, in memory."""
+    payload, arrays = detector_binary_payload(detector)
+    return detector_from_dict(payload, arrays=arrays)
 
 
 class TestRoundTripByteIdentical:
@@ -120,23 +104,14 @@ class TestRoundTripByteIdentical:
         assert np.array_equal(
             loaded.score_samples(test_matrix), detector.score_samples(test_matrix)
         )
-        if version == 2:
-            # The compiled artifact must not cost much more than the tree
-            # format: rewrite the golden detector, compare with its v1 file.
-            golden = tmp_path / "golden_v2.json"
-            write_json_atomic(
-                detector_to_dict(load_detector(GOLDEN_DIR / "detector_v2.json")), golden
-            )
-            v1_size = (GOLDEN_DIR / "detector_v1.json").stat().st_size
-            assert golden.stat().st_size < 1.25 * v1_size
 
     def test_random_state_restored(self, detectors):
         detector = detectors[("labelled", "per_unit")]
-        loaded = detector_from_dict(detector_to_dict(detector))
+        loaded = _round_trip(detector)
         assert loaded.random_state == detector.random_state == 0
 
     def test_deserialized_strategies_declare_fit_version(self, detectors):
-        loaded = detector_from_dict(detector_to_dict(detectors[("labelled", "global")]))
+        loaded = _round_trip(detectors[("labelled", "global")])
         # Declared in __init__/from_dict, not conjured lazily by fit().
         assert loaded.threshold_.fit_version == 0
         assert loaded.labeler.fit_version == 0
@@ -147,7 +122,7 @@ class TestV2ServesWithoutTree:
         import repro.core.ghsom as ghsom_module
 
         detector = detectors[("labelled", "per_unit")]
-        payload = _json_round_trip(detector_to_dict(detector))
+        payload = _json_round_trip(v2_payload(detector))
         constructed = []
         original_init = ghsom_module.GhsomNode.__init__
 
@@ -163,7 +138,7 @@ class TestV2ServesWithoutTree:
 
     def test_tree_hydrates_lazily_and_matches(self, detectors, test_matrix):
         detector = detectors[("labelled", "per_unit")]
-        loaded = detector_from_dict(_json_round_trip(detector_to_dict(detector)))
+        loaded = detector_from_dict(_json_round_trip(v2_payload(detector)))
         loaded.detect(test_matrix)
         assert not loaded.tree_is_materialized
         # Touching .model rebuilds the tree from the stored payload...
@@ -244,4 +219,7 @@ class TestAtomicWrites:
         path = tmp_path / "nested" / "detector.json"
         save_detector(detector, path)
         assert load_detector(path).is_fitted
-        assert [p.name for p in path.parent.iterdir()] == ["detector.json"]
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            "detector.json",
+            "detector.npz",
+        ]

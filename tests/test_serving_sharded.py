@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from repro.cli import load_bundle, save_bundle
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
 from repro.core.serialization import (
+    detector_binary_payload,
     detector_from_dict,
-    detector_to_dict,
     load_detector,
     save_detector,
 )
@@ -249,9 +249,9 @@ class TestLayoutFromArrays:
     """The shard layout always comes from the compiled arrays."""
 
     def test_fresh_artifacts_carry_no_manifest(self, labelled_detector, tmp_path):
-        assert "shard_manifest" not in detector_to_dict(labelled_detector)
+        assert "shard_manifest" not in detector_binary_payload(labelled_detector)[0]
         path = tmp_path / "detector.json"
-        save_detector(labelled_detector, path, format="binary")
+        save_detector(labelled_detector, path)
         assert "shard_manifest" not in json.loads(path.read_text())
 
     @pytest.mark.parametrize(
@@ -446,7 +446,7 @@ class TestShardedBundle:
     def test_parent_payload_with_pool_backend_serves_serially(
         self, labelled_detector, workload, backend
     ):
-        payload = detector_to_dict(labelled_detector)
+        payload, arrays = detector_binary_payload(labelled_detector)
         payload["serving_config"]["sharding"] = {
             "shards": 3,
             "workers": 2,
@@ -454,7 +454,7 @@ class TestShardedBundle:
             "remote_workers": None,
             "provisioning": "auto",
         }
-        loaded = detector_from_dict(json.loads(json.dumps(payload)))
+        loaded = detector_from_dict(json.loads(json.dumps(payload)), arrays=arrays)
         assert loaded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
         X = workload["X_test"]
         reference = labelled_detector.detect(X)

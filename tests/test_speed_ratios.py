@@ -26,8 +26,8 @@ import pytest
 from repro.cli import load_bundle, save_bundle
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.core.serialization import (
+    detector_binary_payload,
     detector_from_dict,
-    detector_to_dict,
     load_detector,
     save_detector,
     write_json_atomic,
@@ -43,6 +43,7 @@ from repro.serving import (
     subtrees_from_compiled,
 )
 
+from legacy_artifacts import v2_payload
 from legacy_descent import legacy_score_samples
 
 SEED = 2013
@@ -87,7 +88,7 @@ def workload():
 @pytest.fixture(scope="module")
 def binary_bundle(workload, tmp_path_factory):
     path = tmp_path_factory.mktemp("ratios") / "model.json"
-    save_bundle(workload["pipeline"], workload["detector"], path, format="binary")
+    save_bundle(workload["pipeline"], workload["detector"], path)
     return path
 
 
@@ -105,7 +106,8 @@ def test_fused_engine_beats_numpy_on_the_largest_batch(workload):
     if not kernels.fused_supported("euclidean"):
         pytest.skip(f"no fused kernel available: {kernels.fused_build_error()}")
     numpy_detector = workload["detector"]
-    fused_detector = detector_from_dict(detector_to_dict(numpy_detector))
+    payload, arrays = detector_binary_payload(numpy_detector)
+    fused_detector = detector_from_dict(payload, arrays=arrays)
     fused_detector.configure(fused_detector.serving_config.evolve(engine="fused"))
     batch = workload["X"][: max(BATCH_SIZES)]
     fused_detector.score_samples(batch)  # loads the kernel, transposes the codebook
@@ -133,8 +135,9 @@ def _load_and_score(path, rows):
 
 def test_v3_cold_load_to_first_score_beats_v2(workload, tmp_path):
     v2, v3 = tmp_path / "detector_v2.json", tmp_path / "detector_v3.json"
-    write_json_atomic(detector_to_dict(workload["detector"], version=2), v2)
-    save_detector(workload["detector"], v3, format="binary")
+    # v2 is read but no longer written; the tests-only helper builds its layout.
+    write_json_atomic(v2_payload(workload["detector"]), v2)
+    save_detector(workload["detector"], v3)
     first = workload["X"][:256]
     v2_seconds = best_of(_load_and_score, v2, first)
     v3_seconds = best_of(_load_and_score, v3, first)
@@ -143,11 +146,12 @@ def test_v3_cold_load_to_first_score_beats_v2(workload, tmp_path):
 
 def test_memmap_served_descent_keeps_up_with_in_ram(workload, tmp_path):
     # A v3 artifact serves from np.memmap arrays; the descent views them as
-    # plain ndarrays, so both loads run the same operations.
+    # plain ndarrays, so the mapped load runs the same operations as the
+    # fitted detector's in-RAM arrays.
     path = tmp_path / "detector_v3.json"
-    save_detector(workload["detector"], path, format="binary")
+    save_detector(workload["detector"], path)
     mapped = load_detector(path)._compiled_model()
-    in_ram = load_detector(path, overrides={"mmap": False})._compiled_model()
+    in_ram = workload["detector"]._compiled_model()
     assert isinstance(mapped.codebook, np.memmap)
     assert not isinstance(in_ram.codebook, np.memmap)
     batch = workload["X"][:500]
