@@ -61,7 +61,7 @@ from repro.eval.experiments import DetectorResult, evaluate_detector
 from repro.eval.metrics import binary_metrics, per_category_detection_rates
 from repro.eval.reporting import save_markdown_report, save_results_json
 from repro.eval.tables import format_table
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SerializationError
 from repro.serving.config import ServingConfig, ShardingSpec
 
 #: Bundles are written as v3 (``BINARY_FORMAT_VERSION``): the JSON document
@@ -136,6 +136,9 @@ def load_bundle(
         raise ReproError(
             f"{path} has unsupported bundle version {payload.get('format_version')!r}"
         )
+    for key in ("pipeline", "detector"):
+        if not isinstance(payload.get(key), dict):
+            raise SerializationError(f"{path} has no {key!r} object")
     pipeline = PreprocessingPipeline.from_dict(payload["pipeline"])
     detector = detector_from_dict(
         payload["detector"],

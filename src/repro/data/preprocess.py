@@ -18,6 +18,7 @@ names so model inspection can refer back to meaningful columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,12 +43,13 @@ LOG_SCALE_FEATURES: Tuple[str, ...] = (
 )
 
 
-class OneHotEncoder:
-    """One-hot encoder for a single categorical column.
+class _CategoryEncoder:
+    """A fixed tuple of categories, encoded by looking up one table row per value.
 
-    Unknown values at transform time map to the all-zeros vector (an explicit
-    "none of the known categories" encoding) rather than raising, because test
-    traffic routinely contains service values never seen in training.
+    A value's code is its position in :attr:`categories` and its encoding is
+    that row of the subclass's table; a value outside the categories gets
+    code ``-1``, the table's last row.  ``transform`` compares values as
+    ``str(value)``.
     """
 
     def __init__(self, categories: Optional[Sequence[str]] = None) -> None:
@@ -55,61 +57,67 @@ class OneHotEncoder:
             tuple(categories) if categories is not None else None
         )
         self._index: Optional[Dict[str, int]] = None
+        self._table: Optional[np.ndarray] = None
 
     @property
     def categories(self) -> Tuple[str, ...]:
         if self._categories is None:
-            raise NotFittedError("OneHotEncoder is not fitted")
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
         return self._categories
 
-    def fit(self, values: Sequence[str]) -> "OneHotEncoder":
+    def fit(self, values: Sequence[str]) -> "_CategoryEncoder":
         if self._categories is None:
             self._categories = tuple(sorted({str(value) for value in values}))
         self._index = {value: position for position, value in enumerate(self._categories)}
+        self._table = self._lookup_table(len(self._categories))
         return self
 
-    def transform(self, values: Sequence[str]) -> np.ndarray:
-        if self._index is None:
-            raise NotFittedError("OneHotEncoder is not fitted")
-        encoded = np.zeros((len(values), len(self._categories or ())), dtype=float)
-        for row, value in enumerate(values):
-            column = self._index.get(str(value))
-            if column is not None:
-                encoded[row, column] = 1.0
-        return encoded
+    @staticmethod
+    def _lookup_table(n_categories: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def encode(self, values: Sequence[str]) -> np.ndarray:
+        """The ``(len(values), width)`` encoding of the strings in ``values``."""
+        if self._index is None or self._table is None:
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
+        codes = np.fromiter(
+            map(self._index.get, values, repeat(-1)), dtype=np.intp, count=len(values)
+        )
+        return np.take(self._table, codes, axis=0)
 
     def fit_transform(self, values: Sequence[str]) -> np.ndarray:
         return self.fit(values).transform(values)
 
+    def transform(self, values: Sequence[str]) -> np.ndarray:
+        raise NotImplementedError
 
-class OrdinalEncoder:
+
+class OneHotEncoder(_CategoryEncoder):
+    """One-hot encoder for a single categorical column.
+
+    Unknown values at transform time map to the all-zeros vector (an explicit
+    "none of the known categories" encoding) rather than raising, because test
+    traffic routinely contains service values never seen in training.
+    """
+
+    @staticmethod
+    def _lookup_table(n_categories: int) -> np.ndarray:
+        # The identity, then the all-zero row of an unknown value.
+        return np.eye(n_categories + 1, n_categories)
+
+    def transform(self, values: Sequence[str]) -> np.ndarray:
+        return self.encode(list(map(str, values)))
+
+
+class OrdinalEncoder(_CategoryEncoder):
     """Maps categorical values to integer codes (unknown values get ``-1``)."""
 
-    def __init__(self, categories: Optional[Sequence[str]] = None) -> None:
-        self._categories: Optional[Tuple[str, ...]] = (
-            tuple(categories) if categories is not None else None
-        )
-        self._index: Optional[Dict[str, int]] = None
-
-    @property
-    def categories(self) -> Tuple[str, ...]:
-        if self._categories is None:
-            raise NotFittedError("OrdinalEncoder is not fitted")
-        return self._categories
-
-    def fit(self, values: Sequence[str]) -> "OrdinalEncoder":
-        if self._categories is None:
-            self._categories = tuple(sorted({str(value) for value in values}))
-        self._index = {value: position for position, value in enumerate(self._categories)}
-        return self
+    @staticmethod
+    def _lookup_table(n_categories: int) -> np.ndarray:
+        return np.append(np.arange(n_categories, dtype=float), -1.0).reshape(-1, 1)
 
     def transform(self, values: Sequence[str]) -> np.ndarray:
-        if self._index is None:
-            raise NotFittedError("OrdinalEncoder is not fitted")
-        return np.array([self._index.get(str(value), -1) for value in values], dtype=float)
-
-    def fit_transform(self, values: Sequence[str]) -> np.ndarray:
-        return self.fit(values).transform(values)
+        return self.encode(list(map(str, values)))[:, 0]
 
 
 class MinMaxScaler:
@@ -209,6 +217,20 @@ class _FittedColumns:
     categorical_names: List[str]
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Where each input column lands in the unscaled matrix."""
+
+    columns: _FittedColumns
+    #: (block columns, output columns) of each run of adjacent numeric features.
+    numeric_runs: Tuple[Tuple[slice, slice], ...]
+    #: Block columns that take ``log1p``, and their output columns.
+    log_block: np.ndarray
+    log_out: np.ndarray
+    #: Per symbolic feature: its name, output columns and fitted encoder.
+    symbolic: Tuple[Tuple[str, slice, _CategoryEncoder], ...]
+
+
 class PreprocessingPipeline:
     """Raw :class:`Dataset` -> numeric feature matrix ready for SOM training.
 
@@ -244,7 +266,7 @@ class PreprocessingPipeline:
         self.scaling = scaling
         self.log_transform = log_transform
         self.schema = schema or KddSchema()
-        self._encoders: Dict[str, object] = {}
+        self._layout = self._lay_out()
         self._scaler: Optional[object] = None
         self._columns: Optional[_FittedColumns] = None
 
@@ -267,10 +289,9 @@ class PreprocessingPipeline:
 
     # ------------------------------------------------------------------ #
     def fit(self, dataset: Dataset) -> "PreprocessingPipeline":
-        """Learn encoders and scaler statistics from ``dataset``."""
-        self._fit_encoders(dataset)
-        unscaled, columns = self._assemble(dataset)
-        self._columns = columns
+        """Learn the scaler statistics from ``dataset`` (the encoders follow the schema)."""
+        unscaled = self._encode(dataset)
+        self._columns = self._layout.columns
         if self.scaling == "minmax":
             self._scaler = MinMaxScaler().fit(unscaled)
         elif self.scaling == "zscore":
@@ -283,7 +304,7 @@ class PreprocessingPipeline:
         """Transform ``dataset`` into the fitted numeric representation."""
         if self._columns is None:
             raise NotFittedError("PreprocessingPipeline is not fitted")
-        unscaled, _ = self._assemble(dataset)
+        unscaled = self._encode(dataset)
         if self._scaler is None:
             return unscaled
         return self._scaler.transform(unscaled)
@@ -293,15 +314,60 @@ class PreprocessingPipeline:
         return self.fit(dataset).transform(dataset)
 
     # ------------------------------------------------------------------ #
-    def _fit_encoders(self, dataset: Dataset) -> None:
-        self._encoders = {}
-        for name in self.schema.categorical:
+    def _lay_out(self) -> _Layout:
+        """Fit the encoders on the schema's value sets and place every input column.
+
+        The output keeps schema order, with each symbolic feature expanded in
+        place (one column per category when one-hot encoded).
+        """
+        encoder_type = OneHotEncoder if self.categorical_encoding == "onehot" else OrdinalEncoder
+        names: List[str] = []
+        numeric_out: List[int] = []
+        numeric_names: List[str] = []
+        categorical_names: List[str] = []
+        symbolic: List[Tuple[str, slice, _CategoryEncoder]] = []
+        for name in self.schema.feature_names:
+            if not self.schema.is_categorical(name):
+                numeric_out.append(len(names))
+                numeric_names.append(name)
+                names.append(name)
+                continue
             values = self.schema.values_for(name)
-            if self.categorical_encoding == "onehot":
-                encoder: object = OneHotEncoder(categories=values).fit(values)
-            else:
-                encoder = OrdinalEncoder(categories=values).fit(values)
-            self._encoders[name] = encoder
+            encoder = encoder_type(categories=values).fit(values)
+            produced = (
+                [f"{name}={value}" for value in encoder.categories]
+                if isinstance(encoder, OneHotEncoder)
+                else [name]
+            )
+            symbolic.append((name, slice(len(names), len(names) + len(produced)), encoder))
+            names.extend(produced)
+            categorical_names.extend(produced)
+        log_block = [
+            column
+            for column, name in enumerate(numeric_names)
+            if self.log_transform and name in LOG_SCALE_FEATURES
+        ]
+        return _Layout(
+            columns=_FittedColumns(names, numeric_names, categorical_names),
+            numeric_runs=_runs(numeric_out),
+            log_block=np.array(log_block, dtype=np.intp),
+            log_out=np.array([numeric_out[column] for column in log_block], dtype=np.intp),
+            symbolic=tuple(symbolic),
+        )
+
+    def _encode(self, dataset: Dataset) -> np.ndarray:
+        """The unscaled matrix: the numeric block in its columns, the symbolic ones encoded."""
+        if dataset.schema.feature_names != self.schema.feature_names:
+            raise DataValidationError("dataset schema does not match the pipeline schema")
+        layout = self._layout
+        block = dataset.numeric_matrix()
+        unscaled = np.empty((len(dataset), len(layout.columns.feature_names)))
+        for source, target in layout.numeric_runs:
+            unscaled[:, target] = block[:, source]
+        unscaled[:, layout.log_out] = np.log1p(np.maximum(block[:, layout.log_block], 0.0))
+        for name, columns, encoder in layout.symbolic:
+            unscaled[:, columns] = encoder.encode(dataset.column(name))
+        return unscaled
 
     # ------------------------------------------------------------------ #
     # serialization (used by the CLI to bundle the pipeline with a model)
@@ -349,7 +415,6 @@ class PreprocessingPipeline:
             scaling=str(data["scaling"]),
             log_transform=_flag(data["log_transform"], "log_transform"),
         )
-        pipeline._fit_encoders_from_schema()
         columns = dict(data["columns"])
         pipeline._columns = _FittedColumns(
             feature_names=[str(name) for name in columns["feature_names"]],
@@ -373,37 +438,14 @@ class PreprocessingPipeline:
             raise ConfigurationError(f"unknown scaler kind {scaler_payload['kind']!r}")
         return pipeline
 
-    def _fit_encoders_from_schema(self) -> None:
-        """Fit the categorical encoders from the schema's fixed value sets."""
-        self._fit_encoders(None)
 
-    def _assemble(self, dataset: Dataset) -> Tuple[np.ndarray, _FittedColumns]:
-        if dataset.schema.feature_names != self.schema.feature_names:
-            raise DataValidationError("dataset schema does not match the pipeline schema")
-        blocks: List[np.ndarray] = []
-        names: List[str] = []
-        numeric_names: List[str] = []
-        categorical_names: List[str] = []
-        for name in self.schema.feature_names:
-            column = dataset.column(name)
-            if self.schema.is_categorical(name):
-                encoder = self._encoders[name]
-                if isinstance(encoder, OneHotEncoder):
-                    encoded = encoder.transform(column)
-                    blocks.append(encoded)
-                    produced = [f"{name}={value}" for value in encoder.categories]
-                else:
-                    encoded = encoder.transform(column).reshape(-1, 1)
-                    blocks.append(encoded)
-                    produced = [name]
-                names.extend(produced)
-                categorical_names.extend(produced)
-            else:
-                numeric = column.astype(float).reshape(-1, 1)
-                if self.log_transform and name in LOG_SCALE_FEATURES:
-                    numeric = np.log1p(np.maximum(numeric, 0.0))
-                blocks.append(numeric)
-                names.append(name)
-                numeric_names.append(name)
-        matrix = np.concatenate(blocks, axis=1)
-        return matrix, _FittedColumns(names, numeric_names, categorical_names)
+def _runs(targets: Sequence[int]) -> Tuple[Tuple[slice, slice], ...]:
+    """The moves ``column i -> targets[i]`` as (source, target) slices, one per adjacent run."""
+    runs: List[Tuple[slice, slice]] = []
+    for column, target in enumerate(targets):
+        if runs and runs[-1][1].stop == target:
+            source, output = runs[-1]
+            runs[-1] = (slice(source.start, column + 1), slice(output.start, target + 1))
+        else:
+            runs.append((slice(column, column + 1), slice(target, target + 1)))
+    return tuple(runs)

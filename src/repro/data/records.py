@@ -6,10 +6,11 @@ Two layers of representation are used throughout the library:
   features (mixed symbolic / numeric values) together with its label, mainly
   produced by the :mod:`repro.netsim` feature extractor and the synthetic
   generator.
-* :class:`Dataset` — a column-oriented table of many records, carrying the
-  raw object array, the label vector, and the :class:`~repro.data.schema.KddSchema`
-  describing the columns.  Datasets are what the preprocessing pipeline
-  consumes and what the loader reads/writes.
+* :class:`Dataset` — a column-oriented table of many records: a float64
+  block of the numeric features, one string array per symbolic feature, the
+  label vector, and the :class:`~repro.data.schema.KddSchema` describing the
+  columns.  Datasets are what the preprocessing pipeline consumes and what
+  the loader reads/writes.
 """
 
 from __future__ import annotations
@@ -86,15 +87,21 @@ class ConnectionRecord:
 class Dataset:
     """A labelled, column-oriented table of connection records.
 
+    The numeric features are one float64 block and each symbolic feature is
+    one object array of strings, so no per-record object is kept between the
+    feature extractor and the preprocessing pipeline.  The block and the
+    symbolic arrays are read-only.
+
     Attributes
     ----------
-    raw:
-        Object array of shape ``(n_records, n_features)`` holding the raw
-        (pre-encoding) feature values in schema order.
     labels:
         Array of per-record labels (named attacks or categories).
     schema:
         The :class:`KddSchema` describing the columns.
+
+    ``Dataset(raw, labels, schema=)`` builds a dataset from rows (the loader,
+    the synthetic generator); :meth:`from_columns` takes the columns as they
+    are (the feature extractor).
     """
 
     def __init__(
@@ -103,23 +110,64 @@ class Dataset:
         labels: Sequence[str],
         schema: Optional[KddSchema] = None,
     ) -> None:
-        self.schema = schema or KddSchema()
+        schema = schema or KddSchema()
         raw_array = np.asarray(raw, dtype=object)
         if raw_array.ndim == 1:
             raw_array = raw_array.reshape(1, -1)
         if raw_array.ndim != 2:
             raise DataValidationError(f"raw data must be 2-dimensional, got shape {raw_array.shape}")
-        if raw_array.shape[1] != self.schema.n_features:
+        if raw_array.shape[1] != schema.n_features:
             raise DataValidationError(
                 f"raw data has {raw_array.shape[1]} columns but the schema defines "
-                f"{self.schema.n_features}"
+                f"{schema.n_features}"
             )
+        symbolic = [
+            list(map(str, raw_array[:, schema.index_of(name)])) for name in schema.categorical
+        ]
+        self._set_columns(schema, _numeric_block(raw_array, schema), symbolic, labels)
+
+    @classmethod
+    def from_columns(
+        cls,
+        numeric: np.ndarray,
+        symbolic: Sequence[Sequence[str]],
+        labels: Sequence[str],
+        *,
+        schema: Optional[KddSchema] = None,
+    ) -> "Dataset":
+        """A dataset from its columns, without building any row.
+
+        ``numeric`` is the ``(n_records, n_numeric)`` float block in
+        ``schema.numeric_features`` order, ``symbolic`` holds the string values
+        of each ``schema.categorical`` feature, in that order.
+        """
+        dataset = cls.__new__(cls)
+        dataset._set_columns(schema or KddSchema(), numeric, symbolic, labels)
+        return dataset
+
+    def _set_columns(
+        self,
+        schema: KddSchema,
+        numeric: np.ndarray,
+        symbolic: Sequence[Sequence[str]],
+        labels: Sequence[str],
+    ) -> None:
+        block = np.asarray(numeric, dtype=np.float64)
+        columns = tuple(np.asarray(values, dtype=object) for values in symbolic)
         labels_array = np.asarray(list(labels), dtype=object)
-        if labels_array.shape[0] != raw_array.shape[0]:
+        n_records = labels_array.shape[0]
+        shapes = [block.shape] + [column.shape for column in columns]
+        expected = [(n_records, len(schema.numeric_features))] + [(n_records,)] * len(
+            schema.categorical
+        )
+        if shapes != expected:
             raise DataValidationError(
-                f"got {raw_array.shape[0]} records but {labels_array.shape[0]} labels"
+                f"columns of shapes {shapes} do not match {n_records} labels and the schema, "
+                f"which needs {expected}"
             )
-        self.raw = raw_array
+        self.schema = schema
+        self._numeric = _read_only(block)
+        self._symbolic = tuple(_read_only(column) for column in columns)
         self.labels = labels_array
 
     # ------------------------------------------------------------------ #
@@ -139,14 +187,15 @@ class Dataset:
     @classmethod
     def empty_like(cls, other: "Dataset") -> "Dataset":
         """An empty dataset sharing ``other``'s schema (useful for accumulation)."""
-        empty_raw = np.empty((0, other.schema.n_features), dtype=object)
-        return cls(empty_raw, [], schema=other.schema)
+        return cls.from_columns(
+            other._numeric[:0], [column[:0] for column in other._symbolic], [], schema=other.schema
+        )
 
     # ------------------------------------------------------------------ #
     # basic protocol
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self.raw.shape[0]
+        return self.labels.shape[0]
 
     def __iter__(self) -> Iterator[ConnectionRecord]:
         for index in range(len(self)):
@@ -161,25 +210,46 @@ class Dataset:
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
+    @property
+    def raw(self) -> np.ndarray:
+        """The records as a read-only ``(n_records, n_features)`` object array in schema order.
+
+        Numeric cells are Python floats, symbolic cells strings.  The array is
+        built on every access; the dataset keeps only its columns.
+        """
+        schema = self.schema
+        raw = np.empty((len(self), schema.n_features), dtype=object)
+        raw[:, [schema.index_of(name) for name in schema.numeric_features]] = self._numeric
+        for name, column in zip(schema.categorical, self._symbolic, strict=True):
+            raw[:, schema.index_of(name)] = column
+        raw.flags.writeable = False
+        return raw
+
     def record(self, index: int) -> ConnectionRecord:
         """Materialise record ``index`` as a :class:`ConnectionRecord`."""
-        row = self.raw[index]
-        values = {name: row[column] for column, name in enumerate(self.schema.feature_names)}
+        values: Dict[str, Union[str, float]] = dict(
+            zip(self.schema.numeric_features, self._numeric[index].tolist(), strict=True)
+        )
+        for name, column in zip(self.schema.categorical, self._symbolic, strict=True):
+            values[name] = column[index]
         return ConnectionRecord(values=values, label=str(self.labels[index]), schema=self.schema)
 
     def column(self, feature: str) -> np.ndarray:
-        """The raw column for ``feature``."""
-        return self.raw[:, self.schema.index_of(feature)]
+        """The read-only column of ``feature``: floats if numeric, strings if symbolic."""
+        if self.schema.is_categorical(feature):
+            return self._symbolic[self.schema.categorical.index(feature)]
+        return self._numeric[:, self.schema.numeric_features.index(feature)]
 
     def numeric_matrix(self) -> np.ndarray:
-        """The numeric (non-categorical) columns as a float matrix."""
-        columns = [self.schema.index_of(name) for name in self.schema.numeric_features]
-        return self.raw[:, columns].astype(float)
+        """The read-only float block of the numeric features, in ``schema.numeric_features`` order."""
+        return self._numeric
 
     @property
     def categories(self) -> np.ndarray:
-        """Per-record high-level attack categories."""
-        return np.array([attack_category(str(label)) for label in self.labels], dtype=object)
+        """Per-record high-level attack categories (each distinct label is mapped once)."""
+        labels = self.labels.tolist()
+        category = {label: attack_category(str(label)) for label in set(labels)}
+        return np.array(list(map(category.__getitem__, labels)), dtype=object)
 
     @property
     def is_attack(self) -> np.ndarray:
@@ -197,21 +267,33 @@ class Dataset:
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """A new dataset containing only the rows in ``indices`` (order preserved)."""
         index_array = np.asarray(indices, dtype=int)
-        return Dataset(self.raw[index_array], self.labels[index_array], schema=self.schema)
+        return Dataset.from_columns(
+            self._numeric[index_array],
+            [column[index_array] for column in self._symbolic],
+            self.labels[index_array],
+            schema=self.schema,
+        )
 
     def filter_by_category(self, *categories: str) -> "Dataset":
         """Keep only records whose category is in ``categories``."""
-        wanted = set(categories)
-        mask = np.array([category in wanted for category in self.categories])
-        return self.subset(np.flatnonzero(mask))
+        return self.subset(np.flatnonzero(np.isin(self.categories, list(categories))))
 
     def concat(self, other: "Dataset") -> "Dataset":
         """Concatenate two datasets sharing the same schema."""
-        if other.schema.feature_names != self.schema.feature_names:
+        if (other.schema.feature_names, other.schema.categorical) != (
+            self.schema.feature_names,
+            self.schema.categorical,
+        ):
             raise DataValidationError("cannot concatenate datasets with different schemas")
-        raw = np.concatenate([self.raw, other.raw], axis=0)
-        labels = np.concatenate([self.labels, other.labels], axis=0)
-        return Dataset(raw, labels, schema=self.schema)
+        return Dataset.from_columns(
+            np.concatenate([self._numeric, other._numeric], axis=0),
+            [
+                np.concatenate(pair)
+                for pair in zip(self._symbolic, other._symbolic, strict=True)
+            ],
+            np.concatenate([self.labels, other.labels], axis=0),
+            schema=self.schema,
+        )
 
     def shuffled(self, random_state: RandomState = None) -> "Dataset":
         """A new dataset with rows in random order."""
@@ -247,3 +329,24 @@ class Dataset:
             "class_counts": counts,
             "attack_fraction": float(np.mean(self.is_attack)) if total else 0.0,
         }
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the array itself stays writeable)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _numeric_block(raw: np.ndarray, schema: KddSchema) -> np.ndarray:
+    """The numeric columns of ``raw`` as one float block; a non-number names its feature."""
+    names = schema.numeric_features
+    block = np.empty((raw.shape[0], len(names)))
+    for column, name in enumerate(names):
+        try:
+            block[:, column] = raw[:, schema.index_of(name)]
+        except (TypeError, ValueError) as exc:
+            raise DataValidationError(
+                f"numeric feature {name!r} holds a non-numeric value: {exc}"
+            ) from exc
+    return block

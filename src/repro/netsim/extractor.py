@@ -181,9 +181,6 @@ class KddFeatureExtractor:
         self.time_window_seconds = float(time_window_seconds)
         self.host_window_size = int(host_window_size)
         self.schema = KddSchema()
-        index_of = self.schema.index_of
-        self._numeric_columns = [index_of(name) for name in self.schema.numeric_features]
-        self._symbolic_columns = [index_of(name) for name in self.schema.categorical]
 
     # ------------------------------------------------------------------ #
     def extract(self, events: Iterable[ConnectionEvent]) -> Dataset:
@@ -208,23 +205,21 @@ class KddFeatureExtractor:
         # A connection from an endpoint to itself is a land connection whatever the event says.
         land = (src == dst) & (port == ports[n:])
         numbers[:, _LAND] = np.where(land, 1.0, numbers[:, _LAND])
-        numeric = (
-            numbers[:, 1:],
-            self._content_features(content),
-            self._window_features(timestamps, src, dst, port, _codes(service), flag),
+        # The numeric features in schema order: basic, content, window.
+        numeric = np.hstack(
+            (
+                numbers[:, 1:],
+                self._content_features(content),
+                self._window_features(timestamps, src, dst, port, _codes(service), flag),
+            )
         )
         symbolic = (protocol, service, flag)
-        built = sum(block.shape[1] for block in numeric) + len(symbolic)
+        built = numeric.shape[1] + len(symbolic)
         if built != self.schema.n_features:
             raise SimulationError(
                 f"internal error: built {built} features, schema expects {self.schema.n_features}"
             )
-        features = np.zeros((n, self.schema.n_features))
-        features[:, self._numeric_columns] = np.hstack(numeric)
-        raw = features.astype(object)
-        for column, values in zip(self._symbolic_columns, symbolic, strict=True):
-            raw[:, column] = values
-        return Dataset(raw, label, schema=self.schema)
+        return Dataset.from_columns(numeric, symbolic, label, schema=self.schema)
 
     # ------------------------------------------------------------------ #
     @staticmethod

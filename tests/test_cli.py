@@ -139,9 +139,18 @@ class TestUnreadableBundles:
         truncated.write_text(trained_model_path.read_text()[:200])
         listed = tmp_path / "list.json"
         listed.write_text("[]")
-        return {"truncated": truncated, "missing": tmp_path / "missing.json", "list": listed}
+        bundles = {"truncated": truncated, "missing": tmp_path / "missing.json", "list": listed}
+        # A bundle header without one of its two parts.
+        header = {"kind": "repro_bundle", "format_version": 3}
+        pipeline = json.loads(trained_model_path.read_text())["pipeline"]
+        for part, payload in (("pipeline", header), ("detector", {**header, "pipeline": pipeline})):
+            bundles[f"no_{part}"] = tmp_path / f"no_{part}.json"
+            bundles[f"no_{part}"].write_text(json.dumps(payload))
+        return bundles
 
-    @pytest.mark.parametrize("kind", ["truncated", "missing", "list"])
+    @pytest.mark.parametrize(
+        "kind", ["truncated", "missing", "list", "no_pipeline", "no_detector"]
+    )
     @pytest.mark.parametrize("command", ["detect", "inspect"])
     def test_unreadable_bundle_exits_2(self, bad_bundles, data_dir, capsys, command, kind):
         argv = [command, "--model", str(bad_bundles[kind])]
@@ -153,6 +162,8 @@ class TestUnreadableBundles:
         assert len(lines) == 1, err
         assert lines[0].startswith("error: ")
         assert str(bad_bundles[kind]) in lines[0]
+        if kind.startswith("no_"):
+            assert repr(kind[3:]) in lines[0]
 
 
 class TestTrainDetectInspect:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.records import ConnectionRecord, Dataset
-from repro.data.schema import KddSchema
+from repro.data.schema import KddSchema, attack_category
 from repro.exceptions import DataValidationError, SchemaError
 
 
@@ -145,3 +145,76 @@ class TestDataset:
         summary = small_dataset.summary()
         assert summary["n_records"] == len(small_dataset)
         assert 0.0 <= summary["attack_fraction"] <= 1.0
+
+
+#: Named attacks and categories, as KDD files spell them (trailing dots, case, spaces).
+MIXED_LABELS = [
+    "normal", "normal.", "smurf.", "smurf", "Neptune.", " portsweep.", "guess_passwd",
+    "dos", "u2r", "buffer_overflow.", "normal", "smurf.",
+]
+
+
+def _rows(n: int):
+    row = [_record_values(KddSchema())[name] for name in KddSchema().feature_names]
+    return [list(row) for _ in range(n)]
+
+
+class TestCategories:
+    def test_matches_the_per_record_mapping(self):
+        dataset = Dataset(_rows(len(MIXED_LABELS)), MIXED_LABELS)
+        expected = np.array([attack_category(str(label)) for label in MIXED_LABELS], dtype=object)
+        categories = dataset.categories
+        assert categories.dtype == object
+        assert [type(value) for value in categories] == [str] * len(MIXED_LABELS)
+        assert categories.tolist() == expected.tolist()
+        np.testing.assert_array_equal(dataset.is_attack, expected != "normal")
+        assert dataset.class_counts() == {"normal": 3, "dos": 5, "probe": 1, "r2l": 1, "u2r": 2}
+
+    def test_subsets_and_empty_datasets(self):
+        dataset = Dataset(_rows(len(MIXED_LABELS)), MIXED_LABELS)
+        assert dataset.filter_by_category("u2r", "probe").labels.tolist() == [
+            " portsweep.", "u2r", "buffer_overflow.",
+        ]
+        assert Dataset.empty_like(dataset).categories.shape == (0,)
+        assert len(dataset.filter_by_category()) == 0
+
+    def test_unknown_label_still_raises(self):
+        dataset = Dataset(_rows(3), ["normal", "not_an_attack.", "smurf"])
+        with pytest.raises(SchemaError, match="not_an_attack"):
+            dataset.categories
+
+
+class TestColumnarConstruction:
+    def test_non_numeric_value_names_its_feature(self):
+        rows = _rows(3)
+        rows[1][KddSchema().index_of("src_bytes")] = "abc"
+        with pytest.raises(DataValidationError, match="src_bytes"):
+            Dataset(rows, ["normal"] * 3)
+
+    def test_numeric_strings_and_ints_are_parsed_once(self):
+        rows = _rows(2)
+        column = KddSchema().index_of("src_bytes")
+        rows[0][column], rows[1][column] = "12.5", 7
+        dataset = Dataset(rows, ["normal"] * 2)
+        assert dataset.column("src_bytes").tolist() == [12.5, 7.0]
+        assert [type(value) for value in dataset.raw[:, column]] == [float, float]
+
+    def test_symbolic_values_are_kept_as_strings(self):
+        rows = _rows(1)
+        rows[0][KddSchema().index_of("service")] = 42
+        assert Dataset(rows, ["normal"]).column("service").tolist() == ["42"]
+
+    def test_from_columns_checks_shapes(self):
+        schema = KddSchema()
+        block = np.zeros((2, len(schema.numeric_features)))
+        symbolic = [["tcp", "udp"], ["http", "dns"], ["SF", "S0"]]
+        dataset = Dataset.from_columns(block, symbolic, ["normal", "smurf"], schema=schema)
+        assert dataset.raw.tolist() == Dataset(dataset.raw, dataset.labels).raw.tolist()
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset.from_columns(block[:, 1:], symbolic, ["normal", "smurf"])
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset.from_columns(block, symbolic[:2], ["normal", "smurf"])
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset.from_columns(block, [["tcp"], *symbolic[1:]], ["normal", "smurf"])
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset.from_columns(block, symbolic, ["normal"])

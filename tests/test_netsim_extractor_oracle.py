@@ -264,9 +264,9 @@ class TestDenseFlood:
     def test_flood_working_set_is_linear(self, flood):
         """No (events x window) temporary: peak allocation grows with the events only.
 
-        The object-array output alone holds 41 Python floats (about 1.3 kB)
-        per event; one int64 matrix over the 2,000-event window would add
-        16 kB per event.
+        The output holds 38 floats and three symbolic references (about
+        330 bytes) per event; one int64 matrix over the 2,000-event window
+        would add 16 kB per event.
         """
         extractor = KddFeatureExtractor()
         extractor.extract(flood)
