@@ -205,7 +205,8 @@ class KddFeatureExtractor:
         # A connection from an endpoint to itself is a land connection whatever the event says.
         land = (src == dst) & (port == ports[n:])
         numbers[:, _LAND] = np.where(land, 1.0, numbers[:, _LAND])
-        # The numeric features in schema order: basic, content, window.
+        # The numeric features in schema order (basic, content, window);
+        # ``from_columns`` checks the block's width against the schema.
         numeric = np.hstack(
             (
                 numbers[:, 1:],
@@ -213,13 +214,7 @@ class KddFeatureExtractor:
                 self._window_features(timestamps, src, dst, port, _codes(service), flag),
             )
         )
-        symbolic = (protocol, service, flag)
-        built = numeric.shape[1] + len(symbolic)
-        if built != self.schema.n_features:
-            raise SimulationError(
-                f"internal error: built {built} features, schema expects {self.schema.n_features}"
-            )
-        return Dataset.from_columns(numeric, symbolic, label, schema=self.schema)
+        return Dataset.from_columns(numeric, (protocol, service, flag), label, schema=self.schema)
 
     # ------------------------------------------------------------------ #
     @staticmethod
