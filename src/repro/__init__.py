@@ -50,7 +50,6 @@ from repro.core import (
     save_ghsom,
 )
 from repro.data import (
-    ConnectionRecord,
     Dataset,
     KddSchema,
     KddSyntheticGenerator,
@@ -95,7 +94,6 @@ __all__ = [
     "save_detector",
     "save_ghsom",
     # data
-    "ConnectionRecord",
     "Dataset",
     "KddSchema",
     "KddSyntheticGenerator",

@@ -8,7 +8,7 @@ from repro.data.schema import (
     KddSchema,
     attack_category,
 )
-from repro.data.records import ConnectionRecord, Dataset
+from repro.data.records import Dataset
 from repro.data.synthetic import ClassProfile, KddSyntheticGenerator, default_profiles
 from repro.data.loader import load_csv, save_csv, stratified_split, train_test_split
 from repro.data.preprocess import (
@@ -32,7 +32,6 @@ __all__ = [
     "FEATURE_NAMES",
     "KddSchema",
     "attack_category",
-    "ConnectionRecord",
     "Dataset",
     "ClassProfile",
     "KddSyntheticGenerator",

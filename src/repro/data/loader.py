@@ -31,8 +31,11 @@ def save_csv(dataset: Dataset, path: PathLike, *, header: bool = True) -> None:
         writer = csv.writer(handle)
         if header:
             writer.writerow(list(dataset.schema.feature_names) + ["label"])
-        for row, label in zip(dataset.raw, dataset.labels, strict=True):
-            writer.writerow([_format_field(value) for value in row] + [str(label)])
+        columns = [
+            map(_format_field, dataset.column(name).tolist())
+            for name in dataset.schema.feature_names
+        ]
+        writer.writerows(zip(*columns, map(str, dataset.labels), strict=True))
 
 
 def _format_field(value: object) -> str:
@@ -55,7 +58,11 @@ def load_csv(path: PathLike, *, schema: Optional[KddSchema] = None) -> Dataset:
     schema = schema or KddSchema()
     if not path.exists():
         raise DataValidationError(f"dataset file does not exist: {path}")
-    rows: List[List[object]] = []
+    numeric_names = schema.numeric_features
+    numeric_at = [schema.index_of(name) for name in numeric_names]
+    symbolic_at = [schema.index_of(name) for name in schema.categorical]
+    numbers: List[float] = []
+    symbolic: List[List[str]] = [[] for _ in symbolic_at]
     labels: List[str] = []
     with path.open("r", newline="") as handle:
         reader = csv.reader(handle)
@@ -69,20 +76,20 @@ def load_csv(path: PathLike, *, schema: Optional[KddSchema] = None) -> Dataset:
                     f"line {line_number + 1} of {path} has {len(fields)} fields; "
                     f"expected {schema.n_features + 1}"
                 )
-            raw_row = [
-                _parse_field(field.strip(), name, schema)
-                for field, name in zip(fields[: schema.n_features], schema.feature_names, strict=True)
-            ]
-            rows.append(raw_row)
+            numbers.extend(
+                _parse_number(fields[index].strip(), name)
+                for index, name in zip(numeric_at, numeric_names, strict=True)
+            )
+            for column, index in zip(symbolic, symbolic_at, strict=True):
+                column.append(fields[index].strip())
             labels.append(fields[-1].strip().rstrip("."))
-    if not rows:
+    if not labels:
         raise DataValidationError(f"dataset file {path} contains no records")
-    return Dataset(rows, labels, schema=schema)
+    numeric = np.array(numbers, dtype=np.float64).reshape(len(labels), len(numeric_names))
+    return Dataset(numeric, symbolic, labels, schema=schema)
 
 
-def _parse_field(field: str, name: str, schema: KddSchema) -> object:
-    if schema.is_categorical(name):
-        return field
+def _parse_number(field: str, name: str) -> float:
     try:
         return float(field)
     except ValueError as exc:
@@ -125,11 +132,11 @@ def stratified_split(
     """
     fraction = check_fraction(test_fraction, "test_fraction", inclusive=False)
     rng = ensure_rng(random_state)
-    keys = dataset.categories if by_category else dataset.labels
+    keys = (dataset.categories if by_category else dataset.labels).astype(str)
     train_indices: List[int] = []
     test_indices: List[int] = []
-    for value in np.unique(keys.astype(str)):
-        class_indices = np.flatnonzero(keys.astype(str) == value)
+    for value in np.unique(keys):
+        class_indices = np.flatnonzero(keys == value)
         rng.shuffle(class_indices)
         n_test = int(round(len(class_indices) * fraction))
         if len(class_indices) > 1:

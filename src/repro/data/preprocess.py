@@ -150,9 +150,11 @@ class MinMaxScaler:
                 f"matrix has {data.shape[1]} columns but the scaler was fitted on "
                 f"{self._minimum.shape[0]}"
             )
-        scaled = (data - self._minimum) / self._range
+        # One output array: the divide and the clip run in place into it.
+        scaled = np.subtract(data, self._minimum)
+        np.divide(scaled, self._range, out=scaled)
         if self.clip:
-            scaled = np.clip(scaled, 0.0, 1.0)
+            np.clip(scaled, 0.0, 1.0, out=scaled)
         return scaled
 
     def fit_transform(self, matrix) -> np.ndarray:

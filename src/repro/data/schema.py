@@ -214,7 +214,7 @@ class KddSchema:
         return tuple(name for name in self.feature_names if name not in self.categorical)
 
     def index_of(self, feature: str) -> int:
-        """Column index of ``feature`` in the raw table."""
+        """Position of ``feature`` in the schema's feature order."""
         try:
             return self.feature_names.index(feature)
         except ValueError as exc:
@@ -231,19 +231,6 @@ class KddSchema:
         if not self.is_categorical(feature):
             raise SchemaError(f"feature {feature!r} is not categorical")
         return self.categorical_values[feature]
-
-    def validate_row(self, row: Sequence) -> None:
-        """Validate one raw record against the schema (length and categorical values)."""
-        if len(row) != self.n_features:
-            raise SchemaError(
-                f"record has {len(row)} fields but the schema defines {self.n_features}"
-            )
-        for name in self.categorical:
-            value = row[self.index_of(name)]
-            if value not in self.categorical_values[name]:
-                raise SchemaError(
-                    f"value {value!r} is not admissible for categorical feature {name!r}"
-                )
 
 
 def category_labels(labels: Sequence[str]) -> List[str]:

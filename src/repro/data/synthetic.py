@@ -203,9 +203,17 @@ class ClassProfile:
                     f"categorical feature {name!r} has inadmissible values {sorted(unknown)}"
                 )
 
-    def sample(self, rng: np.random.Generator, size: int, schema: KddSchema) -> np.ndarray:
-        """Generate ``size`` raw records (object array) for this class."""
-        columns: list[np.ndarray] = []
+    def sample(
+        self, rng: np.random.Generator, size: int, schema: KddSchema
+    ) -> Tuple[np.ndarray, list[np.ndarray]]:
+        """Generate ``size`` records of this class as columns.
+
+        Returns the ``(size, n_numeric)`` float block in
+        ``schema.numeric_features`` order and one string array per
+        ``schema.categorical`` feature.  The features are drawn in schema order.
+        """
+        numeric: list[np.ndarray] = []
+        symbolic: list[np.ndarray] = []
         for name in schema.feature_names:
             if schema.is_categorical(name):
                 values = schema.values_for(name)
@@ -216,13 +224,11 @@ class ClassProfile:
                     weights = np.array([weights_map.get(value, 0.0) for value in values])
                 probabilities = check_probability_vector(weights, name=f"{self.label}.{name}")
                 sampled = rng.choice(np.array(values, dtype=object), size=size, p=probabilities)
-                columns.append(sampled.astype(object))
+                symbolic.append(sampled)
             else:
                 spec = self.numeric.get(name, self.numeric_default)
-                sampled = spec.sample(rng, size)
-                sampled = _clip_feature(name, sampled)
-                columns.append(sampled.astype(object))
-        return np.stack(columns, axis=1)
+                numeric.append(_clip_feature(name, spec.sample(rng, size)))
+        return np.stack(numeric, axis=1), symbolic
 
 
 def _clip_feature(name: str, values: np.ndarray) -> np.ndarray:
@@ -820,17 +826,23 @@ class KddSyntheticGenerator:
         weights = check_probability_vector([mix[label] for label in labels], name="class_mix")
         counts = self._rng.multinomial(n_records, weights)
         blocks: list[np.ndarray] = []
+        symbolic_blocks: list[list[np.ndarray]] = []
         block_labels: list[np.ndarray] = []
         for label, count in zip(labels, counts, strict=True):
             if count == 0:
                 continue
-            profile = self.profiles[label]
-            blocks.append(profile.sample(self._rng, int(count), self.schema))
+            numeric, symbolic = self.profiles[label].sample(self._rng, int(count), self.schema)
+            blocks.append(numeric)
+            symbolic_blocks.append(symbolic)
             block_labels.append(np.full(int(count), label, dtype=object))
-        raw = np.concatenate(blocks, axis=0)
-        label_column = np.concatenate(block_labels, axis=0)
-        order = self._rng.permutation(raw.shape[0])
-        return Dataset(raw[order], label_column[order], schema=self.schema)
+        numeric = np.concatenate(blocks, axis=0)
+        order = self._rng.permutation(numeric.shape[0])
+        return Dataset(
+            numeric[order],
+            [np.concatenate(column)[order] for column in zip(*symbolic_blocks, strict=True)],
+            np.concatenate(block_labels, axis=0)[order],
+            schema=self.schema,
+        )
 
     def generate_class(self, label: str, n_records: int) -> Dataset:
         """Generate ``n_records`` records of a single class."""

@@ -206,7 +206,7 @@ class KddFeatureExtractor:
         land = (src == dst) & (port == ports[n:])
         numbers[:, _LAND] = np.where(land, 1.0, numbers[:, _LAND])
         # The numeric features in schema order (basic, content, window);
-        # ``from_columns`` checks the block's width against the schema.
+        # ``Dataset`` checks the block's width against the schema.
         numeric = np.hstack(
             (
                 numbers[:, 1:],
@@ -214,7 +214,7 @@ class KddFeatureExtractor:
                 self._window_features(timestamps, src, dst, port, _codes(service), flag),
             )
         )
-        return Dataset.from_columns(numeric, (protocol, service, flag), label, schema=self.schema)
+        return Dataset(numeric, (protocol, service, flag), label, schema=self.schema)
 
     # ------------------------------------------------------------------ #
     @staticmethod

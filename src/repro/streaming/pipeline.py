@@ -178,6 +178,7 @@ def make_drifting_stream(
         begins.
     """
     from repro.data.preprocess import PreprocessingPipeline
+    from repro.data.records import Dataset
     from repro.data.synthetic import KddSyntheticGenerator, DEFAULT_CLASS_MIX
 
     if n_before < 100 or n_after < 100:
@@ -201,15 +202,16 @@ def make_drifting_stream(
     after = generator.generate(n_after, class_mix=mix)
     # Apply benign drift to the "after" phase: scale the byte/count volume
     # features of normal records.
-    volume_features = ("src_bytes", "dst_bytes", "count", "srv_count")
-    after_raw = after.raw.copy()
-    normal_mask = after.categories == "normal"
-    for feature in volume_features:
-        column = after.schema.index_of(feature)
-        values = after_raw[:, column].astype(float)
-        values[normal_mask] = values[normal_mask] * drift_scale
-        after_raw[:, column] = values
-    drifted_after = type(after)(after_raw, after.labels, schema=after.schema)
+    schema = after.schema
+    volume = [
+        schema.numeric_features.index(name)
+        for name in ("src_bytes", "dst_bytes", "count", "srv_count")
+    ]
+    numeric = after.numeric_matrix().copy()
+    numeric[np.ix_(after.categories == "normal", volume)] *= drift_scale
+    drifted_after = Dataset(
+        numeric, [after.column(name) for name in schema.categorical], after.labels, schema=schema
+    )
     combined = before.concat(drifted_after)
     pipeline = PreprocessingPipeline()
     pipeline.fit(before)

@@ -25,6 +25,13 @@ class TestCsvRoundtrip:
         np.testing.assert_allclose(
             loaded.numeric_matrix(), small_dataset.numeric_matrix(), rtol=1e-4, atol=1e-4
         )
+        for name in small_dataset.schema.categorical:
+            assert loaded.column(name).tolist() == small_dataset.column(name).tolist()
+        # Integer-valued cells are written without a decimal point and come back exactly.
+        original = small_dataset.numeric_matrix()
+        integral = original == np.round(original)
+        assert integral.any()
+        np.testing.assert_array_equal(loaded.numeric_matrix()[integral], original[integral])
 
     def test_load_without_header(self, small_dataset, tmp_path):
         path = tmp_path / "noheader.csv"
@@ -63,10 +70,10 @@ class TestCsvRoundtrip:
         save_csv(small_dataset.subset(range(2)), path, header=False)
         lines = path.read_text().strip().splitlines()
         fields = lines[0].split(",")
-        fields[0] = "not-a-number"
+        fields[4] = "not-a-number"
         lines[0] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match="'src_bytes'"):
             load_csv(path)
 
 

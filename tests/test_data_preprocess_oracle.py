@@ -32,6 +32,8 @@ from repro.data.synthetic import KddSyntheticGenerator
 from repro.netsim.extractor import KddFeatureExtractor
 from repro.netsim.simulator import ATTACK_REGISTRY, AttackInjection, TrafficSimulator
 
+from record_rows import dataset_to_rows, rows_to_dataset
+
 
 class PerValueOneHotEncoder:
     """One-hot encoding, one dictionary lookup per value (all zeros when unknown)."""
@@ -130,7 +132,7 @@ def cells(raw: np.ndarray) -> List[List[Tuple[str, object]]]:
 
 def assert_matches_oracle(train_rows, train_labels, rows, labels, **params) -> None:
     """Fit both pipelines on the training rows; the other rows must transform byte for byte."""
-    train, dataset = Dataset(train_rows, train_labels), Dataset(rows, labels)
+    train, dataset = rows_to_dataset(train_rows, train_labels), rows_to_dataset(rows, labels)
     pipeline = PreprocessingPipeline(**params)
     oracle = ObjectArrayPipeline(**params).fit(np.asarray(train_rows, dtype=object))
     assert pipeline.fit_transform(train).tobytes() == oracle.transform(
@@ -167,7 +169,7 @@ def synthetic_rows(draw, max_size: int = 120):
     seed = draw(st.integers(0, 2**16))
     n = draw(st.integers(1, max_size))
     dataset = KddSyntheticGenerator(random_state=seed).generate(n)
-    rows = [list(row) for row in dataset.raw.tolist()]
+    rows = dataset_to_rows(dataset)
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(draw(st.integers(0, 2 * n))):
         row, column = rng.randrange(n), rng.randrange(SCHEMA.n_features)
@@ -219,21 +221,24 @@ class TestTransformAgainstObjectArrays:
     @ORACLE_SETTINGS
     @given(train=netsim_chunk(), chunk=netsim_chunk(), params=pipeline_params)
     def test_netsim_chunks_are_byte_identical(self, train, chunk, params):
-        # An extracted chunk has no rows of its own: its derived ``raw`` is
-        # what the extractor used to box.
-        assert_matches_oracle(train.raw, train.labels, chunk.raw, chunk.labels, **params)
+        # An extracted chunk has no rows of its own: its rows are what the
+        # extractor used to box.
+        assert_matches_oracle(
+            dataset_to_rows(train), train.labels, dataset_to_rows(chunk), chunk.labels, **params
+        )
 
     @pytest.mark.parametrize("encoding", ["onehot", "ordinal"])
     def test_every_symbolic_value_unseen(self, encoding):
         train = KddSyntheticGenerator(random_state=1).generate(30)
         labels = train.labels.tolist()
-        rows = [list(row) for row in train.raw.tolist()]
+        rows = dataset_to_rows(train)
         for row in rows:
             for name in SCHEMA.categorical:
                 row[SCHEMA.index_of(name)] = "never-seen"
-        assert_matches_oracle(train.raw, labels, rows, labels, categorical_encoding=encoding)
+        train_rows = dataset_to_rows(train)
+        assert_matches_oracle(train_rows, labels, rows, labels, categorical_encoding=encoding)
         pipeline = PreprocessingPipeline(categorical_encoding=encoding, scaling="none").fit(train)
-        encoded = pipeline.transform(Dataset(rows, labels))
+        encoded = pipeline.transform(rows_to_dataset(rows, labels))
         symbolic = [
             column
             for column, name in enumerate(pipeline.feature_names_out)
@@ -261,8 +266,9 @@ class TestDatasetRoundTrips:
     @given(data=st.data())
     def test_rows_split_into_columns_and_back(self, data):
         rows, labels = data.draw(synthetic_rows())
-        dataset = Dataset(rows, labels)
-        assert cells(Dataset(dataset.raw, dataset.labels).raw) == cells(dataset.raw)
+        dataset = rows_to_dataset(rows, labels)
+        back = dataset_to_rows(dataset)
+        assert cells(dataset_to_rows(rows_to_dataset(back, dataset.labels))) == cells(back)
         numeric = [SCHEMA.index_of(name) for name in SCHEMA.numeric_features]
         expected = np.asarray(rows, dtype=object)[:, numeric].astype(float)
         assert dataset.numeric_matrix().tobytes() == expected.tobytes()
@@ -274,12 +280,12 @@ class TestDatasetRoundTrips:
     @given(data=st.data())
     def test_subset_matches_the_rows_it_selects(self, data):
         dataset = data.draw(
-            st.one_of(synthetic_rows().map(lambda pair: Dataset(*pair)), netsim_chunk())
+            st.one_of(synthetic_rows().map(lambda pair: rows_to_dataset(*pair)), netsim_chunk())
         )
         indices = data.draw(_index_lists(len(dataset)))
         subset = dataset.subset(indices)
-        raw = dataset.raw
-        assert cells(subset.raw) == cells(raw[np.asarray(indices, dtype=int)])
+        all_rows = dataset_to_rows(dataset)
+        assert cells(dataset_to_rows(subset)) == cells([all_rows[index] for index in indices])
         assert subset.labels.tolist() == [dataset.labels[index] for index in indices]
         if indices:  # the scalers refuse an empty matrix, as they always did
             pipeline = PreprocessingPipeline().fit(dataset)
@@ -289,16 +295,24 @@ class TestDatasetRoundTrips:
     @ORACLE_SETTINGS
     @given(first=netsim_chunk(), second=synthetic_rows())
     def test_concat_stacks_the_rows(self, first, second):
-        second = Dataset(*second)
+        second = rows_to_dataset(*second)
         joined = first.concat(second)
-        assert cells(joined.raw) == cells(first.raw) + cells(second.raw)
+        assert cells(dataset_to_rows(joined)) == cells(dataset_to_rows(first)) + cells(
+            dataset_to_rows(second)
+        )
         assert joined.labels.tolist() == first.labels.tolist() + second.labels.tolist()
-        assert Dataset.empty_like(first).concat(first).raw.tolist() == first.raw.tolist()
+        empty_first = Dataset.empty_like(first).concat(first)
+        assert cells(dataset_to_rows(empty_first)) == cells(dataset_to_rows(first))
 
-    def test_columns_and_raw_are_read_only(self):
+    def test_columns_are_read_only(self):
         dataset = KddSyntheticGenerator(random_state=3).generate(5)
-        for array in (dataset.raw, dataset.numeric_matrix(), dataset.column("service")):
+        columns = (dataset.numeric_matrix(), dataset.column("src_bytes"), dataset.column("service"))
+        for array in columns:
             with pytest.raises(ValueError):
                 array[0] = array[1]
-        writable = dataset.raw.copy()
+        writable = dataset.numeric_matrix().copy()
         writable[0, 0] = 1.0
+        # The arrays handed to the constructor stay the caller's to write.
+        block = np.zeros((1, len(SCHEMA.numeric_features)))
+        Dataset(block, [["tcp"], ["http"], ["SF"]], ["normal"])
+        block[0, 0] = 1.0

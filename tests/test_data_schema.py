@@ -90,22 +90,6 @@ class TestKddSchema:
         with pytest.raises(SchemaError):
             schema.values_for("duration")
 
-    def test_validate_row_accepts_well_formed_row(self, small_dataset):
-        schema = small_dataset.schema
-        schema.validate_row(list(small_dataset.raw[0]))
-
-    def test_validate_row_rejects_wrong_length(self):
-        schema = KddSchema()
-        with pytest.raises(SchemaError):
-            schema.validate_row([0.0] * 40)
-
-    def test_validate_row_rejects_bad_categorical_value(self, small_dataset):
-        schema = small_dataset.schema
-        row = list(small_dataset.raw[0])
-        row[schema.index_of("protocol_type")] = "carrier_pigeon"
-        with pytest.raises(SchemaError):
-            schema.validate_row(row)
-
     def test_reduced_schema_rejects_orphan_categoricals(self):
         with pytest.raises(SchemaError):
             KddSchema(feature_names=("duration", "src_bytes"), categorical=("service",))

@@ -76,17 +76,19 @@ class TestClassProfile:
     def test_sample_shape_and_schema_conformance(self, rng):
         schema = KddSchema()
         profile = default_profiles()["normal"]
-        rows = profile.sample(rng, 50, schema)
-        assert rows.shape == (50, schema.n_features)
-        for row in rows:
-            schema.validate_row(list(row))
+        numeric, symbolic = profile.sample(rng, 50, schema)
+        assert numeric.shape == (50, len(schema.numeric_features))
+        assert numeric.dtype == np.float64
+        assert len(symbolic) == len(schema.categorical)
+        for name, column in zip(schema.categorical, symbolic, strict=True):
+            assert column.shape == (50,)
+            assert set(column.tolist()) <= set(schema.values_for(name))
 
     def test_rate_features_stay_in_unit_interval(self, rng):
         schema = KddSchema()
         profile = default_profiles()["neptune"]
-        rows = profile.sample(rng, 200, schema)
-        column = schema.index_of("serror_rate")
-        values = rows[:, column].astype(float)
+        numeric, _ = profile.sample(rng, 200, schema)
+        values = numeric[:, schema.numeric_features.index("serror_rate")]
         assert values.min() >= 0.0 and values.max() <= 1.0
 
 

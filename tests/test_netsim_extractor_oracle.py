@@ -5,7 +5,8 @@ window features: for each event in time order it rescans a deque of the
 connections of the last ``time_window_seconds`` and the last
 ``host_window_size`` connections to the same host.  It is slow (O(window) per
 event) but obviously right, so it serves as the oracle: the production
-extractor must reproduce its ``Dataset.raw`` and labels bit for bit.
+extractor must reproduce its numeric block, symbolic columns and labels bit
+for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.netsim.events import ConnectionEvent
 from repro.netsim.extractor import CONTENT_FEATURES, KddFeatureExtractor
 from repro.netsim.hosts import NetworkModel
 from repro.netsim.simulator import ATTACK_REGISTRY, AttackInjection, TrafficSimulator
+
+from record_rows import rows_to_dataset
 
 
 def _safe_rate(numerator: int, denominator: int) -> float:
@@ -62,7 +65,7 @@ class PerEventExtractor:
             labels.append(event.label)
             recent.append(event)
             history.append(event)
-        return Dataset(rows, labels, schema=self.schema)
+        return rows_to_dataset(rows, labels, self.schema)
 
     @staticmethod
     def _basic_features(event: ConnectionEvent) -> List[object]:
@@ -132,19 +135,16 @@ class PerEventExtractor:
         ]
 
 
-def _cells(dataset: Dataset):
-    """Every raw cell as (type, exact value) plus the labels: equal means byte-identical."""
-    rows = [
-        [(type(v).__name__, v.hex() if isinstance(v, float) else v) for v in row]
-        for row in dataset.raw.tolist()
-    ]
-    return rows, [str(label) for label in dataset.labels]
+def _columns(dataset: Dataset):
+    """The float block's bytes, the symbolic columns and the labels: equal means byte-identical."""
+    symbolic = [dataset.column(name).tolist() for name in dataset.schema.categorical]
+    return dataset.numeric_matrix().tobytes(), symbolic, dataset.labels.tolist()
 
 
 def assert_matches_oracle(events, **params) -> None:
     got = KddFeatureExtractor(**params).extract(events)
     want = PerEventExtractor(**params).extract(events)
-    assert _cells(got) == _cells(want)
+    assert _columns(got) == _columns(want)
 
 
 # --------------------------------------------------------------------------- #

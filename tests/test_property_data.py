@@ -28,10 +28,16 @@ class TestGeneratorProperties:
     def test_every_generated_record_conforms_to_schema(self, seed, n):
         generator = KddSyntheticGenerator(random_state=seed)
         dataset = generator.generate(n)
+        schema = dataset.schema
         assert len(dataset) == n
-        for index in range(0, n, max(1, n // 10)):
-            dataset.schema.validate_row(list(dataset.raw[index]))
-            assert attack_category(str(dataset.labels[index])) in ATTACK_CATEGORIES
+        assert schema.n_features == 41
+        assert dataset.numeric_matrix().shape == (n, 38)
+        for name in schema.categorical:
+            column = dataset.column(name)
+            assert column.shape == (n,)
+            assert set(column.tolist()) <= set(schema.values_for(name))
+        for label in dataset.labels:
+            assert attack_category(str(label)) in ATTACK_CATEGORIES
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)

@@ -46,6 +46,7 @@ from repro.serving import (
 
 from legacy_artifacts import v2_payload
 from legacy_descent import legacy_score_samples
+from record_rows import dataset_to_rows
 from test_data_preprocess_oracle import ObjectArrayPipeline, netsim_events
 
 SEED = 2013
@@ -302,7 +303,7 @@ def test_columnar_transform_beats_object_assembly():
     # columnar dataset against the object array the dataset used to store,
     # unboxed column by column and encoded value by value.
     chunk = KddFeatureExtractor().extract(netsim_events()[1000:1250])
-    raw = chunk.raw
+    raw = np.asarray(dataset_to_rows(chunk), dtype=object)
     pipeline = PreprocessingPipeline().fit(chunk)
     oracle = ObjectArrayPipeline().fit(raw)
     assert pipeline.transform(chunk).tobytes() == oracle.transform(raw).tobytes()

@@ -207,11 +207,12 @@ class TestAdaptation:
         pipeline = PreprocessingPipeline().fit(generator.generate_normal(400))
         drifted = generator.generate_normal(800)
         # Benign drift: scale up the byte counts of normal traffic.
-        raw = drifted.raw.copy()
+        schema = drifted.schema
+        numeric = drifted.numeric_matrix().copy()
         for feature in ("src_bytes", "dst_bytes"):
-            column = drifted.schema.index_of(feature)
-            raw[:, column] = raw[:, column].astype(float) * 4.0
-        drifted_dataset = type(drifted)(raw, drifted.labels, schema=drifted.schema)
+            numeric[:, schema.numeric_features.index(feature)] *= 4.0
+        symbolic = [drifted.column(name) for name in schema.categorical]
+        drifted_dataset = type(drifted)(numeric, symbolic, drifted.labels, schema=schema)
         X_drifted = pipeline.transform(drifted_dataset)
         online = OnlineDetector(detector, adaptation="threshold", ewma_alpha=0.05)
         scales = [online.process(X_drifted[start : start + 200]).effective_scale for start in range(0, 800, 200)]
