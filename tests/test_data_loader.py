@@ -12,6 +12,8 @@ from repro.data.loader import (
     stratified_split,
     train_test_split,
 )
+from repro.data.records import Dataset
+from repro.data.schema import KddSchema
 from repro.exceptions import DataValidationError
 
 
@@ -75,6 +77,22 @@ class TestCsvRoundtrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataValidationError, match="'src_bytes'"):
             load_csv(path)
+
+    def test_reduced_schema_round_trip(self, tmp_path):
+        schema = KddSchema(
+            feature_names=("duration", "protocol_type", "src_bytes", "flag"),
+            categorical=("protocol_type", "flag"),
+        )
+        numeric = np.array([[0.0, 181.0], [2.0, 239.0], [0.0, 0.0]])
+        symbolic = [["tcp", "udp", "icmp"], ["SF", "S0", "REJ"]]
+        dataset = Dataset(numeric, symbolic, ["normal", "smurf", "neptune"], schema=schema)
+        path = tmp_path / "reduced.csv"
+        save_csv(dataset, path)
+        assert path.read_text().splitlines()[0] == "duration,protocol_type,src_bytes,flag,label"
+        loaded = load_csv(path, schema=schema)
+        assert loaded.numeric_matrix().tobytes() == numeric.tobytes()
+        assert [loaded.column(name).tolist() for name in schema.categorical] == symbolic
+        assert loaded.labels.tolist() == ["normal", "smurf", "neptune"]
 
 
 class TestTrainTestSplit:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from record_rows import dataset_to_rows, rows_to_dataset
 from repro.data.records import Dataset
 from repro.data.schema import KddSchema, attack_category
 from repro.exceptions import DataValidationError, SchemaError
@@ -98,6 +99,89 @@ class TestDataset:
         summary = small_dataset.summary()
         assert summary["n_records"] == len(small_dataset)
         assert 0.0 <= summary["attack_fraction"] <= 1.0
+
+    def test_subset_keeps_columns_aligned(self, small_dataset):
+        indices = [7, 3, 7]
+        subset = small_dataset.subset(indices)
+        for name in small_dataset.schema.feature_names:
+            assert subset.column(name).tolist() == small_dataset.column(name)[indices].tolist()
+        assert subset.labels.tolist() == small_dataset.labels[indices].tolist()
+
+    def test_rows_round_trip(self, small_dataset):
+        subset = small_dataset.subset(range(25))
+        rebuilt = rows_to_dataset(dataset_to_rows(subset), subset.labels, subset.schema)
+        assert rebuilt.numeric_matrix().tobytes() == subset.numeric_matrix().tobytes()
+        for name in subset.schema.categorical:
+            assert rebuilt.column(name).tolist() == subset.column(name).tolist()
+        assert rebuilt.labels.tolist() == subset.labels.tolist()
+
+    def test_empty_dataset_is_allowed(self):
+        empty = Dataset(*_columns(0), [])
+        assert len(empty) == 0
+        assert empty.numeric_matrix().shape == (0, 38)
+        assert empty.class_counts() == {}
+        assert empty.summary()["attack_fraction"] == 0.0
+
+    def test_concat_keeps_column_values(self, small_dataset):
+        first = small_dataset.subset(range(4))
+        second = small_dataset.subset(range(10, 13))
+        combined = first.concat(second)
+        np.testing.assert_array_equal(
+            combined.numeric_matrix(),
+            np.vstack([first.numeric_matrix(), second.numeric_matrix()]),
+        )
+        for name in small_dataset.schema.categorical:
+            assert combined.column(name).tolist() == (
+                first.column(name).tolist() + second.column(name).tolist()
+            )
+        assert combined.labels.tolist() == first.labels.tolist() + second.labels.tolist()
+
+    def test_concat_rejects_different_schemas(self, small_dataset):
+        reduced = KddSchema(
+            feature_names=("duration", "protocol_type", "src_bytes"),
+            categorical=("protocol_type",),
+        )
+        other = Dataset(np.zeros((1, 2)), [["tcp"]], ["normal"], schema=reduced)
+        with pytest.raises(DataValidationError, match="different schemas"):
+            small_dataset.concat(other)
+
+    def test_column_of_unknown_feature_raises(self, small_dataset):
+        with pytest.raises(SchemaError):
+            small_dataset.column("no_such_feature")
+
+    def test_callers_block_stays_writeable(self):
+        numeric, symbolic = _columns(2)
+        dataset = Dataset(numeric, symbolic, ["normal"] * 2)
+        assert numeric.flags.writeable
+        assert not dataset.numeric_matrix().flags.writeable
+
+
+class TestSingleRecord:
+    def test_attack_record_has_its_category(self):
+        record = Dataset(*_columns(1), ["smurf"])
+        assert record.categories.tolist() == ["dos"]
+        assert record.is_attack.tolist() == [True]
+        assert record.numeric_matrix().shape == (1, len(record.schema.numeric_features))
+        assert len(dataset_to_rows(record)[0]) == record.schema.n_features
+
+    def test_normal_record_is_not_attack(self):
+        record = Dataset(*_columns(1), ["normal"])
+        assert record.is_attack.tolist() == [False]
+
+    def test_missing_numeric_feature_raises(self):
+        numeric, symbolic = _columns(1)
+        with pytest.raises(DataValidationError, match=r"\(1, 38\)"):
+            Dataset(numeric[:, 1:], symbolic, ["normal"])
+
+    def test_extra_numeric_feature_raises(self):
+        numeric, symbolic = _columns(1)
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset(np.hstack([numeric, numeric[:, :1]]), symbolic, ["normal"])
+
+    def test_extra_symbolic_column_raises(self):
+        numeric, symbolic = _columns(1)
+        with pytest.raises(DataValidationError, match="do not match"):
+            Dataset(numeric, [*symbolic, ["tcp"]], ["normal"])
 
 
 #: Named attacks and categories, as KDD files spell them (trailing dots, case, spaces).

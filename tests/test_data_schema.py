@@ -90,6 +90,17 @@ class TestKddSchema:
         with pytest.raises(SchemaError):
             schema.values_for("duration")
 
+    def test_numeric_and_categorical_partition_the_features(self):
+        schema = KddSchema()
+        assert set(schema.numeric_features).isdisjoint(schema.categorical)
+        assert set(schema.numeric_features) | set(schema.categorical) == set(schema.feature_names)
+        positions = [schema.index_of(name) for name in schema.numeric_features]
+        assert positions == sorted(positions)
+
+    def test_categorical_without_value_set_raises(self):
+        with pytest.raises(SchemaError, match="without a value set"):
+            KddSchema(feature_names=("duration", "direction"), categorical=("direction",))
+
     def test_reduced_schema_rejects_orphan_categoricals(self):
         with pytest.raises(SchemaError):
             KddSchema(feature_names=("duration", "src_bytes"), categorical=("service",))
