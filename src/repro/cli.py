@@ -167,10 +167,10 @@ def add_serving_args(parser: argparse.ArgumentParser) -> None:
         choices=("numpy", "fused", "auto"),
         default=None,
         help=(
-            "descent compute engine: numpy = vectorised reference "
-            "(byte-exact, default); fused = single-pass distance+argmin "
-            "kernel (fails if it did not build on this host); auto = fused when "
-            "possible, numpy otherwise"
+            "descent compute engine: numpy = vectorised reference; "
+            "fused = single-pass distance+argmin kernel (fails on a host "
+            "without it: no compiler or no AVX-512); auto = fused when "
+            "possible, numpy otherwise (default)"
         ),
     )
     group.add_argument(

@@ -565,7 +565,9 @@ class GhsomDetector(BaseAnomalyDetector):
         self.model = Ghsom(self.config, random_state=self.random_state)
         self.model.fit(matrix)
         compiled = self.model.compile()
-        leaf_index, distances = compiled.assign_arrays(matrix)
+        # Calibrate on the engine that will serve, so the thresholds and the
+        # scores come from one arithmetic.
+        leaf_index, distances = compiled.assign_arrays(matrix, engine=self.engine)
         leaf_keys = compiled.keys_of(leaf_index)
 
         if labels is not None:

@@ -16,28 +16,42 @@ so the hot loop is a register-tiled run of 8-samples x lane-chunk fused
 multiply-adds with a vectorised running argmin.  Measured ~2-4x over the
 numpy engine single-core.
 
-The kernel is *optional*: when the C build fails (no compiler, a rejected
-flag) :func:`fused_available` is false, :func:`fused_build_error` says why,
-and the ``"auto"`` engine silently resolves to ``"numpy"`` — no warnings, no
-hard dependency.  The numpy engine is the library default (:data:`DEFAULT_ENGINE`)
-because its output is byte-identical across hosts (golden artifacts, remote
-shard byte-identity); the fused engine is *documented-ulp* equivalent instead:
-leaf assignments match exactly on non-degenerate data, distances agree within
-:data:`FUSED_DISTANCE_RTOL` (scalar accumulation orders FLOPs differently from
-BLAS GEMM).  Both engines compute in float64, the one serving precision.
+The kernel is *optional*.  It is built once per host for ``x86-64-v4``
+(the AVX-512 level: built for AVX2, the same kernel is about 2x slower than
+numpy) and cached under ``<tempdir>/repro-kernels-<uid>``, a mode-0700
+directory that is used only while it belongs to the current user and is not
+group- or world-writable; a cache miss compiles to a temporary name there and
+renames it into place.  When the build fails (no compiler, a non-x86
+toolchain) or the CPU does not report ``avx512f``, :func:`fused_available` is
+false, :func:`fused_build_error` says why, and ``"auto"`` silently resolves
+to ``"numpy"``: no warnings, no hard dependency.
+
+``"auto"`` is the library default (:data:`DEFAULT_ENGINE`) because the fused
+engine is both faster and *batch-invariant*: a sample's score does not
+depend on which other rows share its batch, so chunked, one-row, sharded and
+whole-batch scoring agree bit for bit.  The numpy engine is not (BLAS blocks
+the distance product differently per batch size, ~1e-13 relative); it stays
+the reference the fused engine is tested against.  Leaf assignments match
+exactly on non-degenerate data and distances agree within
+:data:`FUSED_DISTANCE_RTOL`.  Both engines compute in float64, the one
+serving precision.
 
 Engine names accepted everywhere (``assign_arrays(engine=...)``,
 ``ServingConfig(engine=...)``, ``repro-ids detect --engine``):
 
-* ``"numpy"`` — the vectorised reference path (default; byte-exact);
+* ``"numpy"`` — the vectorised reference path (the oracle);
 * ``"fused"`` — require the fused kernel (raises if unavailable);
-* ``"auto"``  — fused when the kernel is available for the metric, else numpy.
+* ``"auto"``  — fused when the kernel is available for the metric, else numpy
+  (default).
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -66,9 +80,9 @@ FUSED_DISTANCE_RTOL = 1e-9
 FUSED_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
 _METRIC_IDS = {"sqeuclidean": 0, "euclidean": 1, "manhattan": 2, "chebyshev": 3}
 
-#: The engine used wherever none is requested (``engine=None``): the numpy
-#: engine, so golden artifacts and cross-host byte-identity hold without opt-in.
-DEFAULT_ENGINE = "numpy"
+#: The engine used wherever none is requested (``engine=None``): the fused
+#: kernel where it loaded (an AVX-512 host), the numpy engine elsewhere.
+DEFAULT_ENGINE = "auto"
 
 _lock = threading.Lock()
 
@@ -130,9 +144,10 @@ def fused_supported(metric: str) -> bool:
 
 
 def fused_available() -> bool:
-    """Whether the fused C kernel built and loaded on this host.
+    """Whether the fused C kernel loaded and the CPU reports AVX-512F.
 
-    The build runs once per process, on the first call.
+    The probe runs once per process, on the first call; the build runs once
+    per cache directory.
     """
     return _cc_library()[0] is not None
 
@@ -288,19 +303,23 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <string.h>
 
+/* The CPU probe, asked before any kernel code runs.  It is built for the
+   x86-64 baseline, so it executes no AVX-512 instruction on a CPU without
+   them; the rest of the library is built for x86-64-v4. */
+__attribute__((target("arch=x86-64")))
+int64_t cpu_has_avx512f(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+}
+
 /* A denormal operand costs every FMA touching it a microcode assist.  The
    kernel runs with flush-to-zero + denormals-are-zero during the descent
    (restoring the caller's MXCSR on exit): the induced drift is far inside
    the documented fused-engine tolerance. */
-#if defined(__SSE__) || defined(__x86_64__)
 static inline uint32_t csr_get(void) { return __builtin_ia32_stmxcsr(); }
 static inline void csr_set(uint32_t v) { __builtin_ia32_ldmxcsr(v); }
 #define CSR_FTZ_DAZ 0x8040u
-#else
-static inline uint32_t csr_get(void) { return 0; }
-static inline void csr_set(uint32_t v) { (void)v; }
-#define CSR_FTZ_DAZ 0u
-#endif
 
 typedef double vec __attribute__((vector_size(64), aligned(8)));
 typedef int64_t vidx __attribute__((vector_size(64), aligned(8)));
@@ -532,15 +551,20 @@ void fused_descent(
 """
 
 
+#: The one build.  Naming the ISA level (x86-64-v4: AVX-512F/BW/CD/DQ/VL)
+#: instead of ``native`` makes a cached library mean the same code on every
+#: AVX-512 host; elsewhere the kernel is slower than numpy, so it is not used.
+_CFLAGS = ("-O3", "-march=x86-64-v4", "-mprefer-vector-width=512", "-shared", "-fPIC")
+
 #: The build's outcome, once probed: the loaded library (or ``None``) and
-#: why the build failed (``""`` when it loaded).
+#: why the kernel is unavailable (``""`` when it loaded).
 _cc_build: Optional[Tuple[Optional[ctypes.CDLL], str]] = None
 
 
 def _cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
-    """Compile (once per process) and load the C kernel.
+    """Load the C kernel (building it on a cache miss) once per process.
 
-    Returns the library, or ``None`` with the reason the build failed.
+    Returns the library, or ``None`` with the reason it is unavailable.
     """
     global _cc_build
     if _cc_build is None:
@@ -557,40 +581,117 @@ def _compiler_candidates() -> Iterator[str]:
     yield from ("cc", "gcc", "clang")
 
 
-def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
-    import shutil
+def _cache_key(source: str, compiler_version: str, flags: Tuple[str, ...]) -> str:
+    """Content address of a build: SHA-256 of the source, compiler and flags."""
+    digest = hashlib.sha256()
+    for part in (source, compiler_version, *flags):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
-    compiler = next(
-        (c for c in _compiler_candidates() if shutil.which(c)), None
-    )
+
+def _private_cache_dir() -> Optional[str]:
+    """This user's kernel cache directory, or ``None`` if it cannot be trusted.
+
+    The directory is ``<tempdir>/repro-kernels-<uid>``, created with mode
+    0700.  A directory owned by another user, or writable by the group or
+    the world, could hold a library someone else planted: it is not used.
+    """
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    info = os.lstat(path)
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != uid or info.st_mode & 0o022:
+        return None
+    return path
+
+
+def _compiler_version(compiler: str, build_dir: str) -> str:
+    """``compiler --version`` (a path), remembered in ``build_dir`` per binary.
+
+    Starting the compiler costs about as much as the rest of a warm load, so
+    its output is kept next to the libraries under the binary's resolved
+    path, size and mtime: an upgraded or re-pointed compiler is a new entry.
+    """
+    binary = os.path.realpath(compiler)
+    info = os.stat(binary)
+    identity = f"{binary}\0{info.st_size}\0{info.st_mtime_ns}".encode()
+    memo = os.path.join(build_dir, f"compiler-{hashlib.sha256(identity).hexdigest()}.txt")
+    try:
+        with open(memo) as stream:
+            return stream.read()
+    except FileNotFoundError:
+        pass
+    version = subprocess.run(
+        [compiler, "--version"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    ).stdout.decode(errors="replace")
+    fd, tmp_path = tempfile.mkstemp(prefix="compiler-", suffix=".tmp", dir=build_dir)
+    with os.fdopen(fd, "w") as stream:
+        stream.write(version)
+    os.replace(tmp_path, memo)
+    return version
+
+
+def _compile(compiler: str, build_dir: str, lib_path: str) -> str:
+    """Build the kernel into ``lib_path``; returns the error (``""`` on success).
+
+    The compiler writes a temporary name in ``build_dir`` that is then renamed
+    into place, so a concurrent process never loads a half-written library.
+    """
+    fd, src_path = tempfile.mkstemp(prefix="kernels-", suffix=".c", dir=build_dir)
+    tmp_lib = src_path[: -len(".c")] + ".tmp"
+    try:
+        with os.fdopen(fd, "w") as stream:
+            stream.write(_C_SOURCE)
+        result = subprocess.run(
+            [compiler, *_CFLAGS, src_path, "-o", tmp_lib, "-lm"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            timeout=180,
+        )
+        if result.returncode != 0:
+            return f"{compiler} failed: {result.stderr.decode(errors='replace')[:500]}"
+        os.replace(tmp_lib, lib_path)
+        return ""
+    finally:
+        for leftover in (src_path, tmp_lib):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+
+
+def _cpu_has_avx512f(lib: ctypes.CDLL) -> bool:
+    """The library's CPU probe, built for the x86-64 baseline.
+
+    It runs no AVX-512 instruction, so asking is safe on any x86-64 CPU.
+    """
+    return bool(lib.cpu_has_avx512f())
+
+
+def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
+    compiler = next(filter(None, map(shutil.which, _compiler_candidates())), None)
     if compiler is None:
         return None, "no C compiler on PATH (cc/gcc/clang)"
     try:
-        build_dir = tempfile.mkdtemp(prefix="repro-kernels-")
-        src_path = os.path.join(build_dir, "kernels.c")
-        lib_path = os.path.join(build_dir, "kernels.so")
-        with open(src_path, "w") as stream:
-            stream.write(_C_SOURCE)
-        base = [
-            compiler, "-O3", "-shared", "-fPIC", src_path, "-o", lib_path, "-lm",
-        ]
-        # Prefer full-width native vectors; retry conservatively for
-        # toolchains that reject the tuning flags.
-        tuned = base[:1] + ["-march=native", "-mprefer-vector-width=512"] + base[1:]
-        for command in (tuned, base):
-            result = subprocess.run(
-                command,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                timeout=180,
-            )
-            if result.returncode == 0:
-                break
-        else:
-            return None, (
-                f"{compiler} failed: {result.stderr.decode(errors='replace')[:500]}"
-            )
+        build_dir = _private_cache_dir() or tempfile.mkdtemp(prefix="repro-kernels-")
+        key = _cache_key(_C_SOURCE, _compiler_version(compiler, build_dir), _CFLAGS)
+        lib_path = os.path.join(build_dir, f"kernels-{key}.so")
+        if not os.path.exists(lib_path):
+            error = _compile(compiler, build_dir, lib_path)
+            if error:
+                return None, error
         lib = ctypes.CDLL(lib_path)
+        lib.cpu_has_avx512f.argtypes = []
+        lib.cpu_has_avx512f.restype = ctypes.c_int64
+        if not _cpu_has_avx512f(lib):
+            return None, "the CPU does not report avx512f (the kernel is built for x86-64-v4)"
         fp = ctypes.POINTER(ctypes.c_double)
         ip = ctypes.POINTER(ctypes.c_int64)
         i64 = ctypes.c_int64

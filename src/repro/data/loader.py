@@ -39,13 +39,14 @@ def save_csv(dataset: Dataset, path: PathLike, *, header: bool = True) -> None:
 
 
 def _format_field(value: object) -> str:
-    """Render a raw field: integers without a decimal point, floats compactly."""
+    """Render a raw field: integers without a decimal point, other floats by
+    their shortest repr, which reads back to the same float."""
     if isinstance(value, str):
         return value
     number = float(value)
     if number.is_integer():
         return str(int(number))
-    return f"{number:.6g}"
+    return repr(number)
 
 
 def load_csv(path: PathLike, *, schema: Optional[KddSchema] = None) -> Dataset:

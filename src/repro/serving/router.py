@@ -5,9 +5,10 @@
 global leaf rows and float64 — but executes the descent in three steps:
 
 1. **route** — run the root-level distance + argmin once over the whole
-   batch, exactly as the unsharded engine's first frontier iteration does
-   (same expanded ``|x-w|^2`` arithmetic on the same contiguous root block).
-   Samples whose best root unit is a leaf are finished right here;
+   batch, exactly as the unsharded engine's first step does: the numpy
+   engine's first frontier iteration, or the fused kernel on the root map
+   alone when the engine resolves to fused.  Samples whose best root unit
+   is a leaf are finished right here;
 2. **dispatch** — group the remaining rows by the shard that owns their root
    unit (each shard a contiguous run of root subtrees) and execute each
    sub-batch on the configured backend;
@@ -15,9 +16,10 @@ global leaf rows and float64 — but executes the descent in three steps:
    leaf rows through each shard's ``leaf_global_row``.
 
 Because routing replicates the root step bit-for-bit and shards run the
-shared :func:`~repro.core.compiled.frontier_descent` loop on the same row
-groupings, the merged output is byte-identical to the unsharded float64
-engine for every shard count and backend.
+same descent (the shared :func:`~repro.core.compiled.frontier_descent` loop
+on the same row groupings, or the batch-invariant fused kernel), the merged
+output is byte-identical to the unsharded float64 engine for every shard
+count and backend.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import AnyArray
+from repro.core import kernels
 from repro.core.compiled import CompiledGhsom, descend_node
 from repro.exceptions import DataValidationError
 from repro.serving.backends import SerialBackend, ShardBackend
@@ -52,18 +55,21 @@ class ShardedGhsom:
         plan: ShardPlan,
         shards: Tuple[SubtreeShard, ...],
         backend: ShardBackend,
+        engine: Optional[str] = None,
     ) -> None:
         self.source = source
         self.plan = plan
         self.shards = tuple(shards)
         self.backend = backend
+        self.engine = engine
         self.metric = source.metric
         self.n_features = source.n_features
         n_root_units = int(source.node_offsets[1])
         #: Root-layer slices (views into the source arrays: the root block is
         #: the one piece every worker topology shares).
-        self._root_codebook = source.codebook[:n_root_units]
-        self._root_unit_norms = source.unit_norms[:n_root_units]
+        self._root_map = _RootMap(
+            source.codebook[:n_root_units], source.unit_norms[:n_root_units]
+        )
         self._root_child = source.child_of_unit[:n_root_units]
         self._root_leaf_row = source.leaf_of_unit[:n_root_units]
         #: Root unit -> owning shard (-1 for leaf root units) and the local
@@ -101,9 +107,8 @@ class ShardedGhsom:
         per-leaf scoring tables, when given, are segmented into the shards
         so each one is fully self-contained.
         ``engine`` is stamped onto every shard and governs each shard-side
-        descent (the root routing step always runs the numpy arithmetic —
-        it is what keeps routing byte-identical to the unsharded engine's
-        first frontier iteration).
+        descent and the root routing step, which runs the same arithmetic
+        as the unsharded engine's first step on the same engine.
         """
         plan = plan_shards(compiled, n_shards)
         shards = build_shards(
@@ -120,6 +125,7 @@ class ShardedGhsom:
             plan=plan,
             shards=shards,
             backend=backend if backend is not None else SerialBackend(),
+            engine=engine,
         )
 
     # ------------------------------------------------------------------ #
@@ -165,19 +171,27 @@ class ShardedGhsom:
         n = matrix.shape[0]
         leaf_index = np.full(n, -1, dtype=np.intp)
         distances = np.zeros(n)
-        # --- route: the unsharded engine's first frontier iteration ------- #
-        units, _, _ = descend_node(
-            matrix,
-            np.einsum("ij,ij->i", matrix, matrix),
-            None,
-            self._root_codebook,
-            self._root_unit_norms,
-            self._root_child,
-            self._root_leaf_row,
-            self.metric,
-            leaf_index,
-            distances,
-        )
+        # --- route: the unsharded engine's first step --------------------- #
+        if kernels.resolve_engine(self.engine, metric=self.metric) == "fused":
+            units, root_distances = kernels.fused_descent(
+                self._root_map, matrix, np.zeros(n, dtype=np.int64), metric=self.metric
+            )
+            at_leaf = self._root_child[units] < 0
+            leaf_index[at_leaf] = self._root_leaf_row[units[at_leaf]]
+            distances[at_leaf] = root_distances[at_leaf]
+        else:
+            units, _, _ = descend_node(
+                matrix,
+                np.einsum("ij,ij->i", matrix, matrix),
+                None,
+                self._root_map.codebook,
+                self._root_map.unit_norms,
+                self._root_child,
+                self._root_leaf_row,
+                self.metric,
+                leaf_index,
+                distances,
+            )
         # --- dispatch: one task per shard with routed samples ------------- #
         sample_shard = self._shard_of_unit[units]
         tasks: List[Tuple[int, AnyArray, AnyArray]] = []
@@ -211,3 +225,21 @@ class ShardedGhsom:
     def transform(self, data: object) -> AnyArray:
         """Quantization distance per sample (the raw anomaly score)."""
         return self.assign_arrays(data)[1]
+
+
+class _RootMap:
+    """The root map alone as a one-node tree whose every unit is a leaf.
+
+    The fused kernel lands each sample on this tree with leaf row = root
+    unit and the distance the unsharded kernel reports at the root node:
+    its landing is the unsharded kernel's root step.  The instance is also
+    the kernel-plan cache key of the root block.
+    """
+
+    def __init__(self, codebook: AnyArray, unit_norms: AnyArray) -> None:
+        n_units = codebook.shape[0]
+        self.codebook = codebook
+        self.unit_norms = unit_norms
+        self.node_offsets = np.array([0, n_units], dtype=np.int64)
+        self.child_of_unit = np.full(n_units, -1, dtype=np.int64)
+        self.leaf_of_unit = np.arange(n_units, dtype=np.int64)

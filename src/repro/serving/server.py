@@ -148,6 +148,7 @@ class FramedServer:
         self._answers: Set["asyncio.Task[None]"] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
+        self._sigterm_drain: Optional["asyncio.Task[None]"] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -155,15 +156,17 @@ class FramedServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`, Ctrl-C or SIGTERM.
 
-        On the main thread SIGTERM, which process managers send, raises
-        ``KeyboardInterrupt`` while this runs, so it drains like Ctrl-C.
+        On the main thread SIGTERM, which process managers send, drains like
+        Ctrl-C.  Once the loop exists the signal arrives as a loop callback:
+        raised as ``KeyboardInterrupt`` it could land in a weakref callback or
+        a ``__del__``, where Python prints and drops it and the server runs on.
         """
         if threading.current_thread() is not threading.main_thread():
             self._run_loop()
             return
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
-            self._run_loop()
+            self._run_loop(drain_on_sigterm=True)
         finally:
             signal.signal(signal.SIGTERM, previous)
 
@@ -207,10 +210,12 @@ class FramedServer:
     async def _drain(self) -> None:
         """Hook: finish admitted work once the listener has closed."""
 
-    def _run_loop(self) -> None:
+    def _run_loop(self, *, drain_on_sigterm: bool = False) -> None:
         loop = asyncio.new_event_loop()
         self._loop = loop
         main_task = loop.create_task(self._main())
+        if drain_on_sigterm:
+            loop.add_signal_handler(signal.SIGTERM, self._drain_on_sigterm)
         try:
             loop.run_until_complete(main_task)
         except KeyboardInterrupt:
@@ -223,6 +228,9 @@ class FramedServer:
         finally:
             self._started.set()
             loop.close()
+
+    def _drain_on_sigterm(self) -> None:
+        self._sigterm_drain = asyncio.get_running_loop().create_task(self._shutdown_async())
 
     async def _main(self) -> None:
         self._stopped = asyncio.Event()

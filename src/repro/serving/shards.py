@@ -9,8 +9,9 @@ remote backend can ship their field states to shard workers.
 
 Scoring inside a shard runs the exact
 :func:`~repro.core.compiled.frontier_descent` loop of the unsharded engine —
-same arithmetic, same per-node row grouping — which is what keeps the merged
-output byte-identical.
+same arithmetic, same per-node row grouping — or, on the fused engine, the
+same batch-invariant kernel, which is what keeps the merged output
+byte-identical.
 
 Each shard is one contiguous run of root subtrees (see
 :mod:`repro.serving.planner`), so building it takes one slice of every
@@ -71,8 +72,8 @@ class SubtreeShard:
     #: the only carrier of the engine request to remote workers.  Resolution
     #: is per call and *non-strict*, on whichever host runs the shard: a
     #: worker where the fused kernel did not build silently degrades to the
-    #: numpy engine rather than failing the batch (the remote byte-identity
-    #: contract only holds under the numpy default anyway).
+    #: numpy engine rather than failing the batch (remote scores are then
+    #: byte-identical to a numpy-engine coordinator, not to a fused one).
     engine: Optional[str] = None
 
     @property

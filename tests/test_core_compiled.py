@@ -11,8 +11,12 @@ from repro.core.detector import combine_label_and_distance_scores
 from repro.core.labeling import UNLABELED
 from repro.core.serialization import detector_binary_payload, detector_from_dict
 from repro.exceptions import DataValidationError, NotFittedError
+from repro.serving.config import ServingConfig
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
+
+#: The legacy recursive descent is the oracle of the numpy engine, byte for byte.
+NUMPY = ServingConfig(engine="numpy")
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +166,13 @@ class TestAssignEquivalence:
 class TestDetectorEquivalence:
     @pytest.fixture(scope="class")
     def labeled_detector(self, fast_config, train_matrix, train_categories):
-        return GhsomDetector(fast_config, random_state=0).fit(train_matrix, train_categories)
+        return GhsomDetector(fast_config, random_state=0, serving=NUMPY).fit(
+            train_matrix, train_categories
+        )
 
     @pytest.fixture(scope="class")
     def unlabeled_detector(self, fast_config, train_matrix):
-        return GhsomDetector(fast_config, random_state=0).fit(train_matrix)
+        return GhsomDetector(fast_config, random_state=0, serving=NUMPY).fit(train_matrix)
 
     def test_labeled_scores_identical(self, labeled_detector, test_matrix):
         np.testing.assert_array_equal(
@@ -193,7 +199,7 @@ class TestDetectorEquivalence:
 
     def test_global_threshold_strategy_identical(self, fast_config, train_matrix, test_matrix):
         detector = GhsomDetector(
-            fast_config, threshold_strategy="global", random_state=0
+            fast_config, threshold_strategy="global", random_state=0, serving=NUMPY
         ).fit(train_matrix)
         np.testing.assert_array_equal(
             detector.score_samples(test_matrix), legacy_score_samples(detector, test_matrix)
@@ -360,7 +366,7 @@ class TestFrontierGroupingRegression:
         matrix = np.ascontiguousarray(test_matrix, dtype=compiled.codebook.dtype)
         entries = np.zeros(matrix.shape[0], dtype=np.intp)
         expected = self._unique_mask_descent(matrix, entries, compiled)
-        actual = compiled.assign_arrays(test_matrix)
+        actual = compiled.assign_arrays(test_matrix, engine="numpy")
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1].astype(np.float64))
         assert actual[1].tobytes() == expected[1].astype(np.float64).tobytes()

@@ -15,18 +15,24 @@ fast and names the build failure.
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import kernels
 from repro.core.compiled import frontier_descent
 from repro.exceptions import ConfigurationError
-from repro.serving.config import ServingConfig
+from repro.serving.config import ServingConfig, ShardingSpec
 
 #: Tree generation is cheap (no GHSOM fit), so the suite affords many more
 #: examples than the fit-based property tests.
@@ -42,6 +48,49 @@ fused_missing = not kernels.fused_supported("euclidean")
 needs_fused = pytest.mark.skipif(
     fused_missing, reason=f"no fused kernel: {kernels.fused_build_error()}"
 )
+
+
+class KernelCache:
+    """A private kernel cache root and the compile commands run against it."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.directory = root / f"repro-kernels-{os.getuid()}"
+        self.compiles: list = []
+
+    def files(self) -> list:
+        """The cached libraries (the directory also remembers compiler versions)."""
+        return sorted(self.directory.glob("*.so"))
+
+
+@pytest.fixture
+def empty_kernel_cache(tmp_path, monkeypatch):
+    """Point the kernel cache at an empty temp dir and forget the loaded kernel."""
+    cache = KernelCache(tmp_path)
+    run = kernels.subprocess.run
+
+    def counting_run(command, **kwargs):
+        if "-shared" in command:
+            cache.compiles.append(command)
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(kernels.subprocess, "run", counting_run)
+    monkeypatch.setattr(kernels.tempfile, "tempdir", str(tmp_path))
+    kernels._reset_for_tests()
+    yield cache
+    kernels._reset_for_tests()
+
+
+@pytest.fixture
+def no_avx512(monkeypatch):
+    """Call the returned function to make the CPU probe answer "no AVX-512"."""
+
+    def apply() -> None:
+        monkeypatch.setattr(kernels, "_cpu_has_avx512f", lambda lib: False)
+        kernels._reset_for_tests()
+
+    yield apply
+    kernels._reset_for_tests()
 
 
 class TreeOwner:
@@ -197,27 +246,17 @@ class TestFusedEquivalence:
         with pytest.raises(ConfigurationError, match="float32"):
             kernels.fused_descent(owner, matrix, np.zeros(3, dtype=np.int64), metric="euclidean")
 
-    def test_kernel_compiles_one_shared_object(self, monkeypatch):
-        commands = []
-        run = kernels.subprocess.run
-
-        def counting_run(command, **kwargs):
-            commands.append(command)
-            return run(command, **kwargs)
-
-        monkeypatch.setattr(kernels.subprocess, "run", counting_run)
-        kernels._reset_for_tests()
+    def test_kernel_compiles_one_shared_object(self, empty_kernel_cache):
         assert kernels.fused_available()
         assert kernels.fused_build_error() == ""
-        # A toolchain that rejects the tuning flags is retried on the same
-        # output, so every command builds the one kernel library.
-        outputs = {command[command.index("-o") + 1] for command in commands}
-        assert len(outputs) == 1
+        # One build, one flag set: no fallback compile.
+        assert len(empty_kernel_cache.compiles) == 1
+        assert [path.suffix for path in empty_kernel_cache.files()] == [".so"]
 
 
 @needs_fused
 class TestDetectorEngineEquivalence:
-    """The engine seam end-to-end: same leaves, bounded drift, numpy default."""
+    """The engine seam end-to-end: same leaves, bounded drift, the auto default."""
 
     @pytest.fixture(scope="class")
     def detector(self, fast_config, train_matrix, train_categories):
@@ -236,12 +275,36 @@ class TestDetectorEngineEquivalence:
             fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
         )
 
-    def test_default_engine_is_numpy_byte_identity(self, detector, test_matrix):
+    def test_default_engine_is_fused_then_numpy_without_avx512(
+        self, detector, test_matrix, no_avx512
+    ):
         compiled = detector._compiled_model()
+        fused = compiled.assign_arrays(test_matrix, engine="fused")
+        numpy = compiled.assign_arrays(test_matrix, engine="numpy")
         default = compiled.assign_arrays(test_matrix)
-        explicit = compiled.assign_arrays(test_matrix, engine="numpy")
-        np.testing.assert_array_equal(default[0], explicit[0])
-        np.testing.assert_array_equal(default[1], explicit[1])
+        assert default[1].tobytes() == fused[1].tobytes()
+        np.testing.assert_array_equal(default[0], fused[0])
+        no_avx512()
+        default = compiled.assign_arrays(test_matrix)
+        assert default[1].tobytes() == numpy[1].tobytes()
+        np.testing.assert_array_equal(default[0], numpy[0])
+
+    @pytest.mark.parametrize("engine", ["numpy", "fused"])
+    def test_fit_calibrates_on_the_configured_engine(self, fast_config, train_matrix, engine):
+        # Thresholds and scores come from one arithmetic, so a detector pinned
+        # to numpy scores exactly as on a host whose default is numpy.
+        from repro.core import GhsomDetector
+        from repro.core.thresholds import make_threshold_strategy
+
+        detector = GhsomDetector(
+            fast_config, random_state=0, serving=ServingConfig(engine=engine)
+        ).fit(train_matrix)
+        compiled = detector.model.compile()
+        leaf_index, distances = compiled.assign_arrays(train_matrix, engine=engine)
+        expected = make_threshold_strategy(
+            detector.threshold_strategy_name, **detector.threshold_kwargs
+        ).fit(distances, compiled.keys_of(leaf_index))
+        assert detector.threshold_.to_dict() == expected.to_dict()
 
     def test_set_engine_round_trip(self, detector, test_matrix):
         reference = detector.detect(test_matrix)
@@ -270,14 +333,200 @@ class TestDetectorEngineEquivalence:
         )
 
 
+#: Probes the kernel in a fresh process; prints availability and compile count.
+PROBE_SCRIPT = """
+import json
+from repro.core import kernels
+
+compiles = []
+run = kernels.subprocess.run
+
+def counting_run(command, **kwargs):
+    if "-shared" in command:
+        compiles.append(command)
+    return run(command, **kwargs)
+
+kernels.subprocess.run = counting_run
+print(json.dumps({"available": kernels.fused_available(), "compiles": len(compiles)}))
+"""
+
+
+@needs_fused
+class TestKernelCache:
+    def test_key_changes_with_source_compiler_or_flags(self):
+        source, version, flags = kernels._C_SOURCE, "cc (GCC) 12.2.0", kernels._CFLAGS
+        key = kernels._cache_key(source, version, flags)
+        assert key == kernels._cache_key(source, version, flags)
+        variants = {
+            key,
+            kernels._cache_key(source + "\n", version, flags),
+            kernels._cache_key(source, "cc (GCC) 13.1.0", flags),
+            kernels._cache_key(source, version, flags[:-1]),
+            kernels._cache_key(source, version, (*flags, "-g")),
+        }
+        assert len(variants) == 5
+        # The parts are delimited: moving text across a boundary is a new key.
+        assert kernels._cache_key("ab", "c", ()) != kernels._cache_key("a", "bc", ())
+
+    def test_two_processes_share_one_build(self, tmp_path):
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+        def probe() -> dict:
+            completed = subprocess.run(
+                [sys.executable, "-c", PROBE_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            return json.loads(completed.stdout.splitlines()[-1])
+
+        directory = tmp_path / f"repro-kernels-{os.getuid()}"
+        assert probe() == {"available": True, "compiles": 1}
+        (library,) = directory.glob("*.so")
+        built = library.stat().st_mtime_ns
+        contents = sorted(directory.iterdir())
+        assert probe() == {"available": True, "compiles": 0}
+        assert sorted(directory.iterdir()) == contents
+        assert library.stat().st_mtime_ns == built
+        # No temporary source or half-written library is left behind.
+        assert sorted(path.suffix for path in contents) == [".so", ".txt"]
+        assert directory.stat().st_mode & 0o777 == 0o700
+
+    @staticmethod
+    def _plant(directory: Path, monkeypatch) -> Path:
+        """A file that is not a library, under the name the loader looks for."""
+        monkeypatch.setattr(kernels, "_cache_key", lambda *parts: "planted")
+        planted = directory / "kernels-planted.so"
+        planted.write_bytes(b"not a library")
+        return planted
+
+    def test_the_loader_reads_a_trusted_cache_dir(self, empty_kernel_cache, monkeypatch):
+        # The control for the two tests below: in a private directory the
+        # planted file is what gets loaded, and loading it fails.
+        empty_kernel_cache.directory.mkdir(mode=0o700)
+        self._plant(empty_kernel_cache.directory, monkeypatch)
+        assert not kernels.fused_available()
+        assert "OSError" in kernels.fused_build_error()
+        assert empty_kernel_cache.compiles == []
+
+    @pytest.mark.parametrize("mode", [0o770, 0o707, 0o777], ids=["group", "world", "both"])
+    def test_writable_cache_dir_is_not_loaded_from(self, empty_kernel_cache, monkeypatch, mode):
+        directory = empty_kernel_cache.directory
+        directory.mkdir(mode=0o700)
+        directory.chmod(mode)
+        planted = self._plant(directory, monkeypatch)
+        assert kernels.fused_available()
+        assert len(empty_kernel_cache.compiles) == 1
+        assert sorted(directory.iterdir()) == [planted]
+        assert planted.read_bytes() == b"not a library"
+
+    def test_cache_dir_owned_by_another_user_is_not_loaded_from(
+        self, empty_kernel_cache, monkeypatch
+    ):
+        other = os.getuid() + 1
+        directory = empty_kernel_cache.root / f"repro-kernels-{other}"
+        directory.mkdir(mode=0o700)
+        planted = self._plant(directory, monkeypatch)
+        monkeypatch.setattr(kernels.os, "getuid", lambda: other)
+        assert kernels.fused_available()
+        assert len(empty_kernel_cache.compiles) == 1
+        assert sorted(directory.iterdir()) == [planted]
+        assert planted.read_bytes() == b"not a library"
+
+    def test_reset_then_probe_reloads_from_the_cache(self, empty_kernel_cache):
+        assert kernels.fused_available()
+        (library,) = empty_kernel_cache.files()
+        built = library.stat().st_mtime_ns
+        kernels._reset_for_tests()
+        assert kernels.fused_available()
+        assert len(empty_kernel_cache.compiles) == 1
+        assert empty_kernel_cache.files() == [library]
+        assert library.stat().st_mtime_ns == built
+
+
+@pytest.fixture(scope="module")
+def fused_detectors(fast_config, train_matrix, train_categories):
+    """One fitted model on the fused engine: unsharded, and sharded K=2 and K=3."""
+    from repro.core import GhsomDetector
+    from repro.core.serialization import detector_binary_payload, detector_from_dict
+
+    fitted = GhsomDetector(fast_config, random_state=0).fit(train_matrix, train_categories)
+    payload, arrays = detector_binary_payload(fitted)
+    detectors = {}
+    for shards in (None, 2, 3):
+        detector = detector_from_dict(payload, arrays=arrays)
+        detector.configure(ServingConfig(engine="fused", sharding=ShardingSpec(shards=shards)))
+        detectors[shards] = detector
+    yield detectors
+    for detector in detectors.values():
+        detector.configure(ServingConfig())
+
+
+def _draw_rows(data, test_matrix) -> np.ndarray:
+    """Test rows, some of them pushed off the data (a random subset and order)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n_rows = data.draw(st.integers(1, 64))
+    rows = test_matrix[rng.integers(0, test_matrix.shape[0], size=n_rows)]
+    noise = rng.normal(0.0, data.draw(st.sampled_from([0.0, 0.05, 0.5])), rows.shape)
+    return np.ascontiguousarray(rows + noise)
+
+
+def _assert_bit_equal(pieces, whole) -> None:
+    scores = np.concatenate([piece.scores for piece in pieces])
+    assert scores.tobytes() == whole.scores.tobytes()
+    np.testing.assert_array_equal(
+        np.concatenate([piece.leaf_index for piece in pieces]), whole.leaf_index
+    )
+
+
+@needs_fused
+class TestFusedBatchInvariance:
+    """On the fused engine a row's score does not depend on its batch."""
+
+    def test_the_sharded_models_have_the_shards_asked_for(self, fused_detectors, test_matrix):
+        for shards in (2, 3):
+            fused_detectors[shards].detect(test_matrix[:1])
+            assert fused_detectors[shards]._sharded.n_shards == shards
+
+    @given(data=st.data())
+    @settings(**TREE_SETTINGS)
+    def test_one_at_a_time_random_splits_and_one_batch(self, data, fused_detectors, test_matrix):
+        detector = fused_detectors[None]
+        rows = _draw_rows(data, test_matrix)
+        whole = detector.detect(rows)
+        cuts = data.draw(st.lists(st.integers(1, max(1, rows.shape[0] - 1)), max_size=6))
+        splits = [part for part in np.split(rows, sorted(set(cuts))) if len(part)]
+        _assert_bit_equal([detector.detect(part) for part in splits], whole)
+        _assert_bit_equal([detector.detect(row[None]) for row in rows], whole)
+
+    @given(data=st.data())
+    @settings(**TREE_SETTINGS)
+    def test_sharded_equals_unsharded(self, data, fused_detectors, test_matrix):
+        rows = _draw_rows(data, test_matrix)
+        whole = fused_detectors[None].detect(rows)
+        for shards in (2, 3):
+            _assert_bit_equal([fused_detectors[shards].detect(rows)], whole)
+
+
 class TestEngineResolution:
     def test_engine_names_validated(self):
         with pytest.raises(ConfigurationError):
             kernels.check_engine("gpu")
 
-    def test_default_engine_is_numpy(self):
-        assert kernels.DEFAULT_ENGINE == "numpy"
+    def test_default_engine_is_auto(self):
+        assert kernels.DEFAULT_ENGINE == "auto"
+        expected = "fused" if kernels.fused_supported("euclidean") else "numpy"
+        assert kernels.resolve_engine(None, metric="euclidean") == expected
+
+    @needs_fused
+    def test_default_resolves_to_numpy_when_the_cpu_probe_says_no_avx512(self, no_avx512):
+        no_avx512()
+        assert not kernels.fused_available()
+        assert "avx512f" in kernels.fused_build_error()
         assert kernels.resolve_engine(None, metric="euclidean") == "numpy"
+        assert kernels.resolve_engine("auto", metric="euclidean") == "numpy"
+        with pytest.raises(ConfigurationError, match="avx512f"):
+            kernels.resolve_engine("fused", metric="euclidean", strict=True)
 
     def test_auto_degrades_to_numpy_without_kernel_and_without_warnings(
         self, compilerless_host

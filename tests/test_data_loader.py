@@ -34,6 +34,9 @@ class TestCsvRoundtrip:
         integral = original == np.round(original)
         assert integral.any()
         np.testing.assert_array_equal(loaded.numeric_matrix()[integral], original[integral])
+        # Every numeric cell comes back exactly, fractional ones included.
+        assert not integral.all()
+        assert loaded.numeric_matrix().tobytes() == original.tobytes()
 
     def test_load_without_header(self, small_dataset, tmp_path):
         path = tmp_path / "noheader.csv"

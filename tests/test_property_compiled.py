@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
 from repro.core.serialization import load_detector, save_detector
+from repro.serving.config import ServingConfig
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
 
@@ -107,8 +108,12 @@ class TestCompiledDetectorEquivalence:
             rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
             labels = list(rng.choice(["normal", "dos", "probe"], size=dataset.shape[0]))
         strategy = data.draw(st.sampled_from(["per_unit", "global"]))
+        # The legacy recursive descent is the numpy engine's byte-exact oracle.
         detector = GhsomDetector(
-            _random_config(data), threshold_strategy=strategy, random_state=0
+            _random_config(data),
+            threshold_strategy=strategy,
+            random_state=0,
+            serving=ServingConfig(engine="numpy"),
         )
         detector.fit(dataset, labels)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))

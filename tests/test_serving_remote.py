@@ -324,9 +324,14 @@ class TestBackendSurvivesReconfigure:
                 _unshard(detector)
         _assert_identical(result, reference)
 
-    def test_engine_change_reprovisions_without_reconnecting(
-        self, binary_bundle, workload, reference
-    ):
+    def test_engine_change_reprovisions_without_reconnecting(self, binary_bundle, workload):
+        # The default engine resolves to fused where the kernel loaded, so
+        # the change to numpy is compared with the serial numpy result.
+        _, serial = load_bundle(binary_bundle, overrides={"shards": 4, "engine": "numpy"})
+        try:
+            expected = serial.detect(workload["X_test"])
+        finally:
+            _unshard(serial)
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             backend = RemoteBackend([worker.address])
             _, detector = load_bundle(binary_bundle)
@@ -343,7 +348,7 @@ class TestBackendSurvivesReconfigure:
         assert after["connects"] == before["connects"] == 1
         assert after["provision_reference"] == before["provision_reference"] + 1
         assert after["provision_value"] == before["provision_value"] == 0
-        _assert_identical(result, reference)
+        _assert_identical(result, expected)
 
     def test_refit_keeps_the_connection(self, binary_bundle, workload):
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:

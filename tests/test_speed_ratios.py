@@ -108,8 +108,9 @@ def test_compiled_beats_legacy_descent_on_every_batch(workload):
 def test_fused_engine_beats_numpy_on_the_largest_batch(workload):
     if not kernels.fused_supported("euclidean"):
         pytest.skip(f"no fused kernel available: {kernels.fused_build_error()}")
-    numpy_detector = workload["detector"]
-    payload, arrays = detector_binary_payload(numpy_detector)
+    payload, arrays = detector_binary_payload(workload["detector"])
+    numpy_detector = detector_from_dict(payload, arrays=arrays)
+    numpy_detector.configure(numpy_detector.serving_config.evolve(engine="numpy"))
     fused_detector = detector_from_dict(payload, arrays=arrays)
     fused_detector.configure(fused_detector.serving_config.evolve(engine="fused"))
     batch = workload["X"][: max(BATCH_SIZES)]
