@@ -127,19 +127,18 @@ def usable_cpus() -> int:
 
 
 def runtime_provenance() -> Dict[str, object]:
-    """Engine/provider/hardware context recorded by the perf benchmarks.
+    """Engine/hardware context recorded by the perf benchmarks.
 
     Throughput numbers are meaningless without knowing what executed them:
-    whether the fused kernel (the ``"cc"`` C build, its only provider) is
-    available, and the usable CPU count plus BLAS pinning they were
-    measured under.
+    the host's compute engine (``"fused"`` where the C kernel loaded,
+    ``"numpy"`` otherwise) and why the kernel did not load, plus the usable
+    CPU count and BLAS pinning they were measured under.
     """
     from repro.core import kernels
 
-    fused = kernels.fused_available()
     return {
-        "fused_providers": ["cc"] if fused else [],
-        "fused_provider": "cc" if fused else None,
+        "engine": kernels.host_engine(),
+        "fused_build_error": kernels.fused_build_error(),
         "n_cpus": usable_cpus(),
         "blas_threads_env": blas_threads_env(),
     }

@@ -113,8 +113,8 @@ def load_bundle(
     bundle memory-maps the ``.npz`` sidecar next to the JSON file.
 
     How the loaded detector serves is one declarative object — a
-    :class:`repro.serving.ServingConfig` covering the compute engine,
-    sharding and artifact options.  Precedence follows
+    :class:`repro.serving.ServingConfig` covering sharding and artifact
+    options.  Precedence follows
     :func:`repro.serving.config.effective_config`: pass ``config=`` (a full
     config, wins wholesale), or ``overrides=`` (flat field overrides — the
     knobs the caller actually chose — applied on top of the config embedded
@@ -123,10 +123,9 @@ def load_bundle(
     setup: ``load_bundle(path)`` alone rehydrates the detector exactly as it
     was configured when saved.
 
-    Resolution is *strict* at load time — e.g. requesting the ``"fused"``
-    engine on a host without the fused kernel fails here instead of at the
-    first score.  Scores stay byte-identical to the unsharded engine for
-    every sharding setup (``overrides={"shards": K}``).
+    The config is applied at load time, so a bad one fails here instead of
+    at the first score.  Scores stay byte-identical to the unsharded engine
+    for every sharding setup (``overrides={"shards": K}``).
     """
     path = Path(path)
     payload = _read_json(path)
@@ -162,17 +161,6 @@ def add_serving_args(parser: argparse.ArgumentParser) -> None:
     :func:`serving_overrides_from_args`.
     """
     group = parser.add_argument_group("serving options")
-    group.add_argument(
-        "--engine",
-        choices=("numpy", "fused", "auto"),
-        default=None,
-        help=(
-            "descent compute engine: numpy = vectorised reference; "
-            "fused = single-pass distance+argmin kernel (fails on a host "
-            "without it: no compiler or no AVX-512); auto = fused when "
-            "possible, numpy otherwise (default)"
-        ),
-    )
     group.add_argument(
         "--verify",
         action="store_true",
@@ -210,8 +198,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
     :func:`repro.serving.config.effective_config`).
     """
     overrides: Dict[str, object] = {}
-    if args.engine is not None:
-        overrides["engine"] = args.engine
     if args.verify:
         overrides["verify"] = True
     if args.shards is not None:
@@ -558,11 +544,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if plan["remote_workers"]:
             shard_layout += f" ({','.join(plan['remote_workers'])})"
     rows = [
-        ["engine", f"{plan['engine']} (requested {plan['engine_requested']})"],
+        ["engine", plan["engine"]],
         ["sharding", shard_layout],
         ["verify", plan["verify"]],
         ["usable cores", plan["usable_cores"]],
-        ["default engine", plan["default_engine"]],
         ["fused kernel", kernels.fused_build_error() or "available"],
     ]
     print()

@@ -13,12 +13,7 @@ from repro.core.ensemble import EnsembleDetector
 from repro.core.ghsom import Ghsom, GhsomNode, LeafAssignment
 from repro.core.grid import MapGrid
 from repro.core.growing_som import GrowingSom, GrowthEvent
-from repro.core.kernels import (
-    ENGINES,
-    FUSED_DISTANCE_RTOL,
-    fused_available,
-    fused_supported,
-)
+from repro.core.kernels import FUSED_DISTANCE_RTOL, fused_available, host_engine
 from repro.core.inspection import (
     component_plane,
     describe_tree,
@@ -61,10 +56,9 @@ __all__ = [
     "MapGrid",
     "GrowingSom",
     "GrowthEvent",
-    "ENGINES",
     "FUSED_DISTANCE_RTOL",
     "fused_available",
-    "fused_supported",
+    "host_engine",
     "component_plane",
     "describe_tree",
     "hit_map",

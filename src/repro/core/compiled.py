@@ -247,16 +247,14 @@ class CompiledGhsom:
     # ------------------------------------------------------------------ #
     # inference
     # ------------------------------------------------------------------ #
-    def assign_arrays(
-        self, data: object, *, engine: Optional[str] = None
-    ) -> Tuple[AnyArray, AnyArray]:
+    def assign_arrays(self, data: object) -> Tuple[AnyArray, AnyArray]:
         """Leaf-table row and quantization distance for every sample.
 
-        ``engine`` selects the descent implementation (``"numpy"``,
-        ``"fused"``, ``"auto"``; ``None`` uses the library default — see
-        :mod:`repro.core.kernels`).  The numpy engine is the byte-exact
-        reference; the fused engine returns the same leaf assignments with
-        distances inside the documented kernel tolerance.
+        The descent runs on the host's engine
+        (:func:`repro.core.kernels.host_engine`): the fused kernel where it
+        loaded, else the numpy engine, the byte-exact reference.  The fused
+        engine returns the same leaf assignments with distances inside the
+        documented kernel tolerance.
 
         Returns
         -------
@@ -266,11 +264,9 @@ class CompiledGhsom:
             the configured metric — both identical to what the legacy
             recursive descent produces, with no per-sample Python objects.
         """
-        return self.assign_validated(check_array_2d(data, "data"), engine=engine)
+        return self.assign_validated(check_array_2d(data, "data"))
 
-    def assign_validated(
-        self, matrix: AnyArray, *, engine: Optional[str] = None
-    ) -> Tuple[AnyArray, AnyArray]:
+    def assign_validated(self, matrix: AnyArray) -> Tuple[AnyArray, AnyArray]:
         """:meth:`assign_arrays` on a matrix ``check_array_2d`` already returned.
 
         ``matrix`` must come from ``check_array_2d``: a caller that validates
@@ -281,8 +277,7 @@ class CompiledGhsom:
             raise DataValidationError(
                 f"data has {matrix.shape[1]} features, the model expects {self.n_features}"
             )
-        resolved = kernels.resolve_engine(engine, metric=self.metric)
-        if resolved == "fused":
+        if kernels.host_engine() == "fused":
             leaf_index, distances = kernels.fused_descent(
                 self,
                 matrix,

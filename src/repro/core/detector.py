@@ -337,7 +337,7 @@ class GhsomDetector(BaseAnomalyDetector):
         Seed overriding ``config.random_state``.
     serving:
         A full :class:`~repro.serving.config.ServingConfig` describing how
-        the detector serves (engine, sharding, artifact options) —
+        the detector serves (sharding, artifact options) —
         the declarative equivalent of calling :meth:`configure` right after
         construction.
     """
@@ -441,26 +441,21 @@ class GhsomDetector(BaseAnomalyDetector):
     def configure(self, config: "ServingConfig") -> "GhsomDetector":
         """Apply a full serving configuration atomically.
 
-        The single mutation path for every serving knob — compute engine,
-        sharding, artifact options.  The combined state is validated
-        and resolved *before* anything mutates, so a rejected config leaves
-        the detector exactly as it was, and the result never depends on the
-        order knobs were set in.  Resolution is strict on a fitted
-        detector: a ``"fused"`` engine request with no kernel for the
-        model's metric raises instead of silently serving slower.
+        The single mutation path for every serving knob — sharding and
+        artifact options.  The combined state is validated and resolved
+        *before* anything mutates, so a rejected config leaves the detector
+        exactly as it was, and the result never depends on the order knobs
+        were set in.
         """
         return self._apply_serving(config)
 
     def resolved_plan(self) -> "ServingPlan":
         """The :class:`~repro.serving.config.ServingPlan` scoring runs under.
 
-        Resolved non-strictly (the per-batch hot-path policy: an
-        unprovidable fused request degrades to numpy) against the fitted
-        model's metric, and cached until the config or the model changes.
+        Resolved when the config is applied and cached until it changes.
         """
         if self._plan is None:
-            metric = self._compiled_model().metric if self.is_fitted else "euclidean"
-            self._plan = self._serving.resolve(metric=metric, strict=False)
+            self._plan = self._serving.resolve()
         return self._plan
 
     def _apply_serving(self, config: "ServingConfig", *, backend=None) -> "GhsomDetector":
@@ -481,9 +476,7 @@ class GhsomDetector(BaseAnomalyDetector):
             raise ConfigurationError(
                 f"configure() needs a ServingConfig, got {type(config).__name__}"
             )
-        fitted = self.is_fitted
-        metric = self._compiled_model().metric if fitted else "euclidean"
-        plan = config.resolve(metric=metric, strict=fitted)
+        plan = config.resolve()
         live = self._shard_spec[1] if self._shard_spec is not None else None
         if backend is None and plan.sharded:
             if config.sharding == self._serving.sharding and live is not None:
@@ -496,21 +489,13 @@ class GhsomDetector(BaseAnomalyDetector):
         if live is not None and live is not backend:
             live.close()
         if backend is not live or config != self._serving:
-            # The shards carry the engine; a new config or backend re-slices
-            # them lazily against the kept (or new) backend.
+            # A new config or backend re-slices the shards lazily against
+            # the kept (or new) backend.
             self._sharded = None
         self._serving = config
         self._plan = plan
         self._shard_spec = (int(plan.n_shards), backend) if plan.sharded else None
         return self
-
-    # ------------------------------------------------------------------ #
-    # compute engine
-    # ------------------------------------------------------------------ #
-    @property
-    def engine(self) -> Optional[str]:
-        """The configured compute engine, or ``None`` for the library default."""
-        return self._serving.engine
 
     # ------------------------------------------------------------------ #
     # sharded serving
@@ -546,7 +531,6 @@ class GhsomDetector(BaseAnomalyDetector):
                 labels=tables.labels,
                 is_attack=tables.is_attack,
                 purity=tables.purity,
-                engine=self._serving.engine,
             )
         return self._sharded
 
@@ -567,7 +551,7 @@ class GhsomDetector(BaseAnomalyDetector):
         compiled = self.model.compile()
         # Calibrate on the engine that will serve, so the thresholds and the
         # scores come from one arithmetic.
-        leaf_index, distances = compiled.assign_arrays(matrix, engine=self.engine)
+        leaf_index, distances = compiled.assign_arrays(matrix)
         leaf_keys = compiled.keys_of(leaf_index)
 
         if labels is not None:
@@ -587,9 +571,6 @@ class GhsomDetector(BaseAnomalyDetector):
             [key for key, keep in zip(leaf_keys, calibration_mask, strict=True) if keep],
         )
         self.threshold_ = strategy
-        # The cached plan is host-side only, but the model's metric feeds
-        # resolution — recompute lazily.
-        self._plan = None
         return self
 
     # ------------------------------------------------------------------ #
@@ -647,16 +628,8 @@ class GhsomDetector(BaseAnomalyDetector):
         tables = self._leaf_tables()
         # The sharded engine (when configured) returns global leaf rows and
         # distances byte-identical to the compiled engine, so everything
-        # downstream of this call is oblivious to the partitioning.  The
-        # compute-engine choice rides along per call on the compiled engine;
-        # the sharded engine carries it in its shard fields (set at build).
-        serving = self._serving_engine()
-        if isinstance(serving, CompiledGhsom):
-            leaf_index, distances = serving.assign_validated(
-                matrix, engine=self._serving.engine
-            )
-        else:
-            leaf_index, distances = serving.assign_validated(matrix)
+        # downstream of this call is oblivious to the partitioning.
+        leaf_index, distances = self._serving_engine().assign_validated(matrix)
         ratios = distances / tables.thresholds[leaf_index]
         return tables, leaf_index, ratios
 

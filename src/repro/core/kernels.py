@@ -1,4 +1,4 @@
-"""Fused distance+argmin descent kernel and compute-engine resolution.
+"""Fused distance+argmin descent kernel and the host's compute engine.
 
 The numpy engine in :func:`repro.core.compiled.frontier_descent` materialises a
 full ``(pending, units)`` squared-distance matrix per node per level (one BLAS
@@ -21,28 +21,24 @@ The kernel is *optional*.  It is built once per host for ``x86-64-v4``
 numpy) and cached under ``<tempdir>/repro-kernels-<uid>``, a mode-0700
 directory that is used only while it belongs to the current user and is not
 group- or world-writable; a cache miss compiles to a temporary name there and
-renames it into place.  When the build fails (no compiler, a non-x86
-toolchain) or the CPU does not report ``avx512f``, :func:`fused_available` is
-false, :func:`fused_build_error` says why, and ``"auto"`` silently resolves
-to ``"numpy"``: no warnings, no hard dependency.
+renames it into place.  When that directory cannot be trusted, the kernel is
+built in a fresh private directory that is removed once the library is
+loaded.  When the build fails (no compiler, a non-x86 toolchain, a platform
+whose ``np.intp`` is not 64-bit) or the CPU does not report ``avx512f``,
+:func:`fused_available` is false, :func:`fused_build_error` says why, and the
+host runs the numpy engine: no warnings, no hard dependency.
 
-``"auto"`` is the library default (:data:`DEFAULT_ENGINE`) because the fused
-engine is both faster and *batch-invariant*: a sample's score does not
-depend on which other rows share its batch, so chunked, one-row, sharded and
-whole-batch scoring agree bit for bit.  The numpy engine is not (BLAS blocks
-the distance product differently per batch size, ~1e-13 relative); it stays
-the reference the fused engine is tested against.  Leaf assignments match
-exactly on non-degenerate data and distances agree within
-:data:`FUSED_DISTANCE_RTOL`.  Both engines compute in float64, the one
-serving precision.
-
-Engine names accepted everywhere (``assign_arrays(engine=...)``,
-``ServingConfig(engine=...)``, ``repro-ids detect --engine``):
-
-* ``"numpy"`` — the vectorised reference path (the oracle);
-* ``"fused"`` — require the fused kernel (raises if unavailable);
-* ``"auto"``  — fused when the kernel is available for the metric, else numpy
-  (default).
+Which engine runs is a fact about the host, decided once per process by
+:func:`host_engine`: ``"fused"`` where the kernel loaded, ``"numpy"``
+elsewhere.  The fused engine is preferred because it is both faster and
+*batch-invariant*: a sample's score does not depend on which other rows
+share its batch, so chunked, one-row, sharded and whole-batch scoring agree
+bit for bit.  The numpy engine is not (BLAS blocks the distance product
+differently per batch size, ~1e-13 relative); it stays the reference the
+fused engine is tested against.  Leaf assignments match exactly on
+non-degenerate data and distances agree within :data:`FUSED_DISTANCE_RTOL`.
+Both engines compute in float64, the one serving precision, and both serve
+every metric :func:`repro.core.distances.available_metrics` names.
 """
 
 from __future__ import annotations
@@ -64,9 +60,6 @@ import numpy as np
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError
 
-#: Engine names accepted by every ``engine=`` parameter in the library.
-ENGINES = ("numpy", "fused", "auto")
-
 #: Relative distance tolerance of the fused engine against the numpy engine.
 #: Measured drift is ~1e-13; the documented gates leave headroom for other
 #: BLAS builds.  Leaf assignments are required to match exactly (ties broken
@@ -80,67 +73,20 @@ FUSED_DISTANCE_RTOL = 1e-9
 FUSED_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
 _METRIC_IDS = {"sqeuclidean": 0, "euclidean": 1, "manhattan": 2, "chebyshev": 3}
 
-#: The engine used wherever none is requested (``engine=None``): the fused
-#: kernel where it loaded (an AVX-512 host), the numpy engine elsewhere.
-DEFAULT_ENGINE = "auto"
-
 _lock = threading.Lock()
 
 
 # --------------------------------------------------------------------------- #
-# engine selection
+# the host's engine
 # --------------------------------------------------------------------------- #
-def check_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged."""
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown compute engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
+def host_engine() -> str:
+    """The engine this process scores with: ``"fused"`` or ``"numpy"``.
 
-
-def resolve_engine(
-    engine: Optional[str],
-    *,
-    metric: str,
-    strict: bool = False,
-) -> str:
-    """Resolve an engine request to the concrete engine to run: numpy or fused.
-
-    ``None`` means :data:`DEFAULT_ENGINE`.  ``"auto"`` picks the fused
-    kernel when it is available and supports ``metric``,
-    silently falling back to numpy otherwise.  ``"fused"`` falls back the same
-    way unless ``strict=True``, in which case an unavailable kernel raises
-    :class:`~repro.exceptions.ConfigurationError` — configuration-time callers
-    (``ServingConfig.resolve`` on a fitted detector, CLI flags) pass
-    ``strict`` so a typo or a missing toolchain fails fast instead of
-    silently serving slower; the per-batch hot path never raises.
+    ``"fused"`` when the kernel loaded and the CPU reports AVX-512F (see
+    :func:`fused_available`), ``"numpy"`` otherwise.  The probe runs once per
+    process, so every caller sees the same answer.
     """
-    requested = check_engine(engine) if engine is not None else DEFAULT_ENGINE
-    if requested == "numpy":
-        return "numpy"
-    supported = fused_supported(metric)
-    if requested == "fused" and strict and not supported:
-        detail = (
-            f"metric {metric!r} is outside the fused kernel's support matrix "
-            f"{FUSED_METRICS}"
-            if fused_available()
-            else "the C kernel did not build (install a C toolchain): "
-            + fused_build_error()
-        )
-        raise ConfigurationError(f"the fused engine is unavailable: {detail}")
-    return "fused" if supported else "numpy"
-
-
-def fused_supported(metric: str) -> bool:
-    """Whether the fused kernel can serve this metric."""
-    if metric not in FUSED_METRICS:
-        return False
-    # The kernels exchange indices as int64; every 64-bit platform this
-    # library targets has np.intp == int64.
-    if np.dtype(np.intp).itemsize != 8:
-        return False
-    return fused_available()
+    return "fused" if fused_available() else "numpy"
 
 
 def fused_available() -> bool:
@@ -257,11 +203,11 @@ def fused_descent(
 
     Drop-in for :func:`repro.core.compiled.frontier_descent` output-wise:
     returns ``(leaf_index, distances)``.  ``owner`` supplies the flat arrays
-    (and caches the kernel plan); callers are expected to have resolved the
-    engine first — passing an unsupported metric here raises.
+    (and caches the kernel plan); callers check :func:`host_engine` first —
+    without the kernel, or with an unknown metric, this raises.
     """
     if (
-        not fused_supported(metric)
+        metric not in _METRIC_IDS
         or matrix.dtype != np.float64
         or not matrix.flags["C_CONTIGUOUS"]
     ):
@@ -676,32 +622,46 @@ def _cpu_has_avx512f(lib: ctypes.CDLL) -> bool:
 
 
 def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], str]:
+    if np.dtype(np.intp).itemsize != 8:
+        return None, "np.intp is not 64-bit (the kernel exchanges indices as int64)"
     compiler = next(filter(None, map(shutil.which, _compiler_candidates())), None)
     if compiler is None:
         return None, "no C compiler on PATH (cc/gcc/clang)"
     try:
-        build_dir = _private_cache_dir() or tempfile.mkdtemp(prefix="repro-kernels-")
-        key = _cache_key(_C_SOURCE, _compiler_version(compiler, build_dir), _CFLAGS)
-        lib_path = os.path.join(build_dir, f"kernels-{key}.so")
-        if not os.path.exists(lib_path):
-            error = _compile(compiler, build_dir, lib_path)
-            if error:
-                return None, error
-        lib = ctypes.CDLL(lib_path)
-        lib.cpu_has_avx512f.argtypes = []
-        lib.cpu_has_avx512f.restype = ctypes.c_int64
-        if not _cpu_has_avx512f(lib):
-            return None, "the CPU does not report avx512f (the kernel is built for x86-64-v4)"
-        fp = ctypes.POINTER(ctypes.c_double)
-        ip = ctypes.POINTER(ctypes.c_int64)
-        i64 = ctypes.c_int64
-        lib.fused_descent.argtypes = [
-            fp, i64, i64, fp, ip, ip, ip, fp, fp, ip, ip, ip, ip, fp, i64, i64, ip, fp, ip,
-        ]
-        lib.fused_descent.restype = None
-        return lib, ""
+        cache_dir = _private_cache_dir()
+        if cache_dir is not None:
+            return _load_cc_library(compiler, cache_dir)
+        # No trusted cache: build privately, and keep nothing once loaded
+        # (the loaded library stays mapped after its file is removed).
+        with tempfile.TemporaryDirectory(
+            prefix="repro-kernels-", ignore_cleanup_errors=True
+        ) as build_dir:
+            return _load_cc_library(compiler, build_dir)
     except Exception as exc:  # noqa: BLE001 - any failure just disables the kernel
         return None, f"{type(exc).__name__}: {exc}"
+
+
+def _load_cc_library(compiler: str, build_dir: str) -> Tuple[Optional[ctypes.CDLL], str]:
+    """Load the kernel from ``build_dir``, compiling it there on a miss."""
+    key = _cache_key(_C_SOURCE, _compiler_version(compiler, build_dir), _CFLAGS)
+    lib_path = os.path.join(build_dir, f"kernels-{key}.so")
+    if not os.path.exists(lib_path):
+        error = _compile(compiler, build_dir, lib_path)
+        if error:
+            return None, error
+    lib = ctypes.CDLL(lib_path)
+    lib.cpu_has_avx512f.argtypes = []
+    lib.cpu_has_avx512f.restype = ctypes.c_int64
+    if not _cpu_has_avx512f(lib):
+        return None, "the CPU does not report avx512f (the kernel is built for x86-64-v4)"
+    fp = ctypes.POINTER(ctypes.c_double)
+    ip = ctypes.POINTER(ctypes.c_int64)
+    i64 = ctypes.c_int64
+    lib.fused_descent.argtypes = [
+        fp, i64, i64, fp, ip, ip, ip, fp, fp, ip, ip, ip, ip, fp, i64, i64, ip, fp, ip,
+    ]
+    lib.fused_descent.restype = None
+    return lib, ""
 
 
 def _cc_descent(
@@ -718,7 +678,7 @@ def _cc_descent(
     distances: AnyArray,
 ) -> None:
     lib = _cc_library()[0]
-    if lib is None:  # callers resolve the engine first; defensive belt
+    if lib is None:  # callers check host_engine() first; defensive belt
         raise ConfigurationError("the compiled-C fused kernel is unavailable")
     n, d = matrix.shape
     n_nodes = node_offsets.shape[0] - 1

@@ -596,8 +596,8 @@ def _detector_payload(
         "calibrate_on_normal_only": detector.calibrate_on_normal_only,
     }
     # The detector's serving configuration travels inside the artifact,
-    # so loading hydrates a fully-configured detector (engine, sharding,
-    # artifact options) unless the caller overrides it — see
+    # so loading hydrates a fully-configured detector (sharding, artifact
+    # options) unless the caller overrides it — see
     # repro.serving.config.effective_config for the precedence rule.
     payload["serving_config"] = detector.serving_config.to_dict()
     # Generators are process-local state; only reproducible seeds persist.
@@ -665,8 +665,8 @@ def detector_from_dict(
     How the detector serves is governed by one
     :class:`~repro.serving.config.ServingConfig` with the standard
     precedence (see :func:`repro.serving.config.effective_config`): a full
-    ``config`` wins wholesale; otherwise flat ``overrides`` (engine,
-    shards, remote_workers, verify) apply field-wise on
+    ``config`` wins wholesale; otherwise flat ``overrides`` (shards,
+    remote_workers, verify) apply field-wise on
     top of the artifact-embedded config (v2+ payloads carry the config the
     detector was saved with; older artifacts fall back to the library
     default).  The resolved config also says whether the sidecar's SHA-256
@@ -754,9 +754,8 @@ def detector_from_dict(
     else:
         # v1: full tree rebuild.
         detector.model = ghsom_from_dict(model_payload)
-    # One atomic application of the effective config: engine (resolved
-    # strictly — an unprovidable "fused" request fails here rather than at
-    # first score) and sharding (the backend is constructed eagerly).
+    # One atomic application of the effective config: sharding (the backend
+    # is constructed eagerly) and artifact options.
     detector.configure(serving)
     return detector
 

@@ -32,10 +32,11 @@ into a serving subsystem:
   client whose answers are byte-identical to calling ``detect`` directly);
 * :mod:`repro.serving.config` — the unified serving-configuration layer:
   :class:`ServingConfig` (one frozen, versioned, JSON-round-trippable
-  description of engine / sharding / artifact options, embedded in
+  description of sharding / artifact options, embedded in
   v2+ artifacts),
   :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
-  environment-dependent resolution under one strict/degrade policy;
+  environment-dependent resolution in one place, with the host's engine
+  as provenance;
   :meth:`ServingPlan.build_backend` is the only constructor of a live
   backend from a resolved plan) and
   :class:`ServingStats` (per-batch stage timings on

@@ -6,20 +6,18 @@ CLI flag block all go through it.  This module holds it and its companions:
 
 :class:`ServingConfig`
     A frozen, *declarative* description of how a model is served: the
-    compute engine, the sharding spec and the artifact-loading options.  It
-    validates strictly on construction, round-trips through JSON
-    (``to_dict`` / ``from_dict``, versioned) and embeds in v2/v3 model
-    artifacts.  It never
+    sharding spec and the artifact-loading options.  It validates strictly
+    on construction, round-trips through JSON (``to_dict`` / ``from_dict``,
+    versioned) and embeds in v2/v3 model artifacts.  It never
     touches the environment: a config built on one host means exactly the
     same thing on another.
 
 :class:`ServingPlan`
     The *resolved* form: :meth:`ServingConfig.resolve` performs every
-    environment-dependent decision — fused-kernel availability,
-    remote address parsing — in one place, under one
-    strict/degrade policy (``strict=True`` raises on an unprovidable
-    ``"fused"`` request; ``strict=False`` degrades to the numpy engine, the
-    per-batch hot-path behaviour).  The plan is still a frozen value object;
+    environment-dependent decision in one place — the backend and its
+    parsed remote addresses — and records the host's compute engine
+    (:func:`repro.core.kernels.host_engine`) as provenance; the engine is
+    not a setting.  The plan is still a frozen value object;
     :meth:`ServingPlan.build_backend` is the single constructor of live
     :class:`~repro.serving.backends.ShardBackend` instances.
 
@@ -75,11 +73,19 @@ _REMOVED_OVERRIDES = {
         "same sidecar, by value otherwise"
     ),
     "mmap": "a v3 sidecar is always memory-mapped",
+    "engine": (
+        "the engine is the host's: the fused kernel where it loaded, numpy elsewhere"
+    ),
 }
 
 #: ``provisioning`` values payloads written before remote provisioning had
 #: one policy may carry.  Each reads as that one policy.
 _LEGACY_PROVISIONING = ("auto", "reference", "value")
+
+#: ``engine`` and ``provider`` values payloads written while the compute
+#: engine was a setting may carry.
+_LEGACY_ENGINES = ("numpy", "fused", "auto")
+_LEGACY_PROVIDERS = ("cc", "none")
 
 
 def usable_workers() -> int:
@@ -201,6 +207,28 @@ def _check_legacy_provisioning(sharding: Mapping[str, object]) -> None:
         )
 
 
+def _check_legacy_engine(data: Mapping[str, object]) -> None:
+    """Refuse the ``engine``/``provider`` values older readers refused.
+
+    Payloads written while the compute engine was a setting carry an
+    ``engine`` key, and older ones a fused-kernel ``provider``.  The engine
+    is now the host's, so both are ignored, but an unknown provider or
+    engine name is still rejected.  A ``"none"`` provider pinned the numpy
+    engine whatever the engine said, so under it the engine is not checked.
+    """
+    provider = data.get("provider")
+    if provider not in (None, *_LEGACY_PROVIDERS):
+        raise ConfigurationError(
+            f"unknown fused provider {provider!r} in serving config payload; "
+            "expected 'cc', 'none' or null"
+        )
+    engine = _opt_str(data.get("engine"))
+    if provider != "none" and engine is not None and engine not in _LEGACY_ENGINES:
+        raise ConfigurationError(
+            f"unknown compute engine {engine!r}; expected one of {_LEGACY_ENGINES}"
+        )
+
+
 def _check_legacy_mmap(artifact: Mapping[str, object]) -> None:
     """Refuse the ``mmap`` values older readers refused.
 
@@ -304,13 +332,10 @@ class ServingConfig:
     paths rely on.
     """
 
-    engine: Optional[str] = None
     sharding: ShardingSpec = field(default_factory=ShardingSpec)
     artifact: ArtifactOptions = field(default_factory=ArtifactOptions)
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            kernels.check_engine(self.engine)
         if not isinstance(self.sharding, ShardingSpec):
             raise ConfigurationError(
                 f"sharding must be a ShardingSpec, got {type(self.sharding).__name__}"
@@ -327,7 +352,6 @@ class ServingConfig:
         """JSON-compatible payload; exact inverse of :meth:`from_dict`."""
         return {
             "config_version": CONFIG_VERSION,
-            "engine": self.engine,
             "sharding": {
                 "shards": self.sharding.shards,
                 "remote_workers": self.sharding.remote_workers,
@@ -339,11 +363,10 @@ class ServingConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "ServingConfig":
         """Rebuild a config from :meth:`to_dict` output (strictly validated).
 
-        Payloads written before the fused-provider pin was removed carry a
-        ``provider`` key: ``None`` and ``"cc"`` (the only provider) mean the
-        same as no pin, and ``"none"`` — which disabled the fused engine —
-        reads as the numpy engine.  Payloads written before the pool
-        backends were removed may carry ``backend`` and ``workers``: see
+        Payloads written while the compute engine was a setting carry
+        ``engine`` and ``provider``: see :func:`_check_legacy_engine`.
+        Payloads written before the pool backends were removed may carry
+        ``backend`` and ``workers``: see
         :func:`_check_legacy_backend`.  Payloads written while float32
         serving existed carry ``dtype``: see :func:`_check_legacy_dtype`.
         Payloads written while remote provisioning had modes carry
@@ -382,21 +405,12 @@ class ServingConfig:
             raise ConfigurationError(
                 f"serving config artifact options have unknown keys {unknown}"
             )
-        engine = _opt_str(data.get("engine"))
-        provider = data.get("provider")
-        if provider == "none":
-            engine = "numpy"
-        elif provider not in (None, "cc"):
-            raise ConfigurationError(
-                f"unknown fused provider {provider!r} in serving config payload; "
-                "expected 'cc', 'none' or null"
-            )
+        _check_legacy_engine(data)
         _check_legacy_dtype(data)
         _check_legacy_backend(sharding)
         _check_legacy_provisioning(sharding)
         _check_legacy_mmap(artifact)
         return cls(
-            engine=engine,
             sharding=ShardingSpec(
                 shards=_opt_int(sharding.get("shards")),
                 remote_workers=_opt_str(sharding.get("remote_workers")),
@@ -416,12 +430,12 @@ class ServingConfig:
     def with_overrides(self, overrides: Mapping[str, object]) -> "ServingConfig":
         """Apply flat, CLI-style field overrides on top of this config.
 
-        ``overrides`` maps flat knob names — ``engine``, ``shards``,
-        ``remote_workers``, ``verify`` — to values; keys that are absent keep this config's value, which is what
-        gives CLI flags field-wise precedence over an artifact-embedded
-        config.  Overriding any sharding field replaces the *whole* sharding
-        spec (a ``--shards 4`` override must not inherit a stale remote
-        address list from the artifact).
+        ``overrides`` maps flat knob names — ``shards``, ``remote_workers``,
+        ``verify`` — to values; keys that are absent keep this config's
+        value, which is what gives CLI flags field-wise precedence over an
+        artifact-embedded config.  Overriding any sharding field replaces
+        the *whole* sharding spec (a ``--shards 4`` override must not
+        inherit a stale remote address list from the artifact).
         """
         removed = sorted(set(overrides) & set(_REMOVED_OVERRIDES))
         if removed:
@@ -429,14 +443,10 @@ class ServingConfig:
                 f"serving config override {removed[0]!r} was removed: "
                 + _REMOVED_OVERRIDES[removed[0]]
             )
-        unknown = sorted(
-            set(overrides) - {"engine", "shards", "remote_workers", "verify"}
-        )
+        unknown = sorted(set(overrides) - {"shards", "remote_workers", "verify"})
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
         config = self
-        if "engine" in overrides:
-            config = replace(config, engine=_opt_str(overrides["engine"]))
         if "shards" in overrides or "remote_workers" in overrides:
             config = replace(
                 config,
@@ -455,28 +465,14 @@ class ServingConfig:
     # ------------------------------------------------------------------ #
     # resolution
     # ------------------------------------------------------------------ #
-    def resolve(
-        self,
-        *,
-        metric: str = "euclidean",
-        strict: bool = True,
-    ) -> "ServingPlan":
+    def resolve(self) -> "ServingPlan":
         """Resolve this config against the current host into a :class:`ServingPlan`.
 
-        All environment-dependent decisions happen here, under one policy:
-
-        * the engine request (``None`` → :data:`~repro.core.kernels.DEFAULT_ENGINE`)
-          is resolved to a concrete ``"numpy"`` / ``"fused"`` via
-          :func:`repro.core.kernels.resolve_engine` — ``strict=True`` raises
-          :class:`~repro.exceptions.ConfigurationError` when a ``"fused"``
-          request has no kernel for ``metric``; ``strict=False``
-          degrades to numpy (the hot-path / worker-side policy);
-        * a sharded plan runs on the ``"remote"`` backend when the spec
-          lists worker addresses (one worker per address) and on the
-          ``"serial"`` backend (one worker) otherwise.
+        A sharded plan runs on the ``"remote"`` backend when the spec lists
+        worker addresses (one worker per address) and on the ``"serial"``
+        backend (one worker) otherwise.  The plan records the host's engine
+        (:func:`repro.core.kernels.host_engine`).
         """
-        requested = self.engine if self.engine is not None else kernels.DEFAULT_ENGINE
-        resolved = kernels.resolve_engine(requested, metric=metric, strict=strict)
         sharding = self.sharding
         backend: Optional[str] = None
         workers: Optional[int] = None
@@ -488,8 +484,7 @@ class ServingConfig:
             backend, workers = "serial", 1
         return ServingPlan(
             config=self,
-            engine_requested=requested,
-            engine=resolved,
+            engine=kernels.host_engine(),
             n_shards=sharding.shards,
             backend=backend,
             workers=workers,
@@ -512,7 +507,6 @@ class ServingPlan:
     """
 
     config: ServingConfig
-    engine_requested: str
     engine: str
     n_shards: Optional[int]
     backend: Optional[str]
@@ -527,7 +521,6 @@ class ServingPlan:
     def to_dict(self) -> Dict[str, object]:
         """Resolved-plan provenance (JSON-compatible; used by stats/inspect)."""
         return {
-            "engine_requested": self.engine_requested,
             "engine": self.engine,
             "sharded": self.sharded,
             "n_shards": self.n_shards,
@@ -559,7 +552,6 @@ class ServingPlan:
         """Plan provenance plus host diagnostics (the ``inspect`` view)."""
         summary = self.to_dict()
         summary["usable_cores"] = usable_workers()
-        summary["default_engine"] = kernels.DEFAULT_ENGINE
         return summary
 
 

@@ -33,15 +33,18 @@ in full.
 **Failover**: a dead, refusing or timed-out worker never surfaces as a
 partial result.  Its tasks are re-run on a local serial backend, so
 ``detect`` always returns the complete, byte-identical answer — remote
-workers only ever make it faster, never wrong.  Results
-are byte-identical to the serial backend by construction: workers run the
-same :func:`~repro.core.compiled.frontier_descent` loop on the same row
-groupings over the same array bytes.  That construction assumes a
-*homogeneous numerical stack* across hosts — same NumPy/BLAS builds on
-comparable CPUs — because the per-level GEMM is exactly as reproducible as
-the library computing it; deploy heterogeneous fleets only with the same
-pinned builds everywhere (the loopback CI gate runs coordinator and
-workers on one stack, which is the supported configuration).
+workers only ever make it faster, never wrong.  Results are byte-identical
+to the serial backend by construction: workers run the same descent over
+the same array bytes.  Every shard state names the coordinator's engine,
+and a worker that cannot run it (a ``fused`` state on a host where the
+kernel did not load) refuses the provision, so its tasks fail over instead
+of being answered in other arithmetic.  On the numpy engine the
+construction also assumes a *homogeneous numerical stack* across hosts —
+same NumPy/BLAS builds on comparable CPUs — because the per-level GEMM is
+exactly as reproducible as the library computing it; deploy heterogeneous
+fleets only with the same pinned builds everywhere (the loopback CI gate
+runs coordinator and workers on one stack, which is the supported
+configuration).
 
 The transport pickles frames, so point the backend only at workers you
 trust, on a private network.
@@ -60,6 +63,8 @@ from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 import numpy as np
 
 from repro._typing import AnyArray
+from repro.core import kernels
+from repro.core.distances import available_metrics
 from repro.exceptions import ConfigurationError, SerializationError, ServingError
 from repro.serving.backends import SerialBackend, ShardBackend, ShardResult, ShardTask
 from repro.serving.server import DEFERRED, Connection, FramedServer, ping
@@ -204,10 +209,35 @@ def _value_wire(shards: Sequence[SubtreeShard]) -> List[Dict[str, object]]:
     return states
 
 
+def _check_runnable(state: Dict[str, object]) -> None:
+    """Refuse a shard state this worker cannot descend as the coordinator does.
+
+    The state names the coordinator's engine and metric.  Answering a fused
+    coordinator in numpy arithmetic would change scores in the last bits
+    without any error, so a worker without the kernel refuses the state and
+    the coordinator runs those tasks itself.
+    """
+    engine, metric = state.get("engine"), state.get("metric")
+    if not isinstance(engine, str) or engine not in ("numpy", "fused"):
+        raise ServingError(
+            f"shard state names engine {engine!r}; a shard worker runs 'numpy' or 'fused'"
+        )
+    if engine == "fused" and not kernels.fused_available():
+        raise ServingError(
+            "shard state needs the fused engine, which this worker cannot run: "
+            + kernels.fused_build_error()
+        )
+    if not isinstance(metric, str) or metric not in available_metrics():
+        raise ServingError(
+            f"shard state names metric {metric!r}; expected one of {available_metrics()}"
+        )
+
+
 def _shard_from_state(
     state: Dict[str, object], sidecar_path: Optional[Path]
 ) -> SubtreeShard:
     """Rebuild a shard from a provisioned wire state on the worker side."""
+    _check_runnable(state)
     restored: Dict[str, Any] = dict(state)
     for name, value in state.items():
         if isinstance(value, SidecarRef):
@@ -414,8 +444,8 @@ class RemoteBackend(ShardBackend):
     ) -> None:
         """Ship the current shard set to one worker (reference or value).
 
-        The shard states carry the engine request; each worker resolves it
-        per call against its own host.
+        The shard states carry this host's engine; a worker that cannot run
+        it refuses the provision, and its tasks fail over.
         """
         wire_reference = self._wire_reference
         advertised = connection.info.get("sidecar")
@@ -595,9 +625,9 @@ class ShardWorkerServer(FramedServer):
     def _provisioned(self, frame: Dict[str, object]) -> _Provisioned:
         """Map one provision request's shards.
 
-        Each shard runs with the engine its state carries.  A ``serving`` key
-        from a coordinator that still ships its config is ignored: the shard
-        states carry the same engine.
+        Each shard runs with the engine its state carries, or the provision
+        is refused (see :func:`_check_runnable`).  A ``serving`` key from a
+        coordinator that still ships its config is ignored.
         """
         mode = frame.get("mode")
         states = frame.get("shards")

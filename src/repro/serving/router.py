@@ -7,7 +7,7 @@ global leaf rows and float64 — but executes the descent in three steps:
 1. **route** — run the root-level distance + argmin once over the whole
    batch, exactly as the unsharded engine's first step does: the numpy
    engine's first frontier iteration, or the fused kernel on the root map
-   alone when the engine resolves to fused.  Samples whose best root unit
+   alone on a host whose engine is fused.  Samples whose best root unit
    is a leaf are finished right here;
 2. **dispatch** — group the remaining rows by the shard that owns their root
    unit (each shard a contiguous run of root subtrees) and execute each
@@ -55,13 +55,11 @@ class ShardedGhsom:
         plan: ShardPlan,
         shards: Tuple[SubtreeShard, ...],
         backend: ShardBackend,
-        engine: Optional[str] = None,
     ) -> None:
         self.source = source
         self.plan = plan
         self.shards = tuple(shards)
         self.backend = backend
-        self.engine = engine
         self.metric = source.metric
         self.n_features = source.n_features
         n_root_units = int(source.node_offsets[1])
@@ -96,7 +94,6 @@ class ShardedGhsom:
         labels: Optional[AnyArray] = None,
         is_attack: Optional[AnyArray] = None,
         purity: Optional[AnyArray] = None,
-        engine: Optional[str] = None,
     ) -> "ShardedGhsom":
         """Plan, slice and wire a sharded engine for ``compiled``.
 
@@ -105,10 +102,8 @@ class ShardedGhsom:
         :meth:`~repro.serving.config.ServingPlan.build_backend`).  The
         subtree layout is always derived from ``compiled`` itself; the
         per-leaf scoring tables, when given, are segmented into the shards
-        so each one is fully self-contained.
-        ``engine`` is stamped onto every shard and governs each shard-side
-        descent and the root routing step, which runs the same arithmetic
-        as the unsharded engine's first step on the same engine.
+        so each one is fully self-contained.  Every shard carries the
+        host's engine, the engine the root routing step runs on too.
         """
         plan = plan_shards(compiled, n_shards)
         shards = build_shards(
@@ -118,14 +113,12 @@ class ShardedGhsom:
             labels=labels,
             is_attack=is_attack,
             purity=purity,
-            engine=engine,
         )
         return cls(
             source=compiled,
             plan=plan,
             shards=shards,
             backend=backend if backend is not None else SerialBackend(),
-            engine=engine,
         )
 
     # ------------------------------------------------------------------ #
@@ -172,7 +165,7 @@ class ShardedGhsom:
         leaf_index = np.full(n, -1, dtype=np.intp)
         distances = np.zeros(n)
         # --- route: the unsharded engine's first step --------------------- #
-        if kernels.resolve_engine(self.engine, metric=self.metric) == "fused":
+        if kernels.host_engine() == "fused":
             units, root_distances = kernels.fused_descent(
                 self._root_map, matrix, np.zeros(n, dtype=np.int64), metric=self.metric
             )

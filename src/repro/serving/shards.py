@@ -61,6 +61,12 @@ class SubtreeShard:
     unit_norms: AnyArray
     #: Local leaf row -> global leaf-table row.
     leaf_global_row: AnyArray
+    #: The engine of the host that built the shard (``"numpy"`` or
+    #: ``"fused"``, see :func:`repro.core.kernels.host_engine`): the one
+    #: engine name that crosses hosts.  A shard worker refuses at provision
+    #: a state whose engine it cannot run, so a remote descent runs the
+    #: coordinator's arithmetic or none.
+    engine: str
     #: Per-leaf scoring-table segments (present when the owning detector has
     #: them): a worker holding the shard can score to final ratios/labels
     #: without any global state.
@@ -68,13 +74,6 @@ class SubtreeShard:
     labels: Optional[AnyArray] = None
     is_attack: Optional[AnyArray] = None
     purity: Optional[AnyArray] = None
-    #: Compute engine for this shard's descents (``None`` = library default);
-    #: the only carrier of the engine request to remote workers.  Resolution
-    #: is per call and *non-strict*, on whichever host runs the shard: a
-    #: worker where the fused kernel did not build silently degrades to the
-    #: numpy engine rather than failing the batch (remote scores are then
-    #: byte-identical to a numpy-engine coordinator, not to a fused one).
-    engine: Optional[str] = None
 
     @property
     def n_nodes(self) -> int:
@@ -97,8 +96,7 @@ class SubtreeShard:
         ``entry_nodes`` holds each row's local entry node.  Returns local leaf
         rows plus distances — the router remaps them.
         """
-        resolved = kernels.resolve_engine(self.engine, metric=self.metric)
-        if resolved == "fused":
+        if self.engine == "fused":
             # The shard itself is the kernel-plan cache key, so the lane
             # transposition of its codebook happens once per shard lifetime.
             return kernels.fused_descent(
@@ -128,7 +126,6 @@ def build_shard(
     labels: Optional[AnyArray] = None,
     is_attack: Optional[AnyArray] = None,
     purity: Optional[AnyArray] = None,
-    engine: Optional[str] = None,
 ) -> SubtreeShard:
     """Materialise one shard by slicing the compiled arrays.
 
@@ -168,11 +165,11 @@ def build_shard(
         leaf_of_unit=np.where(leaf_global >= 0, leaf_global - leaf_start, -1),
         unit_norms=compiled.unit_norms[units],
         leaf_global_row=np.arange(leaf_start, last.leaf_stop, dtype=np.intp),
+        engine=kernels.host_engine(),
         thresholds=segment(thresholds),
         labels=segment(labels),
         is_attack=segment(is_attack),
         purity=segment(purity),
-        engine=None if engine is None else str(engine),
     )
 
 
@@ -184,7 +181,6 @@ def build_shards(
     labels: Optional[AnyArray] = None,
     is_attack: Optional[AnyArray] = None,
     purity: Optional[AnyArray] = None,
-    engine: Optional[str] = None,
 ) -> Tuple[SubtreeShard, ...]:
     """Materialise every shard of a plan (see :func:`build_shard`)."""
     return tuple(
@@ -196,7 +192,6 @@ def build_shards(
             labels=labels,
             is_attack=is_attack,
             purity=purity,
-            engine=engine,
         )
         for shard_id, (start, stop) in enumerate(zip(plan.bounds, plan.bounds[1:]))
     )

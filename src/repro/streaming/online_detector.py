@@ -129,9 +129,9 @@ class OnlineDetector:
         ``None`` for detectors outside the config layer (baselines).  The
         config is carried by the detector itself, so it survives
         drift-triggered refits unchanged: ``GhsomDetector.fit`` keeps the
-        full serving setup — engine, sharding — for the newly compiled model,
-        and the next ``process`` batch serves with the exact same plan as
-        before the refit.
+        full serving setup — sharding, artifact options — for the newly
+        compiled model, and the next ``process`` batch serves with the exact
+        same plan as before the refit.
         """
         return cast(
             "Optional[ServingConfig]", getattr(self.detector, "serving_config", None)

@@ -110,10 +110,18 @@ def blob_data(rng) -> np.ndarray:
 NO_COMPILER = "no C compiler on PATH (cc/gcc/clang)"
 
 
-@pytest.fixture
-def compilerless_host(monkeypatch) -> str:
-    """Simulate a host where the fused C kernel did not build; yields the reason."""
+@pytest.fixture(scope="class")
+def compilerless_host():
+    """A host where the fused C kernel did not build; yields the reason.
+
+    Such a host runs the numpy engine, so this is also how a test gets the
+    numpy engine, the reference the legacy descent pins byte for byte.  Class
+    scoped, so a class-scoped fitted detector can be built under it: in a
+    test class it holds from the first test that asks for it to the end of
+    the class, and for a test outside a class, for that test alone.
+    """
     from repro.core import kernels
 
-    monkeypatch.setattr(kernels, "_cc_library", lambda: (None, NO_COMPILER))
-    return NO_COMPILER
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_cc_library", lambda: (None, NO_COMPILER))
+        yield NO_COMPILER

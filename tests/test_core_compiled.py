@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
-from repro.core.compiled import compile_ghsom
+from repro.core.compiled import compile_ghsom, frontier_descent
 from repro.core.detector import combine_label_and_distance_scores
 from repro.core.labeling import UNLABELED
 from repro.core.serialization import detector_binary_payload, detector_from_dict
 from repro.exceptions import DataValidationError, NotFittedError
-from repro.serving.config import ServingConfig
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
-
-#: The legacy recursive descent is the oracle of the numpy engine, byte for byte.
-NUMPY = ServingConfig(engine="numpy")
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +160,15 @@ class TestAssignEquivalence:
 
 
 class TestDetectorEquivalence:
-    @pytest.fixture(scope="class")
-    def labeled_detector(self, fast_config, train_matrix, train_categories):
-        return GhsomDetector(fast_config, random_state=0, serving=NUMPY).fit(
-            train_matrix, train_categories
-        )
+    """The legacy recursive descent is the numpy engine's oracle, byte for byte."""
 
     @pytest.fixture(scope="class")
-    def unlabeled_detector(self, fast_config, train_matrix):
-        return GhsomDetector(fast_config, random_state=0, serving=NUMPY).fit(train_matrix)
+    def labeled_detector(self, fast_config, train_matrix, train_categories, compilerless_host):
+        return GhsomDetector(fast_config, random_state=0).fit(train_matrix, train_categories)
+
+    @pytest.fixture(scope="class")
+    def unlabeled_detector(self, fast_config, train_matrix, compilerless_host):
+        return GhsomDetector(fast_config, random_state=0).fit(train_matrix)
 
     def test_labeled_scores_identical(self, labeled_detector, test_matrix):
         np.testing.assert_array_equal(
@@ -197,9 +193,11 @@ class TestDetectorEquivalence:
         assert fast == legacy_predict_category(labeled_detector, test_matrix)
         assert all(isinstance(category, str) for category in fast)
 
-    def test_global_threshold_strategy_identical(self, fast_config, train_matrix, test_matrix):
+    def test_global_threshold_strategy_identical(
+        self, fast_config, train_matrix, test_matrix, compilerless_host
+    ):
         detector = GhsomDetector(
-            fast_config, threshold_strategy="global", random_state=0, serving=NUMPY
+            fast_config, threshold_strategy="global", random_state=0
         ).fit(train_matrix)
         np.testing.assert_array_equal(
             detector.score_samples(test_matrix), legacy_score_samples(detector, test_matrix)
@@ -366,7 +364,16 @@ class TestFrontierGroupingRegression:
         matrix = np.ascontiguousarray(test_matrix, dtype=compiled.codebook.dtype)
         entries = np.zeros(matrix.shape[0], dtype=np.intp)
         expected = self._unique_mask_descent(matrix, entries, compiled)
-        actual = compiled.assign_arrays(test_matrix, engine="numpy")
+        actual = frontier_descent(
+            matrix,
+            entries,
+            codebook=compiled.codebook,
+            node_offsets=compiled.node_offsets,
+            child_of_unit=compiled.child_of_unit,
+            leaf_of_unit=compiled.leaf_of_unit,
+            unit_norms=compiled.unit_norms,
+            metric=compiled.metric,
+        )
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1].astype(np.float64))
         assert actual[1].tobytes() == expected[1].astype(np.float64).tobytes()

@@ -7,17 +7,16 @@ numpy frontier descent, with distances matching within the documented
 over randomly generated flat-array trees, metrics and entry nodes —
 the same surface the sharded engine drives via per-shard entry points.
 
-The resolution tests prove the degradation story: ``"auto"`` silently
-resolves to numpy when the C kernel did not build (no warning spam on
-compiler-less hosts), while an explicit strict ``"fused"`` request fails
-fast and names the build failure.
+The host-engine tests prove the degradation story: a host where the C
+kernel did not build, or whose CPU lacks AVX-512, runs the numpy engine
+silently (no warning spam on compiler-less hosts), and
+:func:`~repro.core.kernels.fused_build_error` names the reason.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -31,6 +30,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import kernels
 from repro.core.compiled import frontier_descent
+from repro.core.distances import available_metrics
 from repro.exceptions import ConfigurationError
 from repro.serving.config import ServingConfig, ShardingSpec
 
@@ -44,7 +44,7 @@ TREE_SETTINGS = {
 
 METRICS = sorted(kernels.FUSED_METRICS)
 
-fused_missing = not kernels.fused_supported("euclidean")
+fused_missing = kernels.host_engine() != "fused"
 needs_fused = pytest.mark.skipif(
     fused_missing, reason=f"no fused kernel: {kernels.fused_build_error()}"
 )
@@ -151,9 +151,9 @@ def random_tree(
     return TreeOwner(codebook, node_offsets, child_of_unit, leaf_of_unit, unit_norms)
 
 
-def descend_both(owner, matrix, entries, metric):
-    """(numpy result, fused result) for the same tree/batch/entries."""
-    reference = frontier_descent(
+def numpy_descent(owner, matrix, entries, metric):
+    """The numpy engine's descent of ``owner`` (a tree or a compiled model)."""
+    return frontier_descent(
         matrix,
         entries,
         codebook=owner.codebook,
@@ -163,10 +163,14 @@ def descend_both(owner, matrix, entries, metric):
         unit_norms=owner.unit_norms,
         metric=metric,
     )
+
+
+def descend_both(owner, matrix, entries, metric):
+    """(numpy result, fused result) for the same tree/batch/entries."""
     fused = kernels.fused_descent(
         owner, matrix, np.ascontiguousarray(entries, dtype=np.int64), metric=metric
     )
-    return reference, fused
+    return numpy_descent(owner, matrix, entries, metric), fused
 
 
 @needs_fused
@@ -256,7 +260,7 @@ class TestFusedEquivalence:
 
 @needs_fused
 class TestDetectorEngineEquivalence:
-    """The engine seam end-to-end: same leaves, bounded drift, the auto default."""
+    """The host engine end-to-end: same leaves, bounded drift, numpy without AVX-512."""
 
     @pytest.fixture(scope="class")
     def detector(self, fast_config, train_matrix, train_categories):
@@ -266,21 +270,25 @@ class TestDetectorEngineEquivalence:
         detector.fit(train_matrix, train_categories)
         return detector
 
-    def test_assign_arrays_engine_kwarg(self, detector, test_matrix):
+    def test_assign_arrays_runs_the_fused_kernel(self, detector, test_matrix):
         compiled = detector._compiled_model()
-        ref_leaf, ref_dist = compiled.assign_arrays(test_matrix, engine="numpy")
-        fused_leaf, fused_dist = compiled.assign_arrays(test_matrix, engine="fused")
+        entries = np.zeros(test_matrix.shape[0], dtype=np.intp)
+        ref_leaf, ref_dist = numpy_descent(compiled, test_matrix, entries, compiled.metric)
+        fused_leaf, fused_dist = compiled.assign_arrays(test_matrix)
+        kernel = kernels.fused_descent(compiled, test_matrix, entries, metric=compiled.metric)
+        assert fused_dist.tobytes() == kernel[1].tobytes()
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
         np.testing.assert_allclose(
             fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
         )
 
-    def test_default_engine_is_fused_then_numpy_without_avx512(
+    def test_host_engine_is_fused_then_numpy_without_avx512(
         self, detector, test_matrix, no_avx512
     ):
         compiled = detector._compiled_model()
-        fused = compiled.assign_arrays(test_matrix, engine="fused")
-        numpy = compiled.assign_arrays(test_matrix, engine="numpy")
+        entries = np.zeros(test_matrix.shape[0], dtype=np.intp)
+        fused = kernels.fused_descent(compiled, test_matrix, entries, metric=compiled.metric)
+        numpy = numpy_descent(compiled, test_matrix, entries, compiled.metric)
         default = compiled.assign_arrays(test_matrix)
         assert default[1].tobytes() == fused[1].tobytes()
         np.testing.assert_array_equal(default[0], fused[0])
@@ -289,48 +297,53 @@ class TestDetectorEngineEquivalence:
         assert default[1].tobytes() == numpy[1].tobytes()
         np.testing.assert_array_equal(default[0], numpy[0])
 
-    @pytest.mark.parametrize("engine", ["numpy", "fused"])
-    def test_fit_calibrates_on_the_configured_engine(self, fast_config, train_matrix, engine):
-        # Thresholds and scores come from one arithmetic, so a detector pinned
-        # to numpy scores exactly as on a host whose default is numpy.
-        from repro.core import GhsomDetector
-        from repro.core.thresholds import make_threshold_strategy
-
-        detector = GhsomDetector(
-            fast_config, random_state=0, serving=ServingConfig(engine=engine)
-        ).fit(train_matrix)
-        compiled = detector.model.compile()
-        leaf_index, distances = compiled.assign_arrays(train_matrix, engine=engine)
-        expected = make_threshold_strategy(
-            detector.threshold_strategy_name, **detector.threshold_kwargs
-        ).fit(distances, compiled.keys_of(leaf_index))
-        assert detector.threshold_.to_dict() == expected.to_dict()
-
-    def test_set_engine_round_trip(self, detector, test_matrix):
+    def test_a_numpy_host_lands_on_the_same_leaves(self, detector, test_matrix, no_avx512):
         reference = detector.detect(test_matrix)
-        try:
-            detector.configure(ServingConfig(engine="fused"))
-            fused = detector.detect(test_matrix)
-        finally:
-            detector.configure(ServingConfig())
-        np.testing.assert_array_equal(fused.leaf_index, reference.leaf_index)
-        np.testing.assert_array_equal(fused.predictions, reference.predictions)
-        assert fused.categories == reference.categories
+        no_avx512()
+        numpy = detector.detect(test_matrix)
+        np.testing.assert_array_equal(numpy.leaf_index, reference.leaf_index)
+        np.testing.assert_array_equal(numpy.predictions, reference.predictions)
+        assert numpy.categories == reference.categories
 
     def test_sharded_fused_leaves_match(self, detector, test_matrix):
         from repro.serving import ShardedGhsom
 
         compiled = detector._compiled_model()
         reference = compiled.assign_arrays(test_matrix)
-        engine = ShardedGhsom.from_compiled(compiled, 2, engine="fused")
+        engine = ShardedGhsom.from_compiled(compiled, 2)
         try:
+            assert {shard.engine for shard in engine.shards} == {"fused"}
             leaf, dist = engine.assign_arrays(test_matrix)
         finally:
             engine.close()
         np.testing.assert_array_equal(leaf, reference[0])
-        np.testing.assert_allclose(
-            dist, reference[1], rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
+        assert dist.tobytes() == reference[1].tobytes()
+
+
+@needs_fused
+@pytest.mark.parametrize("engine", ["numpy", "fused"])
+def test_fit_calibrates_on_the_host_engine(request, fast_config, train_matrix, engine):
+    # Thresholds and scores come from one arithmetic: a host without the
+    # kernel calibrates on the numpy engine, an AVX-512 host on the kernel.
+    from repro.core import GhsomDetector
+    from repro.core.thresholds import make_threshold_strategy
+
+    if engine == "numpy":
+        request.getfixturevalue("compilerless_host")
+    detector = GhsomDetector(fast_config, random_state=0).fit(train_matrix)
+    compiled = detector.model.compile()
+    entries = np.zeros(train_matrix.shape[0], dtype=np.intp)
+    if engine == "numpy":
+        leaf_index, distances = numpy_descent(compiled, train_matrix, entries, compiled.metric)
+    else:
+        leaf_index, distances = kernels.fused_descent(
+            compiled, train_matrix, entries, metric=compiled.metric
         )
+    expected = make_threshold_strategy(
+        detector.threshold_strategy_name, **detector.threshold_kwargs
+    ).fit(distances, compiled.keys_of(leaf_index))
+    assert detector.threshold_.to_dict() == expected.to_dict()
+    assert detector.resolved_plan().engine == engine
 
 
 #: Probes the kernel in a fresh process; prints availability and compile count.
@@ -433,6 +446,19 @@ class TestKernelCache:
         assert sorted(directory.iterdir()) == [planted]
         assert planted.read_bytes() == b"not a library"
 
+    def test_untrusted_cache_dir_leaves_no_build_dir_behind(self, empty_kernel_cache):
+        # With the cache untrusted, each load builds in a private directory
+        # of its own, which must be gone once the library is loaded.
+        directory = empty_kernel_cache.directory
+        directory.mkdir(mode=0o700)
+        directory.chmod(0o777)
+        for _ in range(2):
+            kernels._reset_for_tests()
+            assert kernels.host_engine() == "fused"
+        assert len(empty_kernel_cache.compiles) == 2
+        assert sorted(empty_kernel_cache.root.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
+
     def test_reset_then_probe_reloads_from_the_cache(self, empty_kernel_cache):
         assert kernels.fused_available()
         (library,) = empty_kernel_cache.files()
@@ -455,7 +481,7 @@ def fused_detectors(fast_config, train_matrix, train_categories):
     detectors = {}
     for shards in (None, 2, 3):
         detector = detector_from_dict(payload, arrays=arrays)
-        detector.configure(ServingConfig(engine="fused", sharding=ShardingSpec(shards=shards)))
+        detector.configure(ServingConfig(sharding=ShardingSpec(shards=shards)))
         detectors[shards] = detector
     yield detectors
     for detector in detectors.values():
@@ -508,66 +534,73 @@ class TestFusedBatchInvariance:
             _assert_bit_equal([fused_detectors[shards].detect(rows)], whole)
 
 
-class TestEngineResolution:
-    def test_engine_names_validated(self):
-        with pytest.raises(ConfigurationError):
-            kernels.check_engine("gpu")
+class TestHostEngine:
+    def test_host_engine_is_fused_where_the_kernel_loaded(self):
+        expected = "fused" if kernels.fused_available() else "numpy"
+        assert kernels.host_engine() == expected
+        assert (kernels.fused_build_error() == "") == kernels.fused_available()
 
-    def test_default_engine_is_auto(self):
-        assert kernels.DEFAULT_ENGINE == "auto"
-        expected = "fused" if kernels.fused_supported("euclidean") else "numpy"
-        assert kernels.resolve_engine(None, metric="euclidean") == expected
+    def test_the_kernel_serves_every_metric(self):
+        # Which engine runs depends on the host alone, never on the metric.
+        assert set(available_metrics()) <= set(kernels.FUSED_METRICS)
 
     @needs_fused
-    def test_default_resolves_to_numpy_when_the_cpu_probe_says_no_avx512(self, no_avx512):
+    def test_numpy_when_the_cpu_probe_says_no_avx512(self, no_avx512):
         no_avx512()
         assert not kernels.fused_available()
         assert "avx512f" in kernels.fused_build_error()
-        assert kernels.resolve_engine(None, metric="euclidean") == "numpy"
-        assert kernels.resolve_engine("auto", metric="euclidean") == "numpy"
-        with pytest.raises(ConfigurationError, match="avx512f"):
-            kernels.resolve_engine("fused", metric="euclidean", strict=True)
+        assert kernels.host_engine() == "numpy"
 
-    def test_auto_degrades_to_numpy_without_kernel_and_without_warnings(
-        self, compilerless_host
-    ):
+    def test_a_narrow_intp_is_a_build_failure(self, monkeypatch):
+        monkeypatch.setattr(kernels.np, "intp", np.int32)
+        library, error = kernels._build_cc_library()
+        assert library is None
+        assert "np.intp" in error
+
+    @needs_fused
+    def test_unknown_metric_is_refused_by_the_kernel(self):
+        owner = random_tree(np.random.default_rng(3), 4)
+        matrix = np.random.default_rng(4).normal(size=(2, 4))
+        with pytest.raises(ConfigurationError, match="cosine"):
+            kernels.fused_descent(owner, matrix, np.zeros(2, dtype=np.int64), metric="cosine")
+
+
+class TestCompilerlessHost:
+    """A host without the kernel: numpy everywhere, silently."""
+
+    def test_numpy_without_kernel_and_without_warnings(self, compilerless_host):
         assert not kernels.fused_available()
+        assert kernels.fused_build_error() == compilerless_host
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for _ in range(3):  # repeated resolution must stay silent too
-                resolved = kernels.resolve_engine("auto", metric="euclidean")
-                assert resolved == "numpy"
+            for _ in range(3):  # repeated probing must stay silent too
+                assert kernels.host_engine() == "numpy"
 
-    def test_strict_fused_fails_fast_without_kernel(self, compilerless_host):
-        # The error names why the C build failed.
-        with pytest.raises(ConfigurationError, match=re.escape(compilerless_host)):
-            kernels.resolve_engine("fused", metric="euclidean", strict=True)
+    def test_fused_descent_refuses_without_the_kernel(self, compilerless_host):
+        owner = random_tree(np.random.default_rng(5), 3)
+        matrix = np.random.default_rng(6).normal(size=(2, 3))
+        with pytest.raises(ConfigurationError, match="unavailable"):
+            kernels.fused_descent(owner, matrix, np.zeros(2, dtype=np.int64), metric="euclidean")
 
-    def test_nonstrict_fused_degrades_in_shard_paths(self, compilerless_host):
-        # Shards resolve non-strictly: a worker without the kernel serves
-        # numpy instead of failing the batch.
-        assert kernels.resolve_engine("fused", metric="euclidean") == "numpy"
-
-    def test_unsupported_metric_resolves_numpy(self):
-        # "auto" on a metric no kernel serves is a silent numpy descent.
-        assert kernels.resolve_engine("auto", metric="cosine") == "numpy"
-
-    def test_detector_rejects_bad_engine_name(self, fast_config):
+    def test_shards_carry_the_numpy_engine(
+        self, fast_config, train_matrix, train_categories, compilerless_host
+    ):
         from repro.core import GhsomDetector
+        from repro.serving import ShardedGhsom
 
-        with pytest.raises(ConfigurationError):
-            GhsomDetector(fast_config, serving=ServingConfig(engine="warp"))
+        detector = GhsomDetector(fast_config, random_state=0)
+        detector.fit(train_matrix, train_categories)
+        engine = ShardedGhsom.from_compiled(detector._compiled_model(), 2)
+        assert {shard.engine for shard in engine.shards} == {"numpy"}
 
-    def test_strict_set_engine_on_fitted_detector_without_kernel(
+    def test_fitted_detector_serves_numpy_without_kernel(
         self, fast_config, train_matrix, train_categories, compilerless_host
     ):
         from repro.core import GhsomDetector
 
         detector = GhsomDetector(fast_config, random_state=0)
         detector.fit(train_matrix, train_categories)
-        with pytest.raises(ConfigurationError):
-            detector.configure(ServingConfig(engine="fused"))
-        # "auto" stays permissive: configuring it succeeds and serves.
-        detector.configure(ServingConfig(engine="auto"))
+        detector.configure(ServingConfig(sharding=ShardingSpec(shards=2)))
         assert detector.resolved_plan().engine == "numpy"
-        detector.score_samples(train_matrix[:8])
+        result = detector.detect(train_matrix[:8])
+        assert result.stats.engine == "numpy"

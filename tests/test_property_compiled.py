@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import Ghsom, GhsomConfig, GhsomDetector, SomTrainingConfig
 from repro.core.serialization import load_detector, save_detector
-from repro.serving.config import ServingConfig
 
 from legacy_descent import assign_legacy, legacy_predict_category, legacy_score_samples
 
@@ -94,7 +93,7 @@ class TestCompiledModelEquivalence:
 class TestCompiledDetectorEquivalence:
     @given(data=st.data())
     @settings(**FIT_SETTINGS)
-    def test_scores_predictions_categories_identical(self, data):
+    def test_scores_predictions_categories_identical(self, data, compilerless_host):
         n_features = data.draw(st.integers(2, 4))
         dataset = _make_dataset(
             seed=data.draw(st.integers(0, 2**16)),
@@ -109,12 +108,7 @@ class TestCompiledDetectorEquivalence:
             labels = list(rng.choice(["normal", "dos", "probe"], size=dataset.shape[0]))
         strategy = data.draw(st.sampled_from(["per_unit", "global"]))
         # The legacy recursive descent is the numpy engine's byte-exact oracle.
-        detector = GhsomDetector(
-            _random_config(data),
-            threshold_strategy=strategy,
-            random_state=0,
-            serving=ServingConfig(engine="numpy"),
-        )
+        detector = GhsomDetector(_random_config(data), threshold_strategy=strategy, random_state=0)
         detector.fit(dataset, labels)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         queries = np.concatenate(

@@ -3,8 +3,9 @@
 Covers strict construction-time validation, the versioned JSON round trip
 (property-based: any constructible config survives to_dict/from_dict
 unchanged), the flat-override derivation used by the CLI, the
-config/overrides/embedded precedence rule, and environment resolution into a
-ServingPlan under both the strict and the degrade policy.
+config/overrides/embedded precedence rule, the reading of payloads written
+while the compute engine was a setting, and environment resolution into a
+ServingPlan.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.exceptions import ConfigurationError
 from repro.serving import (
     ArtifactOptions,
@@ -38,14 +40,14 @@ class TestValidation:
     def test_default_config_is_unsharded_float64(self):
         config = ServingConfig()
         assert not hasattr(config, "dtype")
-        assert config.engine is None
+        assert not hasattr(config, "engine")
         assert not hasattr(config, "provider")
         assert not config.sharding.enabled
         assert not hasattr(config.artifact, "mmap")  # sidecars are always mapped
         assert config.artifact.verify is False
 
-    def test_config_has_three_fields(self):
-        assert [f.name for f in fields(ServingConfig)] == ["engine", "sharding", "artifact"]
+    def test_config_has_two_fields(self):
+        assert [f.name for f in fields(ServingConfig)] == ["sharding", "artifact"]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "<f4", "double"])
     def test_parent_format_dtype_reads_as_float64(self, dtype):
@@ -63,8 +65,13 @@ class TestValidation:
             ServingConfig.from_dict({**payload, "dtype": "not-a-dtype"})
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServingConfig(engine="cuda")
+        payload = {**ServingConfig().to_dict(), "engine": "cuda"}
+        with pytest.raises(ConfigurationError, match="unknown compute engine 'cuda'"):
+            ServingConfig.from_dict(payload)
+
+    def test_engine_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="engine"):
+            ServingConfig(engine="numpy")
 
     def test_unknown_provider_rejected(self):
         payload = {**ServingConfig().to_dict(), "provider": "mkl"}
@@ -155,12 +162,12 @@ class TestValidation:
 # --------------------------------------------------------------------------- #
 # JSON round trip
 # --------------------------------------------------------------------------- #
-def _parent_payload(shards=3, **sharding) -> dict:
+def _parent_payload(shards=3, engine=None, **sharding) -> dict:
     """A serving-config payload as a writer with ``backend``/``workers`` wrote it."""
     return {
         "config_version": 1,
         "dtype": "float64",
-        "engine": None,
+        "engine": engine,
         "sharding": {
             "shards": shards,
             "workers": None,
@@ -188,7 +195,6 @@ def _configs() -> st.SearchStrategy[ServingConfig]:
     )
     return st.builds(
         ServingConfig,
-        engine=st.sampled_from([None, "numpy", "fused", "auto"]),
         sharding=st.one_of(local, remote),
         artifact=st.builds(ArtifactOptions, verify=st.booleans()),
     )
@@ -209,15 +215,44 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("provider", [None, "cc"])
     def test_parent_format_provider_key_is_ignored(self, provider):
-        config = ServingConfig(engine="auto")
+        config = ServingConfig(sharding=ShardingSpec(shards=2))
         assert "provider" not in config.to_dict()
         payload = {**config.to_dict(), "provider": provider}
         assert ServingConfig.from_dict(payload) == config
 
+    @pytest.mark.parametrize("engine", [None, "numpy", "fused", "auto", "warp"])
+    def test_parent_format_provider_none_is_ignored(self, engine):
+        # A "none" provider pinned the numpy engine whatever the engine
+        # said, so parent readers loaded these payloads; they still load.
+        payload = {**ServingConfig().to_dict(), "engine": engine, "provider": "none"}
+        assert ServingConfig.from_dict(payload) == ServingConfig()
+
+    def test_payload_carries_no_engine(self):
+        assert "engine" not in ServingConfig().to_dict()
+
+    @pytest.mark.parametrize("provider", [None, "cc"])
     @pytest.mark.parametrize("engine", [None, "numpy", "fused", "auto"])
-    def test_parent_format_provider_none_reads_as_numpy(self, engine):
-        payload = {**ServingConfig(engine=engine).to_dict(), "provider": "none"}
-        assert ServingConfig.from_dict(payload) == ServingConfig(engine="numpy")
+    def test_parent_format_engine_is_ignored(self, engine, provider):
+        config = ServingConfig(artifact=ArtifactOptions(verify=True))
+        payload = {**config.to_dict(), "engine": engine, "provider": provider}
+        assert ServingConfig.from_dict(json.loads(json.dumps(payload))) == config
+        assert ServingConfig.from_dict(_parent_payload(engine=engine)) == ServingConfig(
+            sharding=ShardingSpec(shards=3)
+        )
+
+    @pytest.mark.parametrize("engine", ["cuda", "", "Fused", "none", 1, True])
+    @pytest.mark.parametrize("provider", [None, "cc"])
+    def test_parent_format_unknown_engine_rejected(self, engine, provider):
+        payload = {**ServingConfig().to_dict(), "engine": engine, "provider": provider}
+        with pytest.raises(ConfigurationError, match="unknown compute engine"):
+            ServingConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("provider", ["mkl", "", "CC", 0, False])
+    def test_parent_format_unknown_provider_rejected(self, provider):
+        for engine in (None, "numpy", "warp"):
+            payload = {**ServingConfig().to_dict(), "engine": engine, "provider": provider}
+            with pytest.raises(ConfigurationError, match="unknown fused provider"):
+                ServingConfig.from_dict(payload)
 
     def test_payload_carries_no_dtype(self):
         assert "dtype" not in ServingConfig().to_dict()
@@ -315,9 +350,10 @@ class TestRoundTrip:
 # overrides + precedence
 # --------------------------------------------------------------------------- #
 class TestOverrides:
-    def test_top_level_overrides(self):
-        config = ServingConfig().with_overrides({"engine": "auto"})
-        assert config.engine == "auto"
+    @pytest.mark.parametrize("engine", [None, "numpy", "fused", "auto"])
+    def test_engine_override_rejected_by_name(self, engine):
+        with pytest.raises(ConfigurationError, match="override 'engine' was removed"):
+            ServingConfig().with_overrides({"engine": engine})
 
     def test_any_sharding_key_replaces_the_whole_spec(self):
         base = ServingConfig(
@@ -328,8 +364,9 @@ class TestOverrides:
         assert overridden.sharding == ShardingSpec(shards=2)
 
     def test_artifact_override_keeps_other_fields(self):
-        base = ServingConfig(engine="numpy", artifact=ArtifactOptions(verify=True))
-        assert base.with_overrides({"verify": False}) == ServingConfig(engine="numpy")
+        sharding = ShardingSpec(shards=2)
+        base = ServingConfig(sharding=sharding, artifact=ArtifactOptions(verify=True))
+        assert base.with_overrides({"verify": False}) == ServingConfig(sharding=sharding)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serving config overrides"):
@@ -351,12 +388,14 @@ class TestOverrides:
             {"shards": 2, "remote_workers": "a:1", "provisioning": "value"},
             {"mmap": False},
             {"mmap": True, "verify": True},
+            {"engine": "numpy"},
+            {"engine": "fused", "shards": 2},
         ],
     )
     def test_removed_knob_overrides_rejected(self, overrides):
         knob = next(
             k
-            for k in ("workers", "backend", "dtype", "provisioning", "mmap")
+            for k in ("workers", "backend", "dtype", "engine", "provisioning", "mmap")
             if k in overrides
         )
         with pytest.raises(ConfigurationError, match=f"override '{knob}' was removed"):
@@ -368,60 +407,36 @@ class TestEffectiveConfig:
         assert effective_config() == ServingConfig()
 
     def test_full_config_wins_over_embedded(self):
-        embedded = ServingConfig(engine="auto").to_dict()
-        config = ServingConfig(engine="numpy")
+        embedded = ServingConfig(sharding=ShardingSpec(shards=2)).to_dict()
+        config = ServingConfig(artifact=ArtifactOptions(verify=True))
         assert effective_config(config=config, embedded=embedded) == config
 
     def test_config_plus_overrides_rejected(self):
         with pytest.raises(ConfigurationError, match="not both"):
-            effective_config(config=ServingConfig(), overrides={"engine": "auto"})
+            effective_config(config=ServingConfig(), overrides={"shards": 2})
 
     def test_overrides_apply_on_top_of_embedded(self):
         embedded = ServingConfig(
-            engine="numpy", artifact=ArtifactOptions(verify=True)
+            sharding=ShardingSpec(shards=2), artifact=ArtifactOptions(verify=True)
         ).to_dict()
-        result = effective_config(overrides={"engine": "auto"}, embedded=embedded)
-        assert result.engine == "auto"
+        result = effective_config(overrides={"shards": 3}, embedded=embedded)
+        assert result.sharding == ShardingSpec(shards=3)
         assert result.artifact.verify is True  # untouched embedded field survives
 
     def test_non_config_rejected(self):
         with pytest.raises(ConfigurationError, match="must be a ServingConfig"):
-            effective_config(config={"engine": "numpy"})
+            effective_config(config={"sharding": {"shards": 2}})
 
 
 # --------------------------------------------------------------------------- #
 # resolution into a plan
 # --------------------------------------------------------------------------- #
 class TestResolve:
-    def test_numpy_resolves_to_numpy(self):
-        plan = ServingConfig(engine="numpy").resolve()
-        assert plan.engine == "numpy"
-        assert plan.engine_requested == "numpy"
-        assert not plan.sharded
-
-    def test_default_engine_request_is_recorded(self):
-        from repro.core import kernels
-
+    def test_plan_records_the_host_engine(self):
         plan = ServingConfig().resolve()
-        assert plan.engine_requested == kernels.DEFAULT_ENGINE
-
-    def test_missing_kernel_disables_fused(self, compilerless_host):
-        plan = ServingConfig(engine="auto").resolve()
-        assert plan.engine == "numpy"
-
-    def test_strict_fused_without_kernel_raises(self, compilerless_host):
-        with pytest.raises(ConfigurationError, match="fused engine is unavailable") as excinfo:
-            ServingConfig(engine="fused").resolve(strict=True)
-        assert compilerless_host in str(excinfo.value)
-
-    def test_degrade_policy_never_raises(self, compilerless_host):
-        plan = ServingConfig(engine="fused").resolve(strict=False)
-        assert plan.engine == "numpy"
-
-    def test_auto_degrades_even_under_strict(self):
-        # "auto" is a preference, not a demand: it resolves on every host.
-        plan = ServingConfig(engine="auto").resolve(strict=True)
-        assert plan.engine in ("numpy", "fused")
+        assert plan.engine == kernels.host_engine()
+        assert "engine_requested" not in plan.to_dict()
+        assert not plan.sharded
 
     def test_unsharded_plan_has_no_backend(self):
         plan = ServingConfig().resolve()
@@ -459,12 +474,13 @@ class TestResolve:
     def test_describe_adds_host_diagnostics(self):
         description = ServingConfig().resolve().describe()
         assert description["usable_cores"] == usable_workers()
-        assert "default_engine" in description
+        assert description["engine"] == kernels.host_engine()
+        assert "default_engine" not in description
 
     @settings(max_examples=100, deadline=None)
     @given(config=_configs())
-    def test_every_config_resolves_under_the_degrade_policy(self, config):
-        plan = config.resolve(strict=False)
+    def test_every_config_resolves(self, config):
+        plan = config.resolve()
         assert isinstance(plan, ServingPlan)
         assert plan.engine in ("numpy", "fused")
         assert plan.config == config
@@ -472,6 +488,11 @@ class TestResolve:
             assert plan.workers >= 1
         else:
             assert plan.backend is None
+
+    def test_missing_kernel_disables_fused(self, compilerless_host):
+        # Last in the class: the host stays compiler-less until it ends.
+        plan = ServingConfig(sharding=ShardingSpec(shards=2)).resolve()
+        assert plan.engine == "numpy"
 
 
 # --------------------------------------------------------------------------- #

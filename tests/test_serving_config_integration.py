@@ -6,7 +6,8 @@ What these tests pin down, layer by layer:
   configuring the knobs one at a time gives the same result in any order;
 * a configured detector's ServingConfig is embedded in v2/v3 artifacts and
   survives save → load → refit with byte-identical scores; payloads written
-  while the config still carried a fused-provider pin keep loading;
+  while the config still carried an engine or a fused-provider pin keep
+  loading, and score on the host's engine;
 * ``DetectionResult.stats`` carries per-stage timings plus the resolved
   plan's provenance;
 * a config built from CLI flags, embedded in a v3 bundle and served through
@@ -28,7 +29,7 @@ from repro.cli import (
     serving_config_from_args,
     serving_overrides_from_args,
 )
-from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.core.serialization import load_detector, save_detector
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
@@ -101,29 +102,34 @@ def _fresh_detector(bundle_path):
 # --------------------------------------------------------------------------- #
 class TestConfigure:
     def test_constructor_accepts_a_config(self, workload):
-        detector = GhsomDetector(
-            GhsomConfig(random_state=0), serving=ServingConfig(engine="numpy")
-        )
-        assert detector.serving_config.engine == "numpy"
+        config = ServingConfig(artifact=ArtifactOptions(verify=True))
+        detector = GhsomDetector(GhsomConfig(random_state=0), serving=config)
+        assert detector.serving_config == config
 
     def test_constructor_rejects_config_plus_legacy_engine(self):
-        # The engine= shorthand is gone: the engine lives in the config only.
+        # The engine is the host's: neither the detector nor its config takes one.
         with pytest.raises(TypeError, match="engine"):
             GhsomDetector(
                 GhsomConfig(random_state=0),
                 engine="numpy",
-                serving=ServingConfig(engine="numpy"),
+                serving=ServingConfig(),
             )
+        assert not hasattr(GhsomDetector(GhsomConfig(random_state=0)), "engine")
 
-    def test_configure_is_atomic_on_failure(self, model_bundle, workload, compilerless_host):
+    def test_configure_is_atomic_on_failure(self, model_bundle, workload, baseline_scores):
         detector = _fresh_detector(model_bundle)
-        before = detector.serving_config
-        with pytest.raises(ConfigurationError, match="fused engine is unavailable"):
-            detector.configure(ServingConfig(engine="fused"))
-        # Nothing was committed: same config, and the detector still scores.
-        assert detector.serving_config == before
-        assert detector.resolved_plan().engine == "numpy"
-        assert np.isfinite(detector.score_samples(workload["X_test"][:16])).all()
+        detector.configure(ServingConfig(sharding=ShardingSpec(shards=2)))
+        before, backend = detector.serving_config, detector._shard_spec[1]
+        try:
+            with pytest.raises(ConfigurationError, match="needs a ServingConfig"):
+                detector.configure(ShardingSpec(shards=3))
+            # Nothing was committed: same config and backend, same scores.
+            assert detector.serving_config == before
+            assert detector._shard_spec[1] is backend
+            scores = np.asarray(detector.detect(workload["X_test"]).scores)
+        finally:
+            detector.configure(ServingConfig())
+        assert scores.tobytes() == baseline_scores.tobytes()
 
     def test_configure_rejects_non_config(self, model_bundle):
         detector = _fresh_detector(model_bundle)
@@ -152,7 +158,6 @@ class TestOrderIndependence:
         self, model_bundle, workload
     ):
         knobs = {
-            "engine": {"engine": "numpy"},
             "artifact": {"artifact": ArtifactOptions(verify=True)},
             "sharding": {"sharding": ShardingSpec(shards=2)},
         }
@@ -166,7 +171,6 @@ class TestOrderIndependence:
             detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
         assert all(config == configs[0] for config in configs[1:])
         expected = ServingConfig(
-            engine="numpy",
             sharding=ShardingSpec(shards=2),
             artifact=ArtifactOptions(verify=True),
         )
@@ -180,10 +184,7 @@ class TestOrderIndependence:
 # --------------------------------------------------------------------------- #
 class TestArtifactEmbeddedConfig:
     def test_config_round_trips_through_a_bundle(self, workload, model_bundle, tmp_path):
-        configured = ServingConfig(
-            engine="numpy",
-            sharding=ShardingSpec(shards=3),
-        )
+        configured = ServingConfig(sharding=ShardingSpec(shards=3))
         detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         expected = np.asarray(detector.detect(workload["X_test"]).scores)
@@ -202,20 +203,30 @@ class TestArtifactEmbeddedConfig:
             loaded.configure(ServingConfig())
 
     @pytest.mark.parametrize(
-        ("provider", "engine"), [(None, None), ("cc", None), ("none", "numpy")]
+        ("provider", "engine"),
+        [
+            (None, None),
+            ("cc", None),
+            ("none", "numpy"),
+            (None, "numpy"),
+            (None, "fused"),
+            ("cc", "auto"),
+        ],
     )
     def test_parent_format_config_loads_and_scores_identically(
         self, fitted, workload, baseline_scores, tmp_path, provider, engine
     ):
         # The serving_config a detector artifact carried while the config
-        # still had a fused-provider pin (config_version 1, "provider" key).
+        # still had an engine (config_version 1, "engine" key) and, earlier,
+        # a fused-provider pin ("provider" key).  Both are ignored: the
+        # artifact scores on the host's engine.
         path = tmp_path / "detector.json"
         save_detector(fitted, path)
         payload = json.loads(path.read_text())
         payload["serving_config"] = {
             "config_version": 1,
             "dtype": "float64",
-            "engine": None,
+            "engine": engine,
             "provider": provider,
             "sharding": {
                 "shards": None,
@@ -228,34 +239,29 @@ class TestArtifactEmbeddedConfig:
         }
         path.write_text(json.dumps(payload))
         loaded = load_detector(path)
-        assert loaded.serving_config == ServingConfig(engine=engine)
-        expected = baseline_scores
-        if engine is not None:  # a "none" pin reads as the numpy engine
-            fitted.configure(ServingConfig(engine=engine))
-            try:
-                expected = np.asarray(fitted.detect(workload["X_test"]).scores)
-            finally:
-                fitted.configure(ServingConfig())
-        np.testing.assert_array_equal(
-            np.asarray(loaded.detect(workload["X_test"]).scores), expected
-        )
+        assert loaded.serving_config == ServingConfig()
+        assert loaded.resolved_plan().engine == kernels.host_engine()
+        scores = np.asarray(loaded.detect(workload["X_test"]).scores)
+        assert scores.tobytes() == baseline_scores.tobytes()
 
     def test_cli_overrides_beat_the_embedded_config(
         self, workload, model_bundle, tmp_path
     ):
         detector = _fresh_detector(model_bundle)
-        detector.configure(ServingConfig(engine="numpy"))
-        path = tmp_path / "numpy.json"
+        detector.configure(ServingConfig(artifact=ArtifactOptions(verify=True)))
+        path = tmp_path / "verified.json"
         save_bundle(workload["pipeline"], detector, path)
         _, loaded = load_bundle(path, overrides={"shards": 2})
         try:
             assert loaded.serving_config.sharding == ShardingSpec(shards=2)
-            assert loaded.serving_config.engine == "numpy"  # untouched field survives
+            assert loaded.serving_config.artifact.verify is True  # untouched field survives
         finally:
             loaded.configure(ServingConfig())
 
     def test_config_survives_a_refit(self, model_bundle, workload):
-        configured = ServingConfig(engine="numpy", sharding=ShardingSpec(shards=2))
+        configured = ServingConfig(
+            sharding=ShardingSpec(shards=2), artifact=ArtifactOptions(verify=True)
+        )
         detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         try:
@@ -263,7 +269,7 @@ class TestArtifactEmbeddedConfig:
             assert detector.serving_config == configured
             result = detector.detect(workload["X_test"])
             assert result.stats.sharded is True
-            assert result.stats.engine == "numpy"
+            assert result.stats.engine == kernels.host_engine()
         finally:
             detector.configure(ServingConfig())
 
@@ -271,14 +277,15 @@ class TestArtifactEmbeddedConfig:
         self, model_bundle, workload
     ):
         detector = _fresh_detector(model_bundle)
-        detector.configure(ServingConfig(engine="numpy"))
+        configured = ServingConfig(artifact=ArtifactOptions(verify=True))
+        detector.configure(configured)
         online = OnlineDetector(detector, warmup_size=10, buffer_size=200)
         assert online.serving_config is detector.serving_config
         online.process(workload["X_test"][:64])
         # A drift-triggered refit goes through detector.fit, which re-applies
         # the config; exercise that path directly.
         detector.fit(workload["X_train"])
-        assert online.serving_config == ServingConfig(engine="numpy")
+        assert online.serving_config == configured
 
 
 # --------------------------------------------------------------------------- #
@@ -355,9 +362,9 @@ class TestDetectionStats:
 class TestCliHelpers:
     def test_only_explicit_flags_become_overrides(self):
         args = build_parser().parse_args(
-            ["detect", "--model", "m", "--input", "i", "--engine", "auto", "--shards", "2"]
+            ["detect", "--model", "m", "--input", "i", "--verify", "--shards", "2"]
         )
-        assert serving_overrides_from_args(args) == {"engine": "auto", "shards": 2}
+        assert serving_overrides_from_args(args) == {"verify": True, "shards": 2}
 
     def test_no_flags_mean_no_overrides(self):
         args = build_parser().parse_args(["detect", "--model", "m", "--input", "i"])
@@ -370,14 +377,12 @@ class TestCliHelpers:
                 "detect",
                 "--model", "m",
                 "--input", "i",
-                "--engine", "numpy",
                 "--verify",
                 "--shards", "4",
                 "--remote-workers", "a:1,b:2",
             ]
         )
         config = serving_config_from_args(args)
-        assert config.engine == "numpy"
         assert config.artifact.verify is True
         assert config.sharding == ShardingSpec(shards=4, remote_workers="a:1,b:2")
 
@@ -423,12 +428,30 @@ class TestCliHelpers:
         assert any(row.replace(" ", "") == "verify|yes" for row in rows), rows
         assert "mmap" not in output  # the sidecar is always mapped
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--model", "m", "--input", "i"],
+            ["serve", "--listen", "127.0.0.1:0", "--model", "m"],
+            ["inspect", "--model", "m"],
+        ],
+        ids=["detect", "serve", "inspect"],
+    )
+    @pytest.mark.parametrize("engine", ["numpy", "fused", "auto"])
+    def test_removed_engine_flag_exits_2(self, capsys, argv, engine):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--engine", engine])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --engine {engine}" in capsys.readouterr().err
+
     def test_inspect_names_the_kernel_build_failure(self, model_bundle, capsys, compilerless_host):
+        # Last in the class: the host stays compiler-less until it ends.
         from repro.cli import main
 
-        assert main(["inspect", "--model", str(model_bundle), "--engine", "auto"]) == 0
+        assert main(["inspect", "--model", str(model_bundle)]) == 0
         output = capsys.readouterr().out
-        assert "numpy (requested auto)" in output
+        rows = [row.replace(" ", "") for row in output.splitlines()]
+        assert "engine|numpy" in rows, rows
         assert compilerless_host in output
 
 

@@ -5,10 +5,13 @@ operator starts them: on ``127.0.0.1:0`` with a binary model bundle.  Each
 test reads the bound address from the ``listening on HOST:PORT`` banner,
 makes one request, and then stops the server with SIGTERM, the signal
 process managers send.  The server must drain and exit with status 0.
+One shard worker runs on a host without a C compiler, to pin what a mixed
+fleet does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import signal
@@ -22,7 +25,7 @@ import pytest
 
 import repro
 from repro.cli import load_bundle, save_bundle
-from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.serving import GatewayClient, RemoteBackend, ShardingSpec
@@ -83,14 +86,14 @@ def _shard_worker_request(address, bundle, X):
     _assert_identical(remote, local)
 
 
-@pytest.mark.parametrize(
-    ("command", "request_one"),
-    [("serve", _gateway_request), ("shard-worker", _shard_worker_request)],
-    ids=["serve", "shard-worker"],
-)
-def test_server_process_answers_then_drains_on_sigterm(bundle_and_rows, command, request_one):
-    bundle, X = bundle_and_rows
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+@contextlib.contextmanager
+def _server_process(command, bundle, env=None):
+    """Run ``repro-ids <command>`` on an ephemeral port; yields its address.
+
+    On exit the server gets SIGTERM and must drain and exit with status 0.
+    """
+    env = dict(os.environ if env is None else env)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", command, "--listen", "127.0.0.1:0",
@@ -112,7 +115,7 @@ def test_server_process_answers_then_drains_on_sigterm(bundle_and_rows, command,
                 break
         else:
             pytest.fail(f"{command} exited before listening: {''.join(seen)!r}")
-        request_one((match.group(1), int(match.group(2))), bundle, X)
+        yield match.group(1), int(match.group(2))
         process.send_signal(signal.SIGTERM)
         output, _ = process.communicate(timeout=30)
     finally:
@@ -121,3 +124,48 @@ def test_server_process_answers_then_drains_on_sigterm(bundle_and_rows, command,
             process.kill()
             process.communicate()
     assert process.returncode == 0, "".join(seen) + output
+
+
+@pytest.mark.parametrize(
+    ("command", "request_one"),
+    [("serve", _gateway_request), ("shard-worker", _shard_worker_request)],
+    ids=["serve", "shard-worker"],
+)
+def test_server_process_answers_then_drains_on_sigterm(bundle_and_rows, command, request_one):
+    bundle, X = bundle_and_rows
+    with _server_process(command, bundle) as address:
+        request_one(address, bundle, X)
+
+
+@pytest.mark.skipif(
+    kernels.host_engine() != "fused",
+    reason=f"the coordinator itself runs numpy here: {kernels.fused_build_error()}",
+)
+def test_worker_without_the_kernel_refuses_a_fused_coordinator(bundle_and_rows, tmp_path):
+    """A mixed fleet: a fused coordinator and a worker that has no compiler.
+
+    The worker cannot run the shards' fused engine, so it refuses the
+    provision and the coordinator runs those tasks itself: the scores are
+    those of local ``detect``, never the worker's numpy arithmetic.
+    """
+    bundle, X = bundle_and_rows
+    no_compiler, tmpdir = tmp_path / "bin", tmp_path / "tmp"
+    no_compiler.mkdir()
+    tmpdir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "CC"}
+    env.update(PATH=str(no_compiler), TMPDIR=str(tmpdir))
+    _, detector = load_bundle(bundle)
+    local = detector.detect(X)
+    with _server_process("shard-worker", bundle, env) as address:
+        backend = RemoteBackend([address])
+        spec = ShardingSpec(shards=4, remote_workers=f"{address[0]}:{address[1]}")
+        detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
+        try:
+            remote = detector.detect(X)
+        finally:
+            detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+    # Answered in numpy arithmetic, some rows would differ in the last bits.
+    _assert_identical(remote, local)
+    assert remote.leaf_index.tobytes() == local.leaf_index.tobytes()
+    assert backend.stats["failover_tasks"] > 0, backend.stats
+    assert backend.stats["remote_tasks"] == 0, backend.stats

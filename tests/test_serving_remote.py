@@ -12,6 +12,7 @@ refusals.
 from __future__ import annotations
 
 import dataclasses
+import re
 import socket
 import struct
 import threading
@@ -20,11 +21,12 @@ import numpy as np
 import pytest
 
 from repro.cli import load_bundle, main, save_bundle
-from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig
+from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError, ServingError
 from repro.serving import (
+    ArtifactOptions,
     DetectionGateway,
     RemoteBackend,
     SerialBackend,
@@ -254,10 +256,10 @@ class TestRemoteEquivalence:
             finally:
                 backend.close()
 
-    def test_engine_change_reprovisions_with_the_new_engine(
+    def test_shard_states_carry_the_host_engine(
         self, binary_bundle, workload, reference, monkeypatch
     ):
-        """The shard states are the only carrier of the engine request."""
+        """The shard states are the only carrier of the coordinator's engine."""
         engines = []
         restore = remote._shard_from_state
 
@@ -271,20 +273,12 @@ class TestRemoteEquivalence:
             _, detector = load_bundle(binary_bundle)
             _shard_remote(detector, backend, 2)
             try:
-                first = detector.detect(workload["X_test"])
-                epoch = backend._epoch
-                assert engines == [None, None]
-                detector.configure(detector.serving_config.evolve(engine="auto"))
-                assert detector._shard_spec[1] is backend  # same sharding, same backend
-                second = detector.detect(workload["X_test"])
-                assert backend._epoch == epoch + 1
-                assert backend.stats["provision_reference"] == 2
+                result = detector.detect(workload["X_test"])
                 assert backend.stats["failover_tasks"] == 0
-                assert engines[2:] == ["auto", "auto"]
             finally:
                 _unshard(detector)
-        _assert_identical(first, reference)
-        np.testing.assert_array_equal(second.leaf_index, reference.leaf_index)
+        assert engines == [kernels.host_engine()] * 2
+        _assert_identical(result, reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -324,14 +318,11 @@ class TestBackendSurvivesReconfigure:
                 _unshard(detector)
         _assert_identical(result, reference)
 
-    def test_engine_change_reprovisions_without_reconnecting(self, binary_bundle, workload):
-        # The default engine resolves to fused where the kernel loaded, so
-        # the change to numpy is compared with the serial numpy result.
-        _, serial = load_bundle(binary_bundle, overrides={"shards": 4, "engine": "numpy"})
-        try:
-            expected = serial.detect(workload["X_test"])
-        finally:
-            _unshard(serial)
+    def test_config_change_reprovisions_without_reconnecting(
+        self, binary_bundle, workload, reference
+    ):
+        # A new config with the same sharding keeps the backend and re-slices
+        # the shards, so the one connection is provisioned again.
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
             backend = RemoteBackend([worker.address])
             _, detector = load_bundle(binary_bundle)
@@ -339,7 +330,10 @@ class TestBackendSurvivesReconfigure:
             try:
                 detector.detect(workload["X_test"])
                 before = self._counts(backend)
-                detector.configure(detector.serving_config.evolve(engine="numpy"))
+                detector.configure(
+                    detector.serving_config.evolve(artifact=ArtifactOptions(verify=True))
+                )
+                assert detector._shard_spec[1] is backend
                 result = detector.detect(workload["X_test"])
                 after = self._counts(backend)
                 assert backend.stats["failover_tasks"] == 0
@@ -348,7 +342,7 @@ class TestBackendSurvivesReconfigure:
         assert after["connects"] == before["connects"] == 1
         assert after["provision_reference"] == before["provision_reference"] + 1
         assert after["provision_value"] == before["provision_value"] == 0
-        _assert_identical(result, expected)
+        _assert_identical(result, reference)
 
     def test_refit_keeps_the_connection(self, binary_bundle, workload):
         with ShardWorkerServer(model_path=binary_bundle).start() as worker:
@@ -854,8 +848,34 @@ class TestByReferenceSafety:
 
 
 # --------------------------------------------------------------------------- #
-# parent-format provision frames: the shipped config is ignored
+# provision frames: the shipped config is ignored, the state's engine is run
+# or refused
 # --------------------------------------------------------------------------- #
+def _recorded_shards_and_task(fitted, workload):
+    """Shards of ``fitted`` and the last task a router made for them."""
+
+    class Recording(SerialBackend):
+        def run(self, shards, tasks):
+            self.seen = (tuple(shards), list(tasks))
+            return super().run(shards, tasks)
+
+    recorder = Recording()
+    engine = ShardedGhsom.from_compiled(fitted.model.compile(), 2, backend=recorder)
+    engine.assign_arrays(workload["X_test"][:50])
+    shards, tasks = recorder.seen
+    return shards, tasks[-1]
+
+
+def _parent_serving_payload(engine):
+    """A ServingConfig payload as a writer with an engine field wrote it."""
+    return {
+        "config_version": 1,
+        "engine": engine,
+        "sharding": {"shards": 2, "remote_workers": None},
+        "artifact": {"verify": False},
+    }
+
+
 class TestParentProvisionFrame:
     @pytest.mark.parametrize(
         ("serving_engine", "state_engine"), [("fused", "numpy"), ("numpy", "fused")]
@@ -868,19 +888,10 @@ class TestParentProvisionFrame:
         The worker accepts the extra ``serving`` key, its shards run with the
         engine their states carry, and the connection keeps serving.
         """
-
-        class Recording(SerialBackend):
-            def run(self, shards, tasks):
-                self.seen = (tuple(shards), list(tasks))
-                return super().run(shards, tasks)
-
-        recorder = Recording()
-        engine = ShardedGhsom.from_compiled(
-            fitted.model.compile(), 2, backend=recorder, engine=state_engine
-        )
-        engine.assign_arrays(workload["X_test"][:50])
-        shards, tasks = recorder.seen
-        index, matrix, entries = tasks[-1]
+        if state_engine == "fused" and kernels.host_engine() != "fused":
+            pytest.skip(f"no fused kernel: {kernels.fused_build_error()}")
+        shards, (index, matrix, entries) = _recorded_shards_and_task(fitted, workload)
+        shards = tuple(dataclasses.replace(shard, engine=state_engine) for shard in shards)
         expected_leaf, expected_distances = shards[index].assign_entries(matrix, entries)
         ran_with = []
         assign_entries = SubtreeShard.assign_entries
@@ -899,7 +910,7 @@ class TestParentProvisionFrame:
                     epoch=0,
                     sidecar=None,
                     shards=_value_wire(shards),
-                    serving=ServingConfig(engine=serving_engine).to_dict(),
+                    serving=_parent_serving_payload(serving_engine),
                 )
                 assert ack == {"n_shards": len(shards), "epoch": 0}
                 leaf, distances = connection.call(
@@ -909,6 +920,63 @@ class TestParentProvisionFrame:
         assert ran_with == [state_engine]
         np.testing.assert_array_equal(leaf, expected_leaf)
         assert distances.tobytes() == expected_distances.tobytes()
+
+    @pytest.mark.parametrize(
+        ("field", "value", "error"),
+        [
+            ("engine", "warp", "names engine 'warp'"),
+            ("engine", "auto", "names engine 'auto'"),
+            # A coordinator that shipped the unresolved request sent None.
+            ("engine", None, "names engine None"),
+            ("metric", "cosine", "names metric 'cosine'"),
+            ("metric", None, "names metric None"),
+        ],
+        ids=["engine-unknown", "engine-auto", "engine-none", "metric-unknown", "metric-none"],
+    )
+    def test_unrunnable_state_refused_and_connection_survives(
+        self, fitted, workload, field, value, error
+    ):
+        shards, _ = _recorded_shards_and_task(fitted, workload)
+        states = _value_wire(shards)
+        states[-1][field] = value
+        with ShardWorkerServer().start() as worker:
+            with WorkerConnection(worker.address) as connection:
+                with pytest.raises(ServingError, match=f"ServingError: shard state {error}"):
+                    connection.call(
+                        "provision",
+                        timeout=10.0,
+                        mode="value",
+                        epoch=0,
+                        sidecar=None,
+                        shards=states,
+                    )
+                assert connection.call("ping", timeout=10.0) == "pong"
+                # The connection holds no shard set: a run is refused too.
+                with pytest.raises(ServingError, match="not provisioned"):
+                    connection.call(
+                        "run", timeout=10.0, epoch=0, shard=0,
+                        matrix=workload["X_test"][:2], entries=np.zeros(2, dtype=np.intp),
+                    )
+
+    def test_worker_without_the_kernel_refuses_fused_states(
+        self, fitted, workload, compilerless_host
+    ):
+        shards, _ = _recorded_shards_and_task(fitted, workload)
+        states = _value_wire(shards)
+        for state in states:
+            state["engine"] = "fused"
+        with ShardWorkerServer().start() as worker:
+            with WorkerConnection(worker.address) as connection:
+                with pytest.raises(ServingError, match=re.escape(compilerless_host)):
+                    connection.call(
+                        "provision",
+                        timeout=10.0,
+                        mode="value",
+                        epoch=0,
+                        sidecar=None,
+                        shards=states,
+                    )
+                assert connection.call("ping", timeout=10.0) == "pong"
 
 
 # --------------------------------------------------------------------------- #

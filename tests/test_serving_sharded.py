@@ -378,21 +378,6 @@ class TestShardedEquivalence:
             assert dist.dtype == np.float64
             engine.close()
 
-    def test_numpy_engine_equivalence_across_shard_counts(self, compiled, workload):
-        # The default engine is fused where the kernel loaded; the numpy
-        # router's root step (descend_node) keeps its own byte-identity gate.
-        X = workload["X_test"]
-        reference = compiled.assign_arrays(X, engine="numpy")
-        n_subtrees = len(subtrees_from_compiled(compiled))
-        for n_shards in {1, 2, max(1, n_subtrees)}:
-            engine = ShardedGhsom.from_compiled(compiled, n_shards, engine="numpy")
-            try:
-                leaf, dist = engine.assign_arrays(X)
-            finally:
-                engine.close()
-            np.testing.assert_array_equal(leaf, reference[0])
-            assert dist.tobytes() == reference[1].tobytes()
-
     def test_detector_detect_byte_identical(self, labelled_detector, workload):
         X = workload["X_test"]
         reference = labelled_detector.detect(X)
@@ -437,6 +422,26 @@ class TestShardedEquivalence:
                 )
             )
         assert labelled_detector.sharding is None  # failed calls leave it unsharded
+
+
+class TestNumpyHostShardedEquivalence:
+    def test_numpy_engine_equivalence_across_shard_counts(
+        self, compiled, workload, compilerless_host
+    ):
+        # The host engine is fused where the kernel loaded; the numpy
+        # router's root step (descend_node) keeps its own byte-identity gate.
+        X = workload["X_test"]
+        reference = compiled.assign_arrays(X)
+        n_subtrees = len(subtrees_from_compiled(compiled))
+        for n_shards in {1, 2, max(1, n_subtrees)}:
+            engine = ShardedGhsom.from_compiled(compiled, n_shards)
+            try:
+                assert {shard.engine for shard in engine.shards} <= {"numpy"}
+                leaf, dist = engine.assign_arrays(X)
+            finally:
+                engine.close()
+            np.testing.assert_array_equal(leaf, reference[0])
+            assert dist.tobytes() == reference[1].tobytes()
 
 
 class TestShardedBundle:
