@@ -38,7 +38,9 @@ to the serial backend by construction: workers run the same descent over
 the same array bytes.  Every shard state names the coordinator's engine,
 and a worker that cannot run it (a ``fused`` state on a host where the
 kernel did not load) refuses the provision, so its tasks fail over instead
-of being answered in other arithmetic.  On the numpy engine the
+of being answered in other arithmetic.  Workers advertise their engine in
+the handshake, so the coordinator does not even send shard states to a
+worker that would refuse them.  On the numpy engine the
 construction also assumes a *homogeneous numerical stack* across hosts —
 same NumPy/BLAS builds on comparable CPUs — because the per-level GEMM is
 exactly as reproducible as the library computing it; deploy heterogeneous
@@ -444,9 +446,20 @@ class RemoteBackend(ShardBackend):
     ) -> None:
         """Ship the current shard set to one worker (reference or value).
 
-        The shard states carry this host's engine; a worker that cannot run
-        it refuses the provision, and its tasks fail over.
+        The shard states carry this host's engine.  A worker that advertised
+        the numpy engine cannot run fused states: it is refused here,
+        without a frame, and its tasks fail over.  Only a refused
+        by-reference provision is retried by value (the worker's sidecar
+        may have changed since the handshake).
         """
+        if connection.info.get("engine") == "numpy" and any(
+            shard.engine == "fused" for shard in shards
+        ):
+            host, port = connection.address
+            raise ServingError(
+                f"shard worker {host}:{port} runs the numpy engine and cannot "
+                "run this coordinator's fused shard states"
+            )
         wire_reference = self._wire_reference
         advertised = connection.info.get("sidecar")
         if (
@@ -523,7 +536,9 @@ class ShardWorkerServer(FramedServer):
     ``model_path`` (a bundle or detector artifact JSON), the worker resolves
     the v3 sidecar next to it, validates the local file against the
     artifact's integrity header, and advertises the sidecar fingerprint
-    during the handshake — enabling by-reference provisioning.
+    during the handshake — enabling by-reference provisioning.  The
+    handshake also names the engine this host runs
+    (:func:`~repro.core.kernels.host_engine`).
 
     The worker is the :class:`~repro.serving.server.FramedServer` core with
     a ``ping``/``provision``/``run`` ops table.  ``provision`` completes
@@ -579,7 +594,7 @@ class ShardWorkerServer(FramedServer):
 
     # ------------------------------------------------------------------ #
     def worker_info(self) -> Dict[str, object]:
-        """The worker's part of the handshake info (model and sidecar)."""
+        """The worker's part of the handshake info (model, sidecar and engine)."""
         sidecar: Optional[Dict[str, object]] = None
         if self.sidecar_path is not None:
             try:
@@ -591,6 +606,7 @@ class ShardWorkerServer(FramedServer):
         return {
             "model": None if self.model_path is None else str(self.model_path),
             "sidecar": sidecar,
+            "engine": kernels.host_engine(),
         }
 
     # ------------------------------------------------------------------ #

@@ -980,6 +980,98 @@ class TestParentProvisionFrame:
 
 
 # --------------------------------------------------------------------------- #
+# provision frames a worker is sent: none when it cannot run the engine, a
+# by-value retry when its sidecar changed
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def provision_frames(monkeypatch):
+    """The ``mode`` of every provision frame a shard worker receives."""
+    modes = []
+    provisioned = ShardWorkerServer._provisioned
+
+    def recording(server, frame):
+        modes.append(frame.get("mode"))
+        return provisioned(server, frame)
+
+    monkeypatch.setattr(ShardWorkerServer, "_provisioned", recording)
+    return modes
+
+
+class TestProvisionFrames:
+    def test_worker_advertises_its_engine(self):
+        with ShardWorkerServer().start() as worker:
+            with WorkerConnection(worker.address) as connection:
+                assert connection.info["engine"] == kernels.host_engine()
+
+    def test_kernel_less_worker_is_sent_no_provision_frame(
+        self, binary_bundle, workload, reference, provision_frames, monkeypatch
+    ):
+        """A worker that advertises the numpy engine is never sent fused states.
+
+        Before, its refusal of the by-reference provision was retried by
+        value (every shard array copied and streamed) before its tasks
+        failed over: two frames per ``detect``.
+        """
+        if kernels.host_engine() != "fused":
+            pytest.skip(f"no fused kernel: {kernels.fused_build_error()}")
+        # The worker side of a host without the kernel; the coordinator in
+        # this process keeps the fused engine.
+        worker_info = ShardWorkerServer.worker_info
+        monkeypatch.setattr(
+            ShardWorkerServer,
+            "worker_info",
+            lambda server: {**worker_info(server), "engine": "numpy"},
+        )
+        check_runnable = remote._check_runnable
+
+        def refuse_fused(state):
+            if state.get("engine") == "fused":
+                raise ServingError("shard state needs the fused engine")
+            check_runnable(state)
+
+        monkeypatch.setattr(remote, "_check_runnable", refuse_fused)
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            result = _detect_remote(binary_bundle, workload, backend)
+        assert provision_frames == []
+        assert backend.stats["remote_tasks"] == 0
+        assert backend.stats["failover_tasks"] > 0
+        _assert_identical(result, reference)
+
+    def test_sidecar_refusal_is_retried_by_value(
+        self, binary_bundle, workload, reference, provision_frames, monkeypatch, tmp_path
+    ):
+        """A worker whose sidecar changed after its handshake info was taken.
+
+        It refuses the by-reference provision, and the coordinator streams
+        the shards by value instead of giving the worker up.
+        """
+        import shutil
+
+        from repro.core.serialization import sidecar_path_for
+
+        bundle = tmp_path / "model.json"
+        shutil.copy(binary_bundle, bundle)
+        shutil.copy(sidecar_path_for(binary_bundle), tmp_path / "model.npz")
+        worker_info = ShardWorkerServer.worker_info
+        taken = {}
+        monkeypatch.setattr(
+            ShardWorkerServer,
+            "worker_info",
+            lambda server: taken.setdefault("info", worker_info(server)),
+        )
+        with ShardWorkerServer(model_path=bundle).start() as worker:
+            assert worker.worker_info()["sidecar"] is not None
+            (tmp_path / "model.npz").write_bytes(b"not a zip at all")
+            backend = RemoteBackend([worker.address])
+            result = _detect_remote(binary_bundle, workload, backend)
+        assert provision_frames == ["reference", "value"]
+        assert backend.stats["provision_value"] == 1
+        assert backend.stats["failover_tasks"] == 0
+        _assert_identical(result, reference)
+
+
+# --------------------------------------------------------------------------- #
 # parent-format configs: every stored provisioning mode is the one policy
 # --------------------------------------------------------------------------- #
 class TestParentProvisioning:

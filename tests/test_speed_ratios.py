@@ -2,8 +2,9 @@
 
 Every test times both sides on the same fitted model and the same rows, best
 of a few repetitions each (the median of many calls for one-record round
-trips, and of alternating calls for the memmap-against-in-RAM descent and
-the fused-against-numpy engine), and asserts the ratio.  A ratio taken in
+trips, and of alternating calls for the memmap-against-in-RAM descent, the
+fused-against-numpy engine, the columnar transform and the drift screen),
+and asserts the ratio.  A ratio taken in
 one run cancels the machine's absolute speed, so the bounds hold on a
 laptop and a shared CI runner alike.  BLAS pools are pinned to one thread in CI, so both sides of
 every ratio run single-threaded.
@@ -43,11 +44,13 @@ from repro.serving import (
     ShardWorkerServer,
     subtrees_from_compiled,
 )
+from repro.streaming.drift import MeanShiftDetector
 
 from legacy_artifacts import v2_payload
 from legacy_descent import legacy_score_samples
 from record_rows import dataset_to_rows
 from test_data_preprocess_oracle import ObjectArrayPipeline, netsim_events
+from test_streaming_drift_oracle import RowReductionMeanShift
 
 SEED = 2013
 BATCH_SIZES = (500, 2000)
@@ -331,3 +334,42 @@ def test_columnar_transform_beats_object_assembly():
         if ratios[-1] >= 2.5:
             break
     assert ratios[-1] >= 2.5, ratios
+
+
+def _drift_alarms(detector, batches):
+    """Feed ``batches`` as ``OnlineDetector`` does: reset after each alarm."""
+    alarms = []
+    for batch in batches:
+        alarms.append(detector.update_many(batch))
+        if alarms[-1]:
+            detector.reset()
+    return alarms
+
+
+def test_screened_drift_beats_row_reductions():
+    # Twenty windows of 450 benign scores, the size OnlineDetector feeds its
+    # drift test, with a level shift two thirds in: the prefix-sum screen
+    # against the row reductions it replaced, which test every window.
+    rng = np.random.default_rng(SEED)
+    batches = np.abs(rng.normal(0.4, 0.15, (20, 450)))
+    batches[13:] += 1.0
+    alarms = _drift_alarms(MeanShiftDetector(), batches)
+    assert alarms == _drift_alarms(RowReductionMeanShift(), batches)
+    assert any(alarms)
+    # Alternate the sides call by call and compare medians, so a slow
+    # stretch of the host hits both.  A regression slows every measurement;
+    # one retry absorbs a noisy one.
+    ratios = []
+    for _ in range(2):
+        times = np.empty((15, 2))
+        for row in times:
+            for side, factory in enumerate((RowReductionMeanShift, MeanShiftDetector)):
+                detector = factory()
+                started = time.perf_counter()
+                _drift_alarms(detector, batches)
+                row[side] = time.perf_counter() - started
+        rows_seconds, screened_seconds = np.median(times, axis=0)
+        ratios.append(float(rows_seconds / screened_seconds))
+        if ratios[-1] >= 3.0:
+            break
+    assert ratios[-1] >= 3.0, ratios
