@@ -62,7 +62,7 @@ from repro.eval.metrics import binary_metrics, per_category_detection_rates
 from repro.eval.reporting import save_markdown_report, save_results_json
 from repro.eval.tables import format_table
 from repro.exceptions import ReproError, SerializationError
-from repro.serving.config import ServingConfig, ShardingSpec
+from repro.serving.config import ServingConfig
 
 #: Bundles are written as v3 (``BINARY_FORMAT_VERSION``): the JSON document
 #: plus an ``.npz`` sidecar next to it, memory-mapped at load.  v1 and v2
@@ -207,19 +207,6 @@ def serving_overrides_from_args(args: argparse.Namespace) -> Dict[str, object]:
     return overrides
 
 
-def serving_config_from_args(args: argparse.Namespace) -> ServingConfig:
-    """A full :class:`ServingConfig` built from the shared CLI flags.
-
-    Library defaults fill everything the operator did not pass.  Commands
-    that load artifacts use :func:`serving_overrides_from_args` instead (the
-    artifact-embedded config must stay the base); this constructor is for
-    callers that need the config as a standalone value — e.g. to embed it in
-    a bundle they are about to save, or ship it to a service.
-    """
-    overrides = serving_overrides_from_args(args)
-    return ServingConfig().with_overrides(overrides) if overrides else ServingConfig()
-
-
 # --------------------------------------------------------------------------- #
 # commands
 # --------------------------------------------------------------------------- #
@@ -301,14 +288,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         # start returning empty datasets.
         raise ReproError(f"{args.input} contains no records")
     X = pipeline.transform(dataset)
-    sharding = detector.sharding
-    if sharding is not None:
-        workers = (
-            f" ({sharding['workers']} workers)" if sharding["backend"] == "remote" else ""
-        )
+    plan = detector.serving_config.provenance()
+    if plan["sharded"]:
+        workers = f" ({plan['workers']} workers)" if plan["backend"] == "remote" else ""
         print(
-            f"sharded serving: {sharding['n_shards']} shards on the "
-            f"{sharding['backend']} backend{workers}"
+            f"sharded serving: {plan['n_shards']} shards on the "
+            f"{plan['backend']} backend{workers}"
         )
     # One pass: scores, decisions and categories all come from a single
     # tree descent instead of one per method call.  Sharded serving is
@@ -317,7 +302,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     try:
         result = detector.detect(X)
     finally:
-        detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+        detector.configure(ServingConfig(verify=plan["verify"]))
     alarms, scores, categories = result.predictions, result.scores, result.categories
     n_alarms = int(alarms.sum())
     print(f"scored {len(dataset)} records: {n_alarms} alarms ({n_alarms / len(dataset):.2%})")
@@ -426,10 +411,10 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the async detection gateway until interrupted.
 
-    One model bundle, resolved through the standard serving-config
+    One model bundle, configured through the standard serving-config
     precedence (CLI flags > artifact-embedded config > defaults) exactly
-    once at startup — the banner prints the resolved plan so a strict
-    misconfiguration fails here, never at a client's first request.
+    once at startup, so a misconfiguration fails here, never at a client's
+    first request; the banner prints the serving plan.
     """
     from repro.serving.gateway import DetectionGateway
     from repro.serving.transport import parse_address
@@ -445,9 +430,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch_rows=args.max_batch_rows,
         max_pending_rows=args.max_pending_rows,
     )
-    plan = detector.resolved_plan()
-    plan_text = f"engine={plan.engine}" + (
-        f" shards={plan.n_shards} backend={plan.backend}" if plan.sharded else ""
+    plan = detector.serving_config.provenance()
+    plan_text = f"engine={plan['engine']}" + (
+        f" shards={plan['n_shards']} backend={plan['backend']}" if plan["sharded"] else ""
     )
     print(
         f"detection gateway listening on {gateway.address[0]}:{gateway.address[1]} "
@@ -534,10 +519,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 title="Leaf label distribution",
             )
         )
-    # The resolved serving plan: what this host would actually execute for
-    # the loaded artifact + the flags passed to this command (artifact-
-    # embedded config with CLI overrides on top, resolved here and now).
-    plan = detector.resolved_plan().describe()
+    # The serving plan: what this host would actually execute for the
+    # loaded artifact + the flags passed to this command (artifact-embedded
+    # config with CLI overrides on top).
+    plan = detector.serving_config.provenance(usable_cores=True)
     shard_layout = "-"
     if plan["sharded"]:
         shard_layout = f"{plan['n_shards']} shards / {plan['backend']} backend"

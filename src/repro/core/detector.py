@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.utils.validation import check_array_2d, check_same_length
 
 if TYPE_CHECKING:  # import cycle: repro.serving imports repro.core at runtime
     from repro.serving.backends import ShardBackend
-    from repro.serving.config import ServingConfig, ServingPlan
+    from repro.serving.config import ServingConfig
 
 #: Nominal alarm threshold on the normalised score scale: a score of exactly
 #: 1.0 sits *at* the calibrated threshold and does **not** alarm.
@@ -337,7 +337,7 @@ class GhsomDetector(BaseAnomalyDetector):
         Seed overriding ``config.random_state``.
     serving:
         A full :class:`~repro.serving.config.ServingConfig` describing how
-        the detector serves (sharding, artifact options) —
+        the detector serves (shards, remote workers, sidecar verification) —
         the declarative equivalent of calling :meth:`configure` right after
         construction.
     """
@@ -366,7 +366,6 @@ class GhsomDetector(BaseAnomalyDetector):
         #: The declarative serving configuration; :meth:`configure` is the
         #: single mutation path.
         self._serving: "ServingConfig" = ServingConfig()
-        self._plan: Optional["ServingPlan"] = None  # cached resolved plan
         self.labeler: Optional[UnitLabeler] = None
         self.threshold_: Optional[object] = None
         self._model: Optional[Ghsom] = None
@@ -379,11 +378,11 @@ class GhsomDetector(BaseAnomalyDetector):
         #: from the fitted tree".
         self._compiled: Optional[CompiledGhsom] = None
         self._tables: Optional[_LeafTables] = None
-        #: Sharded-serving configuration: ``(n_shards, backend)`` when the
-        #: serving config is sharded, ``None`` for the unsharded engine.
-        #: The spec survives refits — the engine itself is rebuilt lazily
-        #: against the new compiled snapshot on the next scoring call.
-        self._shard_spec: Optional[Tuple[int, "ShardBackend"]] = None
+        #: The live shard backend when the serving config is sharded,
+        #: ``None`` for the unsharded engine.  It survives refits — the
+        #: sharded engine is rebuilt lazily against the new compiled
+        #: snapshot on the next scoring call.
+        self._backend: Optional["ShardBackend"] = None
         self._sharded = None  # the live ShardedGhsom engine, built lazily
         self._apply_serving(serving if serving is not None else ServingConfig())
 
@@ -441,34 +440,25 @@ class GhsomDetector(BaseAnomalyDetector):
     def configure(self, config: "ServingConfig") -> "GhsomDetector":
         """Apply a full serving configuration atomically.
 
-        The single mutation path for every serving knob — sharding and
-        artifact options.  The combined state is validated and resolved
-        *before* anything mutates, so a rejected config leaves the detector
-        exactly as it was, and the result never depends on the order knobs
-        were set in.
+        The single mutation path for every serving knob.  The config and
+        its backend are built *before* anything mutates, so a rejected
+        config leaves the detector exactly as it was, and the result never
+        depends on the order knobs were set in.
         """
         return self._apply_serving(config)
 
-    def resolved_plan(self) -> "ServingPlan":
-        """The :class:`~repro.serving.config.ServingPlan` scoring runs under.
-
-        Resolved when the config is applied and cached until it changes.
-        """
-        if self._plan is None:
-            self._plan = self._serving.resolve()
-        return self._plan
-
     def _apply_serving(self, config: "ServingConfig", *, backend=None) -> "GhsomDetector":
-        """Validate/resolve ``config`` against the current state, then commit.
+        """Build what ``config`` needs against the current state, then commit.
 
         ``backend`` carries an already-constructed :class:`ShardBackend`
         instance whose tuning has no declarative form (e.g. a
-        ``RemoteBackend`` with custom timeouts); when ``None`` and the plan
-        is sharded, the live backend is reused if the sharding spec is
-        unchanged, otherwise :meth:`ServingPlan.build_backend` constructs a
-        fresh one.  A backend is closed only when it is replaced, so a kept
-        remote backend keeps its worker connections; an identical config
-        keeps the sharded engine too, and with it the workers' provisioning.
+        ``RemoteBackend`` with custom timeouts); when ``None`` and the
+        config is sharded, the live backend is reused if ``shards`` and
+        ``remote_workers`` are unchanged, otherwise
+        :meth:`ServingConfig.build_backend` constructs a fresh one.  A
+        backend is closed only when it is replaced, so a kept remote backend
+        keeps its worker connections; an identical config keeps the sharded
+        engine too, and with it the workers' provisioning.
         """
         from repro.serving.config import ServingConfig
 
@@ -476,15 +466,12 @@ class GhsomDetector(BaseAnomalyDetector):
             raise ConfigurationError(
                 f"configure() needs a ServingConfig, got {type(config).__name__}"
             )
-        plan = config.resolve()
-        live = self._shard_spec[1] if self._shard_spec is not None else None
-        if backend is None and plan.sharded:
-            if config.sharding == self._serving.sharding and live is not None:
-                # Unchanged sharding intent keeps the live backend (a remote
-                # backend's connections); only the spec changing rebuilds it.
-                backend = live
-            else:
-                backend = plan.build_backend()
+        live, old = self._backend, self._serving
+        if backend is None and config.shards:
+            # Unchanged sharding keeps the live backend (a remote backend's
+            # connections); only a sharding change rebuilds it.
+            same = (config.shards, config.remote_workers) == (old.shards, old.remote_workers)
+            backend = live if same and live is not None else config.build_backend()
         # ---- commit; nothing above mutated detector state ---- #
         if live is not None and live is not backend:
             live.close()
@@ -493,21 +480,12 @@ class GhsomDetector(BaseAnomalyDetector):
             # the kept (or new) backend.
             self._sharded = None
         self._serving = config
-        self._plan = plan
-        self._shard_spec = (int(plan.n_shards), backend) if plan.sharded else None
+        self._backend = backend if config.shards else None
         return self
 
     # ------------------------------------------------------------------ #
     # sharded serving
     # ------------------------------------------------------------------ #
-    @property
-    def sharding(self) -> Optional[Dict[str, object]]:
-        """The active sharded-serving configuration, or ``None`` if unsharded."""
-        if self._shard_spec is None:
-            return None
-        n_shards, backend = self._shard_spec
-        return {"n_shards": n_shards, "backend": backend.name, "workers": backend.workers}
-
     def _serving_engine(self):
         """The engine ``_score_arrays`` descends with: sharded or compiled.
 
@@ -516,17 +494,16 @@ class GhsomDetector(BaseAnomalyDetector):
         backend.
         """
         compiled = self._compiled_model()
-        if self._shard_spec is None:
+        if self._backend is None:
             return compiled
         if self._sharded is None or self._sharded.source is not compiled:
             from repro.serving.router import ShardedGhsom
 
-            n_shards, backend = self._shard_spec
             tables = self._leaf_tables()
             self._sharded = ShardedGhsom.from_compiled(
                 compiled,
-                n_shards,
-                backend=backend,
+                self._serving.shards,
+                backend=self._backend,
                 thresholds=tables.thresholds,
                 labels=tables.labels,
                 is_attack=tables.is_attack,
@@ -645,9 +622,10 @@ class GhsomDetector(BaseAnomalyDetector):
 
         The result's :attr:`DetectionResult.stats` carries a
         :class:`~repro.serving.config.ServingStats`: per-stage wall-clock
-        timings (ingest / route / descend / merge) plus the resolved
-        :class:`~repro.serving.config.ServingPlan` provenance, so serving
-        consumers get observability without instrumenting the layers.
+        timings (ingest / route / descend / merge) plus the serving
+        provenance (:meth:`~repro.serving.config.ServingConfig.provenance`),
+        so serving consumers get observability without instrumenting the
+        layers.
         """
         t_start = perf_counter()
         # One validation and one conversion at the boundary; the engines
@@ -695,17 +673,17 @@ class GhsomDetector(BaseAnomalyDetector):
             route_s = float(router_timings.get("route_s", 0.0))
             shard_merge_s = float(router_timings.get("merge_s", 0.0))
             descend_s = max(score_s - route_s - shard_merge_s, 0.0)
-        plan = self.resolved_plan()
+        plan = self._serving.provenance()
         stats = ServingStats(
             n_records=int(matrix.shape[0]),
-            engine=plan.engine,
-            sharded=self._shard_spec is not None,
+            engine=plan["engine"],
+            sharded=plan["sharded"],
             ingest_s=ingest_s,
             route_s=route_s,
             descend_s=descend_s,
             merge_s=shard_merge_s + (perf_counter() - t_merge),
             total_s=perf_counter() - t_start,
-            plan=plan.to_dict(),
+            plan=plan,
         )
         return DetectionResult(
             scores=scores,

@@ -596,8 +596,8 @@ def _detector_payload(
         "calibrate_on_normal_only": detector.calibrate_on_normal_only,
     }
     # The detector's serving configuration travels inside the artifact,
-    # so loading hydrates a fully-configured detector (sharding, artifact
-    # options) unless the caller overrides it — see
+    # so loading hydrates a fully-configured detector (shards, remote
+    # workers, verify) unless the caller overrides it — see
     # repro.serving.config.effective_config for the precedence rule.
     payload["serving_config"] = detector.serving_config.to_dict()
     # Generators are process-local state; only reproducible seeds persist.
@@ -683,7 +683,7 @@ def detector_from_dict(
     )
     version = _check_version(data)
     if version >= 3 and arrays is None:
-        arrays = open_sidecar(data, sidecar_dir, verify=serving.artifact.verify)
+        arrays = open_sidecar(data, sidecar_dir, verify=serving.verify)
     model_payload = _as_mapping(data["model"])
     ghsom_config = GhsomConfig.from_dict(_as_mapping(model_payload["config"]))
     random_state = data.get("random_state")
@@ -754,8 +754,8 @@ def detector_from_dict(
     else:
         # v1: full tree rebuild.
         detector.model = ghsom_from_dict(model_payload)
-    # One atomic application of the effective config: sharding (the backend
-    # is constructed eagerly) and artifact options.
+    # One atomic application of the effective config (the backend is
+    # constructed eagerly).
     detector.configure(serving)
     return detector
 

@@ -30,17 +30,13 @@ into a serving subsystem:
   whatever queued while the previous one ran — the ``repro-ids serve``
   process) and :class:`GatewayClient` (a multiplexed
   client whose answers are byte-identical to calling ``detect`` directly);
-* :mod:`repro.serving.config` — the unified serving-configuration layer:
-  :class:`ServingConfig` (one frozen, versioned, JSON-round-trippable
-  description of sharding / artifact options, embedded in
-  v2+ artifacts),
-  :meth:`ServingConfig.resolve` → :class:`ServingPlan` (all
-  environment-dependent resolution in one place, with the host's engine
-  as provenance;
-  :meth:`ServingPlan.build_backend` is the only constructor of a live
-  backend from a resolved plan) and
-  :class:`ServingStats` (per-batch stage timings on
-  ``DetectionResult.stats``).
+* :mod:`repro.serving.config` — the serving configuration:
+  :class:`ServingConfig` (one flat, frozen, versioned, JSON-round-trippable
+  value — ``shards``, ``remote_workers``, ``verify`` — embedded in v2+
+  artifacts; :meth:`ServingConfig.build_backend` is the only constructor of
+  a live backend, and :meth:`ServingConfig.provenance` the one record of how
+  this host serves, with the host's engine) and :class:`ServingStats`
+  (per-batch stage timings on ``DetectionResult.stats``).
 
 The merged output is **byte-identical** to the unsharded engine: the
 router replicates the root step of :meth:`CompiledGhsom.assign_arrays`
@@ -52,11 +48,8 @@ exactly, and shards descend via the same
 from repro.serving.backends import SerialBackend, ShardBackend
 from repro.serving.config import (
     CONFIG_VERSION,
-    ArtifactOptions,
     ServingConfig,
-    ServingPlan,
     ServingStats,
-    ShardingSpec,
     effective_config,
     usable_workers,
 )
@@ -79,10 +72,7 @@ from repro.serving.transport import (
 
 __all__ = [
     "ServingConfig",
-    "ServingPlan",
     "ServingStats",
-    "ShardingSpec",
-    "ArtifactOptions",
     "effective_config",
     "usable_workers",
     "CONFIG_VERSION",

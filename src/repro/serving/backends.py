@@ -10,8 +10,8 @@ results in task order.  The router treats every implementation alike:
   workers on other hosts.  It sits behind the same seam in its own module,
   keeping this one socket-free, and fails over to a :class:`SerialBackend`.
 
-:meth:`~repro.serving.config.ServingPlan.build_backend` is the one place a
-resolved plan becomes one of these instances.
+:meth:`~repro.serving.config.ServingConfig.build_backend` is the one place a
+serving config becomes one of these instances.
 """
 
 from __future__ import annotations

@@ -1,31 +1,27 @@
-"""The unified serving-configuration layer: ``ServingConfig`` → ``ServingPlan``.
+"""The serving configuration: one flat :class:`ServingConfig`.
 
-Every serving knob lives in one object, :class:`ServingConfig`; the
-loaders (``config=`` / ``overrides=``), ``GhsomDetector.configure`` and the
-CLI flag block all go through it.  This module holds it and its companions:
+Every serving knob lives in one object; the loaders (``config=`` /
+``overrides=``), ``GhsomDetector.configure`` and the CLI flag block all go
+through it.  This module holds it and its companions:
 
 :class:`ServingConfig`
-    A frozen, *declarative* description of how a model is served: the
-    sharding spec and the artifact-loading options.  It validates strictly
-    on construction, round-trips through JSON (``to_dict`` / ``from_dict``,
-    versioned) and embeds in v2/v3 model artifacts.  It never
-    touches the environment: a config built on one host means exactly the
-    same thing on another.
-
-:class:`ServingPlan`
-    The *resolved* form: :meth:`ServingConfig.resolve` performs every
-    environment-dependent decision in one place — the backend and its
-    parsed remote addresses — and records the host's compute engine
-    (:func:`repro.core.kernels.host_engine`) as provenance; the engine is
-    not a setting.  The plan is still a frozen value object;
-    :meth:`ServingPlan.build_backend` is the single constructor of live
-    :class:`~repro.serving.backends.ShardBackend` instances.
+    A frozen description of how a model is served — ``shards``,
+    ``remote_workers`` and ``verify``.  It validates strictly on
+    construction, round-trips through JSON (``to_dict`` / ``from_dict``,
+    versioned) and embeds in v2/v3 model artifacts.  The fields never touch
+    the environment: a config built on one host means exactly the same
+    thing on another.  :meth:`ServingConfig.build_backend` is the one
+    constructor of live :class:`~repro.serving.backends.ShardBackend`
+    instances, and :meth:`ServingConfig.provenance` the one record of how
+    this host serves under the config (the backend follows from the
+    addresses; the compute engine is the host's,
+    :func:`repro.core.kernels.host_engine`, and not a setting).
 
 :class:`ServingStats`
     Uniform per-batch serving observability attached to
     :class:`~repro.core.detector.DetectionResult` by ``GhsomDetector.detect``:
-    per-stage timings (ingest / route / descend / merge) plus the resolved
-    plan's provenance, so gateways and fleet tooling can see how a batch was
+    per-stage timings (ingest / route / descend / merge) plus the config's
+    provenance, so gateways and fleet tooling can see how a batch was
     actually executed without instrumenting the layers themselves.
 
 Precedence, everywhere a config can come from more than one place (the CLI,
@@ -37,13 +33,14 @@ overrides > artifact-embedded config > library default** — see
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core import kernels
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ServingError
 
 if TYPE_CHECKING:  # runtime import stays lazy inside build_backend
     from repro.serving.backends import ShardBackend
@@ -101,7 +98,11 @@ def usable_workers() -> int:
 
 
 def _parse_remote_workers(spec: str) -> Tuple[str, ...]:
-    """Normalise a ``HOST:PORT[,HOST:PORT...]`` spec into address strings."""
+    """Normalise a ``HOST:PORT[,HOST:PORT...]`` spec into address strings.
+
+    An IPv6 host keeps its brackets, so the normalised spec parses again.  A
+    malformed address is a configuration error.
+    """
     from repro.serving.transport import parse_address
 
     addresses: List[str] = []
@@ -109,18 +110,21 @@ def _parse_remote_workers(spec: str) -> Tuple[str, ...]:
         part = part.strip()
         if not part:
             continue
-        host, port = parse_address(part)
-        addresses.append(f"{host}:{port}")
+        try:
+            host, port = parse_address(part)
+        except ServingError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        addresses.append(f"[{host}]:{port}" if ":" in host else f"{host}:{port}")
     return tuple(addresses)
 
 
 def _opt_int(value: object) -> Optional[int]:
     """``None`` passes through; otherwise an integer or a whole-number float.
 
-    The strict-typed bridge from JSON payloads / CLI override mappings
-    (``object`` values) to the typed dataclass fields; range validation stays
-    in the dataclass ``__post_init__``.  A bool or a fractional float is
-    refused rather than truncated.
+    The strict-typed bridge from any value (a constructor argument, a JSON
+    payload, a CLI override) to an integer field; range validation stays in
+    ``ServingConfig.__post_init__``.  A bool, a string or a fractional float
+    is refused rather than converted.
     """
     if value is None:
         return None
@@ -253,38 +257,45 @@ def _sub_mapping(data: Mapping[str, object], key: str) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# the declarative config
+# the config
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ShardingSpec:
-    """Declarative sharded-serving spec (``shards=None`` means unsharded).
-
-    The addresses choose the backend: shards run on the remote shard workers
-    when ``remote_workers`` is set, and serially in this process otherwise.
+class ServingConfig:
+    """How a model is served: three settable values, validated on construction.
 
     Attributes
     ----------
     shards:
         Number of root-subtree shards, or ``None`` for the unsharded engine.
+        The shards run serially in this process unless ``remote_workers`` is
+        set.
     remote_workers:
         ``"HOST:PORT[,HOST:PORT...]"`` shard-worker addresses, one
-        ``repro-ids shard-worker`` per address.  Each worker gets the shard
-        set by reference when it holds the coordinator's sidecar, by value
-        otherwise (see :class:`~repro.serving.remote.RemoteBackend`).
+        ``repro-ids shard-worker`` per address; setting them selects the
+        remote backend.  Each worker gets the shard set by reference when it
+        holds the coordinator's sidecar, by value otherwise (see
+        :class:`~repro.serving.remote.RemoteBackend`).
+    verify:
+        Check a v3 sidecar's SHA-256 against the integrity header at load
+        (reads the whole file).  The sidecar is always memory-mapped.
+
+    Environment-independent by design: equality is field-wise, so "same
+    serving intent" compares equal across processes and hosts — the
+    property the artifact-embedding and remote-provisioning paths rely on.
+    The host enters only the provenance (:meth:`provenance`).
     """
 
     shards: Optional[int] = None
     remote_workers: Optional[str] = None
+    verify: bool = False
 
     def __post_init__(self) -> None:
-        if self.shards is not None:
-            object.__setattr__(self, "shards", int(self.shards))
-            if self.shards < 1:
-                raise ConfigurationError(
-                    f"n_shards must be >= 1, got {self.shards}"
-                )
+        shards = _opt_int(self.shards)
+        if shards is not None and shards < 1:
+            raise ConfigurationError(f"n_shards must be >= 1, got {shards}")
+        object.__setattr__(self, "shards", shards)
         if self.remote_workers is not None:
-            if not self.shards:
+            if not shards:
                 raise ConfigurationError(
                     "remote worker addresses only apply to sharded serving; "
                     "pass shards=K (CLI: --shards) to enable it"
@@ -295,55 +306,12 @@ class ShardingSpec:
                     "the remote backend needs at least one worker address (HOST:PORT)"
                 )
             object.__setattr__(self, "remote_workers", ",".join(addresses))
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.shards)
-
-
-@dataclass(frozen=True)
-class ArtifactOptions:
-    """How binary (v3) artifacts are opened at load time.
-
-    The ``.npz`` sidecar is always memory-mapped (O(metadata) cold start);
-    ``verify=True`` additionally checks its SHA-256 against the integrity
-    header (reads the whole file).
-    """
-
-    verify: bool = False
-
-    def __post_init__(self) -> None:
         # Payload flags must be real bools: ``bool("false")`` is True.
         if not isinstance(self.verify, (bool, np.bool_)):
             raise ConfigurationError(
                 f"artifact option verify must be a bool, got {self.verify!r}"
             )
         object.__setattr__(self, "verify", bool(self.verify))
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """One serializable, versioned description of how a model is served.
-
-    Strictly validated on construction; environment-independent by design
-    (resolution against the host happens in :meth:`resolve`).  Equality is
-    field-wise, so "same serving intent" compares equal across processes and
-    hosts — the property the artifact-embedding and remote-provisioning
-    paths rely on.
-    """
-
-    sharding: ShardingSpec = field(default_factory=ShardingSpec)
-    artifact: ArtifactOptions = field(default_factory=ArtifactOptions)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.sharding, ShardingSpec):
-            raise ConfigurationError(
-                f"sharding must be a ShardingSpec, got {type(self.sharding).__name__}"
-            )
-        if not isinstance(self.artifact, ArtifactOptions):
-            raise ConfigurationError(
-                f"artifact must be ArtifactOptions, got {type(self.artifact).__name__}"
-            )
 
     # ------------------------------------------------------------------ #
     # JSON round trip
@@ -352,11 +320,8 @@ class ServingConfig:
         """JSON-compatible payload; exact inverse of :meth:`from_dict`."""
         return {
             "config_version": CONFIG_VERSION,
-            "sharding": {
-                "shards": self.sharding.shards,
-                "remote_workers": self.sharding.remote_workers,
-            },
-            "artifact": {"verify": self.artifact.verify},
+            "sharding": {"shards": self.shards, "remote_workers": self.remote_workers},
+            "artifact": {"verify": self.verify},
         }
 
     @classmethod
@@ -411,31 +376,20 @@ class ServingConfig:
         _check_legacy_provisioning(sharding)
         _check_legacy_mmap(artifact)
         return cls(
-            sharding=ShardingSpec(
-                shards=_opt_int(sharding.get("shards")),
-                remote_workers=_opt_str(sharding.get("remote_workers")),
-            ),
-            artifact=ArtifactOptions(
-                verify=artifact.get("verify", False),  # type: ignore[arg-type]
-            ),
+            shards=sharding.get("shards"),  # type: ignore[arg-type]
+            remote_workers=_opt_str(sharding.get("remote_workers")),
+            verify=artifact.get("verify", False),  # type: ignore[arg-type]
         )
-
-    # ------------------------------------------------------------------ #
-    # derivation helpers
-    # ------------------------------------------------------------------ #
-    def evolve(self, **changes: object) -> "ServingConfig":
-        """A copy with top-level fields replaced (validates the result)."""
-        return replace(self, **changes)
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "ServingConfig":
         """Apply flat, CLI-style field overrides on top of this config.
 
-        ``overrides`` maps flat knob names — ``shards``, ``remote_workers``,
+        ``overrides`` maps field names — ``shards``, ``remote_workers``,
         ``verify`` — to values; keys that are absent keep this config's
         value, which is what gives CLI flags field-wise precedence over an
-        artifact-embedded config.  Overriding any sharding field replaces
-        the *whole* sharding spec (a ``--shards 4`` override must not
-        inherit a stale remote address list from the artifact).
+        artifact-embedded config.  Overriding either sharding field replaces
+        *both* (a ``--shards 4`` override must not inherit a stale remote
+        address list from the artifact).
         """
         removed = sorted(set(overrides) & set(_REMOVED_OVERRIDES))
         if removed:
@@ -446,112 +400,65 @@ class ServingConfig:
         unknown = sorted(set(overrides) - {"shards", "remote_workers", "verify"})
         if unknown:
             raise ConfigurationError(f"unknown serving config overrides {unknown}")
-        config = self
+        changes: Dict[str, Any] = dict(overrides)
         if "shards" in overrides or "remote_workers" in overrides:
-            config = replace(
-                config,
-                sharding=ShardingSpec(
-                    shards=_opt_int(overrides.get("shards")),
-                    remote_workers=_opt_str(overrides.get("remote_workers")),
-                ),
-            )
-        if "verify" in overrides:
-            config = replace(
-                config,
-                artifact=ArtifactOptions(verify=overrides["verify"]),  # type: ignore[arg-type]
-            )
-        return config
+            changes.setdefault("shards", None)
+            changes.setdefault("remote_workers", None)
+        return replace(self, **changes)
 
     # ------------------------------------------------------------------ #
-    # resolution
+    # what the config means on this host
     # ------------------------------------------------------------------ #
-    def resolve(self) -> "ServingPlan":
-        """Resolve this config against the current host into a :class:`ServingPlan`.
-
-        A sharded plan runs on the ``"remote"`` backend when the spec lists
-        worker addresses (one worker per address) and on the ``"serial"``
-        backend (one worker) otherwise.  The plan records the host's engine
-        (:func:`repro.core.kernels.host_engine`).
-        """
-        sharding = self.sharding
-        backend: Optional[str] = None
-        workers: Optional[int] = None
-        remote_workers: Tuple[str, ...] = ()
-        if sharding.remote_workers is not None:
-            remote_workers = _parse_remote_workers(sharding.remote_workers)
-            backend, workers = "remote", len(remote_workers)
-        elif sharding.enabled:
-            backend, workers = "serial", 1
-        return ServingPlan(
-            config=self,
-            engine=kernels.host_engine(),
-            n_shards=sharding.shards,
-            backend=backend,
-            workers=workers,
-            remote_workers=remote_workers,
-            verify=self.artifact.verify,
-        )
-
-
-# --------------------------------------------------------------------------- #
-# the resolved plan
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ServingPlan:
-    """A :class:`ServingConfig` resolved against one host.
-
-    Every field is concrete: the engine is ``"numpy"`` or ``"fused"``,
-    worker counts are integers, remote
-    addresses are parsed.  The plan is still a passive value object —
-    :meth:`build_backend` constructs the live executor.
-    """
-
-    config: ServingConfig
-    engine: str
-    n_shards: Optional[int]
-    backend: Optional[str]
-    workers: Optional[int]
-    remote_workers: Tuple[str, ...]
-    verify: bool
-
-    @property
-    def sharded(self) -> bool:
-        return bool(self.n_shards)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Resolved-plan provenance (JSON-compatible; used by stats/inspect)."""
-        return {
-            "engine": self.engine,
-            "sharded": self.sharded,
-            "n_shards": self.n_shards,
-            "backend": self.backend,
-            "workers": self.workers,
-            "remote_workers": list(self.remote_workers),
-            "verify": self.verify,
-        }
-
     def build_backend(self) -> "Optional[ShardBackend]":
         """Construct the live :class:`~repro.serving.backends.ShardBackend`.
 
-        The single place a declarative plan becomes a running executor:
-        ``load_bundle``, ``GhsomDetector.configure`` and the CLI all come
-        through here, so backend-construction policy cannot drift between
-        layers.  Returns ``None`` for an unsharded plan.
+        The one place a config becomes a running executor: ``load_bundle``,
+        ``GhsomDetector.configure`` and the CLI all come through here.
+        ``remote_workers`` gives a :class:`~repro.serving.remote.RemoteBackend`
+        (one worker per address), ``shards`` alone a
+        :class:`~repro.serving.backends.SerialBackend`, and an unsharded
+        config ``None``.
         """
-        if not self.sharded:
-            return None
-        if self.backend == "remote":
+        if self.remote_workers is not None:
             from repro.serving.remote import RemoteBackend
 
-            return RemoteBackend(list(self.remote_workers))
-        from repro.serving.backends import SerialBackend
+            return RemoteBackend(self.remote_workers)
+        if self.shards:
+            from repro.serving.backends import SerialBackend
 
-        return SerialBackend()
+            return SerialBackend()
+        return None
 
-    def describe(self) -> Dict[str, object]:
-        """Plan provenance plus host diagnostics (the ``inspect`` view)."""
-        summary = self.to_dict()
-        summary["usable_cores"] = usable_workers()
+    @cached_property
+    def _provenance(self) -> Dict[str, Any]:
+        remote = self.remote_workers.split(",") if self.remote_workers else []
+        backend, workers = ("remote", len(remote)) if remote else ("serial", 1)
+        sharded = bool(self.shards)
+        return {
+            "engine": kernels.host_engine(),
+            "sharded": sharded,
+            "n_shards": self.shards,
+            "backend": backend if sharded else None,
+            "workers": workers if sharded else None,
+            "remote_workers": remote,
+            "verify": self.verify,
+        }
+
+    def provenance(self, *, usable_cores: bool = False) -> Dict[str, object]:
+        """How this host serves under this config (JSON-compatible).
+
+        The one provenance dict: ``DetectionResult.stats.plan``, the CLI
+        banners, ``inspect`` and the gateway handshake all show it.  The
+        engine is the host's (:func:`repro.core.kernels.host_engine`), the
+        backend follows from the addresses and ``workers`` is the address
+        count (1 for serial shards).  It is built once per config and
+        copied per call; ``usable_cores=True`` adds the host's usable core
+        count (the ``inspect`` and handshake view).
+        """
+        summary = dict(self._provenance)
+        summary["remote_workers"] = list(self._provenance["remote_workers"])
+        if usable_cores:
+            summary["usable_cores"] = usable_workers()
         return summary
 
 
@@ -599,9 +506,9 @@ class ServingStats:
     root distance+argmin; zero on the unsharded engine, which fuses routing
     into the descent), ``descend`` (the tree descent itself) and ``merge``
     (score folding, label resolution and — when sharded — scattering shard
-    results back into input order).  ``plan`` carries the resolved
-    :meth:`ServingPlan.to_dict` provenance so a consumer can tell *how* the
-    batch executed, not just how long it took.
+    results back into input order).  ``plan`` carries
+    :meth:`ServingConfig.provenance` so a consumer can tell *how* the batch
+    executed, not just how long it took.
     """
 
     n_records: int
@@ -613,16 +520,3 @@ class ServingStats:
     merge_s: float
     total_s: float
     plan: Optional[Dict[str, object]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "n_records": self.n_records,
-            "engine": self.engine,
-            "sharded": self.sharded,
-            "ingest_s": self.ingest_s,
-            "route_s": self.route_s,
-            "descend_s": self.descend_s,
-            "merge_s": self.merge_s,
-            "total_s": self.total_s,
-            "plan": self.plan,
-        }

@@ -26,11 +26,12 @@ or the demultiplexer.
 
 Contracts worth knowing:
 
-* **one model, resolved once** — the gateway serves a single detector whose
-  :class:`~repro.serving.config.ServingConfig` was resolved to a
-  :class:`~repro.serving.config.ServingPlan` at startup (the CLI ``serve``
-  command runs the standard precedence: CLI flags > artifact-embedded
-  config > defaults).  The resolved plan is advertised in the handshake.
+* **one model, configured once** — the gateway serves a single detector
+  whose :class:`~repro.serving.config.ServingConfig` was applied at startup
+  (the CLI ``serve`` command runs the standard precedence: CLI flags >
+  artifact-embedded config > defaults).  The config's provenance
+  (:meth:`~repro.serving.config.ServingConfig.provenance`, with the host's
+  usable cores) is advertised in the handshake.
 * **backpressure, never silent drops** — admission is bounded by
   ``max_pending_rows``; a request that would overflow it is rejected with
   an explicit :class:`~repro.exceptions.ServingError` reply.  Every
@@ -196,9 +197,7 @@ class DetectionGateway(FramedServer):
         self._detector = detector
         self._max_batch_rows = int(max_batch_rows)
         self._max_pending_rows = int(max_pending_rows)
-        # Resolve the serving plan once, now: a misconfigured model must
-        # fail at startup, not at the first client request.
-        self._plan_info: Dict[str, object] = dict(detector.resolved_plan().describe())
+        self._plan_info = detector.serving_config.provenance(usable_cores=True)
         self._n_features = int(detector._compiled_model().n_features)
         super().__init__(
             host,

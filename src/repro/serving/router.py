@@ -99,7 +99,7 @@ class ShardedGhsom:
 
         ``backend`` executes the shard tasks (a fresh :class:`SerialBackend`
         when omitted; build a configured one with
-        :meth:`~repro.serving.config.ServingPlan.build_backend`).  The
+        :meth:`~repro.serving.config.ServingConfig.build_backend`).  The
         subtree layout is always derived from ``compiled`` itself; the
         per-leaf scoring tables, when given, are segmented into the shards
         so each one is fully self-contained.  Every shard carries the

@@ -2,11 +2,11 @@
 
 import asyncio
 
-from repro.serving import ServingConfig, ShardingSpec
+from repro.serving import ServingConfig
 
 
 async def run_all(shards, tasks):
-    backend = ServingConfig(sharding=ShardingSpec(shards=4)).resolve().build_backend()
+    backend = ServingConfig(shards=4).build_backend()
     try:
         return await asyncio.get_running_loop().run_in_executor(
             None, backend.run, shards, tasks

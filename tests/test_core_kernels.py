@@ -32,7 +32,7 @@ from repro.core import kernels
 from repro.core.compiled import frontier_descent
 from repro.core.distances import available_metrics
 from repro.exceptions import ConfigurationError
-from repro.serving.config import ServingConfig, ShardingSpec
+from repro.serving.config import ServingConfig
 
 #: Tree generation is cheap (no GHSOM fit), so the suite affords many more
 #: examples than the fit-based property tests.
@@ -343,7 +343,7 @@ def test_fit_calibrates_on_the_host_engine(request, fast_config, train_matrix, e
         detector.threshold_strategy_name, **detector.threshold_kwargs
     ).fit(distances, compiled.keys_of(leaf_index))
     assert detector.threshold_.to_dict() == expected.to_dict()
-    assert detector.resolved_plan().engine == engine
+    assert detector.serving_config.provenance()["engine"] == engine
 
 
 #: Probes the kernel in a fresh process; prints availability and compile count.
@@ -481,7 +481,7 @@ def fused_detectors(fast_config, train_matrix, train_categories):
     detectors = {}
     for shards in (None, 2, 3):
         detector = detector_from_dict(payload, arrays=arrays)
-        detector.configure(ServingConfig(sharding=ShardingSpec(shards=shards)))
+        detector.configure(ServingConfig(shards=shards))
         detectors[shards] = detector
     yield detectors
     for detector in detectors.values():
@@ -600,7 +600,7 @@ class TestCompilerlessHost:
 
         detector = GhsomDetector(fast_config, random_state=0)
         detector.fit(train_matrix, train_categories)
-        detector.configure(ServingConfig(sharding=ShardingSpec(shards=2)))
-        assert detector.resolved_plan().engine == "numpy"
+        detector.configure(ServingConfig(shards=2))
+        assert detector.serving_config.provenance()["engine"] == "numpy"
         result = detector.detect(train_matrix[:8])
         assert result.stats.engine == "numpy"

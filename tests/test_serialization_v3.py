@@ -39,7 +39,7 @@ from repro.core.serialization import (
     save_ghsom,
 )
 from repro.exceptions import ConfigurationError, SerializationError
-from repro.serving.config import ServingConfig, ShardingSpec
+from repro.serving.config import ServingConfig
 from repro.serving.planner import plan_shards
 from repro.serving.remote import _reference_wire
 from repro.serving.shards import build_shards
@@ -191,11 +191,9 @@ class TestMmapServing:
         self, detectors, v3_artifact, test_matrix, backend
     ):
         expected = detectors[("labelled", "per_unit")].detect(test_matrix)
-        loaded = load_detector(
-            v3_artifact, config=ServingConfig(sharding=ShardingSpec(shards=3))
-        )
+        loaded = load_detector(v3_artifact, config=ServingConfig(shards=3))
         try:
-            assert loaded.sharding["backend"] == backend
+            assert loaded._backend.name == backend
             observed = loaded.detect(test_matrix)
         finally:
             loaded.configure(ServingConfig())
@@ -219,7 +217,8 @@ class TestMmapServing:
         path = _corrupt_copy(v3_artifact, tmp_path, embed_thread_config)
         loaded = load_detector(path)
         try:
-            assert loaded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
+            assert loaded.serving_config == ServingConfig(shards=3)
+            assert (loaded._backend.name, loaded._backend.workers) == ("serial", 1)
             observed = loaded.detect(test_matrix)
         finally:
             loaded.configure(ServingConfig())

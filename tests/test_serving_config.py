@@ -4,8 +4,8 @@ Covers strict construction-time validation, the versioned JSON round trip
 (property-based: any constructible config survives to_dict/from_dict
 unchanged), the flat-override derivation used by the CLI, the
 config/overrides/embedded precedence rule, the reading of payloads written
-while the compute engine was a setting, and environment resolution into a
-ServingPlan.
+while the compute engine was a setting, and the backend and provenance a
+config gives on this host.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.exceptions import ConfigurationError
-from repro.serving import (
-    ArtifactOptions,
-    ServingConfig,
-    ServingPlan,
-    ServingStats,
-    ShardingSpec,
-    effective_config,
-    usable_workers,
-)
+from repro.serving import ServingConfig, effective_config, usable_workers
 from repro.serving.backends import SerialBackend
 from repro.serving.config import CONFIG_VERSION
 from repro.serving.remote import RemoteBackend
@@ -42,12 +34,13 @@ class TestValidation:
         assert not hasattr(config, "dtype")
         assert not hasattr(config, "engine")
         assert not hasattr(config, "provider")
-        assert not config.sharding.enabled
-        assert not hasattr(config.artifact, "mmap")  # sidecars are always mapped
-        assert config.artifact.verify is False
+        assert config.shards is None
+        assert not hasattr(config, "mmap")  # sidecars are always mapped
+        assert config.verify is False
 
-    def test_config_has_two_fields(self):
-        assert [f.name for f in fields(ServingConfig)] == ["sharding", "artifact"]
+    def test_config_has_three_fields(self):
+        names = [f.name for f in fields(ServingConfig)]
+        assert names == ["shards", "remote_workers", "verify"]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "<f4", "double"])
     def test_parent_format_dtype_reads_as_float64(self, dtype):
@@ -88,14 +81,11 @@ class TestValidation:
 
     def test_remote_workers_without_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="only apply to sharded serving"):
-            ShardingSpec(remote_workers="h:1")
-
-    def test_spec_has_no_backend_or_worker_fields(self):
-        assert [f.name for f in fields(ShardingSpec)] == ["shards", "remote_workers"]
+            ServingConfig(remote_workers="h:1")
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="n_shards must be >= 1"):
-            ShardingSpec(shards=0)
+            ServingConfig(shards=0)
 
     def test_remote_workers_with_local_backend_rejected(self):
         payload = _parent_payload(backend="thread", remote_workers="h:1")
@@ -112,12 +102,21 @@ class TestValidation:
             ServingConfig.from_dict(payload)
 
     def test_remote_workers_imply_remote_backend(self):
-        spec = ShardingSpec(shards=2, remote_workers="localhost:9001")
-        assert ServingConfig(sharding=spec).resolve().backend == "remote"
+        config = ServingConfig(shards=2, remote_workers="localhost:9001")
+        assert config.provenance()["backend"] == "remote"
 
     def test_remote_workers_are_canonicalised(self):
-        spec = ShardingSpec(shards=2, remote_workers=" a:1 , b:2 ,")
-        assert spec.remote_workers == "a:1,b:2"
+        config = ServingConfig(shards=2, remote_workers=" a:1 , b:2 ,")
+        assert config.remote_workers == "a:1,b:2"
+
+    def test_ipv6_addresses_keep_their_brackets(self):
+        config = ServingConfig(shards=2, remote_workers="[::1]:9000, a:1")
+        assert config.remote_workers == "[::1]:9000,a:1"
+        assert ServingConfig.from_dict(config.to_dict()) == config
+        assert config.provenance()["remote_workers"] == ["[::1]:9000", "a:1"]
+        backend = config.build_backend()
+        assert backend.addresses == (("::1", 9000), ("a", 1))
+        backend.close()
 
     def test_provisioning_without_remote_backend_rejected(self):
         for mode in ("reference", "value"):
@@ -134,19 +133,15 @@ class TestValidation:
     def test_parent_format_provisioning_reads_as_one_policy(self, mode):
         payload = _parent_payload(remote_workers="a:1,b:2", provisioning=mode)
         config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
-        assert config == ServingConfig(
-            sharding=ShardingSpec(shards=3, remote_workers="a:1,b:2")
-        )
+        assert config == ServingConfig(shards=3, remote_workers="a:1,b:2")
         assert "provisioning" not in config.to_dict()["sharding"]
-        assert "provisioning" not in config.resolve().to_dict()
+        assert "provisioning" not in config.provenance()
 
-    def test_sharding_must_be_a_spec(self):
-        with pytest.raises(ConfigurationError, match="must be a ShardingSpec"):
-            ServingConfig(sharding={"shards": 2})
-
-    def test_artifact_must_be_options(self):
-        with pytest.raises(ConfigurationError, match="must be ArtifactOptions"):
-            ServingConfig(artifact={"verify": False})
+    @pytest.mark.parametrize("section", ["sharding", "artifact"])
+    def test_payload_sections_are_not_constructor_arguments(self, section):
+        # The payload nests its fields in two sections; the config is flat.
+        with pytest.raises(TypeError, match=section):
+            ServingConfig(**{section: {}})
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_parent_format_mmap_flag_is_ignored(self, mmap):
@@ -154,9 +149,48 @@ class TestValidation:
         # mmap flag; every sidecar is mapped now, so it reads as nothing.
         payload = {**_parent_payload(shards=None), "artifact": {"mmap": mmap, "verify": True}}
         config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
-        assert config == ServingConfig(artifact=ArtifactOptions(verify=True))
+        assert config == ServingConfig(verify=True)
         assert config.to_dict()["artifact"] == {"verify": True}
-        assert "mmap" not in config.resolve().to_dict()
+        assert "mmap" not in config.provenance()
+
+
+def _via_constructor(shards, remote_workers):
+    return ServingConfig(shards=shards, remote_workers=remote_workers)
+
+
+def _via_payload(shards, remote_workers):
+    payload = ServingConfig().to_dict()
+    payload["sharding"] = {"shards": shards, "remote_workers": remote_workers}
+    return ServingConfig.from_dict(json.loads(json.dumps(payload)))
+
+
+def _via_override(shards, remote_workers):
+    return ServingConfig().with_overrides({"shards": shards, "remote_workers": remote_workers})
+
+
+@pytest.mark.parametrize(
+    "build", [_via_constructor, _via_payload, _via_override],
+    ids=["constructor", "payload", "override"],
+)
+@pytest.mark.parametrize(
+    "shards, remote_workers, message",
+    [
+        (2.5, None, "expected an integer, got 2.5"),
+        (True, None, "expected an integer, got True"),
+        ("3", None, "expected an integer, got '3'"),
+        ("abc", None, "expected an integer, got 'abc'"),
+        ([2], None, r"expected an integer, got \[2\]"),
+        (2, "nocolon", "invalid worker address 'nocolon'; expected HOST:PORT"),
+        (2, "::1:9000", "invalid worker address '::1:9000'; an unbracketed IPv6"),
+        (2, "a:1,b:x", "invalid worker address 'b:x'; the port must be an integer"),
+    ],
+    ids=["fraction", "bool", "digit-str", "str", "list", "nocolon", "bare-ipv6", "bad-port"],
+)
+def test_every_entry_point_refuses_bad_shards_and_addresses_alike(
+    build, shards, remote_workers, message
+):
+    with pytest.raises(ConfigurationError, match=message):
+        build(shards, remote_workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -183,21 +217,19 @@ def _parent_payload(shards=3, engine=None, **sharding) -> dict:
 def _configs() -> st.SearchStrategy[ServingConfig]:
     """Any constructible ServingConfig (validation-consistent by design)."""
     local = st.builds(
-        ShardingSpec,
+        ServingConfig,
         shards=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+        verify=st.booleans(),
     )
     remote = st.builds(
-        ShardingSpec,
+        ServingConfig,
         shards=st.integers(min_value=1, max_value=64),
         remote_workers=st.lists(
             st.integers(min_value=1, max_value=65535), min_size=1, max_size=4
         ).map(lambda ports: ",".join(f"worker{i}:{p}" for i, p in enumerate(ports))),
+        verify=st.booleans(),
     )
-    return st.builds(
-        ServingConfig,
-        sharding=st.one_of(local, remote),
-        artifact=st.builds(ArtifactOptions, verify=st.booleans()),
-    )
+    return st.one_of(local, remote)
 
 
 class TestRoundTrip:
@@ -215,7 +247,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("provider", [None, "cc"])
     def test_parent_format_provider_key_is_ignored(self, provider):
-        config = ServingConfig(sharding=ShardingSpec(shards=2))
+        config = ServingConfig(shards=2)
         assert "provider" not in config.to_dict()
         payload = {**config.to_dict(), "provider": provider}
         assert ServingConfig.from_dict(payload) == config
@@ -233,12 +265,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("provider", [None, "cc"])
     @pytest.mark.parametrize("engine", [None, "numpy", "fused", "auto"])
     def test_parent_format_engine_is_ignored(self, engine, provider):
-        config = ServingConfig(artifact=ArtifactOptions(verify=True))
+        config = ServingConfig(verify=True)
         payload = {**config.to_dict(), "engine": engine, "provider": provider}
         assert ServingConfig.from_dict(json.loads(json.dumps(payload))) == config
-        assert ServingConfig.from_dict(_parent_payload(engine=engine)) == ServingConfig(
-            sharding=ShardingSpec(shards=3)
-        )
+        assert ServingConfig.from_dict(_parent_payload(engine=engine)) == ServingConfig(shards=3)
 
     @pytest.mark.parametrize("engine", ["cuda", "", "Fused", "none", 1, True])
     @pytest.mark.parametrize("provider", [None, "cc"])
@@ -258,7 +288,7 @@ class TestRoundTrip:
         assert "dtype" not in ServingConfig().to_dict()
 
     def test_payload_carries_no_backend_or_workers(self):
-        payload = ServingConfig(sharding=ShardingSpec(shards=3)).to_dict()
+        payload = ServingConfig(shards=3).to_dict()
         assert set(payload["sharding"]) == {"shards", "remote_workers"}
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -266,16 +296,16 @@ class TestRoundTrip:
     def test_parent_format_local_backend_reads_as_serial(self, backend, workers):
         payload = _parent_payload(backend=backend, workers=workers)
         config = ServingConfig.from_dict(json.loads(json.dumps(payload)))
-        assert config == ServingConfig(sharding=ShardingSpec(shards=3))
-        plan = config.resolve()
-        assert (plan.n_shards, plan.backend, plan.workers) == (3, "serial", 1)
+        assert config == ServingConfig(shards=3)
+        plan = config.provenance()
+        assert (plan["n_shards"], plan["backend"], plan["workers"]) == (3, "serial", 1)
 
     def test_parent_format_remote_backend_reads_as_remote(self):
         payload = _parent_payload(backend="remote", remote_workers="a:1,b:2")
         config = ServingConfig.from_dict(payload)
-        assert config.sharding == ShardingSpec(shards=3, remote_workers="a:1,b:2")
-        plan = config.resolve()
-        assert (plan.n_shards, plan.backend, plan.workers) == (3, "remote", 2)
+        assert config == ServingConfig(shards=3, remote_workers="a:1,b:2")
+        plan = config.provenance()
+        assert (plan["n_shards"], plan["backend"], plan["workers"]) == (3, "remote", 2)
 
     @pytest.mark.parametrize("backend", ["quantum", "Thread", ""])
     def test_parent_format_unknown_backend_rejected(self, backend):
@@ -315,7 +345,7 @@ class TestRoundTrip:
         payload = ServingConfig().to_dict()
         payload["sharding"] = {**payload["sharding"], "shards": 3.0, "workers": 2.0}
         config = ServingConfig.from_dict(payload)
-        assert config.sharding == ShardingSpec(shards=3)
+        assert config == ServingConfig(shards=3)
 
     def test_wrong_version_rejected(self):
         payload = ServingConfig().to_dict()
@@ -356,17 +386,13 @@ class TestOverrides:
             ServingConfig().with_overrides({"engine": engine})
 
     def test_any_sharding_key_replaces_the_whole_spec(self):
-        base = ServingConfig(
-            sharding=ShardingSpec(shards=4, remote_workers="a:1,b:2")
-        )
-        overridden = base.with_overrides({"shards": 2})
+        base = ServingConfig(shards=4, remote_workers="a:1,b:2", verify=True)
         # --shards 2 must not inherit the stale remote address list.
-        assert overridden.sharding == ShardingSpec(shards=2)
+        assert base.with_overrides({"shards": 2}) == ServingConfig(shards=2, verify=True)
 
     def test_artifact_override_keeps_other_fields(self):
-        sharding = ShardingSpec(shards=2)
-        base = ServingConfig(sharding=sharding, artifact=ArtifactOptions(verify=True))
-        assert base.with_overrides({"verify": False}) == ServingConfig(sharding=sharding)
+        base = ServingConfig(shards=2, verify=True)
+        assert base.with_overrides({"verify": False}) == ServingConfig(shards=2)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown serving config overrides"):
@@ -407,8 +433,8 @@ class TestEffectiveConfig:
         assert effective_config() == ServingConfig()
 
     def test_full_config_wins_over_embedded(self):
-        embedded = ServingConfig(sharding=ShardingSpec(shards=2)).to_dict()
-        config = ServingConfig(artifact=ArtifactOptions(verify=True))
+        embedded = ServingConfig(shards=2).to_dict()
+        config = ServingConfig(verify=True)
         assert effective_config(config=config, embedded=embedded) == config
 
     def test_config_plus_overrides_rejected(self):
@@ -416,12 +442,10 @@ class TestEffectiveConfig:
             effective_config(config=ServingConfig(), overrides={"shards": 2})
 
     def test_overrides_apply_on_top_of_embedded(self):
-        embedded = ServingConfig(
-            sharding=ShardingSpec(shards=2), artifact=ArtifactOptions(verify=True)
-        ).to_dict()
+        embedded = ServingConfig(shards=2, verify=True).to_dict()
         result = effective_config(overrides={"shards": 3}, embedded=embedded)
-        assert result.sharding == ShardingSpec(shards=3)
-        assert result.artifact.verify is True  # untouched embedded field survives
+        assert result.shards == 3
+        assert result.verify is True  # untouched embedded field survives
 
     def test_non_config_rejected(self):
         with pytest.raises(ConfigurationError, match="must be a ServingConfig"):
@@ -429,99 +453,71 @@ class TestEffectiveConfig:
 
 
 # --------------------------------------------------------------------------- #
-# resolution into a plan
+# the backend and the provenance
 # --------------------------------------------------------------------------- #
-class TestResolve:
-    def test_plan_records_the_host_engine(self):
-        plan = ServingConfig().resolve()
-        assert plan.engine == kernels.host_engine()
-        assert "engine_requested" not in plan.to_dict()
-        assert not plan.sharded
+class TestBackendAndProvenance:
+    def test_provenance_records_the_host_engine(self):
+        plan = ServingConfig().provenance()
+        assert plan["engine"] == kernels.host_engine()
+        assert "engine_requested" not in plan
+        assert not plan["sharded"]
 
-    def test_unsharded_plan_has_no_backend(self):
-        plan = ServingConfig().resolve()
-        assert plan.n_shards is None
-        assert plan.backend is None
-        assert plan.workers is None
-        assert plan.build_backend() is None
+    def test_unsharded_config_has_no_backend(self):
+        config = ServingConfig()
+        plan = config.provenance()
+        assert (plan["n_shards"], plan["backend"], plan["workers"]) == (None, None, None)
+        assert config.build_backend() is None
 
     def test_serial_backend_pins_one_worker(self):
-        plan = ServingConfig(sharding=ShardingSpec(shards=3)).resolve()
-        assert plan.backend == "serial"
-        assert plan.workers == 1
-        backend = plan.build_backend()
-        assert isinstance(backend, SerialBackend)
+        config = ServingConfig(shards=3)
+        plan = config.provenance()
+        assert (plan["backend"], plan["workers"]) == ("serial", 1)
+        assert isinstance(config.build_backend(), SerialBackend)
 
     def test_remote_worker_count_is_the_address_list(self):
-        plan = ServingConfig(
-            sharding=ShardingSpec(shards=4, remote_workers="a:1,b:2,c:3")
-        ).resolve()
-        assert plan.backend == "remote"
-        assert plan.workers == 3
-        assert plan.remote_workers == ("a:1", "b:2", "c:3")
-        backend = plan.build_backend()
+        config = ServingConfig(shards=4, remote_workers="a:1,b:2,c:3")
+        plan = config.provenance()
+        assert (plan["backend"], plan["workers"]) == ("remote", 3)
+        assert plan["remote_workers"] == ["a:1", "b:2", "c:3"]
+        backend = config.build_backend()
         assert isinstance(backend, RemoteBackend)
         assert backend.workers == 3
 
-    def test_plan_to_dict_is_json_compatible(self):
-        plan = ServingConfig(sharding=ShardingSpec(shards=2)).resolve()
-        payload = json.loads(json.dumps(plan.to_dict()))
+    def test_provenance_is_json_compatible(self):
+        payload = json.loads(json.dumps(ServingConfig(shards=2).provenance()))
         assert payload["n_shards"] == 2
         assert payload["sharded"] is True
         assert "dtype" not in payload
         assert "provider" not in payload
 
-    def test_describe_adds_host_diagnostics(self):
-        description = ServingConfig().resolve().describe()
+    def test_each_call_returns_a_fresh_copy(self):
+        config = ServingConfig(shards=2, remote_workers="a:1")
+        first = config.provenance()
+        first["remote_workers"].append("b:2")
+        first["engine"] = "warp"
+        second = config.provenance()
+        assert second["remote_workers"] == ["a:1"]
+        assert second["engine"] == kernels.host_engine()
+
+    def test_usable_cores_adds_host_diagnostics(self):
+        description = ServingConfig().provenance(usable_cores=True)
         assert description["usable_cores"] == usable_workers()
         assert description["engine"] == kernels.host_engine()
         assert "default_engine" not in description
+        assert "usable_cores" not in ServingConfig().provenance()
 
     @settings(max_examples=100, deadline=None)
     @given(config=_configs())
-    def test_every_config_resolves(self, config):
-        plan = config.resolve()
-        assert isinstance(plan, ServingPlan)
-        assert plan.engine in ("numpy", "fused")
-        assert plan.config == config
-        if config.sharding.enabled:
-            assert plan.workers >= 1
+    def test_every_config_has_a_provenance(self, config):
+        plan = config.provenance()
+        assert plan["engine"] in ("numpy", "fused")
+        assert plan["n_shards"] == config.shards
+        assert plan["verify"] is config.verify
+        if config.shards:
+            assert plan["workers"] >= 1
         else:
-            assert plan.backend is None
+            assert plan["backend"] is None
 
     def test_missing_kernel_disables_fused(self, compilerless_host):
         # Last in the class: the host stays compiler-less until it ends.
-        plan = ServingConfig(sharding=ShardingSpec(shards=2)).resolve()
-        assert plan.engine == "numpy"
-
-
-# --------------------------------------------------------------------------- #
-# stats
-# --------------------------------------------------------------------------- #
-class TestServingStats:
-    def test_to_dict_round_trips_fields(self):
-        stats = ServingStats(
-            n_records=10,
-            engine="numpy",
-            sharded=False,
-            ingest_s=0.001,
-            route_s=0.0,
-            descend_s=0.002,
-            merge_s=0.0005,
-            total_s=0.004,
-            plan={"engine": "numpy"},
-        )
-        payload = stats.to_dict()
-        assert payload["n_records"] == 10
-        assert payload["plan"] == {"engine": "numpy"}
-        assert set(payload) == {
-            "n_records",
-            "engine",
-            "sharded",
-            "ingest_s",
-            "route_s",
-            "descend_s",
-            "merge_s",
-            "total_s",
-            "plan",
-        }
+        assert ServingConfig(shards=2).provenance()["engine"] == "numpy"

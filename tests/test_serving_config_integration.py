@@ -8,8 +8,8 @@ What these tests pin down, layer by layer:
   survives save → load → refit with byte-identical scores; payloads written
   while the config still carried an engine or a fused-provider pin keep
   loading, and score on the host's engine;
-* ``DetectionResult.stats`` carries per-stage timings plus the resolved
-  plan's provenance;
+* ``DetectionResult.stats`` carries per-stage timings plus the config's
+  provenance;
 * a config built from CLI flags, embedded in a v3 bundle and served through
   a remote shard worker scores byte-identically to local ``detect``.
 """
@@ -26,7 +26,6 @@ from repro.cli import (
     build_parser,
     load_bundle,
     save_bundle,
-    serving_config_from_args,
     serving_overrides_from_args,
 )
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
@@ -34,13 +33,7 @@ from repro.core.serialization import load_detector, save_detector
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError
-from repro.serving import (
-    ArtifactOptions,
-    ServingConfig,
-    ServingStats,
-    ShardWorkerServer,
-    ShardingSpec,
-)
+from repro.serving import ServingConfig, ServingStats, ShardWorkerServer
 from repro.streaming import OnlineDetector
 
 
@@ -102,7 +95,7 @@ def _fresh_detector(bundle_path):
 # --------------------------------------------------------------------------- #
 class TestConfigure:
     def test_constructor_accepts_a_config(self, workload):
-        config = ServingConfig(artifact=ArtifactOptions(verify=True))
+        config = ServingConfig(verify=True)
         detector = GhsomDetector(GhsomConfig(random_state=0), serving=config)
         assert detector.serving_config == config
 
@@ -118,14 +111,14 @@ class TestConfigure:
 
     def test_configure_is_atomic_on_failure(self, model_bundle, workload, baseline_scores):
         detector = _fresh_detector(model_bundle)
-        detector.configure(ServingConfig(sharding=ShardingSpec(shards=2)))
-        before, backend = detector.serving_config, detector._shard_spec[1]
+        detector.configure(ServingConfig(shards=2))
+        before, backend = detector.serving_config, detector._backend
         try:
             with pytest.raises(ConfigurationError, match="needs a ServingConfig"):
-                detector.configure(ShardingSpec(shards=3))
+                detector.configure({"shards": 3})
             # Nothing was committed: same config and backend, same scores.
             assert detector.serving_config == before
-            assert detector._shard_spec[1] is backend
+            assert detector._backend is backend
             scores = np.asarray(detector.detect(workload["X_test"]).scores)
         finally:
             detector.configure(ServingConfig())
@@ -140,9 +133,7 @@ class TestConfigure:
         self, model_bundle, workload, baseline_scores
     ):
         detector = _fresh_detector(model_bundle)
-        detector.configure(
-            ServingConfig(sharding=ShardingSpec(shards=3))
-        )
+        detector.configure(ServingConfig(shards=3))
         try:
             scores = np.asarray(detector.detect(workload["X_test"]).scores)
         finally:
@@ -157,24 +148,17 @@ class TestOrderIndependence:
     def test_every_setter_ordering_yields_the_same_config_and_scores(
         self, model_bundle, workload
     ):
-        knobs = {
-            "artifact": {"artifact": ArtifactOptions(verify=True)},
-            "sharding": {"sharding": ShardingSpec(shards=2)},
-        }
+        knobs = {"verify": {"verify": True}, "shards": {"shards": 2}}
         configs, scores = [], []
         for ordering in itertools.permutations(knobs):
             detector = _fresh_detector(model_bundle)
             for name in ordering:
-                detector.configure(detector.serving_config.evolve(**knobs[name]))
+                detector.configure(detector.serving_config.with_overrides(knobs[name]))
             configs.append(detector.serving_config)
             scores.append(np.asarray(detector.detect(workload["X_test"]).scores))
-            detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+            detector.configure(detector.serving_config.with_overrides({"shards": None}))
         assert all(config == configs[0] for config in configs[1:])
-        expected = ServingConfig(
-            sharding=ShardingSpec(shards=2),
-            artifact=ArtifactOptions(verify=True),
-        )
-        assert configs[0] == expected
+        assert configs[0] == ServingConfig(shards=2, verify=True)
         for other in scores[1:]:
             np.testing.assert_array_equal(other, scores[0])
 
@@ -184,7 +168,7 @@ class TestOrderIndependence:
 # --------------------------------------------------------------------------- #
 class TestArtifactEmbeddedConfig:
     def test_config_round_trips_through_a_bundle(self, workload, model_bundle, tmp_path):
-        configured = ServingConfig(sharding=ShardingSpec(shards=3))
+        configured = ServingConfig(shards=3)
         detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         expected = np.asarray(detector.detect(workload["X_test"]).scores)
@@ -194,11 +178,9 @@ class TestArtifactEmbeddedConfig:
         _, loaded = load_bundle(path)  # no arguments: the artifact speaks
         try:
             assert loaded.serving_config == configured
-            assert loaded.sharding is not None
-            assert loaded.sharding["n_shards"] == 3
-            np.testing.assert_array_equal(
-                np.asarray(loaded.detect(workload["X_test"]).scores), expected
-            )
+            result = loaded.detect(workload["X_test"])
+            assert result.stats.plan["n_shards"] == 3
+            np.testing.assert_array_equal(np.asarray(result.scores), expected)
         finally:
             loaded.configure(ServingConfig())
 
@@ -240,7 +222,7 @@ class TestArtifactEmbeddedConfig:
         path.write_text(json.dumps(payload))
         loaded = load_detector(path)
         assert loaded.serving_config == ServingConfig()
-        assert loaded.resolved_plan().engine == kernels.host_engine()
+        assert loaded.serving_config.provenance()["engine"] == kernels.host_engine()
         scores = np.asarray(loaded.detect(workload["X_test"]).scores)
         assert scores.tobytes() == baseline_scores.tobytes()
 
@@ -248,20 +230,18 @@ class TestArtifactEmbeddedConfig:
         self, workload, model_bundle, tmp_path
     ):
         detector = _fresh_detector(model_bundle)
-        detector.configure(ServingConfig(artifact=ArtifactOptions(verify=True)))
+        detector.configure(ServingConfig(verify=True))
         path = tmp_path / "verified.json"
         save_bundle(workload["pipeline"], detector, path)
         _, loaded = load_bundle(path, overrides={"shards": 2})
         try:
-            assert loaded.serving_config.sharding == ShardingSpec(shards=2)
-            assert loaded.serving_config.artifact.verify is True  # untouched field survives
+            assert loaded.serving_config.shards == 2
+            assert loaded.serving_config.verify is True  # untouched field survives
         finally:
             loaded.configure(ServingConfig())
 
     def test_config_survives_a_refit(self, model_bundle, workload):
-        configured = ServingConfig(
-            sharding=ShardingSpec(shards=2), artifact=ArtifactOptions(verify=True)
-        )
+        configured = ServingConfig(shards=2, verify=True)
         detector = _fresh_detector(model_bundle)
         detector.configure(configured)
         try:
@@ -277,7 +257,7 @@ class TestArtifactEmbeddedConfig:
         self, model_bundle, workload
     ):
         detector = _fresh_detector(model_bundle)
-        configured = ServingConfig(artifact=ArtifactOptions(verify=True))
+        configured = ServingConfig(verify=True)
         detector.configure(configured)
         online = OnlineDetector(detector, warmup_size=10, buffer_size=200)
         assert online.serving_config is detector.serving_config
@@ -297,13 +277,13 @@ class TestDetectionStats:
         stats = result.stats
         assert isinstance(stats, ServingStats)
         assert stats.n_records == workload["X_test"].shape[0]
-        assert "dtype" not in stats.to_dict()
+        assert not hasattr(stats, "dtype")
         assert stats.engine in ("numpy", "fused")
         assert stats.sharded is False
         for value in (stats.ingest_s, stats.route_s, stats.descend_s, stats.merge_s):
             assert value >= 0.0
         assert stats.total_s > 0.0
-        assert stats.plan == fitted.resolved_plan().to_dict()
+        assert stats.plan == fitted.serving_config.provenance()
 
     def test_sharded_stats_carry_plan_provenance(self, model_bundle, workload):
         _, detector = load_bundle(model_bundle, overrides={"shards": 2})
@@ -369,7 +349,7 @@ class TestCliHelpers:
     def test_no_flags_mean_no_overrides(self):
         args = build_parser().parse_args(["detect", "--model", "m", "--input", "i"])
         assert serving_overrides_from_args(args) == {}
-        assert serving_config_from_args(args) == ServingConfig()
+        assert ServingConfig().with_overrides(serving_overrides_from_args(args)) == ServingConfig()
 
     def test_full_flag_set_builds_a_config(self):
         args = build_parser().parse_args(
@@ -382,9 +362,8 @@ class TestCliHelpers:
                 "--remote-workers", "a:1,b:2",
             ]
         )
-        config = serving_config_from_args(args)
-        assert config.artifact.verify is True
-        assert config.sharding == ShardingSpec(shards=4, remote_workers="a:1,b:2")
+        config = ServingConfig().with_overrides(serving_overrides_from_args(args))
+        assert config == ServingConfig(shards=4, remote_workers="a:1,b:2", verify=True)
 
     def test_removed_provisioning_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -474,7 +453,7 @@ class TestCliConfigServesRemotely:
                     "--remote-workers", address,
                 ]
             )
-            config = serving_config_from_args(args)
+            config = ServingConfig().with_overrides(serving_overrides_from_args(args))
             detector = _fresh_detector(model_bundle)
             detector.configure(config)
             path = tmp_path / "remote_configured.json"
@@ -484,13 +463,13 @@ class TestCliConfigServesRemotely:
             _, loaded = load_bundle(path)
             try:
                 assert loaded.serving_config == config
-                plan = loaded.resolved_plan()
+                plan = loaded.serving_config.provenance()
                 scores = np.asarray(loaded.detect(workload["X_test"]).scores)
-                backend = loaded._shard_spec[1]
-                stats = dict(backend.stats)
+                stats = dict(loaded._backend.stats)
             finally:
                 loaded.configure(ServingConfig())
-        assert (plan.n_shards, plan.backend, plan.remote_workers) == (2, "remote", (address,))
+        assert plan["n_shards"] == 2
+        assert (plan["backend"], plan["remote_workers"]) == ("remote", [address])
         assert stats["remote_tasks"] > 0
         assert stats["failover_tasks"] == 0
         # The worker has no --model, so it gets the shards by value.

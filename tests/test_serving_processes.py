@@ -28,7 +28,7 @@ from repro.cli import load_bundle, save_bundle
 from repro.core import GhsomConfig, GhsomDetector, SomTrainingConfig, kernels
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
-from repro.serving import GatewayClient, RemoteBackend, ShardingSpec
+from repro.serving import GatewayClient, RemoteBackend, ServingConfig
 
 _BANNER = re.compile(r"listening on ([0-9.]+):(\d+)")
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -75,12 +75,12 @@ def _shard_worker_request(address, bundle, X):
     _, detector = load_bundle(bundle)
     local = detector.detect(X)
     backend = RemoteBackend([address])
-    spec = ShardingSpec(shards=4, remote_workers=f"{address[0]}:{address[1]}")
-    detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
+    config = ServingConfig(shards=4, remote_workers=f"{address[0]}:{address[1]}")
+    detector._apply_serving(config, backend=backend)
     try:
         remote = detector.detect(X)
     finally:
-        detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+        detector.configure(ServingConfig())
     assert backend.stats["remote_tasks"] > 0, backend.stats
     assert backend.stats["failover_tasks"] == 0, backend.stats
     _assert_identical(remote, local)
@@ -158,12 +158,12 @@ def test_worker_without_the_kernel_refuses_a_fused_coordinator(bundle_and_rows, 
     local = detector.detect(X)
     with _server_process("shard-worker", bundle, env) as address:
         backend = RemoteBackend([address])
-        spec = ShardingSpec(shards=4, remote_workers=f"{address[0]}:{address[1]}")
-        detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
+        config = ServingConfig(shards=4, remote_workers=f"{address[0]}:{address[1]}")
+        detector._apply_serving(config, backend=backend)
         try:
             remote = detector.detect(X)
         finally:
-            detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+            detector.configure(ServingConfig())
     # Answered in numpy arithmetic, some rows would differ in the last bits.
     _assert_identical(remote, local)
     assert remote.leaf_index.tobytes() == local.leaf_index.tobytes()

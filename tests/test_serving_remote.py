@@ -26,13 +26,11 @@ from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError, ServingError
 from repro.serving import (
-    ArtifactOptions,
     DetectionGateway,
     RemoteBackend,
     SerialBackend,
     ShardWorkerServer,
     ShardedGhsom,
-    ShardingSpec,
     ServingConfig,
     TransportError,
     WorkerConnection,
@@ -121,15 +119,15 @@ def _shard_remote(detector, backend, n_shards=4):
     it goes through the detector's private ``_apply_serving`` seam alongside
     the config that describes it.
     """
-    spec = ShardingSpec(
-        shards=n_shards,
-        remote_workers=",".join(f"{host}:{port}" for host, port in backend.addresses),
+    remote_workers = ",".join(f"{host}:{port}" for host, port in backend.addresses)
+    sharded = detector.serving_config.with_overrides(
+        {"shards": n_shards, "remote_workers": remote_workers}
     )
-    detector._apply_serving(detector.serving_config.evolve(sharding=spec), backend=backend)
+    detector._apply_serving(sharded, backend=backend)
 
 
 def _unshard(detector):
-    detector.configure(detector.serving_config.evolve(sharding=ShardingSpec()))
+    detector.configure(detector.serving_config.with_overrides({"shards": None}))
 
 
 def _detect_remote(binary_bundle, workload, backend, n_shards=4):
@@ -161,7 +159,7 @@ class TestRemoteEquivalence:
                 binary_bundle, workload, RemoteBackend([worker.address])
             )
         _, detector = load_bundle(binary_bundle, overrides={"shards": 4})
-        assert detector.sharding["backend"] == "serial"
+        assert detector._backend.name == "serial"
         try:
             local = detector.detect(workload["X_test"])
         finally:
@@ -309,7 +307,7 @@ class TestBackendSurvivesReconfigure:
                 before, engine = self._counts(backend), detector._sharded
                 assert before == {"connects": 1, "provision_reference": 1, "provision_value": 0}
                 detector.configure(detector.serving_config)
-                assert detector._shard_spec[1] is backend
+                assert detector._backend is backend
                 assert detector._sharded is engine
                 result = detector.detect(workload["X_test"])
                 assert self._counts(backend) == before
@@ -330,10 +328,8 @@ class TestBackendSurvivesReconfigure:
             try:
                 detector.detect(workload["X_test"])
                 before = self._counts(backend)
-                detector.configure(
-                    detector.serving_config.evolve(artifact=ArtifactOptions(verify=True))
-                )
-                assert detector._shard_spec[1] is backend
+                detector.configure(detector.serving_config.with_overrides({"verify": True}))
+                assert detector._backend is backend
                 result = detector.detect(workload["X_test"])
                 after = self._counts(backend)
                 assert backend.stats["failover_tasks"] == 0
@@ -353,7 +349,7 @@ class TestBackendSurvivesReconfigure:
                 detector.detect(workload["X_test"])
                 before = self._counts(backend)
                 detector.fit(workload["X_train"], workload["y_train"])
-                assert detector._shard_spec[1] is backend
+                assert detector._backend is backend
                 result = detector.detect(workload["X_test"])
                 after = self._counts(backend)
                 assert backend.stats["failover_tasks"] == 0
@@ -1100,7 +1096,7 @@ class TestParentProvisioning:
             _, loaded = load_bundle(bundle)
             try:
                 result = loaded.detect(workload["X_test"])
-                backend = loaded._shard_spec[1]
+                backend = loaded._backend
                 assert isinstance(backend, RemoteBackend)
                 assert backend.stats["provision_reference"] == 1
                 assert backend.stats["provision_value"] == 0
@@ -1114,9 +1110,9 @@ class TestParentProvisioning:
 # construction & CLI wiring
 # --------------------------------------------------------------------------- #
 class TestConstruction:
-    def test_plan_builds_remote_backend_from_addresses(self):
-        spec = ShardingSpec(shards=2, remote_workers="10.0.0.1:7001,10.0.0.2:7002")
-        backend = ServingConfig(sharding=spec).resolve().build_backend()
+    def test_config_builds_remote_backend_from_addresses(self):
+        config = ServingConfig(shards=2, remote_workers="10.0.0.1:7001,10.0.0.2:7002")
+        backend = config.build_backend()
         assert isinstance(backend, RemoteBackend)
         assert backend.name == "remote"
         assert backend.workers == 2

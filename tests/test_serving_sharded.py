@@ -32,7 +32,6 @@ from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError
 from repro.serving import (
     ShardedGhsom,
-    ShardingSpec,
     build_shards,
     plan_shards,
     subtrees_from_compiled,
@@ -53,8 +52,15 @@ METRICS = ("euclidean", "manhattan", "chebyshev")
 
 def _shard(detector, n_shards=None):
     """Serve ``detector`` through ``n_shards`` root-subtree shards (``None``: unsharded)."""
-    spec = ShardingSpec(shards=n_shards) if n_shards else ShardingSpec()
-    return detector.configure(detector.serving_config.evolve(sharding=spec))
+    return detector.configure(detector.serving_config.with_overrides({"shards": n_shards}))
+
+
+def _layout(detector):
+    """``(n_shards, backend name, workers)`` of the live sharded setup, or ``None``."""
+    backend = detector._backend
+    if backend is None:
+        return None
+    return (detector.serving_config.shards, backend.name, backend.workers)
 
 
 def _make_dataset(seed: int, n_clusters: int, n_features: int, n_samples: int) -> np.ndarray:
@@ -408,7 +414,7 @@ class TestShardedEquivalence:
         X = workload["X_test"]
         _ = detector.detect(X)
         detector.fit(workload["X_train"][:400])
-        assert detector.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
+        assert _layout(detector) == (3, "serial", 1)
         fresh = GhsomDetector(detector_config, random_state=0).fit(workload["X_train"][:400])
         np.testing.assert_array_equal(detector.detect(X).scores, fresh.detect(X).scores)
 
@@ -421,7 +427,7 @@ class TestShardedEquivalence:
                     {"shards": 2, "provisioning": "quantum"}
                 )
             )
-        assert labelled_detector.sharding is None  # failed calls leave it unsharded
+        assert _layout(labelled_detector) is None  # failed calls leave it unsharded
 
 
 class TestNumpyHostShardedEquivalence:
@@ -452,7 +458,7 @@ class TestShardedBundle:
         save_bundle(pipeline, labelled_detector, path)
         _, plain = load_bundle(path)
         _, sharded = load_bundle(path, overrides={"shards": 3})
-        assert sharded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
+        assert _layout(sharded) == (3, "serial", 1)
         X = workload["X_test"]
         reference = plain.detect(X)
         result = sharded.detect(X)
@@ -475,7 +481,7 @@ class TestShardedBundle:
             "provisioning": "auto",
         }
         loaded = detector_from_dict(json.loads(json.dumps(payload)), arrays=arrays)
-        assert loaded.sharding == {"n_shards": 3, "backend": "serial", "workers": 1}
+        assert _layout(loaded) == (3, "serial", 1)
         X = workload["X_test"]
         reference = labelled_detector.detect(X)
         result = loaded.detect(X)
