@@ -158,13 +158,6 @@ class PcaSubspaceDetector(BaseAnomalyDetector):
             raise NotFittedError("PcaSubspaceDetector is not fitted")
         return self._n_retained
 
-    @property
-    def spe_threshold(self) -> float:
-        """The calibrated squared-prediction-error threshold."""
-        if self._spe_threshold is None:
-            raise NotFittedError("PcaSubspaceDetector is not fitted")
-        return self._spe_threshold
-
     # ------------------------------------------------------------------ #
     def fit(self, X, y: Optional[Sequence[str]] = None) -> "PcaSubspaceDetector":
         """Estimate the normal subspace and calibrate the SPE threshold."""

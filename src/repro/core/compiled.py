@@ -28,12 +28,11 @@ lookup array once and applied to a batch with a single fancy-indexing
 operation — this is what :class:`~repro.core.detector.GhsomDetector` builds
 its vectorized scoring on.
 
-The compiled path reproduces the legacy semantics *exactly*, including the
-subtlety that best-matching-unit search always uses squared Euclidean
-distance while the reported quantization distance is the minimum under the
-configured metric (they can disagree for Manhattan / Chebyshev metrics).
-Equivalence is enforced bit-for-bit by the property tests in
-``tests/test_property_compiled.py``.
+The compiled path reproduces the legacy semantics *exactly*: best-matching-
+unit search runs on squared Euclidean distance, and the reported
+quantization distance is the square root of that squared distance at the
+best-matching unit.  Equivalence is enforced bit-for-bit by the property
+tests in ``tests/test_property_compiled.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import numpy.typing as npt
 
 from repro._typing import AnyArray
 from repro.core import kernels
-from repro.core.distances import get_metric
 from repro.exceptions import DataValidationError, NotFittedError
 from repro.utils.validation import check_array_2d
 
@@ -66,9 +64,6 @@ class CompiledGhsom:
     ----------
     n_features:
         Input dimensionality.
-    metric:
-        Name of the quantization-distance metric (BMU search always uses
-        squared Euclidean, matching the layer-level SOMs).
     node_ids:
         Path-like id of every layer, indexed by node index (root is 0).
     node_depths:
@@ -92,7 +87,6 @@ class CompiledGhsom:
     """
 
     n_features: int
-    metric: str
     node_ids: Tuple[str, ...]
     node_depths: AnyArray
     node_offsets: AnyArray
@@ -115,7 +109,6 @@ class CompiledGhsom:
         cls,
         *,
         n_features: int,
-        metric: str,
         node_ids: Sequence[str],
         node_depths: npt.ArrayLike,
         node_offsets: npt.ArrayLike,
@@ -166,7 +159,6 @@ class CompiledGhsom:
         )
         return cls(
             n_features=int(n_features),
-            metric=str(metric),
             node_ids=ids,
             node_depths=adopt(node_depths, np.dtype(np.intp)),
             node_offsets=adopt(node_offsets, np.dtype(np.intp)),
@@ -241,7 +233,6 @@ class CompiledGhsom:
             "n_leaves": self.n_leaves,
             "max_depth": self.max_depth,
             "n_features": self.n_features,
-            "metric": self.metric,
         }
 
     # ------------------------------------------------------------------ #
@@ -260,8 +251,8 @@ class CompiledGhsom:
         -------
         (leaf_index, distance):
             ``leaf_index`` is an ``(n,)`` integer array of rows into the leaf
-            table; ``distance`` is the ``(n,)`` float array of distances under
-            the configured metric — both identical to what the legacy
+            table; ``distance`` is the ``(n,)`` float array of Euclidean
+            distances — both identical to what the legacy
             recursive descent produces, with no per-sample Python objects.
         """
         return self.assign_validated(check_array_2d(data, "data"))
@@ -282,7 +273,6 @@ class CompiledGhsom:
                 self,
                 matrix,
                 np.zeros(matrix.shape[0], dtype=np.int64),
-                metric=self.metric,
             )
         else:
             entry_nodes = np.zeros(matrix.shape[0], dtype=np.intp)
@@ -294,40 +284,12 @@ class CompiledGhsom:
                 child_of_unit=self.child_of_unit,
                 leaf_of_unit=self.leaf_of_unit,
                 unit_norms=self.unit_norms,
-                metric=self.metric,
             )
         return leaf_index, distances
 
     def transform(self, data: object) -> AnyArray:
         """Quantization distance per sample (the raw anomaly score)."""
         return self.assign_arrays(data)[1]
-
-
-def landing_distances(
-    samples: AnyArray,
-    block: AnyArray,
-    units: AnyArray,
-    d2: AnyArray,
-    landed: AnyArray,
-    metric: str,
-) -> AnyArray:
-    """Quantization distance of each ``landed`` sample to its unit.
-
-    ``block`` is one node's codebook, ``units`` the samples' best-matching
-    rows of it and ``d2`` their clamped expanded squared distances to every
-    row; ``landed`` masks the samples that stop on this node.  Non-Euclidean
-    metrics are evaluated exactly against the whole node.  Euclidean ones
-    read the expanded form at the argmin, the row minimum, which the
-    byte-identity contract pins.
-    """
-    best: AnyArray
-    if metric in ("euclidean", "sqeuclidean"):
-        best = d2[landed, units[landed]]
-    else:
-        best = get_metric(metric)(samples[landed], block).min(axis=1)
-    if metric == "euclidean":
-        best = np.sqrt(best)
-    return best
 
 
 def descend_node(
@@ -338,7 +300,6 @@ def descend_node(
     block_norms: AnyArray,
     block_children: AnyArray,
     block_leaves: AnyArray,
-    metric: str,
     leaf_index: AnyArray,
     distances: AnyArray,
 ) -> Tuple[AnyArray, AnyArray, AnyArray]:
@@ -350,7 +311,9 @@ def descend_node(
     ``leaf_of_unit``.  Samples whose unit is a leaf land: their leaf-table
     row and distance are written into ``leaf_index`` / ``distances`` at
     ``rows`` (the samples' output rows; ``None`` when ``sub`` is the whole
-    output in order).  Returns ``(units, children, at_leaf)``.
+    output in order).  The distance is the square root of the clamped
+    expanded squared distance at the argmin, the row minimum, which the
+    byte-identity contract pins.  Returns ``(units, children, at_leaf)``.
 
     :func:`frontier_descent` and the sharded router's root step both run
     this, which is what keeps sharded scores byte-identical to the
@@ -370,7 +333,7 @@ def descend_node(
     if at_leaf.any():
         landed = np.flatnonzero(at_leaf) if rows is None else rows[at_leaf]
         leaf_index[landed] = block_leaves[units[at_leaf]]
-        distances[landed] = landing_distances(sub, block, units, d2, at_leaf, metric)
+        distances[landed] = np.sqrt(d2[at_leaf, units[at_leaf]])
     return units, children, at_leaf
 
 
@@ -383,7 +346,6 @@ def frontier_descent(
     child_of_unit: AnyArray,
     leaf_of_unit: AnyArray,
     unit_norms: AnyArray,
-    metric: str,
 ) -> Tuple[AnyArray, AnyArray]:
     """Per-level vectorized BMU descent over a flat-array hierarchy.
 
@@ -448,7 +410,6 @@ def frontier_descent(
                 unit_norms[start:stop],
                 child_of_unit[start:stop],
                 leaf_of_unit[start:stop],
-                metric,
                 leaf_index,
                 distances,
             )
@@ -502,7 +463,6 @@ def compile_ghsom(model: Any) -> CompiledGhsom:
             leaf_keys.append((node.node_id, unit))
     return CompiledGhsom(
         n_features=int(model.n_features),
-        metric=str(model.config.training.metric),
         node_ids=tuple(node.node_id for node in nodes),
         node_depths=np.array([node.depth for node in nodes], dtype=np.intp),
         node_offsets=node_offsets,

@@ -7,13 +7,53 @@ the benchmark sweeps vary one parameter at a time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Dict, Mapping
+
+import numpy as np
 
 from repro.core.decay import available_decays
-from repro.core.distances import available_metrics
 from repro.core.neighborhood import available_neighborhoods
 from repro.exceptions import ConfigurationError
+
+
+def as_integer(value: object, name: str) -> int:
+    """A config's integer field (``name``) as an int: an integer or a whole-number float.
+
+    The strict bridge from a constructor argument, a stored payload or an
+    override to an integer field.  A bool, a string or a fractional float is
+    refused rather than coerced: ``epochs=True`` would train one epoch and
+    ``2.5`` would fail deep inside ``fit``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+
+
+def _check_real(value: object, name: str) -> None:
+    """Refuse a float field's value that is not a real number (or is a bool)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
+def _section(data: object, name: str) -> Dict[str, object]:
+    """A stored config section as a fresh dict; anything but a mapping is refused."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"stored {name} config must be a mapping, got {type(data).__name__}"
+        )
+    return dict(data)
+
+
+def _check_keys(cls: type, payload: Mapping[str, object]) -> None:
+    """Refuse keys that name no field of ``cls`` (a stored config is never guessed at)."""
+    unknown = sorted(set(payload) - {item.name for item in fields(cls)}, key=str)
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} keys {unknown}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +73,9 @@ class SomTrainingConfig:
         Name of the neighbourhood kernel (see :mod:`repro.core.neighborhood`).
     decay:
         Name of the decay schedule for both learning rate and radius.
-    metric:
-        Distance metric for BMU search.
+
+    Distances are always Euclidean: BMU search, quantization errors and the
+    served anomaly score.
     """
 
     epochs: int = 10
@@ -42,16 +83,18 @@ class SomTrainingConfig:
     initial_radius: float = 0.0
     neighborhood: str = "gaussian"
     decay: str = "exponential"
-    metric: str = "euclidean"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "epochs", as_integer(self.epochs, "epochs"))
+        _check_real(self.learning_rate, "learning_rate")
+        _check_real(self.initial_radius, "initial_radius")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigurationError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.initial_radius < 0.0:
+        if not self.initial_radius >= 0.0:  # NaN too: it would read as "auto"
             raise ConfigurationError(
                 f"initial_radius must be >= 0 (0 = auto), got {self.initial_radius}"
             )
@@ -59,17 +102,29 @@ class SomTrainingConfig:
             raise ConfigurationError(f"unknown neighborhood {self.neighborhood!r}")
         if self.decay not in available_decays():
             raise ConfigurationError(f"unknown decay {self.decay!r}")
-        if self.metric not in available_metrics():
-            raise ConfigurationError(f"unknown metric {self.metric!r}")
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict representation (for logging and serialization)."""
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SomTrainingConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)  # type: ignore[arg-type]
+    def from_dict(cls, data: Mapping[str, object]) -> "SomTrainingConfig":
+        """Inverse of :meth:`to_dict` (strictly validated).
+
+        Configs stored while the distance was selectable carry a ``metric``
+        entry: ``"euclidean"``, the only distance, is read as absent, and any
+        other value is refused.
+        """
+        payload = _section(data, "training")
+        if "metric" in payload:
+            metric = payload.pop("metric")
+            if metric != "euclidean":
+                raise ConfigurationError(
+                    f"unsupported distance metric {metric!r}; models are trained "
+                    "on Euclidean distance only"
+                )
+        _check_keys(cls, payload)
+        return cls(**payload)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -116,6 +171,22 @@ class GhsomConfig:
     random_state: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "max_depth",
+            "max_map_size",
+            "max_growth_rounds",
+            "min_samples_for_expansion",
+            "initial_rows",
+            "initial_cols",
+            "random_state",
+        ):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        _check_real(self.tau1, "tau1")
+        _check_real(self.tau2, "tau2")
+        if not isinstance(self.training, SomTrainingConfig):
+            raise ConfigurationError(
+                f"training must be a SomTrainingConfig, got {type(self.training).__name__}"
+            )
         if not 0.0 < self.tau1 <= 1.0:
             raise ConfigurationError(f"tau1 must be in (0, 1], got {self.tau1}")
         if not 0.0 < self.tau2 <= 1.0:
@@ -152,12 +223,12 @@ class GhsomConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "GhsomConfig":
-        """Inverse of :meth:`to_dict`."""
-        payload = dict(data)
+    def from_dict(cls, data: Mapping[str, object]) -> "GhsomConfig":
+        """Inverse of :meth:`to_dict` (strictly validated, see
+        :meth:`SomTrainingConfig.from_dict`)."""
+        payload = _section(data, "GHSOM")
         training = payload.pop("training", {})
-        if isinstance(training, SomTrainingConfig):
-            training_config = training
-        else:
-            training_config = SomTrainingConfig.from_dict(dict(training))
-        return cls(training=training_config, **payload)  # type: ignore[arg-type]
+        _check_keys(cls, payload)
+        if not isinstance(training, SomTrainingConfig):
+            training = SomTrainingConfig.from_dict(training)  # type: ignore[arg-type]
+        return cls(training=training, **payload)  # type: ignore[arg-type]

@@ -2,22 +2,15 @@
 
 All functions are vectorised over numpy arrays: given a batch of samples with
 shape ``(n, d)`` and a codebook with shape ``(u, d)`` they return an
-``(n, u)`` matrix of distances.  Squared Euclidean distance is the work-horse
-(best-matching-unit search only needs the argmin, so the square root can be
-skipped), but Manhattan and Chebyshev metrics are provided for experimentation
-and are exercised by the ablation tests.
+``(n, u)`` matrix of distances.  The GHSOM measures everything in Euclidean
+distance.  Squared Euclidean distance is the work-horse (best-matching-unit
+search only needs the argmin, so the square root can be skipped); quantization
+errors take its square root.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
-
-from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_array_2d
-
-DistanceFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def squared_euclidean(samples: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -40,87 +33,3 @@ def squared_euclidean(samples: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 def euclidean(samples: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances."""
     return np.sqrt(squared_euclidean(samples, codebook))
-
-
-#: Scratch budget (in float64 elements, ~128 MiB) for the broadcast L1/Linf
-#: kernels.  The ``(chunk, u, d)`` difference tensor is bounded by this, so a
-#: million-record batch no longer materialises an ``(n, u, d)`` tensor at once.
-_BROADCAST_BUDGET_ELEMENTS = 16 * 1024 * 1024
-
-
-def _chunked_broadcast_reduce(
-    samples: np.ndarray, codebook: np.ndarray, reduce_kind: str
-) -> np.ndarray:
-    """Reduce ``|samples[:, None, :] - codebook[None, :, :]|`` over features in chunks.
-
-    Each sample row's result is computed exactly as in the one-shot broadcast
-    (identical operations, identical values); only the number of rows in
-    flight at once is bounded, keeping peak scratch memory constant regardless
-    of the batch size.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    codebook = np.atleast_2d(np.asarray(codebook, dtype=float))
-    n, d = samples.shape
-    u = codebook.shape[0]
-    per_row = max(u * d, 1)
-    chunk = max(1, _BROADCAST_BUDGET_ELEMENTS // per_row)
-    if chunk >= n:
-        diff = np.abs(samples[:, None, :] - codebook[None, :, :])
-        return diff.sum(axis=2) if reduce_kind == "sum" else diff.max(axis=2)
-    out = np.empty((n, u), dtype=float)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = np.abs(samples[start:stop, None, :] - codebook[None, :, :])
-        out[start:stop] = diff.sum(axis=2) if reduce_kind == "sum" else diff.max(axis=2)
-    return out
-
-
-def manhattan(samples: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Pairwise Manhattan (L1) distances (bounded-memory chunked kernel)."""
-    return _chunked_broadcast_reduce(samples, codebook, "sum")
-
-
-def chebyshev(samples: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Pairwise Chebyshev (L-infinity) distances (bounded-memory chunked kernel)."""
-    return _chunked_broadcast_reduce(samples, codebook, "max")
-
-
-_METRICS: Dict[str, DistanceFunction] = {
-    "euclidean": euclidean,
-    "sqeuclidean": squared_euclidean,
-    "manhattan": manhattan,
-    "chebyshev": chebyshev,
-}
-
-
-def get_metric(name: str) -> DistanceFunction:
-    """Look up a distance function by name.
-
-    Raises
-    ------
-    ConfigurationError
-        If the metric name is unknown.
-    """
-    try:
-        return _METRICS[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown distance metric {name!r}; available: {sorted(_METRICS)}"
-        ) from exc
-
-
-def available_metrics() -> tuple:
-    """Names of all registered distance metrics."""
-    return tuple(sorted(_METRICS))
-
-
-def best_matching_units(samples, codebook, metric: str = "euclidean") -> np.ndarray:
-    """Index of the closest codebook vector for each sample.
-
-    The result is identical for ``euclidean`` and ``sqeuclidean`` metrics; the
-    cheaper squared variant is substituted automatically.
-    """
-    samples = check_array_2d(samples, "samples")
-    codebook = check_array_2d(codebook, "codebook")
-    function = squared_euclidean if metric in ("euclidean", "sqeuclidean") else get_metric(metric)
-    return np.argmin(function(samples, codebook), axis=1)

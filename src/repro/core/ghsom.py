@@ -145,7 +145,7 @@ class Ghsom:
         self._compiled = None
         matrix = check_array_2d(data, "data", min_rows=2)
         self.n_features = matrix.shape[1]
-        self.qe0 = dataset_quantization_error(matrix, metric=self.config.training.metric)
+        self.qe0 = dataset_quantization_error(matrix)
         if self.qe0 == 0.0:
             # Degenerate dataset (all rows identical): a single 2x2 layer suffices.
             self.qe0 = 1e-12

@@ -37,8 +37,9 @@ bit for bit.  The numpy engine is not (BLAS blocks the distance product
 differently per batch size, ~1e-13 relative); it stays the reference the
 fused engine is tested against.  Leaf assignments match exactly on
 non-degenerate data and distances agree within :data:`FUSED_DISTANCE_RTOL`.
-Both engines compute in float64, the one serving precision, and both serve
-every metric :func:`repro.core.distances.available_metrics` names.
+Both engines compute in float64, the one serving precision, and both report
+the Euclidean distance at the landing unit: the square root of the clamped
+expanded squared distance the argmin picked.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ from repro.exceptions import ConfigurationError
 #: identically: both engines pick the lowest unit index among minimal
 #: distances).
 FUSED_DISTANCE_RTOL = 1e-9
-
-#: Metrics the fused kernels implement.  BMU search is always squared
-#: Euclidean (matching the tree's training rule); Manhattan / Chebyshev only
-#: change the reported quantization distance at the landing node.
-FUSED_METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
-_METRIC_IDS = {"sqeuclidean": 0, "euclidean": 1, "manhattan": 2, "chebyshev": 3}
 
 _lock = threading.Lock()
 
@@ -196,28 +191,21 @@ def fused_descent(
     owner: Any,
     matrix: AnyArray,
     entry_nodes: AnyArray,
-    *,
-    metric: str,
 ) -> Tuple[AnyArray, AnyArray]:
     """Run the fused kernel over ``matrix`` (already validated, float64).
 
     Drop-in for :func:`repro.core.compiled.frontier_descent` output-wise:
     returns ``(leaf_index, distances)``.  ``owner`` supplies the flat arrays
     (and caches the kernel plan); callers check :func:`host_engine` first —
-    without the kernel, or with an unknown metric, this raises.
+    without the kernel this raises.
     """
-    if (
-        metric not in _METRIC_IDS
-        or matrix.dtype != np.float64
-        or not matrix.flags["C_CONTIGUOUS"]
-    ):
+    if matrix.dtype != np.float64 or not matrix.flags["C_CONTIGUOUS"]:
         raise ConfigurationError(
-            f"fused kernel unavailable for metric={metric!r} "
-            f"dtype={matrix.dtype}; it takes a C-contiguous float64 matrix"
+            f"fused kernel unavailable for dtype={matrix.dtype}; "
+            "it takes a C-contiguous float64 matrix"
         )
     plan = fused_plan(owner)
     n, d = matrix.shape
-    codebook = np.ascontiguousarray(owner.codebook)
     node_offsets = np.ascontiguousarray(owner.node_offsets, dtype=np.int64)
     child_of_unit = np.ascontiguousarray(owner.child_of_unit, dtype=np.int64)
     leaf_of_unit = np.ascontiguousarray(owner.leaf_of_unit, dtype=np.int64)
@@ -226,10 +214,9 @@ def fused_descent(
     snorms = np.einsum("ij,ij->i", matrix, matrix)
     leaf_index = np.empty(n, dtype=np.int64)
     distances = np.empty(n)
-    metric_id = _METRIC_IDS[metric]
     _cc_descent(
-        plan, matrix, snorms, entries, codebook, node_offsets,
-        child_of_unit, leaf_of_unit, metric_id, leaf_index, distances,
+        plan, matrix, snorms, entries, node_offsets,
+        child_of_unit, leaf_of_unit, leaf_index, distances,
     )
     return leaf_index.astype(np.intp, copy=False), distances
 
@@ -373,41 +360,6 @@ static void one_node(
     hargmin(bv, iv, best, bestu);
 }
 
-/* exact quantization distance at the landing node for non-Euclidean metrics
-   (BMU search stays squared-Euclidean; only the reported distance changes) */
-static double exact_metric(
-    const double *restrict xi, const double *restrict codebook,
-    int64_t d, int64_t start, int64_t stop, int64_t metric_id)
-{
-    double best = INFINITY;
-    for (int64_t u = start; u < stop; ++u) {
-        const double *w = codebook + u * d;
-        double acc = 0;
-        if (metric_id == 2) {
-            for (int64_t j = 0; j < d; ++j) acc += fabs(xi[j] - w[j]);
-        } else {
-            for (int64_t j = 0; j < d; ++j) {
-                const double a = fabs(xi[j] - w[j]);
-                if (a > acc) acc = a;
-            }
-        }
-        if (acc < best) best = acc;
-    }
-    return best;
-}
-
-/* reported distance at the landing node: the expanded squared distance at
-   the argmin (its square root for Euclidean), or the exact non-Euclidean
-   distance */
-static double landing(
-    const double *restrict xi, const double *restrict codebook, int64_t d,
-    int64_t ustart, int64_t ustop, int64_t metric_id, double best)
-{
-    if (metric_id > 1)
-        return exact_metric(xi, codebook, d, ustart, ustop, metric_id);
-    return metric_id == 1 ? sqrt(best) : best;
-}
-
 void fused_descent(
     const double *restrict x, int64_t n, int64_t d,
     const double *restrict tcodebook,
@@ -415,13 +367,12 @@ void fused_descent(
     const int64_t *restrict tnorm_offsets,
     const int64_t *restrict punits,
     const double *restrict tnorms,
-    const double *restrict codebook,
     const int64_t *restrict node_offsets,
     const int64_t *restrict child_of_unit,
     const int64_t *restrict leaf_of_unit,
     const int64_t *restrict entry_nodes,
     const double *restrict snorms,
-    int64_t n_nodes, int64_t metric_id,
+    int64_t n_nodes,
     int64_t *restrict leaf_index, double *restrict distances,
     int64_t *restrict scratch /* 3*n + n_nodes + 1 */)
 {
@@ -450,7 +401,6 @@ void fused_descent(
             const double *wt = tcodebook + toffsets[node];
             const double *wn = tnorms + tnorm_offsets[node];
             const int64_t ustart = node_offsets[node];
-            const int64_t ustop = node_offsets[node + 1];
             int64_t i = run_start;
             for (; i + STILE <= run_stop; i += STILE) {
                 const int64_t *rows = grouped + i;
@@ -467,8 +417,7 @@ void fused_descent(
                         pending[out] = row; pnode[out] = child; ++out;
                     } else {
                         leaf_index[row] = leaf_of_unit[gu];
-                        distances[row] = landing(
-                            x + row * d, codebook, d, ustart, ustop, metric_id, best[s]);
+                        distances[row] = sqrt(best[s]);
                     }
                 }
             }
@@ -484,8 +433,7 @@ void fused_descent(
                     pending[out] = row; pnode[out] = child; ++out;
                 } else {
                     leaf_index[row] = leaf_of_unit[gu];
-                    distances[row] = landing(
-                        x + row * d, codebook, d, ustart, ustop, metric_id, best);
+                    distances[row] = sqrt(best);
                 }
             }
             run_start = run_stop;
@@ -658,7 +606,7 @@ def _load_cc_library(compiler: str, build_dir: str) -> Tuple[Optional[ctypes.CDL
     ip = ctypes.POINTER(ctypes.c_int64)
     i64 = ctypes.c_int64
     lib.fused_descent.argtypes = [
-        fp, i64, i64, fp, ip, ip, ip, fp, fp, ip, ip, ip, ip, fp, i64, i64, ip, fp, ip,
+        fp, i64, i64, fp, ip, ip, ip, fp, ip, ip, ip, ip, fp, i64, ip, fp, ip,
     ]
     lib.fused_descent.restype = None
     return lib, ""
@@ -669,11 +617,9 @@ def _cc_descent(
     matrix: AnyArray,
     snorms: AnyArray,
     entries: AnyArray,
-    codebook: AnyArray,
     node_offsets: AnyArray,
     child_of_unit: AnyArray,
     leaf_of_unit: AnyArray,
-    metric_id: int,
     leaf_index: AnyArray,
     distances: AnyArray,
 ) -> None:
@@ -694,14 +640,12 @@ def _cc_descent(
         plan.tnorm_offsets.ctypes.data_as(ip),
         plan.punits.ctypes.data_as(ip),
         plan.tnorms.ctypes.data_as(fp),
-        codebook.ctypes.data_as(fp),
         node_offsets.ctypes.data_as(ip),
         child_of_unit.ctypes.data_as(ip),
         leaf_of_unit.ctypes.data_as(ip),
         entries.ctypes.data_as(ip),
         snorms.ctypes.data_as(fp),
         ctypes.c_int64(n_nodes),
-        ctypes.c_int64(metric_id),
         leaf_index.ctypes.data_as(ip),
         distances.ctypes.data_as(fp),
         scratch.ctypes.data_as(ip),

@@ -2,8 +2,8 @@
 
 These are the quality measures GHSOM growth decisions are based on:
 
-* the **quantization error (QE)** of a unit is the summed (or mean) distance
-  of the samples mapped to it from its weight vector;
+* the **quantization error (QE)** of a unit is the summed (or mean) Euclidean
+  distance of the samples mapped to it from its weight vector;
 * the **mean quantization error (MQE)** of a map is the average unit QE over
   units that have at least one mapped sample;
 * ``qe0`` is the quantization error of the whole dataset with respect to its
@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.distances import euclidean, get_metric
+from repro.core.distances import euclidean
 from repro.core.grid import MapGrid
 from repro.utils.validation import check_array_2d
 
 
-def dataset_quantization_error(data, metric: str = "euclidean") -> float:
+def dataset_quantization_error(data) -> float:
     """Quantization error of the dataset around its mean vector (``qe0``).
 
     This is the mean distance of every sample from the dataset centroid, the
@@ -33,7 +33,7 @@ def dataset_quantization_error(data, metric: str = "euclidean") -> float:
     """
     matrix = check_array_2d(data, "data")
     centroid = matrix.mean(axis=0, keepdims=True)
-    distances = get_metric(metric)(matrix, centroid)[:, 0]
+    distances = euclidean(matrix, centroid)[:, 0]
     return float(distances.mean())
 
 
@@ -41,7 +41,6 @@ def unit_quantization_errors(
     data,
     codebook,
     assignments: Optional[np.ndarray] = None,
-    metric: str = "euclidean",
     *,
     reduction: str = "mean",
 ) -> np.ndarray:
@@ -66,7 +65,7 @@ def unit_quantization_errors(
     """
     matrix = check_array_2d(data, "data")
     weights = check_array_2d(codebook, "codebook")
-    distance_matrix = get_metric(metric)(matrix, weights)
+    distance_matrix = euclidean(matrix, weights)
     if assignments is None:
         assignments = np.argmin(distance_matrix, axis=1)
     sample_distances = distance_matrix[np.arange(matrix.shape[0]), assignments]
@@ -87,15 +86,14 @@ def mean_quantization_error(
     data,
     codebook,
     assignments: Optional[np.ndarray] = None,
-    metric: str = "euclidean",
 ) -> float:
     """Mean of the per-unit quantization errors over *populated* units (MQE)."""
     matrix = check_array_2d(data, "data")
     weights = check_array_2d(codebook, "codebook")
-    distance_matrix = get_metric(metric)(matrix, weights)
+    distance_matrix = euclidean(matrix, weights)
     if assignments is None:
         assignments = np.argmin(distance_matrix, axis=1)
-    errors = unit_quantization_errors(matrix, weights, assignments, metric)
+    errors = unit_quantization_errors(matrix, weights, assignments)
     counts = np.bincount(assignments, minlength=weights.shape[0])
     populated = counts > 0
     if not np.any(populated):
@@ -103,15 +101,15 @@ def mean_quantization_error(
     return float(errors[populated].mean())
 
 
-def average_sample_error(data, codebook, metric: str = "euclidean") -> float:
+def average_sample_error(data, codebook) -> float:
     """Mean distance of each sample from its BMU (the per-sample view of map quality)."""
     matrix = check_array_2d(data, "data")
     weights = check_array_2d(codebook, "codebook")
-    distance_matrix = get_metric(metric)(matrix, weights)
+    distance_matrix = euclidean(matrix, weights)
     return float(distance_matrix.min(axis=1).mean())
 
 
-def topographic_error(data, codebook, grid: MapGrid, metric: str = "euclidean") -> float:
+def topographic_error(data, codebook, grid: MapGrid) -> float:
     """Fraction of samples whose first and second BMUs are not grid neighbours.
 
     A value of 0 means perfect topology preservation.  Maps with fewer than
@@ -121,7 +119,7 @@ def topographic_error(data, codebook, grid: MapGrid, metric: str = "euclidean") 
     weights = check_array_2d(codebook, "codebook")
     if weights.shape[0] < 2:
         return 0.0
-    distance_matrix = get_metric(metric)(matrix, weights)
+    distance_matrix = euclidean(matrix, weights)
     order = np.argsort(distance_matrix, axis=1)
     first, second = order[:, 0], order[:, 1]
     errors = 0

@@ -167,16 +167,30 @@ _SIDECAR_LEAF_IS_ATTACK = "leaf_is_attack"
 _SIDECAR_LEAF_PURITY = "leaf_purity"
 
 
+def _check_legacy_metric(section: Mapping[str, object]) -> None:
+    """Refuse a compiled section stored for a distance other than Euclidean.
+
+    Sections written while the distance was selectable carry a ``metric``
+    entry.  ``"euclidean"`` is the one distance the engines compute; any
+    other value would be served as Euclidean without a word, so it is refused.
+    """
+    if "metric" in section and section["metric"] != "euclidean":
+        raise SerializationError(
+            f"compiled section names distance metric {section['metric']!r}; "
+            "models serve Euclidean distance only"
+        )
+
+
 def compiled_from_dict(data: Dict[str, object]) -> CompiledGhsom:
     """Rebuild a :class:`CompiledGhsom` from a v2 payload's ``compiled`` section.
 
     v2 stored only the defining arrays as JSON lists; derived quantities
     (unit norms, the leaf-key index) are recomputed here.
     """
+    _check_legacy_metric(data)
     field_arrays: Dict[str, Any] = {name: data[name] for name in _COMPILED_ARRAY_FIELDS}
     return CompiledGhsom.from_arrays(
         n_features=_as_int(data["n_features"]),
-        metric=str(data["metric"]),
         node_ids=cast("Sequence[str]", data["node_ids"]),
         **field_arrays,
     )
@@ -194,7 +208,6 @@ def compiled_to_arrays(
     """
     meta: Dict[str, object] = {
         "n_features": int(compiled.n_features),
-        "metric": compiled.metric,
         "node_ids": list(compiled.node_ids),
     }
     arrays = {name: getattr(compiled, name) for name in _SIDECAR_COMPILED_FIELDS}
@@ -210,6 +223,7 @@ def compiled_from_arrays(
     :meth:`CompiledGhsom.from_arrays`), so the codebook stays on disk until
     the first score touches it.
     """
+    _check_legacy_metric(meta)
     missing = [name for name in _SIDECAR_COMPILED_FIELDS if name not in arrays]
     if missing:
         raise SerializationError(
@@ -219,7 +233,6 @@ def compiled_from_arrays(
     field_arrays: Dict[str, Any] = {name: arrays[name] for name in _COMPILED_ARRAY_FIELDS}
     return CompiledGhsom.from_arrays(
         n_features=_as_int(meta["n_features"]),
-        metric=str(meta["metric"]),
         node_ids=cast("Sequence[str]", meta["node_ids"]),
         unit_norms=arrays["unit_norms"],
         **field_arrays,

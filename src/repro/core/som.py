@@ -1,10 +1,9 @@
 """A fixed-size self-organizing map (SOM).
 
 This is the building block the growing layers are made of, and it doubles as
-the "flat SOM" baseline the paper's evaluation compares against.  Both the
-classical online (sample-by-sample) update rule and the faster batch rule are
-implemented; GHSOM layers use the batch rule by default because each layer is
-retrained several times during growth.
+the "flat SOM" baseline the paper's evaluation compares against.  Training
+uses the batch update rule, because each GHSOM layer is retrained several
+times during growth.  Every distance is Euclidean.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.core.config import SomTrainingConfig
 from repro.core.decay import get_decay
-from repro.core.distances import get_metric, squared_euclidean
+from repro.core.distances import euclidean, squared_euclidean
 from repro.core.grid import MapGrid
 from repro.core.neighborhood import get_neighborhood
 from repro.core.quantization import (
@@ -68,7 +67,6 @@ class Som:
         self.config = config or SomTrainingConfig()
         self._rng = ensure_rng(random_state)
         self.codebook = self._rng.random((self.grid.n_units, self.n_features))
-        self._metric = get_metric(self.config.metric)
         self._neighborhood = get_neighborhood(self.config.neighborhood)
         self._decay = get_decay(self.config.decay)
         self._fitted = False
@@ -83,7 +81,7 @@ class Som:
 
     @property
     def is_fitted(self) -> bool:
-        """Whether :meth:`fit` (or at least one partial fit) has been called."""
+        """Whether :meth:`fit` has been called."""
         return self._fitted
 
     def _initial_radius(self) -> float:
@@ -151,27 +149,6 @@ class Som:
         updated[populated] = numerator[populated] / denominator[populated, None]
         self.codebook = updated
 
-    def partial_fit(self, data, *, learning_rate: Optional[float] = None, radius: Optional[float] = None) -> "Som":
-        """Online (sample-by-sample) update pass used for streaming adaptation.
-
-        Unlike :meth:`fit` this never re-initialises the codebook, applies the
-        classic Kohonen update rule once per sample, and uses a constant
-        learning rate / radius (no decay), which is what an online detector
-        needs to keep adapting indefinitely.
-        """
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        rate = learning_rate if learning_rate is not None else self.config.learning_rate * 0.1
-        current_radius = radius if radius is not None else 1.0
-        grid_distances = self.grid.grid_distances()
-        order = self._rng.permutation(matrix.shape[0])
-        for index in order:
-            sample = matrix[index]
-            bmu = int(np.argmin(squared_euclidean(sample[None, :], self.codebook)[0]))
-            influence = self._neighborhood(grid_distances[bmu], current_radius)
-            self.codebook += rate * influence[:, None] * (sample[None, :] - self.codebook)
-        self._fitted = True
-        return self
-
     # ------------------------------------------------------------------ #
     # inference
     # ------------------------------------------------------------------ #
@@ -186,33 +163,31 @@ class Som:
         return np.argmin(squared_euclidean(matrix, self.codebook), axis=1)
 
     def quantization_distances(self, data) -> np.ndarray:
-        """Distance of each sample to its BMU (in the configured metric)."""
+        """Euclidean distance of each sample to its BMU."""
         self._check_fitted()
         matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        return self._metric(matrix, self.codebook).min(axis=1)
+        return euclidean(matrix, self.codebook).min(axis=1)
 
     def unit_errors(self, data, *, reduction: str = "mean") -> np.ndarray:
         """Per-unit quantization error of ``data`` on this map."""
         self._check_fitted()
         matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        return unit_quantization_errors(
-            matrix, self.codebook, metric=self.config.metric, reduction=reduction
-        )
+        return unit_quantization_errors(matrix, self.codebook, reduction=reduction)
 
     def mean_quantization_error(self, data) -> float:
         """Mean per-unit quantization error (MQE) of ``data`` on this map."""
         self._check_fitted()
-        return mean_quantization_error(data, self.codebook, metric=self.config.metric)
+        return mean_quantization_error(data, self.codebook)
 
     def average_sample_error(self, data) -> float:
         """Mean BMU distance per sample."""
         self._check_fitted()
-        return average_sample_error(data, self.codebook, metric=self.config.metric)
+        return average_sample_error(data, self.codebook)
 
     def topographic_error(self, data) -> float:
         """Topology-preservation error of the map on ``data``."""
         self._check_fitted()
-        return topographic_error(data, self.codebook, self.grid, metric=self.config.metric)
+        return topographic_error(data, self.codebook, self.grid)
 
     def unit_counts(self, data) -> np.ndarray:
         """Number of samples mapped to each unit."""

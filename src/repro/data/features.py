@@ -8,7 +8,7 @@ GHSOM detector degrades gracefully under aggressive feature reduction.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -84,18 +84,3 @@ def drop_highly_correlated(matrix, threshold: float = 0.98) -> np.ndarray:
             keep.append(column)
     return np.array(keep, dtype=int)
 
-
-def summarize_features(matrix, names: Sequence[str]) -> List[Tuple[str, float, float, float]]:
-    """Per-feature (name, mean, std, entropy) tuples for reporting."""
-    data = check_array_2d(matrix, "matrix")
-    if len(names) != data.shape[1]:
-        raise DataValidationError(
-            f"got {len(names)} names for {data.shape[1]} columns"
-        )
-    entropies = feature_entropy(data)
-    means = data.mean(axis=0)
-    stds = data.std(axis=0)
-    return [
-        (str(name), float(means[column]), float(stds[column]), float(entropies[column]))
-        for column, name in enumerate(names)
-    ]

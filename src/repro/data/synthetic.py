@@ -872,10 +872,6 @@ class KddSyntheticGenerator:
         test = self.generate(n_test, class_mix=test_mix)
         return train, test
 
-    def available_labels(self) -> Tuple[str, ...]:
-        """Labels for which profiles are registered."""
-        return tuple(sorted(self.profiles))
-
     def categories_present(self) -> Dict[str, Tuple[str, ...]]:
         """Map from category to the labels of that category that can be generated."""
         by_category: Dict[str, list] = {}

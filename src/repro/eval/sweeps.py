@@ -112,56 +112,3 @@ def tau_sensitivity_sweep(
             )
     return rows
 
-
-def dataset_size_sweep(
-    detector_factory,
-    sizes: Sequence[int],
-    generator_factory,
-    *,
-    n_test: int = 1000,
-    random_state: int = 0,
-) -> List[Dict[str, object]]:
-    """Training/scoring time and accuracy as the training-set size grows (Figure 5).
-
-    Parameters
-    ----------
-    detector_factory:
-        Zero-argument callable returning a fresh detector.
-    sizes:
-        Training-set sizes to evaluate.
-    generator_factory:
-        Zero-argument callable returning a fresh
-        :class:`~repro.data.synthetic.KddSyntheticGenerator`-like object with
-        ``generate`` and a schema-compatible output.
-    """
-    from repro.data.preprocess import PreprocessingPipeline  # local import to avoid a cycle
-
-    rows: List[Dict[str, object]] = []
-    for size in sizes:
-        if size < 10:
-            raise ConfigurationError(f"training size must be >= 10, got {size}")
-        generator = generator_factory()
-        train = generator.generate(int(size))
-        test = generator.generate(int(n_test))
-        pipeline = PreprocessingPipeline()
-        X_train = pipeline.fit_transform(train)
-        X_test = pipeline.transform(test)
-        truth = test.is_attack.astype(int)
-        detector = detector_factory()
-        watch = Stopwatch()
-        with watch.measure("fit"):
-            detector.fit(X_train, [str(category) for category in train.categories])
-        with watch.measure("score"):
-            predictions = detector.predict(X_test)
-        metrics = binary_metrics(truth, predictions)
-        rows.append(
-            {
-                "n_train": int(size),
-                "fit_seconds": watch.total("fit"),
-                "score_seconds": watch.total("score"),
-                "records_per_second": int(size / max(watch.total("fit"), 1e-9)),
-                "detection_rate": metrics.detection_rate,
-                "false_positive_rate": metrics.false_positive_rate,
-            }
-        )
-    return rows

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core import kernels
+from repro.core.config import as_integer
 from repro.exceptions import ConfigurationError, ServingError
 
 if TYPE_CHECKING:  # runtime import stays lazy inside build_backend
@@ -118,21 +119,12 @@ def _parse_remote_workers(spec: str) -> Tuple[str, ...]:
     return tuple(addresses)
 
 
-def _opt_int(value: object) -> Optional[int]:
-    """``None`` passes through; otherwise an integer or a whole-number float.
+def _opt_int(value: object, name: str) -> Optional[int]:
+    """``None`` passes through; otherwise :func:`~repro.core.config.as_integer`.
 
-    The strict-typed bridge from any value (a constructor argument, a JSON
-    payload, a CLI override) to an integer field; range validation stays in
-    ``ServingConfig.__post_init__``.  A bool, a string or a fractional float
-    is refused rather than converted.
+    Range validation stays in ``ServingConfig.__post_init__``.
     """
-    if value is None:
-        return None
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigurationError(f"expected an integer, got {value!r}")
+    return None if value is None else as_integer(value, name)
 
 
 def _opt_str(value: object) -> Optional[str]:
@@ -171,7 +163,7 @@ def _check_legacy_backend(sharding: Mapping[str, object]) -> None:
     corrupt payload does not start to load.
     """
     backend = _opt_str(sharding.get("backend"))
-    workers = _opt_int(sharding.get("workers"))
+    workers = _opt_int(sharding.get("workers"), "workers")
     if backend is None and workers is None:
         return
     remote = sharding.get("remote_workers") is not None
@@ -290,7 +282,7 @@ class ServingConfig:
     verify: bool = False
 
     def __post_init__(self) -> None:
-        shards = _opt_int(self.shards)
+        shards = _opt_int(self.shards, "shards")
         if shards is not None and shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {shards}")
         object.__setattr__(self, "shards", shards)

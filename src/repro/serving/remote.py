@@ -66,7 +66,6 @@ import numpy as np
 
 from repro._typing import AnyArray
 from repro.core import kernels
-from repro.core.distances import available_metrics
 from repro.exceptions import ConfigurationError, SerializationError, ServingError
 from repro.serving.backends import SerialBackend, ShardBackend, ShardResult, ShardTask
 from repro.serving.server import DEFERRED, Connection, FramedServer, ping
@@ -214,12 +213,15 @@ def _value_wire(shards: Sequence[SubtreeShard]) -> List[Dict[str, object]]:
 def _check_runnable(state: Dict[str, object]) -> None:
     """Refuse a shard state this worker cannot descend as the coordinator does.
 
-    The state names the coordinator's engine and metric.  Answering a fused
+    The state names the coordinator's engine.  Answering a fused
     coordinator in numpy arithmetic would change scores in the last bits
     without any error, so a worker without the kernel refuses the state and
-    the coordinator runs those tasks itself.
+    the coordinator runs those tasks itself.  Coordinators from before the
+    distance was fixed to Euclidean also send a ``metric`` entry:
+    ``"euclidean"`` is what every worker computes, anything else is refused
+    the same way.
     """
-    engine, metric = state.get("engine"), state.get("metric")
+    engine = state.get("engine")
     if not isinstance(engine, str) or engine not in ("numpy", "fused"):
         raise ServingError(
             f"shard state names engine {engine!r}; a shard worker runs 'numpy' or 'fused'"
@@ -229,9 +231,10 @@ def _check_runnable(state: Dict[str, object]) -> None:
             "shard state needs the fused engine, which this worker cannot run: "
             + kernels.fused_build_error()
         )
-    if not isinstance(metric, str) or metric not in available_metrics():
+    if "metric" in state and state["metric"] != "euclidean":
         raise ServingError(
-            f"shard state names metric {metric!r}; expected one of {available_metrics()}"
+            f"shard state names metric {state['metric']!r}; a shard worker "
+            "serves Euclidean distances only"
         )
 
 
@@ -241,6 +244,7 @@ def _shard_from_state(
     """Rebuild a shard from a provisioned wire state on the worker side."""
     _check_runnable(state)
     restored: Dict[str, Any] = dict(state)
+    restored.pop("metric", None)  # a parent coordinator's "euclidean"
     for name, value in state.items():
         if isinstance(value, SidecarRef):
             if sidecar_path is None:

@@ -60,7 +60,6 @@ class ShardedGhsom:
         self.plan = plan
         self.shards = tuple(shards)
         self.backend = backend
-        self.metric = source.metric
         self.n_features = source.n_features
         n_root_units = int(source.node_offsets[1])
         #: Root-layer slices (views into the source arrays: the root block is
@@ -167,7 +166,7 @@ class ShardedGhsom:
         # --- route: the unsharded engine's first step --------------------- #
         if kernels.host_engine() == "fused":
             units, root_distances = kernels.fused_descent(
-                self._root_map, matrix, np.zeros(n, dtype=np.int64), metric=self.metric
+                self._root_map, matrix, np.zeros(n, dtype=np.int64)
             )
             at_leaf = self._root_child[units] < 0
             leaf_index[at_leaf] = self._root_leaf_row[units[at_leaf]]
@@ -181,7 +180,6 @@ class ShardedGhsom:
                 self._root_map.unit_norms,
                 self._root_child,
                 self._root_leaf_row,
-                self.metric,
                 leaf_index,
                 distances,
             )

@@ -5,7 +5,9 @@ descent of the samples routed to it: its own codebook slice, local topology
 arrays, its segment of the leaf table with per-leaf scoring tables, and the
 ``leaf_global_row`` remap that makes merged results indistinguishable from
 the unsharded engine's.  Shards are plain dataclasses of ndarrays, so the
-remote backend can ship their field states to shard workers.
+remote backend can ship their field states to shard workers.  Besides the
+arrays, a state names only the coordinator's engine: every engine reports
+Euclidean distances, so no distance name travels.
 
 Scoring inside a shard runs the exact
 :func:`~repro.core.compiled.frontier_descent` loop of the unsharded engine —
@@ -47,7 +49,6 @@ class SubtreeShard:
     """
 
     shard_id: int
-    metric: str
     n_features: int
     #: Global root-layer unit rows owned by this shard, with the local node
     #: index each one's descent enters at (parallel arrays).
@@ -103,7 +104,6 @@ class SubtreeShard:
                 self,
                 np.ascontiguousarray(matrix),
                 np.ascontiguousarray(entry_nodes, dtype=np.int64),
-                metric=self.metric,
             )
         return frontier_descent(
             matrix,
@@ -113,7 +113,6 @@ class SubtreeShard:
             child_of_unit=self.child_of_unit,
             leaf_of_unit=self.leaf_of_unit,
             unit_norms=self.unit_norms,
-            metric=self.metric,
         )
 
 
@@ -151,7 +150,6 @@ def build_shard(
     # provisioned by reference.
     return SubtreeShard(
         shard_id=int(shard_id),
-        metric=compiled.metric,
         n_features=compiled.n_features,
         root_units=np.array([subtree.root_unit for subtree in members], dtype=np.intp),
         entry_local_node=np.array(

@@ -6,4 +6,4 @@ from repro.core import kernels
 def run(shard, matrix, entries):
     if not kernels.fused_available():
         return shard.assign_arrays(matrix)
-    return kernels.fused_descent(shard, matrix, entries, metric="euclidean")
+    return kernels.fused_descent(shard, matrix, entries)

@@ -112,7 +112,7 @@ class TestCompileStructure:
         summary = fitted_model.compile().describe()
         assert summary["n_nodes"] == fitted_model.n_maps
         assert summary["max_depth"] == fitted_model.depth
-        assert summary["metric"] == "euclidean"
+        assert "metric" not in summary
 
 
 class TestAssignEquivalence:
@@ -328,10 +328,7 @@ class TestFrontierGroupingRegression:
                 if at_leaf.any():
                     leaf_rows = rows[at_leaf]
                     leaf_index[leaf_rows] = leaf_of_unit[global_units[at_leaf]]
-                    best = d2[at_leaf].min(axis=1)
-                    if compiled.metric == "euclidean":
-                        best = np.sqrt(best)
-                    distances[leaf_rows] = best
+                    distances[leaf_rows] = np.sqrt(d2[at_leaf].min(axis=1))
                 descending = ~at_leaf
                 if descending.any():
                     next_rows.append(rows[descending])
@@ -372,7 +369,6 @@ class TestFrontierGroupingRegression:
             child_of_unit=compiled.child_of_unit,
             leaf_of_unit=compiled.leaf_of_unit,
             unit_norms=compiled.unit_norms,
-            metric=compiled.metric,
         )
         np.testing.assert_array_equal(actual[0], expected[0])
         np.testing.assert_array_equal(actual[1], expected[1].astype(np.float64))

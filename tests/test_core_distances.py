@@ -3,18 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.distances import (
-    available_metrics,
-    best_matching_units,
-    chebyshev,
-    euclidean,
-    get_metric,
-    manhattan,
-    squared_euclidean,
-)
-from repro.exceptions import ConfigurationError
+from repro.core.distances import euclidean, squared_euclidean
 
 
 class TestSquaredEuclidean:
@@ -39,91 +29,17 @@ class TestSquaredEuclidean:
         np.testing.assert_allclose(distances, [[1.0]])
 
 
-class TestOtherMetrics:
+class TestEuclidean:
     def test_euclidean_is_sqrt_of_squared(self, rng):
         samples, codebook = rng.random((6, 4)), rng.random((3, 4))
         np.testing.assert_allclose(
             euclidean(samples, codebook) ** 2, squared_euclidean(samples, codebook), atol=1e-10
         )
 
-    def test_manhattan_known_value(self):
-        np.testing.assert_allclose(
-            manhattan(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])), [[3.0]]
-        )
-
-    def test_chebyshev_known_value(self):
-        np.testing.assert_allclose(
-            chebyshev(np.array([[1.0, -4.0]]), np.array([[0.0, 0.0]])), [[4.0]]
-        )
-
-    def test_metric_ordering(self, rng):
-        """For any pair: chebyshev <= euclidean <= manhattan."""
+    def test_euclidean_between_linf_and_l1(self, rng):
+        """For any pair: max |x - w| <= |x - w|_2 <= sum |x - w|."""
         samples, codebook = rng.random((10, 6)), rng.random((5, 6))
-        cheb = chebyshev(samples, codebook)
+        differences = np.abs(samples[:, None, :] - codebook[None, :, :])
         eucl = euclidean(samples, codebook)
-        manh = manhattan(samples, codebook)
-        assert np.all(cheb <= eucl + 1e-12)
-        assert np.all(eucl <= manh + 1e-12)
-
-
-class TestChunkedBroadcastKernels:
-    """The L1/Linf kernels compute in bounded-memory chunks (identical values)."""
-
-    def test_manhattan_chunked_matches_one_shot(self, rng, monkeypatch):
-        from repro.core import distances as distances_module
-
-        samples, codebook = rng.random((23, 5)), rng.random((4, 5))
-        expected = manhattan(samples, codebook)
-        # Force many tiny chunks (budget of one (u, d) block => 1 row at a time).
-        monkeypatch.setattr(distances_module, "_BROADCAST_BUDGET_ELEMENTS", 20)
-        np.testing.assert_array_equal(manhattan(samples, codebook), expected)
-
-    def test_chebyshev_chunked_matches_one_shot(self, rng, monkeypatch):
-        from repro.core import distances as distances_module
-
-        samples, codebook = rng.random((17, 6)), rng.random((3, 6))
-        expected = chebyshev(samples, codebook)
-        monkeypatch.setattr(distances_module, "_BROADCAST_BUDGET_ELEMENTS", 18)
-        np.testing.assert_array_equal(chebyshev(samples, codebook), expected)
-
-    def test_chunk_boundary_exact_division(self, rng, monkeypatch):
-        from repro.core import distances as distances_module
-
-        # 8 samples, chunk of exactly 4 rows: boundary at an even division.
-        samples, codebook = rng.random((8, 2)), rng.random((2, 2))
-        expected = manhattan(samples, codebook)
-        monkeypatch.setattr(distances_module, "_BROADCAST_BUDGET_ELEMENTS", 4 * 2 * 2)
-        np.testing.assert_array_equal(manhattan(samples, codebook), expected)
-
-    def test_1d_inputs_still_promoted(self, monkeypatch):
-        from repro.core import distances as distances_module
-
-        monkeypatch.setattr(distances_module, "_BROADCAST_BUDGET_ELEMENTS", 1)
-        result = manhattan(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(result, [[3.0]])
-
-
-class TestRegistry:
-    def test_all_metrics_listed(self):
-        assert set(available_metrics()) == {"euclidean", "sqeuclidean", "manhattan", "chebyshev"}
-
-    def test_lookup_returns_callable(self):
-        assert callable(get_metric("manhattan"))
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_metric("cosine")
-
-
-class TestBestMatchingUnits:
-    def test_bmu_picks_nearest(self):
-        codebook = np.array([[0.0, 0.0], [1.0, 1.0]])
-        samples = np.array([[0.1, 0.1], [0.9, 0.8]])
-        np.testing.assert_array_equal(best_matching_units(samples, codebook), [0, 1])
-
-    def test_bmu_identical_for_euclidean_variants(self, rng):
-        samples, codebook = rng.random((30, 4)), rng.random((9, 4))
-        np.testing.assert_array_equal(
-            best_matching_units(samples, codebook, "euclidean"),
-            best_matching_units(samples, codebook, "sqeuclidean"),
-        )
+        assert np.all(differences.max(axis=2) <= eucl + 1e-12)
+        assert np.all(eucl <= differences.sum(axis=2) + 1e-12)

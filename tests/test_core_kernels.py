@@ -1,10 +1,10 @@
 """Engine-equivalence tests for the fused descent kernel.
 
-The fused engine's contract (see :mod:`repro.core.kernels`): for every
-supported metric it lands every sample on the **exact same leaf** as the
-numpy frontier descent, with distances matching within the documented
+The fused engine's contract (see :mod:`repro.core.kernels`): it lands every
+sample on the **exact same leaf** as the numpy frontier descent, with
+Euclidean distances matching within the documented
 ``FUSED_DISTANCE_RTOL``.  The hypothesis suite below exercises that contract
-over randomly generated flat-array trees, metrics and entry nodes —
+over randomly generated flat-array trees and entry nodes —
 the same surface the sharded engine drives via per-shard entry points.
 
 The host-engine tests prove the degradation story: a host where the C
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 import repro
 from repro.core import kernels
 from repro.core.compiled import frontier_descent
-from repro.core.distances import available_metrics
 from repro.exceptions import ConfigurationError
 from repro.serving.config import ServingConfig
 
@@ -41,8 +40,6 @@ TREE_SETTINGS = {
     "deadline": None,
     "suppress_health_check": [HealthCheck.too_slow, HealthCheck.data_too_large],
 }
-
-METRICS = sorted(kernels.FUSED_METRICS)
 
 fused_missing = kernels.host_engine() != "fused"
 needs_fused = pytest.mark.skipif(
@@ -151,7 +148,7 @@ def random_tree(
     return TreeOwner(codebook, node_offsets, child_of_unit, leaf_of_unit, unit_norms)
 
 
-def numpy_descent(owner, matrix, entries, metric):
+def numpy_descent(owner, matrix, entries):
     """The numpy engine's descent of ``owner`` (a tree or a compiled model)."""
     return frontier_descent(
         matrix,
@@ -161,24 +158,20 @@ def numpy_descent(owner, matrix, entries, metric):
         child_of_unit=owner.child_of_unit,
         leaf_of_unit=owner.leaf_of_unit,
         unit_norms=owner.unit_norms,
-        metric=metric,
     )
 
 
-def descend_both(owner, matrix, entries, metric):
+def descend_both(owner, matrix, entries):
     """(numpy result, fused result) for the same tree/batch/entries."""
-    fused = kernels.fused_descent(
-        owner, matrix, np.ascontiguousarray(entries, dtype=np.int64), metric=metric
-    )
-    return numpy_descent(owner, matrix, entries, metric), fused
+    fused = kernels.fused_descent(owner, matrix, np.ascontiguousarray(entries, dtype=np.int64))
+    return numpy_descent(owner, matrix, entries), fused
 
 
 @needs_fused
 class TestFusedEquivalence:
     @given(data=st.data())
     @settings(**TREE_SETTINGS)
-    def test_random_trees_metrics_entries(self, data):
-        metric = data.draw(st.sampled_from(METRICS))
+    def test_random_trees_and_entries(self, data):
         seed = data.draw(st.integers(0, 2**16))
         n_features = data.draw(st.integers(1, 24))
         n_samples = data.draw(st.integers(1, 48))
@@ -191,9 +184,7 @@ class TestFusedEquivalence:
             # Arbitrary per-sample entry nodes — the sharded engine's usage.
             n_nodes = owner.node_offsets.size - 1
             entries = rng.integers(0, n_nodes, size=n_samples).astype(np.intp)
-        (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
-            owner, matrix, entries, metric
-        )
+        (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(owner, matrix, entries)
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
         np.testing.assert_allclose(
             fused_dist, ref_dist, rtol=kernels.FUSED_DISTANCE_RTOL, atol=0.0
@@ -213,7 +204,7 @@ class TestFusedEquivalence:
         )
         matrix = np.tile(np.linspace(0.2, 0.8, 5), (4, 1))
         entries = np.zeros(4, dtype=np.intp)
-        (ref_leaf, _), (fused_leaf, _) = descend_both(owner, matrix, entries, "euclidean")
+        (ref_leaf, _), (fused_leaf, _) = descend_both(owner, matrix, entries)
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
         assert set(np.asarray(fused_leaf).tolist()) == {0}
 
@@ -229,7 +220,7 @@ class TestFusedEquivalence:
         )
         matrix = rng.normal(size=(1, 3))
         (ref_leaf, ref_dist), (fused_leaf, fused_dist) = descend_both(
-            owner, matrix, np.zeros(1, dtype=np.intp), "sqeuclidean"
+            owner, matrix, np.zeros(1, dtype=np.intp)
         )
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
         np.testing.assert_allclose(
@@ -248,7 +239,7 @@ class TestFusedEquivalence:
         owner = random_tree(rng, 4)
         matrix = rng.normal(size=(3, 4)).astype(np.float32)
         with pytest.raises(ConfigurationError, match="float32"):
-            kernels.fused_descent(owner, matrix, np.zeros(3, dtype=np.int64), metric="euclidean")
+            kernels.fused_descent(owner, matrix, np.zeros(3, dtype=np.int64))
 
     def test_kernel_compiles_one_shared_object(self, empty_kernel_cache):
         assert kernels.fused_available()
@@ -273,9 +264,9 @@ class TestDetectorEngineEquivalence:
     def test_assign_arrays_runs_the_fused_kernel(self, detector, test_matrix):
         compiled = detector._compiled_model()
         entries = np.zeros(test_matrix.shape[0], dtype=np.intp)
-        ref_leaf, ref_dist = numpy_descent(compiled, test_matrix, entries, compiled.metric)
+        ref_leaf, ref_dist = numpy_descent(compiled, test_matrix, entries)
         fused_leaf, fused_dist = compiled.assign_arrays(test_matrix)
-        kernel = kernels.fused_descent(compiled, test_matrix, entries, metric=compiled.metric)
+        kernel = kernels.fused_descent(compiled, test_matrix, entries)
         assert fused_dist.tobytes() == kernel[1].tobytes()
         np.testing.assert_array_equal(fused_leaf, ref_leaf)
         np.testing.assert_allclose(
@@ -287,8 +278,8 @@ class TestDetectorEngineEquivalence:
     ):
         compiled = detector._compiled_model()
         entries = np.zeros(test_matrix.shape[0], dtype=np.intp)
-        fused = kernels.fused_descent(compiled, test_matrix, entries, metric=compiled.metric)
-        numpy = numpy_descent(compiled, test_matrix, entries, compiled.metric)
+        fused = kernels.fused_descent(compiled, test_matrix, entries)
+        numpy = numpy_descent(compiled, test_matrix, entries)
         default = compiled.assign_arrays(test_matrix)
         assert default[1].tobytes() == fused[1].tobytes()
         np.testing.assert_array_equal(default[0], fused[0])
@@ -334,11 +325,9 @@ def test_fit_calibrates_on_the_host_engine(request, fast_config, train_matrix, e
     compiled = detector.model.compile()
     entries = np.zeros(train_matrix.shape[0], dtype=np.intp)
     if engine == "numpy":
-        leaf_index, distances = numpy_descent(compiled, train_matrix, entries, compiled.metric)
+        leaf_index, distances = numpy_descent(compiled, train_matrix, entries)
     else:
-        leaf_index, distances = kernels.fused_descent(
-            compiled, train_matrix, entries, metric=compiled.metric
-        )
+        leaf_index, distances = kernels.fused_descent(compiled, train_matrix, entries)
     expected = make_threshold_strategy(
         detector.threshold_strategy_name, **detector.threshold_kwargs
     ).fit(distances, compiled.keys_of(leaf_index))
@@ -540,10 +529,6 @@ class TestHostEngine:
         assert kernels.host_engine() == expected
         assert (kernels.fused_build_error() == "") == kernels.fused_available()
 
-    def test_the_kernel_serves_every_metric(self):
-        # Which engine runs depends on the host alone, never on the metric.
-        assert set(available_metrics()) <= set(kernels.FUSED_METRICS)
-
     @needs_fused
     def test_numpy_when_the_cpu_probe_says_no_avx512(self, no_avx512):
         no_avx512()
@@ -556,13 +541,6 @@ class TestHostEngine:
         library, error = kernels._build_cc_library()
         assert library is None
         assert "np.intp" in error
-
-    @needs_fused
-    def test_unknown_metric_is_refused_by_the_kernel(self):
-        owner = random_tree(np.random.default_rng(3), 4)
-        matrix = np.random.default_rng(4).normal(size=(2, 4))
-        with pytest.raises(ConfigurationError, match="cosine"):
-            kernels.fused_descent(owner, matrix, np.zeros(2, dtype=np.int64), metric="cosine")
 
 
 class TestCompilerlessHost:
@@ -580,7 +558,7 @@ class TestCompilerlessHost:
         owner = random_tree(np.random.default_rng(5), 3)
         matrix = np.random.default_rng(6).normal(size=(2, 3))
         with pytest.raises(ConfigurationError, match="unavailable"):
-            kernels.fused_descent(owner, matrix, np.zeros(2, dtype=np.int64), metric="euclidean")
+            kernels.fused_descent(owner, matrix, np.zeros(2, dtype=np.int64))
 
     def test_shards_carry_the_numpy_engine(
         self, fast_config, train_matrix, train_categories, compilerless_host

@@ -57,19 +57,6 @@ class TestTraining:
         with pytest.raises(DataValidationError):
             som.fit(blob_data)
 
-    def test_partial_fit_moves_codebook(self, blob_data):
-        som = Som(3, 3, n_features=4, random_state=0)
-        som.fit(blob_data)
-        before = som.codebook.copy()
-        shifted = np.clip(blob_data + 0.3, 0.0, 1.0)
-        som.partial_fit(shifted, learning_rate=0.5, radius=1.0)
-        assert not np.allclose(before, som.codebook)
-
-    def test_partial_fit_without_prior_fit_marks_fitted(self, blob_data):
-        som = Som(3, 3, n_features=4, random_state=0)
-        som.partial_fit(blob_data)
-        assert som.is_fitted
-
 
 class TestInference:
     def test_unfitted_som_raises(self, blob_data):

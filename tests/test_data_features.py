@@ -11,7 +11,6 @@ from repro.data.features import (
     feature_entropy,
     select_by_variance,
     select_top_k_by_entropy,
-    summarize_features,
 )
 from repro.exceptions import DataValidationError
 
@@ -87,15 +86,3 @@ class TestCorrelation:
         assert 0 in kept
         assert 1 not in kept
         assert 2 in kept
-
-
-class TestSummarizeFeatures:
-    def test_summary_rows_match_columns(self, rng):
-        data = rng.random((60, 3))
-        summary = summarize_features(data, ["a", "b", "c"])
-        assert len(summary) == 3
-        assert summary[0][0] == "a"
-
-    def test_name_count_mismatch_rejected(self, rng):
-        with pytest.raises(DataValidationError):
-            summarize_features(rng.random((10, 3)), ["a", "b"])

@@ -8,9 +8,8 @@ import pytest
 from repro.baselines.kmeans import KMeansDetector
 from repro.baselines.pca_subspace import PcaSubspaceDetector
 from repro.core.config import GhsomConfig, SomTrainingConfig
-from repro.data.synthetic import KddSyntheticGenerator
 from repro.eval.experiments import DetectorResult, ExperimentRunner, evaluate_detector
-from repro.eval.sweeps import dataset_size_sweep, tau_sensitivity_sweep, threshold_sweep
+from repro.eval.sweeps import tau_sensitivity_sweep, threshold_sweep
 from repro.eval.tables import format_mapping, format_series, format_table
 from repro.exceptions import ConfigurationError
 
@@ -163,25 +162,4 @@ class TestTauSweep:
         with pytest.raises(ConfigurationError):
             tau_sensitivity_sweep(
                 train_matrix, train_categories, test_matrix, test_binary_truth, tau1_values=()
-            )
-
-
-class TestDatasetSizeSweep:
-    def test_rows_per_size(self):
-        rows = dataset_size_sweep(
-            lambda: KMeansDetector(n_clusters=10, random_state=0),
-            sizes=[200, 400],
-            generator_factory=lambda: KddSyntheticGenerator(random_state=5),
-            n_test=100,
-        )
-        assert [row["n_train"] for row in rows] == [200, 400]
-        for row in rows:
-            assert row["fit_seconds"] > 0.0
-
-    def test_too_small_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            dataset_size_sweep(
-                lambda: KMeansDetector(n_clusters=5, random_state=0),
-                sizes=[5],
-                generator_factory=lambda: KddSyntheticGenerator(random_state=5),
             )

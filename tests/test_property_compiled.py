@@ -31,9 +31,6 @@ FIT_SETTINGS = {
     "suppress_health_check": [HealthCheck.too_slow, HealthCheck.data_too_large],
 }
 
-METRICS = ("euclidean", "sqeuclidean", "manhattan", "chebyshev")
-
-
 def _make_dataset(seed: int, n_clusters: int, n_features: int, n_samples: int) -> np.ndarray:
     """Clustered data so random configs actually grow multi-level trees."""
     rng = np.random.default_rng(seed)
@@ -50,9 +47,7 @@ def _random_config(data) -> GhsomConfig:
         max_map_size=data.draw(st.sampled_from([9, 16, 25])),
         max_growth_rounds=4,
         min_samples_for_expansion=data.draw(st.sampled_from([10, 25])),
-        training=SomTrainingConfig(
-            epochs=2, metric=data.draw(st.sampled_from(METRICS))
-        ),
+        training=SomTrainingConfig(epochs=2),
         random_state=data.draw(st.integers(0, 2**16)),
     )
 

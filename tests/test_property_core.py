@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.distances import chebyshev, euclidean, manhattan, squared_euclidean
+from repro.core.distances import euclidean, squared_euclidean
 from repro.core.grid import MapGrid
 from repro.core.neighborhood import bubble_neighborhood, gaussian_neighborhood
 from repro.core.quantization import (
@@ -52,7 +52,7 @@ class TestDistanceProperties:
 
     @given(data=st.data())
     @settings(**DEFAULT_SETTINGS)
-    def test_metric_ordering_property(self, data):
+    def test_euclidean_between_linf_and_l1_property(self, data):
         n_cols = data.draw(st.integers(2, 5))
         samples = data.draw(
             hnp.arrays(np.float64, (4, n_cols), elements=finite_floats)
@@ -60,13 +60,12 @@ class TestDistanceProperties:
         codebook = data.draw(
             hnp.arrays(np.float64, (3, n_cols), elements=finite_floats)
         )
-        cheb = chebyshev(samples, codebook)
+        differences = np.abs(samples[:, None, :] - codebook[None, :, :])
         eucl = euclidean(samples, codebook)
-        manh = manhattan(samples, codebook)
         # Tolerance matched to the rounding of the fast squared-distance
         # expansion at coordinate magnitudes around 100.
-        assert np.all(cheb <= eucl + 1e-4)
-        assert np.all(eucl <= manh + 1e-4)
+        assert np.all(differences.max(axis=2) <= eucl + 1e-4)
+        assert np.all(eucl <= differences.sum(axis=2) + 1e-4)
 
     @given(data=st.data(), shift=finite_floats)
     @settings(**DEFAULT_SETTINGS)

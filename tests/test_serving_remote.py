@@ -925,9 +925,17 @@ class TestParentProvisionFrame:
             # A coordinator that shipped the unresolved request sent None.
             ("engine", None, "names engine None"),
             ("metric", "cosine", "names metric 'cosine'"),
+            ("metric", "manhattan", "names metric 'manhattan'"),
             ("metric", None, "names metric None"),
         ],
-        ids=["engine-unknown", "engine-auto", "engine-none", "metric-unknown", "metric-none"],
+        ids=[
+            "engine-unknown",
+            "engine-auto",
+            "engine-none",
+            "metric-unknown",
+            "metric-manhattan",
+            "metric-none",
+        ],
     )
     def test_unrunnable_state_refused_and_connection_survives(
         self, fitted, workload, field, value, error
@@ -953,6 +961,33 @@ class TestParentProvisionFrame:
                         "run", timeout=10.0, epoch=0, shard=0,
                         matrix=workload["X_test"][:2], entries=np.zeros(2, dtype=np.intp),
                     )
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_parent_metric_entry_euclidean_served_other_fails_over(
+        self, binary_bundle, workload, reference, monkeypatch, metric
+    ):
+        """A coordinator from before the one distance sends ``metric`` in every state.
+
+        A worker serves ``"euclidean"`` (what it computes) and refuses any
+        other name, so those tasks fail over to the coordinator, and the
+        scores stay byte-identical either way.
+        """
+        value_wire = remote._value_wire
+
+        def parent_wire(shards):
+            return [{**state, "metric": metric} for state in value_wire(shards)]
+
+        monkeypatch.setattr(remote, "_value_wire", parent_wire)
+        with ShardWorkerServer(model_path=binary_bundle).start() as worker:
+            backend = RemoteBackend([worker.address])
+            result = _detect_remote(binary_bundle, workload, backend)
+        if metric == "euclidean":
+            assert backend.stats["remote_tasks"] > 0
+            assert backend.stats["failover_tasks"] == 0
+        else:
+            assert backend.stats["remote_tasks"] == 0
+            assert backend.stats["failover_tasks"] > 0
+        _assert_identical(result, reference)
 
     def test_worker_without_the_kernel_refuses_fused_states(
         self, fitted, workload, compilerless_host

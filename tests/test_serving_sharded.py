@@ -47,8 +47,6 @@ FIT_SETTINGS = {
     "suppress_health_check": [HealthCheck.too_slow, HealthCheck.data_too_large],
 }
 
-METRICS = ("euclidean", "manhattan", "chebyshev")
-
 
 def _shard(detector, n_shards=None):
     """Serve ``detector`` through ``n_shards`` root-subtree shards (``None``: unsharded)."""
@@ -79,7 +77,7 @@ def _random_config(data) -> GhsomConfig:
         max_map_size=data.draw(st.sampled_from([9, 16, 25])),
         max_growth_rounds=4,
         min_samples_for_expansion=data.draw(st.sampled_from([10, 25])),
-        training=SomTrainingConfig(epochs=2, metric=data.draw(st.sampled_from(METRICS))),
+        training=SomTrainingConfig(epochs=2),
         random_state=data.draw(st.integers(0, 2**16)),
     )
 
