@@ -421,7 +421,8 @@ class KernelProviderSeam(Rule):
 
     The fused kernel is a C library compiled on first use and loaded
     through :mod:`ctypes`: an optional accelerator behind one seam,
-    ``kernels.host_engine`` / ``kernels.fused_descent``.  Importing
+    ``kernels.host_engine`` / ``kernels.fused_descent`` /
+    ``kernels.ewma_update``.  Importing
     ``ctypes`` anywhere else loads native code around that seam, coupling
     callers to a library that may not exist in the deployment and skipping
     the probe/degrade policy.

@@ -269,11 +269,7 @@ class CompiledGhsom:
                 f"data has {matrix.shape[1]} features, the model expects {self.n_features}"
             )
         if kernels.host_engine() == "fused":
-            leaf_index, distances = kernels.fused_descent(
-                self,
-                matrix,
-                np.zeros(matrix.shape[0], dtype=np.int64),
-            )
+            leaf_index, distances = kernels.fused_descent(self, matrix)
         else:
             entry_nodes = np.zeros(matrix.shape[0], dtype=np.intp)
             leaf_index, distances = frontier_descent(

@@ -14,7 +14,15 @@ C kernel compiled on first use with the system C compiler and loaded through
 lane-transposed layout (units across SIMD lanes, padded to the vector width)
 so the hot loop is a register-tiled run of 8-samples x lane-chunk fused
 multiply-adds with a vectorised running argmin.  Measured ~2-4x over the
-numpy engine single-core.
+numpy engine single-core.  A :class:`FusedPlan` binds each model once: the
+repacked codebook and the topology stay alive in the plan and cross into C as
+plain addresses, so a call builds no pointer object for them.
+
+The same library carries :func:`ewma_update`, the recurrence of the streaming
+score EWMA (:meth:`repro.streaming.window.EwmaEstimator.update_many` calls it
+on fused hosts).  It is built without FMA contraction and runs under the
+caller's floating-point mode, so it is bit-identical to the Python loop that
+folds the EWMA elsewhere.
 
 The kernel is *optional*.  It is built once per host for ``x86-64-v4``
 (the AVX-512 level: built for AVX2, the same kernel is about 2x slower than
@@ -103,15 +111,19 @@ def fused_build_error() -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class FusedPlan:
-    """One model's codebook repacked for the fused kernels.
+    """One model's codebook repacked for the fused kernel, bound once.
 
     ``tcodebook`` holds, per node, the node's codebook transposed to
     ``(d, padded_units)`` with the unit axis padded to the SIMD lane count and
     flattened; ``tnorms`` carries ``|w|^2`` in the same lane layout with the
-    padding set to a huge value so padded lanes never win the argmin.
-    Built once per compiled model (or shard) and cached on the owning object
-    by weak reference — repacking touches every codebook page once, the
-    per-batch hot path never copies it again.
+    padding set to a huge value so padded lanes never win the argmin.  The
+    plan also holds the owner's topology as C-contiguous int64 arrays, and
+    ``addresses`` holds the addresses of all eight model-constant arrays in
+    the kernel's argument order: the plan keeps them alive, so a descent
+    passes them as plain integers instead of building a pointer object per
+    array per call.  Built once per compiled model (or shard) and cached on
+    the owning object by weak reference — repacking touches every codebook
+    page once, the per-batch hot path never copies it again.
     """
 
     tcodebook: AnyArray  # flat, lane-transposed per-node blocks
@@ -119,6 +131,15 @@ class FusedPlan:
     tnorm_offsets: AnyArray  # (n_nodes,) start of each node's lane-norm run
     punits: AnyArray  # (n_nodes,) padded unit count per node
     tnorms: AnyArray  # lane-layout |w|^2 with huge padding
+    node_offsets: AnyArray  # (n_nodes + 1,) int64, the owner's topology
+    child_of_unit: AnyArray  # (units,) int64
+    leaf_of_unit: AnyArray  # (units,) int64
+    addresses: Tuple[int, ...]  # the eight arrays above, in argument order
+    n_features: int
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self.node_offsets.shape[0]) - 1
 
 
 _plan_cache: "weakref.WeakKeyDictionary[Any, FusedPlan]" = weakref.WeakKeyDictionary()
@@ -143,7 +164,7 @@ def fused_plan(owner: Any) -> FusedPlan:
     if plan is not None:
         return plan
     codebook = np.asarray(owner.codebook)
-    node_offsets = np.asarray(owner.node_offsets, dtype=np.int64)
+    node_offsets = np.ascontiguousarray(owner.node_offsets, dtype=np.int64)
     unit_norms = np.asarray(owner.unit_norms)
     n_nodes = node_offsets.shape[0] - 1
     d = codebook.shape[1] if codebook.ndim == 2 else 0
@@ -153,8 +174,8 @@ def fused_plan(owner: Any) -> FusedPlan:
     np.cumsum(punits[:-1], out=tnorm_offsets[1:])
     toffsets = tnorm_offsets * d
     total = int(punits.sum())
-    tcodebook = np.zeros(total * d)
-    tnorms = np.full(total, 1e300)
+    tcodebook = _aligned(total * d, 0.0)
+    tnorms = _aligned(total, 1e300)
     for node in range(n_nodes):
         start, stop = int(node_offsets[node]), int(node_offsets[node + 1])
         cnt = stop - start
@@ -170,18 +191,36 @@ def fused_plan(owner: Any) -> FusedPlan:
         )
         norm_start = int(tnorm_offsets[node])
         tnorms[norm_start : norm_start + cnt] = unit_norms[start:stop]
-    plan = FusedPlan(
-        tcodebook=tcodebook,
-        toffsets=toffsets,
-        tnorm_offsets=tnorm_offsets,
-        punits=punits.astype(np.int64, copy=False),
-        tnorms=tnorms,
+    arrays = (
+        tcodebook,
+        toffsets,
+        tnorm_offsets,
+        punits.astype(np.int64, copy=False),
+        tnorms,
+        node_offsets,
+        np.ascontiguousarray(owner.child_of_unit, dtype=np.int64),
+        np.ascontiguousarray(owner.leaf_of_unit, dtype=np.int64),
     )
+    plan = FusedPlan(*arrays, addresses=tuple(map(_address, arrays)), n_features=d)
     try:
         _plan_cache[owner] = plan
     except TypeError:
         pass
     return plan
+
+
+def _aligned(size: int, fill: float) -> AnyArray:
+    """``size`` float64 values set to ``fill``, starting on a 64-byte boundary.
+
+    The kernel loads the lane codebook and lane norms one 64-byte vector at
+    a time; numpy's allocator aligns to 16 bytes, and a vector load that
+    straddles two cache lines made the whole descent about 1.3x slower.
+    """
+    buffer = np.empty(size + _LANES)
+    start = -_address(buffer) % 64 // buffer.itemsize
+    aligned = buffer[start : start + size]
+    aligned.fill(fill)
+    return aligned
 
 
 # --------------------------------------------------------------------------- #
@@ -190,35 +229,74 @@ def fused_plan(owner: Any) -> FusedPlan:
 def fused_descent(
     owner: Any,
     matrix: AnyArray,
-    entry_nodes: AnyArray,
+    entry_nodes: Optional[AnyArray] = None,
 ) -> Tuple[AnyArray, AnyArray]:
     """Run the fused kernel over ``matrix`` (already validated, float64).
 
     Drop-in for :func:`repro.core.compiled.frontier_descent` output-wise:
     returns ``(leaf_index, distances)``.  ``owner`` supplies the flat arrays
-    (and caches the kernel plan); callers check :func:`host_engine` first —
-    without the kernel this raises.
+    (and caches the kernel plan); ``entry_nodes`` holds each row's start
+    node, and ``None`` starts every row at the root.  Callers check
+    :func:`host_engine` first — without the kernel this raises.
     """
     if matrix.dtype != np.float64 or not matrix.flags["C_CONTIGUOUS"]:
         raise ConfigurationError(
             f"fused kernel unavailable for dtype={matrix.dtype}; "
             "it takes a C-contiguous float64 matrix"
         )
+    lib = _library()
     plan = fused_plan(owner)
     n, d = matrix.shape
-    node_offsets = np.ascontiguousarray(owner.node_offsets, dtype=np.int64)
-    child_of_unit = np.ascontiguousarray(owner.child_of_unit, dtype=np.int64)
-    leaf_of_unit = np.ascontiguousarray(owner.leaf_of_unit, dtype=np.int64)
-    entries = np.ascontiguousarray(entry_nodes, dtype=np.int64)
+    # Every array whose address the kernel reads is bound to a name here,
+    # so it outlives the call.
+    entries = None if entry_nodes is None else np.ascontiguousarray(entry_nodes, dtype=np.int64)
+    if d != plan.n_features or (entries is not None and entries.shape != (n,)):
+        raise ConfigurationError(
+            f"the fused kernel got {d} features and entry nodes of shape "
+            f"{None if entries is None else entries.shape} for {n} rows of a "
+            f"{plan.n_features}-feature model"
+        )
     # |x|^2 per sample: the same row-wise einsum the numpy engine runs.
     snorms = np.einsum("ij,ij->i", matrix, matrix)
     leaf_index = np.empty(n, dtype=np.int64)
     distances = np.empty(n)
-    _cc_descent(
-        plan, matrix, snorms, entries, node_offsets,
-        child_of_unit, leaf_of_unit, leaf_index, distances,
+    scratch = np.empty(3 * n + plan.n_nodes + 1, dtype=np.int64)
+    lib.fused_descent(
+        _address(matrix), n, d, *plan.addresses,
+        None if entries is None else _address(entries),
+        _address(snorms), plan.n_nodes,
+        _address(leaf_index), _address(distances), _address(scratch),
     )
     return leaf_index.astype(np.intp, copy=False), distances
+
+
+def ewma_update(
+    values: AnyArray, alpha: float, mean: float, variance: float
+) -> Tuple[int, float, float]:
+    """Fold ``values`` in order into an EWMA's ``(mean, variance)`` natively.
+
+    The recurrence of :meth:`repro.streaming.window.EwmaEstimator.update_many`
+    (whose Python loop is the oracle) in the same order of operations, built
+    without FMA contraction and run under the caller's floating-point mode, so
+    the result is bit-identical to the loop, subnormals and infinities
+    included.  It stops before the first NaN value and returns how many
+    values it folded with the new ``(mean, variance)``; the caller folds the
+    rest.  Callers check :func:`host_engine` first — without the kernel this
+    raises.
+    """
+    lib = _library()
+    batch = np.ascontiguousarray(values, dtype=np.float64)
+    if batch.ndim != 1:
+        raise ConfigurationError(f"the EWMA folds a 1-D batch, got shape {batch.shape}")
+    state = (ctypes.c_double * 2)(mean, variance)
+    folded: int = lib.ewma_update(_address(batch), batch.shape[0], alpha, state)
+    return folded, state[0], state[1]
+
+
+def _address(array: AnyArray) -> int:
+    """Where ``array``'s data starts; the caller keeps ``array`` alive."""
+    address: int = array.__array_interface__["data"][0]
+    return address
 
 
 # --------------------------------------------------------------------------- #
@@ -370,7 +448,7 @@ void fused_descent(
     const int64_t *restrict node_offsets,
     const int64_t *restrict child_of_unit,
     const int64_t *restrict leaf_of_unit,
-    const int64_t *restrict entry_nodes,
+    const int64_t *restrict entry_nodes /* NULL: every row at the root */,
     const double *restrict snorms,
     int64_t n_nodes,
     int64_t *restrict leaf_index, double *restrict distances,
@@ -383,7 +461,10 @@ void fused_descent(
     int64_t npend = n;
     const uint32_t saved_csr = csr_get();
     csr_set(saved_csr | CSR_FTZ_DAZ);
-    for (int64_t i = 0; i < n; ++i) { pending[i] = i; pnode[i] = entry_nodes[i]; }
+    for (int64_t i = 0; i < n; ++i) {
+        pending[i] = i;
+        pnode[i] = entry_nodes ? entry_nodes[i] : 0;   /* NULL: all at the root */
+    }
 
     while (npend > 0) {
         /* stable counting sort of pending rows by node */
@@ -441,6 +522,42 @@ void fused_descent(
         npend = out;
     }
     csr_set(saved_csr);
+}
+
+/* The EWMA recurrence of EwmaEstimator.update_many, value by value in the
+   Python loop's order of operations.  Contracting a multiply-add into one
+   FMA rounds once instead of twice, so contraction is off under both
+   compilers the builder may pick (gcc would otherwise emit vfmadd here),
+   and the caller's MXCSR stays as it is (no FTZ/DAZ): subnormals and
+   infinities come out as Python computes them, bit for bit.  It stops
+   before the first NaN value and returns how many values it folded: which
+   of two NaN operands an addition passes on depends on how the compiler
+   ordered them, so NaN inputs are left to the Python loop.  state is
+   {mean, variance} in and out; the mean is already initialised. */
+#if defined(__clang__)
+#define NO_FP_CONTRACT
+#else
+#define NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#endif
+NO_FP_CONTRACT
+int64_t ewma_update(
+    const double *restrict values, int64_t n, double alpha, double *restrict state)
+{
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    const double decay = 1.0 - alpha;
+    double mean = state[0];
+    double variance = state[1];
+    int64_t i = 0;
+    for (; i < n && !isnan(values[i]); ++i) {
+        const double delta = values[i] - mean;
+        mean = mean + alpha * delta;
+        variance = decay * (variance + alpha * delta * delta);
+    }
+    state[0] = mean;
+    state[1] = variance;
+    return i;
 }
 """
 
@@ -602,54 +719,23 @@ def _load_cc_library(compiler: str, build_dir: str) -> Tuple[Optional[ctypes.CDL
     lib.cpu_has_avx512f.restype = ctypes.c_int64
     if not _cpu_has_avx512f(lib):
         return None, "the CPU does not report avx512f (the kernel is built for x86-64-v4)"
-    fp = ctypes.POINTER(ctypes.c_double)
-    ip = ctypes.POINTER(ctypes.c_int64)
-    i64 = ctypes.c_int64
+    # Addresses cross as plain integers (c_void_p): building a pointer
+    # object per array would cost more than a one-row descent.
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fused_descent.argtypes = [
-        fp, i64, i64, fp, ip, ip, ip, fp, ip, ip, ip, ip, fp, i64, ip, fp, ip,
+        ptr, i64, i64, *[ptr] * 8, ptr, ptr, i64, ptr, ptr, ptr,
     ]
     lib.fused_descent.restype = None
+    lib.ewma_update.argtypes = [ptr, i64, ctypes.c_double, ptr]
+    lib.ewma_update.restype = ctypes.c_int64
     return lib, ""
 
 
-def _cc_descent(
-    plan: FusedPlan,
-    matrix: AnyArray,
-    snorms: AnyArray,
-    entries: AnyArray,
-    node_offsets: AnyArray,
-    child_of_unit: AnyArray,
-    leaf_of_unit: AnyArray,
-    leaf_index: AnyArray,
-    distances: AnyArray,
-) -> None:
+def _library() -> ctypes.CDLL:
     lib = _cc_library()[0]
     if lib is None:  # callers check host_engine() first; defensive belt
         raise ConfigurationError("the compiled-C fused kernel is unavailable")
-    n, d = matrix.shape
-    n_nodes = node_offsets.shape[0] - 1
-    scratch = np.empty(3 * n + n_nodes + 1, dtype=np.int64)
-    fp = ctypes.POINTER(ctypes.c_double)
-    ip = ctypes.POINTER(ctypes.c_int64)
-    lib.fused_descent(
-        matrix.ctypes.data_as(fp),
-        ctypes.c_int64(n),
-        ctypes.c_int64(d),
-        plan.tcodebook.ctypes.data_as(fp),
-        plan.toffsets.ctypes.data_as(ip),
-        plan.tnorm_offsets.ctypes.data_as(ip),
-        plan.punits.ctypes.data_as(ip),
-        plan.tnorms.ctypes.data_as(fp),
-        node_offsets.ctypes.data_as(ip),
-        child_of_unit.ctypes.data_as(ip),
-        leaf_of_unit.ctypes.data_as(ip),
-        entries.ctypes.data_as(ip),
-        snorms.ctypes.data_as(fp),
-        ctypes.c_int64(n_nodes),
-        leaf_index.ctypes.data_as(ip),
-        distances.ctypes.data_as(fp),
-        scratch.ctypes.data_as(ip),
-    )
+    return lib
 
 
 def _reset_for_tests() -> None:

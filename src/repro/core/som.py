@@ -127,18 +127,25 @@ class Som:
         if reinitialize:
             self.initialize_from_data(matrix)
         grid_distances = self.grid.grid_distances()
+        # |x|^2 per sample is the same in every epoch's BMU search.
+        norms = np.einsum("ij,ij->i", matrix, matrix)
         initial_radius = self._initial_radius()
         epochs = self.config.epochs
         for epoch in range(epochs):
             progress = epoch / max(epochs - 1, 1)
             radius = initial_radius * self._decay(progress)
-            self._batch_epoch(matrix, grid_distances, radius)
+            self._batch_epoch(matrix, norms, grid_distances, radius)
         self._fitted = True
         return self
 
-    def _batch_epoch(self, matrix: np.ndarray, grid_distances: np.ndarray, radius: float) -> None:
-        """One batch update: every unit moves to the neighbourhood-weighted data mean."""
-        bmus = np.argmin(squared_euclidean(matrix, self.codebook), axis=1)
+    def _batch_epoch(
+        self, matrix: np.ndarray, norms: np.ndarray, grid_distances: np.ndarray, radius: float
+    ) -> None:
+        """One batch update: every unit moves to the neighbourhood-weighted data mean.
+
+        ``norms`` is ``|x|^2`` per row of ``matrix``.
+        """
+        bmus = np.argmin(squared_euclidean(matrix, self.codebook, norms), axis=1)
         influence = self._neighborhood(grid_distances, radius)  # (units, units)
         # weights_per_sample[i, j] = influence of sample i on unit j
         weights_per_sample = influence[bmus]  # (n, units)

@@ -165,9 +165,7 @@ class ShardedGhsom:
         distances = np.zeros(n)
         # --- route: the unsharded engine's first step --------------------- #
         if kernels.host_engine() == "fused":
-            units, root_distances = kernels.fused_descent(
-                self._root_map, matrix, np.zeros(n, dtype=np.int64)
-            )
+            units, root_distances = kernels.fused_descent(self._root_map, matrix)
             at_leaf = self._root_child[units] < 0
             leaf_index[at_leaf] = self._root_leaf_row[units[at_leaf]]
             distances[at_leaf] = root_distances[at_leaf]

@@ -10,8 +10,8 @@ adds the machinery a long-running deployment needs:
   score stream; when it fires, the detector is refitted from a sliding buffer
   of recent records (self-supervised: the records the detector itself judged
   normal), which restores accuracy after genuine distribution change;
-* **bounded memory** — only the sliding buffer and a handful of scalars are
-  kept, regardless of how long the stream runs.
+* **bounded memory** — only the sliding buffer (kept under ``"refit"``) and a
+  handful of scalars are kept, regardless of how long the stream runs.
 
 The design mirrors the adaptive/online extensions proposed for GHSOM-based
 intrusion detection: the base model stays a GHSOM; adaptation happens in the
@@ -72,7 +72,8 @@ class OnlineDetector:
         ``"threshold"`` (default) adapts only the score scale,
         ``"refit"`` additionally refits the base detector when drift is
         detected, ``"none"`` disables adaptation (the static baseline in the
-        drift experiment).
+        drift experiment).  Fixed for the detector's lifetime: only
+        ``"refit"`` keeps the buffer of benign records a refit trains on.
     ewma_alpha:
         Smoothing factor of the benign-score EWMA.
     drift_detector:
@@ -101,7 +102,7 @@ class OnlineDetector:
             raise ConfigurationError(f"warmup_size must be >= 10, got {warmup_size}")
         self.detector = detector
         self.buffer_size = int(buffer_size)
-        self.adaptation = adaptation
+        self._adaptation = adaptation
         self.warmup_size = int(warmup_size)
         self.score_ewma = EwmaEstimator(alpha=ewma_alpha)
         self.drift_detector = drift_detector or MeanShiftDetector()
@@ -116,6 +117,15 @@ class OnlineDetector:
     def _detector_is_fitted(self) -> bool:
         fitted = getattr(self.detector, "is_fitted", None)
         return bool(fitted) if fitted is not None else False
+
+    @property
+    def adaptation(self) -> str:
+        """``"none"``, ``"threshold"`` or ``"refit"``, as constructed.
+
+        Read-only: the refit buffer is filled only under ``"refit"``, so a
+        mode switched on later would refit from an empty buffer.
+        """
+        return self._adaptation
 
     @property
     def is_ready(self) -> bool:
@@ -144,7 +154,7 @@ class OnlineDetector:
         drifts to higher raw scores, the scale grows with it (never below 1.0
         so a freshly calibrated detector is unchanged).
         """
-        if self.adaptation == "none" or self.score_ewma.n_updates < 10:
+        if self._adaptation == "none" or self.score_ewma.n_updates < 10:
             return 1.0
         # Benign scores sit well below 1.0 right after calibration; track
         # their mean + 3 sigma as the new "edge of normal".
@@ -190,11 +200,13 @@ class OnlineDetector:
         if benign_scores.size:
             self.score_ewma.update_many(benign_scores)
             drift_detected = self.drift_detector.update_many(benign_scores)
-        self._buffer.extend(matrix[benign_mask])
+        refitting = self._adaptation == "refit"
+        if refitting:
+            self._buffer.extend(matrix[benign_mask])
         if drift_detected:
             self.n_drift_events += 1
             self.drift_detector.reset()
-            if self.adaptation == "refit" and len(self._buffer) >= 100:
+            if refitting and len(self._buffer) >= 100:
                 self._refit_from_buffer()
                 refitted = True
         return OnlineStepResult(

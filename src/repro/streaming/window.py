@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
+from math import isnan
 from typing import Deque, Iterable, Optional, Union
 
 import numpy as np
 
 from repro._typing import AnyArray
+from repro.core import kernels
 from repro.exceptions import ConfigurationError
 
 
@@ -218,22 +220,31 @@ class EwmaEstimator:
     def update_many(self, values: Union[Iterable[float], AnyArray]) -> float:
         """Fold several observations in order and return the final mean.
 
-        The recurrence runs over local variables and is written back once,
-        so a batch costs no method call per value.
+        On the fused engine the C library folds the batch
+        (:func:`repro.core.kernels.ewma_update`); the Python loop below, over
+        local variables and written back once, folds it elsewhere and is the
+        oracle the native fold matches bit for bit.  A NaN observation, or a
+        NaN already in the state, goes to the loop.
         """
-        batch = scalar_batch(values, "EwmaEstimator").tolist()
-        alpha = self.alpha
-        decay = 1.0 - alpha
+        batch = scalar_batch(values, "EwmaEstimator")
+        self.n_updates += batch.shape[0]
         mean = self._mean
+        if mean is None:
+            if not batch.size:
+                return self.mean
+            # The first observation initialises the mean; the variance is
+            # still the 0.0 set in __init__.
+            mean, batch = float(batch[0]), batch[1:]
+        alpha = self.alpha
         variance = self._variance
-        for value in batch:
-            if mean is None:
-                mean = value  # the variance is still the 0.0 set in __init__
-            else:
-                delta = value - mean
-                mean = mean + alpha * delta
-                variance = decay * (variance + alpha * delta * delta)
+        folded = 0
+        if kernels.host_engine() == "fused" and not (isnan(mean) or isnan(variance)):
+            folded, mean, variance = kernels.ewma_update(batch, alpha, mean, variance)
+        decay = 1.0 - alpha
+        for value in batch[folded:].tolist():
+            delta = value - mean
+            mean = mean + alpha * delta
+            variance = decay * (variance + alpha * delta * delta)
         self._mean = mean
         self._variance = variance
-        self.n_updates += len(batch)
-        return self.mean
+        return mean

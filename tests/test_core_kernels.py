@@ -15,7 +15,9 @@ silently (no warning spam on compiler-less hosts), and
 
 from __future__ import annotations
 
+import gc
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -161,6 +163,15 @@ def numpy_descent(owner, matrix, entries):
     )
 
 
+def _memory_mapped(array) -> bool:
+    """Whether ``array``'s data lives in a memory map (its base chain ends in one)."""
+    while isinstance(array, np.ndarray):
+        if isinstance(array, np.memmap):
+            return True
+        array = array.base
+    return isinstance(array, mmap.mmap)
+
+
 def descend_both(owner, matrix, entries):
     """(numpy result, fused result) for the same tree/batch/entries."""
     fused = kernels.fused_descent(owner, matrix, np.ascontiguousarray(entries, dtype=np.int64))
@@ -232,6 +243,48 @@ class TestFusedEquivalence:
         owner = random_tree(rng, 6)
         assert kernels.fused_plan(owner) is kernels.fused_plan(owner)
 
+    def test_a_plan_keeps_every_array_it_addresses(self):
+        # int32 topology: the plan's int64 copies are referenced by the plan
+        # alone, and the kernel reads them by address on every call.
+        rng = np.random.default_rng(13)
+        tree = random_tree(rng, 5)
+        owner = TreeOwner(
+            tree.codebook,
+            tree.node_offsets.astype(np.int32),
+            tree.child_of_unit.astype(np.int32),
+            tree.leaf_of_unit.astype(np.int32),
+            tree.unit_norms,
+        )
+        matrix = rng.normal(size=(37, 5))
+        first = kernels.fused_descent(owner, matrix)
+        plan = kernels.fused_plan(owner)
+        held = (
+            plan.tcodebook, plan.toffsets, plan.tnorm_offsets, plan.punits,
+            plan.tnorms, plan.node_offsets, plan.child_of_unit, plan.leaf_of_unit,
+        )
+        assert plan.addresses == tuple(map(kernels._address, held))
+        assert {kernels._address(plan.tcodebook) % 64, kernels._address(plan.tnorms) % 64} == {0}
+        gc.collect()
+        scribble = [np.full(array.size, -1, dtype=array.dtype) for array in held]
+        second = kernels.fused_descent(owner, matrix)
+        assert scribble and second[0].tobytes() == first[0].tobytes()
+        assert second[1].tobytes() == first[1].tobytes()
+        np.testing.assert_array_equal(
+            first[0], numpy_descent(tree, matrix, np.zeros(37, dtype=np.intp))[0]
+        )
+
+    def test_a_mismatched_width_or_entry_count_is_refused(self):
+        # The kernel reads d features per row and one entry node per row
+        # by address; a mismatch is a typed error, never an out-of-bounds read.
+        rng = np.random.default_rng(3)
+        owner = random_tree(rng, 4)
+        with pytest.raises(ConfigurationError, match="3 features"):
+            kernels.fused_descent(owner, rng.normal(size=(2, 3)))
+        with pytest.raises(ConfigurationError, match=r"shape \(1,\) for 2 rows"):
+            kernels.fused_descent(owner, rng.normal(size=(2, 4)), np.zeros(1, dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="1-D batch"):
+            kernels.ewma_update(np.zeros((2, 2)), 0.5, 0.0, 0.0)
+
     def test_non_float64_matrix_is_refused(self):
         # The kernel reads doubles; any other dtype is a typed error, never
         # a reinterpretation of the buffer.
@@ -295,6 +348,37 @@ class TestDetectorEngineEquivalence:
         np.testing.assert_array_equal(numpy.leaf_index, reference.leaf_index)
         np.testing.assert_array_equal(numpy.predictions, reference.predictions)
         assert numpy.categories == reference.categories
+
+    def test_a_memory_mapped_shard_plan_outlives_garbage_collection(
+        self, detector, test_matrix, tmp_path
+    ):
+        from repro.core.serialization import load_detector, save_detector
+
+        path = tmp_path / "model.json"
+        save_detector(detector, path)
+        expected = detector.detect(test_matrix).scores.tobytes()
+        loaded = load_detector(path, overrides={"shards": 2})
+        assert loaded.detect(test_matrix).scores.tobytes() == expected
+        shard = loaded._sharded.shards[1]
+        compiled = loaded._compiled_model()
+        plans = [kernels.fused_plan(shard), kernels.fused_plan(compiled)]
+        # The plans bind the owners' topology arrays, not copies of them; the
+        # unsharded model's are pages of the memory-mapped sidecar.
+        assert np.shares_memory(plans[0].child_of_unit, shard.child_of_unit)
+        assert _memory_mapped(plans[1].child_of_unit)
+        entries = np.zeros(test_matrix.shape[0], dtype=np.int64)
+        first = [kernels.fused_descent(owner, test_matrix, entries) for owner in (shard, compiled)]
+        del loaded
+        gc.collect()
+        for owner, plan, (leaf, dist) in zip((shard, compiled), plans, first, strict=True):
+            again = kernels.fused_descent(owner, test_matrix, entries)
+            assert kernels.fused_plan(owner) is plan
+            assert again[0].tobytes() == leaf.tobytes()
+            assert again[1].tobytes() == dist.tobytes()
+        reloaded = load_detector(path, overrides={"shards": 2})
+        assert reloaded.detect(test_matrix).scores.tobytes() == expected
+        gc.collect()
+        assert reloaded.detect(test_matrix).scores.tobytes() == expected
 
     def test_sharded_fused_leaves_match(self, detector, test_matrix):
         from repro.serving import ShardedGhsom

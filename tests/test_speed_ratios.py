@@ -3,16 +3,16 @@
 Every test times both sides on the same fitted model and the same rows, best
 of a few repetitions each (the median of many calls for one-record round
 trips, and of alternating calls for the memmap-against-in-RAM descent, the
-fused-against-numpy engine, the columnar transform and the drift screen),
-and asserts the ratio.  A ratio taken in
-one run cancels the machine's absolute speed, so the bounds hold on a
-laptop and a shared CI runner alike.  BLAS pools are pinned to one thread in CI, so both sides of
+fused-against-numpy engine, the columnar transform, the drift screen and
+the native EWMA), and asserts the ratio.  A ratio taken in one run cancels
+the machine's absolute speed, so the bounds hold on a laptop and a shared CI
+runner alike.  BLAS pools are pinned to one thread in CI, so both sides of
 every ratio run single-threaded.
 
 Correctness of each path (bit-identity, exact leaves, tree-free loads) is
 gated by the test module that owns it; these tests only check that no fast
-path has fallen behind the path it replaced.  The fused ratio skips on a
-host without a fused kernel provider.
+path has fallen behind the path it replaced.  The fused and native EWMA
+ratios skip on a host without the fused kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.serving import (
     subtrees_from_compiled,
 )
 from repro.streaming.drift import MeanShiftDetector
+from repro.streaming.window import EwmaEstimator
 
 from legacy_artifacts import v2_payload
 from legacy_descent import legacy_score_samples
@@ -373,3 +374,36 @@ def test_screened_drift_beats_row_reductions():
         if ratios[-1] >= 3.0:
             break
     assert ratios[-1] >= 3.0, ratios
+
+
+def test_native_ewma_beats_the_python_recurrence():
+    # Twenty windows of 450 benign scores, the size OnlineDetector feeds its
+    # score EWMA: the fold in the C library against the Python loop, which
+    # folds them on a host without the kernel.
+    if kernels.host_engine() != "fused":
+        pytest.skip(f"no fused kernel available: {kernels.fused_build_error()}")
+    batches = np.abs(np.random.default_rng(SEED).normal(0.4, 0.15, (20, 450)))
+
+    def fold(estimator: EwmaEstimator) -> float:
+        started = time.perf_counter()
+        for batch in batches:
+            estimator.update_many(batch)
+        return time.perf_counter() - started
+
+    def on_a_host_without_the_kernel() -> float:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_cc_library", lambda: (None, "python side"))
+            return fold(EwmaEstimator(alpha=0.02))
+
+    sides = (on_a_host_without_the_kernel, lambda: fold(EwmaEstimator(alpha=0.02)))
+    # Alternate the sides call by call and compare medians, so a slow
+    # stretch of the host hits both.  A regression slows every measurement;
+    # one retry absorbs a noisy one.
+    ratios = []
+    for _ in range(2):
+        times = np.array([[side() for side in sides] for _ in range(30)])
+        python_seconds, native_seconds = np.median(times, axis=0)
+        ratios.append(float(native_seconds / python_seconds))
+        if ratios[-1] <= 0.25:
+            break
+    assert ratios[-1] <= 0.25, ratios

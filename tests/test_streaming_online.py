@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.detector import GhsomDetector
 from repro.data.preprocess import PreprocessingPipeline
 from repro.data.synthetic import KddSyntheticGenerator
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.streaming.drift import MeanShiftDetector
 from repro.streaming.online_detector import OnlineDetector
 from repro.streaming.pipeline import StreamingPipeline, make_drifting_stream
 
@@ -224,6 +227,61 @@ class TestAdaptation:
         for start in range(0, 1200, 300):
             online.process(X[start : start + 300])
         assert online.n_refits >= 0  # refitting only happens when drift fires
+        assert len(online._buffer) == 500
+
+    @pytest.mark.parametrize("adaptation", ["none", "threshold"])
+    def test_only_refit_allocates_the_buffer(self, stream_setup, adaptation):
+        detector, X, _ = stream_setup
+        online = OnlineDetector(detector, adaptation=adaptation, buffer_size=500)
+        for start in range(0, 1200, 300):
+            online.process(X[start : start + 300])
+        assert len(online._buffer) == 0
+        assert online._buffer.n_features is None  # the ring was never allocated
+
+    def test_adaptation_is_read_only(self, stream_setup):
+        detector, _, _ = stream_setup
+        online = OnlineDetector(detector, adaptation="threshold")
+        with pytest.raises(AttributeError):
+            online.adaptation = "refit"
+        assert online.adaptation == "threshold"
+
+    def test_seeded_drift_stream_refits_as_recorded(self):
+        # Recorded on both engines before the buffer was confined to "refit":
+        # four drift events, each refitting from the buffer, and the same
+        # alarms on every record.
+        X, y, drift_at = make_drifting_stream(
+            lambda seed: KddSyntheticGenerator(random_state=seed),
+            n_before=1500,
+            n_after=1500,
+            drift_scale=4.0,
+            random_state=5,
+        )
+        config = GhsomConfig(
+            tau1=0.35,
+            tau2=0.1,
+            max_depth=2,
+            max_map_size=49,
+            training=SomTrainingConfig(epochs=4),
+            random_state=0,
+        )
+        detector = GhsomDetector(config, random_state=0)
+        detector.fit(X[:drift_at][y[:drift_at] == 0][:800])
+        online = OnlineDetector(
+            detector,
+            adaptation="refit",
+            buffer_size=500,
+            drift_detector=MeanShiftDetector(reference_size=100, recent_size=30, sensitivity=0.5),
+        )
+        steps = [online.process(X[start : start + 250]) for start in range(0, X.shape[0], 250)]
+        predictions = np.concatenate([step.predictions for step in steps])
+        scores = np.concatenate([step.scores for step in steps])
+        assert (online.n_refits, online.n_drift_events) == (4, 4)
+        assert [step.refitted for step in steps].count(True) == 4
+        assert int(predictions.sum()) == 276
+        assert hashlib.sha256(predictions.astype(np.int8).tobytes()).hexdigest() == (
+            "da010d1645128433a5472427e2e25cde72cc90ef481d992c08d7e64cfb433f29"
+        )
+        assert float(scores.sum()) == pytest.approx(2103.5515851, rel=1e-9)
 
 
 class TestStreamingPipeline:
