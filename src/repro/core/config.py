@@ -8,12 +8,10 @@ the benchmark sweeps vary one parameter at a time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Mapping
+from typing import Callable, Dict, Mapping
 
 import numpy as np
 
-from repro.core.decay import available_decays
-from repro.core.neighborhood import available_neighborhoods
 from repro.exceptions import ConfigurationError
 
 
@@ -32,11 +30,16 @@ def as_integer(value: object, name: str) -> int:
     raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a real number (a bool is not)."""
+    return not isinstance(value, (bool, np.bool_)) and isinstance(
+        value, (int, float, np.integer, np.floating)
+    )
+
+
 def _check_real(value: object, name: str) -> None:
     """Refuse a float field's value that is not a real number (or is a bool)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
+    if not _is_real(value):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
 
 
@@ -64,44 +67,19 @@ class SomTrainingConfig:
     ----------
     epochs:
         Number of passes over the training data per growth round.
-    learning_rate:
-        Initial learning rate; decays according to ``decay``.
-    initial_radius:
-        Initial neighbourhood radius; ``None`` (encoded as 0.0) lets the map
-        choose half of its larger side.
-    neighborhood:
-        Name of the neighbourhood kernel (see :mod:`repro.core.neighborhood`).
-    decay:
-        Name of the decay schedule for both learning rate and radius.
 
-    Distances are always Euclidean: BMU search, quantization errors and the
-    served anomaly score.
+    Every layer trains with the batch rule under a Gaussian neighbourhood
+    whose radius starts at half the map's larger side and decays as
+    ``exp(-4 t)``.  Distances are always Euclidean: BMU search, quantization
+    errors and the served anomaly score.
     """
 
     epochs: int = 10
-    learning_rate: float = 0.5
-    initial_radius: float = 0.0
-    neighborhood: str = "gaussian"
-    decay: str = "exponential"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epochs", as_integer(self.epochs, "epochs"))
-        _check_real(self.learning_rate, "learning_rate")
-        _check_real(self.initial_radius, "initial_radius")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigurationError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
-        if not self.initial_radius >= 0.0:  # NaN too: it would read as "auto"
-            raise ConfigurationError(
-                f"initial_radius must be >= 0 (0 = auto), got {self.initial_radius}"
-            )
-        if self.neighborhood not in available_neighborhoods():
-            raise ConfigurationError(f"unknown neighborhood {self.neighborhood!r}")
-        if self.decay not in available_decays():
-            raise ConfigurationError(f"unknown decay {self.decay!r}")
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict representation (for logging and serialization)."""
@@ -111,20 +89,36 @@ class SomTrainingConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "SomTrainingConfig":
         """Inverse of :meth:`to_dict` (strictly validated).
 
-        Configs stored while the distance was selectable carry a ``metric``
-        entry: ``"euclidean"``, the only distance, is read as absent, and any
-        other value is refused.
+        Configs stored while training had more settings carry their keys: a
+        key of :data:`_RETIRED_KEYS` is read as absent when its value is one
+        today's training rule accepts, and refused otherwise.
         """
         payload = _section(data, "training")
-        if "metric" in payload:
-            metric = payload.pop("metric")
-            if metric != "euclidean":
+        for key, accepts in _RETIRED_KEYS.items():
+            if key not in payload:
+                continue
+            value = payload.pop(key)
+            if not accepts(value):
                 raise ConfigurationError(
-                    f"unsupported distance metric {metric!r}; models are trained "
-                    "on Euclidean distance only"
+                    f"unsupported training {key} {value!r}: every layer trains with "
+                    "the batch rule, a Gaussian neighbourhood whose radius decays as "
+                    "exp(-4t) from half the map's larger side, and Euclidean distance"
                 )
         _check_keys(cls, payload)
         return cls(**payload)  # type: ignore[arg-type]
+
+
+#: Keys of stored training sections that no longer name a setting, each with
+#: a test for the values that trained exactly as layers train now.
+#: ``learning_rate`` was never read, so every value that was once valid passes.
+#: Any other value is refused, since a refit would train differently.
+_RETIRED_KEYS: Dict[str, Callable[[object], bool]] = {
+    "metric": lambda value: value == "euclidean",
+    "neighborhood": lambda value: value == "gaussian",
+    "decay": lambda value: value == "exponential",
+    "initial_radius": lambda value: _is_real(value) and value == 0.0,
+    "learning_rate": lambda value: _is_real(value) and 0.0 < value <= 1.0,  # type: ignore[operator]
+}
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ class Ghsom:
         return self
 
     def _record_unit_statistics(self, node: GhsomNode, data: np.ndarray) -> None:
-        node.unit_qe = node.layer.unit_errors(data, reduction="mean")
+        node.unit_qe = node.layer.unit_errors(data)
         node.unit_count = node.layer.unit_counts(data)
 
     def _expand_node(self, node: GhsomNode, data: np.ndarray) -> None:

@@ -181,7 +181,7 @@ class GrowingSom:
 
     def _find_error_unit(self, matrix: np.ndarray) -> Tuple[int, int]:
         """The populated unit with the highest QE and its most dissimilar neighbour."""
-        errors = self.som.unit_errors(matrix, reduction="mean")
+        errors = self.som.unit_errors(matrix)
         counts = self.som.unit_counts(matrix)
         candidate_errors = np.where(counts > 0, errors, -np.inf)
         error_unit = int(np.argmax(candidate_errors))
@@ -243,10 +243,10 @@ class GrowingSom:
         self._check_fitted()
         return self.som.quantization_distances(data)
 
-    def unit_errors(self, data, *, reduction: str = "mean") -> np.ndarray:
-        """Per-unit quantization errors of ``data`` on the layer."""
+    def unit_errors(self, data) -> np.ndarray:
+        """Per-unit mean quantization errors of ``data`` on the layer."""
         self._check_fitted()
-        return self.som.unit_errors(data, reduction=reduction)
+        return self.som.unit_errors(data)
 
     def unit_counts(self, data) -> np.ndarray:
         """Samples mapped to each unit."""

@@ -2,8 +2,8 @@
 
 These are the quality measures GHSOM growth decisions are based on:
 
-* the **quantization error (QE)** of a unit is the summed (or mean) Euclidean
-  distance of the samples mapped to it from its weight vector;
+* the **quantization error (QE)** of a unit is the mean Euclidean distance of
+  the samples mapped to it from its weight vector;
 * the **mean quantization error (MQE)** of a map is the average unit QE over
   units that have at least one mapped sample;
 * ``qe0`` is the quantization error of the whole dataset with respect to its
@@ -41,10 +41,8 @@ def unit_quantization_errors(
     data,
     codebook,
     assignments: Optional[np.ndarray] = None,
-    *,
-    reduction: str = "mean",
 ) -> np.ndarray:
-    """Per-unit quantization error.
+    """Per-unit quantization error: the mean distance of the samples mapped to a unit.
 
     Parameters
     ----------
@@ -54,9 +52,6 @@ def unit_quantization_errors(
         Unit weight matrix ``(u, d)``.
     assignments:
         Optional precomputed BMU index per sample; computed if omitted.
-    reduction:
-        ``"mean"`` (mean distance of mapped samples, classic MQE building
-        block) or ``"sum"`` (total distance, emphasising populous units).
 
     Returns
     -------
@@ -72,10 +67,6 @@ def unit_quantization_errors(
     n_units = weights.shape[0]
     totals = np.bincount(assignments, weights=sample_distances, minlength=n_units)
     counts = np.bincount(assignments, minlength=n_units)
-    if reduction == "sum":
-        return totals
-    if reduction != "mean":
-        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     errors = np.zeros(n_units)
     populated = counts > 0
     errors[populated] = totals[populated] / counts[populated]

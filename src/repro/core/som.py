@@ -3,7 +3,9 @@
 This is the building block the growing layers are made of, and it doubles as
 the "flat SOM" baseline the paper's evaluation compares against.  Training
 uses the batch update rule, because each GHSOM layer is retrained several
-times during growth.  Every distance is Euclidean.
+times during growth: a Gaussian neighbourhood whose radius starts at half the
+map's larger side and decays as ``exp(-4 t)`` over the epochs.  Every distance
+is Euclidean.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import SomTrainingConfig
-from repro.core.decay import get_decay
 from repro.core.distances import euclidean, squared_euclidean
 from repro.core.grid import MapGrid
-from repro.core.neighborhood import get_neighborhood
 from repro.core.quantization import (
     average_sample_error,
     mean_quantization_error,
@@ -38,7 +38,7 @@ class Som:
     n_features:
         Dimensionality of the input vectors.
     config:
-        Training hyper-parameters (epochs, learning rate, kernel, ...).
+        Training hyper-parameters (the number of epochs).
     random_state:
         Seed or generator used for codebook initialisation and shuffling.
 
@@ -67,8 +67,6 @@ class Som:
         self.config = config or SomTrainingConfig()
         self._rng = ensure_rng(random_state)
         self.codebook = self._rng.random((self.grid.n_units, self.n_features))
-        self._neighborhood = get_neighborhood(self.config.neighborhood)
-        self._decay = get_decay(self.config.decay)
         self._fitted = False
 
     # ------------------------------------------------------------------ #
@@ -84,11 +82,6 @@ class Som:
         """Whether :meth:`fit` has been called."""
         return self._fitted
 
-    def _initial_radius(self) -> float:
-        if self.config.initial_radius > 0.0:
-            return self.config.initial_radius
-        return self.grid.initial_radius()
-
     # ------------------------------------------------------------------ #
     # initialisation
     # ------------------------------------------------------------------ #
@@ -99,7 +92,7 @@ class Som:
         support, which converges noticeably faster than uniform random
         initialisation for the sparse KDD feature vectors.
         """
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
+        matrix = self._matrix(data)
         indices = self._rng.integers(0, matrix.shape[0], size=self.n_units)
         jitter = self._rng.normal(0.0, 1e-3, size=(self.n_units, self.n_features))
         self.codebook = matrix[indices].copy() + jitter
@@ -119,21 +112,17 @@ class Som:
     # ------------------------------------------------------------------ #
     def fit(self, data, *, reinitialize: bool = True) -> "Som":
         """Train the map on ``data`` for ``config.epochs`` epochs (batch rule)."""
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        if matrix.shape[1] != self.n_features:
-            raise DataValidationError(
-                f"data has {matrix.shape[1]} features, the map expects {self.n_features}"
-            )
+        matrix = self._matrix(data)
         if reinitialize:
             self.initialize_from_data(matrix)
         grid_distances = self.grid.grid_distances()
         # |x|^2 per sample is the same in every epoch's BMU search.
         norms = np.einsum("ij,ij->i", matrix, matrix)
-        initial_radius = self._initial_radius()
+        initial_radius = self.grid.initial_radius()
         epochs = self.config.epochs
         for epoch in range(epochs):
             progress = epoch / max(epochs - 1, 1)
-            radius = initial_radius * self._decay(progress)
+            radius = initial_radius * float(np.exp(-4.0 * progress))
             self._batch_epoch(matrix, norms, grid_distances, radius)
         self._fitted = True
         return self
@@ -143,10 +132,11 @@ class Som:
     ) -> None:
         """One batch update: every unit moves to the neighbourhood-weighted data mean.
 
-        ``norms`` is ``|x|^2`` per row of ``matrix``.
+        ``norms`` is ``|x|^2`` per row of ``matrix``.  ``radius`` is at least
+        ``exp(-4)``, as every map's initial radius is at least 1.
         """
         bmus = np.argmin(squared_euclidean(matrix, self.codebook, norms), axis=1)
-        influence = self._neighborhood(grid_distances, radius)  # (units, units)
+        influence = np.exp(-np.square(grid_distances) / (2.0 * radius * radius))  # (units, units)
         # weights_per_sample[i, j] = influence of sample i on unit j
         weights_per_sample = influence[bmus]  # (n, units)
         denominator = weights_per_sample.sum(axis=0)  # (units,)
@@ -163,38 +153,44 @@ class Som:
         if not self._fitted:
             raise NotFittedError("Som must be fitted before it can be used for inference")
 
+    def _matrix(self, data) -> np.ndarray:
+        """``data`` as a validated float64 matrix exactly ``n_features`` wide."""
+        matrix = check_array_2d(data, "data")
+        if matrix.shape[1] != self.n_features:
+            raise DataValidationError(
+                f"data has {matrix.shape[1]} features, the map expects {self.n_features}"
+            )
+        return matrix
+
     def transform(self, data) -> np.ndarray:
         """Best matching unit index for each sample."""
         self._check_fitted()
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        return np.argmin(squared_euclidean(matrix, self.codebook), axis=1)
+        return np.argmin(squared_euclidean(self._matrix(data), self.codebook), axis=1)
 
     def quantization_distances(self, data) -> np.ndarray:
         """Euclidean distance of each sample to its BMU."""
         self._check_fitted()
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        return euclidean(matrix, self.codebook).min(axis=1)
+        return euclidean(self._matrix(data), self.codebook).min(axis=1)
 
-    def unit_errors(self, data, *, reduction: str = "mean") -> np.ndarray:
-        """Per-unit quantization error of ``data`` on this map."""
+    def unit_errors(self, data) -> np.ndarray:
+        """Per-unit mean quantization error of ``data`` on this map."""
         self._check_fitted()
-        matrix = check_array_2d(data, "data", min_cols=self.n_features)
-        return unit_quantization_errors(matrix, self.codebook, reduction=reduction)
+        return unit_quantization_errors(self._matrix(data), self.codebook)
 
     def mean_quantization_error(self, data) -> float:
         """Mean per-unit quantization error (MQE) of ``data`` on this map."""
         self._check_fitted()
-        return mean_quantization_error(data, self.codebook)
+        return mean_quantization_error(self._matrix(data), self.codebook)
 
     def average_sample_error(self, data) -> float:
         """Mean BMU distance per sample."""
         self._check_fitted()
-        return average_sample_error(data, self.codebook)
+        return average_sample_error(self._matrix(data), self.codebook)
 
     def topographic_error(self, data) -> float:
         """Topology-preservation error of the map on ``data``."""
         self._check_fitted()
-        return topographic_error(data, self.codebook, self.grid)
+        return topographic_error(self._matrix(data), self.codebook, self.grid)
 
     def unit_counts(self, data) -> np.ndarray:
         """Number of samples mapped to each unit."""

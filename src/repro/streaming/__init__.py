@@ -2,7 +2,7 @@
 
 from repro.streaming.alerts import AlertAggregator, Incident
 from repro.streaming.window import EwmaEstimator, SlidingMatrixWindow, SlidingWindow
-from repro.streaming.drift import DriftDetector, MeanShiftDetector, PageHinkleyDetector
+from repro.streaming.drift import DriftDetector, MeanShiftDetector
 from repro.streaming.online_detector import OnlineDetector
 from repro.streaming.pipeline import StreamingPipeline, WindowReport
 
@@ -14,7 +14,6 @@ __all__ = [
     "SlidingWindow",
     "DriftDetector",
     "MeanShiftDetector",
-    "PageHinkleyDetector",
     "OnlineDetector",
     "StreamingPipeline",
     "WindowReport",

@@ -5,7 +5,7 @@ patterns); a detector calibrated on last month's traffic slowly degrades.  The
 online pipeline watches the anomaly-score stream of records it believes are
 normal — if that stream shifts upward persistently, either the traffic changed
 or a slow attack is underway, and the pipeline reacts (re-calibrates or
-re-fits).  Two standard change detectors are provided.
+re-fits).  ``MeanShiftDetector`` is the change detector it uses.
 """
 
 from __future__ import annotations
@@ -60,73 +60,11 @@ class DriftDetector(abc.ABC):
         """Forget all state (called after the caller has reacted to drift)."""
 
 
-class PageHinkleyDetector(DriftDetector):
-    """Page–Hinkley test for an upward shift in the mean of a stream.
-
-    Parameters
-    ----------
-    delta:
-        Magnitude of changes to ignore (tolerated drift per observation).
-    threshold:
-        Alarm when the cumulative deviation exceeds this value.
-    min_observations:
-        Number of observations required before an alarm may fire.
-    """
-
-    def __init__(
-        self,
-        *,
-        delta: float = 0.005,
-        threshold: float = 5.0,
-        min_observations: int = 30,
-    ) -> None:
-        if threshold <= 0:
-            raise ConfigurationError(f"threshold must be positive, got {threshold}")
-        if min_observations < 1:
-            raise ConfigurationError(
-                f"min_observations must be >= 1, got {min_observations}"
-            )
-        self.delta = float(delta)
-        self.threshold = float(threshold)
-        self.min_observations = int(min_observations)
-        self.reset()
-
-    def reset(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._cumulative = 0.0
-        self._minimum = 0.0
-
-    def update(self, value: float) -> bool:
-        return self.update_many((value,))
-
-    def update_many(self, values: Union[Iterable[float], AnyArray]) -> bool:
-        # The recurrence runs over local variables and is written back once,
-        # so a batch costs no method call per value.
-        count, mean = self._count, self._mean
-        cumulative, minimum = self._cumulative, self._minimum
-        delta, threshold = self.delta, self.threshold
-        min_observations = self.min_observations
-        fired = False
-        for value in scalar_batch(values, "PageHinkleyDetector").tolist():
-            count += 1
-            # Running mean of the stream so far.
-            mean += (value - mean) / count
-            cumulative += value - mean - delta
-            minimum = min(minimum, cumulative)
-            if count >= min_observations and (cumulative - minimum) > threshold:
-                fired = True
-        self._count, self._mean = count, mean
-        self._cumulative, self._minimum = cumulative, minimum
-        return fired
-
-
 class MeanShiftDetector(DriftDetector):
     """Compares the mean of a recent window against a reference window.
 
     Alarm when the recent mean exceeds the reference mean by more than
-    ``sensitivity`` reference standard deviations.  Simpler and easier to
-    reason about than Page–Hinkley; used as the default in the pipeline
+    ``sensitivity`` reference standard deviations.  The pipeline's default,
     because its false-alarm behaviour is easy to control.
 
     With ``R = reference_size`` and ``W = recent_size``, the state is the

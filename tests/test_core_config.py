@@ -4,49 +4,122 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.core.config import GhsomConfig, SomTrainingConfig
 from repro.exceptions import ConfigurationError
 
+#: The training section every golden artifact (v1-v3) stores.
+GOLDEN_TRAINING = {
+    "epochs": 3,
+    "learning_rate": 0.5,
+    "initial_radius": 0.0,
+    "neighborhood": "gaussian",
+    "decay": "exponential",
+    "metric": "euclidean",
+}
+
 
 class TestSomTrainingConfig:
     def test_defaults_are_valid(self):
-        config = SomTrainingConfig()
-        assert config.epochs >= 1
-        assert 0 < config.learning_rate <= 1
+        assert SomTrainingConfig().epochs >= 1
 
     def test_round_trip_dict(self):
-        config = SomTrainingConfig(epochs=7, learning_rate=0.3, neighborhood="bubble")
+        config = SomTrainingConfig(epochs=7)
+        assert config.to_dict() == {"epochs": 7}
         assert SomTrainingConfig.from_dict(config.to_dict()) == config
 
-    def test_distance_is_not_a_field(self):
-        assert [item.name for item in fields(SomTrainingConfig)] == [
-            "epochs",
-            "learning_rate",
-            "initial_radius",
-            "neighborhood",
-            "decay",
-        ]
-        assert "metric" not in SomTrainingConfig().to_dict()
-        with pytest.raises(TypeError):
-            SomTrainingConfig(metric="euclidean")
+    def test_epochs_is_the_only_field(self):
+        assert tuple(item.name for item in fields(SomTrainingConfig)) == ("epochs",)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"epochs": 0},
-            {"learning_rate": 0.0},
-            {"learning_rate": 1.5},
-            {"initial_radius": -1.0},
-            {"initial_radius": float("nan")},
-            {"neighborhood": "donut"},
-            {"decay": "warp"},
-        ],
+        ("name", "value"), [item for item in GOLDEN_TRAINING.items() if item[0] != "epochs"]
     )
-    def test_invalid_values_rejected(self, kwargs):
+    def test_retired_settings_are_not_arguments(self, name, value):
+        with pytest.raises(TypeError):
+            SomTrainingConfig(**{name: value})
+
+    def test_invalid_epochs_rejected(self):
         with pytest.raises(ConfigurationError):
-            SomTrainingConfig(**kwargs)
+            SomTrainingConfig(epochs=0)
+
+
+#: Stored values of retired training keys that train exactly as layers train
+#: now, so they read as absent.  ``learning_rate`` was never read: every value
+#: that was once valid, a real number in (0, 1], is dropped.
+ACCEPTED_RETIRED_VALUES = [
+    ("initial_radius", 0),
+    ("initial_radius", -0.0),
+    ("initial_radius", np.float64(0.0)),
+    ("learning_rate", 1.0),
+    ("learning_rate", 5e-324),
+    ("learning_rate", 1),
+    ("learning_rate", np.float32(0.25)),
+]
+
+#: Stored values that are refused: a variant of the rule that would train
+#: differently on a refit, or a ``learning_rate`` that was never valid.
+REFUSED_RETIRED_VALUES = [
+    ("metric", "manhattan"),
+    ("metric", None),
+    ("neighborhood", "bubble"),
+    ("neighborhood", "mexican_hat"),
+    ("neighborhood", "donut"),
+    ("decay", "linear"),
+    ("decay", "inverse"),
+    ("decay", "constant"),
+    ("decay", 4),
+    ("initial_radius", 2.5),
+    ("initial_radius", 1),
+    ("initial_radius", -1.0),
+    ("initial_radius", float("nan")),
+    ("initial_radius", False),
+    ("initial_radius", "0"),
+    ("learning_rate", 0),
+    ("learning_rate", 0.0),
+    ("learning_rate", 1.5),
+    ("learning_rate", -0.5),
+    ("learning_rate", float("nan")),
+    ("learning_rate", True),
+    ("learning_rate", "0.5"),
+    ("learning_rate", None),
+]
+
+
+class TestStoredTrainingSection:
+    def test_golden_section_reads_as_its_epochs(self):
+        assert SomTrainingConfig.from_dict(GOLDEN_TRAINING) == SomTrainingConfig(epochs=3)
+
+    def test_golden_section_nested_in_a_ghsom_config(self):
+        payload = {**GhsomConfig().to_dict(), "training": GOLDEN_TRAINING}
+        assert GhsomConfig.from_dict(payload).training == SomTrainingConfig(epochs=3)
+
+    def test_writers_store_only_epochs(self):
+        assert GhsomConfig().to_dict()["training"] == {"epochs": 10}
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        ACCEPTED_RETIRED_VALUES,
+        ids=[f"{key}={value!r}" for key, value in ACCEPTED_RETIRED_VALUES],
+    )
+    def test_value_that_trains_the_same_reads_as_absent(self, key, value):
+        stored = {**GOLDEN_TRAINING, key: value}
+        assert SomTrainingConfig.from_dict(stored) == SomTrainingConfig(epochs=3)
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["training", "ghsom"])
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        REFUSED_RETIRED_VALUES,
+        ids=[f"{key}={value!r}" for key, value in REFUSED_RETIRED_VALUES],
+    )
+    def test_other_value_is_refused_by_name(self, key, value, nested):
+        stored = {**GOLDEN_TRAINING, key: value}
+        with pytest.raises(ConfigurationError, match=f"training {key} "):
+            if nested:
+                GhsomConfig.from_dict({**GhsomConfig().to_dict(), "training": stored})
+            else:
+                SomTrainingConfig.from_dict(stored)
 
 
 class TestGhsomConfig:
@@ -100,8 +173,6 @@ MISTYPED_FIELDS = [
     (SomTrainingConfig, "epochs", True),
     (SomTrainingConfig, "epochs", 2.5),
     (SomTrainingConfig, "epochs", "3"),
-    (SomTrainingConfig, "learning_rate", "0.5"),
-    (SomTrainingConfig, "initial_radius", False),
     (GhsomConfig, "max_depth", 2.5),
     (GhsomConfig, "max_map_size", "9"),
     (GhsomConfig, "max_growth_rounds", None),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,24 @@ class TestFitting:
         first = Ghsom(deep_config).fit(hierarchical_data)
         second = Ghsom(deep_config).fit(hierarchical_data)
         assert first.topology_summary() == second.topology_summary()
+
+    def test_seeded_fit_is_byte_identical(self):
+        # Pins the batch training rule (Gaussian neighbourhood, exp(-4t)
+        # radius schedule, growth decisions) bit for bit: any change to the
+        # arithmetic of a layer's fit moves this digest.
+        rng = np.random.default_rng(7)
+        centres = rng.uniform(0.0, 1.0, size=(6, 6))
+        data = centres[rng.integers(0, 6, size=1500)] + rng.normal(0.0, 0.05, size=(1500, 6))
+        config = GhsomConfig(training=SomTrainingConfig(epochs=4), random_state=7)
+        model = Ghsom(config).fit(data)
+        digest = hashlib.sha256()
+        for node in model.iter_nodes():
+            digest.update(node.node_id.encode())
+            digest.update(np.ascontiguousarray(node.layer.codebook).tobytes())
+        assert (model.n_maps, model.n_units, model.depth) == (7, 744, 2)
+        assert digest.hexdigest() == (
+            "fe454df3bece6c139b5b82bac4282dac275e673f36ea1e91ac6ba0a7930e386d"
+        )
 
     def test_node_ids_are_unique_paths(self, fitted_ghsom):
         node_ids = [node.node_id for node in fitted_ghsom.iter_nodes()]

@@ -46,17 +46,6 @@ class TestUnitQuantizationErrors:
         assert errors[1] == 0.0
         assert errors[0] > 0.0
 
-    def test_sum_reduction_weights_population(self):
-        codebook = np.array([[0.0, 0.0]])
-        data = np.array([[1.0, 0.0], [1.0, 0.0]])
-        mean_error = unit_quantization_errors(data, codebook, reduction="mean")
-        sum_error = unit_quantization_errors(data, codebook, reduction="sum")
-        assert sum_error[0] == pytest.approx(2.0 * mean_error[0])
-
-    def test_invalid_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            unit_quantization_errors(np.ones((2, 2)), np.ones((1, 2)), reduction="median")
-
     def test_precomputed_assignments_respected(self):
         codebook = np.array([[0.0, 0.0], [10.0, 10.0]])
         data = np.array([[0.0, 1.0]])

@@ -104,16 +104,20 @@ class TestInference:
     def test_topographic_error_in_bounds(self, trained_som, blob_data):
         assert 0.0 <= trained_som.topographic_error(blob_data) <= 1.0
 
-
-class TestNeighborhoodOptions:
-    @pytest.mark.parametrize("neighborhood", ["gaussian", "bubble", "mexican_hat"])
-    def test_all_kernels_train(self, blob_data, neighborhood):
-        config = SomTrainingConfig(epochs=5, neighborhood=neighborhood)
-        som = Som(3, 3, n_features=4, config=config, random_state=0).fit(blob_data)
-        assert som.average_sample_error(blob_data) < dataset_quantization_error(blob_data)
-
-    @pytest.mark.parametrize("decay", ["linear", "exponential", "inverse"])
-    def test_all_decays_train(self, blob_data, decay):
-        config = SomTrainingConfig(epochs=5, decay=decay)
-        som = Som(3, 3, n_features=4, config=config, random_state=0).fit(blob_data)
-        assert som.is_fitted
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "transform",
+            "quantization_distances",
+            "unit_errors",
+            "mean_quantization_error",
+            "average_sample_error",
+            "topographic_error",
+            "unit_counts",
+        ],
+    )
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_wrong_width_is_a_data_validation_error(self, trained_som, blob_data, method, width):
+        data = np.tile(blob_data, 2)[:, :width]  # one column fewer or one more
+        with pytest.raises(DataValidationError, match=f"data has {width} features"):
+            getattr(trained_som, method)(data)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.distances import euclidean, squared_euclidean
 from repro.core.grid import MapGrid
-from repro.core.neighborhood import bubble_neighborhood, gaussian_neighborhood
 from repro.core.quantization import (
     dataset_quantization_error,
     mean_quantization_error,
@@ -106,28 +105,6 @@ class TestGridProperties:
         indices = np.random.default_rng(0).integers(0, n, size=(10, 3))
         for a, b, c in indices:
             assert distances[a, c] <= distances[a, b] + distances[b, c] + 1e-9
-
-
-class TestNeighborhoodProperties:
-    @given(
-        distances=hnp.arrays(np.float64, 20, elements=st.floats(0.0, 50.0)),
-        radius=st.floats(0.01, 20.0),
-    )
-    @settings(**DEFAULT_SETTINGS)
-    def test_gaussian_bounded_and_max_at_zero(self, distances, radius):
-        influence = gaussian_neighborhood(distances, radius)
-        assert np.all(influence >= 0.0) and np.all(influence <= 1.0)
-        assert gaussian_neighborhood(np.array([0.0]), radius)[0] == pytest.approx(1.0)
-
-    @given(
-        distances=hnp.arrays(np.float64, 20, elements=st.floats(0.0, 50.0)),
-        radius=st.floats(0.0, 20.0),
-    )
-    @settings(**DEFAULT_SETTINGS)
-    def test_bubble_is_indicator(self, distances, radius):
-        influence = bubble_neighborhood(distances, radius)
-        assert set(np.unique(influence)).issubset({0.0, 1.0})
-        np.testing.assert_array_equal(influence, (distances <= radius).astype(float))
 
 
 class TestQuantizationProperties:

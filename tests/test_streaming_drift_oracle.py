@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro._typing import AnyArray
 from repro.exceptions import ConfigurationError
 from repro.streaming import drift
-from repro.streaming.drift import DriftDetector, MeanShiftDetector, PageHinkleyDetector
+from repro.streaming.drift import DriftDetector, MeanShiftDetector
 from repro.streaming.window import EwmaEstimator, SlidingWindow, scalar_batch
 
 #: Values per block of windows in ``RowReductionMeanShift`` (as it was written).
@@ -473,39 +473,6 @@ class TestSequentialStateEquality:
             assert batched._variance == single._variance
             assert batched.n_updates == single.n_updates
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        threshold=st.sampled_from([0.5, 2.0, 5.0]),
-        min_observations=st.integers(1, 40),
-        seed=st.integers(0, 2**32 - 1),
-        cuts=st.lists(st.integers(0, 300), max_size=4),
-        kind=st.sampled_from(["ndarray", "list", "generator"]),
-    )
-    def test_page_hinkley(self, threshold, min_observations, seed, cuts, kind):
-        values = _stream(seed, 300, 0.5)
-        settings_ = {"delta": 0.005, "threshold": threshold, "min_observations": min_observations}
-        batched = PageHinkleyDetector(**settings_)
-        single = PageHinkleyDetector(**settings_)
-        for chunk in np.split(values, sorted(cuts)):
-            fired = batched.update_many(_as_input(chunk, kind))
-            each = [single.update(value) for value in chunk.tolist()]
-            assert fired == any(each)
-            assert (batched._count, batched._mean, batched._cumulative, batched._minimum) == (
-                single._count,
-                single._mean,
-                single._cumulative,
-                single._minimum,
-            )
-
-
-    @pytest.mark.parametrize("min_observations", [2, 3, 5])
-    def test_page_hinkley_may_fire_at_exactly_min_observations(self, min_observations):
-        stream = [0.0] * (min_observations - 1) + [50.0]
-        settings_ = {"delta": 0.0, "threshold": 0.5, "min_observations": min_observations}
-        single = PageHinkleyDetector(**settings_)
-        assert [single.update(value) for value in stream][-1] is True
-        assert PageHinkleyDetector(**settings_).update_many(stream) is True
-
 
 class _PerValueOnly(DriftDetector):
     """A detector that only defines ``update``: it gets the generic ``update_many``."""
@@ -529,8 +496,8 @@ class TestMatrixInputRejected:
     )
     @pytest.mark.parametrize(
         "factory",
-        [MeanShiftDetector, PageHinkleyDetector, EwmaEstimator, _PerValueOnly],
-        ids=["mean-shift", "page-hinkley", "ewma", "generic"],
+        [MeanShiftDetector, EwmaEstimator, _PerValueOnly],
+        ids=["mean-shift", "ewma", "generic"],
     )
     def test_raises_configuration_error_and_consumes_nothing(self, factory, values):
         target = factory()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.streaming.drift import MeanShiftDetector, PageHinkleyDetector
+from repro.streaming.drift import MeanShiftDetector
 from repro.streaming.window import EwmaEstimator, SlidingWindow
 
 
@@ -87,38 +87,6 @@ class TestEwmaEstimator:
         ewma = EwmaEstimator()
         ewma.update_many([1.0, 2.0, 3.0])
         assert ewma.n_updates == 3
-
-
-class TestPageHinkley:
-    def test_no_drift_on_stationary_stream(self, rng):
-        detector = PageHinkleyDetector(delta=0.01, threshold=5.0)
-        alarms = [detector.update(value) for value in rng.normal(0.0, 0.1, 500)]
-        assert not any(alarms)
-
-    def test_detects_upward_shift(self, rng):
-        detector = PageHinkleyDetector(delta=0.01, threshold=2.0, min_observations=30)
-        stream = np.concatenate([rng.normal(0.0, 0.1, 200), rng.normal(1.0, 0.1, 200)])
-        alarms = [detector.update(value) for value in stream]
-        assert any(alarms[200:])
-        assert not any(alarms[:200])
-
-    def test_reset_clears_state(self, rng):
-        detector = PageHinkleyDetector(threshold=1.0, min_observations=5)
-        for value in np.linspace(0.0, 5.0, 100):
-            detector.update(value)
-        detector.reset()
-        assert not detector.update(0.0)
-
-    def test_min_observations_suppresses_early_alarms(self):
-        detector = PageHinkleyDetector(threshold=0.001, min_observations=50)
-        alarms = [detector.update(value) for value in np.linspace(0, 10, 40)]
-        assert not any(alarms)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PageHinkleyDetector(threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            PageHinkleyDetector(min_observations=0)
 
 
 class TestMeanShiftDetector:
